@@ -93,7 +93,7 @@ pub fn measure_sharding(
     let mut skipped = 0usize;
     let mut executed = 0usize;
     for request in &batch {
-        if let Ok((_, stats)) = engine.run_with_stats_threads(request, 1) {
+        if let Ok((_, stats)) = engine.run_with_stats(request) {
             skipped += stats.skipped_shards();
             executed += stats.executed_shards();
         }

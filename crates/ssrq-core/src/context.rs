@@ -18,7 +18,9 @@ use ssrq_graph::{ChQueryScratch, SearchScratch};
 ///
 /// A context carries no query *results* — only working storage — and every
 /// search resets its scratch before use, so reusing a context can never
-/// change the answer of a query (the test-suite asserts this).
+/// change the answer of a query (the test-suite asserts this).  The one
+/// place where searches deliberately build on each other is
+/// [`QueryContext::share_social_expansion`].
 #[derive(Debug, Clone, Default)]
 pub struct QueryContext {
     /// Scratch for the query-rooted social expansion (Dijkstra / shared
@@ -59,6 +61,37 @@ impl QueryContext {
     /// How many graph searches have reused this context so far.
     pub fn searches(&self) -> u64 {
         self.social.resets()
+    }
+
+    /// Runs `f` with the query-rooted social expansion **shared** between
+    /// the queries it issues through this context.
+    ///
+    /// This is for a coordinator that answers *one* request by running it
+    /// several times over engines that hold different location subsets of
+    /// one dataset (the arms of a sharded scatter).  Every such run expands
+    /// the same graph from the same query user, so inside the scope the
+    /// expansion the first run leaves behind is resumed by the next instead
+    /// of being repeated: sorted-access algorithms (SFA, SPA, TSA, the
+    /// oracle) replay the settled prefix and continue, AIS inherits every
+    /// settled distance as a cache hit.  Answers and every algorithm
+    /// decision are exactly those of unshared runs — see
+    /// [`IncrementalDijkstra`](ssrq_graph::IncrementalDijkstra) — only
+    /// [`QueryStats::relaxed_edges`](crate::QueryStats::relaxed_edges)
+    /// drops, to the edges each run relaxed itself.
+    ///
+    /// A query for a different user, or over a dataset with a different
+    /// graph, simply starts (and then shares) its own expansion.  Nothing is
+    /// carried into or out of the scope, panics included.
+    pub fn share_social_expansion<R>(&mut self, f: impl FnOnce(&mut QueryContext) -> R) -> R {
+        struct Scope<'a>(&'a mut QueryContext);
+        impl Drop for Scope<'_> {
+            fn drop(&mut self) {
+                self.0.social.share_expansions(false);
+            }
+        }
+        self.social.share_expansions(true);
+        let scope = Scope(self);
+        f(&mut *scope.0)
     }
 }
 

@@ -33,9 +33,12 @@ pub struct QueryStats {
     /// Edge relaxations attempted by the query's social-graph searches (the
     /// query-rooted Dijkstra expansions and the bidirectional searches of
     /// the AIS distance submodule; Contraction Hierarchies queries are not
-    /// counted).  Relaxations dominate graph-search run-time, so this is the
-    /// timing-free effort metric the early-exit streaming tests compare
-    /// between a full run and a `take(1)` stream.
+    /// counted).  Fresh work only: a query that resumes the expansion of an
+    /// earlier one ([`QueryContext::share_social_expansion`](crate::QueryContext::share_social_expansion))
+    /// counts the edges it relaxed itself, so the arms of a sharded scatter
+    /// sum to what was actually done.  Relaxations dominate graph-search
+    /// run-time, so this is the timing-free effort metric the early-exit
+    /// streaming tests compare between a full run and a `take(1)` stream.
     pub relaxed_edges: usize,
     /// Result entries whose membership *and* rank were already fixed before
     /// the search completed — the incremental-threshold property of the
@@ -88,13 +91,15 @@ impl QueryStats {
     }
 
     /// Merges the counters of a query that ran **concurrently** with this
-    /// one — the aggregation a scatter-gather coordinator applies over its
-    /// per-shard searches.
+    /// one — the interleaved arms of a cross-shard stream, a remote
+    /// coordinator's origin lookups beside its scatter.
     ///
     /// The semantics differ from [`QueryStats::absorb`] (sequential
     /// composition) in one place: `runtime` becomes the **maximum** of the
-    /// two, because parallel searches overlap on the wall clock and the
-    /// slowest shard bounds the gathered query's latency.  Every *work*
+    /// two, because overlapping searches share the wall clock.  (A
+    /// scatter-gather coordinator sums its shards' work with this and then
+    /// overwrites `runtime` with its own wall clock: its arms may not
+    /// overlap at all.)  Every *work*
     /// counter still sums — total pops, evaluations, distance calls and
     /// `relaxed_edges` measure machine effort, which is additive across
     /// workers.  `streamable_results` also sums: each shard's finalized

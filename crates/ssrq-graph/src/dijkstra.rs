@@ -44,19 +44,42 @@ impl Ord for HeapItem {
 /// one costs `O(1)` instead of `O(|V|)`: the scratch is reset by epoch bump,
 /// not by reallocation.  Create the scratch once per worker and reuse it for
 /// every query.
+///
+/// # Resuming across searches
+///
+/// Inside a sharing scope ([`SearchScratch::share_expansions`]) a search
+/// over the same graph and source as the previous one *resumes* that
+/// expansion.  To its consumer the resumed search is indistinguishable from
+/// a fresh one: [`next_settled`](Self::next_settled) first replays the
+/// retained settled order from the start — same vertices, same order, same
+/// bits, because what Dijkstra settles and when does not depend on where
+/// the expansion was paused — and every accessor
+/// ([`is_settled`](Self::is_settled),
+/// [`settled_distance`](Self::settled_distance),
+/// [`frontier_bound`](Self::frontier_bound),
+/// [`settled_count`](Self::settled_count), [`exhausted`](Self::exhausted))
+/// answers for the replay position, not for what the scratch already
+/// knows.  Only the work counters tell the difference:
+/// [`pops`](Self::pops) and [`relaxations`](Self::relaxations) count fresh
+/// work, and replaying costs none.  A random-access consumer that wants
+/// everything already known calls [`skip_replay`](Self::skip_replay).
 #[derive(Debug)]
 pub struct IncrementalDijkstra<'s> {
     source: NodeId,
     scratch: &'s mut SearchScratch,
     last_settled: Distance,
+    /// Vertices handed out so far — also the replay position in the
+    /// scratch's retained settled order.
     settled_count: usize,
     pops: usize,
     relaxations: usize,
 }
 
 impl<'s> IncrementalDijkstra<'s> {
-    /// Starts a new expansion around `source`, drawing state from
-    /// `scratch` (which is reset first).
+    /// Starts an expansion around `source`, drawing state from `scratch`:
+    /// a new one (the scratch is reset first), or — inside a sharing scope,
+    /// when the scratch retains an expansion from `source` over `graph` —
+    /// that one, replayed from its beginning.
     ///
     /// # Panics
     ///
@@ -66,12 +89,15 @@ impl<'s> IncrementalDijkstra<'s> {
             graph.contains(source),
             "source vertex {source} out of range"
         );
-        scratch.begin(graph.node_count());
-        scratch.set_tentative(source, 0.0, source);
-        scratch.heap.push(HeapItem {
-            key: 0.0,
-            node: source,
-        });
+        if !scratch.retains(graph, source) {
+            scratch.begin(graph.node_count());
+            scratch.set_tentative(source, 0.0, source);
+            scratch.heap.push(HeapItem {
+                key: 0.0,
+                node: source,
+            });
+            scratch.retain_from(graph, source);
+        }
         IncrementalDijkstra {
             source,
             scratch,
@@ -87,15 +113,35 @@ impl<'s> IncrementalDijkstra<'s> {
         self.source
     }
 
+    /// Moves a resumed search to the end of the retained settled order, so
+    /// everything earlier searches settled counts as settled here too.  For
+    /// random-access consumers, which ask for distances of given vertices
+    /// and do not care in which order the expansion met them.  A no-op on a
+    /// fresh expansion.
+    pub fn skip_replay(&mut self) {
+        if let Some(&(_, d)) = self.scratch.order.last() {
+            self.settled_count = self.scratch.order.len();
+            self.last_settled = d;
+        }
+    }
+
     /// Settles and returns the next closest vertex, or `None` when every
     /// reachable vertex has been settled.
     pub fn next_settled(&mut self, graph: &SocialGraph) -> Option<(NodeId, Distance)> {
+        if let Some(&(node, key)) = self.scratch.order.get(self.settled_count) {
+            self.settled_count += 1;
+            self.last_settled = key;
+            return Some((node, key));
+        }
         while let Some(HeapItem { key, node }) = self.scratch.heap.pop() {
             self.pops += 1;
             if self.scratch.is_settled(node) {
                 continue; // stale heap entry (lazy deletion)
             }
             self.scratch.mark_settled(node);
+            if self.scratch.is_retaining() {
+                self.scratch.record_settled(node, key);
+            }
             self.settled_count += 1;
             self.last_settled = key;
             for edge in graph.neighbors(node) {
@@ -120,6 +166,13 @@ impl<'s> IncrementalDijkstra<'s> {
         if self.is_settled(target) {
             return self.scratch.tentative(target);
         }
+        if self.scratch.is_settled(target) {
+            // Ahead of the replay position: jump there, as replaying one
+            // vertex at a time would.
+            self.settled_count = self.scratch.rank(target) + 1;
+            self.last_settled = self.scratch.tentative(target);
+            return self.last_settled;
+        }
         while let Some((node, d)) = self.next_settled(graph) {
             if node == target {
                 return d;
@@ -131,7 +184,7 @@ impl<'s> IncrementalDijkstra<'s> {
     /// Exact distance of a vertex if it has already been settled.
     #[inline]
     pub fn settled_distance(&self, v: NodeId) -> Option<Distance> {
-        if self.scratch.is_settled(v) {
+        if self.is_settled(v) {
             Some(self.scratch.tentative(v))
         } else {
             None
@@ -139,7 +192,9 @@ impl<'s> IncrementalDijkstra<'s> {
     }
 
     /// Tentative (upper-bound) distance of a vertex; `INFINITY` if it has
-    /// not been touched yet.
+    /// not been touched yet.  (While a resumed search replays, the bound is
+    /// the retained expansion's — possibly tighter than a fresh search's at
+    /// the same position, never wrong.)
     #[inline]
     pub fn tentative_distance(&self, v: NodeId) -> Distance {
         self.scratch.tentative(v)
@@ -149,6 +204,8 @@ impl<'s> IncrementalDijkstra<'s> {
     #[inline]
     pub fn is_settled(&self, v: NodeId) -> bool {
         self.scratch.is_settled(v)
+            && (self.settled_count >= self.scratch.order.len()
+                || self.scratch.rank(v) < self.settled_count)
     }
 
     /// Distance of the most recently settled vertex — a lower bound on the
@@ -162,22 +219,25 @@ impl<'s> IncrementalDijkstra<'s> {
     /// Returns `true` when the expansion has settled every vertex it can
     /// reach.
     pub fn exhausted(&self) -> bool {
-        self.scratch.heap.is_empty()
+        self.scratch.heap.is_empty() && self.settled_count >= self.scratch.order.len()
     }
 
-    /// Number of vertices settled so far.
+    /// Number of vertices settled so far (replayed ones included).
     pub fn settled_count(&self) -> usize {
         self.settled_count
     }
 
-    /// Number of heap pops performed (including stale entries).
+    /// Number of heap pops this search performed (including stale entries;
+    /// replayed settles pop nothing).
     pub fn pops(&self) -> usize {
         self.pops
     }
 
-    /// Number of edge relaxations attempted so far (one per neighbour edge
-    /// of every settled vertex).  The expansion's run-time is dominated by
-    /// these, which makes the counter a timing-free proxy for search effort.
+    /// Number of edge relaxations this search attempted (one per neighbour
+    /// edge of every vertex it settled itself — replayed settles were paid
+    /// for by the search that made them).  The expansion's run-time is
+    /// dominated by these, which makes the counter a timing-free proxy for
+    /// search effort.
     pub fn relaxations(&self) -> usize {
         self.relaxations
     }
@@ -210,7 +270,7 @@ impl<'s> IncrementalDijkstra<'s> {
         graph
             .nodes()
             .map(|v| {
-                if self.scratch.is_settled(v) {
+                if self.is_settled(v) {
                     self.scratch.tentative(v)
                 } else {
                     f64::INFINITY

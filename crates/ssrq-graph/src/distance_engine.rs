@@ -187,6 +187,13 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
     /// state from `scratch` (reset on construction, so the scratch may be
     /// reused across queries).
     ///
+    /// Inside a sharing scope ([`SearchScratch::share_expansions`]) a
+    /// [`SharingMode::Shared`] engine takes over the expansion an earlier
+    /// search from `source` left in the scratch, whole: everything that
+    /// search settled is a [`known_distance`](Self::known_distance) here and
+    /// [`beta`](Self::beta) starts at its frontier.  The engine's counters
+    /// cover only the work it adds.
+    ///
     /// # Panics
     ///
     /// Panics if `source` is not a vertex of `graph`.
@@ -197,12 +204,16 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
         mode: SharingMode,
         scratch: &'s mut SearchScratch,
     ) -> Self {
+        let mut forward = IncrementalDijkstra::new(graph, source, scratch);
+        if mode == SharingMode::Shared {
+            forward.skip_replay();
+        }
         GraphDistanceEngine {
             graph,
             landmarks,
             source,
             mode,
-            forward: IncrementalDijkstra::new(graph, source, scratch),
+            forward,
             path_dist: HashMap::new(),
             stats: DistanceEngineStats::default(),
             hash_relaxations: 0,

@@ -13,9 +13,17 @@
 //! current one, so [`SearchScratch::begin`] is `O(1)` (amortized — the
 //! arrays still grow when a larger graph is seen, and the epoch counter
 //! wrap-around forces a full refresh every `u32::MAX` searches).
+//!
+//! The same storage makes an expansion *resumable across searches*: the
+//! heap, distances and settled marks of a Dijkstra expansion all live here,
+//! so inside a sharing scope ([`SearchScratch::share_expansions`]) a second
+//! [`IncrementalDijkstra`](crate::IncrementalDijkstra) from the same source
+//! picks the first one's expansion up where it paused instead of starting
+//! over — the paper's §5.2 forward heap caching, stretched from the
+//! evaluations of one search to the searches of one query.
 
 use crate::dijkstra::HeapItem;
-use crate::{Distance, NodeId};
+use crate::{Distance, NodeId, SocialGraph};
 use std::collections::BinaryHeap;
 
 /// Reusable storage for one graph search: tentative distances, settled
@@ -29,7 +37,8 @@ use std::collections::BinaryHeap;
 ///
 /// A scratch is exclusively borrowed by the search using it, so stale state
 /// can never leak between two searches — the epoch check makes entries from
-/// previous searches invisible.
+/// previous searches invisible.  The one deliberate exception is the
+/// sharing scope of [`SearchScratch::share_expansions`].
 #[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
     /// Current generation; entries are valid iff their epoch matches.
@@ -46,6 +55,19 @@ pub struct SearchScratch {
     pub(crate) heap: BinaryHeap<HeapItem>,
     /// Number of searches that have used this scratch (diagnostics).
     resets: u64,
+    /// Whether a sharing scope is open (see
+    /// [`SearchScratch::share_expansions`]).
+    sharing: bool,
+    /// `(source, graph address)` of the Dijkstra expansion whose state this
+    /// scratch still holds for a same-source search to resume.  Only ever
+    /// `Some` inside a sharing scope; cleared by every [`Self::begin`].
+    retained: Option<(NodeId, usize)>,
+    /// The retained expansion's settled `(vertex, distance)` pairs in settle
+    /// order — what a resumed sorted-access consumer replays.  Empty unless
+    /// an expansion is retained.
+    pub(crate) order: Vec<(NodeId, Distance)>,
+    /// Position in `order` of each vertex settled by the retained expansion.
+    rank: Vec<u32>,
 }
 
 impl SearchScratch {
@@ -71,11 +93,70 @@ impl SearchScratch {
         self.resets
     }
 
+    /// Opens (`true`) or closes (`false`) a **sharing scope**.
+    ///
+    /// Inside the scope, a Dijkstra expansion started on this scratch is
+    /// retained when its search is dropped, and the next
+    /// [`IncrementalDijkstra::new`](crate::IncrementalDijkstra::new) over the
+    /// same graph and source *resumes* it — it replays the settled prefix
+    /// and then keeps expanding the retained heap — instead of starting
+    /// from zero.  Any other search (another source, another graph, an A*)
+    /// starts fresh and replaces what was retained.  Opening and closing
+    /// both drop whatever was retained, so nothing crosses the scope's
+    /// boundary; outside a scope every search starts fresh.
+    ///
+    /// The caller vouches that the graph is not mutated while the scope is
+    /// open (shared borrows of an immutable graph guarantee that).
+    pub fn share_expansions(&mut self, on: bool) {
+        self.sharing = on;
+        self.retained = None;
+    }
+
+    /// Whether this scratch holds a resumable expansion from `source` over
+    /// `graph`.
+    #[inline]
+    pub(crate) fn retains(&self, graph: &SocialGraph, source: NodeId) -> bool {
+        self.retained == Some((source, graph_address(graph)))
+    }
+
+    /// Whether the current expansion records its settled order for later
+    /// searches to resume.
+    #[inline]
+    pub(crate) fn is_retaining(&self) -> bool {
+        self.retained.is_some()
+    }
+
+    /// Marks the expansion just begun from `source` over `graph` as one to
+    /// retain — a no-op outside a sharing scope.
+    pub(crate) fn retain_from(&mut self, graph: &SocialGraph, source: NodeId) {
+        if self.sharing {
+            self.rank.resize(self.dist.len(), 0);
+            self.retained = Some((source, graph_address(graph)));
+        }
+    }
+
+    /// Appends a freshly settled vertex to the retained settled order.
+    #[inline]
+    pub(crate) fn record_settled(&mut self, v: NodeId, d: Distance) {
+        self.rank[v as usize] = self.order.len() as u32;
+        self.order.push((v, d));
+    }
+
+    /// Position of `v` in the retained settled order (meaningful only for
+    /// vertices settled by a retained expansion).
+    #[inline]
+    pub(crate) fn rank(&self, v: NodeId) -> usize {
+        self.rank[v as usize] as usize
+    }
+
     /// Starts a new search over a graph of `n` vertices: invalidates every
-    /// entry (O(1) via the epoch bump) and empties the heap.
+    /// entry (O(1) via the epoch bump), empties the heap and forgets any
+    /// retained expansion.
     pub fn begin(&mut self, n: usize) {
         self.grow(n);
         self.heap.clear();
+        self.order.clear();
+        self.retained = None;
         self.resets += 1;
         if self.epoch == u32::MAX {
             // Wrap-around: restart the generation sequence.  Epoch 0 must
@@ -135,6 +216,13 @@ impl SearchScratch {
     pub(crate) fn parent(&self, v: NodeId) -> NodeId {
         self.parent[v as usize]
     }
+}
+
+/// A graph's identity for the resume check: every search that shares one
+/// expansion reads the same `SocialGraph` instance.
+#[inline]
+fn graph_address(graph: &SocialGraph) -> usize {
+    graph as *const SocialGraph as usize
 }
 
 #[cfg(test)]

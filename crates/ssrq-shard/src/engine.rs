@@ -1,16 +1,16 @@
 //! The sharded scatter-gather engine.
 
 use crate::partition::{Partitioning, ShardAssignment};
-use crate::stats::{ShardOutcome, ShardStats};
+use crate::stats::ShardStats;
 use crate::transport::{self, shard_score_lower_bound, FailurePolicy, ShardTransport};
 use ssrq_core::{
     AlgorithmStrategy, CoreError, EngineBuilder, GeoSocialDataset, GeoSocialEngine, QueryContext,
-    QueryRequest, QueryResult, RankedUser, TopK, UserId,
+    QueryRequest, QueryResult, UserId,
 };
 use ssrq_spatial::{Point, Rect};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One partition: a full [`GeoSocialEngine`] over the shared social graph
@@ -158,12 +158,17 @@ pub struct RebalanceReport {
 ///
 /// `ShardedEngine` partitions a [`GeoSocialDataset`] across N
 /// [`GeoSocialEngine`]s (see [`Partitioning`]) and answers any
-/// [`QueryRequest`] by **scatter-gather**: the request — with the query
-/// user's location resolved once and broadcast as the request
-/// [`origin`](QueryRequest::origin) — fans out to the shards, each runs its
-/// ordinary bounded top-k over its residents, and the coordinator merges
-/// the per-shard results into an answer whose ranked list is identical to
-/// the unpartitioned engine's for every algorithm.
+/// [`QueryRequest`] by **best-first sequential scatter-gather**: the
+/// request — with the query user's location resolved once and broadcast as
+/// the request [`origin`](QueryRequest::origin) — visits the shards one at
+/// a time, each runs its ordinary bounded top-k over its residents, and the
+/// coordinator merges the per-shard results into an answer whose ranked
+/// list is identical to the unpartitioned engine's for every algorithm.
+/// There is one scatter loop, [`scatter_sequential`](crate::scatter_sequential)
+/// — the loop a socket coordinator runs over remote shards — and *queries*,
+/// not the arms of one query, are the unit of parallelism
+/// ([`ShardedEngine::run_batch`], or one [`ShardedSession`](crate::ShardedSession)
+/// per serving thread).
 ///
 /// The coordinator is *bounded*, not just correct:
 ///
@@ -171,16 +176,22 @@ pub struct RebalanceReport {
 ///   (`(1 − α) · mindist(origin, shard rect) / norm`), and a shard whose
 ///   bound cannot beat the running threshold is **skipped** outright;
 /// * once `k` results are gathered, the running `f_k` is forwarded to
-///   later/lagging shards through the request's
-///   [`max_score`](QueryRequest::max_score) admission cutoff, so their
-///   searches terminate early exactly like a single engine whose interim
-///   result is already that good.
+///   every later shard through the request's
+///   [`max_score`](QueryRequest::max_score) admission cutoff, so its
+///   search terminates early exactly like a single engine whose interim
+///   result is already that good;
+/// * the shards hold different *locations* but one *graph*, so the arms of
+///   a scatter share a **single query-rooted social expansion**
+///   ([`QueryContext::share_social_expansion`]): an arm resumes what the
+///   arms before it settled instead of expanding from the query user again,
+///   and the scatter's `relaxed_edges` stay those of one search however
+///   many shards execute.
 ///
 /// **Exactness.**  Each shard's result is the exact top-k over its own
 /// residents with globally normalized scores (the shard datasets inherit
 /// the unpartitioned normalization constants), and every candidate a skip
 /// or forwarded cutoff discards scores at least the interim `f_k` — which
-/// never falls below the final `f_k`, so [`TopK`] would reject the
+/// never falls below the final `f_k`, so [`TopK`](ssrq_core::TopK) would reject the
 /// candidate at gather time anyway.  The merged list is therefore the
 /// global top-k; on exact score ties at the `k`-boundary the merge keeps
 /// the lexicographically smallest `(score, user)` entries (real-valued
@@ -199,17 +210,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ShardedEngine>();
 };
-
-/// Coordinator-side gather state shared by the scatter workers.
-struct Gather {
-    /// Running interim result; used **only** for the threshold `f_k` (the
-    /// final ranked list is rebuilt deterministically from `entries`, so
-    /// worker scheduling cannot reorder tie-breaks).
-    topk: TopK,
-    entries: Vec<RankedUser>,
-    outcomes: Vec<Option<ShardOutcome>>,
-    error: Option<CoreError>,
-}
 
 impl ShardedEngine {
     /// Starts fluent construction over `dataset`.
@@ -280,13 +280,14 @@ impl ShardedEngine {
     }
 
     /// A [`ShardedSession`](crate::ShardedSession): per-worker handle with
-    /// one reusable [`QueryContext`] per shard and cross-shard streaming.
+    /// reusable [`QueryContext`]s and cross-shard streaming.
     pub fn session(&self) -> crate::ShardedSession<'_> {
         crate::ShardedSession::new(self)
     }
 
-    /// Processes one request by parallel scatter-gather; see the type-level
-    /// docs for the coordinator's bounding and the exactness argument.
+    /// Processes one request by best-first scatter-gather; see the
+    /// type-level docs for the coordinator's bounding and the exactness
+    /// argument.
     ///
     /// # Errors
     ///
@@ -302,28 +303,18 @@ impl ShardedEngine {
         &self,
         request: &QueryRequest,
     ) -> Result<(QueryResult, ShardStats), CoreError> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.run_with_stats_threads(request, threads)
+        self.scatter(request, &mut self.make_context())
     }
 
-    /// [`ShardedEngine::run_with_stats`] with an explicit scatter width.
-    ///
-    /// `threads = 1` visits the shards *sequentially* in best-first order,
-    /// which maximizes what the threshold forwarding and rect pruning can
-    /// skip (each shard sees the `f_k` of everything gathered so far) —
-    /// the mode the per-query workers of [`ShardedEngine::run_batch`] use,
-    /// and the right mode for measuring skip rates.  Wider scatters trade
-    /// pruning opportunity for per-query latency.
+    /// [`ShardedEngine::run_with_stats`]: there is one scatter loop, so the
+    /// width is ignored.  Kept for callers of the former threaded scatter.
+    #[doc(hidden)]
     pub fn run_with_stats_threads(
         &self,
         request: &QueryRequest,
-        threads: usize,
+        _threads: usize,
     ) -> Result<(QueryResult, ShardStats), CoreError> {
-        let threads = threads.clamp(1, self.shards.len());
-        let mut contexts: Vec<QueryContext> = (0..threads).map(|_| self.make_context()).collect();
-        self.scatter(request, &mut contexts)
+        self.run_with_stats(request)
     }
 
     /// A query context sized for the (shared) social graph; reusable
@@ -333,10 +324,9 @@ impl ShardedEngine {
     }
 
     /// Processes a batch of requests in parallel across worker threads
-    /// (queries are the unit of parallelism; each query visits its shards
-    /// sequentially in best-first order, which maximizes the threshold
-    /// pruning).  Results arrive in input order; per-element errors are
-    /// reported in place.
+    /// (queries are the unit of parallelism; each worker scatters its
+    /// queries through one context of its own).  Results arrive in input
+    /// order; per-element errors are reported in place.
     pub fn run_batch(&self, batch: &[QueryRequest]) -> Vec<Result<QueryResult, CoreError>> {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -352,7 +342,7 @@ impl ShardedEngine {
     ) -> Vec<Result<QueryResult, CoreError>> {
         let threads = threads.min(batch.len());
         if threads <= 1 {
-            let mut ctx = vec![self.make_context()];
+            let mut ctx = self.make_context();
             return batch
                 .iter()
                 .map(|request| self.scatter(request, &mut ctx).map(|(r, _)| r))
@@ -365,7 +355,7 @@ impl ShardedEngine {
             let workers: Vec<_> = (0..threads)
                 .map(|_| {
                     scope.spawn(|| {
-                        let mut ctx = vec![self.make_context()];
+                        let mut ctx = self.make_context();
                         let mut local = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -523,141 +513,44 @@ impl ShardedEngine {
         )
     }
 
-    /// The scatter-gather core: one worker per context, shards visited in
-    /// ascending lower-bound order, threshold forwarded through the
-    /// request cutoff, deterministic merge.
-    ///
-    /// With a single context the scatter routes through the transport
-    /// layer's [`scatter_sequential`](crate::scatter_sequential) — the very
-    /// loop a socket coordinator runs over remote shards — so the
-    /// in-process and multi-process deployments share one visit order,
-    /// threshold-forwarding rule and merge.
+    /// The scatter-gather core: the transport layer's
+    /// [`scatter_sequential`](crate::scatter_sequential) — the very loop a
+    /// socket coordinator runs over remote shards, so both deployments
+    /// share one visit order, threshold-forwarding rule and merge — over
+    /// in-process shards that all execute through `ctx`, inside one
+    /// [`QueryContext::share_social_expansion`] scope.
     pub(crate) fn scatter(
         &self,
         request: &QueryRequest,
-        contexts: &mut [QueryContext],
+        ctx: &mut QueryContext,
     ) -> Result<(QueryResult, ShardStats), CoreError> {
         let started = Instant::now();
         let base = self.prepare(request)?;
-        if contexts.len() <= 1 {
-            let mut owned;
-            let ctx: &mut QueryContext = match contexts {
-                [] => {
-                    owned = self.make_context();
-                    &mut owned
-                }
-                [ctx, ..] => ctx,
-            };
-            let cell = RefCell::new(ctx);
-            let mut transports: Vec<LocalShard<'_, '_>> = (0..self.shards.len())
-                .map(|index| LocalShard {
-                    engine: self,
-                    index,
-                    ctx: &cell,
-                })
-                .collect();
-            // In-process shards fail the query on error — `Degrade` only
-            // makes sense when a shard can fail independently (a process).
-            let scatter =
+        // In-process shards fail the query on error — `Degrade` only makes
+        // sense when a shard can fail independently (a process).
+        let scatter = ctx
+            .share_social_expansion(|ctx| {
+                let ctx = RefCell::new(ctx);
+                let mut transports: Vec<LocalShard<'_, '_>> = (0..self.shards.len())
+                    .map(|index| LocalShard {
+                        engine: self,
+                        index,
+                        ctx: &ctx,
+                    })
+                    .collect();
                 transport::scatter_sequential(&mut transports, &base, FailurePolicy::Fail)
-                    .map_err(|e| e.error)?;
-            let scatter_elapsed = started.elapsed();
-            let merge_started = Instant::now();
-            let ranked = transport::merge_ranked(scatter.entries, base.k());
-            let merge_elapsed = merge_started.elapsed();
-            let shard_stats = ShardStats::new(scatter.outcomes, started.elapsed());
-            crate::obs::record_scatter(&shard_stats, scatter_elapsed, merge_elapsed);
-            let result = QueryResult {
-                ranked,
-                k: base.k(),
-                degraded: scatter.degraded,
-                stats: shard_stats.merged,
-            };
-            return Ok((result, shard_stats));
-        }
-        let origin = base.origin();
-        let n = self.shards.len();
-        let bounds: Vec<f64> = self
-            .shards
-            .iter()
-            .map(|s| self.shard_lower_bound(s, &base, origin))
-            .collect();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
-
-        let cursor = AtomicUsize::new(0);
-        let gather = Mutex::new(Gather {
-            topk: TopK::for_request(request),
-            entries: Vec::new(),
-            outcomes: vec![None; n],
-            error: None,
-        });
-
-        let worker = |ctx: &mut QueryContext| loop {
-            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&s) = order.get(slot) else { break };
-            let threshold = {
-                let g = gather.lock().expect("gather lock");
-                if g.error.is_some() {
-                    break;
-                }
-                g.topk.fk()
-            };
-            if bounds[s] >= threshold {
-                let mut g = gather.lock().expect("gather lock");
-                g.outcomes[s] = Some(ShardOutcome::Skipped {
-                    lower_bound: bounds[s],
-                });
-                continue;
-            }
-            let shard_request = base.clone().with_max_score_at_most(threshold);
-            match self.shards[s].engine.run_with(&shard_request, ctx) {
-                Ok(result) => {
-                    let mut g = gather.lock().expect("gather lock");
-                    for &entry in &result.ranked {
-                        g.topk.consider(entry);
-                    }
-                    g.outcomes[s] = Some(ShardOutcome::Executed(result.stats));
-                    g.entries.extend(result.ranked);
-                }
-                Err(error) => {
-                    let mut g = gather.lock().expect("gather lock");
-                    if g.error.is_none() {
-                        g.error = Some(error);
-                    }
-                    break;
-                }
-            }
-        };
-
-        std::thread::scope(|scope| {
-            for ctx in contexts.iter_mut() {
-                scope.spawn(|| worker(ctx));
-            }
-        });
-
-        let gather = gather.into_inner().expect("gather lock");
-        if let Some(error) = gather.error {
-            return Err(error);
-        }
-        // Deterministic merge: the running `topk` above only steers the
-        // pruning — rebuilding the list makes the answer independent of
-        // worker scheduling.
+            })
+            .map_err(|e| e.error)?;
         let scatter_elapsed = started.elapsed();
         let merge_started = Instant::now();
-        let ranked = transport::merge_ranked(gather.entries, request.k());
+        let ranked = transport::merge_ranked(scatter.entries, base.k());
         let merge_elapsed = merge_started.elapsed();
-        let outcomes: Vec<ShardOutcome> = gather
-            .outcomes
-            .into_iter()
-            .map(|o| o.expect("every shard has an outcome"))
-            .collect();
-        let shard_stats = ShardStats::new(outcomes, started.elapsed());
+        let shard_stats = ShardStats::new(scatter.outcomes, started.elapsed());
         crate::obs::record_scatter(&shard_stats, scatter_elapsed, merge_elapsed);
         let result = QueryResult {
             ranked,
-            k: request.k(),
-            degraded: false,
+            k: base.k(),
+            degraded: scatter.degraded,
             stats: shard_stats.merged,
         };
         Ok((result, shard_stats))
@@ -665,8 +558,8 @@ impl ShardedEngine {
 }
 
 /// The in-process [`ShardTransport`]: one shard of a [`ShardedEngine`],
-/// executing through a shared (single-threaded, hence `RefCell`) query
-/// context.
+/// executing through the scatter's one (single-threaded, hence `RefCell`)
+/// query context.
 struct LocalShard<'a, 'b> {
     engine: &'a ShardedEngine,
     index: usize,

@@ -19,9 +19,11 @@
 //!   and broadcasts it as the request's
 //!   [`origin`](ssrq_core::QueryRequest::origin), so a shard that does not
 //!   host the query user still measures every spatial distance correctly.
-//!   Shards run their ordinary bounded top-k in parallel
-//!   (`std::thread::scope` workers, one
-//!   [`QueryContext`](ssrq_core::QueryContext) each).
+//!   Shards run their ordinary bounded top-k one after the other through
+//!   one [`QueryContext`](ssrq_core::QueryContext), sharing a single
+//!   query-rooted social expansion
+//!   ([`share_social_expansion`](ssrq_core::QueryContext::share_social_expansion));
+//!   parallelism is across queries ([`ShardedEngine::run_batch`]).
 //! * **Bounding** — shards are visited best-first by their score lower
 //!   bound `(1 − α) · mindist(origin, rect) / norm`; once `k` results are
 //!   gathered the running `f_k` is forwarded to later shards through the

@@ -7,13 +7,14 @@ use ssrq_core::{
 };
 use std::collections::VecDeque;
 
-/// A per-worker handle on a [`ShardedEngine`]: one reusable
-/// [`QueryContext`] per shard, so a serving worker pays the `O(|V|)`
-/// scratch allocation once per shard instead of per query — and the only
-/// way to open a cross-shard [`ShardedStream`].
+/// A per-worker handle on a [`ShardedEngine`]: reusable [`QueryContext`]s,
+/// so a serving worker pays the `O(|V|)` scratch allocation once instead of
+/// per query — and the only way to open a cross-shard [`ShardedStream`].
 #[derive(Debug)]
 pub struct ShardedSession<'e> {
     engine: &'e ShardedEngine,
+    /// One context per shard, for [`ShardedSession::stream`]'s interleaved
+    /// arms; a scatter visits its shards one at a time through the first.
     contexts: Vec<QueryContext>,
 }
 
@@ -32,9 +33,8 @@ impl<'e> ShardedSession<'e> {
         self.engine
     }
 
-    /// Processes one request by scatter-gather, reusing this session's
-    /// contexts (parallel across shards when more than one is worth
-    /// visiting).
+    /// Processes one request by best-first scatter-gather
+    /// ([`ShardedEngine::run`]), reusing this session's context.
     pub fn run(&mut self, request: &QueryRequest) -> Result<QueryResult, CoreError> {
         self.run_with_stats(request).map(|(result, _)| result)
     }
@@ -44,7 +44,8 @@ impl<'e> ShardedSession<'e> {
         &mut self,
         request: &QueryRequest,
     ) -> Result<(QueryResult, ShardStats), CoreError> {
-        self.engine.scatter(request, &mut self.contexts)
+        // The builder rejects zero shards, so the first context exists.
+        self.engine.scatter(request, &mut self.contexts[0])
     }
 
     /// Processes one request as a **cross-shard pull-lazy stream**: every
@@ -67,7 +68,8 @@ impl<'e> ShardedSession<'e> {
     /// Each `next()` then advances only the shard whose head was consumed,
     /// so the first results arrive after a fraction of the full scatter
     /// work.  A fully drained stream yields exactly
-    /// [`ShardedSession::run`]'s ranked entries in order: an unopened arm
+    /// [`ShardedSession::run`]'s ranked entries in order (each arm keeps a
+    /// context, and a social expansion, of its own): an unopened arm
     /// only ever holds entries scoring at or above its bound, which is
     /// strictly above everything emitted while it stayed closed.
     ///
@@ -198,9 +200,9 @@ impl ShardedStream<'_> {
     }
 
     /// Work counters across the shard streams opened **so far**
-    /// ([`QueryStats::merge`] semantics: work sums, runtime is the slowest
-    /// shard) — for a truncated stream this shows what the early exit and
-    /// the lazy admission saved.
+    /// ([`QueryStats::merge`] semantics: work sums; the arms interleave, so
+    /// runtime is the longest-lived arm's) — for a truncated stream this
+    /// shows what the early exit and the lazy admission saved.
     pub fn stats(&self) -> QueryStats {
         let mut merged = QueryStats::default();
         for arm in &self.arms {

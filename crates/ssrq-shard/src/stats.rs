@@ -34,14 +34,18 @@ pub enum ShardOutcome {
 }
 
 /// Coordinator-side statistics of one scatter-gather query: the per-shard
-/// outcomes plus the aggregate built with [`QueryStats::merge`] (work
-/// counters sum across shards; `runtime` is the slowest shard, since the
-/// searches overlap on the wall clock).
+/// outcomes plus their aggregate — work counters sum across the executed
+/// shards; `runtime` is the coordinator's own wall clock, because how much
+/// the shard searches overlap (not at all in-process or under the remote
+/// coordinator's sequential mode, fully under its speculative mode) is
+/// something only the coordinator observes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
     /// One outcome per shard, indexed by shard id.
     pub per_shard: Vec<ShardOutcome>,
-    /// The [`QueryStats::merge`] aggregate over every executed shard.
+    /// The executed shards' work counters summed, with
+    /// `runtime == gather_runtime` — what the gathered
+    /// [`QueryResult`](ssrq_core::QueryResult) carries as its `stats`.
     pub merged: QueryStats,
     /// Wall-clock time of the whole scatter-gather (including the merge),
     /// as observed by the coordinator.
@@ -57,6 +61,7 @@ impl ShardStats {
                 merged.merge(stats);
             }
         }
+        merged.runtime = gather_runtime;
         ShardStats {
             per_shard,
             merged,
@@ -118,8 +123,9 @@ mod tests {
         assert_eq!(stats.skipped_shards(), 1);
         assert_eq!(stats.failed_shards(), 1);
         assert_eq!(stats.merged.vertex_pops, 12);
-        // merge semantics: parallel shards overlap, slowest one counts.
-        assert_eq!(stats.merged.runtime, Duration::from_millis(10));
+        // Neither the slowest shard (10 ms) nor the shards' sum (13 ms):
+        // the coordinator's wall clock.
+        assert_eq!(stats.merged.runtime, Duration::from_millis(12));
         assert_eq!(stats.gather_runtime, Duration::from_millis(12));
     }
 }

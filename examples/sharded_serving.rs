@@ -56,7 +56,7 @@ fn main() {
         // Sequential best-first scatter: every shard sees the f_k gathered
         // so far, so the threshold/rect pruning gets to skip shards.
         let (result, stats) = sharded
-            .run_with_stats_threads(&request, 1)
+            .run_with_stats(&request)
             .expect("scatter-gather succeeds");
         let reference = single.run(&request).expect("single engine succeeds");
         assert_eq!(
