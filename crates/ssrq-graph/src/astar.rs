@@ -6,8 +6,9 @@
 //! incremental — one settled vertex per call — so it can be interleaved with
 //! the shared forward Dijkstra expansion.
 
-use crate::dijkstra::HeapItem;
+use crate::queue::HeapItem;
 use crate::{Distance, LandmarkSet, NodeId, SearchScratch, SocialGraph};
+use std::collections::BinaryHeap;
 
 /// A lower-bound estimator of the distance from a vertex to a fixed goal.
 ///
@@ -73,6 +74,9 @@ pub struct AStar<'s, H> {
     source: NodeId,
     heuristic: H,
     scratch: &'s mut SearchScratch,
+    /// The open list.  A binary heap, not the scratch's radix queue: `g + h`
+    /// keys are monotone only up to rounding.
+    heap: BinaryHeap<HeapItem>,
     pops: usize,
     settled_count: usize,
 }
@@ -96,7 +100,8 @@ impl<'s, H: Heuristic> AStar<'s, H> {
         );
         scratch.begin(graph.node_count());
         scratch.set_tentative(source, 0.0, source);
-        scratch.heap.push(HeapItem {
+        let mut heap = BinaryHeap::new();
+        heap.push(HeapItem {
             key: heuristic.estimate(source),
             node: source,
         });
@@ -104,6 +109,7 @@ impl<'s, H: Heuristic> AStar<'s, H> {
             source,
             heuristic,
             scratch,
+            heap,
             pops: 0,
             settled_count: 0,
         }
@@ -117,7 +123,7 @@ impl<'s, H: Heuristic> AStar<'s, H> {
     /// Settles and returns the next vertex (with its exact distance from the
     /// source), or `None` when no reachable vertex remains.
     pub fn next_settled(&mut self, graph: &SocialGraph) -> Option<(NodeId, Distance)> {
-        while let Some(HeapItem { node, .. }) = self.scratch.heap.pop() {
+        while let Some(HeapItem { node, .. }) = self.heap.pop() {
             self.pops += 1;
             if self.scratch.is_settled(node) {
                 continue;
@@ -129,7 +135,7 @@ impl<'s, H: Heuristic> AStar<'s, H> {
                 let cand = g_node + edge.weight;
                 if cand < self.scratch.tentative(edge.to) {
                     self.scratch.set_tentative(edge.to, cand, node);
-                    self.scratch.heap.push(HeapItem {
+                    self.heap.push(HeapItem {
                         key: cand + self.heuristic.estimate(edge.to),
                         node: edge.to,
                     });
@@ -174,24 +180,20 @@ impl<'s, H: Heuristic> AStar<'s, H> {
     /// `f`-value of every vertex that is yet to be settled.  `None` when the
     /// search is exhausted.
     pub fn min_key(&self) -> Option<Distance> {
-        self.scratch
-            .heap
-            .iter()
-            .map(|e| e.key)
-            .fold(None, |acc, k| {
-                Some(match acc {
-                    None => k,
-                    Some(a) if k < a => k,
-                    Some(a) => a,
-                })
+        self.heap.iter().map(|e| e.key).fold(None, |acc, k| {
+            Some(match acc {
+                None => k,
+                Some(a) if k < a => k,
+                Some(a) => a,
             })
+        })
     }
 
     /// The key of the head of the heap (cheapest unexpanded entry), without
     /// scanning; may correspond to an already-settled (stale) vertex but is
     /// still a valid lower bound.
     pub fn peek_key(&self) -> Option<Distance> {
-        self.scratch.heap.peek().map(|e| e.key)
+        self.heap.peek().map(|e| e.key)
     }
 
     /// Number of settled vertices.
@@ -206,7 +208,7 @@ impl<'s, H: Heuristic> AStar<'s, H> {
 
     /// Returns `true` when the open heap is empty.
     pub fn exhausted(&self) -> bool {
-        self.scratch.heap.is_empty()
+        self.heap.is_empty()
     }
 }
 

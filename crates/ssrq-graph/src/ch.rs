@@ -1,4 +1,4 @@
-use crate::dijkstra::HeapItem;
+use crate::queue::HeapItem;
 use crate::{Distance, EdgeWeight, NodeId, SocialGraph};
 use std::collections::{BinaryHeap, HashMap};
 

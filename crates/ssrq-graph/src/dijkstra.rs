@@ -1,35 +1,21 @@
+//! The query-rooted Dijkstra expansion — the one social-side primitive of
+//! the paper's algorithms: SFA/TSA's sorted access and the AIS *GraphDist*
+//! module with forward heap caching (§5.2) are all an
+//! [`IncrementalDijkstra`] over a [`SearchScratch`].
+//!
+//! Its priority queue is the scratch's monotone radix queue (`queue.rs`),
+//! not a binary heap.  The queue's precondition — no key below the one
+//! popped last, none NaN or negative — is Dijkstra's own invariant: the
+//! source enters with key `0.0` and every later key is `key + w` for the
+//! popped `key` and a builder-validated `w > 0`.  The queue pops in
+//! ascending `(key, vertex)` order, the order the binary heap it replaced
+//! popped in, so which vertex settles when, every distance bit and every
+//! [`pops`](IncrementalDijkstra::pops) /
+//! [`relaxations`](IncrementalDijkstra::relaxations) count are unchanged;
+//! a settle costs about half the time.  (A* keeps a binary heap: `g + h`
+//! is monotone only up to rounding.)
+
 use crate::{Distance, NodeId, SearchScratch, SocialGraph};
-use std::cmp::Ordering;
-
-/// A min-heap entry (distance key + vertex) used by all graph searches.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HeapItem {
-    pub key: f64,
-    pub node: NodeId,
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.node == other.node
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering on the key: BinaryHeap is a max-heap, searches
-        // need a min-heap.  Ties broken on node id for determinism.
-        other
-            .key
-            .partial_cmp(&self.key)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
 
 /// A resumable Dijkstra expansion from a fixed source vertex.
 ///
@@ -92,10 +78,7 @@ impl<'s> IncrementalDijkstra<'s> {
         if !scratch.retains(graph, source) {
             scratch.begin(graph.node_count());
             scratch.set_tentative(source, 0.0, source);
-            scratch.heap.push(HeapItem {
-                key: 0.0,
-                node: source,
-            });
+            scratch.queue.push(0.0, source);
             scratch.retain_from(graph, source);
         }
         IncrementalDijkstra {
@@ -133,10 +116,10 @@ impl<'s> IncrementalDijkstra<'s> {
             self.last_settled = key;
             return Some((node, key));
         }
-        while let Some(HeapItem { key, node }) = self.scratch.heap.pop() {
+        while let Some((key, node)) = self.scratch.queue.pop() {
             self.pops += 1;
             if self.scratch.is_settled(node) {
-                continue; // stale heap entry (lazy deletion)
+                continue; // stale queue entry (lazy deletion)
             }
             self.scratch.mark_settled(node);
             if self.scratch.is_retaining() {
@@ -149,10 +132,7 @@ impl<'s> IncrementalDijkstra<'s> {
                 let cand = key + edge.weight;
                 if cand < self.scratch.tentative(edge.to) {
                     self.scratch.set_tentative(edge.to, cand, node);
-                    self.scratch.heap.push(HeapItem {
-                        key: cand,
-                        node: edge.to,
-                    });
+                    self.scratch.queue.push(cand, edge.to);
                 }
             }
             return Some((node, key));
@@ -219,7 +199,7 @@ impl<'s> IncrementalDijkstra<'s> {
     /// Returns `true` when the expansion has settled every vertex it can
     /// reach.
     pub fn exhausted(&self) -> bool {
-        self.scratch.heap.is_empty() && self.settled_count >= self.scratch.order.len()
+        self.scratch.queue.is_empty() && self.settled_count >= self.scratch.order.len()
     }
 
     /// Number of vertices settled so far (replayed ones included).
@@ -227,7 +207,7 @@ impl<'s> IncrementalDijkstra<'s> {
         self.settled_count
     }
 
-    /// Number of heap pops this search performed (including stale entries;
+    /// Number of queue pops this search performed (including stale entries;
     /// replayed settles pop nothing).
     pub fn pops(&self) -> usize {
         self.pops

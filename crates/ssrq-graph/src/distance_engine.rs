@@ -1,4 +1,4 @@
-use crate::dijkstra::HeapItem;
+use crate::queue::HeapItem;
 use crate::{Distance, IncrementalDijkstra, LandmarkSet, NodeId, SearchScratch, SocialGraph};
 use std::collections::{BinaryHeap, HashMap};
 
@@ -10,8 +10,8 @@ pub enum SharingMode {
     /// behaviour of the paper's AIS-BID baseline (§6, Figure 10).
     None,
     /// Distance caching and forward-heap caching (§5.2): the forward
-    /// Dijkstra expansion from the source is shared across calls and
-    /// previously computed shortest paths are remembered.
+    /// Dijkstra expansion from the source is shared across calls, and
+    /// every vertex it has settled is answered without further search.
     Shared,
 }
 
@@ -20,7 +20,7 @@ pub enum SharingMode {
 pub struct DistanceEngineStats {
     /// Number of `distance()` calls.
     pub distance_calls: usize,
-    /// Calls answered directly from the forward-search or path caches.
+    /// Calls answered directly from what the forward search had settled.
     pub cache_hits: usize,
     /// Vertices settled by the (shared or per-call) forward search.
     pub forward_settles: usize,
@@ -36,11 +36,9 @@ pub struct DistanceEngineStats {
 /// the reverse (ALT A*) direction and for the un-shared forward direction of
 /// [`SharingMode::None`].
 struct HashSearch<'a> {
-    source: NodeId,
     goal_heuristic: Option<(&'a LandmarkSet, NodeId)>,
     dist: HashMap<NodeId, Distance>,
     settled: HashMap<NodeId, Distance>,
-    parent: HashMap<NodeId, NodeId>,
     heap: BinaryHeap<HeapItem>,
     settles: usize,
     relaxations: usize,
@@ -60,11 +58,9 @@ impl<'a> HashSearch<'a> {
         let mut dist = HashMap::new();
         dist.insert(source, 0.0);
         HashSearch {
-            source,
             goal_heuristic,
             dist,
             settled: HashMap::new(),
-            parent: HashMap::new(),
             heap,
             settles: 0,
             relaxations: 0,
@@ -96,7 +92,6 @@ impl<'a> HashSearch<'a> {
                     .unwrap_or(true);
                 if better && !self.settled.contains_key(&edge.to) {
                     self.dist.insert(edge.to, cand);
-                    self.parent.insert(edge.to, node);
                     self.heap.push(HeapItem {
                         key: cand + self.heuristic(edge.to),
                         node: edge.to,
@@ -120,22 +115,6 @@ impl<'a> HashSearch<'a> {
     fn exhausted(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Path from this search's source to `v` (both inclusive); `None` if `v`
-    /// has not been reached.  Kept for diagnostic use by future callers (the
-    /// shared engine no longer reconstructs reverse paths).
-    #[allow(dead_code)]
-    fn path_to(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        self.settled.get(&v)?;
-        let mut path = vec![v];
-        let mut cur = v;
-        while cur != self.source {
-            cur = *self.parent.get(&cur)?;
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
-    }
 }
 
 #[inline]
@@ -157,10 +136,12 @@ fn finite_or_large(x: Distance) -> Distance {
 ///   expansion from the target guided by the landmark (ALT) heuristic.
 ///   Nothing is reused between calls.
 /// * With [`SharingMode::Shared`] the engine applies the §5.2 optimizations:
-///   **distance caching** (targets already settled by the forward search, or
-///   lying on a previously reported shortest path, are answered without any
-///   traversal) and **forward heap caching** (a single resumable Dijkstra
-///   expansion from the source is paused and resumed across calls).  Because
+///   **distance caching** (targets already settled by the forward search —
+///   which include every vertex on a previously reported shortest path, so
+///   the paper's `T` table needs no storage of its own — are answered
+///   without any traversal) and **forward heap caching** (a single
+///   resumable Dijkstra expansion from the source is paused and resumed
+///   across calls).  Because
 ///   every SSRQ evaluation shares the same source, resuming the forward
 ///   expansion until the target settles reuses *all* previous work, whereas
 ///   per-target reverse searches would be discarded; the shared mode
@@ -173,9 +154,6 @@ pub struct GraphDistanceEngine<'g, 's> {
     source: NodeId,
     mode: SharingMode,
     forward: IncrementalDijkstra<'s>,
-    /// The `T` table: exact distance from the source for vertices on
-    /// previously computed shortest paths.
-    path_dist: HashMap<NodeId, Distance>,
     stats: DistanceEngineStats,
     /// Relaxations performed by completed per-call [`HashSearch`]es (the
     /// live forward expansion reports its own count).
@@ -214,7 +192,6 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
             source,
             mode,
             forward,
-            path_dist: HashMap::new(),
             stats: DistanceEngineStats::default(),
             hash_relaxations: 0,
         }
@@ -249,16 +226,13 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
     }
 
     /// Exact distance of `v` if it is already known without further search
-    /// (settled by the forward expansion, or on a cached shortest path).
+    /// (settled by the forward expansion).
     pub fn known_distance(&self, v: NodeId) -> Option<Distance> {
         if v == self.source {
             return Some(0.0);
         }
         match self.mode {
-            SharingMode::Shared => self
-                .forward
-                .settled_distance(v)
-                .or_else(|| self.path_dist.get(&v).copied()),
+            SharingMode::Shared => self.forward.settled_distance(v),
             SharingMode::None => None,
         }
     }
@@ -332,7 +306,6 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
                 if let Some(d) = self.forward.settled_distance(target) {
                     if d < budget {
                         result = d;
-                        self.path_dist.entry(target).or_insert(d);
                     }
                 }
                 self.stats.forward_settles += self.forward.settled_count() - before;
@@ -367,13 +340,6 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
         let before = self.forward.settled_count();
         let d = self.forward.run_until_settled(self.graph, target);
         self.stats.forward_settles += self.forward.settled_count() - before;
-        // Remember the vertices on the discovered shortest path (the `T`
-        // table); they are settled, so their distances are already served by
-        // the forward cache, but keeping the entry makes `known_distance`
-        // cheap even after the engine is cloned or paths are queried.
-        if d.is_finite() {
-            self.path_dist.entry(target).or_insert(d);
-        }
         d
     }
 

@@ -36,6 +36,7 @@ mod error;
 mod graph;
 mod landmarks;
 mod parallel;
+mod queue;
 mod scratch;
 
 pub use builder::GraphBuilder;

@@ -15,19 +15,27 @@
 //! wrap-around forces a full refresh every `u32::MAX` searches).
 //!
 //! The same storage makes an expansion *resumable across searches*: the
-//! heap, distances and settled marks of a Dijkstra expansion all live here,
+//! queue, distances and settled marks of a Dijkstra expansion all live here,
 //! so inside a sharing scope ([`SearchScratch::share_expansions`]) a second
 //! [`IncrementalDijkstra`](crate::IncrementalDijkstra) from the same source
 //! picks the first one's expansion up where it paused instead of starting
 //! over — the paper's §5.2 forward heap caching, stretched from the
 //! evaluations of one search to the searches of one query.
+//!
+//! The scratch holds exactly one priority queue, the Dijkstra expansion's:
+//! a monotone radix queue (`queue.rs` has the mechanism and the
+//! measurements) that pops in the ascending `(key, vertex)` order of the
+//! binary heap it replaced at about half the cost per settle.  Its
+//! precondition — pushed keys are never NaN, negative or below the key
+//! popped last — holds for Dijkstra over positive weights and is a
+//! `debug_assert!`.  A search whose keys are not monotone (A*) keeps a
+//! binary heap of its own and uses the scratch for everything else.
 
-use crate::dijkstra::HeapItem;
+use crate::queue::RadixQueue;
 use crate::{Distance, NodeId, SocialGraph};
-use std::collections::BinaryHeap;
 
 /// Reusable storage for one graph search: tentative distances, settled
-/// marks, shortest-path-tree parents and the priority queue.
+/// marks, shortest-path-tree parents and the Dijkstra priority queue.
 ///
 /// Create one per worker (typically inside a per-query context bundle) and
 /// pass it to [`IncrementalDijkstra::new`](crate::IncrementalDijkstra::new) or
@@ -51,8 +59,8 @@ pub struct SearchScratch {
     settled_epoch: Vec<u32>,
     /// Shortest-path-tree parent of each touched vertex.
     parent: Vec<NodeId>,
-    /// Priority queue storage, shared across searches.
-    pub(crate) heap: BinaryHeap<HeapItem>,
+    /// The Dijkstra expansion's priority queue (A* brings its own heap).
+    pub(crate) queue: RadixQueue,
     /// Number of searches that have used this scratch (diagnostics).
     resets: u64,
     /// Whether a sharing scope is open (see
@@ -99,7 +107,7 @@ impl SearchScratch {
     /// retained when its search is dropped, and the next
     /// [`IncrementalDijkstra::new`](crate::IncrementalDijkstra::new) over the
     /// same graph and source *resumes* it — it replays the settled prefix
-    /// and then keeps expanding the retained heap — instead of starting
+    /// and then keeps expanding the retained queue — instead of starting
     /// from zero.  Any other search (another source, another graph, an A*)
     /// starts fresh and replaces what was retained.  Opening and closing
     /// both drop whatever was retained, so nothing crosses the scope's
@@ -150,11 +158,11 @@ impl SearchScratch {
     }
 
     /// Starts a new search over a graph of `n` vertices: invalidates every
-    /// entry (O(1) via the epoch bump), empties the heap and forgets any
+    /// entry (O(1) via the epoch bump), empties the queue and forgets any
     /// retained expansion.
     pub fn begin(&mut self, n: usize) {
         self.grow(n);
-        self.heap.clear();
+        self.queue.clear();
         self.order.clear();
         self.retained = None;
         self.resets += 1;
