@@ -9,17 +9,16 @@
 //!
 //! Experiments: `table2 table3 fig7a fig7b fig8 fig9 fig10 fig11 fig12
 //! fig13 fig14a fig14b ablation throughput latency sharding memory scale
-//! rpc obs planner all` (`scale` is the 10k→1M sweep persisted to
-//! `BENCH_scale.json`, `rpc` spawns `shard-server` processes and persists
-//! `BENCH_rpc.json`, `obs` drives traced queries over such processes and
-//! persists `BENCH_obs.json`, `planner` races `Algorithm::Auto` against
-//! every fixed algorithm and persists `BENCH_planner.json`; none of the
-//! four is part of `all`).
+//! obs planner all` (`scale` is the 10k→1M sweep persisted to
+//! `BENCH_scale.json`, `obs` spawns `shard-server` processes, drives
+//! traced queries over them and persists `BENCH_obs.json`, `planner` races
+//! `Algorithm::Auto` against every fixed algorithm and persists
+//! `BENCH_planner.json`; none of the three is part of `all`).
 //!
 //! Flags: `--quick` (small datasets), `--full` (paper-scale datasets),
 //! `--scale <factor>`, `--queries <n>`, `--with-ch` (include the expensive
 //! Contraction Hierarchies baselines in fig8), `--out <path>` (artifact
-//! path of the `scale` / `rpc` / `obs` / `planner` experiments, defaults
+//! path of the `scale` / `obs` / `planner` experiments, defaults
 //! `BENCH_<experiment>.json`).
 
 use ssrq_bench::report::FigureReport;
@@ -68,8 +67,8 @@ struct Options {
     factor: f64,
     /// The raw `--queries` override, if any.
     queries: Option<usize>,
-    /// `--out` override of the artifact path (`scale` and `rpc` have
-    /// different defaults, so the unset case is kept distinguishable).
+    /// `--out` override of the artifact path (each experiment has its own
+    /// default, so the unset case is kept distinguishable).
     out: Option<String>,
 }
 
@@ -148,7 +147,6 @@ fn main() {
         "sharding" => sharding(&options),
         "memory" => memory(&options),
         "scale" => scale_sweep(&options),
-        "rpc" => rpc(&options),
         "obs" => obs(&options),
         "planner" => planner(&options),
         "all" => {
@@ -1038,162 +1036,6 @@ fn scale_sweep(options: &Options) {
     println!(
         "wrote {out} ({} scale points) — parsed back and AIS occupancy budgets verified",
         scales.len()
-    );
-}
-
-// ---------------------------------------------------------------------------
-// RPC — in-process vs multi-process socket scatter-gather
-// ---------------------------------------------------------------------------
-
-/// Beyond the paper: the multi-process deployment.  Spawns `shard-server`
-/// processes over Unix-domain sockets at 2/4/8 shards, runs the identical
-/// query batch through the in-process [`ShardedEngine`] and the socket
-/// [`RemoteShardedEngine`] coordinator (every remote answer is checked
-/// against the in-process one), and reports q/s, per-query wire latency
-/// and wire volume.  The artifact is written to `--out` (default
-/// `BENCH_rpc.json`), re-read, re-parsed and validated.
-///
-/// [`ShardedEngine`]: ssrq_shard::ShardedEngine
-/// [`RemoteShardedEngine`]: ssrq_net::RemoteShardedEngine
-fn rpc(options: &Options) {
-    use ssrq_bench::{
-        launch_cluster, measure_rpc, sibling_shard_server, validate_rpc_report, DeploymentConfig,
-    };
-    use ssrq_net::RemoteShardedEngine;
-    use ssrq_shard::Partitioning;
-
-    let Some(binary) = sibling_shard_server() else {
-        eprintln!(
-            "shard-server binary not found next to this executable — build it first:\n\
-             \x20   cargo build --release -p ssrq-bench --bin shard-server"
-        );
-        std::process::exit(1);
-    };
-    let users = options.scale.gowalla_users;
-    let queries = options.scale.queries.max(1);
-    let out = options
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_rpc.json".into());
-    let dir = std::env::temp_dir().join(format!("ssrq-rpc-{}", std::process::id()));
-    println!(
-        "\n## RPC — in-process vs socket scatter-gather (gowalla-like, {users} users, {queries} queries per shard count)"
-    );
-
-    let mut report = FigureReport::new(
-        "RPC — scatter-gather q/s and wire volume vs shard processes, sequential and \
-         speculative scatter (AIS, Unix sockets)",
-        "shards",
-    );
-    let mut deployments = Vec::new();
-    for shards in [2usize, 4, 8] {
-        let config = DeploymentConfig::new(
-            users,
-            4242,
-            shards,
-            Partitioning::SpatialGrid { cells_per_axis: 16 },
-        );
-        let local = config.in_process_engine();
-        let servers =
-            launch_cluster(&binary, &dir, &config).expect("shard-server processes launch");
-        let endpoints = servers.iter().map(|s| s.endpoint.clone()).collect();
-        let mut remote = RemoteShardedEngine::builder(endpoints)
-            .connect()
-            .expect("coordinator connects");
-
-        let workload = QueryWorkload::generate(&config.dataset(), queries, 0x5A4D);
-        let batch: Vec<QueryRequest> = workload
-            .users
-            .iter()
-            .map(|&u| {
-                QueryRequest::for_user(u)
-                    .k(DEFAULT_K)
-                    .alpha(DEFAULT_ALPHA)
-                    .algorithm(Algorithm::Ais)
-                    .build()
-                    .expect("valid request")
-            })
-            .collect();
-        let m = measure_rpc(&local, &mut remote, &batch);
-        remote.shutdown().expect("servers acknowledge shutdown");
-        drop(servers);
-
-        report.push_x(shards);
-        report.push_cell("in-process q/s", format!("{:.0}", m.in_process_qps));
-        report.push_cell("seq q/s", format!("{:.0}", m.remote_sequential.qps));
-        report.push_cell("spec q/s", format!("{:.0}", m.remote_speculative.qps));
-        report.push_cell(
-            "seq latency (us)",
-            format!(
-                "{:.0}",
-                m.remote_sequential.mean_latency.as_secs_f64() * 1e6
-            ),
-        );
-        report.push_cell(
-            "spec latency (us)",
-            format!(
-                "{:.0}",
-                m.remote_speculative.mean_latency.as_secs_f64() * 1e6
-            ),
-        );
-        report.push_cell(
-            "seq round trips/q",
-            format!("{:.2}", m.remote_sequential.round_trips_per_query),
-        );
-        report.push_cell(
-            "spec round trips/q",
-            format!("{:.2}", m.remote_speculative.round_trips_per_query),
-        );
-        report.push_cell(
-            "tighten frames/q",
-            format!("{:.2}", m.remote_speculative.tighten_frames_per_query),
-        );
-        deployments.push(m.to_json());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    print!("{}", report.render());
-    println!(
-        "(every remote answer in both modes was checked against the in-process engine; \
-         seq round trips/query < shards means the forwarded f_k threshold let the sequential \
-         coordinator skip whole shard processes, while the speculative scatter pays extra round \
-         trips — and one-way tighten frames, never counted as round trips — to overlap the \
-         per-shard work and close the wall-clock gap as processes are added)"
-    );
-    println!(
-        "(speculation converts spare cores into latency: the first wave's concurrent searches \
-         overlap only to the extent the host runs them in parallel — this host has {cores} \
-         core(s) for the shard processes, so at {cores} < shards the convoyed first wave \
-         cannot beat the threshold-ordered sequential visit on wall-clock; the artifact \
-         records `cores` so the comparison stays interpretable)"
-    );
-
-    let artifact = Json::Obj(vec![
-        ("experiment".into(), Json::str("rpc")),
-        ("dataset".into(), Json::str("gowalla-like")),
-        ("users".into(), Json::num(users)),
-        ("queries".into(), Json::num(queries)),
-        ("algorithm".into(), Json::str(Algorithm::Ais.name())),
-        ("transport".into(), Json::str("unix")),
-        ("cores".into(), Json::num(cores)),
-        ("deployments".into(), Json::Arr(deployments)),
-    ]);
-    std::fs::write(&out, artifact.render()).expect("rpc artifact is writable");
-    let persisted = std::fs::read_to_string(&out).expect("rpc artifact re-reads");
-    let parsed = Json::parse(&persisted).expect("rpc artifact re-parses as JSON");
-    if let Err(violation) = validate_rpc_report(&parsed) {
-        eprintln!("{out} failed validation: {violation}");
-        std::process::exit(1);
-    }
-    println!(
-        "wrote {out} ({} deployments) — parsed back and wire invariants verified",
-        parsed
-            .get("deployments")
-            .and_then(Json::as_array)
-            .map(<[_]>::len)
-            .unwrap_or(0)
     );
 }
 

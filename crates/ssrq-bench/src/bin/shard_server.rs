@@ -43,8 +43,6 @@ struct Args {
     /// deterministic workload `QueryWorkload::generate(dataset, queries,
     /// seed)` — what the AIS-Cache algorithm needs.
     cache: Option<(usize, u64, usize)>,
-    /// Query worker threads (None = the server's default).
-    workers: Option<usize>,
     /// Structured stderr logging threshold (None = silent).
     log: Option<Level>,
     /// Slow-query log threshold (None = disabled).
@@ -55,7 +53,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: shard-server --listen <unix:PATH|tcp:ADDR> --shard <I> --shards <N>\n\
          \x20                 [--users <N>] [--seed <S>] [--partitioning <hash|spatial:CELLS>]\n\
-         \x20                 [--with-ch] [--cache-workload <QUERIES,SEED,T>] [--workers <N>]\n\
+         \x20                 [--with-ch] [--cache-workload <QUERIES,SEED,T>]\n\
          \x20                 [--log <error|warn|info|debug>] [--slow-query-ms <MS>]\n\
          \x20      shard-server --introspect <unix:PATH|tcp:ADDR>"
     );
@@ -106,7 +104,6 @@ fn parse_args() -> Args {
     let mut partitioning = Partitioning::SpatialGrid { cells_per_axis: 8 };
     let mut with_ch = false;
     let mut cache = None;
-    let mut workers = None;
     let mut log = None;
     let mut slow_query = None;
 
@@ -145,7 +142,6 @@ fn parse_args() -> Args {
                     parse_partitioning(value("--partitioning")).unwrap_or_else(|| usage())
             }
             "--with-ch" => with_ch = true,
-            "--workers" => workers = Some(value("--workers").parse().unwrap_or_else(|_| usage())),
             "--log" => {
                 log = Some(value("--log").parse::<Level>().unwrap_or_else(|_| {
                     eprintln!("--log wants error, warn, info or debug");
@@ -196,7 +192,6 @@ fn parse_args() -> Args {
         partitioning,
         with_ch,
         cache,
-        workers,
         log,
         slow_query,
     }
@@ -230,9 +225,6 @@ fn main() {
             eprintln!("shard {} failed to bind {}: {e}", args.shard, args.listen);
             std::process::exit(1);
         });
-    if let Some(workers) = args.workers {
-        server = server.with_workers(workers);
-    }
     if let Some(level) = args.log {
         server = server.with_logger(Logger::with_level(level));
     }

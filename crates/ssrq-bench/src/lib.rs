@@ -33,10 +33,7 @@ pub use planner::{
     PlannerMeasurement, PLANNER_FIXED_ALGORITHMS,
 };
 pub use report::FigureReport;
-pub use rpc::{
-    launch_cluster, measure_rpc, sibling_shard_server, validate_rpc_report, DeploymentConfig,
-    RpcMeasurement, ShardProcess,
-};
+pub use rpc::{launch_cluster, sibling_shard_server, DeploymentConfig, ShardProcess};
 pub use scale::{
     ais_budget_bytes, check_ais_budget, run_scale_sweep, validate_scale_report, ScaleSweepConfig,
 };

@@ -1,6 +1,6 @@
-//! Multi-process serving measurement: `shard-server` process management
-//! and the in-process vs over-the-wire scatter-gather comparison behind
-//! `experiments -- rpc` (persisted to `BENCH_rpc.json`).
+//! `shard-server` process management: launching a multi-process
+//! deployment and building its in-process twin, for the agreement tests
+//! and `experiments -- obs`.
 //!
 //! The deployment contract mirrors the `shard-server` binary: every
 //! process is launched with the same `--users/--seed/--partitioning/
@@ -11,15 +11,12 @@
 //! connections (and with `tcp:host:0` the announced endpoint carries the
 //! kernel-assigned port).
 
-use crate::json::Json;
-use ssrq_core::{QueryRequest, QueryResult};
 use ssrq_data::DatasetConfig;
-use ssrq_net::{Endpoint, RemoteShardedEngine};
-use ssrq_shard::{Partitioning, ScatterMode, ShardedEngine};
+use ssrq_net::Endpoint;
+use ssrq_shard::{Partitioning, ShardedEngine};
 use std::io::{self, BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
 
 /// One synthetic multi-process deployment: the parameters every
 /// `shard-server` process of the cluster is launched with.
@@ -210,381 +207,9 @@ pub fn launch_cluster(
         .collect()
 }
 
-/// One scatter mode's side of the measurement: throughput, latency and
-/// wire volume of the socket coordinator driving the same queries.
-#[derive(Debug, Clone)]
-pub struct ScatterMeasurement {
-    /// Sequential queries per second through the socket coordinator.
-    pub qps: f64,
-    /// Mean per-query wall time over the wire.
-    pub mean_latency: Duration,
-    /// Mean bytes the coordinator sent per query (requests, origin
-    /// lookups, tighten frames).
-    pub bytes_sent_per_query: f64,
-    /// Mean bytes received per query (answers).
-    pub bytes_received_per_query: f64,
-    /// Mean request/response round trips per query.
-    pub round_trips_per_query: f64,
-    /// Mean one-way tighten frames per query (speculative mode only —
-    /// counted in `bytes_sent_per_query`, never as round trips).
-    pub tighten_frames_per_query: f64,
-}
-
-impl ScatterMeasurement {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("qps".into(), Json::Num(self.qps)),
-            (
-                "mean_latency_us".into(),
-                Json::Num(self.mean_latency.as_secs_f64() * 1e6),
-            ),
-            (
-                "bytes_sent_per_query".into(),
-                Json::Num(self.bytes_sent_per_query),
-            ),
-            (
-                "bytes_received_per_query".into(),
-                Json::Num(self.bytes_received_per_query),
-            ),
-            (
-                "round_trips_per_query".into(),
-                Json::Num(self.round_trips_per_query),
-            ),
-            (
-                "tighten_frames_per_query".into(),
-                Json::Num(self.tighten_frames_per_query),
-            ),
-        ])
-    }
-}
-
-/// In-process vs over-the-wire scatter-gather, same deployment, same
-/// queries, one coordinator thread each — the remote side measured in
-/// **both** scatter modes over the same connections.
-#[derive(Debug, Clone)]
-pub struct RpcMeasurement {
-    /// Shards of the deployment.
-    pub shards: usize,
-    /// Queries measured.
-    pub queries: usize,
-    /// Sequential queries per second through the in-process
-    /// [`ShardedEngine`].
-    pub in_process_qps: f64,
-    /// The coordinator visiting shards best-first, one at a time.
-    pub remote_sequential: ScatterMeasurement,
-    /// The coordinator firing all non-pre-skipped shards concurrently,
-    /// pushing the tightening `f_k` as one-way frames.
-    pub remote_speculative: ScatterMeasurement,
-}
-
-impl RpcMeasurement {
-    /// The artifact entry for one deployment size.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("shards".into(), Json::num(self.shards)),
-            ("queries".into(), Json::num(self.queries)),
-            (
-                "in_process".into(),
-                Json::Obj(vec![("qps".into(), Json::Num(self.in_process_qps))]),
-            ),
-            ("remote_sequential".into(), self.remote_sequential.to_json()),
-            (
-                "remote_speculative".into(),
-                self.remote_speculative.to_json(),
-            ),
-        ])
-    }
-}
-
-/// Drives `requests` one at a time through the coordinator in `mode`,
-/// checking every answer against `expected` as it goes.
-fn measure_mode(
-    remote: &mut RemoteShardedEngine,
-    mode: ScatterMode,
-    requests: &[QueryRequest],
-    expected: &[QueryResult],
-) -> ScatterMeasurement {
-    remote.set_scatter_mode(mode);
-    let mut bytes_sent = 0usize;
-    let mut bytes_received = 0usize;
-    let mut round_trips = 0usize;
-    let mut tighten_frames = 0usize;
-    let started = Instant::now();
-    for (request, expected) in requests.iter().zip(expected) {
-        let result = remote.query(request).expect("remote query succeeds");
-        assert!(
-            result.same_users_and_scores(expected, 1e-9),
-            "remote {mode} ranked list diverged from the in-process engine (user {})",
-            request.user()
-        );
-        bytes_sent += result.stats.bytes_sent;
-        bytes_received += result.stats.bytes_received;
-        round_trips += result.stats.wire_round_trips;
-        tighten_frames += result.stats.tighten_frames;
-    }
-    let elapsed = started.elapsed();
-    let n = requests.len();
-    ScatterMeasurement {
-        qps: n as f64 / elapsed.as_secs_f64().max(1e-9),
-        mean_latency: elapsed / n as u32,
-        bytes_sent_per_query: bytes_sent as f64 / n as f64,
-        bytes_received_per_query: bytes_received as f64 / n as f64,
-        round_trips_per_query: round_trips as f64 / n as f64,
-        tighten_frames_per_query: tighten_frames as f64 / n as f64,
-    }
-}
-
-/// Runs `requests` sequentially through both deployments and measures
-/// throughput, per-query wire latency and wire volume — the remote
-/// coordinator once per [`ScatterMode`].  Every remote answer in every
-/// mode is checked against the in-process one (`same_users_and_scores` at
-/// 1e-9), so the measurement doubles as an agreement smoke test.
-///
-/// # Panics
-///
-/// When a query fails on either side or the ranked lists disagree — a
-/// measurement over diverging deployments would be meaningless.
-pub fn measure_rpc(
-    local: &ShardedEngine,
-    remote: &mut RemoteShardedEngine,
-    requests: &[QueryRequest],
-) -> RpcMeasurement {
-    assert!(!requests.is_empty(), "nothing to measure");
-    let local_started = Instant::now();
-    let expected: Vec<QueryResult> = requests
-        .iter()
-        .map(|r| local.run(r).expect("in-process query succeeds"))
-        .collect();
-    let local_elapsed = local_started.elapsed();
-
-    let remote_sequential = measure_mode(remote, ScatterMode::Sequential, requests, &expected);
-    let remote_speculative = measure_mode(remote, ScatterMode::Speculative, requests, &expected);
-
-    let n = requests.len();
-    RpcMeasurement {
-        shards: remote.shard_count(),
-        queries: n,
-        in_process_qps: n as f64 / local_elapsed.as_secs_f64().max(1e-9),
-        remote_sequential,
-        remote_speculative,
-    }
-}
-
-/// Validates a re-parsed `BENCH_rpc.json` document: schema shape, at least
-/// one deployment, positive throughputs, **both** scatter modes recorded,
-/// and wire volume consistent with a socket deployment (every query
-/// crossed the wire at least once; tighten frames only in speculative
-/// mode).
-///
-/// # Errors
-///
-/// A description of the first violated invariant.
-pub fn validate_rpc_report(report: &Json) -> Result<(), String> {
-    let queries = report
-        .get("queries")
-        .and_then(Json::as_usize)
-        .ok_or("report lacks a numeric `queries`")?;
-    if queries == 0 {
-        return Err("report measured zero queries".into());
-    }
-    let deployments = report
-        .get("deployments")
-        .and_then(Json::as_array)
-        .ok_or("report lacks a `deployments` array")?;
-    if deployments.is_empty() {
-        return Err("report has no deployments".into());
-    }
-    for (index, entry) in deployments.iter().enumerate() {
-        let shards = entry
-            .get("shards")
-            .and_then(Json::as_usize)
-            .ok_or(format!("deployment {index} lacks `shards`"))?;
-        if shards == 0 {
-            return Err(format!("deployment {index} claims zero shards"));
-        }
-        let in_process_qps = entry
-            .get("in_process")
-            .and_then(|o| o.get("qps"))
-            .and_then(Json::as_f64)
-            .ok_or(format!("deployment {index} lacks `in_process.qps`"))?;
-        if !in_process_qps.is_finite() || in_process_qps <= 0.0 {
-            return Err(format!("deployment {index} reports a non-positive q/s"));
-        }
-        for mode in ["remote_sequential", "remote_speculative"] {
-            let remote = entry
-                .get(mode)
-                .ok_or(format!("deployment {index} lacks `{mode}`"))?;
-            let remote_qps = remote
-                .get("qps")
-                .and_then(Json::as_f64)
-                .ok_or(format!("deployment {index} lacks `{mode}.qps`"))?;
-            if !remote_qps.is_finite() || remote_qps <= 0.0 {
-                return Err(format!("deployment {index} reports a non-positive q/s"));
-            }
-            let round_trips = remote
-                .get("round_trips_per_query")
-                .and_then(Json::as_f64)
-                .ok_or(format!(
-                    "deployment {index} lacks `{mode}.round_trips_per_query`"
-                ))?;
-            if round_trips < 1.0 {
-                return Err(format!(
-                    "deployment {index}: {round_trips} wire round trips per query — a socket \
-                     deployment answers every query over the wire at least once"
-                ));
-            }
-            for key in ["bytes_sent_per_query", "bytes_received_per_query"] {
-                let bytes = remote
-                    .get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("deployment {index} lacks `{mode}.{key}`"))?;
-                if !bytes.is_finite() || bytes <= 0.0 {
-                    return Err(format!(
-                        "deployment {index}: `{mode}.{key}` must be positive"
-                    ));
-                }
-            }
-            let tighten = remote
-                .get("tighten_frames_per_query")
-                .and_then(Json::as_f64)
-                .ok_or(format!(
-                    "deployment {index} lacks `{mode}.tighten_frames_per_query`"
-                ))?;
-            if !tighten.is_finite() || tighten < 0.0 {
-                return Err(format!(
-                    "deployment {index}: `{mode}.tighten_frames_per_query` must be non-negative"
-                ));
-            }
-            if mode == "remote_sequential" && tighten != 0.0 {
-                return Err(format!(
-                    "deployment {index}: the sequential scatter sends no tighten frames, \
-                     yet {tighten} per query were recorded"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_report() -> Json {
-        let measurement = RpcMeasurement {
-            shards: 2,
-            queries: 8,
-            in_process_qps: 1000.0,
-            remote_sequential: ScatterMeasurement {
-                qps: 400.0,
-                mean_latency: Duration::from_micros(2500),
-                bytes_sent_per_query: 120.0,
-                bytes_received_per_query: 900.0,
-                round_trips_per_query: 2.5,
-                tighten_frames_per_query: 0.0,
-            },
-            remote_speculative: ScatterMeasurement {
-                qps: 650.0,
-                mean_latency: Duration::from_micros(1540),
-                bytes_sent_per_query: 150.0,
-                bytes_received_per_query: 950.0,
-                round_trips_per_query: 3.0,
-                tighten_frames_per_query: 1.25,
-            },
-        };
-        Json::Obj(vec![
-            ("experiment".into(), Json::str("rpc")),
-            ("queries".into(), Json::num(8)),
-            ("deployments".into(), Json::Arr(vec![measurement.to_json()])),
-        ])
-    }
-
-    #[test]
-    fn a_measurement_renders_to_a_validating_report() {
-        let report = sample_report();
-        let reparsed = Json::parse(&report.render()).expect("report re-parses");
-        validate_rpc_report(&reparsed).expect("report validates");
-    }
-
-    #[test]
-    fn validation_rejects_wire_free_and_malformed_reports() {
-        assert!(validate_rpc_report(&Json::Obj(vec![])).is_err());
-
-        let mut no_deployments = sample_report();
-        if let Json::Obj(members) = &mut no_deployments {
-            members.retain(|(k, _)| k != "deployments");
-        }
-        assert!(validate_rpc_report(&no_deployments).is_err());
-
-        fn patch(report: &mut Json, mode: &str, key: &str, value: Json) {
-            let Json::Obj(members) = report else {
-                panic!("report is an object")
-            };
-            let deployments = members
-                .iter_mut()
-                .find(|(k, _)| k == "deployments")
-                .map(|(_, v)| v)
-                .unwrap();
-            let Json::Arr(entries) = deployments else {
-                panic!("deployments is an array")
-            };
-            let Json::Obj(entry) = &mut entries[0] else {
-                panic!("deployment is an object")
-            };
-            let remote = entry.iter_mut().find(|(k, _)| k.as_str() == mode).unwrap();
-            let Json::Obj(remote) = &mut remote.1 else {
-                panic!("{mode} is an object")
-            };
-            for (k, v) in remote.iter_mut() {
-                if k == key {
-                    *v = value.clone();
-                }
-            }
-        }
-
-        // A "remote" deployment that never crossed the wire is a lie.
-        let mut wire_free = sample_report();
-        patch(
-            &mut wire_free,
-            "remote_sequential",
-            "round_trips_per_query",
-            Json::Num(0.0),
-        );
-        let error = validate_rpc_report(&wire_free).unwrap_err();
-        assert!(error.contains("round trips"), "unexpected error: {error}");
-
-        // Tighten frames in sequential mode would mean the accounting (or
-        // the scatter) is broken.
-        let mut leaky = sample_report();
-        patch(
-            &mut leaky,
-            "remote_sequential",
-            "tighten_frames_per_query",
-            Json::Num(0.5),
-        );
-        let error = validate_rpc_report(&leaky).unwrap_err();
-        assert!(error.contains("tighten"), "unexpected error: {error}");
-
-        // Both scatter modes must be recorded.
-        let mut one_mode = sample_report();
-        if let Json::Obj(members) = &mut one_mode {
-            let deployments = members
-                .iter_mut()
-                .find(|(k, _)| k == "deployments")
-                .map(|(_, v)| v)
-                .unwrap();
-            if let Json::Arr(entries) = deployments {
-                if let Json::Obj(entry) = &mut entries[0] {
-                    entry.retain(|(k, _)| k != "remote_speculative");
-                }
-            }
-        }
-        let error = validate_rpc_report(&one_mode).unwrap_err();
-        assert!(
-            error.contains("remote_speculative"),
-            "unexpected error: {error}"
-        );
-    }
 
     #[test]
     fn partitioning_args_round_trip_the_policies() {

@@ -57,12 +57,6 @@ pub struct QueryStats {
     /// lookups — every frame pair the query paid for).  Zero on every
     /// in-process path.
     pub wire_round_trips: usize,
-    /// One-way threshold-tighten frames pushed to still-running shards by
-    /// the speculative scatter.  They carry no response, so they count in
-    /// `bytes_sent` but **not** in `wire_round_trips` — the round-trip
-    /// counter stays a truthful request/response tally.  Zero on every
-    /// in-process and sequential-scatter path.
-    pub tighten_frames: usize,
     /// Wall-clock processing time.
     pub runtime: Duration,
 }
@@ -127,7 +121,6 @@ impl QueryStats {
         self.bytes_sent += other.bytes_sent;
         self.bytes_received += other.bytes_received;
         self.wire_round_trips += other.wire_round_trips;
-        self.tighten_frames += other.tighten_frames;
     }
 }
 
@@ -162,7 +155,6 @@ mod tests {
             bytes_sent: 100,
             bytes_received: 200,
             wire_round_trips: 3,
-            tighten_frames: 8,
             runtime: Duration::from_millis(10),
         };
         let b = a;
@@ -180,7 +172,6 @@ mod tests {
         assert_eq!(a.bytes_sent, 200);
         assert_eq!(a.bytes_received, 400);
         assert_eq!(a.wire_round_trips, 6);
-        assert_eq!(a.tighten_frames, 16);
         assert_eq!(a.runtime, Duration::from_millis(20));
     }
 
@@ -242,7 +233,6 @@ mod tests {
             bytes_sent: 12,
             bytes_received: 34,
             wire_round_trips: 2,
-            tighten_frames: 1,
             runtime: Duration::from_millis(5),
             social_pops: 9,
         };

@@ -5,7 +5,7 @@
 
 use crate::error::NetError;
 use crate::proto::Message;
-use crate::wire::{header_tail, parse_header, FrameHeader, HEADER_PREFIX};
+use crate::wire::{parse_header, FrameHeader, HEADER_LEN};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -177,20 +177,14 @@ fn read_full_stream(
     Ok(())
 }
 
-/// Reads one whole frame (two-phase header read, then payload), returning
-/// the parsed header and payload bytes.
+/// Reads one whole frame (fixed-size header, then payload), returning the
+/// parsed header and payload bytes.
 fn read_frame_stream(
     stream: &mut Stream,
     endpoint: &Endpoint,
 ) -> Result<(FrameHeader, Vec<u8>), NetError> {
-    let mut header = vec![0u8; HEADER_PREFIX];
+    let mut header = [0u8; HEADER_LEN];
     read_full_stream(stream, endpoint, &mut header)?;
-    let tail = header_tail(header[4])?;
-    if tail > 0 {
-        let start = header.len();
-        header.resize(start + tail, 0);
-        read_full_stream(stream, endpoint, &mut header[start..])?;
-    }
     let parsed = parse_header(&header)?;
     let mut payload = vec![0u8; parsed.payload_len as usize];
     read_full_stream(stream, endpoint, &mut payload)?;
@@ -328,7 +322,7 @@ struct MuxShared {
     dead: AtomicBool,
     /// Calls started and not yet finished — the pool's load metric.
     in_flight: AtomicUsize,
-    /// Next frame id; 0 is reserved as the legacy one-in-flight sentinel.
+    /// Next frame id; 0 is reserved as the one-in-flight sentinel.
     next_id: AtomicU32,
 }
 
@@ -449,22 +443,30 @@ impl MuxConnection {
             })
     }
 
-    /// Starts one request/response call, returning a handle to await the
-    /// response on.  Many calls may be in flight at once.
+    /// One blocking request/response call over the multiplexed socket,
+    /// waiting until `deadline` (`None` waits indefinitely).  Many calls
+    /// may be in flight at once.
     ///
     /// # Errors
     ///
-    /// [`NetError::Disconnected`] if the connection is already dead, or
-    /// the write failure.
-    pub fn start(self: &Arc<Self>, message: &Message) -> Result<PendingCall, NetError> {
+    /// [`NetError::Timeout`] past the deadline (the connection stays
+    /// usable), [`NetError::Disconnected`] if the connection is already
+    /// dead or the socket dies under the call, the write failure, or
+    /// [`NetError::Remote`] for a typed server refusal.
+    pub fn call(
+        &self,
+        message: &Message,
+        deadline: Option<Duration>,
+    ) -> Result<(Message, WireTraffic), NetError> {
+        let disconnected = || NetError::Disconnected {
+            shard: self.endpoint.to_string(),
+        };
         if self.is_dead() {
-            return Err(NetError::Disconnected {
-                shard: self.endpoint.to_string(),
-            });
+            return Err(disconnected());
         }
         let mut id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         if id == 0 {
-            // u32 wrap: skip the legacy sentinel.
+            // u32 wrap: skip the one-in-flight sentinel.
             id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         }
         let (tx, rx) = mpsc::channel();
@@ -474,57 +476,43 @@ impl MuxConnection {
             .expect("mux pending lock")
             .insert(id, tx);
         self.shared.in_flight.fetch_add(1, Ordering::AcqRel);
-        let mut call = PendingCall {
-            conn: Arc::clone(self),
-            id,
-            rx,
-            bytes_sent: 0,
-            finished: false,
-        };
-        let bytes = message.encode_with_id(id);
-        // A write failure drops `call`, which deregisters the pending
-        // entry and releases the in-flight slot.
-        self.write_frame(&bytes)?;
-        call.bytes_sent = bytes.len();
-        Ok(call)
-    }
 
-    /// One blocking request/response call over the multiplexed socket:
-    /// [`start`](Self::start) + wait until `deadline` (`None` waits
-    /// indefinitely).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Timeout`] past the deadline (the connection stays
-    /// usable), [`NetError::Disconnected`] if the socket dies,
-    /// [`NetError::Remote`] for a typed server refusal.
-    pub fn call(
-        self: &Arc<Self>,
-        message: &Message,
-        deadline: Option<Duration>,
-    ) -> Result<(Message, WireTraffic), NetError> {
-        let mut call = self.start(message)?;
-        let bytes_sent = call.bytes_sent;
+        let bytes = message.encode_with_id(id);
         let wait = deadline.unwrap_or(Duration::from_secs(3600));
-        match call.wait_timeout(wait)? {
-            Some((response, bytes_received)) => {
-                let traffic = WireTraffic {
-                    bytes_sent,
-                    bytes_received,
-                };
-                if let Message::Fail { kind, message } = response {
-                    return Err(NetError::Remote {
-                        shard: self.endpoint.to_string(),
-                        kind,
-                        message,
-                    });
-                }
-                Ok((response, traffic))
-            }
-            None => Err(NetError::Timeout {
-                shard: self.endpoint.to_string(),
-            }),
+        let received = self.write_frame(&bytes).and_then(|()| {
+            rx.recv_timeout(wait).map_err(|e| match e {
+                mpsc::RecvTimeoutError::Timeout => NetError::Timeout {
+                    shard: self.endpoint.to_string(),
+                },
+                mpsc::RecvTimeoutError::Disconnected => disconnected(),
+            })
+        });
+        if received.is_err() {
+            // The reader removes the entry it delivers to; an abandoned
+            // call removes its own, and its late response is discarded.
+            self.shared
+                .pending
+                .lock()
+                .expect("mux pending lock")
+                .remove(&id);
         }
+        self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+
+        let (response, bytes_received) = received?;
+        if let Message::Fail { kind, message } = response {
+            return Err(NetError::Remote {
+                shard: self.endpoint.to_string(),
+                kind,
+                message,
+            });
+        }
+        Ok((
+            response,
+            WireTraffic {
+                bytes_sent: bytes.len(),
+                bytes_received,
+            },
+        ))
     }
 }
 
@@ -538,78 +526,9 @@ impl Drop for MuxConnection {
     }
 }
 
-/// A started call on a [`MuxConnection`], awaiting its response.
-///
-/// Dropping the handle abandons the call: the pending entry is removed
-/// and a late response is discarded by the reader.
-#[derive(Debug)]
-pub struct PendingCall {
-    conn: Arc<MuxConnection>,
-    id: u32,
-    rx: mpsc::Receiver<(Message, usize)>,
-    /// Bytes written for the request frame (header included).
-    pub bytes_sent: usize,
-    finished: bool,
-}
-
-impl PendingCall {
-    /// The frame id this call travels under.
-    pub fn frame_id(&self) -> u32 {
-        self.id
-    }
-
-    /// Waits up to `wait` for the response.  `Ok(None)` means the wait
-    /// elapsed — the call is still in flight and may be waited on again.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Disconnected`] if the connection died under the call.
-    pub fn wait_timeout(&mut self, wait: Duration) -> Result<Option<(Message, usize)>, NetError> {
-        match self.rx.recv_timeout(wait) {
-            Ok((message, bytes)) => {
-                self.finished = true;
-                self.conn.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                Ok(Some((message, bytes)))
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(NetError::Disconnected {
-                shard: self.conn.endpoint.to_string(),
-            }),
-        }
-    }
-
-    /// Pushes a one-way [`Message::Tighten`] for this in-flight call: the
-    /// server lowers the running query's score cap to `max_score`.
-    /// Returns the bytes written (a tighten costs bytes but no round
-    /// trip).
-    ///
-    /// # Errors
-    ///
-    /// The write failure; the underlying call itself is then doomed too.
-    pub fn tighten(&self, max_score: f64) -> Result<usize, NetError> {
-        let frame = Message::Tighten {
-            target: self.id,
-            max_score,
-        }
-        .encode();
-        self.conn.write_frame(&frame)?;
-        Ok(frame.len())
-    }
-}
-
-impl Drop for PendingCall {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.conn
-                .shared
-                .pending
-                .lock()
-                .expect("mux pending lock")
-                .remove(&self.id);
-            self.conn.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-}
+/// Sockets a [`ConnectionPool`] opens at most: each carries any number of
+/// concurrent calls, so the second only spreads writer-lock contention.
+const POOL_CAPACITY: usize = 2;
 
 /// A small per-endpoint pool of [`MuxConnection`]s.
 ///
@@ -620,18 +539,16 @@ impl Drop for PendingCall {
 #[derive(Debug)]
 pub struct ConnectionPool {
     endpoint: Endpoint,
-    capacity: usize,
     connect_timeout: Duration,
     connections: Mutex<Vec<Arc<MuxConnection>>>,
 }
 
 impl ConnectionPool {
-    /// A pool of up to `capacity` connections to `endpoint` (capacity is
-    /// clamped to at least 1).
-    pub fn new(endpoint: Endpoint, capacity: usize, connect_timeout: Duration) -> ConnectionPool {
+    /// An empty pool of connections to `endpoint`; sockets are opened on
+    /// demand, each within `connect_timeout`.
+    pub fn new(endpoint: Endpoint, connect_timeout: Duration) -> ConnectionPool {
         ConnectionPool {
             endpoint,
-            capacity: capacity.max(1),
             connect_timeout,
             connections: Mutex::new(Vec::new()),
         }
@@ -658,7 +575,7 @@ impl ConnectionPool {
             .min_by_key(|c| c.in_flight())
             .map(Arc::clone);
         match best {
-            Some(conn) if conn.in_flight() == 0 || connections.len() >= self.capacity => Ok(conn),
+            Some(conn) if conn.in_flight() == 0 || connections.len() >= POOL_CAPACITY => Ok(conn),
             _ => {
                 let conn = MuxConnection::connect(&self.endpoint, self.connect_timeout)?;
                 connections.push(Arc::clone(&conn));
@@ -668,41 +585,27 @@ impl ConnectionPool {
     }
 
     /// One request/response call through the pool, with the coordinator's
-    /// one-immediate-reconnect semantics: a transport-level failure is
-    /// retried once on a fresh lease (a typed [`NetError::Remote`]
-    /// refusal is returned as-is — the connection is fine).
+    /// one-immediate-reconnect semantics: a call that found its connection
+    /// dead ([`NetError::Disconnected`], [`NetError::Io`]) is retried once
+    /// on a fresh lease.  Every other failure is returned as it is — after
+    /// a [`NetError::Timeout`] or a typed refusal the connection is fine
+    /// and the server has the request, so a retry would only double a slow
+    /// shard's load and the caller's deadline.
     ///
     /// # Errors
     ///
-    /// The second attempt's failure.
+    /// The first attempt's failure, or the second's after a reconnect.
     pub fn call(
         &self,
         message: &Message,
         deadline: Option<Duration>,
     ) -> Result<(Message, WireTraffic), NetError> {
         match self.lease().and_then(|conn| conn.call(message, deadline)) {
-            Ok(response) => Ok(response),
-            Err(NetError::Remote {
-                shard,
-                kind,
-                message,
-            }) => Err(NetError::Remote {
-                shard,
-                kind,
-                message,
-            }),
-            Err(_) => self.lease()?.call(message, deadline),
+            Err(NetError::Disconnected { .. } | NetError::Io(_)) => {
+                self.lease()?.call(message, deadline)
+            }
+            outcome => outcome,
         }
-    }
-
-    /// Starts one call through the pool (no retry — the caller owns the
-    /// failure policy for in-flight work).
-    ///
-    /// # Errors
-    ///
-    /// The lease or write failure.
-    pub fn start(&self, message: &Message) -> Result<PendingCall, NetError> {
-        self.lease()?.start(message)
     }
 
     /// Drops every pooled connection (their reader threads shut down as

@@ -4,13 +4,11 @@
 //! [`ShardedEngine`](ssrq_shard::ShardedEngine) over sockets.  Each shard
 //! is reached through a small per-endpoint [`ConnectionPool`] of
 //! multiplexed connections, wrapped per query as a [`ShardTransport`], so
-//! the coordinator runs the **same** threshold-forwarding scatter loops
-//! ([`scatter_sequential`] / [`scatter_speculative`]) and the same
-//! deterministic merge ([`merge_ranked`]) as the single-process
-//! deployment — the running `f_k` crosses the wire inside the request's
-//! [`max_score`](ssrq_core::QueryRequest::max_score) cutoff
-//! (sequentially) or as one-way tighten frames (speculatively),
-//! bit-exactly either way.
+//! the coordinator runs the **same** threshold-forwarding scatter loop
+//! ([`scatter_sequential`]) and the same deterministic merge
+//! ([`merge_ranked`]) as the single-process deployment — the running `f_k`
+//! crosses the wire bit-exactly inside each next request's
+//! [`max_score`](ssrq_core::QueryRequest::max_score) cutoff.
 //!
 //! Because queries only *read* the coordinator's state (per-query
 //! transports snapshot the cached shard infos; the pools are internally
@@ -32,8 +30,8 @@ use ssrq_obs::{
     next_trace_id, ObsReport, QuerySpans, Registry, SlowQuery, SlowQueryLog, SpanId, Trace,
 };
 use ssrq_shard::{
-    merge_ranked, scatter_sequential, scatter_speculative, shard_score_lower_bound, FailurePolicy,
-    ScatterMode, ShardAssignment, ShardOutcome, ShardStats, ShardTransport, ThresholdCell,
+    merge_ranked, scatter_sequential, shard_score_lower_bound, FailurePolicy, ShardAssignment,
+    ShardOutcome, ShardStats, ShardTransport,
 };
 use ssrq_spatial::{Point, Rect};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,14 +40,6 @@ use std::time::{Duration, Instant};
 
 /// How many slow-query offenders the coordinator retains.
 const SLOW_LOG_CAPACITY: usize = 64;
-
-/// How often a speculative per-shard waiter polls the shared threshold
-/// cell while its answer is in flight.
-const TIGHTEN_POLL: Duration = Duration::from_millis(1);
-
-/// The wait used when no per-shard deadline is configured (effectively
-/// "indefinitely", while keeping timeout arithmetic overflow-free).
-const NO_DEADLINE_WAIT: Duration = Duration::from_secs(3600);
 
 /// One remote shard as the coordinator sees it: its endpoint, a pool of
 /// multiplexed connections, the cached handshake [`ShardInfo`] the score
@@ -73,8 +63,8 @@ impl RemoteShard {
         }
     }
 
-    /// One pooled request/response call (the pool retries transport
-    /// failures once on a fresh connection).
+    /// One pooled request/response call (the pool reconnects once when
+    /// it finds the connection dead).
     fn call(
         &self,
         message: &Message,
@@ -82,29 +72,6 @@ impl RemoteShard {
     ) -> Result<(Message, WireTraffic), NetError> {
         self.pool.call(message, deadline)
     }
-}
-
-/// Rebuilds `request` with its score cutoff forced to `cap` — used to
-/// *undo* the coordinator's threshold forwarding when it is disabled for
-/// measurement (the cutoff [`with_max_score_at_most`](QueryRequest::with_max_score_at_most)
-/// merged in can only tighten, so restoring the caller's cap is the only
-/// way back).
-fn with_cap(request: &QueryRequest, cap: Option<f64>) -> QueryRequest {
-    let mut builder = QueryRequest::for_user(request.user())
-        .k(request.k())
-        .alpha(request.alpha())
-        .algorithm(request.algorithm().clone())
-        .exclude(request.excluded().iter().copied());
-    if let Some(origin) = request.origin() {
-        builder = builder.origin(origin);
-    }
-    if let Some(window) = request.within() {
-        builder = builder.within(window);
-    }
-    if let Some(cap) = cap {
-        builder = builder.max_score(cap);
-    }
-    builder.build_unvalidated()
 }
 
 /// One shard's view for **one** query: a borrowed [`RemoteShard`] plus a
@@ -115,10 +82,6 @@ struct QueryTransport<'a> {
     rect: Option<Rect>,
     spatial_norm: f64,
     deadline: Option<Duration>,
-    forward_threshold: bool,
-    /// The *caller's* score cutoff of the query being scattered — what the
-    /// outbound request is rebuilt to when threshold forwarding is off.
-    caller_cap: Option<f64>,
     /// This query's trace: the id rides the outbound `Query` frame, and
     /// each shard round trip records a span under `root`.  A trace id of
     /// `0` keeps the wire bytes identical to the untraced encoding.
@@ -134,17 +97,12 @@ impl ShardTransport for QueryTransport<'_> {
     }
 
     fn execute(&mut self, request: &QueryRequest) -> Result<QueryResult, NetError> {
-        let outbound = if self.forward_threshold {
-            request.clone()
-        } else {
-            with_cap(request, self.caller_cap)
-        };
         let span = self
             .trace
             .open(&format!("shard {}", self.shard.endpoint), Some(self.root));
         let exchange = self.shard.call(
             &Message::Query {
-                request: outbound,
+                request: request.clone(),
                 trace_id: self.trace.trace_id(),
             },
             self.deadline,
@@ -165,90 +123,8 @@ impl ShardTransport for QueryTransport<'_> {
         }
     }
 
-    /// The speculative path: the query goes out at the caller's cap
-    /// immediately; while the answer is in flight, the shared cell is
-    /// polled and every tightening is pushed to the server as a one-way
-    /// [`Message::Tighten`] — bytes it costs are accounted, but it is
-    /// **not** a round trip (`tighten_frames` counts them separately).
-    fn execute_with_threshold(
-        &mut self,
-        request: &QueryRequest,
-        threshold: &ThresholdCell,
-    ) -> Result<QueryResult, NetError> {
-        let started = Instant::now();
-        let span = self
-            .trace
-            .open(&format!("shard {}", self.shard.endpoint), Some(self.root));
-        let result = self.speculative_call(request, threshold, started);
-        self.trace.close(span);
-        result
-    }
-
     fn describe(&self) -> String {
         self.shard.endpoint.to_string()
-    }
-}
-
-impl QueryTransport<'_> {
-    fn speculative_call(
-        &mut self,
-        request: &QueryRequest,
-        threshold: &ThresholdCell,
-        started: Instant,
-    ) -> Result<QueryResult, NetError> {
-        let mut pending = self.shard.pool.start(&Message::Query {
-            request: request.clone(),
-            trace_id: self.trace.trace_id(),
-        })?;
-        let mut bytes_sent = pending.bytes_sent;
-        let mut tighten_frames = 0usize;
-        let mut last_sent = self.caller_cap.unwrap_or(f64::INFINITY);
-        loop {
-            let remaining = match self.deadline {
-                Some(deadline) => match deadline.checked_sub(started.elapsed()) {
-                    Some(remaining) => remaining,
-                    None => {
-                        return Err(NetError::Timeout {
-                            shard: self.shard.endpoint.to_string(),
-                        })
-                    }
-                },
-                None => NO_DEADLINE_WAIT,
-            };
-            match pending.wait_timeout(remaining.min(TIGHTEN_POLL))? {
-                Some((Message::Answer(mut result), bytes_received)) => {
-                    result.stats.bytes_sent += bytes_sent;
-                    result.stats.bytes_received += bytes_received;
-                    result.stats.wire_round_trips += 1;
-                    result.stats.tighten_frames += tighten_frames;
-                    return Ok(result);
-                }
-                Some((Message::Fail { kind, message }, _)) => {
-                    return Err(NetError::Remote {
-                        shard: self.shard.endpoint.to_string(),
-                        kind,
-                        message,
-                    })
-                }
-                Some((other, _)) => {
-                    return Err(self.shard.protocol(format!(
-                        "expected Answer to Query, got tag 0x{:02x}",
-                        other.tag()
-                    )))
-                }
-                None => {
-                    if !self.forward_threshold {
-                        continue;
-                    }
-                    let cap = threshold.get();
-                    if cap < last_sent {
-                        bytes_sent += pending.tighten(cap)?;
-                        tighten_frames += 1;
-                        last_sent = cap;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -258,11 +134,8 @@ impl QueryTransport<'_> {
 pub struct RemoteEngineBuilder {
     endpoints: Vec<Endpoint>,
     policy: FailurePolicy,
-    scatter: ScatterMode,
     deadline: Option<Duration>,
     connect_timeout: Duration,
-    forward_threshold: bool,
-    pool_size: usize,
     refresh_after_relocations: usize,
     assignment: Option<ShardAssignment>,
     slow_query_threshold: Option<Duration>,
@@ -295,12 +168,6 @@ impl RemoteEngineBuilder {
         self
     }
 
-    /// Sets how shards are visited (default: [`ScatterMode::Sequential`]).
-    pub fn scatter(mut self, mode: ScatterMode) -> Self {
-        self.scatter = mode;
-        self
-    }
-
     /// Bounds every per-shard round trip: a shard that does not answer
     /// within `deadline` counts as failed for that query (default: wait
     /// indefinitely).
@@ -314,24 +181,6 @@ impl RemoteEngineBuilder {
     /// (default: 5 s).
     pub fn connect_timeout(mut self, timeout: Duration) -> Self {
         self.connect_timeout = timeout;
-        self
-    }
-
-    /// Enables or disables forwarding the running `f_k` threshold to later
-    /// shards (default: on).  Disabling is for *measurement only* — it
-    /// shows, in the later shards' work counters, exactly what the
-    /// forwarded cutoff saves; the ranked answer is the same either way.
-    pub fn forward_threshold(mut self, on: bool) -> Self {
-        self.forward_threshold = on;
-        self
-    }
-
-    /// Caps the multiplexed connections kept per endpoint (default: 2).
-    /// One connection carries any number of concurrent in-flight
-    /// requests; extra connections only help when a single socket's
-    /// serialization becomes the bottleneck.
-    pub fn pool_size(mut self, connections: usize) -> Self {
-        self.pool_size = connections.max(1);
         self
     }
 
@@ -384,11 +233,7 @@ impl RemoteEngineBuilder {
             // (a dead shard must fail fast mid-query); the *handshake*
             // retries here until `connect_timeout`, because servers may
             // still be binding their sockets.
-            let pool = Arc::new(ConnectionPool::new(
-                endpoint.clone(),
-                self.pool_size,
-                Duration::ZERO,
-            ));
+            let pool = Arc::new(ConnectionPool::new(endpoint.clone(), Duration::ZERO));
             let handshake_deadline = Instant::now() + self.connect_timeout;
             let info = loop {
                 match pool.call(&Message::Hello, self.deadline) {
@@ -454,9 +299,7 @@ impl RemoteEngineBuilder {
         Ok(RemoteShardedEngine {
             shards,
             policy: self.policy,
-            scatter: self.scatter,
             deadline: self.deadline,
-            forward_threshold: self.forward_threshold,
             refresh_after_relocations: self.refresh_after_relocations,
             user_count: user_count.expect("at least one shard"),
             assignment: self.assignment,
@@ -481,9 +324,7 @@ impl RemoteEngineBuilder {
 pub struct RemoteShardedEngine {
     shards: Vec<RemoteShard>,
     policy: FailurePolicy,
-    scatter: ScatterMode,
     deadline: Option<Duration>,
-    forward_threshold: bool,
     refresh_after_relocations: usize,
     user_count: u64,
     assignment: Option<ShardAssignment>,
@@ -503,7 +344,6 @@ impl std::fmt::Debug for RemoteShardedEngine {
                     .collect::<Vec<_>>(),
             )
             .field("policy", &self.policy)
-            .field("scatter", &self.scatter)
             .field("user_count", &self.user_count)
             .finish()
     }
@@ -516,11 +356,8 @@ impl RemoteShardedEngine {
         RemoteEngineBuilder {
             endpoints,
             policy: FailurePolicy::default(),
-            scatter: ScatterMode::default(),
             deadline: None,
             connect_timeout: Duration::from_secs(5),
-            forward_threshold: true,
-            pool_size: 2,
             refresh_after_relocations: 256,
             assignment: None,
             slow_query_threshold: None,
@@ -564,16 +401,6 @@ impl RemoteShardedEngine {
         self.policy = policy;
     }
 
-    /// The active scatter mode.
-    pub fn scatter_mode(&self) -> ScatterMode {
-        self.scatter
-    }
-
-    /// Switches the scatter mode for subsequent queries.
-    pub fn set_scatter_mode(&mut self, mode: ScatterMode) {
-        self.scatter = mode;
-    }
-
     /// Runs one query; see [`RemoteShardedEngine::query_detailed`] for the
     /// per-shard outcomes.
     ///
@@ -589,13 +416,10 @@ impl RemoteShardedEngine {
     ///
     /// The coordinator validates locally, resolves the query user's origin
     /// (asking shards in turn when the request does not pin one), then
-    /// scatters per the configured [`ScatterMode`] — sequentially with the
-    /// running `f_k` forwarded in each next request, or speculatively with
-    /// every shard in flight at once and the `f_k` pushed as one-way
-    /// tighten frames.  Both modes return the same ranked list.  The
+    /// visits the shards best-first, one at a time, with the running `f_k`
+    /// forwarded in each next request ([`scatter_sequential`]).  The
     /// merged [`QueryStats`] include the wire counters (`bytes_sent`,
-    /// `bytes_received`, `wire_round_trips`, `tighten_frames`), origin
-    /// lookups included.
+    /// `bytes_received`, `wire_round_trips`), origin lookups included.
     ///
     /// # Errors
     ///
@@ -612,9 +436,8 @@ impl RemoteShardedEngine {
         &self,
         request: &QueryRequest,
     ) -> Result<(QueryResult, ShardStats), NetError> {
-        // Trace id 0 = untraced: outbound frames stay byte-identical to
-        // the pre-tracing encoding, and the span tree is recorded only
-        // for the slow-query log.
+        // Trace id 0 = untraced: outbound frames carry no trace field,
+        // and the span tree is recorded only for the slow-query log.
         let trace = Trace::new(0);
         let out = self.query_with_trace(request, &trace);
         self.offer_slow(request, &trace.finish(), out.is_ok());
@@ -690,8 +513,7 @@ impl RemoteShardedEngine {
     /// # Errors
     ///
     /// Transport failures, or [`NetError::Protocol`] when the server
-    /// answers with anything but a `MetricsReport` (e.g. a pre-metrics
-    /// server).
+    /// answers with anything but a `MetricsReport`.
     pub fn remote_metrics(&self, shard: usize) -> Result<ObsReport, NetError> {
         let shard = &self.shards[shard];
         let (response, _) = shard.call(&Message::MetricsRequest, self.deadline)?;
@@ -730,7 +552,6 @@ impl RemoteShardedEngine {
                 }
             }
         };
-        let caller_cap = request.max_score();
         let mut transports: Vec<QueryTransport<'_>> = self
             .shards
             .iter()
@@ -741,8 +562,6 @@ impl RemoteShardedEngine {
                     rect: info.rect,
                     spatial_norm: info.spatial_norm,
                     deadline: self.deadline,
-                    forward_threshold: self.forward_threshold,
-                    caller_cap,
                     trace,
                     root,
                 }
@@ -750,10 +569,7 @@ impl RemoteShardedEngine {
             .collect();
         let scatter_span = trace.open("scatter", Some(root));
         let scatter_started = Instant::now();
-        let scatter = match self.scatter {
-            ScatterMode::Sequential => scatter_sequential(&mut transports, &base, self.policy),
-            ScatterMode::Speculative => scatter_speculative(&mut transports, &base, self.policy),
-        };
+        let scatter = scatter_sequential(&mut transports, &base, self.policy);
         let scatter_elapsed = scatter_started.elapsed();
         trace.close(scatter_span);
         let scatter = scatter.map_err(|failure| failure.error)?;

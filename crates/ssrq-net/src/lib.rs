@@ -16,8 +16,10 @@
 //! carried as raw IEEE-754 bits so scores and thresholds cross the wire
 //! bit-exactly.  No external dependencies.  The frame id lets one
 //! connection multiplex concurrent in-flight requests
-//! ([`MuxConnection`] / [`ConnectionPool`]); version-1 peers (10-byte
-//! header, no frame id) are still decoded and answered in kind.
+//! ([`MuxConnection`] / [`ConnectionPool`]).  There is one framing:
+//! coordinator and servers are built from one commit, and a frame in any
+//! other protocol version is refused with a typed
+//! [`WireError::UnsupportedVersion`](wire::WireError::UnsupportedVersion).
 //!
 //! What the multi-process deployment adds over the in-process one is made
 //! explicit rather than hidden:
@@ -28,7 +30,7 @@
 //!   [`degraded`](ssrq_core::QueryResult::degraded).
 //! * **Deadlines** — a per-shard round-trip deadline
 //!   ([`RemoteEngineBuilder::deadline`]) bounds how long one slow shard
-//!   can stall a query.
+//!   can stall a query: a missed deadline is reported, never retried.
 //! * **Wire accounting** — every query's merged
 //!   [`QueryStats`](ssrq_core::QueryStats) counts `bytes_sent`,
 //!   `bytes_received` and `wire_round_trips` (all zero in-process).
@@ -44,7 +46,7 @@ mod server;
 pub mod wire;
 
 pub use client::{
-    ConnectionPool, Endpoint, HealthMonitor, MuxConnection, PendingCall, ShardClient, WireTraffic,
+    ConnectionPool, Endpoint, HealthMonitor, MuxConnection, ShardClient, WireTraffic,
 };
 pub use coordinator::{RemoteEngineBuilder, RemoteShardedEngine};
 pub use error::NetError;

@@ -8,7 +8,7 @@
 //! Decoding never panics; malformed input yields a typed
 //! [`WireError`].
 
-use crate::wire::{frame_with_id, legacy_frame, Reader, WireError, Writer, LEGACY_VERSION};
+use crate::wire::{frame_with_id, Reader, WireError, Writer};
 use ssrq_core::{
     Algorithm, AlgorithmSpec, QueryRequest, QueryResult, QueryStats, RankedUser, UserId,
 };
@@ -115,9 +115,8 @@ pub enum Message {
         request: QueryRequest,
         /// End-to-end trace id correlating this query's spans across the
         /// coordinator and every shard it touches.  `0` means *untraced*:
-        /// it is never emitted on the wire, so a trace-id-0 frame is
-        /// byte-identical to the pre-tracing encoding, and frames from
-        /// legacy peers (which never carry the field) decode to `0`.
+        /// it is never emitted on the wire, and a frame without the field
+        /// decodes to `0`.
         trace_id: u64,
     },
     /// A shard's exact top-k over its residents.
@@ -172,17 +171,6 @@ pub enum Message {
     Shutdown,
     /// Generic acknowledgement.
     Ok,
-    /// One-way threshold push: tighten the running-cap of the in-flight
-    /// query whose **frame id** on this connection is `target`.  Carries
-    /// no response; a server that no longer runs the target query ignores
-    /// it (the answer may already be on the wire).
-    Tighten {
-        /// Frame id of the in-flight [`Message::Query`] to tighten.
-        target: u32,
-        /// The new (smaller) score cap; entries scoring at or above it
-        /// cannot enter the caller's global top-k.
-        max_score: f64,
-    },
     /// Ask the server for its live observability snapshot (metrics
     /// registry + recent span trees); answered with
     /// [`Message::MetricsReport`].
@@ -212,14 +200,13 @@ impl Message {
             Message::Pong => 0x0F,
             Message::Shutdown => 0x10,
             Message::Ok => 0x11,
-            Message::Tighten { .. } => 0x12,
+            // 0x12 is unassigned.
             Message::MetricsRequest => 0x13,
             Message::MetricsReport(_) => 0x14,
         }
     }
 
-    /// Wraps a request as a [`Message::Query`] with no trace id — the
-    /// byte-compatible encoding pre-tracing peers produced.
+    /// Wraps a request as an untraced [`Message::Query`] (trace id 0).
     pub fn query(request: QueryRequest) -> Message {
         Message::Query {
             request,
@@ -227,25 +214,15 @@ impl Message {
         }
     }
 
-    /// Encodes the message as one complete current-version frame with
-    /// frame id 0 (the one-in-flight sentinel).
+    /// Encodes the message as one complete frame with frame id 0 (the
+    /// one-in-flight sentinel).
     pub fn encode(&self) -> Vec<u8> {
         self.encode_with_id(0)
     }
 
-    /// Encodes the message as one complete current-version frame carrying
-    /// the given multiplexing frame id.
+    /// Encodes the message as one complete frame carrying the given
+    /// multiplexing frame id.
     pub fn encode_with_id(&self, frame_id: u32) -> Vec<u8> {
-        self.encode_in(crate::wire::VERSION, frame_id)
-    }
-
-    /// Encodes the message as one complete frame in the given protocol
-    /// version — a server answers in the version the request arrived in,
-    /// so legacy peers get legacy frames back.  Encoding an unknown
-    /// version falls back to the current one; a [`LEGACY_VERSION`] frame
-    /// cannot carry a frame id and silently drops it (legacy peers run
-    /// one-in-flight, id 0).
-    pub fn encode_in(&self, version: u8, frame_id: u32) -> Vec<u8> {
         let mut w = Writer::new();
         match self {
             Message::Hello
@@ -259,10 +236,9 @@ impl Message {
             Message::Info(info) => encode_shard_info(&mut w, info),
             Message::Query { request, trace_id } => {
                 encode_request(&mut w, request);
-                // Canonical *and* backward-compatible: the trace id is an
-                // optional trailing field, and 0 (untraced) is expressed by
-                // omission — so untraced frames are byte-identical to the
-                // pre-tracing encoding.
+                // The trace id is an optional trailing field: 0 (untraced)
+                // is expressed by omission, which keeps the encoding
+                // canonical and untraced frames 8 bytes shorter.
                 if *trace_id != 0 {
                     w.u64(*trace_id);
                 }
@@ -292,18 +268,9 @@ impl Message {
                 w.u8(kind.tag());
                 w.str(message);
             }
-            Message::Tighten { target, max_score } => {
-                w.u32(*target);
-                w.f64(*max_score);
-            }
             Message::MetricsReport(report) => encode_obs_report(&mut w, report),
         }
-        let payload = w.finish();
-        if version == LEGACY_VERSION {
-            legacy_frame(self.tag(), &payload)
-        } else {
-            frame_with_id(self.tag(), frame_id, &payload)
-        }
+        frame_with_id(self.tag(), frame_id, &w.finish())
     }
 
     /// Decodes one message from its frame tag and payload.
@@ -320,8 +287,8 @@ impl Message {
             0x02 => Message::Info(decode_shard_info(&mut r)?),
             0x03 => {
                 let request = decode_request(&mut r)?;
-                // Optional trailing trace id: absent on legacy/untraced
-                // frames, meaning 0.
+                // Optional trailing trace id: absent on untraced frames,
+                // meaning 0.
                 let trace_id = if r.remaining() > 0 { r.u64()? } else { 0 };
                 Message::Query { request, trace_id }
             }
@@ -360,10 +327,6 @@ impl Message {
             0x0F => Message::Pong,
             0x10 => Message::Shutdown,
             0x11 => Message::Ok,
-            0x12 => Message::Tighten {
-                target: r.u32()?,
-                max_score: r.f64()?,
-            },
             0x13 => Message::MetricsRequest,
             0x14 => Message::MetricsReport(decode_obs_report(&mut r)?),
             t => return Err(WireError::UnknownMessage(t)),
@@ -518,7 +481,6 @@ pub fn encode_stats(w: &mut Writer, stats: &QueryStats) {
     w.u64(stats.bytes_sent as u64);
     w.u64(stats.bytes_received as u64);
     w.u64(stats.wire_round_trips as u64);
-    w.u64(stats.tighten_frames as u64);
     w.u64(stats.runtime.as_nanos() as u64);
 }
 
@@ -543,7 +505,6 @@ pub fn decode_stats(r: &mut Reader<'_>) -> Result<QueryStats, WireError> {
         bytes_sent: r.usize()?,
         bytes_received: r.usize()?,
         wire_round_trips: r.usize()?,
-        tighten_frames: r.usize()?,
         runtime: Duration::from_nanos(r.u64()?),
     })
 }
@@ -789,20 +750,11 @@ mod tests {
         assert_eq!(decoded, message);
         // Canonical: re-encoding the decoded message reproduces the bytes.
         assert_eq!(decoded.encode(), bytes);
-        // Frame ids change only the header; legacy frames carry the same
-        // payload behind the shorter v1 header.
+        // Frame ids change only the header.
         let with_id = message.encode_with_id(77);
         assert_eq!(crate::wire::parse_header(&with_id).unwrap().frame_id, 77);
         assert_eq!(
             with_id[crate::wire::HEADER_LEN..],
-            bytes[crate::wire::HEADER_LEN..]
-        );
-        let legacy = message.encode_in(crate::wire::LEGACY_VERSION, 77);
-        let legacy_header = crate::wire::parse_header(&legacy).unwrap();
-        assert_eq!(legacy_header.version, crate::wire::LEGACY_VERSION);
-        assert_eq!(legacy_header.frame_id, 0);
-        assert_eq!(
-            legacy[crate::wire::LEGACY_HEADER_LEN..],
             bytes[crate::wire::HEADER_LEN..]
         );
     }
@@ -832,10 +784,6 @@ mod tests {
             Message::Fail {
                 kind: FailureKind::UnknownAlgorithm,
                 message: "no algorithm \"X\"".into(),
-            },
-            Message::Tighten {
-                target: 3,
-                max_score: 0.375,
             },
         ] {
             round_trip(message);
@@ -870,8 +818,7 @@ mod tests {
     fn untraced_queries_encode_byte_identically_to_the_pre_tracing_format() {
         let request = QueryRequest::for_user(3).k(4).build_unvalidated();
         // `Message::query` (trace id 0) must not grow the payload: the
-        // trace id is expressed by omission, so pre-tracing peers parse
-        // these frames unchanged.
+        // trace id is expressed by omission.
         let untraced = Message::query(request.clone()).encode();
         let mut w = Writer::new();
         encode_request(&mut w, &request);

@@ -14,28 +14,28 @@
 //! per worker), so a coordinator multiplexing many concurrent queries
 //! over a few sockets cannot fork an unbounded number of engine threads.
 //! Queries run under the engine's read lock; mutations (relocations,
-//! assignment updates) take the write lock.  One-way
-//! [`Message::Tighten`] frames never enter the queue: the reader applies
-//! them directly to the in-flight query's [`ThresholdCell`], which the
-//! executing worker polls between result entries (sound early-stop: the
-//! stream yields entries in ascending score order, so once one reaches
-//! the cap, everything after it is prunable too).
+//! assignment updates) take the write lock.  Every response echoes the
+//! frame id of the request it answers, so workers may finish a
+//! connection's requests in any order.
 //!
-//! Responses are written in the protocol version the request arrived in,
-//! echoing its frame id — so legacy (v1, one-in-flight) clients keep
-//! working unchanged.
+//! A frame the server cannot trust costs only its own connection: a bad
+//! header (wrong magic or protocol version, oversized payload) closes it,
+//! since the byte stream can no longer be re-synchronised, while a
+//! well-framed payload that does not decode (unknown tag, malformed
+//! fields) is answered with a typed [`Message::Fail`] and the connection
+//! keeps serving.
 
 use crate::client::{Endpoint, Stream};
 use crate::error::NetError;
 use crate::proto::{FailureKind, Message, ShardInfo};
-use crate::wire::{header_tail, parse_header, FrameHeader, HEADER_PREFIX};
+use crate::wire::{parse_header, FrameHeader, HEADER_LEN};
 use ssrq_core::{GeoSocialEngine, QueryContext, QueryRequest, QueryResult};
 use ssrq_obs::{
     Counter, Gauge, Histogram, Logger, ObsReport, Registry, SlowQueryLog, SpanLog, Trace,
 };
-use ssrq_shard::{ShardAssignment, ThresholdCell};
+use ssrq_shard::ShardAssignment;
 use ssrq_spatial::Rect;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -48,9 +48,9 @@ use std::time::{Duration, Instant};
 /// re-checking the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
-/// Default size of the worker pool: enough to keep a few concurrent
-/// queries moving without oversubscribing small machines.
-fn default_workers() -> usize {
+/// Size of the worker pool: enough to keep a few concurrent queries moving
+/// without oversubscribing small machines.
+fn worker_count() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(2)
@@ -66,21 +66,9 @@ enum Listener {
 struct WorkItem {
     conn_id: u64,
     frame_id: u32,
-    version: u8,
     enqueued: Instant,
-    work: Work,
+    message: Message,
     writer: Arc<Mutex<Stream>>,
-}
-
-enum Work {
-    /// A query with its trace id and (already registered) tighten cell.
-    Query {
-        request: QueryRequest,
-        trace_id: u64,
-        cell: Arc<ThresholdCell>,
-    },
-    /// Everything else.
-    Other(Message),
 }
 
 /// The server's observability handles: metric series registered once at
@@ -94,8 +82,6 @@ struct ServerObs {
     queue_wait_ns: Histogram,
     worker_busy_ns: Histogram,
     queue_depth: Gauge,
-    tighten_applied: Counter,
-    tighten_ignored: Counter,
     relocations_adopted: Counter,
     relocations_dropped: Counter,
     spans: SpanLog,
@@ -116,14 +102,6 @@ impl ServerObs {
             queue_wait_ns: registry.histogram("ssrq_server_queue_wait_ns", labels),
             worker_busy_ns: registry.histogram("ssrq_server_worker_busy_ns", labels),
             queue_depth: registry.gauge("ssrq_server_queue_depth", labels),
-            tighten_applied: registry.counter(
-                "ssrq_server_tighten_total",
-                &[("shard", &shard), ("outcome", "applied")],
-            ),
-            tighten_ignored: registry.counter(
-                "ssrq_server_tighten_total",
-                &[("shard", &shard), ("outcome", "ignored")],
-            ),
             relocations_adopted: registry.counter(
                 "ssrq_server_relocations_total",
                 &[("shard", &shard), ("outcome", "adopted")],
@@ -193,10 +171,6 @@ pub struct ShardServer {
     shard: u32,
     listener: Listener,
     shutdown: Arc<AtomicBool>,
-    workers: usize,
-    /// Tighten targets of the queries currently queued or executing,
-    /// keyed by (connection id, frame id).
-    active: Mutex<HashMap<(u64, u32), Arc<ThresholdCell>>>,
     obs: ServerObs,
 }
 
@@ -205,7 +179,6 @@ impl std::fmt::Debug for ShardServer {
         f.debug_struct("ShardServer")
             .field("shard", &self.shard)
             .field("endpoint", &self.endpoint().to_string())
-            .field("workers", &self.workers)
             .finish()
     }
 }
@@ -262,16 +235,8 @@ impl ShardServer {
             shard: shard as u32,
             listener,
             shutdown: Arc::new(AtomicBool::new(false)),
-            workers: default_workers(),
-            active: Mutex::new(HashMap::new()),
             obs: ServerObs::new(shard as u32),
         })
-    }
-
-    /// Sets the worker-pool size (clamped to at least 1).
-    pub fn with_workers(mut self, workers: usize) -> ShardServer {
-        self.workers = workers.max(1);
-        self
     }
 
     /// Installs a structured stderr logger; the default logger is silent,
@@ -288,11 +253,6 @@ impl ShardServer {
     pub fn with_slow_query_threshold(mut self, threshold: Duration) -> ShardServer {
         self.obs.slow_log = Some(SlowQueryLog::new(threshold, SLOW_LOG_CAPACITY));
         self
-    }
-
-    /// The worker-pool size.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// The endpoint actually bound — for `tcp:127.0.0.1:0` this carries
@@ -316,8 +276,8 @@ impl ShardServer {
     }
 
     /// Serves connections until the shutdown flag is raised: a reader
-    /// thread per connection, the work on a pool of
-    /// [`workers`](ShardServer::workers) threads.
+    /// thread per connection, the work on a small fixed pool of worker
+    /// threads (one per core, at most four).
     ///
     /// # Errors
     ///
@@ -326,7 +286,7 @@ impl ShardServer {
     pub fn serve(&self) -> Result<(), NetError> {
         let queue = WorkQueue::new();
         std::thread::scope(|scope| {
-            for _ in 0..self.workers {
+            for _ in 0..worker_count() {
                 scope.spawn(|| self.worker_loop(&queue));
             }
             let mut next_conn_id: u64 = 0;
@@ -370,8 +330,8 @@ impl ShardServer {
         Ok(())
     }
 
-    /// The per-connection reader: parses frames, applies `Tighten`s
-    /// inline, queues everything else for the worker pool.
+    /// The per-connection reader: parses frames and queues them for the
+    /// worker pool.
     fn serve_connection(&self, conn_id: u64, stream: Stream, queue: &WorkQueue) {
         if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
             return;
@@ -388,51 +348,15 @@ impl ShardServer {
         // Loop ends on clean EOF, shutdown, or poisoned framing.
         while let Ok(Some((header, payload))) = self.read_frame(&mut reader) {
             match Message::decode(header.tag, &payload) {
-                Ok(Message::Tighten { target, max_score }) => {
-                    // One-way; applied immediately, even while the target
-                    // query sits in the queue.  An unknown target means
-                    // the answer is already on its way — ignore.
-                    let cell = self
-                        .active
-                        .lock()
-                        .expect("active query lock")
-                        .get(&(conn_id, target))
-                        .map(Arc::clone);
-                    match cell {
-                        Some(cell) => {
-                            cell.tighten(max_score);
-                            self.obs.tighten_applied.inc();
-                        }
-                        None => self.obs.tighten_ignored.inc(),
-                    }
-                }
-                Ok(Message::Query { request, trace_id }) => {
-                    let cell = Arc::new(ThresholdCell::new(f64::INFINITY));
-                    self.active
-                        .lock()
-                        .expect("active query lock")
-                        .insert((conn_id, header.frame_id), Arc::clone(&cell));
-                    self.obs.queue_depth.add(1.0);
-                    queue.push(WorkItem {
-                        conn_id,
-                        frame_id: header.frame_id,
-                        version: header.version,
-                        enqueued: Instant::now(),
-                        work: Work::Query {
-                            request,
-                            trace_id,
-                            cell,
-                        },
-                        writer: Arc::clone(&writer),
-                    });
-                }
                 Ok(message) => {
+                    if matches!(message, Message::Query { .. }) {
+                        self.obs.queue_depth.add(1.0);
+                    }
                     queue.push(WorkItem {
                         conn_id,
                         frame_id: header.frame_id,
-                        version: header.version,
                         enqueued: Instant::now(),
-                        work: Work::Other(message),
+                        message,
                         writer: Arc::clone(&writer),
                     });
                 }
@@ -441,7 +365,7 @@ impl ShardServer {
                         kind: FailureKind::InvalidRequest,
                         message: e.to_string(),
                     }
-                    .encode_in(header.version, header.frame_id);
+                    .encode_with_id(header.frame_id);
                     if Self::write_response(&writer, &fail).is_err() {
                         break;
                     }
@@ -465,21 +389,13 @@ impl ShardServer {
         let mut ctx = self.engine.read().expect("engine lock").make_context();
         while let Some(item) = queue.pop(&self.shutdown) {
             let started = Instant::now();
-            let response = match item.work {
-                Work::Query {
-                    request,
-                    trace_id,
-                    cell,
-                } => {
+            let response = match item.message {
+                Message::Query { request, trace_id } => {
                     self.obs.queue_depth.add(-1.0);
                     self.obs
                         .queue_wait_ns
                         .observe_duration(started.duration_since(item.enqueued));
-                    let response = self.run_query(&request, trace_id, &mut ctx, &cell);
-                    self.active
-                        .lock()
-                        .expect("active query lock")
-                        .remove(&(item.conn_id, item.frame_id));
+                    let response = self.run_query(&request, trace_id, &mut ctx);
                     if self.obs.logger.enabled(ssrq_obs::Level::Info) {
                         self.obs.logger.info(&format!(
                             "event=query_served conn={} frame={} trace={:#018x} duration_us={}",
@@ -491,11 +407,11 @@ impl ShardServer {
                     }
                     Some(response)
                 }
-                Work::Other(message) => self.handle(message, &mut ctx),
+                message => self.handle(message, &mut ctx),
             };
             self.obs.worker_busy_ns.observe_duration(started.elapsed());
             if let Some(response) = response {
-                let bytes = response.encode_in(item.version, item.frame_id);
+                let bytes = response.encode_with_id(item.frame_id);
                 // A write failure only loses this connection; its reader
                 // notices on its next read.
                 let _ = Self::write_response(&item.writer, &bytes);
@@ -507,17 +423,9 @@ impl ShardServer {
     /// reader re-checks the shutdown flag on every poll tick).  Returns
     /// `Ok(None)` on clean EOF or shutdown.
     fn read_frame(&self, stream: &mut Stream) -> Result<Option<(FrameHeader, Vec<u8>)>, NetError> {
-        let mut header = vec![0u8; HEADER_PREFIX];
+        let mut header = [0u8; HEADER_LEN];
         if self.read_full(stream, &mut header)?.is_none() {
             return Ok(None);
-        }
-        let tail = header_tail(header[4])?;
-        if tail > 0 {
-            let start = header.len();
-            header.resize(start + tail, 0);
-            if self.read_full(stream, &mut header[start..])?.is_none() {
-                return Ok(None);
-            }
         }
         let parsed = parse_header(&header)?;
         let mut payload = vec![0u8; parsed.payload_len as usize];
@@ -556,18 +464,10 @@ impl ShardServer {
         Ok(Some(()))
     }
 
-    /// Runs one query under the read lock, polling `cell` between result
-    /// entries: the stream yields finalized entries in ascending score
-    /// order, so the first entry at or above the cap proves every later
-    /// one is prunable as well — the truncated answer merges identically
-    /// at the coordinator, which already holds entries beating the cap.
-    fn run_query(
-        &self,
-        request: &QueryRequest,
-        trace_id: u64,
-        ctx: &mut QueryContext,
-        cell: &ThresholdCell,
-    ) -> Message {
+    /// Runs one query under the read lock by draining the engine's
+    /// streaming path, which yields finalized entries in ascending score
+    /// order.
+    fn run_query(&self, request: &QueryRequest, trace_id: u64, ctx: &mut QueryContext) -> Message {
         let trace = Trace::new(trace_id);
         let root = trace.open("shard_query", None);
         let engine = self.engine.read().expect("engine lock");
@@ -584,13 +484,7 @@ impl ShardServer {
             }
         };
         let drain = trace.open("drain_topk", Some(root));
-        let mut ranked = Vec::new();
-        for entry in stream.by_ref() {
-            if entry.score >= cell.get() {
-                break;
-            }
-            ranked.push(entry);
-        }
+        let ranked: Vec<_> = stream.by_ref().collect();
         trace.close(drain);
         if let Some(error) = stream.error() {
             return Message::Fail {

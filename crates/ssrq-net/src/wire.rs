@@ -3,9 +3,9 @@
 //!
 //! # Frame format
 //!
-//! Every message travels as one frame.  Version 2 (current) carries a
-//! **frame id** so one connection can multiplex concurrent in-flight
-//! requests — a response echoes the id of the request it answers:
+//! Every message travels as one frame.  The header carries a **frame id**
+//! so one connection can multiplex concurrent in-flight requests — a
+//! response echoes the id of the request it answers:
 //!
 //! | offset | size | field                                    |
 //! |-------:|-----:|------------------------------------------|
@@ -16,12 +16,10 @@
 //! |     10 |    4 | payload length `n` (u32 little-endian)   |
 //! |     14 |  `n` | payload                                  |
 //!
-//! Version 1 ([`LEGACY_VERSION`]) frames remain decodable: they omit the
-//! frame-id field (payload length sits at offset 6, payload at 10) and
-//! are treated as frame id 0 — the one-in-flight sentinel.  The first
-//! [`HEADER_PREFIX`] bytes of both versions share a layout through the
-//! version byte, so a reader pulls the prefix, learns the version, and
-//! then knows how many header bytes remain ([`header_tail`]).
+//! The header has one fixed size ([`HEADER_LEN`]), so a reader pulls it in
+//! one read.  Coordinator and shard servers are built from one commit; a
+//! frame whose version byte is not [`VERSION`] is refused before any of
+//! its payload is interpreted.
 //!
 //! All multi-byte integers are little-endian; `f64` values travel as their
 //! IEEE-754 bit pattern ([`f64::to_bits`]), so encode→decode is
@@ -38,26 +36,13 @@
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SSRQ";
 
-/// Current protocol version: multiplexed frames with a frame id.  A peer
-/// speaking a version that is neither this nor [`LEGACY_VERSION`] is
-/// rejected with [`WireError::UnsupportedVersion`] before any payload is
-/// interpreted.
+/// The protocol version: multiplexed frames with a frame id.  A peer
+/// speaking any other version is rejected with
+/// [`WireError::UnsupportedVersion`] before any payload is interpreted.
 pub const VERSION: u8 = 2;
 
-/// The previous protocol version (no frame-id field); still decoded, with
-/// an implied frame id of 0, so pre-multiplexing peers keep working.
-pub const LEGACY_VERSION: u8 = 1;
-
-/// Size of the fixed frame header in bytes for the current [`VERSION`].
+/// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 14;
-
-/// Size of a [`LEGACY_VERSION`] frame header in bytes.
-pub const LEGACY_HEADER_LEN: usize = 10;
-
-/// Bytes a reader must pull before it knows the frame's version — and with
-/// it, via [`header_tail`], how many header bytes remain.  Both versions
-/// place magic, version and tag identically inside this prefix.
-pub const HEADER_PREFIX: usize = 10;
 
 /// Upper bound on a frame payload (64 MiB) — a corrupt length prefix must
 /// not make a peer allocate unbounded memory.
@@ -109,52 +94,30 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// A parsed frame header, version differences normalized away: a
-/// [`LEGACY_VERSION`] frame reports `frame_id` 0.
+/// A parsed frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// The protocol version the frame was encoded in ([`VERSION`] or
-    /// [`LEGACY_VERSION`]) — responses should answer in kind.
-    pub version: u8,
     /// Message type tag.
     pub tag: u8,
-    /// Multiplexing id; 0 on legacy frames.
+    /// Multiplexing id; 0 when the sender keeps one request in flight.
     pub frame_id: u32,
     /// Payload length in bytes.
     pub payload_len: u32,
 }
 
 impl FrameHeader {
-    /// Header size in bytes for this frame's version.
+    /// Header size in bytes: the payload starts at this offset.
     pub fn header_len(&self) -> usize {
-        match self.version {
-            LEGACY_VERSION => LEGACY_HEADER_LEN,
-            _ => HEADER_LEN,
-        }
+        HEADER_LEN
     }
 }
 
-/// Header bytes that follow the [`HEADER_PREFIX`] for the given version.
-///
-/// # Errors
-///
-/// [`WireError::UnsupportedVersion`] for a version this build does not
-/// speak.
-pub fn header_tail(version: u8) -> Result<usize, WireError> {
-    match version {
-        LEGACY_VERSION => Ok(LEGACY_HEADER_LEN - HEADER_PREFIX),
-        VERSION => Ok(HEADER_LEN - HEADER_PREFIX),
-        other => Err(WireError::UnsupportedVersion(other)),
-    }
-}
-
-/// Builds one current-version frame with frame id 0 around an
-/// already-encoded payload.
+/// Builds one frame with frame id 0 around an already-encoded payload.
 pub fn frame(msg_type: u8, payload: &[u8]) -> Vec<u8> {
     frame_with_id(msg_type, 0, payload)
 }
 
-/// Builds one current-version frame carrying the given frame id.
+/// Builds one frame carrying the given frame id.
 pub fn frame_with_id(msg_type: u8, frame_id: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
@@ -166,19 +129,7 @@ pub fn frame_with_id(msg_type: u8, frame_id: u32, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Builds one [`LEGACY_VERSION`] frame (no frame-id field) — what a
-/// pre-multiplexing peer expects back.
-pub fn legacy_frame(msg_type: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(LEGACY_HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(LEGACY_VERSION);
-    out.push(msg_type);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Parses a frame header in either supported version.
+/// Parses a frame header.
 ///
 /// # Errors
 ///
@@ -187,9 +138,9 @@ pub fn legacy_frame(msg_type: u8, payload: &[u8]) -> Vec<u8> {
 /// length above [`MAX_PAYLOAD`].  (An unknown message *type* is left to the
 /// payload decoder, which knows the tag table.)
 pub fn parse_header(bytes: &[u8]) -> Result<FrameHeader, WireError> {
-    if bytes.len() < HEADER_PREFIX {
+    if bytes.len() < HEADER_LEN {
         return Err(WireError::Truncated {
-            needed: HEADER_PREFIX,
+            needed: HEADER_LEN,
             have: bytes.len(),
         });
     }
@@ -198,32 +149,16 @@ pub fn parse_header(bytes: &[u8]) -> Result<FrameHeader, WireError> {
             bytes[0], bytes[1], bytes[2], bytes[3],
         ]));
     }
-    let version = bytes[4];
-    let tag = bytes[5];
-    let header_len = HEADER_PREFIX + header_tail(version)?;
-    if bytes.len() < header_len {
-        return Err(WireError::Truncated {
-            needed: header_len,
-            have: bytes.len(),
-        });
+    if bytes[4] != VERSION {
+        return Err(WireError::UnsupportedVersion(bytes[4]));
     }
-    let (frame_id, len) = match version {
-        LEGACY_VERSION => (
-            0,
-            u32::from_le_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]),
-        ),
-        _ => (
-            u32::from_le_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]),
-            u32::from_le_bytes([bytes[10], bytes[11], bytes[12], bytes[13]]),
-        ),
-    };
+    let len = u32::from_le_bytes([bytes[10], bytes[11], bytes[12], bytes[13]]);
     if len > MAX_PAYLOAD {
         return Err(WireError::Oversize(len));
     }
     Ok(FrameHeader {
-        version,
-        tag,
-        frame_id,
+        tag: bytes[5],
+        frame_id: u32::from_le_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]),
         payload_len: len,
     })
 }
@@ -427,7 +362,6 @@ mod tests {
         assert_eq!(
             parse_header(&framed).unwrap(),
             FrameHeader {
-                version: VERSION,
                 tag: 0x03,
                 frame_id: 0xCAFE,
                 payload_len: 3,
@@ -436,13 +370,7 @@ mod tests {
         assert_eq!(parse_header(&frame(0x03, &[])).unwrap().frame_id, 0);
 
         assert!(matches!(
-            parse_header(&framed[..5]),
-            Err(WireError::Truncated { .. })
-        ));
-        // A full prefix that promises a longer (v2) header is still
-        // truncation, not a panic.
-        assert!(matches!(
-            parse_header(&framed[..HEADER_PREFIX]),
+            parse_header(&framed[..HEADER_LEN - 1]),
             Err(WireError::Truncated { .. })
         ));
         let mut bad = framed.clone();
@@ -457,34 +385,6 @@ mod tests {
         let mut bad = framed;
         bad[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(parse_header(&bad), Err(WireError::Oversize(_))));
-    }
-
-    #[test]
-    fn legacy_frames_decode_with_frame_id_zero() {
-        let framed = legacy_frame(0x07, &[9, 9]);
-        assert_eq!(framed.len(), LEGACY_HEADER_LEN + 2);
-        let header = parse_header(&framed).unwrap();
-        assert_eq!(
-            header,
-            FrameHeader {
-                version: LEGACY_VERSION,
-                tag: 0x07,
-                frame_id: 0,
-                payload_len: 2,
-            }
-        );
-        assert_eq!(header.header_len(), LEGACY_HEADER_LEN);
-
-        let mut bad = framed;
-        bad[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(parse_header(&bad), Err(WireError::Oversize(_))));
-
-        assert_eq!(header_tail(LEGACY_VERSION).unwrap(), 0);
-        assert_eq!(header_tail(VERSION).unwrap(), 4);
-        assert!(matches!(
-            header_tail(3),
-            Err(WireError::UnsupportedVersion(3))
-        ));
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! End-to-end observability over real sockets: a coordinator-assigned
 //! trace id must arrive bit-identical in every shard server's span log,
-//! legacy v1 `Query` frames (which cannot carry a trace id) must still be
-//! served with the implied trace 0, the `Metrics` request must snapshot a
-//! live server remotely, and the health monitor must publish its ping
-//! gauges into the global registry.
+//! the `Metrics` request must snapshot a live server remotely, and the
+//! health monitor must publish its ping gauges into the global registry.
 
 use ssrq_core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest};
 use ssrq_data::{DatasetConfig, QueryWorkload};
@@ -157,70 +155,6 @@ fn trace_ids_arrive_bit_identical_in_every_shards_span_log() {
             workload.users.len()
         );
     }
-}
-
-#[test]
-fn legacy_v1_query_frames_imply_trace_zero_and_answer_in_kind() {
-    use ssrq_net::wire::{parse_header, LEGACY_VERSION};
-    use ssrq_net::Message;
-    use std::io::{Read, Write};
-
-    let dataset = DatasetConfig::gowalla_like(120).generate();
-    let assignment = ShardAssignment::compute(&dataset, Partitioning::UserHash, 1).unwrap();
-    let engine = GeoSocialEngine::builder(dataset).build().unwrap();
-    let server =
-        ShardServer::bind(&Endpoint::Tcp("127.0.0.1:0".into()), engine, 0, assignment).unwrap();
-    let Endpoint::Tcp(addr) = server.endpoint() else {
-        panic!("tcp endpoint expected")
-    };
-    let flag = server.shutdown_flag();
-    let handle = std::thread::spawn(move || server.serve().unwrap());
-
-    // A pre-tracing v1 peer: its Query payload simply ends after the
-    // request — no trailing trace id.
-    let request = QueryRequest::for_user(1)
-        .k(5)
-        .alpha(0.4)
-        .origin(Point::new(0.5, 0.5))
-        .algorithm(Algorithm::Ais)
-        .build()
-        .unwrap();
-    let query = Message::query(request);
-    let mut socket = std::net::TcpStream::connect(&addr).unwrap();
-    socket
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    socket
-        .write_all(&query.encode_in(LEGACY_VERSION, 0))
-        .unwrap();
-    let mut prefix = [0u8; 10];
-    socket.read_exact(&mut prefix).unwrap();
-    let header = parse_header(&prefix).unwrap();
-    assert_eq!(header.version, LEGACY_VERSION, "answered in kind");
-    assert_eq!(header.frame_id, 0);
-    let mut payload = vec![0u8; header.payload_len as usize];
-    socket.read_exact(&mut payload).unwrap();
-    let response = Message::decode(header.tag, &payload).unwrap();
-    let Message::Answer(result) = response else {
-        panic!("expected an Answer, got {response:?}");
-    };
-    assert!(!result.ranked.is_empty());
-
-    // The served query landed in the span log under the implied trace 0.
-    socket
-        .write_all(&Message::MetricsRequest.encode_in(LEGACY_VERSION, 0))
-        .unwrap();
-    socket.read_exact(&mut prefix).unwrap();
-    let header = parse_header(&prefix).unwrap();
-    let mut payload = vec![0u8; header.payload_len as usize];
-    socket.read_exact(&mut payload).unwrap();
-    let Message::MetricsReport(report) = Message::decode(header.tag, &payload).unwrap() else {
-        panic!("expected a MetricsReport");
-    };
-    assert!(report.has_trace(0), "v1 queries trace as id 0");
-
-    flag.store(true, Ordering::SeqCst);
-    handle.join().unwrap();
 }
 
 #[test]

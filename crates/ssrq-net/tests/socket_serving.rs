@@ -2,21 +2,27 @@
 //! Unix-domain sockets) behind a [`RemoteShardedEngine`] coordinator must
 //! return exactly what the in-process [`ShardedEngine`] returns, forward
 //! the `f_k` threshold across the wire, survive relocations and
-//! rebalances, and fail the way the [`FailurePolicy`] promises when a
-//! shard dies.
+//! rebalances, fail the way the [`FailurePolicy`] promises when a shard
+//! dies, report a missed deadline after one deadline, and refuse frames
+//! outside the protocol without going down.
 
-use ssrq_core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest};
+use ssrq_core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest, QueryResult};
 use ssrq_data::{DatasetConfig, QueryWorkload};
-use ssrq_net::{Endpoint, NetError, RemoteShardedEngine, ShardServer};
+use ssrq_net::wire::{self, WireError};
+use ssrq_net::{
+    ConnectionPool, Endpoint, FailureKind, Message, NetError, RemoteShardedEngine, ShardClient,
+    ShardServer,
+};
 use ssrq_shard::{
-    FailurePolicy, Partitioning, ScatterMode, ShardAssignment, ShardOutcome, ShardedEngine,
+    merge_ranked, FailurePolicy, Partitioning, ShardAssignment, ShardOutcome, ShardedEngine,
 };
 use ssrq_spatial::{Point, Rect};
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A cluster of in-thread shard servers over Unix sockets in a temp dir.
 struct Cluster {
@@ -157,11 +163,11 @@ fn the_fk_threshold_crosses_the_wire() {
     let policy = Partitioning::SpatialGrid { cells_per_axis: 8 };
     let cluster = Cluster::start(&dataset, policy, 4);
     let forwarding = cluster.connect();
-    let blunt = RemoteShardedEngine::builder(cluster.endpoints.clone())
-        .connect_timeout(Duration::from_secs(10))
-        .forward_threshold(false)
-        .connect()
-        .expect("coordinator connects");
+    let mut shards: Vec<ShardClient> = cluster
+        .endpoints
+        .iter()
+        .map(|e| ShardClient::connect(e, Duration::from_secs(10)).expect("client connects"))
+        .collect();
 
     let workload = QueryWorkload::generate(&dataset, 6, 5);
     let mut saved_work = false;
@@ -173,14 +179,36 @@ fn the_fk_threshold_crosses_the_wire() {
             .build()
             .unwrap();
         let (with, with_stats) = forwarding.query_detailed(&request).unwrap();
-        let (without, without_stats) = blunt.query_detailed(&request).unwrap();
+
+        // The blunt arm: the broadcast request (origin resolved, no
+        // forwarded cutoff) put to every shard, answers merged here.
+        let origin = dataset.location(user).expect("workload users are located");
+        let broadcast = Message::query(request.clone().with_origin(origin));
+        let mut entries = Vec::new();
+        let (mut evaluated_users, mut relaxed_edges) = (0, 0);
+        for shard in &mut shards {
+            let (response, _) = shard.call(&broadcast).expect("shard answers");
+            let Message::Answer(answer) = response else {
+                panic!("expected an Answer, got {response:?}")
+            };
+            evaluated_users += answer.stats.evaluated_users;
+            relaxed_edges += answer.stats.relaxed_edges;
+            entries.extend(answer.ranked);
+        }
+        let without = QueryResult {
+            ranked: merge_ranked(entries, request.k()),
+            k: request.k(),
+            degraded: false,
+            stats: Default::default(),
+        };
+
         // Forwarding is an optimization, never a semantic change.
         assert!(with.same_users_and_scores(&without, 0.0));
         // The forwarded cutoff can only reduce per-shard work.
-        assert!(with_stats.merged.evaluated_users <= without_stats.merged.evaluated_users);
-        assert!(with_stats.merged.relaxed_edges <= without_stats.merged.relaxed_edges);
-        saved_work |= with_stats.merged.evaluated_users < without_stats.merged.evaluated_users
-            || with_stats.skipped_shards() > without_stats.skipped_shards();
+        assert!(with_stats.merged.evaluated_users <= evaluated_users);
+        assert!(with_stats.merged.relaxed_edges <= relaxed_edges);
+        saved_work |=
+            with_stats.merged.evaluated_users < evaluated_users || with_stats.skipped_shards() > 0;
     }
     assert!(
         saved_work,
@@ -329,42 +357,6 @@ fn a_dead_shard_fails_or_degrades_per_policy() {
 }
 
 #[test]
-fn speculative_scatter_matches_sequential_bit_for_bit_over_sockets() {
-    let dataset = DatasetConfig::gowalla_like(300).generate();
-    let policy = Partitioning::SpatialGrid { cells_per_axis: 8 };
-    let cluster = Cluster::start(&dataset, policy, 4);
-    let sequential = cluster.connect();
-    let speculative = RemoteShardedEngine::builder(cluster.endpoints.clone())
-        .connect_timeout(Duration::from_secs(10))
-        .deadline(Duration::from_secs(30))
-        .scatter(ScatterMode::Speculative)
-        .connect()
-        .expect("speculative coordinator connects");
-    assert_eq!(speculative.scatter_mode(), ScatterMode::Speculative);
-
-    for algorithm in [Algorithm::Ais, Algorithm::Tsa] {
-        for request in requests_for(&dataset, algorithm) {
-            let expected = sequential.query(&request).expect("sequential query");
-            let got = speculative.query(&request).expect("speculative query");
-            // The speculative scatter is a *scheduling* change only: the
-            // exact same (score, user) list, down to the bits.
-            assert!(
-                got.same_users_and_scores(&expected, 0.0),
-                "{algorithm:?} speculative disagreed on {request:?}:\n  seq {:?}\n  spec {:?}",
-                expected.ranked,
-                got.ranked
-            );
-            // Accounting stays truthful: speculation can only *add*
-            // round trips (shards the sequential threshold would have
-            // skipped), never hide them — and tighten frames are a
-            // speculative-only cost, never counted as round trips.
-            assert!(got.stats.wire_round_trips >= expected.stats.wire_round_trips);
-            assert_eq!(expected.stats.tighten_frames, 0);
-        }
-    }
-}
-
-#[test]
 fn concurrent_queries_share_one_engine_and_stay_exact() {
     let dataset = DatasetConfig::gowalla_like(300).generate();
     let policy = Partitioning::SpatialGrid { cells_per_axis: 8 };
@@ -373,8 +365,6 @@ fn concurrent_queries_share_one_engine_and_stay_exact() {
         RemoteShardedEngine::builder(cluster.endpoints.clone())
             .connect_timeout(Duration::from_secs(10))
             .deadline(Duration::from_secs(30))
-            .scatter(ScatterMode::Speculative)
-            .pool_size(2)
             .connect()
             .expect("coordinator connects"),
     );
@@ -536,57 +526,6 @@ fn an_unreachable_shard_during_origin_resolution_degrades_the_answer() {
 }
 
 #[test]
-fn a_dead_shard_fails_or_degrades_under_speculative_scatter_too() {
-    let dataset = DatasetConfig::gowalla_like(200).generate();
-    let policy = Partitioning::UserHash;
-    let cluster = Cluster::start(&dataset, policy, 3);
-    let mut remote = RemoteShardedEngine::builder(cluster.endpoints.clone())
-        .connect_timeout(Duration::from_secs(10))
-        .deadline(Duration::from_secs(2))
-        .scatter(ScatterMode::Speculative)
-        .connect()
-        .unwrap();
-
-    let request = QueryRequest::for_user(0)
-        .k(50)
-        .alpha(0.5)
-        .origin(Point::new(0.5, 0.5))
-        .algorithm(Algorithm::Ais)
-        .build()
-        .unwrap();
-    remote.query(&request).expect("healthy cluster answers");
-
-    cluster.kill_shard(2);
-    std::thread::sleep(Duration::from_millis(200));
-
-    let err = remote
-        .query(&request)
-        .expect_err("Fail policy surfaces the dead shard");
-    assert!(
-        matches!(
-            err,
-            NetError::Disconnected { .. } | NetError::Io(_) | NetError::Timeout { .. }
-        ),
-        "unexpected error {err}"
-    );
-
-    remote.set_failure_policy(FailurePolicy::Degrade);
-    let (result, stats) = remote.query_detailed(&request).expect("degraded answer");
-    assert!(result.degraded);
-    assert_eq!(stats.failed_shards(), 1);
-    let failed_endpoint = cluster.endpoints[2].to_string();
-    assert!(
-        stats.per_shard.iter().any(|o| matches!(
-            o,
-            ShardOutcome::Failed { shard, .. } if shard == &failed_endpoint
-        )),
-        "the failed shard is named in the outcomes: {:?}",
-        stats.per_shard
-    );
-    assert!(!result.ranked.is_empty());
-}
-
-#[test]
 fn relocation_churn_triggers_an_opportunistic_rect_refresh() {
     use ssrq_graph::GraphBuilder;
     // Four users clustered in [0.1, 0.3]² on one shard.
@@ -624,45 +563,131 @@ fn relocation_churn_triggers_an_opportunistic_rect_refresh() {
 }
 
 #[test]
-fn legacy_v1_frames_are_served_and_answered_in_kind() {
-    use ssrq_net::wire::{parse_header, LEGACY_VERSION};
-    use ssrq_net::Message;
-    use std::io::{Read, Write};
+fn a_missed_deadline_is_reported_after_one_deadline_not_retried() {
+    let dir = std::env::temp_dir().join(format!(
+        "ssrq-net-mute-{}-{}",
+        std::process::id(),
+        CLUSTER_SEQ.fetch_add(1, Ordering::SeqCst)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("mute.sock");
+    // A server that is merely slow: it accepts, reads, and never answers.
+    let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+    let mute = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().unwrap();
+        let mut received = Vec::new();
+        socket.read_to_end(&mut received).unwrap();
+        received
+    });
+
+    let pool = ConnectionPool::new(Endpoint::Unix(path), Duration::from_secs(10));
+    let deadline = Duration::from_millis(250);
+    let started = Instant::now();
+    let outcome = pool.call(&Message::Ping, Some(deadline));
+    let elapsed = started.elapsed();
+    assert!(
+        matches!(outcome, Err(NetError::Timeout { .. })),
+        "expected a timeout, got {outcome:?}"
+    );
+    assert!(
+        elapsed < deadline.mul_f64(1.8),
+        "a {deadline:?} deadline took {elapsed:?} to report"
+    );
+
+    // Closing the pool is the listener's EOF: everything the slow server
+    // was ever sent is one Ping frame.
+    pool.close();
+    let received = mute.join().unwrap();
+    assert_eq!(received.len(), wire::HEADER_LEN, "exactly one Ping frame");
+    assert_eq!(
+        wire::parse_header(&received).unwrap().tag,
+        Message::Ping.tag()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn retired_inputs_are_refused_typed_without_taking_the_server_down() {
+    // A version-1 frame: the 10-byte header without a frame id, here
+    // around a Locate payload — 14 bytes in all, so the server's fixed
+    // header read consumes exactly the frame and the close that follows
+    // is a clean EOF rather than a reset over unread bytes.
+    let mut v1_frame = Vec::new();
+    v1_frame.extend_from_slice(&wire::MAGIC);
+    v1_frame.push(1);
+    v1_frame.push(Message::Locate(3).tag());
+    v1_frame.extend_from_slice(&4u32.to_le_bytes());
+    v1_frame.extend_from_slice(&3u32.to_le_bytes());
+    assert_eq!(v1_frame.len(), wire::HEADER_LEN);
+    assert_eq!(
+        wire::parse_header(&v1_frame),
+        Err(WireError::UnsupportedVersion(1))
+    );
+    // The one unassigned tag inside the tag table's range.
+    assert_eq!(
+        Message::decode(0x12, &[]),
+        Err(WireError::UnknownMessage(0x12))
+    );
 
     let dataset = DatasetConfig::gowalla_like(120).generate();
     let assignment = ShardAssignment::compute(&dataset, Partitioning::UserHash, 1).unwrap();
     let engine = GeoSocialEngine::builder(dataset).build().unwrap();
     let server =
         ShardServer::bind(&Endpoint::Tcp("127.0.0.1:0".into()), engine, 0, assignment).unwrap();
-    let Endpoint::Tcp(addr) = server.endpoint() else {
+    let endpoint = server.endpoint();
+    let Endpoint::Tcp(addr) = &endpoint else {
         panic!("tcp endpoint expected")
     };
     let flag = server.shutdown_flag();
     let handle = std::thread::spawn(move || server.serve().unwrap());
-
-    // A pre-multiplexing peer: v1 frames, one in flight, no frame ids.
-    let mut socket = std::net::TcpStream::connect(&addr).unwrap();
-    socket
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    for request in [Message::Ping, Message::Hello] {
+    let connect = || {
+        let socket = std::net::TcpStream::connect(addr).unwrap();
         socket
-            .write_all(&request.encode_in(LEGACY_VERSION, 0))
+            .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        let mut prefix = [0u8; 10];
-        socket.read_exact(&mut prefix).unwrap();
-        let header = parse_header(&prefix).unwrap();
-        // The server answers in the request's own version.
-        assert_eq!(header.version, LEGACY_VERSION);
-        assert_eq!(header.frame_id, 0);
+        socket
+    };
+    let read_frame = |socket: &mut std::net::TcpStream| {
+        let mut header = [0u8; wire::HEADER_LEN];
+        socket.read_exact(&mut header).unwrap();
+        let header = wire::parse_header(&header).unwrap();
         let mut payload = vec![0u8; header.payload_len as usize];
         socket.read_exact(&mut payload).unwrap();
-        let response = Message::decode(header.tag, &payload).unwrap();
-        match request {
-            Message::Ping => assert_eq!(response, Message::Pong),
-            _ => assert!(matches!(response, Message::Info(_))),
-        }
-    }
+        (
+            header.frame_id,
+            Message::decode(header.tag, &payload).unwrap(),
+        )
+    };
+
+    // The v1 frame costs its sender the connection: EOF, no answer.
+    let mut old_peer = connect();
+    old_peer.write_all(&v1_frame).unwrap();
+    let mut rest = Vec::new();
+    assert_eq!(old_peer.read_to_end(&mut rest).unwrap(), 0);
+
+    // It cost nobody else anything.
+    let mut client = ShardClient::connect(&endpoint, Duration::from_secs(10)).unwrap();
+    assert_eq!(client.call(&Message::Ping).unwrap().0, Message::Pong);
+
+    // A well-framed message under the unassigned tag is refused, typed,
+    // under its own frame id — and the connection keeps working.
+    let mut peer = connect();
+    peer.write_all(&wire::frame_with_id(0x12, 7, &[0; 12]))
+        .unwrap();
+    let (frame_id, refusal) = read_frame(&mut peer);
+    assert_eq!(frame_id, 7);
+    assert!(
+        matches!(
+            refusal,
+            Message::Fail {
+                kind: FailureKind::InvalidRequest,
+                ..
+            }
+        ),
+        "unexpected response {refusal:?}"
+    );
+    peer.write_all(&Message::Ping.encode_with_id(8)).unwrap();
+    assert_eq!(read_frame(&mut peer), (8, Message::Pong));
 
     flag.store(true, Ordering::SeqCst);
     handle.join().unwrap();

@@ -7,7 +7,7 @@
 
 use rand::prelude::*;
 use ssrq_core::{Algorithm, QueryRequest, QueryResult, QueryStats, RankedUser};
-use ssrq_net::wire::{parse_header, WireError, HEADER_LEN, LEGACY_VERSION};
+use ssrq_net::wire::{parse_header, WireError, HEADER_LEN};
 use ssrq_net::{FailureKind, Message, ShardInfo};
 use ssrq_spatial::{Point, Rect};
 use std::time::Duration;
@@ -95,7 +95,6 @@ fn stats(rng: &mut StdRng) -> QueryStats {
         bytes_sent: counter(rng),
         bytes_received: counter(rng),
         wire_round_trips: counter(rng),
-        tighten_frames: counter(rng),
         runtime: Duration::from_nanos(rng.gen_range(0..1u64 << 60)),
     }
 }
@@ -130,7 +129,7 @@ fn shard_info(rng: &mut StdRng) -> ShardInfo {
 }
 
 fn message(rng: &mut StdRng) -> Message {
-    match rng.gen_range(0..18u32) {
+    match rng.gen_range(0..17u32) {
         0 => Message::Hello,
         1 => Message::Info(shard_info(rng)),
         2 => Message::Query {
@@ -176,16 +175,12 @@ fn message(rng: &mut StdRng) -> Message {
         13 => Message::Ping,
         14 => Message::Pong,
         15 => Message::Shutdown,
-        16 => Message::Tighten {
-            target: rng.gen(),
-            max_score: edge_f64(rng),
-        },
         _ => Message::Ok,
     }
 }
 
-/// Full-frame decode as a receiver performs it: header (either version),
-/// declared payload length, payload.
+/// Full-frame decode as a receiver performs it: header, declared payload
+/// length, payload.
 fn decode_frame(bytes: &[u8]) -> Result<Message, WireError> {
     let header = parse_header(bytes)?;
     let start = header.header_len();
@@ -286,22 +281,9 @@ fn frame_ids_and_legacy_encoding_round_trip() {
             original,
             "case {case}"
         );
-
-        // The same message encoded for a legacy (v1) peer decodes to the
-        // same value, with the implied frame id 0.
-        let legacy = original.encode_in(LEGACY_VERSION, id);
-        let header = parse_header(&legacy).unwrap();
-        assert_eq!(header.version, LEGACY_VERSION, "case {case}");
-        assert_eq!(header.frame_id, 0, "case {case}");
-        assert_eq!(
-            decode_frame(&legacy).unwrap_or_else(|e| panic!("case {case}: {e}")),
-            original,
-            "case {case}: legacy decode"
-        );
-        // Identical payload bytes under both framings.
         assert_eq!(
             &bytes[HEADER_LEN..],
-            &legacy[header.header_len()..],
+            &original.encode()[HEADER_LEN..],
             "case {case}: payloads diverge"
         );
     }

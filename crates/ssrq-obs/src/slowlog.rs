@@ -15,7 +15,7 @@ use std::time::Duration;
 /// went.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlowQuery {
-    /// The query's trace id (0 = untraced/legacy).
+    /// The query's trace id (0 = untraced).
     pub trace_id: u64,
     /// Request shape, e.g. `"algorithm=ca k=10 users=3"`.
     pub detail: String,

@@ -4,12 +4,12 @@
 //! its name, parent, and `[start, start + duration)` window as nanosecond
 //! offsets from the trace's epoch (a [`std::time::Instant`] captured at
 //! construction — never wall-clock arithmetic).  Spans open and close in
-//! any order from any thread, so a speculative scatter's per-shard workers
-//! can record into their query's trace concurrently.
+//! any order from any thread, so concurrent workers can record into their
+//! query's trace.
 //!
 //! The trace id is a plain `u64` minted by [`next_trace_id`]; it crosses
 //! process boundaries on the wire protocol's `Query` frames, and `0` is
-//! reserved for "untraced" (what a legacy peer's frame implies).
+//! reserved for "untraced" (what a frame without the field implies).
 //! Completed trees ([`QuerySpans`]) accumulate in bounded [`SpanLog`]s,
 //! which is what a server ships back on a `Metrics` request.
 
@@ -53,7 +53,7 @@ impl SpanRecord {
 /// The completed span tree of one query, ready to log, ship or render.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuerySpans {
-    /// The query's trace id (0 = untraced/legacy).
+    /// The query's trace id (0 = untraced).
     pub trace_id: u64,
     /// Spans in open order; parents always precede their children.
     pub spans: Vec<SpanRecord>,

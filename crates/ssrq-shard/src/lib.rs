@@ -85,6 +85,6 @@ pub use partition::{Partitioning, ShardAssignment};
 pub use session::{ShardedSession, ShardedStream};
 pub use stats::{ShardOutcome, ShardStats};
 pub use transport::{
-    merge_ranked, scatter_sequential, scatter_speculative, shard_score_lower_bound, FailurePolicy,
-    ScatterError, ScatterMode, SequentialScatter, ShardTransport, ThresholdCell,
+    merge_ranked, scatter_sequential, shard_score_lower_bound, FailurePolicy, ScatterError,
+    SequentialScatter, ShardTransport,
 };

@@ -35,10 +35,10 @@ pub enum ShardOutcome {
 
 /// Coordinator-side statistics of one scatter-gather query: the per-shard
 /// outcomes plus their aggregate — work counters sum across the executed
-/// shards; `runtime` is the coordinator's own wall clock, because how much
-/// the shard searches overlap (not at all in-process or under the remote
-/// coordinator's sequential mode, fully under its speculative mode) is
-/// something only the coordinator observes.
+/// shards; `runtime` is the coordinator's own wall clock: the shards are
+/// visited one after the other, and the time between visits (the merge,
+/// and for a remote coordinator the wire) is something only the
+/// coordinator observes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
     /// One outcome per shard, indexed by shard id.

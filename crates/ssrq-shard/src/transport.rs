@@ -13,93 +13,6 @@
 use crate::stats::ShardOutcome;
 use ssrq_core::{combine, QueryRequest, QueryResult, RankedUser, TopK};
 use ssrq_spatial::{Point, Rect};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// How a coordinator visits its shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScatterMode {
-    /// [`scatter_sequential`]: one shard at a time in ascending
-    /// lower-bound order — each shard sees the `f_k` of everything
-    /// gathered so far, maximizing threshold pruning at the cost of
-    /// serialized latency.
-    #[default]
-    Sequential,
-    /// [`scatter_speculative`]: every launchable shard fires concurrently
-    /// at the caller's cap; the running `f_k` is pushed to shards still
-    /// in flight as it tightens.  Minimizes wall-clock at the cost of
-    /// speculative work a sequential visit would have pruned.
-    Speculative,
-}
-
-impl std::str::FromStr for ScatterMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "sequential" => Ok(ScatterMode::Sequential),
-            "speculative" => Ok(ScatterMode::Speculative),
-            other => Err(format!(
-                "unknown scatter mode {other:?} (expected \"sequential\" or \"speculative\")"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for ScatterMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ScatterMode::Sequential => "sequential",
-            ScatterMode::Speculative => "speculative",
-        })
-    }
-}
-
-/// A monotonically tightening score cap shared across concurrent shard
-/// executions — the speculative scatter's running `f_k`.
-///
-/// Stores the `f64` bit pattern in an atomic; [`tighten`](Self::tighten)
-/// only ever lowers the value (CAS-min), so readers may observe a stale
-/// (larger) cap but never a wrong (smaller-than-published) one.  A stale
-/// cap merely prunes less — it cannot drop a global top-k entry, because
-/// an entry pruned at any cap ≥ the final `f_k` was not in the top-k.
-#[derive(Debug)]
-pub struct ThresholdCell(AtomicU64);
-
-impl ThresholdCell {
-    /// A cell starting at `initial` (use `INFINITY` for "no cap yet").
-    pub fn new(initial: f64) -> Self {
-        ThresholdCell(AtomicU64::new(initial.to_bits()))
-    }
-
-    /// The current cap.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Acquire))
-    }
-
-    /// Lowers the cap to `candidate` if it is strictly smaller than the
-    /// current value; returns whether the cell changed.  `NaN` candidates
-    /// are ignored.
-    pub fn tighten(&self, candidate: f64) -> bool {
-        let mut current = self.0.load(Ordering::Acquire);
-        loop {
-            // `partial_cmp` makes the NaN case explicit: a NaN candidate
-            // compares as `None` and is ignored, as promised.
-            if candidate.partial_cmp(&f64::from_bits(current)) != Some(std::cmp::Ordering::Less) {
-                return false;
-            }
-            match self.0.compare_exchange_weak(
-                current,
-                candidate.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-}
 
 /// What a coordinator does when a shard fails mid-query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -136,26 +49,6 @@ pub trait ShardTransport {
     /// Whatever the underlying engine or wire reports; the coordinator's
     /// [`FailurePolicy`] decides what happens next.
     fn execute(&mut self, request: &QueryRequest) -> Result<QueryResult, Self::Error>;
-
-    /// Runs the shard's bounded top-k while observing a concurrently
-    /// tightening score cap — the speculative scatter's running `f_k`.
-    ///
-    /// The default implementation ignores the cell and runs
-    /// [`execute`](Self::execute) at the request's own cap, which is
-    /// always correct (the cell only ever *adds* pruning); transports
-    /// with a way to push a mid-flight cap to the executor (a remote
-    /// shard's tighten frame) override this.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`execute`](Self::execute).
-    fn execute_with_threshold(
-        &mut self,
-        request: &QueryRequest,
-        _threshold: &ThresholdCell,
-    ) -> Result<QueryResult, Self::Error> {
-        self.execute(request)
-    }
 
     /// Human-readable shard identity for failure reports
     /// (e.g. `"local shard 2"`, `"unix:/tmp/ssrq-2.sock"`).
@@ -232,10 +125,10 @@ pub struct SequentialScatter {
 /// user's [`origin`](ssrq_core::QueryRequest::origin) resolved — the loop
 /// never talks to a dataset.
 ///
-/// Sequential visiting maximizes what the threshold can prune (each shard
-/// sees the `f_k` of everything gathered so far), which is the right mode
-/// for per-query workers in a batch and the only mode where a remote
-/// coordinator's forwarding is deterministic.
+/// Sequential visiting maximizes what the threshold can prune: each shard
+/// sees the `f_k` of everything gathered so far, so what is already
+/// gathered decides what is asked next — the threshold algorithm at shard
+/// granularity — and a remote coordinator's forwarding is deterministic.
 ///
 /// # Errors
 ///
@@ -301,143 +194,6 @@ pub fn scatter_sequential<T: ShardTransport>(
             .into_iter()
             .map(|o| o.expect("every shard has an outcome"))
             .collect(),
-        degraded,
-    })
-}
-
-/// The concurrent coordinator loop: fires every launchable shard at once
-/// at the caller's cap, then pushes the running `f_k` to shards still in
-/// flight through a shared [`ThresholdCell`].
-///
-/// Shards whose lower bound cannot beat the caller's own
-/// [`max_score`](ssrq_core::QueryRequest::max_score) are skipped up
-/// front; everything else executes concurrently via
-/// [`ShardTransport::execute_with_threshold`].  As each shard returns,
-/// its entries tighten a shared running top-k and the cell is lowered to
-/// the new `f_k` — a tighten-aware transport forwards that to its
-/// executor mid-flight.
-///
-/// **Exactness:** the gathered answer is bit-identical to
-/// [`scatter_sequential`]'s.  Every entry in the global top-k scores
-/// strictly below the final `f_k`, hence below every intermediate cap any
-/// shard observed, so no such entry can be pruned; and
-/// [`merge_ranked`]'s deterministic rebuild makes the final list
-/// independent of arrival order.  The difference is only *work*: a shard
-/// the sequential visit would have skipped or pruned harder runs more
-/// speculatively here.
-///
-/// `base` must already be the broadcast form: validated, origin resolved.
-///
-/// # Errors
-///
-/// Under [`FailurePolicy::Fail`] the whole scatter fails when any shard
-/// does; the remaining in-flight shards are cancelled by collapsing the
-/// cell to `-INFINITY`, and the reported [`ScatterError`] names the
-/// failed shard earliest in the (deterministic) lower-bound visit order.
-/// Under [`FailurePolicy::Degrade`] failures become
-/// [`ShardOutcome::Failed`] and the scatter completes `degraded`.
-pub fn scatter_speculative<T>(
-    transports: &mut [T],
-    base: &QueryRequest,
-    policy: FailurePolicy,
-) -> Result<SequentialScatter, ScatterError<T::Error>>
-where
-    T: ShardTransport + Send,
-    T::Error: Send,
-{
-    let n = transports.len();
-    let bounds: Vec<f64> = transports
-        .iter()
-        .map(|t| t.score_lower_bound(base))
-        .collect();
-    let caller_cap = base.max_score().unwrap_or(f64::INFINITY);
-    let cell = ThresholdCell::new(caller_cap);
-    let topk = Mutex::new(TopK::for_request(base));
-
-    let mut slots: Vec<Option<Result<QueryResult, T::Error>>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (s, transport) in transports.iter_mut().enumerate() {
-            if bounds[s] >= caller_cap {
-                handles.push(None);
-                continue;
-            }
-            let cell = &cell;
-            let topk = &topk;
-            handles.push(Some(scope.spawn(move || {
-                let outcome = transport.execute_with_threshold(base, cell);
-                match &outcome {
-                    Ok(result) => {
-                        let mut topk = topk.lock().expect("speculative top-k lock");
-                        for &entry in &result.ranked {
-                            topk.consider(entry);
-                        }
-                        cell.tighten(topk.fk());
-                    }
-                    Err(_) => {
-                        if policy == FailurePolicy::Fail {
-                            // The query is lost either way — collapse the
-                            // cap so tighten-aware siblings stop early.
-                            cell.tighten(f64::NEG_INFINITY);
-                        }
-                    }
-                }
-                outcome
-            })));
-        }
-        slots = handles
-            .into_iter()
-            .map(|h| h.map(|h| h.join().expect("speculative shard worker panicked")))
-            .collect();
-    });
-
-    if policy == FailurePolicy::Fail {
-        // Deterministic failure report: among the failed shards, name the
-        // one the sequential visit order reaches first.
-        let mut failed: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| matches!(slot, Some(Err(_))))
-            .map(|(s, _)| s)
-            .collect();
-        failed.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
-        if let Some(&s) = failed.first() {
-            let describe = transports[s].describe();
-            let Some(Err(error)) = slots.into_iter().nth(s).flatten() else {
-                unreachable!("slot {s} was observed failed");
-            };
-            return Err(ScatterError {
-                shard: s,
-                describe,
-                error,
-            });
-        }
-    }
-
-    let mut entries: Vec<RankedUser> = Vec::new();
-    let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(n);
-    let mut degraded = false;
-    for (s, slot) in slots.into_iter().enumerate() {
-        outcomes.push(match slot {
-            None => ShardOutcome::Skipped {
-                lower_bound: bounds[s],
-            },
-            Some(Ok(result)) => {
-                entries.extend(result.ranked.iter().copied());
-                ShardOutcome::Executed(result.stats)
-            }
-            Some(Err(error)) => {
-                degraded = true;
-                ShardOutcome::Failed {
-                    shard: transports[s].describe(),
-                    detail: error.to_string(),
-                }
-            }
-        });
-    }
-    Ok(SequentialScatter {
-        entries,
-        outcomes,
         degraded,
     })
 }
@@ -605,97 +361,6 @@ mod tests {
             merged.iter().map(|e| e.user).collect::<Vec<_>>(),
             vec![5, 3]
         );
-    }
-
-    #[test]
-    fn threshold_cell_only_ever_tightens() {
-        let cell = ThresholdCell::new(f64::INFINITY);
-        assert_eq!(cell.get(), f64::INFINITY);
-        assert!(cell.tighten(0.5));
-        assert_eq!(cell.get(), 0.5);
-        assert!(!cell.tighten(0.5), "equal cap is not a change");
-        assert!(!cell.tighten(0.9), "loosening is refused");
-        assert!(!cell.tighten(f64::NAN), "NaN is ignored");
-        assert_eq!(cell.get(), 0.5);
-        assert!(cell.tighten(f64::NEG_INFINITY));
-        assert_eq!(cell.get(), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn speculative_scatter_matches_sequential_bit_for_bit() {
-        let script: &[(f64, &[(u32, f64)])] = &[
-            (0.15, &[(7, 0.45), (8, 0.9)]),
-            (0.0, &[(1, 0.1), (2, 0.2)]),
-            (0.05, &[(4, 0.3)]),
-        ];
-        let build = || -> Vec<FakeShard> {
-            script
-                .iter()
-                .map(|&(bound, scores)| FakeShard::new(bound, scores))
-                .collect()
-        };
-        let base = request(2);
-        let mut sequential = build();
-        let seq = scatter_sequential(&mut sequential, &base, FailurePolicy::Fail).unwrap();
-        let mut speculative = build();
-        let spec = scatter_speculative(&mut speculative, &base, FailurePolicy::Fail).unwrap();
-        let key = |entries: Vec<RankedUser>| {
-            merge_ranked(entries, base.k())
-                .iter()
-                .map(|e| (e.user, e.score.to_bits()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(key(seq.entries), key(spec.entries));
-        assert!(!spec.degraded);
-        // Every launched shard saw the caller's cap (None here), not a
-        // sibling's threshold — the tightening rides the cell instead.
-        for shard in &speculative {
-            assert_eq!(shard.seen_cutoffs, vec![None]);
-        }
-    }
-
-    #[test]
-    fn speculative_scatter_preskips_on_the_callers_cap() {
-        let mut shards = vec![
-            FakeShard::new(0.0, &[(1, 0.1)]),
-            FakeShard::new(0.7, &[(9, 0.75)]),
-        ];
-        let base = QueryRequest::for_user(0)
-            .k(2)
-            .alpha(0.5)
-            .algorithm(Algorithm::Exhaustive)
-            .max_score(0.5)
-            .build_unvalidated();
-        let scatter = scatter_speculative(&mut shards, &base, FailurePolicy::Fail).unwrap();
-        assert!(shards[1].seen_cutoffs.is_empty(), "shard 1 must be skipped");
-        assert!(matches!(
-            scatter.outcomes[1],
-            ShardOutcome::Skipped { lower_bound } if lower_bound == 0.7
-        ));
-        assert_eq!(shards[0].seen_cutoffs, vec![Some(0.5)]);
-    }
-
-    #[test]
-    fn speculative_fail_policy_names_the_best_bound_failure() {
-        // Both shards fail; the error must deterministically name the one
-        // the sequential visit order reaches first (smaller bound).
-        let mut shards = vec![FakeShard::failing(0.3), FakeShard::failing(0.1)];
-        let err = scatter_speculative(&mut shards, &request(5), FailurePolicy::Fail).unwrap_err();
-        assert_eq!(err.shard, 1);
-        assert!(err.to_string().contains("scripted failure"));
-    }
-
-    #[test]
-    fn speculative_degrade_policy_keeps_the_survivors() {
-        let mut shards = vec![FakeShard::new(0.0, &[(1, 0.1)]), FakeShard::failing(0.01)];
-        let scatter =
-            scatter_speculative(&mut shards, &request(5), FailurePolicy::Degrade).unwrap();
-        assert!(scatter.degraded);
-        assert!(matches!(
-            &scatter.outcomes[1],
-            ShardOutcome::Failed { detail, .. } if detail.contains("scripted failure")
-        ));
-        assert_eq!(scatter.entries.len(), 1);
     }
 
     #[test]
