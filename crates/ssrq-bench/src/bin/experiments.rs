@@ -9,16 +9,14 @@
 //!
 //! Experiments: `table2 table3 fig7a fig7b fig8 fig9 fig10 fig11 fig12
 //! fig13 fig14a fig14b ablation throughput latency sharding memory scale
-//! obs planner all` (`scale` is the 10k→1M sweep persisted to
-//! `BENCH_scale.json`, `obs` spawns `shard-server` processes, drives
-//! traced queries over them and persists `BENCH_obs.json`, `planner` races
-//! `Algorithm::Auto` against every fixed algorithm and persists
-//! `BENCH_planner.json`; none of the three is part of `all`).
+//! obs all` (`scale` is the 10k→1M sweep persisted to `BENCH_scale.json`,
+//! `obs` spawns `shard-server` processes, drives traced queries over them
+//! and persists `BENCH_obs.json`; neither is part of `all`).
 //!
 //! Flags: `--quick` (small datasets), `--full` (paper-scale datasets),
 //! `--scale <factor>`, `--queries <n>`, `--with-ch` (include the expensive
 //! Contraction Hierarchies baselines in fig8), `--out <path>` (artifact
-//! path of the `scale` / `obs` / `planner` experiments, defaults
+//! path of the `scale` / `obs` experiments, defaults
 //! `BENCH_<experiment>.json`).
 
 use ssrq_bench::report::FigureReport;
@@ -148,7 +146,6 @@ fn main() {
         "memory" => memory(&options),
         "scale" => scale_sweep(&options),
         "obs" => obs(&options),
-        "planner" => planner(&options),
         "all" => {
             table2(&options);
             table3();
@@ -1156,103 +1153,6 @@ fn obs(options: &Options) {
         std::process::exit(1);
     }
     println!("wrote {out} — parsed back and observability invariants verified");
-}
-
-// ---------------------------------------------------------------------------
-// Planner — Algorithm::Auto vs fixed algorithms vs the per-query oracle
-// ---------------------------------------------------------------------------
-
-/// Beyond the paper: the adaptive query planner.  Races `Algorithm::Auto`
-/// (cost-model selection + churn-aware hot-result cache) against every
-/// fixed index-free algorithm and the clairvoyant per-query oracle on a
-/// mixed workload repeated for several passes, checking every Auto answer
-/// against the stored exhaustive result.  The artifact is written to
-/// `--out` (default `BENCH_planner.json`), re-read, re-parsed and
-/// validated against the acceptance bars: Auto within 1.15x of the
-/// oracle, at least 1.5x faster than the worst fixed algorithm, and
-/// cache hits under 10% of a cold query.
-fn planner(options: &Options) {
-    use ssrq_bench::{measure_planner, validate_planner_report, PlannerBenchConfig};
-
-    let mut config = PlannerBenchConfig::default().scaled_by(options.factor);
-    if let Some(q) = options.queries {
-        config.distinct_queries = q.max(1);
-    }
-    let out = options
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_planner.json".into());
-    println!(
-        "\n## Planner — Auto vs fixed algorithms vs per-query oracle (gowalla-like, {} users, \
-         {} distinct queries x {} passes)",
-        config.users, config.distinct_queries, config.passes
-    );
-
-    let m = measure_planner(&config);
-    let mut report = FigureReport::new(
-        "Planner — mean per-query latency (us) and q/s, fixed vs oracle vs Auto",
-        "series",
-    );
-    for baseline in &m.fixed {
-        report.push_x(&baseline.name);
-        report.push_cell(
-            "mean (us)",
-            format!("{:.1}", baseline.mean.as_secs_f64() * 1e6),
-        );
-        report.push_cell("q/s", format!("{:.0}", baseline.qps()));
-    }
-    report.push_x("oracle");
-    report.push_cell(
-        "mean (us)",
-        format!("{:.1}", m.oracle_mean.as_secs_f64() * 1e6),
-    );
-    report.push_cell(
-        "q/s",
-        format!("{:.0}", 1.0 / m.oracle_mean.as_secs_f64().max(1e-12)),
-    );
-    report.push_x("AUTO");
-    report.push_cell(
-        "mean (us)",
-        format!("{:.1}", m.auto_mean.as_secs_f64() * 1e6),
-    );
-    report.push_cell("q/s", format!("{:.0}", m.auto_qps()));
-    print!("{}", report.render());
-
-    let worst = m.worst_fixed().clone();
-    println!(
-        "Auto vs oracle: {:.2}x (bar 1.15x); Auto vs worst fixed ({}): {:.2}x faster \
-         (bar 1.5x); Auto q/s is {:.1}x the worst fixed q/s",
-        m.auto_mean.as_secs_f64() / m.oracle_mean.as_secs_f64().max(1e-12),
-        worst.name,
-        worst.mean.as_secs_f64() / m.auto_mean.as_secs_f64().max(1e-12),
-        m.auto_qps() / worst.qps().max(1e-12),
-    );
-    println!(
-        "cache: {} hits / {} misses over {} queries; hit {:.1}us vs cold {:.1}us ({:.2}% — bar 10%)",
-        m.cache_hits,
-        m.cache_misses,
-        m.total_auto_queries(),
-        m.cache_hit_mean.as_secs_f64() * 1e6,
-        m.cold_mean.as_secs_f64() * 1e6,
-        m.cache_hit_mean.as_secs_f64() / m.cold_mean.as_secs_f64().max(1e-12) * 100.0,
-    );
-    println!(
-        "decisions: {} buckets; {} exhaustive delegations; {} oracle disagreements",
-        m.buckets, m.exhaustive_choices, m.agreement_failures
-    );
-    for (algorithm, reason, count) in &m.choices {
-        println!("   {algorithm:<10} {reason:<10} {count}");
-    }
-
-    let artifact = m.to_json();
-    std::fs::write(&out, artifact.render()).expect("planner artifact is writable");
-    let persisted = std::fs::read_to_string(&out).expect("planner artifact re-reads");
-    let parsed = Json::parse(&persisted).expect("planner artifact re-parses as JSON");
-    if let Err(violation) = validate_planner_report(&parsed) {
-        eprintln!("{out} failed validation: {violation}");
-        std::process::exit(1);
-    }
-    println!("wrote {out} — parsed back and planner acceptance bars verified");
 }
 
 fn fmt_bytes(bytes: usize) -> String {

@@ -13,7 +13,6 @@ pub mod json;
 pub mod measure;
 pub mod memory;
 pub mod obs;
-pub mod planner;
 pub mod report;
 pub mod rpc;
 pub mod scale;
@@ -28,10 +27,6 @@ pub use measure::{
 };
 pub use memory::{measure_memory, single_engine_breakdown, MemoryMeasurement};
 pub use obs::{calibrate_metric_op, measure_obs, validate_obs_report, ObsMeasurement};
-pub use planner::{
-    measure_planner, validate_planner_report, FixedBaseline, PlannerBenchConfig,
-    PlannerMeasurement, PLANNER_FIXED_ALGORITHMS,
-};
 pub use report::FigureReport;
 pub use rpc::{launch_cluster, sibling_shard_server, DeploymentConfig, ShardProcess};
 pub use scale::{

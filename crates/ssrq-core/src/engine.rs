@@ -50,10 +50,10 @@ pub enum Algorithm {
     /// SFA over pre-computed social neighbour lists with AIS fallback
     /// (§5.4, "AIS-Cache" in Figure 11).
     SfaCached,
-    /// Adaptive planner choice: pick the concrete algorithm per query from
-    /// cheap signals plus online [`QueryStats`](crate::QueryStats) feedback,
-    /// and serve repeated queries from a churn-aware hot-result cache.  Not
-    /// a paper method (and therefore absent from [`Algorithm::ALL`]) — see
+    /// Planner choice: a fixed rule over the request's `k` and `α` names
+    /// the concrete algorithm (`SFA` or `AIS`) per query, and repeated
+    /// queries are served from a churn-aware hot-result cache.  Not a paper
+    /// method (and therefore absent from [`Algorithm::ALL`]) — see
     /// [`QueryPlanner`](crate::QueryPlanner).
     Auto,
 }
@@ -580,9 +580,9 @@ pub struct GeoSocialEngine {
     /// one lazy build; see [`EngineBuilder::share_graph_artifacts_with`].
     social_cache: Arc<OnceLock<Arc<SocialNeighborCache>>>,
     strategies: StrategyRegistry,
-    /// The adaptive planner behind [`Algorithm::Auto`] — per-engine, like
-    /// every location-dependent structure (its hot-result cache is
-    /// invalidated by *this* engine's location updates).
+    /// The planner behind [`Algorithm::Auto`] — per-engine, like every
+    /// location-dependent structure (its hot-result cache is invalidated
+    /// by *this* engine's location updates).
     planner: Arc<QueryPlanner>,
 }
 
@@ -591,8 +591,10 @@ impl Clone for GeoSocialEngine {
     /// **fresh planner** (and re-registers a fresh `"AUTO"` strategy over
     /// it): the clones' location vectors diverge independently, and a
     /// shared hot-result cache would let one clone serve answers computed
-    /// in the other's world.  Custom strategies registered by name are
-    /// carried over untouched.
+    /// in the other's world.  The fresh planner starts unpinned, with empty
+    /// counters and an empty cache of the original's current capacity (a
+    /// cache disabled on the original stays disabled on the clone).  Custom
+    /// strategies registered by name are carried over untouched.
     fn clone(&self) -> GeoSocialEngine {
         let planner = Arc::new(QueryPlanner::new(self.planner.config()));
         let mut strategies = self.strategies.clone();
@@ -1050,8 +1052,8 @@ impl GeoSocialEngine {
         Ok(())
     }
 
-    /// The adaptive planner behind this engine's [`Algorithm::Auto`]
-    /// strategy: pin it for tests, resize its hot-result cache, or read its
+    /// The planner behind this engine's [`Algorithm::Auto`] strategy: pin
+    /// it to one algorithm, resize its hot-result cache, or read its
     /// decision/cache counters via [`QueryPlanner::snapshot`].
     pub fn planner(&self) -> &Arc<QueryPlanner> {
         &self.planner

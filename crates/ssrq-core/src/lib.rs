@@ -135,8 +135,7 @@ pub use engine::{
 };
 pub use error::CoreError;
 pub use planner::{
-    ChoiceReason, PlannerConfig, PlannerSnapshot, PlannerStrategy, QueryPlanner, SignalBucket,
-    AUTO_STRATEGY_NAME,
+    ChoiceReason, PlannerConfig, PlannerSnapshot, PlannerStrategy, QueryPlanner, AUTO_STRATEGY_NAME,
 };
 pub use query::{QueryResult, RankedUser};
 pub use ranking::{combine, RankingContext};

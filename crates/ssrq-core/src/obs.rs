@@ -43,7 +43,7 @@ pub fn record_query_metrics(algorithm: &str, stats: &QueryStats) {
 /// Records one planner decision into `registry`:
 /// `ssrq_planner_choices_total{algorithm,reason}` counts which concrete
 /// algorithm [`Algorithm::Auto`](crate::Algorithm::Auto) delegated to and
-/// why (`pinned` / `heuristic` / `explore` / `feedback`).
+/// why (`pinned` / `rule`).
 pub fn record_planner_choice_in(registry: &Registry, algorithm: &str, reason: &str) {
     registry
         .counter(
@@ -106,18 +106,14 @@ mod tests {
     #[test]
     fn planner_choices_land_labelled_by_algorithm_and_reason() {
         let registry = Registry::new();
-        record_planner_choice_in(&registry, "AIS", "heuristic");
-        record_planner_choice_in(&registry, "AIS", "feedback");
-        record_planner_choice_in(&registry, "AIS", "feedback");
-        record_planner_choice_in(&registry, "SPA", "explore");
+        record_planner_choice_in(&registry, "AIS", "pinned");
+        record_planner_choice_in(&registry, "AIS", "rule");
+        record_planner_choice_in(&registry, "AIS", "rule");
+        record_planner_choice_in(&registry, "SFA", "rule");
         let text = registry.render();
-        assert!(
-            text.contains("ssrq_planner_choices_total{algorithm=\"AIS\",reason=\"feedback\"} 2")
-        );
-        assert!(
-            text.contains("ssrq_planner_choices_total{algorithm=\"AIS\",reason=\"heuristic\"} 1")
-        );
-        assert!(text.contains("ssrq_planner_choices_total{algorithm=\"SPA\",reason=\"explore\"} 1"));
+        assert!(text.contains("ssrq_planner_choices_total{algorithm=\"AIS\",reason=\"rule\"} 2"));
+        assert!(text.contains("ssrq_planner_choices_total{algorithm=\"AIS\",reason=\"pinned\"} 1"));
+        assert!(text.contains("ssrq_planner_choices_total{algorithm=\"SFA\",reason=\"rule\"} 1"));
     }
 
     #[test]

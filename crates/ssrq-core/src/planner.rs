@@ -1,26 +1,17 @@
-//! The adaptive query planner behind [`Algorithm::Auto`].
+//! The query planner behind [`Algorithm::Auto`]: a fixed rule that names
+//! the algorithm, and a hot-result cache in front of it.
 //!
 //! The twelve paper algorithms return the exact same answer for the same
-//! request, but their costs swing 2–3.5× with `k`, filter selectivity,
-//! the query user's social neighbourhood and which auxiliary indexes are
-//! installed.  [`QueryPlanner`] exploits the exactness guarantee: since
-//! *any* algorithm is correct, choosing one per query is purely a
-//! performance decision, made from two inputs:
-//!
-//! 1. **Cheap signals**, folded into a coarse [`SignalBucket`]: the
-//!    requested `k`, the area of the spatial filter window relative to the
-//!    dataset bounds, and the query user's social degree.  The candidate
-//!    set itself is derived from which indexes are *already installed*
-//!    (Contraction Hierarchies, social neighbour cache) — the planner
-//!    never triggers a lazy index build — and the heuristic prior also
-//!    weighs `α` and the AIS grid occupancy.
-//! 2. **Online feedback**: a per-`(bucket, algorithm)` EWMA over the
-//!    [`QueryStats`] work counters (`runtime`, `relaxed_edges`,
-//!    `evaluated_users`) of completed queries, so the planner converges on
-//!    the empirically-fastest choice for the live workload.  Each bucket
-//!    first tries every candidate once (in prior order) and thereafter
-//!    re-probes the least-sampled candidate periodically, so a shifting
-//!    workload is re-learned.
+//! request, so choosing one per query is purely a cost decision — and the
+//! cost is decided by two request fields, `k` and `α` (the paper's §6,
+//! Figures 8–9).  [`QueryPlanner::choose`] therefore reads nothing but the
+//! request: `SFA` when `α ≥ 0.4` or (`k ≤ 2` and `α > 0.25`), else `AIS`.
+//! The rule's doc comment carries the measurements it rests on.  It never
+//! names an index-backed algorithm, so an unpinned `Auto` query never
+//! triggers a lazy Contraction Hierarchies or social-cache build; every
+//! other algorithm stays reachable by naming it in the request or through
+//! [`QueryPlanner::pin`].  No clock and no counter feeds the choice: the
+//! same request gets the same delegate on every engine, shard and run.
 //!
 //! # Hot-result cache
 //!
@@ -41,9 +32,9 @@
 //! never stale.
 //!
 //! The planner is engine-local state: cloning a [`GeoSocialEngine`] gives
-//! the clone a **fresh** planner, because clones' location vectors diverge
-//! independently and a shared cache could serve answers from the sibling's
-//! world.
+//! the clone a **fresh** planner with the same cache capacity, because
+//! clones' location vectors diverge independently and a shared cache could
+//! serve answers from the sibling's world.
 
 use crate::driver::{EagerDriver, QueryDriver, StepOutcome};
 use crate::{
@@ -60,17 +51,9 @@ use std::time::Instant;
 /// [`Algorithm::Auto`]'s [`Algorithm::name`].
 pub const AUTO_STRATEGY_NAME: &str = "AUTO";
 
-/// Tuning knobs of a [`QueryPlanner`].
+/// The one setting of a [`QueryPlanner`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
-    /// Weight of the newest observation in the per-`(bucket, algorithm)`
-    /// EWMA (`new = w · sample + (1 − w) · old`).
-    pub ewma_weight: f64,
-    /// After every candidate has at least one sample, every
-    /// `explore_period`-th decision in a bucket re-probes the
-    /// least-sampled candidate instead of the cheapest one, so the EWMA
-    /// tracks workload shifts.  `0` disables re-exploration.
-    pub explore_period: u64,
     /// Maximum number of hot results kept (least-recently-used eviction);
     /// `0` disables the cache entirely.
     pub cache_capacity: usize,
@@ -79,8 +62,6 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            ewma_weight: 0.3,
-            explore_period: 32,
             cache_capacity: 1024,
         }
     }
@@ -92,12 +73,8 @@ impl Default for PlannerConfig {
 pub enum ChoiceReason {
     /// A test/operator pin forced the choice ([`QueryPlanner::pin`]).
     Pinned,
-    /// Cold start: the signal-based prior picked, no feedback yet.
-    Heuristic,
-    /// Deliberate probe of an untried or under-sampled candidate.
-    Explore,
-    /// The per-bucket EWMA cost model picked the cheapest candidate.
-    Feedback,
+    /// The fixed `(k, α)` rule picked.
+    Rule,
 }
 
 impl ChoiceReason {
@@ -105,104 +82,79 @@ impl ChoiceReason {
     pub fn as_str(&self) -> &'static str {
         match self {
             ChoiceReason::Pinned => "pinned",
-            ChoiceReason::Heuristic => "heuristic",
-            ChoiceReason::Explore => "explore",
-            ChoiceReason::Feedback => "feedback",
+            ChoiceReason::Rule => "rule",
         }
     }
 }
 
-/// Coarse signal bucket a query is classified into; the EWMA feedback is
-/// keyed per bucket so "cheapest algorithm" can differ between, say, tiny
-/// filtered queries and large unfiltered ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SignalBucket {
-    /// Result size class: 0 (`k ≤ 1`), 1 (`k ≤ 10`), 2 (`k ≤ 50`), 3.
-    pub k: u8,
-    /// Spatial filter class: 0 = no window, 1 = selective window
-    /// (≤ 5 % of the dataset bounds' area), 2 = wide window.
-    pub rect: u8,
-    /// Query-user social degree class: 0 (`deg ≤ 8`), 1 (`deg ≤ 64`), 2.
-    pub degree: u8,
-}
-
-impl SignalBucket {
-    fn classify(engine: &GeoSocialEngine, request: &QueryRequest) -> SignalBucket {
-        let k = match request.k() {
-            0..=1 => 0,
-            2..=10 => 1,
-            11..=50 => 2,
-            _ => 3,
-        };
-        let rect = match rect_area_ratio(engine, request) {
-            None => 0,
-            Some(ratio) if ratio <= 0.05 => 1,
-            Some(_) => 2,
-        };
-        let deg = engine.dataset().graph().degree(request.user());
-        let degree = match deg {
-            0..=8 => 0,
-            9..=64 => 1,
-            _ => 2,
-        };
-        SignalBucket { k, rect, degree }
+/// The whole choice: `SFA` when `α ≥ 0.4` or (`k ≤ 2` and `α > 0.25`),
+/// else `AIS`.
+///
+/// All measurements: 2-vCPU Xeon @ 2.10 GHz, cold (no result cache), each
+/// request's fastest of three runs per algorithm, requests drawn as the
+/// repository benchmark's `churn_auto` workload draws them (half plain, the
+/// rest windowed, with exclusions or with a `max_score`).
+///
+/// **On the benchmark's grid** k ∈ {1, 10, 50} × α ∈ {0.1, 0.3, 0.9}: mean
+/// µs/query as a multiple of the per-query oracle (per-request minimum over
+/// `AIS`, `AIS-`, `TSA-QC`, `TSA`, `SPA`, `SFA`), 360 distinct requests per
+/// row:
+///
+/// | dataset preset, users, seed | always `AIS` | always `SFA` | this rule |
+/// |---|---|---|---|
+/// | gowalla-like 10 k, 44 | 1.96 | 1.29 | 1.08 |
+/// | gowalla-like 10 k, 45 | 2.04 | 1.24 | 1.09 |
+/// | gowalla-like 50 k, 46 (180 requests, 2 runs) | 1.65 | 1.30 | 1.11 |
+/// | gowalla-like 4 k, 47 | 2.16 | 1.23 | 1.15 |
+/// | foursquare-like 10 k, 48 | 2.01 | 1.23 | 1.08 |
+/// | twitter-like 10 k, 49 | 2.02 | 1.22 | 1.13 |
+///
+/// Each cell's winner is the same in all six rows: α = 0.9 → `SFA` by
+/// 10–400×; k = 1, α = 0.3 → `SFA` by 3–4×; k ≥ 10, α ≤ 0.3 → `AIS`.  The
+/// filter shape, the query user's degree and the grid occupancy never
+/// change a cell's winner, so the rule does not read them.
+///
+/// **Between the grid points** — where the two thresholds come from — the
+/// time of `AIS` over the time of `SFA` (above 1, `SFA` is faster), 12–40
+/// requests per cell:
+///
+/// | dataset preset, users (seed) | k | α = 0.2 | 0.3 | 0.4 | 0.5 | 0.6 | 0.7 |
+/// |---|---|---|---|---|---|---|---|
+/// | gowalla-like 4 k (81) | 10 | 0.99 | 1.27 | 1.63 | 2.88 | 4.21 | 7.94 |
+/// | | 50 | 1.10 | 1.24 | 1.36 | 1.87 | 2.22 | 4.05 |
+/// | gowalla-like 10 k (69) | 10 | 0.67 | 0.79 | 1.15 | 1.79 | 2.84 | 7.14 |
+/// | | 50 | 0.79 | 0.89 | 0.93 | 1.03 | 1.45 | 2.07 |
+/// | gowalla-like 50 k (84) | 10 | 0.77 | 0.96 | 1.41 | 1.65 | 2.49 | 6.13 |
+/// | | 50 | 0.68 | 0.77 | 0.76 | 0.88 | 1.47 | 2.24 |
+/// | foursquare-like 10 k (82) | 10 | 0.74 | 0.89 | 1.18 | 1.74 | 3.33 | 8.05 |
+/// | | 50 | 0.85 | 0.90 | 0.96 | 1.22 | 1.47 | 2.58 |
+/// | twitter-like 10 k (83) | 10 | 0.75 | 1.17 | 1.70 | 2.79 | 4.67 | 9.39 |
+/// | | 50 | 0.96 | 0.91 | 1.18 | 1.41 | 2.26 | 3.44 |
+///
+/// The crossover in α rises with `k` and with the user count: `α ≥ 0.4` is
+/// where `SFA` is ahead at k = 10 in every row, and what it gives away at
+/// k = 50 stays under 1.32× (50 k users, α = 0.4).  At k = 2 `SFA` is ahead
+/// from α = 0.3 up in all five rows (1.4–2.3× at 0.3, 21–38× at 0.7) and
+/// level at 0.2 (0.77–1.32); k = 1 behaves the same with larger ratios.
+///
+/// No index-backed algorithm wins often enough to be named: a `*-CH`
+/// method is fastest on 3 of 360 requests of a 400-user engine, and
+/// `AIS-Cache` loses to plain `SFA` wherever its list is too short and wins
+/// only microseconds where it is not.  `AIS-BID` and `TSA-QC` can be orders
+/// of magnitude off (`AIS-BID` up to 6 s where `AIS` takes 1.2 ms; `TSA-QC`
+/// 27 ms where `AIS` takes 1.4 ms at k = 50, α = 0.1), which is why nothing
+/// is probed at run time.
+fn rule(request: &QueryRequest) -> Algorithm {
+    let (k, alpha) = (request.k(), request.alpha());
+    if alpha >= 0.4 || (k <= 2 && alpha > 0.25) {
+        Algorithm::Sfa
+    } else {
+        Algorithm::Ais
     }
-}
-
-/// Area of the request's filter window relative to the dataset bounds
-/// (`None` without a window; clamped to `[0, 1]`).
-fn rect_area_ratio(engine: &GeoSocialEngine, request: &QueryRequest) -> Option<f64> {
-    let rect = request.within()?;
-    let bounds_area = engine.dataset().bounds().area();
-    if bounds_area <= 0.0 {
-        return Some(1.0);
-    }
-    Some((rect.area() / bounds_area).clamp(0.0, 1.0))
-}
-
-/// EWMA over the work counters of one `(bucket, algorithm)` cell.
-#[derive(Debug, Clone, Copy, Default)]
-struct Ewma {
-    runtime_ns: f64,
-    relaxed_edges: f64,
-    evaluated_users: f64,
-    samples: u64,
-}
-
-impl Ewma {
-    fn observe(&mut self, weight: f64, stats: &QueryStats) {
-        let runtime = stats.runtime.as_nanos() as f64;
-        let relaxed = stats.relaxed_edges as f64;
-        let evaluated = stats.evaluated_users as f64;
-        if self.samples == 0 {
-            self.runtime_ns = runtime;
-            self.relaxed_edges = relaxed;
-            self.evaluated_users = evaluated;
-        } else {
-            self.runtime_ns += weight * (runtime - self.runtime_ns);
-            self.relaxed_edges += weight * (relaxed - self.relaxed_edges);
-            self.evaluated_users += weight * (evaluated - self.evaluated_users);
-        }
-        self.samples += 1;
-    }
-
-    /// Scalar cost the planner minimizes.  Wall time dominates; the work
-    /// counters act as a deterministic tie-break when the clock granularity
-    /// makes sub-microsecond candidates indistinguishable.
-    fn cost(&self) -> f64 {
-        self.runtime_ns + self.relaxed_edges + 4.0 * self.evaluated_users
-    }
-}
-
-#[derive(Debug, Default)]
-struct BucketState {
-    per_algorithm: HashMap<Algorithm, Ewma>,
-    decisions: u64,
 }
 
 #[derive(Debug, Default)]
 struct PlannerState {
-    buckets: HashMap<SignalBucket, BucketState>,
     pinned: Option<Algorithm>,
     choice_counts: HashMap<(Algorithm, ChoiceReason), u64>,
 }
@@ -268,13 +220,11 @@ struct CacheState {
     invalidations: u64,
 }
 
-/// Aggregated planner introspection, for tests and the bench harness.
+/// Aggregated planner introspection, for tests and the benchmark.
 #[derive(Debug, Clone, Default)]
 pub struct PlannerSnapshot {
     /// `(algorithm name, reason, count)` of every planner decision so far.
     pub choices: Vec<(String, &'static str, u64)>,
-    /// Number of signal buckets with recorded feedback.
-    pub buckets: usize,
     /// Hot-result cache hits served.
     pub cache_hits: u64,
     /// Cache lookups that missed.
@@ -302,17 +252,15 @@ impl PlannerSnapshot {
     }
 }
 
-/// The adaptive planner state: per-bucket EWMA cost model, choice
-/// counters, pin, and the churn-aware hot-result cache.  One instance per
-/// [`GeoSocialEngine`] (see [`GeoSocialEngine::planner`]); all methods
-/// take `&self` (interior mutability) so the planner serves the parallel
-/// batch path.
+/// The planner state: pin, choice counters and the churn-aware hot-result
+/// cache.  One instance per [`GeoSocialEngine`] (see
+/// [`GeoSocialEngine::planner`]); all methods take `&self` (interior
+/// mutability) so the planner serves the parallel batch path.
 #[derive(Debug)]
 pub struct QueryPlanner {
-    config: PlannerConfig,
-    /// Live cache capacity; starts at `config.cache_capacity` and is
-    /// adjustable at runtime via [`QueryPlanner::set_cache_capacity`].
-    effective_capacity: AtomicUsize,
+    /// Hot-result cache capacity; set at construction and by
+    /// [`QueryPlanner::set_cache_capacity`].
+    cache_capacity: AtomicUsize,
     state: Mutex<PlannerState>,
     cache: Mutex<CacheState>,
 }
@@ -324,26 +272,28 @@ impl Default for QueryPlanner {
 }
 
 impl QueryPlanner {
-    /// A fresh planner with the given tuning knobs.
+    /// A fresh planner with the given cache capacity.
     pub fn new(config: PlannerConfig) -> QueryPlanner {
         QueryPlanner {
-            config,
-            effective_capacity: AtomicUsize::new(config.cache_capacity),
+            cache_capacity: AtomicUsize::new(config.cache_capacity),
             state: Mutex::new(PlannerState::default()),
             cache: Mutex::new(CacheState::default()),
         }
     }
 
-    /// The planner's configuration.
+    /// The planner's configuration as it stands now: the capacity reported
+    /// is the one last set through [`QueryPlanner::set_cache_capacity`].
     pub fn config(&self) -> PlannerConfig {
-        self.config
+        PlannerConfig {
+            cache_capacity: self.capacity(),
+        }
     }
 
     /// Forces every subsequent decision to `algorithm` (`None` restores
-    /// adaptive choice).  The agreement tests use this to steer `Auto`
-    /// through each concrete candidate; a pinned choice bypasses the
-    /// candidate filter, so pinning an algorithm whose index is missing
-    /// surfaces the usual [`CoreError::MissingIndex`].
+    /// the rule).  The agreement tests use this to steer `Auto` through
+    /// each of the twelve algorithms; pinning an index-backed algorithm
+    /// builds a lazily declared index on first use, and pinning one whose
+    /// index is missing surfaces the usual [`CoreError::MissingIndex`].
     pub fn pin(&self, algorithm: Option<Algorithm>) {
         self.state.lock().unwrap().pinned = algorithm;
     }
@@ -351,7 +301,7 @@ impl QueryPlanner {
     /// Replaces the hot-result cache capacity (`0` disables caching) and
     /// drops entries beyond the new bound.
     pub fn set_cache_capacity(&self, capacity: usize) {
-        self.effective_capacity.store(capacity, Ordering::Relaxed);
+        self.cache_capacity.store(capacity, Ordering::Relaxed);
         let mut cache = self.cache.lock().unwrap();
         while cache.entries.len() > capacity {
             evict_lru(&mut cache.entries);
@@ -375,7 +325,6 @@ impl QueryPlanner {
         choices.sort();
         PlannerSnapshot {
             choices,
-            buckets: state.buckets.len(),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_invalidations: cache.invalidations,
@@ -383,106 +332,25 @@ impl QueryPlanner {
         }
     }
 
-    /// The concrete algorithms the planner may delegate to on `engine`:
-    /// the seven index-free methods, the `*-CH` trio when a Contraction
-    /// Hierarchies index is **already installed or built** (the planner
-    /// never triggers a lazy build), and the cached method when the social
-    /// neighbour cache exists.  The exhaustive oracle is excluded — it is
-    /// never competitive — but reachable through [`QueryPlanner::pin`].
-    pub fn candidates(engine: &GeoSocialEngine) -> Vec<Algorithm> {
-        let mut candidates = vec![
-            Algorithm::Ais,
-            Algorithm::AisMinus,
-            Algorithm::AisBid,
-            Algorithm::TsaQc,
-            Algorithm::Tsa,
-            Algorithm::Spa,
-            Algorithm::Sfa,
-        ];
-        if engine.contraction_hierarchy().is_some() {
-            candidates.extend([Algorithm::SfaCh, Algorithm::SpaCh, Algorithm::TsaCh]);
-        }
-        if engine.social_cache().is_some() {
-            candidates.push(Algorithm::SfaCached);
-        }
-        candidates
-    }
-
-    /// Picks the algorithm for one query and records the decision (and its
-    /// `ssrq_planner_choices_total{algorithm,reason}` metric sample).
+    /// Picks the algorithm for one query — the pin if one is set, else the
+    /// `(k, α)` rule — and records the decision (and its
+    /// `ssrq_planner_choices_total{algorithm,reason}` metric sample).  The
+    /// engine is not read; the parameter is part of the signature the
+    /// repository benchmark (`bench/`) calls.
     pub fn choose(
         &self,
-        engine: &GeoSocialEngine,
+        _engine: &GeoSocialEngine,
         request: &QueryRequest,
-    ) -> (Algorithm, ChoiceReason, SignalBucket) {
-        let bucket = SignalBucket::classify(engine, request);
+    ) -> (Algorithm, ChoiceReason) {
         let mut state = self.state.lock().unwrap();
-        let (algorithm, reason) = if let Some(pinned) = state.pinned {
-            (pinned, ChoiceReason::Pinned)
-        } else {
-            let mut candidates = QueryPlanner::candidates(engine);
-            let occupancy = grid_occupancy(engine);
-            candidates.sort_by(|&a, &b| {
-                prior_rank(a, engine, request, occupancy)
-                    .total_cmp(&prior_rank(b, engine, request, occupancy))
-            });
-            let bucket_state = state.buckets.entry(bucket).or_default();
-            bucket_state.decisions += 1;
-            let samples =
-                |s: &BucketState, a: Algorithm| s.per_algorithm.get(&a).map_or(0, |e| e.samples);
-            if bucket_state.decisions == 1 {
-                // Cold start: the signal prior alone decides.
-                (candidates[0], ChoiceReason::Heuristic)
-            } else if let Some(&untried) =
-                candidates.iter().find(|&&a| samples(bucket_state, a) == 0)
-            {
-                // Give every candidate one sample, cheapest prior first.
-                (untried, ChoiceReason::Explore)
-            } else if self.config.explore_period > 0
-                && bucket_state
-                    .decisions
-                    .is_multiple_of(self.config.explore_period)
-            {
-                let least = candidates
-                    .iter()
-                    .copied()
-                    .min_by_key(|&a| samples(bucket_state, a))
-                    .expect("candidate set is never empty");
-                (least, ChoiceReason::Explore)
-            } else {
-                let best = candidates
-                    .iter()
-                    .copied()
-                    .min_by(|&a, &b| {
-                        let cost = |x: Algorithm| {
-                            bucket_state
-                                .per_algorithm
-                                .get(&x)
-                                .map_or(f64::INFINITY, Ewma::cost)
-                        };
-                        cost(a).total_cmp(&cost(b))
-                    })
-                    .expect("candidate set is never empty");
-                (best, ChoiceReason::Feedback)
-            }
+        let (algorithm, reason) = match state.pinned {
+            Some(pinned) => (pinned, ChoiceReason::Pinned),
+            None => (rule(request), ChoiceReason::Rule),
         };
         *state.choice_counts.entry((algorithm, reason)).or_insert(0) += 1;
         drop(state);
         crate::obs::record_planner_choice(algorithm.name(), reason.as_str());
-        (algorithm, reason, bucket)
-    }
-
-    /// Feeds one completed query back into the `(bucket, algorithm)` EWMA.
-    pub fn record_feedback(&self, bucket: SignalBucket, algorithm: Algorithm, stats: &QueryStats) {
-        let mut state = self.state.lock().unwrap();
-        state
-            .buckets
-            .entry(bucket)
-            .or_default()
-            .per_algorithm
-            .entry(algorithm)
-            .or_default()
-            .observe(self.config.ewma_weight, stats);
+        (algorithm, reason)
     }
 
     /// Looks the request up in the hot-result cache, counting the hit or
@@ -570,7 +438,7 @@ impl QueryPlanner {
     }
 
     fn capacity(&self) -> usize {
-        self.effective_capacity.load(Ordering::Relaxed)
+        self.cache_capacity.load(Ordering::Relaxed)
     }
 }
 
@@ -637,75 +505,9 @@ fn evict_lru(entries: &mut HashMap<CacheKey, CacheEntry>) {
     }
 }
 
-/// Fraction of AIS grid nodes holding a materialized summary — a cheap
-/// proxy for how clustered the located users are.
-fn grid_occupancy(engine: &GeoSocialEngine) -> f64 {
-    let total = engine.ais_index().total_cells();
-    if total == 0 {
-        return 0.0;
-    }
-    engine.ais_index().occupied_cells() as f64 / total as f64
-}
-
-/// Signal-based prior rank (lower = preferred) used for the cold-start
-/// choice and the exploration order.  The baseline order follows the
-/// paper's evaluation (AIS and its variants dominate overall); the
-/// adjustments encode the situations where the evaluation shows other
-/// families winning.
-fn prior_rank(
-    algorithm: Algorithm,
-    engine: &GeoSocialEngine,
-    request: &QueryRequest,
-    occupancy: f64,
-) -> f64 {
-    let mut rank = match algorithm {
-        Algorithm::Ais => 0.0,
-        Algorithm::SfaCached => 1.0,
-        Algorithm::AisMinus => 2.0,
-        Algorithm::AisBid => 3.0,
-        Algorithm::TsaQc => 4.0,
-        Algorithm::Tsa => 5.0,
-        Algorithm::SpaCh => 6.0,
-        Algorithm::Spa => 7.0,
-        Algorithm::SfaCh => 8.0,
-        Algorithm::Sfa => 9.0,
-        Algorithm::TsaCh => 10.0,
-        Algorithm::Exhaustive | Algorithm::Auto => 1000.0,
-    };
-    let ratio = rect_area_ratio(engine, request);
-    if matches!(
-        algorithm,
-        Algorithm::Spa | Algorithm::SpaCh | Algorithm::Tsa | Algorithm::TsaQc | Algorithm::TsaCh
-    ) {
-        // A selective window (or a sparse, clustered grid) favours
-        // spatially-driven probing.
-        if ratio.is_some_and(|r| r <= 0.05) {
-            rank -= 6.0;
-        }
-        if occupancy > 0.0 && occupancy < 0.05 {
-            rank -= 0.5;
-        }
-    }
-    let alpha = request.alpha();
-    if alpha >= 0.75
-        && matches!(
-            algorithm,
-            Algorithm::Sfa | Algorithm::SfaCh | Algorithm::SfaCached
-        )
-    {
-        // Social-dominant preference: the social-first family terminates
-        // early.
-        rank -= 2.5;
-    }
-    if alpha <= 0.25 && matches!(algorithm, Algorithm::Spa | Algorithm::SpaCh) {
-        rank -= 2.5;
-    }
-    rank
-}
-
 /// The [`AlgorithmStrategy`] registered under `"AUTO"`: consult the
-/// planner (cache first, then the cost model) and delegate to the chosen
-/// built-in strategy, feeding the completed query's stats back.
+/// planner (cache first, then the rule) and delegate to the chosen
+/// built-in strategy, admitting the completed result to the cache.
 pub struct PlannerStrategy {
     planner: Arc<QueryPlanner>,
 }
@@ -721,14 +523,11 @@ impl PlannerStrategy {
     /// cache is **disabled** — the safe configuration for a strategy
     /// object detached from any engine's churn hooks (served by
     /// [`builtin_strategy`](crate::builtin_strategy) for
-    /// [`Algorithm::Auto`]).  Algorithm choice still adapts; only result
-    /// reuse is off.
+    /// [`Algorithm::Auto`]).  The algorithm is chosen by the same rule as
+    /// on an engine; only result reuse is off.
     pub fn detached() -> PlannerStrategy {
         PlannerStrategy {
-            planner: Arc::new(QueryPlanner::new(PlannerConfig {
-                cache_capacity: 0,
-                ..PlannerConfig::default()
-            })),
+            planner: Arc::new(QueryPlanner::new(PlannerConfig { cache_capacity: 0 })),
         }
     }
 
@@ -741,8 +540,8 @@ impl PlannerStrategy {
         &self,
         engine: &'e GeoSocialEngine,
         request: &QueryRequest,
-    ) -> Result<(Algorithm, SignalBucket, &'e Arc<dyn AlgorithmStrategy>), CoreError> {
-        let (algorithm, _reason, bucket) = self.planner.choose(engine, request);
+    ) -> Result<&'e Arc<dyn AlgorithmStrategy>, CoreError> {
+        let (algorithm, _reason) = self.planner.choose(engine, request);
         let inner = engine.strategies().resolve(algorithm.name())?;
         let requires = inner.requires();
         if requires.contraction_hierarchy {
@@ -751,7 +550,7 @@ impl PlannerStrategy {
         if requires.social_cache {
             engine.require_social_cache()?;
         }
-        Ok((algorithm, bucket, inner))
+        Ok(inner)
     }
 }
 
@@ -769,9 +568,9 @@ impl AlgorithmStrategy for PlannerStrategy {
     }
 
     fn requires(&self) -> IndexRequirements {
-        // The planner only delegates to algorithms whose indexes already
-        // exist (or builds them on demand for a pinned choice), so it has
-        // no up-front requirements of its own.
+        // The rule names only index-free algorithms, and a pinned
+        // index-backed choice checks (or lazily builds) its index when it
+        // is resolved, so there are no up-front requirements.
         IndexRequirements::NONE
     }
 
@@ -792,10 +591,8 @@ impl AlgorithmStrategy for PlannerStrategy {
             };
             return Ok(result);
         }
-        let (algorithm, bucket, inner) = self.resolve_choice(engine, request)?;
+        let inner = self.resolve_choice(engine, request)?;
         let result = inner.execute(engine, request, ctx)?;
-        self.planner
-            .record_feedback(bucket, algorithm, &result.stats);
         self.planner
             .cache_admit(request, request.resolved_origin(engine.dataset()), &result);
         Ok(result)
@@ -818,29 +615,25 @@ impl AlgorithmStrategy for PlannerStrategy {
             };
             return Ok(Box::new(EagerDriver::new(result)));
         }
-        let (algorithm, bucket, inner) = self.resolve_choice(engine, request)?;
+        let inner = self.resolve_choice(engine, request)?;
         let driver = inner.begin_stream(engine, request, ctx)?;
         Ok(Box::new(PlannedDriver {
             inner: driver,
             planner: &self.planner,
             request: request.clone(),
             origin: request.resolved_origin(engine.dataset()),
-            algorithm,
-            bucket,
         }))
     }
 }
 
-/// Driver wrapper that feeds the planner (EWMA + cache admission) when a
+/// Driver wrapper that admits the result to the planner's cache when a
 /// delegated stream completes and its result is taken.  Streams abandoned
-/// mid-search feed back nothing — their stats describe a truncated run.
+/// mid-search admit nothing.
 struct PlannedDriver<'a> {
     inner: Box<dyn QueryDriver + 'a>,
     planner: &'a QueryPlanner,
     request: QueryRequest,
     origin: Option<Point>,
-    algorithm: Algorithm,
-    bucket: SignalBucket,
 }
 
 impl QueryDriver for PlannedDriver<'_> {
@@ -862,8 +655,6 @@ impl QueryDriver for PlannedDriver<'_> {
 
     fn take_result(&mut self) -> Result<QueryResult, CoreError> {
         let result = self.inner.take_result()?;
-        self.planner
-            .record_feedback(self.bucket, self.algorithm, &result.stats);
         self.planner
             .cache_admit(&self.request, self.origin, &result);
         Ok(result)

@@ -185,12 +185,12 @@ impl fmt::Debug for StrategyRegistry {
 
 /// The built-in strategy object for `algorithm`.
 ///
-/// [`Algorithm::Auto`] yields a *detached* [`PlannerStrategy`]: one with a
-/// private planner whose hot-result cache is disabled, because a
-/// free-standing strategy object is not wired into any engine's location
-/// churn hooks.  Engines register a cache-enabled planner strategy of
-/// their own at construction time, so this arm only serves callers that
-/// build registries by hand.
+/// [`Algorithm::Auto`] yields a *detached* [`PlannerStrategy`]: one that
+/// chooses by the planner's rule like any other, but whose private planner
+/// has the hot-result cache disabled, because a free-standing strategy
+/// object is not wired into any engine's location churn hooks.  Engines
+/// register a cache-enabled planner strategy of their own at construction
+/// time, so this arm only serves callers that build registries by hand.
 ///
 /// [`PlannerStrategy`]: crate::PlannerStrategy
 pub fn builtin_strategy(algorithm: Algorithm) -> Arc<dyn AlgorithmStrategy> {

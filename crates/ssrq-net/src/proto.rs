@@ -428,8 +428,8 @@ pub fn decode_request(r: &mut Reader<'_>) -> Result<QueryRequest, WireError> {
     let algorithm: AlgorithmSpec = match r.u8()? {
         0 => {
             let name = r.str()?;
-            // `from_name` covers the twelve paper methods plus the adaptive
-            // `AUTO` meta-algorithm, so planner-driven requests cross the
+            // `from_name` covers the twelve paper methods plus the `AUTO`
+            // meta-algorithm, so planner-driven requests cross the
             // wire as built-ins and the server resolves its own engine's
             // planner strategy.
             let builtin = Algorithm::from_name(&name).ok_or_else(|| {

@@ -1,9 +1,10 @@
 //! Remote planner parity: `Algorithm::Auto` must cross the wire as a
 //! first-class built-in, and a remote coordinator scattering Auto queries
 //! over socket shard servers must answer **bit-identically** to the
-//! in-process sharded engine — per-shard planners on both sides may pick
-//! any concrete exact algorithm (and serve repeats from their hot caches)
-//! without the merged ranked vector ever moving.
+//! in-process sharded engine.  The planner's rule reads only the request,
+//! so every shard on both sides picks the same delegate for the same
+//! request (and may serve repeats from its hot cache): the merged ranked
+//! vector is the same by construction.
 
 use ssrq_core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest};
 use ssrq_data::{DatasetConfig, QueryWorkload};
@@ -105,12 +106,12 @@ fn remote_auto_is_bit_identical_to_in_process_auto() {
         requests.push(base.max_score(0.6).build().unwrap());
     }
 
-    // Three passes: the first is cold on both sides, later passes mix hot
-    // per-shard cache hits with planner exploration — the answers must
-    // never move.  All adaptive candidates here are single-mechanism exact
-    // methods (no CH / social cache on these shard engines), whose scores
-    // are bit-equal, so the comparison is `assert_eq!` on the ranked
-    // vector, not a tolerance check.
+    // Three passes: the first is cold on both sides, later passes are
+    // served from the per-shard hot caches — the answers must never move.
+    // Both sides run the same delegate (`SFA` at k = 5, α = 0.4) on every
+    // shard, so no cross-mechanism ulp can separate them and the
+    // comparison is `assert_eq!` on the ranked vector, not a tolerance
+    // check.
     for pass in 0..3 {
         for request in &requests {
             let expected = local.run(request).expect("in-process Auto");

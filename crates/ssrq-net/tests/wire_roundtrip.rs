@@ -55,7 +55,7 @@ fn request(rng: &mut StdRng) -> QueryRequest {
         .k(rng.gen_range(0..64usize))
         .alpha(edge_f64(rng));
     builder = if rng.gen_bool(0.8) {
-        // Built-ins: the twelve paper methods plus the adaptive AUTO
+        // Built-ins: the twelve paper methods plus the AUTO
         // meta-algorithm, which crosses the wire as a built-in too.
         if rng.gen_bool(0.1) {
             builder.algorithm(Algorithm::Auto)

@@ -1,19 +1,19 @@
-//! Adaptive planner exactness: `Algorithm::Auto` must be a pure
-//! *performance* decision — whatever the planner picks, the answer must be
-//! the one every concrete algorithm computes.
+//! Planner exactness: `Algorithm::Auto` must be a pure *performance*
+//! decision — whatever the planner picks, the answer must be the one every
+//! concrete algorithm computes — and the pick itself is a fixed function of
+//! the request's `k` and `α`.
 //!
-//! The pin knob steers `Auto` through each of the twelve candidates under
+//! The pin knob steers `Auto` through each of the twelve algorithms under
 //! every request scenario (plain, spatial window, exclusion set, score
 //! cutoff): for single-mechanism paths the ranked vector must be
 //! `assert_eq!`-identical to running the algorithm directly, for the
 //! `*-CH` / `AIS-Cache` paths (whose scores are recombined from different
 //! distance modules) `same_users_and_scores` against the oracle.  Unpinned
-//! adaptive runs, streams, sharded scatters and hot-cache hits are all
-//! checked against the same bar.
+//! runs, streams, sharded scatters and hot-cache hits are all checked
+//! against the same bar.
 
 use geosocial_ssrq::core::{
     Algorithm, ChBuild, ChoiceReason, GeoSocialEngine, PlannerConfig, QueryPlanner, QueryRequest,
-    SignalBucket,
 };
 use geosocial_ssrq::data::{DatasetConfig, QueryWorkload};
 use geosocial_ssrq::prelude::{Point, Rect};
@@ -21,17 +21,21 @@ use geosocial_ssrq::shard::{Partitioning, ShardedEngine};
 
 /// The four request scenarios of the agreement sweep.
 fn scenarios(user: u32) -> Vec<(&'static str, QueryRequest)> {
-    let plain = QueryRequest::for_user(user).k(12).alpha(0.4);
+    let window = Rect::new(Point::new(0.1, 0.1), Point::new(0.8, 0.7));
+    scenarios_at(user, 12, 0.4, window)
+}
+
+/// `user`'s request at `(k, α)` in the four filter shapes.
+fn scenarios_at(
+    user: u32,
+    k: usize,
+    alpha: f64,
+    window: Rect,
+) -> Vec<(&'static str, QueryRequest)> {
+    let plain = QueryRequest::for_user(user).k(k).alpha(alpha);
     vec![
         ("plain", plain.clone().build().unwrap()),
-        (
-            "rect",
-            plain
-                .clone()
-                .within(Rect::new(Point::new(0.1, 0.1), Point::new(0.8, 0.7)))
-                .build()
-                .unwrap(),
-        ),
+        ("rect", plain.clone().within(window).build().unwrap()),
         (
             "exclusion",
             plain
@@ -141,34 +145,27 @@ fn adaptive_auto_always_returns_the_exact_answer() {
             let oracle = session
                 .run(&base.clone().with_algorithm(Algorithm::Exhaustive))
                 .unwrap();
-            // Drive the same request through Auto repeatedly so the planner
-            // walks its whole explore-then-exploit arc.
+            // The cache is off, so every repeat is a fresh decision and a
+            // fresh search.
             for round in 0..10 {
                 let auto = session
                     .run(&base.clone().with_algorithm(Algorithm::Auto))
                     .unwrap();
                 assert!(
                     auto.same_users_and_scores(&oracle, 1e-9),
-                    "adaptive Auto disagrees (user {user}, scenario {label}, round {round})"
+                    "unpinned Auto disagrees (user {user}, scenario {label}, round {round})"
                 );
             }
         }
     }
     let snapshot = engine.planner().snapshot();
     assert!(snapshot.decisions() >= 160);
-    // The oracle is not an adaptive candidate; everything the planner chose
-    // was a real (indexed or index-free) method.
+    // The rule never names the oracle, and nothing but the rule chose.
     assert_eq!(snapshot.choices_for(Algorithm::Exhaustive), 0);
-    // The feedback loop engaged: after the one-shot exploration of each
-    // bucket the EWMA model made choices of its own.
     assert!(snapshot
         .choices
         .iter()
-        .any(|(_, reason, _)| *reason == "feedback"));
-    assert!(snapshot
-        .choices
-        .iter()
-        .any(|(_, reason, _)| *reason == "explore" || *reason == "heuristic"));
+        .all(|(_, reason, _)| *reason == "rule"));
 }
 
 #[test]
@@ -274,6 +271,18 @@ fn cloned_engines_get_independent_planners() {
     // original made one decision — its second run was a cache hit, which
     // never reaches the choice logic).
     assert_eq!(engine.planner().snapshot().decisions(), 1);
+
+    // A clone inherits the capacity the original has *now*: a cache
+    // disabled after construction stays disabled on the clone.
+    engine.planner().set_cache_capacity(0);
+    let uncached = engine.clone();
+    assert_eq!(uncached.planner().config().cache_capacity, 0);
+    for _ in 0..2 {
+        // A served hit would report no search work at all.
+        assert!(uncached.run(&base).unwrap().stats.vertex_pops > 0);
+    }
+    assert_eq!(uncached.planner().snapshot().cache_hits, 0);
+    assert_eq!(uncached.planner().cache_len(), 0);
 }
 
 #[test]
@@ -300,9 +309,8 @@ fn sharded_auto_agrees_with_the_single_engine_oracle() {
             let reference = single
                 .run(&base.clone().with_algorithm(Algorithm::Exhaustive))
                 .unwrap();
-            // Run the scatter repeatedly: per-shard planners explore
-            // different delegates across rounds and repeats may come from
-            // per-shard hot caches — the merged answer must never move.
+            // Run the scatter repeatedly: repeats may come from per-shard
+            // hot caches — the merged answer must never move.
             for round in 0..4 {
                 let result = sharded.run(&base).unwrap();
                 assert!(
@@ -314,63 +322,107 @@ fn sharded_auto_agrees_with_the_single_engine_oracle() {
     }
 }
 
+const A: Algorithm = Algorithm::Ais;
+const S: Algorithm = Algorithm::Sfa;
+/// The result sizes of [`RULE_ROWS`]' columns.
+const RULE_KS: [usize; 5] = [1, 2, 3, 10, 50];
+/// The planner's whole rule, one row per `α`: `SFA` when `α ≥ 0.4` or
+/// (`k ≤ 2` and `α > 0.25`), else `AIS`.
+const RULE_ROWS: [(f64, [Algorithm; 5]); 11] = [
+    (0.01, [A, A, A, A, A]),
+    (0.1, [A, A, A, A, A]),
+    (0.25, [A, A, A, A, A]),
+    (0.26, [S, S, A, A, A]),
+    (0.3, [S, S, A, A, A]),
+    (0.39, [S, S, A, A, A]),
+    (0.4, [S, S, S, S, S]),
+    (0.74, [S, S, S, S, S]),
+    (0.75, [S, S, S, S, S]),
+    (0.9, [S, S, S, S, S]),
+    (0.99, [S, S, S, S, S]),
+];
+
 #[test]
 fn planner_unit_behaviour_pins_explores_and_converges() {
-    // Direct QueryPlanner checks that need no engine-level sweep.
-    let planner = QueryPlanner::new(PlannerConfig {
-        cache_capacity: 4,
-        ..PlannerConfig::default()
-    });
+    let planner = QueryPlanner::new(PlannerConfig { cache_capacity: 4 });
     assert_eq!(planner.config().cache_capacity, 4);
     assert_eq!(planner.cache_len(), 0);
     assert_eq!(planner.snapshot().decisions(), 0);
     assert_eq!(ChoiceReason::Pinned.as_str(), "pinned");
-    assert_eq!(ChoiceReason::Feedback.as_str(), "feedback");
-    // Signal buckets are value types usable as map keys.
-    let bucket = SignalBucket {
-        k: 1,
-        rect: 0,
-        degree: 2,
-    };
-    assert_eq!(bucket, bucket);
+    assert_eq!(ChoiceReason::Rule.as_str(), "rule");
 
-    let dataset = DatasetConfig::gowalla_like(250).with_seed(9).generate();
-    let engine = GeoSocialEngine::builder(dataset).build().unwrap();
-    // No CH / social cache installed: the candidate set is the seven
-    // index-free methods, oracle excluded.
-    let candidates = QueryPlanner::candidates(&engine);
-    assert_eq!(candidates.len(), 7);
-    assert!(!candidates.contains(&Algorithm::Exhaustive));
-    assert!(!candidates.contains(&Algorithm::SfaCh));
-    assert!(!candidates.contains(&Algorithm::SfaCached));
+    // CH and the social cache are declared lazily: a pinned index-backed
+    // choice would build them, the rule must never.
+    let dataset = DatasetConfig::gowalla_like(160).with_seed(9).generate();
+    let degree = |u: &u32| dataset.graph().degree(*u);
+    let located: Vec<u32> = dataset.located_users().map(|(u, _)| u).collect();
+    let users = [
+        located.iter().copied().min_by_key(degree).unwrap(),
+        located.iter().copied().max_by_key(degree).unwrap(),
+    ];
+    assert!(degree(&users[0]) < degree(&users[1]));
+    let bounds = dataset.bounds();
+    let engine = GeoSocialEngine::builder(dataset)
+        .with_ch(ChBuild::Lazy)
+        .cache_social_neighbors(users.to_vec(), 100)
+        .build()
+        .unwrap();
+    engine.planner().set_cache_capacity(0);
 
-    let request = QueryRequest::for_user(3).k(5).build().unwrap();
-    let (_, first_reason, _) = engine.planner().choose(&engine, &request);
-    assert_eq!(first_reason, ChoiceReason::Heuristic);
-    // The next seven choices sample the untried candidates, then the EWMA
-    // takes over (all with zero recorded work, so ties resolve by order —
-    // any candidate is fine, the reason is what we assert).
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(engine.planner().snapshot().choices[0].0.clone());
-    // The heuristic pick recorded no feedback, so the explore pass still
-    // has all seven candidates to sample.
-    for _ in 0..7 {
-        let (algorithm, reason, bucket) = engine.planner().choose(&engine, &request);
-        assert_eq!(reason, ChoiceReason::Explore);
-        engine.planner().record_feedback(
-            bucket,
-            algorithm,
-            &geosocial_ssrq::core::QueryStats::default(),
-        );
-        seen.insert(algorithm.name().to_owned());
+    // A selective window: the corner fifth of each axis, 4 % of the extent.
+    let window = Rect::new(
+        bounds.min,
+        Point::new(
+            bounds.min.x + 0.2 * bounds.width(),
+            bounds.min.y + 0.2 * bounds.height(),
+        ),
+    );
+
+    let mut decisions = 0;
+    for user in users {
+        for (alpha, row) in RULE_ROWS {
+            for (k, expected) in RULE_KS.into_iter().zip(row) {
+                for (_, request) in scenarios_at(user, k, alpha, window) {
+                    let request = request.with_algorithm(Algorithm::Auto);
+                    assert_eq!(
+                        engine.planner().choose(&engine, &request),
+                        (expected, ChoiceReason::Rule),
+                        "{request:?}"
+                    );
+                    engine.run(&request).unwrap();
+                    // One decision from `choose`, one from the run.
+                    decisions += 2;
+                }
+            }
+        }
     }
-    let (_, reason, _) = engine.planner().choose(&engine, &request);
-    assert_eq!(reason, ChoiceReason::Feedback);
+    assert!(engine.contraction_hierarchy().is_none());
+    assert!(engine.social_cache().is_none());
+    let snapshot = engine.planner().snapshot();
+    assert_eq!(snapshot.decisions(), decisions);
+    assert!(snapshot
+        .choices
+        .iter()
+        .all(|(algorithm, reason, _)| *reason == "rule"
+            && matches!(algorithm.as_str(), "AIS" | "SFA")));
+    assert!(snapshot.choices_for(Algorithm::Ais) > 0 && snapshot.choices_for(Algorithm::Sfa) > 0);
 
-    engine.planner().pin(Some(Algorithm::Sfa));
-    let (algorithm, reason, _) = engine.planner().choose(&engine, &request);
-    assert_eq!((algorithm, reason), (Algorithm::Sfa, ChoiceReason::Pinned));
+    // A pin overrides the rule; lifting it restores the rule.
+    let request = QueryRequest::for_user(users[0])
+        .k(10)
+        .alpha(0.3)
+        .build()
+        .unwrap();
+    engine.planner().pin(Some(Algorithm::Spa));
+    assert_eq!(
+        engine.planner().choose(&engine, &request),
+        (Algorithm::Spa, ChoiceReason::Pinned)
+    );
     engine.planner().pin(None);
+    assert_eq!(
+        engine.planner().choose(&engine, &request),
+        (Algorithm::Ais, ChoiceReason::Rule)
+    );
 }
 
 #[test]

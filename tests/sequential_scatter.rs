@@ -15,15 +15,16 @@
 //! * **determinism** — no result and no counter depends on thread timing
 //!   or core count: a session, the engine and a one-worker batch report
 //!   identical `ShardStats` for the same request, run after run.
+//!   `Algorithm::Auto` is held to the same bar: its planner's rule reads
+//!   only the request, so every shard picks the same delegate on every
+//!   run, and with the hot caches off a repeat is a recomputation.
 //!
-//! Known seed-red case, not loosened here:
-//! `crates/ssrq-net/tests/planner_remote.rs`
-//! (`remote_auto_is_bit_identical_to_in_process_auto`, ROADMAP item 1).
-//! With the in-process side on the coordinator's own loop it passes on the
-//! 2-core host it used to fail on, but its cause stands: per-shard planners
-//! learn from wall-clock run-times, and two exact distance mechanisms may
-//! differ by one ulp — `Algorithm::Auto` is therefore kept out of the
-//! determinism test below.
+//! For the same reason `crates/ssrq-net/tests/planner_remote.rs`
+//! (`remote_auto_is_bit_identical_to_in_process_auto`) compares like with
+//! like: both sides pick the same delegate for the same request, so its
+//! `assert_eq!` does not rest on which mechanism a shard happened to run.
+//! That two *different* exact distance mechanisms may differ by one ulp is
+//! still open (ROADMAP item 1).
 
 use geosocial_ssrq::core::{
     Algorithm, GeoSocialEngine, QueryContext, QueryRequest, QueryRequestBuilder, QueryStats,
@@ -215,11 +216,20 @@ fn scatter_statistics_do_not_depend_on_the_entry_point_or_the_run() {
             .partitioning(policy)
             .build()
             .unwrap();
+        // With its hot cache off, a repeated `Auto` query is computed again.
+        for s in 0..sharded.shard_count() {
+            sharded.shard_engine(s).planner().set_cache_capacity(0);
+        }
         let mut session = sharded.session();
         for &user in &workload.users {
             let at = dataset.location(user).expect("workload users are located");
             for (shape, builder) in shapes(dataset.user_count() as u32, user, at) {
-                for algorithm in [Algorithm::Sfa, Algorithm::Tsa, Algorithm::Ais] {
+                for algorithm in [
+                    Algorithm::Sfa,
+                    Algorithm::Tsa,
+                    Algorithm::Ais,
+                    Algorithm::Auto,
+                ] {
                     let request = builder.clone().algorithm(algorithm).build().unwrap();
                     let what = format!("{} {shape}, user {user}, {policy:?}", algorithm.name());
                     let (result, stats) = session.run_with_stats(&request).unwrap();
