@@ -132,7 +132,7 @@ pub fn measure_obs(
     let mean_query_latency = Duration::from_nanos(total_ns / requests.len() as u64);
     let metrics_ns_per_op = calibrate_metric_op();
     // A generous bound: the coordinator's counters/histograms plus, per
-    // shard, the server's queue/query/outcome series and the engine's
+    // shard, the server's busy/query/outcome series and the engine's
     // per-algorithm histograms — the real paths record far fewer.
     let instrument_ops_per_query = 32 + 32 * shards as u64;
     let overhead_fraction = metrics_ns_per_op * instrument_ops_per_query as f64

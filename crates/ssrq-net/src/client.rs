@@ -1,18 +1,17 @@
 //! The client side of shard connections: endpoint parsing, connect with
-//! retry, framed request/response calls with byte accounting — and the
-//! multiplexing layer ([`MuxConnection`], [`ConnectionPool`]) that lets
-//! many concurrent queries share a few sockets per endpoint.
+//! retry, framed request/response calls with byte accounting
+//! ([`ShardClient`]) — and the per-endpoint [`ConnectionPool`] that hands
+//! every concurrent caller a connection of its own.
 
 use crate::error::NetError;
 use crate::proto::Message;
 use crate::wire::{parse_header, FrameHeader, HEADER_LEN};
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Where a shard server listens.
@@ -87,36 +86,11 @@ impl Stream {
         }
     }
 
-    /// Duplicates the socket handle.  Timeouts are a property of the
-    /// shared socket, not the handle — a multiplexed connection therefore
-    /// only ever sets the **write** timeout, so its blocking reader is
-    /// not disturbed.
-    pub(crate) fn try_clone(&self) -> std::io::Result<Stream> {
-        Ok(match self {
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-        })
-    }
-
-    /// Sets only the read timeout (shared by every handle of the socket);
-    /// writes stay blocking.
+    /// Sets only the read timeout; writes stay blocking.
     pub(crate) fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         match self {
             Stream::Unix(s) => s.set_read_timeout(timeout),
             Stream::Tcp(s) => s.set_read_timeout(timeout),
-        }
-    }
-
-    /// Shuts the socket down in both directions, waking a reader blocked
-    /// in `read` on another handle of the same socket.
-    pub(crate) fn shutdown(&self) {
-        match self {
-            Stream::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
         }
     }
 
@@ -228,12 +202,17 @@ pub struct WireTraffic {
 /// A framed request/response connection to one shard server.
 ///
 /// The connection is reused across calls (and across the queries of a
-/// batch); it is **not** internally synchronized — one in-flight call at a
-/// time, which is exactly what the sequential scatter needs.
+/// batch); it is **not** internally synchronized — one call at a time,
+/// which is exactly what the sequential scatter needs.
 #[derive(Debug)]
 pub struct ShardClient {
     endpoint: Endpoint,
     stream: Stream,
+    /// The frame id the next request carries; the response must echo it.
+    next_id: u32,
+    /// The deadline the socket currently has, so that setting the same
+    /// one again costs no system call.
+    deadline: Option<Duration>,
 }
 
 impl ShardClient {
@@ -248,6 +227,8 @@ impl ShardClient {
         Ok(ShardClient {
             endpoint: endpoint.clone(),
             stream: Stream::connect_retry(endpoint, timeout)?,
+            next_id: 1,
+            deadline: None,
         })
     }
 
@@ -264,39 +245,49 @@ impl ShardClient {
     ///
     /// The socket-level failure, if the timeout cannot be applied.
     pub fn set_deadline(&mut self, deadline: Option<Duration>) -> Result<(), NetError> {
-        self.stream.set_timeouts(deadline)?;
+        if self.deadline != deadline {
+            self.stream.set_timeouts(deadline)?;
+            self.deadline = deadline;
+        }
         Ok(())
     }
 
-    fn io_error(&self, e: std::io::Error) -> NetError {
-        map_io_error(&self.endpoint, e)
-    }
-
-    /// Sends one message and reads the response frame, returning the
-    /// decoded response and the bytes moved.
+    /// Sends one message under a fresh frame id and reads the response
+    /// frame, returning the decoded response and the bytes moved.
     ///
     /// A [`Message::Fail`] response is surfaced as [`NetError::Remote`];
-    /// the traffic it cost is still accounted on the error path's caller
-    /// via the request that triggered it being retried or dropped.
+    /// the bytes a failed call moved are not reported.
+    ///
+    /// After any error but [`NetError::Remote`] the connection must not be
+    /// called again: the response may still be on its way, and would be
+    /// read as the next call's.
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] past the deadline, [`NetError::Disconnected`]
     /// on EOF/reset, [`NetError::Wire`] for malformed frames,
-    /// [`NetError::Remote`] for a typed server refusal.
+    /// [`NetError::Protocol`] for a response that does not echo the
+    /// request's frame id, [`NetError::Remote`] for a typed server
+    /// refusal.
     pub fn call(&mut self, message: &Message) -> Result<(Message, WireTraffic), NetError> {
-        let bytes = message.encode();
+        let frame_id = self.next_id;
+        self.next_id = frame_id.wrapping_add(1);
+        let bytes = message.encode_with_id(frame_id);
         self.stream
             .write_all(&bytes)
-            .map_err(|e| self.io_error(e))?;
-        self.stream.flush().map_err(|e| self.io_error(e))?;
-        let mut traffic = WireTraffic {
-            bytes_sent: bytes.len(),
-            bytes_received: 0,
-        };
+            .and_then(|()| self.stream.flush())
+            .map_err(|e| map_io_error(&self.endpoint, e))?;
 
         let (header, payload) = read_frame_stream(&mut self.stream, &self.endpoint)?;
-        traffic.bytes_received += header.header_len() + payload.len();
+        if header.frame_id != frame_id {
+            return Err(NetError::Protocol {
+                shard: self.endpoint.to_string(),
+                detail: format!(
+                    "response carries frame id {} but the request was sent under {frame_id}",
+                    header.frame_id
+                ),
+            });
+        }
         let response = Message::decode(header.tag, &payload)?;
         if let Message::Fail { kind, message } = response {
             return Err(NetError::Remote {
@@ -305,242 +296,26 @@ impl ShardClient {
                 message,
             });
         }
+        let traffic = WireTraffic {
+            bytes_sent: bytes.len(),
+            bytes_received: header.header_len() + payload.len(),
+        };
         Ok((response, traffic))
     }
 }
 
-/// State shared between a [`MuxConnection`]'s callers and its reader
-/// thread.  The reader holds only this (plus its socket handle), never
-/// the connection itself — no `Arc` cycle, so dropping the last
-/// connection handle reliably tears the reader down.
-#[derive(Debug)]
-struct MuxShared {
-    /// In-flight calls awaiting their response, by frame id.
-    pending: Mutex<HashMap<u32, mpsc::Sender<(Message, usize)>>>,
-    /// Set when the socket failed or closed; a dead connection is never
-    /// leased again and every waiter is woken (by dropping its sender).
-    dead: AtomicBool,
-    /// Calls started and not yet finished — the pool's load metric.
-    in_flight: AtomicUsize,
-    /// Next frame id; 0 is reserved as the one-in-flight sentinel.
-    next_id: AtomicU32,
-}
-
-impl MuxShared {
-    fn fail_all(&self) {
-        self.dead.store(true, Ordering::Release);
-        // Dropping the senders wakes every `recv_timeout` with a
-        // disconnect, which the waiter maps to `NetError::Disconnected`.
-        self.pending.lock().expect("mux pending lock").clear();
-    }
-}
-
-/// One multiplexed connection to a shard server: many concurrent
-/// request/response calls share the socket, matched up by frame id.
+/// A per-endpoint pool of idle [`ShardClient`]s.
 ///
-/// Writes go through an internal mutex (one frame at a time); a dedicated
-/// reader thread dispatches response frames to their waiting callers.  A
-/// response whose frame id no longer has a waiter (the call timed out) is
-/// discarded — unlike the one-in-flight [`ShardClient`], a timeout does
-/// **not** poison the connection.
-#[derive(Debug)]
-pub struct MuxConnection {
-    endpoint: Endpoint,
-    writer: Mutex<Stream>,
-    /// A separate socket handle for waking the reader at drop time —
-    /// avoids taking the writer lock (a blocked writer must not make the
-    /// connection un-droppable).
-    control: Stream,
-    shared: Arc<MuxShared>,
-    reader: Option<std::thread::JoinHandle<()>>,
-}
-
-impl MuxConnection {
-    /// Connects (with retry until `timeout`) and starts the reader thread.
-    ///
-    /// # Errors
-    ///
-    /// The last connect failure once the timeout is exhausted.
-    pub fn connect(endpoint: &Endpoint, timeout: Duration) -> Result<Arc<MuxConnection>, NetError> {
-        let stream = Stream::connect_retry(endpoint, timeout)?;
-        let reader_stream = stream.try_clone().map_err(NetError::Io)?;
-        let control = stream.try_clone().map_err(NetError::Io)?;
-        let shared = Arc::new(MuxShared {
-            pending: Mutex::new(HashMap::new()),
-            dead: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
-            next_id: AtomicU32::new(1),
-        });
-        let reader = {
-            let shared = Arc::clone(&shared);
-            let endpoint = endpoint.clone();
-            std::thread::spawn(move || Self::read_loop(reader_stream, endpoint, shared))
-        };
-        Ok(Arc::new(MuxConnection {
-            endpoint: endpoint.clone(),
-            writer: Mutex::new(stream),
-            control,
-            shared,
-            reader: Some(reader),
-        }))
-    }
-
-    /// The endpoint this connection talks to.
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
-    }
-
-    /// Whether the socket has failed or closed.
-    pub fn is_dead(&self) -> bool {
-        self.shared.dead.load(Ordering::Acquire)
-    }
-
-    /// Calls currently in flight on this connection.
-    pub fn in_flight(&self) -> usize {
-        self.shared.in_flight.load(Ordering::Acquire)
-    }
-
-    fn read_loop(mut stream: Stream, endpoint: Endpoint, shared: Arc<MuxShared>) {
-        loop {
-            let (header, payload) = match read_frame_stream(&mut stream, &endpoint) {
-                Ok(frame) => frame,
-                Err(_) => {
-                    shared.fail_all();
-                    return;
-                }
-            };
-            let bytes = header.header_len() + payload.len();
-            let message = match Message::decode(header.tag, &payload) {
-                Ok(message) => message,
-                Err(_) => {
-                    // A frame we cannot decode means the stream framing
-                    // can no longer be trusted.
-                    shared.fail_all();
-                    return;
-                }
-            };
-            let waiter = shared
-                .pending
-                .lock()
-                .expect("mux pending lock")
-                .remove(&header.frame_id);
-            if let Some(tx) = waiter {
-                // A waiter that gave up (timed out) has dropped its
-                // receiver; the late response is simply discarded.
-                let _ = tx.send((message, bytes));
-            }
-        }
-    }
-
-    fn write_frame(&self, bytes: &[u8]) -> Result<(), NetError> {
-        let mut writer = self.writer.lock().expect("mux writer lock");
-        writer
-            .write_all(bytes)
-            .and_then(|()| writer.flush())
-            .map_err(|e| {
-                self.shared.fail_all();
-                map_io_error(&self.endpoint, e)
-            })
-    }
-
-    /// One blocking request/response call over the multiplexed socket,
-    /// waiting until `deadline` (`None` waits indefinitely).  Many calls
-    /// may be in flight at once.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Timeout`] past the deadline (the connection stays
-    /// usable), [`NetError::Disconnected`] if the connection is already
-    /// dead or the socket dies under the call, the write failure, or
-    /// [`NetError::Remote`] for a typed server refusal.
-    pub fn call(
-        &self,
-        message: &Message,
-        deadline: Option<Duration>,
-    ) -> Result<(Message, WireTraffic), NetError> {
-        let disconnected = || NetError::Disconnected {
-            shard: self.endpoint.to_string(),
-        };
-        if self.is_dead() {
-            return Err(disconnected());
-        }
-        let mut id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        if id == 0 {
-            // u32 wrap: skip the one-in-flight sentinel.
-            id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        }
-        let (tx, rx) = mpsc::channel();
-        self.shared
-            .pending
-            .lock()
-            .expect("mux pending lock")
-            .insert(id, tx);
-        self.shared.in_flight.fetch_add(1, Ordering::AcqRel);
-
-        let bytes = message.encode_with_id(id);
-        let wait = deadline.unwrap_or(Duration::from_secs(3600));
-        let received = self.write_frame(&bytes).and_then(|()| {
-            rx.recv_timeout(wait).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => NetError::Timeout {
-                    shard: self.endpoint.to_string(),
-                },
-                mpsc::RecvTimeoutError::Disconnected => disconnected(),
-            })
-        });
-        if received.is_err() {
-            // The reader removes the entry it delivers to; an abandoned
-            // call removes its own, and its late response is discarded.
-            self.shared
-                .pending
-                .lock()
-                .expect("mux pending lock")
-                .remove(&id);
-        }
-        self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-
-        let (response, bytes_received) = received?;
-        if let Message::Fail { kind, message } = response {
-            return Err(NetError::Remote {
-                shard: self.endpoint.to_string(),
-                kind,
-                message,
-            });
-        }
-        Ok((
-            response,
-            WireTraffic {
-                bytes_sent: bytes.len(),
-                bytes_received,
-            },
-        ))
-    }
-}
-
-impl Drop for MuxConnection {
-    fn drop(&mut self) {
-        self.shared.fail_all();
-        self.control.shutdown();
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
-    }
-}
-
-/// Sockets a [`ConnectionPool`] opens at most: each carries any number of
-/// concurrent calls, so the second only spreads writer-lock contention.
-const POOL_CAPACITY: usize = 2;
-
-/// A small per-endpoint pool of [`MuxConnection`]s.
-///
-/// Leases prefer the least-loaded live connection and only open a new
-/// socket while all existing ones are busy and the pool is below
-/// capacity; dead connections are pruned on the way.  The pool is `Sync`:
-/// any number of query threads may lease concurrently.
+/// A call takes an idle connection (or opens one), runs its one
+/// request/response on it and puts it back, so every concurrent caller
+/// has a socket of its own and the pool grows to the number of callers
+/// that were ever in flight at once.  The pool is `Sync`: any number of
+/// query threads may call concurrently.
 #[derive(Debug)]
 pub struct ConnectionPool {
     endpoint: Endpoint,
     connect_timeout: Duration,
-    connections: Mutex<Vec<Arc<MuxConnection>>>,
+    idle: Mutex<Vec<ShardClient>>,
 }
 
 impl ConnectionPool {
@@ -550,7 +325,7 @@ impl ConnectionPool {
         ConnectionPool {
             endpoint,
             connect_timeout,
-            connections: Mutex::new(Vec::new()),
+            idle: Mutex::new(Vec::new()),
         }
     }
 
@@ -559,38 +334,14 @@ impl ConnectionPool {
         &self.endpoint
     }
 
-    /// Leases a live connection: the least-loaded one, or a freshly
-    /// opened one while the pool is below capacity and everything is
-    /// busy.
-    ///
-    /// # Errors
-    ///
-    /// The connect failure when a new socket is needed and cannot be
-    /// opened.
-    pub fn lease(&self) -> Result<Arc<MuxConnection>, NetError> {
-        let mut connections = self.connections.lock().expect("pool lock");
-        connections.retain(|c| !c.is_dead());
-        let best = connections
-            .iter()
-            .min_by_key(|c| c.in_flight())
-            .map(Arc::clone);
-        match best {
-            Some(conn) if conn.in_flight() == 0 || connections.len() >= POOL_CAPACITY => Ok(conn),
-            _ => {
-                let conn = MuxConnection::connect(&self.endpoint, self.connect_timeout)?;
-                connections.push(Arc::clone(&conn));
-                Ok(conn)
-            }
-        }
-    }
-
     /// One request/response call through the pool, with the coordinator's
-    /// one-immediate-reconnect semantics: a call that found its connection
-    /// dead ([`NetError::Disconnected`], [`NetError::Io`]) is retried once
-    /// on a fresh lease.  Every other failure is returned as it is — after
-    /// a [`NetError::Timeout`] or a typed refusal the connection is fine
-    /// and the server has the request, so a retry would only double a slow
-    /// shard's load and the caller's deadline.
+    /// one-immediate-reconnect semantics: a call that found its *pooled*
+    /// connection dead ([`NetError::Disconnected`], [`NetError::Io`])
+    /// drops every idle connection — they are as old as the dead one — and
+    /// is retried once on a fresh socket.  Every other failure is returned
+    /// as it is: after a [`NetError::Timeout`] or a typed refusal the
+    /// server has the request, so a retry would only double a slow shard's
+    /// load and the caller's deadline.
     ///
     /// # Errors
     ///
@@ -600,18 +351,39 @@ impl ConnectionPool {
         message: &Message,
         deadline: Option<Duration>,
     ) -> Result<(Message, WireTraffic), NetError> {
-        match self.lease().and_then(|conn| conn.call(message, deadline)) {
-            Err(NetError::Disconnected { .. } | NetError::Io(_)) => {
-                self.lease()?.call(message, deadline)
+        let pooled = self.idle.lock().expect("pool lock").pop();
+        if let Some(client) = pooled {
+            match self.call_on(client, message, deadline) {
+                Err(NetError::Disconnected { .. } | NetError::Io(_)) => self.close(),
+                outcome => return outcome,
             }
-            outcome => outcome,
         }
+        let client = ShardClient::connect(&self.endpoint, self.connect_timeout)?;
+        self.call_on(client, message, deadline)
     }
 
-    /// Drops every pooled connection (their reader threads shut down as
-    /// the last handles go).
+    /// Runs one call on `client` and returns it to the idle list only if
+    /// the exchange completed (an answer or a typed refusal).  After a
+    /// timeout or a frame that cannot be trusted the response may still
+    /// arrive, and must never be read as the next call's — that
+    /// connection is dropped.
+    fn call_on(
+        &self,
+        mut client: ShardClient,
+        message: &Message,
+        deadline: Option<Duration>,
+    ) -> Result<(Message, WireTraffic), NetError> {
+        client.set_deadline(deadline)?;
+        let outcome = client.call(message);
+        if matches!(outcome, Ok(_) | Err(NetError::Remote { .. })) {
+            self.idle.lock().expect("pool lock").push(client);
+        }
+        outcome
+    }
+
+    /// Drops every idle connection.
     pub fn close(&self) {
-        self.connections.lock().expect("pool lock").clear();
+        self.idle.lock().expect("pool lock").clear();
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! [`RemoteShardedEngine`] mirrors the in-process
 //! [`ShardedEngine`](ssrq_shard::ShardedEngine) over sockets.  Each shard
-//! is reached through a small per-endpoint [`ConnectionPool`] of
-//! multiplexed connections, wrapped per query as a [`ShardTransport`], so
-//! the coordinator runs the **same** threshold-forwarding scatter loop
+//! is reached through a per-endpoint [`ConnectionPool`] (a connection per
+//! concurrent caller), wrapped per query as a [`ShardTransport`], so the
+//! coordinator runs the **same** threshold-forwarding scatter loop
 //! ([`scatter_sequential`]) and the same deterministic merge
 //! ([`merge_ranked`]) as the single-process deployment — the running `f_k`
 //! crosses the wire bit-exactly inside each next request's
@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 const SLOW_LOG_CAPACITY: usize = 64;
 
 /// One remote shard as the coordinator sees it: its endpoint, a pool of
-/// multiplexed connections, the cached handshake [`ShardInfo`] the score
+/// connections to it, the cached handshake [`ShardInfo`] the score
 /// lower bound is computed from, and the relocation churn since that
 /// info was last refreshed.
 struct RemoteShard {
@@ -64,13 +64,39 @@ impl RemoteShard {
     }
 
     /// One pooled request/response call (the pool reconnects once when
-    /// it finds the connection dead).
-    fn call(
+    /// it finds the connection dead) whose response must be the one
+    /// `accept` takes; `expected` names it, as "X to Y", for the
+    /// [`NetError::Protocol`] any other response becomes.
+    fn call<T>(
         &self,
         message: &Message,
         deadline: Option<Duration>,
-    ) -> Result<(Message, WireTraffic), NetError> {
-        self.pool.call(message, deadline)
+        expected: &str,
+        accept: impl FnOnce(Message) -> Option<T>,
+    ) -> Result<(T, WireTraffic), NetError> {
+        let (response, traffic) = self.pool.call(message, deadline)?;
+        let tag = response.tag();
+        match accept(response) {
+            Some(reply) => Ok((reply, traffic)),
+            None => Err(self.protocol(format!("expected {expected}, got tag 0x{tag:02x}"))),
+        }
+    }
+
+    /// Reports `user`'s new `location` (`None`: no location any more);
+    /// returns whether this shard adopted the user.
+    fn relocate(
+        &self,
+        user: UserId,
+        location: Option<Point>,
+        deadline: Option<Duration>,
+    ) -> Result<bool, NetError> {
+        let accept = |response| match response {
+            Message::Relocated { adopted } => Some(adopted),
+            _ => None,
+        };
+        let message = Message::Relocate { user, location };
+        let (adopted, _) = self.call(&message, deadline, "Relocated to Relocate", accept)?;
+        Ok(adopted)
     }
 }
 
@@ -106,21 +132,18 @@ impl ShardTransport for QueryTransport<'_> {
                 trace_id: self.trace.trace_id(),
             },
             self.deadline,
+            "Answer to Query",
+            |response| match response {
+                Message::Answer(result) => Some(result),
+                _ => None,
+            },
         );
         self.trace.close(span);
-        let (response, traffic) = exchange?;
-        match response {
-            Message::Answer(mut result) => {
-                result.stats.bytes_sent += traffic.bytes_sent;
-                result.stats.bytes_received += traffic.bytes_received;
-                result.stats.wire_round_trips += 1;
-                Ok(result)
-            }
-            other => Err(self.shard.protocol(format!(
-                "expected Answer to Query, got tag 0x{:02x}",
-                other.tag()
-            ))),
-        }
+        let (mut result, traffic) = exchange?;
+        result.stats.bytes_sent += traffic.bytes_sent;
+        result.stats.bytes_received += traffic.bytes_received;
+        result.stats.wire_round_trips += 1;
+        Ok(result)
     }
 
     fn describe(&self) -> String {
@@ -515,15 +538,16 @@ impl RemoteShardedEngine {
     /// Transport failures, or [`NetError::Protocol`] when the server
     /// answers with anything but a `MetricsReport`.
     pub fn remote_metrics(&self, shard: usize) -> Result<ObsReport, NetError> {
-        let shard = &self.shards[shard];
-        let (response, _) = shard.call(&Message::MetricsRequest, self.deadline)?;
-        match response {
-            Message::MetricsReport(report) => Ok(report),
-            other => Err(shard.protocol(format!(
-                "expected MetricsReport to MetricsRequest, got tag 0x{:02x}",
-                other.tag()
-            ))),
-        }
+        let (report, _) = self.shards[shard].call(
+            &Message::MetricsRequest,
+            self.deadline,
+            "MetricsReport to MetricsRequest",
+            |response| match response {
+                Message::MetricsReport(report) => Some(report),
+                _ => None,
+            },
+        )?;
+        Ok(report)
     }
 
     fn query_with_trace(
@@ -636,9 +660,22 @@ impl RemoteShardedEngine {
         failures: &mut Vec<(usize, String)>,
     ) -> Result<Option<Point>, NetError> {
         for (index, shard) in self.shards.iter().enumerate() {
-            let (response, traffic) = match shard.call(&Message::Locate(user), self.deadline) {
+            let exchange = shard.call(
+                &Message::Locate(user),
+                self.deadline,
+                "Located to Locate",
+                |response| match response {
+                    Message::Located(location) => Some(location),
+                    _ => None,
+                },
+            );
+            let (location, traffic) = match exchange {
                 Ok(exchange) => exchange,
-                Err(e @ NetError::Core(_)) | Err(e @ NetError::Remote { .. }) => return Err(e),
+                // A refusal or a response outside the protocol is not a
+                // shard being unreachable: the policy does not apply.
+                Err(
+                    e @ (NetError::Core(_) | NetError::Remote { .. } | NetError::Protocol { .. }),
+                ) => return Err(e),
                 Err(e) => match self.policy {
                     FailurePolicy::Fail => return Err(e),
                     FailurePolicy::Degrade => {
@@ -650,15 +687,8 @@ impl RemoteShardedEngine {
             lookups.bytes_sent += traffic.bytes_sent;
             lookups.bytes_received += traffic.bytes_received;
             lookups.wire_round_trips += 1;
-            match response {
-                Message::Located(Some(point)) => return Ok(Some(point)),
-                Message::Located(None) => {}
-                other => {
-                    return Err(shard.protocol(format!(
-                        "expected Located to Locate, got tag 0x{:02x}",
-                        other.tag()
-                    )))
-                }
+            if location.is_some() {
+                return Ok(location);
             }
         }
         Ok(None)
@@ -687,27 +717,13 @@ impl RemoteShardedEngine {
         }
         let mut adopter = None;
         for (index, shard) in self.shards.iter().enumerate() {
-            let message = Message::Relocate {
-                user,
-                location: Some(location),
-            };
-            let (response, _) = shard.call(&message, self.deadline)?;
-            match response {
-                Message::Relocated { adopted: true } => {
-                    if let Some(first) = adopter {
-                        return Err(shard.protocol(format!(
-                            "shards {first} and {index} both adopted user {user}"
-                        )));
-                    }
-                    adopter = Some(index);
-                }
-                Message::Relocated { adopted: false } => {}
-                other => {
+            if shard.relocate(user, Some(location), self.deadline)? {
+                if let Some(first) = adopter {
                     return Err(shard.protocol(format!(
-                        "expected Relocated to Relocate, got tag 0x{:02x}",
-                        other.tag()
-                    )))
+                        "shards {first} and {index} both adopted user {user}"
+                    )));
                 }
+                adopter = Some(index);
             }
         }
         let Some(adopter) = adopter else {
@@ -742,17 +758,7 @@ impl RemoteShardedEngine {
             return Err(NetError::Core(CoreError::UnknownUser(user)));
         }
         for shard in &self.shards {
-            let message = Message::Relocate {
-                user,
-                location: None,
-            };
-            let (response, _) = shard.call(&message, self.deadline)?;
-            if !matches!(response, Message::Relocated { .. }) {
-                return Err(shard.protocol(format!(
-                    "expected Relocated to Relocate, got tag 0x{:02x}",
-                    response.tag()
-                )));
-            }
+            shard.relocate(user, None, self.deadline)?;
         }
         Ok(())
     }
@@ -761,13 +767,15 @@ impl RemoteShardedEngine {
     /// rect, fresh occupancy) and resetting its churn counter.
     fn refresh_shard(&self, index: usize) -> Result<(), NetError> {
         let shard = &self.shards[index];
-        let (response, _) = shard.call(&Message::Refresh, self.deadline)?;
-        let Message::Info(info) = response else {
-            return Err(shard.protocol(format!(
-                "expected Info to Refresh, got tag 0x{:02x}",
-                response.tag()
-            )));
-        };
+        let (info, _) = shard.call(
+            &Message::Refresh,
+            self.deadline,
+            "Info to Refresh",
+            |response| match response {
+                Message::Info(info) => Some(info),
+                _ => None,
+            },
+        )?;
         if info.shard != index as u32 {
             return Err(shard.protocol(format!(
                 "server now claims shard {} at position {index}",
@@ -814,13 +822,15 @@ impl RemoteShardedEngine {
         }
         let mut holders: Vec<(UserId, Point, usize)> = Vec::new();
         for (index, shard) in self.shards.iter().enumerate() {
-            let (response, _) = shard.call(&Message::ListLocated, self.deadline)?;
-            let Message::LocatedUsers(users) = response else {
-                return Err(shard.protocol(format!(
-                    "expected LocatedUsers to ListLocated, got tag 0x{:02x}",
-                    response.tag()
-                )));
-            };
+            let (users, _) = shard.call(
+                &Message::ListLocated,
+                self.deadline,
+                "LocatedUsers to ListLocated",
+                |response| match response {
+                    Message::LocatedUsers(users) => Some(users),
+                    _ => None,
+                },
+            )?;
             holders.extend(users.into_iter().map(|(user, point)| (user, point, index)));
         }
         let assignment = self.assignment.as_mut().expect("checked above");
@@ -837,28 +847,14 @@ impl RemoteShardedEngine {
                 let message = Message::SetAssignment {
                     cell_to_shard: map.clone(),
                 };
-                let (response, _) = shard.call(&message, self.deadline)?;
-                if !matches!(response, Message::Ok) {
-                    return Err(shard.protocol(format!(
-                        "expected Ok to SetAssignment, got tag 0x{:02x}",
-                        response.tag()
-                    )));
-                }
+                shard.call(&message, self.deadline, "Ok to SetAssignment", |response| {
+                    matches!(response, Message::Ok).then_some(())
+                })?;
             }
         }
         for &(user, point) in &moves {
             for shard in &self.shards {
-                let message = Message::Relocate {
-                    user,
-                    location: Some(point),
-                };
-                let (response, _) = shard.call(&message, self.deadline)?;
-                if !matches!(response, Message::Relocated { .. }) {
-                    return Err(shard.protocol(format!(
-                        "expected Relocated to Relocate, got tag 0x{:02x}",
-                        response.tag()
-                    )));
-                }
+                shard.relocate(user, Some(point), self.deadline)?;
             }
         }
         self.refresh()?;
@@ -875,18 +871,14 @@ impl RemoteShardedEngine {
     pub fn shutdown(&mut self) -> Result<(), NetError> {
         let mut first_error = None;
         for shard in &self.shards {
-            match shard.call(&Message::Shutdown, self.deadline) {
-                Ok((Message::Ok, _)) => {}
-                Ok((other, _)) => {
-                    let e = shard.protocol(format!(
-                        "expected Ok to Shutdown, got tag 0x{:02x}",
-                        other.tag()
-                    ));
-                    first_error.get_or_insert(e);
-                }
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
+            let acknowledged = shard.call(
+                &Message::Shutdown,
+                self.deadline,
+                "Ok to Shutdown",
+                |response| matches!(response, Message::Ok).then_some(()),
+            );
+            if let Err(e) = acknowledged {
+                first_error.get_or_insert(e);
             }
             shard.pool.close();
         }

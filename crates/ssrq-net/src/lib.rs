@@ -14,9 +14,11 @@
 //! ([`wire`]): a 14-byte frame header (`b"SSRQ"`, version, message tag,
 //! frame id, payload length) followed by the message payload, `f64`s
 //! carried as raw IEEE-754 bits so scores and thresholds cross the wire
-//! bit-exactly.  No external dependencies.  The frame id lets one
-//! connection multiplex concurrent in-flight requests
-//! ([`MuxConnection`] / [`ConnectionPool`]).  There is one framing:
+//! bit-exactly.  No external dependencies.  A connection carries one
+//! request at a time, at both ends: a [`ConnectionPool`] hands every
+//! concurrent caller a [`ShardClient`] of its own, a [`ShardServer`] runs
+//! one thread per connection, and the frame id a response echoes is the
+//! check that the two are still in step.  There is one framing:
 //! coordinator and servers are built from one commit, and a frame in any
 //! other protocol version is refused with a typed
 //! [`WireError::UnsupportedVersion`](wire::WireError::UnsupportedVersion).
@@ -45,9 +47,7 @@ pub mod proto;
 mod server;
 pub mod wire;
 
-pub use client::{
-    ConnectionPool, Endpoint, HealthMonitor, MuxConnection, ShardClient, WireTraffic,
-};
+pub use client::{ConnectionPool, Endpoint, HealthMonitor, ShardClient, WireTraffic};
 pub use coordinator::{RemoteEngineBuilder, RemoteShardedEngine};
 pub use error::NetError;
 pub use proto::{FailureKind, Message, ShardInfo};

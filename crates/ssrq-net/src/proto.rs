@@ -214,14 +214,13 @@ impl Message {
         }
     }
 
-    /// Encodes the message as one complete frame with frame id 0 (the
-    /// one-in-flight sentinel).
+    /// Encodes the message as one complete frame with frame id 0.
     pub fn encode(&self) -> Vec<u8> {
         self.encode_with_id(0)
     }
 
     /// Encodes the message as one complete frame carrying the given
-    /// multiplexing frame id.
+    /// frame id (a response carries its request's).
     pub fn encode_with_id(&self, frame_id: u32) -> Vec<u8> {
         let mut w = Writer::new();
         match self {

@@ -8,15 +8,14 @@
 //!
 //! # Concurrency model
 //!
-//! Each accepted connection gets a lightweight **reader** thread that
-//! does nothing but parse frames; the work itself runs on a **bounded
-//! worker pool** (one reusable [`QueryContext`](ssrq_core::QueryContext)
-//! per worker), so a coordinator multiplexing many concurrent queries
-//! over a few sockets cannot fork an unbounded number of engine threads.
-//! Queries run under the engine's read lock; mutations (relocations,
-//! assignment updates) take the write lock.  Every response echoes the
-//! frame id of the request it answers, so workers may finish a
-//! connection's requests in any order.
+//! Each accepted connection gets one thread that reads a frame, answers
+//! it, writes the response under the request's frame id and only then
+//! reads the next frame — so a connection's requests are answered in the
+//! order they were sent, and the engine runs at most one thread per
+//! connection, which is one per request a coordinator has outstanding.
+//! A connection thread sizes a [`QueryContext`](ssrq_core::QueryContext)
+//! of its own at its first query.  Queries run under the engine's read
+//! lock; mutations (relocations, assignment updates) take the write lock.
 //!
 //! A frame the server cannot trust costs only its own connection: a bad
 //! header (wrong magic or protocol version, oversized payload) closes it,
@@ -30,45 +29,24 @@ use crate::error::NetError;
 use crate::proto::{FailureKind, Message, ShardInfo};
 use crate::wire::{parse_header, FrameHeader, HEADER_LEN};
 use ssrq_core::{GeoSocialEngine, QueryContext, QueryRequest, QueryResult};
-use ssrq_obs::{
-    Counter, Gauge, Histogram, Logger, ObsReport, Registry, SlowQueryLog, SpanLog, Trace,
-};
+use ssrq_obs::{Counter, Histogram, Logger, ObsReport, Registry, SlowQueryLog, SpanLog, Trace};
 use ssrq_shard::ShardAssignment;
 use ssrq_spatial::Rect;
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-/// How long readers and workers sleep in their idle polls before
+/// How long the accept loop and idle connection threads wait before
 /// re-checking the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
-/// Size of the worker pool: enough to keep a few concurrent queries moving
-/// without oversubscribing small machines.
-fn worker_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .min(4)
-}
 
 enum Listener {
     Unix(UnixListener, PathBuf),
     Tcp(TcpListener),
-}
-
-/// One parsed request waiting for a worker.
-struct WorkItem {
-    conn_id: u64,
-    frame_id: u32,
-    enqueued: Instant,
-    message: Message,
-    writer: Arc<Mutex<Stream>>,
 }
 
 /// The server's observability handles: metric series registered once at
@@ -79,9 +57,7 @@ struct ServerObs {
     disconnections: Counter,
     queries: Counter,
     query_ns: Histogram,
-    queue_wait_ns: Histogram,
     worker_busy_ns: Histogram,
-    queue_depth: Gauge,
     relocations_adopted: Counter,
     relocations_dropped: Counter,
     spans: SpanLog,
@@ -99,9 +75,7 @@ impl ServerObs {
             disconnections: registry.counter("ssrq_server_disconnections_total", labels),
             queries: registry.counter("ssrq_server_queries_total", labels),
             query_ns: registry.histogram("ssrq_server_query_ns", labels),
-            queue_wait_ns: registry.histogram("ssrq_server_queue_wait_ns", labels),
             worker_busy_ns: registry.histogram("ssrq_server_worker_busy_ns", labels),
-            queue_depth: registry.gauge("ssrq_server_queue_depth", labels),
             relocations_adopted: registry.counter(
                 "ssrq_server_relocations_total",
                 &[("shard", &shard), ("outcome", "adopted")],
@@ -123,46 +97,6 @@ const SPAN_LOG_CAPACITY: usize = 256;
 
 /// How many slow-query offenders are retained.
 const SLOW_LOG_CAPACITY: usize = 64;
-
-/// A homemade bounded-latency MPMC queue: mutexed deque + condvar, with a
-/// timed wait so workers keep re-checking the shutdown flag.
-struct WorkQueue {
-    items: Mutex<VecDeque<WorkItem>>,
-    ready: Condvar,
-}
-
-impl WorkQueue {
-    fn new() -> WorkQueue {
-        WorkQueue {
-            items: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push(&self, item: WorkItem) {
-        self.items.lock().expect("work queue lock").push_back(item);
-        self.ready.notify_one();
-    }
-
-    /// Pops the next item, or `None` once `shutdown` is raised and the
-    /// queue is drained.
-    fn pop(&self, shutdown: &AtomicBool) -> Option<WorkItem> {
-        let mut items = self.items.lock().expect("work queue lock");
-        loop {
-            if let Some(item) = items.pop_front() {
-                return Some(item);
-            }
-            if shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(items, POLL_INTERVAL)
-                .expect("work queue lock");
-            items = guard;
-        }
-    }
-}
 
 /// One shard-serving process: engine + assignment replica + socket.
 pub struct ShardServer {
@@ -275,20 +209,15 @@ impl ShardServer {
         Arc::clone(&self.shutdown)
     }
 
-    /// Serves connections until the shutdown flag is raised: a reader
-    /// thread per connection, the work on a small fixed pool of worker
-    /// threads (one per core, at most four).
+    /// Serves connections until the shutdown flag is raised, one thread
+    /// per accepted connection.
     ///
     /// # Errors
     ///
     /// [`NetError::Io`] for an accept-loop failure (per-connection errors
     /// only terminate that connection).
     pub fn serve(&self) -> Result<(), NetError> {
-        let queue = WorkQueue::new();
         std::thread::scope(|scope| {
-            for _ in 0..worker_count() {
-                scope.spawn(|| self.worker_loop(&queue));
-            }
             let mut next_conn_id: u64 = 0;
             let result = loop {
                 if self.shutdown.load(Ordering::SeqCst) {
@@ -313,13 +242,12 @@ impl ShardServer {
                     Some(stream) => {
                         let conn_id = next_conn_id;
                         next_conn_id += 1;
-                        let queue = &queue;
-                        scope.spawn(move || self.serve_connection(conn_id, stream, queue));
+                        scope.spawn(move || self.serve_connection(conn_id, stream));
                     }
                     None => std::thread::sleep(POLL_INTERVAL),
                 }
             };
-            // Readers and workers poll this flag; raising it on the error
+            // Connection threads poll this flag; raising it on the error
             // path too lets the scope join instead of hanging.
             self.shutdown.store(true, Ordering::SeqCst);
             result
@@ -330,46 +258,54 @@ impl ShardServer {
         Ok(())
     }
 
-    /// The per-connection reader: parses frames and queues them for the
-    /// worker pool.
-    fn serve_connection(&self, conn_id: u64, stream: Stream, queue: &WorkQueue) {
+    /// One connection's thread: reads a frame, answers it, writes the
+    /// response under the request's frame id, reads the next.
+    fn serve_connection(&self, conn_id: u64, mut stream: Stream) {
         if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
             return;
         }
-        let writer = match stream.try_clone() {
-            Ok(clone) => Arc::new(Mutex::new(clone)),
-            Err(_) => return,
-        };
         self.obs.connections.inc();
         self.obs
             .logger
             .info(&format!("event=connection_accepted conn={conn_id}"));
-        let mut reader = stream;
-        // Loop ends on clean EOF, shutdown, or poisoned framing.
-        while let Ok(Some((header, payload))) = self.read_frame(&mut reader) {
-            match Message::decode(header.tag, &payload) {
-                Ok(message) => {
-                    if matches!(message, Message::Query { .. }) {
-                        self.obs.queue_depth.add(1.0);
-                    }
-                    queue.push(WorkItem {
-                        conn_id,
-                        frame_id: header.frame_id,
-                        enqueued: Instant::now(),
-                        message,
-                        writer: Arc::clone(&writer),
+        // Sized at the first query: the connections that only carry
+        // pings, relocations or introspection never pay for one.
+        let mut ctx: Option<QueryContext> = None;
+        // Loop ends on clean EOF, shutdown, poisoned framing or a failed
+        // write.
+        while let Ok(Some((header, payload))) = self.read_frame(&mut stream) {
+            let started = Instant::now();
+            let response = match Message::decode(header.tag, &payload) {
+                Ok(Message::Query { request, trace_id }) => {
+                    let ctx = ctx.get_or_insert_with(|| {
+                        self.engine.read().expect("engine lock").make_context()
                     });
-                }
-                Err(e) => {
-                    let fail = Message::Fail {
-                        kind: FailureKind::InvalidRequest,
-                        message: e.to_string(),
+                    let response = self.run_query(&request, trace_id, ctx);
+                    if self.obs.logger.enabled(ssrq_obs::Level::Info) {
+                        self.obs.logger.info(&format!(
+                            "event=query_served conn={} frame={} trace={:#018x} duration_us={}",
+                            conn_id,
+                            header.frame_id,
+                            trace_id,
+                            started.elapsed().as_micros(),
+                        ));
                     }
-                    .encode_with_id(header.frame_id);
-                    if Self::write_response(&writer, &fail).is_err() {
-                        break;
-                    }
+                    response
                 }
+                Ok(message) => self.handle(message),
+                Err(e) => Message::Fail {
+                    kind: FailureKind::InvalidRequest,
+                    message: e.to_string(),
+                },
+            };
+            self.obs.worker_busy_ns.observe_duration(started.elapsed());
+            let bytes = response.encode_with_id(header.frame_id);
+            if stream
+                .write_all(&bytes)
+                .and_then(|()| stream.flush())
+                .is_err()
+            {
+                break;
             }
         }
         self.obs.disconnections.inc();
@@ -378,49 +314,8 @@ impl ShardServer {
             .info(&format!("event=connection_closed conn={conn_id}"));
     }
 
-    fn write_response(writer: &Mutex<Stream>, bytes: &[u8]) -> std::io::Result<()> {
-        let mut writer = writer.lock().expect("connection writer lock");
-        writer.write_all(bytes).and_then(|()| writer.flush())
-    }
-
-    /// One pool worker: owns a reusable query context, processes items
-    /// until shutdown.
-    fn worker_loop(&self, queue: &WorkQueue) {
-        let mut ctx = self.engine.read().expect("engine lock").make_context();
-        while let Some(item) = queue.pop(&self.shutdown) {
-            let started = Instant::now();
-            let response = match item.message {
-                Message::Query { request, trace_id } => {
-                    self.obs.queue_depth.add(-1.0);
-                    self.obs
-                        .queue_wait_ns
-                        .observe_duration(started.duration_since(item.enqueued));
-                    let response = self.run_query(&request, trace_id, &mut ctx);
-                    if self.obs.logger.enabled(ssrq_obs::Level::Info) {
-                        self.obs.logger.info(&format!(
-                            "event=query_served conn={} frame={} trace={:#018x} duration_us={}",
-                            item.conn_id,
-                            item.frame_id,
-                            trace_id,
-                            started.elapsed().as_micros(),
-                        ));
-                    }
-                    Some(response)
-                }
-                message => self.handle(message, &mut ctx),
-            };
-            self.obs.worker_busy_ns.observe_duration(started.elapsed());
-            if let Some(response) = response {
-                let bytes = response.encode_with_id(item.frame_id);
-                // A write failure only loses this connection; its reader
-                // notices on its next read.
-                let _ = Self::write_response(&item.writer, &bytes);
-            }
-        }
-    }
-
     /// Reads one frame, tolerating idle timeouts between frames (the
-    /// reader re-checks the shutdown flag on every poll tick).  Returns
+    /// shutdown flag is re-checked on every poll tick).  Returns
     /// `Ok(None)` on clean EOF or shutdown.
     fn read_frame(&self, stream: &mut Stream) -> Result<Option<(FrameHeader, Vec<u8>)>, NetError> {
         let mut header = [0u8; HEADER_LEN];
@@ -545,9 +440,9 @@ impl ShardServer {
         }
     }
 
-    /// Processes one non-query message; `None` ends the connection.
-    fn handle(&self, message: Message, _ctx: &mut QueryContext) -> Option<Message> {
-        Some(match message {
+    /// Answers one non-query message.
+    fn handle(&self, message: Message) -> Message {
+        match message {
             Message::Hello | Message::Refresh => Message::Info(self.info()),
             Message::Ping => Message::Pong,
             Message::MetricsRequest => Message::MetricsReport(self.obs_report()),
@@ -612,7 +507,7 @@ impl ShardServer {
                 kind: FailureKind::InvalidRequest,
                 message: format!("unexpected message tag 0x{:02x}", other.tag()),
             },
-        })
+        }
     }
 
     fn info(&self) -> ShardInfo {

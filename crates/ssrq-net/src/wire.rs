@@ -3,9 +3,10 @@
 //!
 //! # Frame format
 //!
-//! Every message travels as one frame.  The header carries a **frame id**
-//! so one connection can multiplex concurrent in-flight requests — a
-//! response echoes the id of the request it answers:
+//! Every message travels as one frame.  The header carries a **frame
+//! id**: a response echoes the id of the request it answers, so a client
+//! that reads a frame under any other id knows its connection is out of
+//! step with the server:
 //!
 //! | offset | size | field                                    |
 //! |-------:|-----:|------------------------------------------|
@@ -36,7 +37,7 @@
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SSRQ";
 
-/// The protocol version: multiplexed frames with a frame id.  A peer
+/// The protocol version: frames that carry a frame id.  A peer
 /// speaking any other version is rejected with
 /// [`WireError::UnsupportedVersion`] before any payload is interpreted.
 pub const VERSION: u8 = 2;
@@ -99,7 +100,8 @@ impl std::error::Error for WireError {}
 pub struct FrameHeader {
     /// Message type tag.
     pub tag: u8,
-    /// Multiplexing id; 0 when the sender keeps one request in flight.
+    /// The sender's number for this frame; a response echoes its
+    /// request's.
     pub frame_id: u32,
     /// Payload length in bytes.
     pub payload_len: u32,

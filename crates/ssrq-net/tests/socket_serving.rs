@@ -3,8 +3,9 @@
 //! return exactly what the in-process [`ShardedEngine`] returns, forward
 //! the `f_k` threshold across the wire, survive relocations and
 //! rebalances, fail the way the [`FailurePolicy`] promises when a shard
-//! dies, report a missed deadline after one deadline, and refuse frames
-//! outside the protocol without going down.
+//! dies, report a missed deadline after one deadline and never reuse the
+//! connection that missed it, refuse a response under the wrong frame id,
+//! and refuse frames outside the protocol without going down.
 
 use ssrq_core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest, QueryResult};
 use ssrq_data::{DatasetConfig, QueryWorkload};
@@ -18,6 +19,7 @@ use ssrq_shard::{
 };
 use ssrq_spatial::{Point, Rect};
 use std::io::{Read, Write};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -95,6 +97,43 @@ impl Drop for Cluster {
         }
         let _ = std::fs::remove_dir_all(&self.dir);
     }
+}
+
+/// Reads one frame off a raw socket: its frame id and its message.
+fn read_frame(socket: &mut impl Read) -> (u32, Message) {
+    let mut header = [0u8; wire::HEADER_LEN];
+    socket.read_exact(&mut header).unwrap();
+    let header = wire::parse_header(&header).unwrap();
+    let mut payload = vec![0u8; header.payload_len as usize];
+    socket.read_exact(&mut payload).unwrap();
+    (
+        header.frame_id,
+        Message::decode(header.tag, &payload).unwrap(),
+    )
+}
+
+/// A fresh temp dir holding one scripted peer's Unix socket.
+fn scripted_listener(name: &str) -> (UnixListener, Endpoint, PathBuf) {
+    let dir = std::env::temp_dir().join(format!(
+        "ssrq-net-{name}-{}-{}",
+        std::process::id(),
+        CLUSTER_SEQ.fetch_add(1, Ordering::SeqCst)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{name}.sock"));
+    let listener = UnixListener::bind(&path).unwrap();
+    (listener, Endpoint::Unix(path), dir)
+}
+
+/// Accepts the next connection of a scripted peer.  Its reads give up
+/// after ten seconds, so a client that wrongly holds the connection open
+/// fails the test instead of hanging it.
+fn accept_scripted(listener: &UnixListener) -> UnixStream {
+    let (socket, _) = listener.accept().unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    socket
 }
 
 fn requests_for(dataset: &GeoSocialDataset, algorithm: Algorithm) -> Vec<QueryRequest> {
@@ -389,7 +428,7 @@ fn concurrent_queries_share_one_engine_and_stay_exact() {
         .collect();
 
     // Six threads hammer the same engine (and thus the same connection
-    // pools, multiplexing frames over shared sockets) concurrently.
+    // pools: each thread's call takes a connection of its own) concurrently.
     std::thread::scope(|scope| {
         for worker in 0..6 {
             let engine = &engine;
@@ -607,6 +646,87 @@ fn a_missed_deadline_is_reported_after_one_deadline_not_retried() {
 }
 
 #[test]
+fn a_connection_that_missed_its_deadline_is_never_reused() {
+    let (listener, endpoint, dir) = scripted_listener("late");
+    // The first call's caller says when it has given up; only then does
+    // the peer answer it.
+    let (gave_up, caller_gave_up) = std::sync::mpsc::channel::<()>();
+    let late = std::thread::spawn(move || {
+        let mut first = accept_scripted(&listener);
+        let (first_id, ping) = read_frame(&mut first);
+        assert_eq!(ping, Message::Ping);
+        caller_gave_up.recv().unwrap();
+        // The caller may already have closed the socket under this write.
+        let _ = first.write_all(&Message::Pong.encode_with_id(first_id));
+        // The next request arrives on a connection of its own ...
+        let mut second = accept_scripted(&listener);
+        let (second_id, ping) = read_frame(&mut second);
+        assert_eq!(ping, Message::Ping);
+        second
+            .write_all(&Message::Pong.encode_with_id(second_id))
+            .unwrap();
+        // ... and the one that missed its deadline carried nothing more.
+        let mut rest = Vec::new();
+        first.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "{} more bytes on it", rest.len());
+    });
+
+    let pool = ConnectionPool::new(endpoint, Duration::from_secs(10));
+    let deadline = Some(Duration::from_millis(250));
+    let outcome = pool.call(&Message::Ping, deadline);
+    assert!(
+        matches!(outcome, Err(NetError::Timeout { .. })),
+        "expected a timeout, got {outcome:?}"
+    );
+    gave_up.send(()).unwrap();
+    let (response, _) = pool
+        .call(&Message::Ping, deadline)
+        .expect("the second call is answered");
+    assert_eq!(response, Message::Pong);
+    late.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_response_under_another_frame_id_is_refused_and_its_connection_dropped() {
+    let (listener, endpoint, dir) = scripted_listener("desync");
+    // Answers each of two connections' first request under the id after
+    // the request's, then waits for the client to hang up.
+    let desynced = std::thread::spawn(move || {
+        for _ in 0..2 {
+            let mut socket = accept_scripted(&listener);
+            let (frame_id, ping) = read_frame(&mut socket);
+            assert_eq!(ping, Message::Ping);
+            socket
+                .write_all(&Message::Pong.encode_with_id(frame_id + 1))
+                .unwrap();
+            let mut rest = Vec::new();
+            socket.read_to_end(&mut rest).unwrap();
+            assert!(rest.is_empty(), "{} more bytes on it", rest.len());
+        }
+    });
+
+    let mut client = ShardClient::connect(&endpoint, Duration::from_secs(10)).unwrap();
+    let outcome = client.call(&Message::Ping);
+    assert!(
+        matches!(outcome, Err(NetError::Protocol { .. })),
+        "expected a protocol violation, got {outcome:?}"
+    );
+    drop(client);
+
+    // The pool reports the same and does not keep the connection: the
+    // peer sees it closed while the pool is still alive.
+    let pool = ConnectionPool::new(endpoint, Duration::from_secs(10));
+    let outcome = pool.call(&Message::Ping, Some(Duration::from_secs(10)));
+    assert!(
+        matches!(outcome, Err(NetError::Protocol { .. })),
+        "expected a protocol violation, got {outcome:?}"
+    );
+    desynced.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn retired_inputs_are_refused_typed_without_taking_the_server_down() {
     // A version-1 frame: the 10-byte header without a frame id, here
     // around a Locate payload — 14 bytes in all, so the server's fixed
@@ -647,17 +767,6 @@ fn retired_inputs_are_refused_typed_without_taking_the_server_down() {
             .unwrap();
         socket
     };
-    let read_frame = |socket: &mut std::net::TcpStream| {
-        let mut header = [0u8; wire::HEADER_LEN];
-        socket.read_exact(&mut header).unwrap();
-        let header = wire::parse_header(&header).unwrap();
-        let mut payload = vec![0u8; header.payload_len as usize];
-        socket.read_exact(&mut payload).unwrap();
-        (
-            header.frame_id,
-            Message::decode(header.tag, &payload).unwrap(),
-        )
-    };
 
     // The v1 frame costs its sender the connection: EOF, no answer.
     let mut old_peer = connect();
@@ -688,6 +797,19 @@ fn retired_inputs_are_refused_typed_without_taking_the_server_down() {
     );
     peer.write_all(&Message::Ping.encode_with_id(8)).unwrap();
     assert_eq!(read_frame(&mut peer), (8, Message::Pong));
+
+    // Two frames written back to back, before either answer is read, are
+    // answered in the order they were sent.
+    let mut both = Message::Locate(3).encode_with_id(41);
+    both.extend(Message::Ping.encode_with_id(42));
+    peer.write_all(&both).unwrap();
+    let (frame_id, located) = read_frame(&mut peer);
+    assert_eq!(frame_id, 41);
+    assert!(
+        matches!(located, Message::Located(_)),
+        "unexpected response {located:?}"
+    );
+    assert_eq!(read_frame(&mut peer), (42, Message::Pong));
 
     flag.store(true, Ordering::SeqCst);
     handle.join().unwrap();
