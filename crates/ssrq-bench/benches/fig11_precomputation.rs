@@ -44,7 +44,8 @@ fn bench_precomputation(c: &mut Criterion) {
                 bench.engine.dataset().graph(),
                 &users,
                 t,
-            ));
+            ))
+            .expect("cache built over the engine's own graph");
         group.bench_with_input(BenchmarkId::new("AIS-Cache", t), &t, |b, _| {
             let mut next = 0usize;
             b.iter(|| {

@@ -25,9 +25,7 @@ use ssrq_bench::{
     measure_sequential_qps, measure_sharding, run_scale_sweep, single_engine_breakdown,
     validate_scale_report, BenchDataset, Json, Scale, ScaleSweepConfig,
 };
-use ssrq_core::{
-    Algorithm, ChBuild, GeoSocialDataset, GeoSocialEngine, QueryRequest, SocialNeighborCache,
-};
+use ssrq_core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest, SocialNeighborCache};
 use ssrq_data::{
     correlated_locations, forest_fire_sample, jaccard, Correlation, DataStatistics, DatasetConfig,
     QueryWorkload,
@@ -337,7 +335,7 @@ fn fig8(options: &Options) {
     // Declare the CH index lazily: it is only built (on first *-CH query)
     // when --with-ch asks for those baselines.
     let with_lazy_ch = |scale: Scale, config: DatasetConfig| {
-        BenchDataset::from_config(config, scale.queries, |b| b.with_ch(ChBuild::Lazy))
+        BenchDataset::from_config(config, scale.queries, |b| b.with_ch())
     };
     let datasets = vec![
         with_lazy_ch(
@@ -504,7 +502,8 @@ fn fig11(options: &Options) {
                     bench.engine.dataset().graph(),
                     &users,
                     t,
-                ));
+                ))
+                .expect("cache built over the engine's own graph");
             let m = measure_algorithm(
                 &bench.engine,
                 Algorithm::SfaCached,
@@ -842,25 +841,11 @@ fn sharding(options: &Options) {
             ("hash", Partitioning::UserHash),
             ("spatial", Partitioning::SpatialGrid { cells_per_axis: 16 }),
         ] {
-            // The lazy CH slot lives in the shared dataset core, so a
-            // `--with-ch` build timing is only isolated on a fresh dataset
-            // (otherwise the first configuration's CH would be reused and
-            // every later build would look free).
-            let config_dataset = if options.with_ch {
-                DatasetConfig::gowalla_like(options.scale.gowalla_users).generate()
-            } else {
-                dataset.clone()
-            };
-            let config_workload = if options.with_ch {
-                QueryWorkload::generate(&config_dataset, options.scale.queries, 0x5A4D)
-            } else {
-                workload.clone()
-            };
             let m = measure_sharding(
-                &config_dataset,
+                &dataset,
                 policy,
                 shards,
-                &config_workload.users,
+                &workload.users,
                 DEFAULT_K,
                 DEFAULT_ALPHA,
                 threads,
@@ -883,11 +868,11 @@ fn sharding(options: &Options) {
     );
     if options.with_ch {
         println!(
-            "(--with-ch: build (ms) includes one eager Contraction Hierarchies build shared by every shard through the Arc-backed dataset core — pre-refactor this column grew by one full CH build per shard)"
+            "(--with-ch: build (ms) includes exactly one Contraction Hierarchies build per deployment, owned by shard 0 and held by every other shard)"
         );
     } else {
         println!(
-            "(pass --with-ch to include an eager per-deployment Contraction Hierarchies build in the build-time column — built once and shared across shards; keep the dataset small, CH preprocessing is quadratic-ish on these graphs)"
+            "(pass --with-ch to include one per-deployment Contraction Hierarchies build in the build-time column — built once and shared across shards; keep the dataset small, CH preprocessing is quadratic-ish on these graphs)"
         );
     }
 }
@@ -930,17 +915,8 @@ fn memory(options: &Options) {
     );
     for shards in [1usize, 2, 4, 8] {
         report.push_x(shards);
-        // With --with-ch, regenerate the dataset per configuration: the
-        // lazy CH slot lives in the shared dataset core, so reusing one
-        // dataset would pay the CH build only on the first row and make
-        // the later build timings look free rather than shared-and-flat.
-        let config_dataset = if options.with_ch {
-            DatasetConfig::gowalla_like(options.scale.gowalla_users).generate()
-        } else {
-            dataset.clone()
-        };
         let m = measure_memory(
-            &config_dataset,
+            &dataset,
             Partitioning::SpatialGrid { cells_per_axis: 16 },
             shards,
             options.with_ch,

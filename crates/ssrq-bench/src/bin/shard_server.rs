@@ -23,7 +23,7 @@
 //! wire and prints them (Prometheus text, then span trees) instead of
 //! serving.
 
-use ssrq_core::{ChBuild, GeoSocialEngine};
+use ssrq_core::GeoSocialEngine;
 use ssrq_data::{DatasetConfig, QueryWorkload};
 use ssrq_net::{Endpoint, Message, ShardClient, ShardServer};
 use ssrq_obs::{render_prometheus, Level, Logger};
@@ -210,7 +210,7 @@ fn main() {
 
     let mut builder = GeoSocialEngine::builder(shard_dataset);
     if args.with_ch {
-        builder = builder.with_ch(ChBuild::Lazy);
+        builder = builder.with_ch();
     }
     if let Some((queries, workload_seed, t)) = args.cache {
         // The cache is warmed on the *full* dataset's workload so every

@@ -45,7 +45,7 @@ impl MemoryMeasurement {
 /// grids, AIS indexes), plus the pre-refactor cloning counterfactual.
 ///
 /// The attribution is not an assumption: the function asserts — via
-/// [`GeoSocialDataset::shares_core_with`] and pointer-equal `Arc` handles —
+/// [`GeoSocialDataset::shares_core_with`] and pointer-equal indexes —
 /// that every shard really references shard 0's instances before counting
 /// them once.
 pub fn measure_memory(
@@ -59,11 +59,11 @@ pub fn measure_memory(
         .shards(shards)
         .partitioning(policy);
     if with_ch {
-        builder = builder.configure_engines(|b| b.with_ch(ssrq_core::ChBuild::Lazy));
+        builder = builder.configure_engines(|b| b.with_ch());
     }
     let engine = builder.build().expect("sharded engine builds");
     if with_ch {
-        // Force the lazy, core-shared CH build so its bytes are visible.
+        // Force the lazy CH build so its bytes are visible.
         engine
             .shard_engine(0)
             .require_contraction_hierarchy()
@@ -83,16 +83,16 @@ pub fn measure_memory(
             "shard {s} does not share the dataset core"
         );
         assert!(
-            std::sync::Arc::ptr_eq(&shard.shared_landmarks(), &first.shared_landmarks()),
+            std::ptr::eq(shard.landmarks(), first.landmarks()),
             "shard {s} does not share the landmark set"
         );
         if with_ch {
             assert!(
-                std::sync::Arc::ptr_eq(
-                    &shard
-                        .shared_contraction_hierarchy()
+                std::ptr::eq(
+                    shard
+                        .contraction_hierarchy()
                         .expect("CH built on every shard handle"),
-                    &first.shared_contraction_hierarchy().expect("CH built"),
+                    first.contraction_hierarchy().expect("CH built"),
                 ),
                 "shard {s} does not share the CH index"
             );

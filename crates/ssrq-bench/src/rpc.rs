@@ -80,7 +80,7 @@ impl DeploymentConfig {
         let full = self.dataset();
         builder = builder.configure_engines(move |mut b| {
             if with_ch {
-                b = b.with_ch(ssrq_core::ChBuild::Lazy);
+                b = b.with_ch();
             }
             if let Some((queries, seed, t)) = cache {
                 let workload = ssrq_data::QueryWorkload::generate(&full, queries, seed);

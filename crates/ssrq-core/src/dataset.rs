@@ -1,7 +1,7 @@
 use crate::CoreError;
-use ssrq_graph::{pseudo_diameter, ChParams, ContractionHierarchy, SocialGraph};
+use ssrq_graph::{pseudo_diameter, SocialGraph};
 use ssrq_spatial::{Point, Rect};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Identifier of a user.  User `i` is vertex `i` of the social graph and
 /// item `i` of the spatial indexes (the paper's `u_i` / `v_i` convention).
@@ -14,19 +14,13 @@ pub type UserId = u32;
 /// construction (social-network topology changes far less frequently than
 /// user locations — §5.1), so they are the natural unit of sharing for a
 /// partitioned deployment: N shards hold N location vectors but **one**
-/// graph.  The core also hosts the write-once slot for the lazily built
-/// Contraction Hierarchies index — a pure function of the graph — so every
-/// engine over the same core observes the same build (see
-/// [`GeoSocialEngine::require_contraction_hierarchy`](crate::GeoSocialEngine::require_contraction_hierarchy)).
+/// graph.
 #[derive(Debug)]
 struct DatasetCore {
     graph: SocialGraph,
     bounds: Rect,
     spatial_norm: f64,
     social_norm: f64,
-    /// Lazily built, shared Contraction Hierarchies index (graph-only, so
-    /// one instance is valid for every location restriction of this core).
-    ch: OnceLock<Arc<ContractionHierarchy>>,
 }
 
 /// A geo-social dataset: the social graph plus the current location of every
@@ -93,7 +87,6 @@ impl GeoSocialDataset {
                 bounds,
                 spatial_norm,
                 social_norm,
-                ch: OnceLock::new(),
             }),
             locations,
         })
@@ -114,24 +107,6 @@ impl GeoSocialDataset {
     /// proving a single graph instance backs them.
     pub fn shares_core_with(&self, other: &GeoSocialDataset) -> bool {
         Arc::ptr_eq(&self.core, &other.core)
-    }
-
-    /// The shared Contraction Hierarchies index of this dataset's core, if
-    /// one has been built (by any engine over the same core).
-    pub(crate) fn shared_ch(&self) -> Option<&Arc<ContractionHierarchy>> {
-        self.core.ch.get()
-    }
-
-    /// Returns the core's shared Contraction Hierarchies index, building it
-    /// on first use.  Concurrent callers — including engines built from
-    /// *different clones* of this dataset — trigger exactly one build.
-    pub(crate) fn shared_ch_or_init(&self) -> &Arc<ContractionHierarchy> {
-        self.core.ch.get_or_init(|| {
-            Arc::new(ContractionHierarchy::build(
-                &self.core.graph,
-                ChParams::default(),
-            ))
-        })
     }
 
     /// Number of users.
@@ -427,20 +402,6 @@ mod tests {
         let other = sample_dataset();
         assert!(!other.shares_core_with(&ds));
         assert!(ds.locations_heap_bytes() > 0);
-    }
-
-    #[test]
-    fn shared_ch_slot_is_built_once_per_core() {
-        let ds = sample_dataset();
-        let view = ds.restrict_locations(|u| u != 1);
-        assert!(ds.shared_ch().is_none());
-        let built = Arc::clone(ds.shared_ch_or_init());
-        // The restricted view observes the very same instance, and repeated
-        // initialization returns it unchanged.
-        assert!(Arc::ptr_eq(&built, view.shared_ch_or_init()));
-        assert!(Arc::ptr_eq(&built, ds.shared_ch().unwrap()));
-        // An independent core has its own (empty) slot.
-        assert!(sample_dataset().shared_ch().is_none());
     }
 
     #[test]

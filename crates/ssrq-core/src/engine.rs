@@ -6,7 +6,7 @@ use crate::{
     CoreError, GeoSocialDataset, QueryContext, QueryRequest, QueryResult, QuerySession,
     StrategyRegistry, UserId,
 };
-use ssrq_graph::{ContractionHierarchy, LandmarkSelection, LandmarkSet};
+use ssrq_graph::{ChParams, ContractionHierarchy, LandmarkSelection, LandmarkSet};
 use ssrq_spatial::{Point, Rect, UniformGrid};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -111,13 +111,13 @@ impl Algorithm {
     }
 
     /// Returns `true` when the algorithm needs a Contraction Hierarchies
-    /// index (see [`ChBuild`]).
+    /// index (see [`EngineBuilder::with_ch`]).
     pub fn needs_ch(&self) -> bool {
         matches!(self, Algorithm::SfaCh | Algorithm::SpaCh | Algorithm::TsaCh)
     }
 
     /// Returns `true` when the algorithm needs a pre-computed social
-    /// neighbour cache (see [`SocialCachePlan`]).
+    /// neighbour cache (see [`EngineBuilder::cache_social_neighbors`]).
     pub fn needs_social_cache(&self) -> bool {
         matches!(self, Algorithm::SfaCached)
     }
@@ -183,56 +183,37 @@ impl IndexParams {
     }
 }
 
-/// How (and whether) the engine provides the Contraction Hierarchies index
-/// required by the `*-CH` baselines.
+/// An engine's graph-only indexes together with their declarations: the
+/// landmark tables (§5.2), the write-once Contraction Hierarchies slot
+/// (present when declared with [`EngineBuilder::with_ch`]) and the
+/// write-once social neighbour cache slot (present when declared with
+/// [`EngineBuilder::cache_social_neighbors`]).
 ///
-/// CH preprocessing is by far the most expensive index build (and, per the
-/// paper, of little use on social networks), so it defaults to
-/// [`ChBuild::Disabled`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ChBuild {
-    /// No CH index: a CH-requiring strategy fails with
-    /// [`CoreError::MissingIndex`].
-    #[default]
-    Disabled,
-    /// Build the index on first use.  The build runs behind a `OnceLock`,
-    /// so concurrent batch workers trigger exactly one build and the engine
-    /// stays `Send + Sync`.
-    Lazy,
-    /// Build the index during [`EngineBuilder::build`].
-    Eager,
+/// All three are functions of the social graph alone, so one built instance
+/// serves every engine over that graph.  This handle is the only way they
+/// travel: cloning a [`GeoSocialEngine`] and
+/// [`EngineBuilder::share_graph_artifacts_with`] both clone it, so every
+/// holder sees the same declarations and races into the same lazy builds.
+#[derive(Debug, Clone)]
+struct GraphIndexes {
+    landmarks: Arc<LandmarkSet>,
+    ch: Option<Arc<OnceLock<ContractionHierarchy>>>,
+    social_cache: Option<Arc<SocialCacheSlot>>,
 }
 
-/// How (and whether) the engine provides the pre-computed social neighbour
-/// lists of §5.4 (required by [`Algorithm::SfaCached`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub enum SocialCachePlan {
-    /// No cache: [`Algorithm::SfaCached`] fails with
-    /// [`CoreError::MissingIndex`].
-    #[default]
-    Disabled,
-    /// Pre-compute the `t` socially closest vertices for each user in
-    /// `users` on first use (behind a `OnceLock`, like [`ChBuild::Lazy`]).
-    Lazy {
-        /// The users to materialize lists for (typically the query
-        /// workload).
-        users: Vec<UserId>,
-        /// List length `t`.
-        t: usize,
-    },
-    /// Pre-compute the lists during [`EngineBuilder::build`].
-    Eager {
-        /// The users to materialize lists for.
-        users: Vec<UserId>,
-        /// List length `t`.
-        t: usize,
-    },
+/// The social neighbour cache slot: the `(users, t)` it is lazily built
+/// from (for an installed cache, the users it covers and its own `t`).
+#[derive(Debug)]
+struct SocialCacheSlot {
+    users: Vec<UserId>,
+    t: usize,
+    cache: OnceLock<SocialNeighborCache>,
 }
 
 /// Fluent construction of a [`GeoSocialEngine`].
 ///
 /// ```
-/// use ssrq_core::{ChBuild, GeoSocialDataset, GeoSocialEngine};
+/// use ssrq_core::{GeoSocialDataset, GeoSocialEngine};
 /// use ssrq_graph::GraphBuilder;
 /// use ssrq_spatial::Point;
 ///
@@ -246,46 +227,31 @@ pub enum SocialCachePlan {
 /// let engine = GeoSocialEngine::builder(dataset)
 ///     .granularity(10)
 ///     .landmarks(4)
-///     .with_ch(ChBuild::Lazy)
+///     .with_ch()
 ///     .build()
 ///     .unwrap();
 /// assert!(engine.contraction_hierarchy().is_none()); // not built yet
 /// ```
 ///
-/// # Shared immutable artifacts
+/// # Graph-only indexes
 ///
-/// The graph-only artifacts of an engine — the landmark tables, the
-/// Contraction Hierarchies index and the social neighbour cache — depend on
-/// the social graph but never on user locations, so many engines over the
-/// same graph (the shards of a partitioned deployment, an A/B pair, a
-/// replica set) can consume **one** built instance through `Arc` handles
-/// instead of building N identical copies:
-///
-/// * [`EngineBuilder::with_shared_landmarks`],
-///   [`EngineBuilder::with_shared_ch`] and
-///   [`EngineBuilder::with_shared_social_cache`] install a pre-built
-///   artifact;
-/// * [`EngineBuilder::share_graph_artifacts_with`] adopts everything
-///   shareable from an already-built sibling engine at once — including
-///   the *lazy* slots, so an index declared `Lazy` is still built at most
-///   once across all adopters;
-/// * the lazily built Contraction Hierarchies index additionally lives in
-///   the dataset's `Arc`-backed core, so even engines built independently
-///   from clones of one dataset race into a single build.
+/// The landmark tables, the Contraction Hierarchies index and the social
+/// neighbour cache depend on the social graph but never on user locations.
+/// The builder *declares* the two expensive ones
+/// ([`EngineBuilder::with_ch`], [`EngineBuilder::cache_social_neighbors`])
+/// and the engine builds each on first use, once; many engines over the
+/// same graph (the shards of a partitioned deployment, a replica set) hold
+/// **one** instance of all three through
+/// [`EngineBuilder::share_graph_artifacts_with`].
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     dataset: GeoSocialDataset,
     params: IndexParams,
-    ch: ChBuild,
-    social_cache: SocialCachePlan,
-    shared_landmarks: Option<Arc<LandmarkSet>>,
-    shared_ch: Option<Arc<ContractionHierarchy>>,
-    shared_social_cache: Option<Arc<SocialNeighborCache>>,
-    /// Adopted social-cache *slot* (from a donor engine): lets two engines
-    /// share one lazily built cache without building it up front.
-    adopted_cache_slot: Option<Arc<OnceLock<Arc<SocialNeighborCache>>>>,
-    /// The donor's dataset, kept to verify core identity at build time.
-    donor_dataset: Option<GeoSocialDataset>,
+    ch: bool,
+    social_cache: Option<(Vec<UserId>, usize)>,
+    /// The donor's handle, or the error of a donor over a foreign core
+    /// (reported by [`EngineBuilder::build`]).
+    adopted: Option<Result<GraphIndexes, CoreError>>,
 }
 
 impl EngineBuilder {
@@ -295,13 +261,9 @@ impl EngineBuilder {
         EngineBuilder {
             dataset,
             params: IndexParams::default(),
-            ch: ChBuild::Disabled,
-            social_cache: SocialCachePlan::Disabled,
-            shared_landmarks: None,
-            shared_ch: None,
-            shared_social_cache: None,
-            adopted_cache_slot: None,
-            donor_dataset: None,
+            ch: false,
+            social_cache: None,
+            adopted: None,
         }
     }
 
@@ -341,100 +303,64 @@ impl EngineBuilder {
         self
     }
 
-    /// Declares the Contraction Hierarchies index ([`ChBuild::Disabled`] by
-    /// default).
-    pub fn with_ch(mut self, mode: ChBuild) -> Self {
-        self.ch = mode;
-        self
-    }
-
-    /// Declares the social neighbour cache ([`SocialCachePlan::Disabled`]
-    /// by default).
-    pub fn with_social_cache(mut self, plan: SocialCachePlan) -> Self {
-        self.social_cache = plan;
-        self
-    }
-
-    /// Convenience for [`EngineBuilder::with_social_cache`]: lazily
-    /// materialize the `t` socially closest vertices of each user in
-    /// `users` on first [`Algorithm::SfaCached`] query.
-    pub fn cache_social_neighbors(self, users: impl Into<Vec<UserId>>, t: usize) -> Self {
-        self.with_social_cache(SocialCachePlan::Lazy {
-            users: users.into(),
-            t,
-        })
-    }
-
-    /// Installs a pre-built, shared landmark set instead of building one —
-    /// e.g. the set of a sibling engine over the same graph (a shard, a
-    /// replica) or one deserialized from disk.
+    /// Declares the Contraction Hierarchies index required by the `*-CH`
+    /// baselines.  It is built on first use — behind a `OnceLock`, so
+    /// concurrent batch workers trigger exactly one build; call
+    /// [`GeoSocialEngine::require_contraction_hierarchy`] after
+    /// [`EngineBuilder::build`] to pay for it up front.
     ///
-    /// The set must cover the dataset's graph: its
-    /// [`node_count`](LandmarkSet::node_count) must equal the user count
-    /// (checked at [`EngineBuilder::build`]).  A shared set takes precedence
-    /// over the landmark fields of [`IndexParams`]; the caller is
-    /// responsible for it matching the configuration it claims (the sharded
-    /// coordinator guarantees this by configuring every shard identically).
-    pub fn with_shared_landmarks(mut self, landmarks: Arc<LandmarkSet>) -> Self {
-        self.shared_landmarks = Some(landmarks);
+    /// CH preprocessing is by far the most expensive index build (and, per
+    /// the paper, of little use on social networks), so an engine has none
+    /// unless asked.
+    pub fn with_ch(mut self) -> Self {
+        self.ch = true;
         self
     }
 
-    /// Installs a pre-built, shared Contraction Hierarchies index instead
-    /// of (lazily) building one — the `Arc` handle can simultaneously serve
-    /// any number of engines over the same graph.
-    ///
-    /// An installed index takes precedence over the declared [`ChBuild`]
-    /// mode: `require_contraction_hierarchy` returns it without ever
-    /// building, even under [`ChBuild::Disabled`].
-    pub fn with_shared_ch(mut self, ch: Arc<ContractionHierarchy>) -> Self {
-        self.shared_ch = Some(ch);
+    /// Declares the pre-computed social neighbour lists of §5.4 (required
+    /// by [`Algorithm::SfaCached`]): the `t` socially closest vertices of
+    /// each user in `users` (typically the query workload), materialized
+    /// on first use like the CH index; call
+    /// [`GeoSocialEngine::require_social_cache`] to build them up front.
+    pub fn cache_social_neighbors(mut self, users: impl Into<Vec<UserId>>, t: usize) -> Self {
+        self.social_cache = Some((users.into(), t));
         self
     }
 
-    /// Installs a pre-built, shared social neighbour cache instead of
-    /// (lazily) building one; see
-    /// [`GeoSocialEngine::install_social_cache`] for the post-build
-    /// equivalent.  Takes precedence over the declared [`SocialCachePlan`].
-    pub fn with_shared_social_cache(mut self, cache: Arc<SocialNeighborCache>) -> Self {
-        self.shared_social_cache = Some(cache);
-        self
-    }
-
-    /// Adopts every shareable graph-only artifact of `donor` at once: its
-    /// landmark set (by `Arc`), its installed Contraction Hierarchies index
-    /// (if any; the *lazily* built CH is already shared through the dataset
-    /// core), and its social-cache **slot** — so a cache declared `Lazy` on
-    /// both engines is built at most once, by whichever engine first needs
-    /// it, and both observe the same `Arc`.
+    /// Makes the engine a sibling of `donor`: it holds the donor's
+    /// graph-only indexes — landmark set, CH slot, social-cache slot — and
+    /// their declarations **instead of** its own, so whatever the donor
+    /// declared the sibling can answer, each lazy index is built at most
+    /// once by whichever of them first needs it, and both observe the same
+    /// instance.  This builder's own `with_ch` / `cache_social_neighbors`
+    /// declarations and the landmark fields of its [`IndexParams`] are not
+    /// consulted.
     ///
     /// This is the constructor the sharded coordinator uses: shard 0 builds
-    /// the graph-only indexes once and shards `1..n` adopt them.  The
-    /// builder's dataset must share the donor's immutable core
+    /// the graph-only indexes and shards `1..n` adopt them.  The builder's
+    /// dataset must share the donor's immutable core
     /// ([`GeoSocialDataset::shares_core_with`]); [`EngineBuilder::build`]
-    /// fails with [`CoreError::InvalidParameter`] otherwise.  The caller
-    /// must configure this builder with the same index parameters and cache
-    /// plan as the donor — adopted artifacts take precedence over what the
-    /// parameters would have built.
+    /// fails with [`CoreError::InvalidParameter`] otherwise.
     pub fn share_graph_artifacts_with(mut self, donor: &GeoSocialEngine) -> Self {
-        self.shared_landmarks = Some(Arc::clone(&donor.landmarks));
-        if let Some(ch) = &donor.installed_ch {
-            self.shared_ch = Some(Arc::clone(ch));
-        }
-        self.adopted_cache_slot = Some(Arc::clone(&donor.social_cache));
-        self.donor_dataset = Some(donor.dataset.clone());
+        self.adopted = Some(if donor.dataset.shares_core_with(&self.dataset) {
+            Ok(donor.graph_indexes.clone())
+        } else {
+            Err(CoreError::InvalidParameter(
+                "share_graph_artifacts_with requires a dataset sharing the donor's \
+                 immutable core (clone or restrict_locations view of the same dataset)"
+                    .into(),
+            ))
+        });
         self
     }
 
-    /// Builds the landmark tables, the SPA/TSA grid and the AIS aggregate
-    /// index — or adopts the shared instances installed through the
-    /// `with_shared_*` methods — plus any eagerly declared auxiliary index,
-    /// and returns the engine.
+    /// Builds the landmark tables (or adopts the donor's graph-only
+    /// indexes), the SPA/TSA grid and the AIS aggregate index, and returns
+    /// the engine.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] for invalid index parameters, a
-    /// shared landmark set over the wrong graph size, or a
+    /// [`CoreError::InvalidParameter`] for invalid index parameters or a
     /// [`EngineBuilder::share_graph_artifacts_with`] donor whose dataset
     /// does not share this builder's core;
     /// [`CoreError::InvalidDataset`] for an empty dataset.
@@ -442,109 +368,61 @@ impl EngineBuilder {
         let EngineBuilder {
             dataset,
             params,
-            ch: ch_mode,
-            social_cache: cache_plan,
-            shared_landmarks,
-            shared_ch,
-            shared_social_cache,
-            adopted_cache_slot,
-            donor_dataset,
+            ch,
+            social_cache,
+            adopted,
         } = self;
         params.validate()?;
-        if let SocialCachePlan::Lazy { t, .. } | SocialCachePlan::Eager { t, .. } = &cache_plan {
-            if *t == 0 {
-                return Err(CoreError::InvalidParameter(
-                    "the social cache list length t must be at least 1".into(),
-                ));
-            }
+        if let Some((_, 0)) = social_cache {
+            return Err(CoreError::InvalidParameter(
+                "the social cache list length t must be at least 1".into(),
+            ));
         }
         if dataset.user_count() == 0 {
             return Err(CoreError::InvalidDataset("the dataset has no users".into()));
         }
-        if let Some(donor) = &donor_dataset {
-            if !donor.shares_core_with(&dataset) {
-                return Err(CoreError::InvalidParameter(
-                    "share_graph_artifacts_with requires a dataset sharing the donor's \
-                     immutable core (clone or restrict_locations view of the same dataset)"
-                        .into(),
-                ));
-            }
-        }
-        if let Some(landmarks) = &shared_landmarks {
-            if landmarks.node_count() != dataset.user_count() {
-                return Err(CoreError::InvalidParameter(format!(
-                    "shared landmark set covers {} vertices but the dataset has {} users",
-                    landmarks.node_count(),
-                    dataset.user_count()
-                )));
-            }
-        }
-        if let Some(ch) = &shared_ch {
-            if ch.node_count() != dataset.user_count() {
-                return Err(CoreError::InvalidParameter(format!(
-                    "shared Contraction Hierarchies index covers {} vertices but the \
-                     dataset has {} users",
-                    ch.node_count(),
-                    dataset.user_count()
-                )));
-            }
-        }
-        if let Some(cache) = &shared_social_cache {
-            if let Some(bad) = cache
-                .covered()
-                .find(|&u| u as usize >= dataset.user_count())
-            {
-                return Err(CoreError::InvalidParameter(format!(
-                    "shared social cache covers user {bad} but the dataset has only {} users",
-                    dataset.user_count()
-                )));
-            }
-        }
-        let landmarks = match shared_landmarks {
-            Some(landmarks) => landmarks,
-            None => Arc::new(LandmarkSet::build(
-                dataset.graph(),
-                params.num_landmarks,
-                params.landmark_selection,
-                params.landmark_seed,
-            )?),
+        let graph_indexes = match adopted {
+            Some(donor) => donor?,
+            None => GraphIndexes {
+                landmarks: Arc::new(LandmarkSet::build(
+                    dataset.graph(),
+                    params.num_landmarks,
+                    params.landmark_selection,
+                    params.landmark_seed,
+                )?),
+                ch: ch.then(Arc::default),
+                social_cache: social_cache.map(|(users, t)| {
+                    Arc::new(SocialCacheSlot {
+                        users,
+                        t,
+                        cache: OnceLock::new(),
+                    })
+                }),
+            },
         };
         let bounds = expanded(dataset.bounds());
         let grid = UniformGrid::bulk_load(bounds, params.spa_grid_side(), dataset.located_users())?;
-        let ais = AisIndex::build(&dataset, &landmarks, params.granularity, params.ais_levels)?;
-        let social_cache = match (shared_social_cache, adopted_cache_slot) {
-            // An explicitly installed cache wins and detaches from any
-            // adopted slot (the donor keeps its own).
-            (Some(cache), _) => Arc::new(OnceLock::from(cache)),
-            (None, Some(slot)) => slot,
-            (None, None) => Arc::new(OnceLock::new()),
-        };
+        let ais = AisIndex::build(
+            &dataset,
+            &graph_indexes.landmarks,
+            params.granularity,
+            params.ais_levels,
+        )?;
         let planner = Arc::new(QueryPlanner::default());
         let mut strategies = StrategyRegistry::with_builtins();
         // Replace the detached built-in "AUTO" entry with a strategy wired
         // to *this* engine's planner, so location updates invalidate its
         // hot-result cache.
         strategies.register(Arc::new(PlannerStrategy::new(Arc::clone(&planner))));
-        let engine = GeoSocialEngine {
+        Ok(GeoSocialEngine {
             dataset,
             params,
-            landmarks,
+            graph_indexes,
             grid,
             ais,
-            ch_mode,
-            installed_ch: shared_ch,
-            cache_plan,
-            social_cache,
             strategies,
             planner,
-        };
-        if engine.ch_mode == ChBuild::Eager {
-            engine.require_contraction_hierarchy()?;
-        }
-        if matches!(engine.cache_plan, SocialCachePlan::Eager { .. }) {
-            engine.require_social_cache()?;
-        }
-        Ok(engine)
+        })
     }
 }
 
@@ -556,29 +434,20 @@ impl EngineBuilder {
 ///
 /// The engine separates **shared immutable** artifacts from **per-engine
 /// mutable** state.  The social graph (through the dataset's `Arc`-backed
-/// core), the landmark set, the Contraction Hierarchies index and the
-/// social neighbour cache are graph-only and held by `Arc` handles: clones
-/// of the engine — and sibling engines built with
-/// [`EngineBuilder::share_graph_artifacts_with`] — reference one instance.
-/// The location vector, the SPA/TSA grid and the AIS aggregate index depend
-/// on locations and stay per-engine (they are what
+/// core) and the graph-only indexes — landmark set, Contraction
+/// Hierarchies index, social neighbour cache, held together in one
+/// cloneable handle — are shared: clones of the engine, and sibling engines
+/// built with [`EngineBuilder::share_graph_artifacts_with`], reference one
+/// instance of each.  The location vector, the SPA/TSA grid and the AIS
+/// aggregate index depend on locations and stay per-engine (they are what
 /// [`GeoSocialEngine::update_location`] mutates).
 #[derive(Debug)]
 pub struct GeoSocialEngine {
     dataset: GeoSocialDataset,
     params: IndexParams,
-    landmarks: Arc<LandmarkSet>,
+    graph_indexes: GraphIndexes,
     grid: UniformGrid,
     ais: AisIndex,
-    ch_mode: ChBuild,
-    /// A pre-built CH installed through [`EngineBuilder::with_shared_ch`];
-    /// takes precedence over the lazily built, core-shared index.
-    installed_ch: Option<Arc<ContractionHierarchy>>,
-    cache_plan: SocialCachePlan,
-    /// Write-once slot for the social neighbour cache.  The slot itself is
-    /// behind an `Arc` so sibling engines (shards) can adopt it and share
-    /// one lazy build; see [`EngineBuilder::share_graph_artifacts_with`].
-    social_cache: Arc<OnceLock<Arc<SocialNeighborCache>>>,
     strategies: StrategyRegistry,
     /// The planner behind [`Algorithm::Auto`] — per-engine, like every
     /// location-dependent structure (its hot-result cache is invalidated
@@ -587,7 +456,7 @@ pub struct GeoSocialEngine {
 }
 
 impl Clone for GeoSocialEngine {
-    /// Cloning shares the graph-only `Arc` artifacts but gives the clone a
+    /// Cloning shares the graph-only indexes but gives the clone a
     /// **fresh planner** (and re-registers a fresh `"AUTO"` strategy over
     /// it): the clones' location vectors diverge independently, and a
     /// shared hot-result cache would let one clone serve answers computed
@@ -602,13 +471,9 @@ impl Clone for GeoSocialEngine {
         GeoSocialEngine {
             dataset: self.dataset.clone(),
             params: self.params,
-            landmarks: Arc::clone(&self.landmarks),
+            graph_indexes: self.graph_indexes.clone(),
             grid: self.grid.clone(),
             ais: self.ais.clone(),
-            ch_mode: self.ch_mode,
-            installed_ch: self.installed_ch.clone(),
-            cache_plan: self.cache_plan.clone(),
-            social_cache: Arc::clone(&self.social_cache),
             strategies,
             planner,
         }
@@ -643,16 +508,10 @@ impl GeoSocialEngine {
         &self.params
     }
 
-    /// The landmark set shared by TSA and AIS.
+    /// The landmark set shared by TSA and AIS.  Two engines hold the same
+    /// instance exactly when `std::ptr::eq(a.landmarks(), b.landmarks())`.
     pub fn landmarks(&self) -> &LandmarkSet {
-        &self.landmarks
-    }
-
-    /// The landmark set as a cheaply cloneable `Arc` handle — pass it to
-    /// [`EngineBuilder::with_shared_landmarks`] to build sibling engines
-    /// over the same graph without repeating the `M` Dijkstra sweeps.
-    pub fn shared_landmarks(&self) -> Arc<LandmarkSet> {
-        Arc::clone(&self.landmarks)
+        &self.graph_indexes.landmarks
     }
 
     /// The AIS aggregate index.
@@ -665,129 +524,95 @@ impl GeoSocialEngine {
         &self.grid
     }
 
-    /// The Contraction Hierarchies index, when already built.
-    ///
-    /// Under [`ChBuild::Lazy`] the index only exists after the first query
-    /// (of *any* engine over the same dataset core) that needed it; use
+    /// The Contraction Hierarchies index, when already built: it only
+    /// exists after the first query that needed it (on this engine, a clone
+    /// or a sibling); use
     /// [`GeoSocialEngine::require_contraction_hierarchy`] to force it.
-    /// Under [`ChBuild::Disabled`] only an index installed through
-    /// [`EngineBuilder::with_shared_ch`] is visible.
     pub fn contraction_hierarchy(&self) -> Option<&ContractionHierarchy> {
-        if let Some(ch) = &self.installed_ch {
-            return Some(ch);
-        }
-        match self.ch_mode {
-            ChBuild::Disabled => None,
-            ChBuild::Lazy | ChBuild::Eager => self.dataset.shared_ch().map(|ch| &**ch),
-        }
-    }
-
-    /// The Contraction Hierarchies index as a cheaply cloneable `Arc`
-    /// handle, when already built — pass it to
-    /// [`EngineBuilder::with_shared_ch`] to serve further engines from the
-    /// same instance, or use `Arc::ptr_eq` to verify two engines share one
-    /// build.
-    pub fn shared_contraction_hierarchy(&self) -> Option<Arc<ContractionHierarchy>> {
-        if let Some(ch) = &self.installed_ch {
-            return Some(Arc::clone(ch));
-        }
-        match self.ch_mode {
-            ChBuild::Disabled => None,
-            ChBuild::Lazy | ChBuild::Eager => self.dataset.shared_ch().cloned(),
-        }
+        self.graph_indexes.ch.as_ref()?.get()
     }
 
     /// Returns the Contraction Hierarchies index, building it on the spot
-    /// when the engine was configured with [`ChBuild::Lazy`] or
-    /// [`ChBuild::Eager`].
+    /// when it was declared ([`EngineBuilder::with_ch`]) and is not built
+    /// yet.
     ///
-    /// The lazily built index lives in the dataset's shared core:
-    /// concurrent callers — parallel batch workers, *and* other engines
-    /// built over clones of the same dataset (e.g. the shards of one or
-    /// several sharded deployments) — trigger exactly one build and observe
-    /// the same instance; the rest block until it is ready.
+    /// Concurrent callers — parallel batch workers, clones, and siblings
+    /// built with [`EngineBuilder::share_graph_artifacts_with`] — trigger
+    /// exactly one build and observe the same instance; the rest block
+    /// until it is ready.
     ///
     /// # Errors
     ///
-    /// [`CoreError::MissingIndex`] under [`ChBuild::Disabled`] (unless an
-    /// index was installed through [`EngineBuilder::with_shared_ch`]).
+    /// [`CoreError::MissingIndex`] when no CH index was declared.
     pub fn require_contraction_hierarchy(&self) -> Result<&ContractionHierarchy, CoreError> {
-        if let Some(ch) = &self.installed_ch {
-            return Ok(ch);
-        }
-        match self.ch_mode {
-            ChBuild::Disabled => Err(CoreError::MissingIndex(
+        let slot = self.graph_indexes.ch.as_ref().ok_or_else(|| {
+            CoreError::MissingIndex(
                 "this algorithm needs a Contraction Hierarchies index; declare it \
-                 with EngineBuilder::with_ch(ChBuild::Lazy) or ChBuild::Eager, or \
-                 install a shared one with EngineBuilder::with_shared_ch"
+                 with EngineBuilder::with_ch()"
                     .into(),
-            )),
-            ChBuild::Lazy | ChBuild::Eager => Ok(&**self.dataset.shared_ch_or_init()),
-        }
+            )
+        })?;
+        Ok(slot
+            .get_or_init(|| ContractionHierarchy::build(self.dataset.graph(), ChParams::default())))
     }
 
-    /// The pre-computed social neighbour cache, when already built.
-    ///
-    /// Under [`SocialCachePlan::Lazy`] the cache only exists after the
-    /// first query that needed it; use
+    /// The pre-computed social neighbour cache, when already built: it only
+    /// exists after the first query that needed it (or after
+    /// [`GeoSocialEngine::install_social_cache`]); use
     /// [`GeoSocialEngine::require_social_cache`] to force it.
     pub fn social_cache(&self) -> Option<&SocialNeighborCache> {
-        self.social_cache.get().map(|cache| &**cache)
+        self.graph_indexes.social_cache.as_ref()?.cache.get()
     }
 
-    /// The social neighbour cache as a cheaply cloneable `Arc` handle, when
-    /// already built — pass it to
-    /// [`EngineBuilder::with_shared_social_cache`] /
-    /// [`GeoSocialEngine::install_social_cache`] to serve further engines
-    /// from the same instance.
-    pub fn shared_social_cache(&self) -> Option<Arc<SocialNeighborCache>> {
-        self.social_cache.get().cloned()
-    }
-
-    /// Returns the social neighbour cache, building it on the spot when the
-    /// engine was configured with a [`SocialCachePlan`].
-    ///
-    /// Engines that adopted this engine's cache slot
-    /// ([`EngineBuilder::share_graph_artifacts_with`]) share the build:
-    /// whichever engine first needs the cache builds it once, and every
-    /// holder of the slot observes the same instance.
+    /// Returns the social neighbour cache, building it on the spot when it
+    /// was declared ([`EngineBuilder::cache_social_neighbors`]) and is not
+    /// built yet.  The build is shared exactly like
+    /// [`GeoSocialEngine::require_contraction_hierarchy`]'s.
     ///
     /// # Errors
     ///
-    /// [`CoreError::MissingIndex`] under [`SocialCachePlan::Disabled`]
-    /// (unless a cache was installed through
-    /// [`GeoSocialEngine::install_social_cache`] or a `with_shared_*`
-    /// builder method).
+    /// [`CoreError::MissingIndex`] when no cache was declared or installed.
     pub fn require_social_cache(&self) -> Result<&SocialNeighborCache, CoreError> {
-        match &self.cache_plan {
-            SocialCachePlan::Disabled => self.social_cache().ok_or_else(|| {
-                CoreError::MissingIndex(
-                    "Algorithm::SfaCached needs the pre-computed social neighbour lists; \
-                     declare them with EngineBuilder::cache_social_neighbors(users, t)"
-                        .into(),
-                )
-            }),
-            SocialCachePlan::Lazy { users, t } | SocialCachePlan::Eager { users, t } => {
-                Ok(&**self.social_cache.get_or_init(|| {
-                    Arc::new(SocialNeighborCache::build(self.dataset.graph(), users, *t))
-                }))
-            }
-        }
+        let slot = self.graph_indexes.social_cache.as_ref().ok_or_else(|| {
+            CoreError::MissingIndex(
+                "Algorithm::SfaCached needs the pre-computed social neighbour lists; \
+                 declare them with EngineBuilder::cache_social_neighbors(users, t)"
+                    .into(),
+            )
+        })?;
+        Ok(slot
+            .cache
+            .get_or_init(|| SocialNeighborCache::build(self.dataset.graph(), &slot.users, slot.t)))
     }
 
     /// Installs (or replaces) a pre-built social neighbour cache — e.g. one
-    /// deserialized from disk, shared between engines (pass an
-    /// `Arc<SocialNeighborCache>`), or swapped while sweeping the list
-    /// length `t` without rebuilding the base indexes (the Figure 11
-    /// experiment).
+    /// swapped while sweeping the list length `t` without rebuilding the
+    /// base indexes (the Figure 11 experiment).
     ///
     /// Installing detaches this engine from any previously shared cache
-    /// slot: sibling engines that adopted the old slot keep (or lazily
+    /// slot: clones and siblings holding the old slot keep (or lazily
     /// build) the old cache, unaffected.  For caches derived from this
-    /// engine's own graph, prefer declaring a [`SocialCachePlan`] at
-    /// construction time.
-    pub fn install_social_cache(&mut self, cache: impl Into<Arc<SocialNeighborCache>>) {
-        self.social_cache = Arc::new(OnceLock::from(cache.into()));
+    /// engine's own graph, prefer
+    /// [`EngineBuilder::cache_social_neighbors`].
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] when the cache covers a user the
+    /// dataset does not have (it was built over another graph); the engine
+    /// keeps its previous slot.
+    pub fn install_social_cache(&mut self, cache: SocialNeighborCache) -> Result<(), CoreError> {
+        if let Some(bad) = cache.covered().find(|&u| !self.dataset.contains(u)) {
+            return Err(CoreError::InvalidParameter(format!(
+                "social cache covers user {bad} but the dataset has only {} users",
+                self.dataset.user_count()
+            )));
+        }
+        self.graph_indexes.social_cache = Some(Arc::new(SocialCacheSlot {
+            users: cache.covered().collect(),
+            t: cache.t(),
+            cache: OnceLock::from(cache),
+        }));
+        Ok(())
     }
 
     /// The strategy registry the engine dispatches through.
@@ -807,6 +632,30 @@ impl GeoSocialEngine {
         strategy: Arc<dyn AlgorithmStrategy>,
     ) -> Option<Arc<dyn AlgorithmStrategy>> {
         self.strategies.register(strategy)
+    }
+
+    /// Resolves the strategy registered under `name` and makes the
+    /// auxiliary indexes it [`requires`](AlgorithmStrategy::requires)
+    /// ready, building a declared-but-unbuilt one on the spot — the one
+    /// preflight behind every way of starting a query (this engine's
+    /// `run*` / `begin_stream`, the planner's delegate, a sharded
+    /// deployment's scatter).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownAlgorithm`] for an unregistered name;
+    /// [`CoreError::MissingIndex`] for a required index the engine does not
+    /// declare.
+    pub fn ready_strategy(&self, name: &str) -> Result<&Arc<dyn AlgorithmStrategy>, CoreError> {
+        let strategy = self.strategies.resolve(name)?;
+        let requires = strategy.requires();
+        if requires.contraction_hierarchy {
+            self.require_contraction_hierarchy()?;
+        }
+        if requires.social_cache {
+            self.require_social_cache()?;
+        }
+        Ok(strategy)
     }
 
     /// A query context pre-sized for this engine's graph.
@@ -853,14 +702,7 @@ impl GeoSocialEngine {
         request: &QueryRequest,
         ctx: &mut QueryContext,
     ) -> Result<QueryResult, CoreError> {
-        let strategy = self.strategies.resolve(request.algorithm().key())?;
-        let requires = strategy.requires();
-        if requires.contraction_hierarchy {
-            self.require_contraction_hierarchy()?;
-        }
-        if requires.social_cache {
-            self.require_social_cache()?;
-        }
+        let strategy = self.ready_strategy(request.algorithm().key())?;
         let result = strategy.execute(self, request, ctx)?;
         crate::obs::record_query_metrics(request.algorithm().key(), &result.stats);
         Ok(result)
@@ -884,15 +726,8 @@ impl GeoSocialEngine {
         request: &QueryRequest,
         ctx: &'a mut QueryContext,
     ) -> Result<Box<dyn crate::QueryDriver + 'a>, CoreError> {
-        let strategy = self.strategies.resolve(request.algorithm().key())?;
-        let requires = strategy.requires();
-        if requires.contraction_hierarchy {
-            self.require_contraction_hierarchy()?;
-        }
-        if requires.social_cache {
-            self.require_social_cache()?;
-        }
-        strategy.begin_stream(self, request, ctx)
+        self.ready_strategy(request.algorithm().key())?
+            .begin_stream(self, request, ctx)
     }
 
     /// Processes one request as a pull-lazy [`QueryStream`](crate::QueryStream)
@@ -911,25 +746,6 @@ impl GeoSocialEngine {
             self.begin_stream(request, ctx)?,
             request.k(),
         ))
-    }
-
-    /// Processes `request` once per algorithm in `algorithms`, returning
-    /// `(algorithm, result)` pairs.  Used by the experiment harness to
-    /// compare methods on identical queries (the request's own algorithm
-    /// field is overridden).
-    pub fn run_each(
-        &self,
-        algorithms: &[Algorithm],
-        request: &QueryRequest,
-    ) -> Result<Vec<(Algorithm, QueryResult)>, CoreError> {
-        let mut ctx = self.make_context();
-        algorithms
-            .iter()
-            .map(|&a| {
-                let req = request.clone().with_algorithm(a);
-                self.run_with(&req, &mut ctx).map(|r| (a, r))
-            })
-            .collect()
     }
 
     /// Processes a batch of requests in parallel across worker threads, one
@@ -1028,7 +844,8 @@ impl GeoSocialEngine {
         // The grids clamp points into their bounds, so a location slightly
         // outside the original bounding box is still handled.
         self.grid.insert(user, location);
-        self.ais.update_location(user, location, &self.landmarks)?;
+        self.ais
+            .update_location(user, location, &self.graph_indexes.landmarks)?;
         self.planner
             .note_location_change(user, Some(location), &self.dataset);
         Ok(())
@@ -1046,7 +863,7 @@ impl GeoSocialEngine {
         if self.dataset.location(user).is_some() {
             self.dataset.set_location(user, None)?;
             self.grid.remove(user)?;
-            self.ais.remove_user(user, &self.landmarks)?;
+            self.ais.remove_user(user, &self.graph_indexes.landmarks)?;
             self.planner.note_location_change(user, None, &self.dataset);
         }
         Ok(())
@@ -1072,9 +889,9 @@ impl GeoSocialEngine {
     pub fn memory_breakdown(&self) -> EngineMemory {
         EngineMemory {
             graph_bytes: self.dataset.graph().approx_heap_bytes(),
-            landmarks_bytes: self.landmarks.approx_heap_bytes(),
+            landmarks_bytes: self.landmarks().approx_heap_bytes(),
             ch_bytes: self
-                .shared_contraction_hierarchy()
+                .contraction_hierarchy()
                 .map(|ch| ch.approx_heap_bytes())
                 .unwrap_or(0),
             social_cache_bytes: self
@@ -1202,7 +1019,7 @@ mod tests {
     fn full_engine(query_users: &[UserId]) -> GeoSocialEngine {
         GeoSocialEngine::builder(dataset())
             .granularity(4)
-            .with_ch(ChBuild::Lazy)
+            .with_ch()
             .cache_social_neighbors(query_users.to_vec(), 60)
             .build()
             .unwrap()
@@ -1251,7 +1068,7 @@ mod tests {
     fn lazy_ch_is_built_on_first_use_only() {
         let engine = GeoSocialEngine::builder(dataset())
             .granularity(4)
-            .with_ch(ChBuild::Lazy)
+            .with_ch()
             .build()
             .unwrap();
         assert!(engine.contraction_hierarchy().is_none());
@@ -1378,20 +1195,6 @@ mod tests {
     }
 
     #[test]
-    fn run_each_returns_one_result_per_algorithm() {
-        let engine = engine();
-        let results = engine
-            .run_each(
-                &[Algorithm::Sfa, Algorithm::Ais],
-                &QueryRequest::for_user(5).k(4).alpha(0.4).build().unwrap(),
-            )
-            .unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].0, Algorithm::Sfa);
-        assert!(results[0].1.same_users_and_scores(&results[1].1, 1e-9));
-    }
-
-    #[test]
     fn algorithm_names_are_unique() {
         let mut names: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
         names.sort_unstable();
@@ -1412,35 +1215,26 @@ mod tests {
         let query_users = [0u32, 7, 23];
         let donor = GeoSocialEngine::builder(dataset())
             .granularity(4)
-            .with_ch(ChBuild::Eager)
-            .with_social_cache(SocialCachePlan::Eager {
-                users: query_users.to_vec(),
-                t: 60,
-            })
+            .with_ch()
+            .cache_social_neighbors(query_users.to_vec(), 60)
             .build()
             .unwrap();
+        donor.require_contraction_hierarchy().unwrap();
+        donor.require_social_cache().unwrap();
         let sibling = GeoSocialEngine::builder(donor.dataset().clone())
             .granularity(4)
-            .with_ch(ChBuild::Eager)
-            .with_social_cache(SocialCachePlan::Eager {
-                users: query_users.to_vec(),
-                t: 60,
-            })
             .share_graph_artifacts_with(&donor)
             .build()
             .unwrap();
         // One landmark set, one CH, one cache across both engines.
-        assert!(Arc::ptr_eq(
-            &donor.shared_landmarks(),
-            &sibling.shared_landmarks()
+        assert!(std::ptr::eq(donor.landmarks(), sibling.landmarks()));
+        assert!(std::ptr::eq(
+            donor.contraction_hierarchy().unwrap(),
+            sibling.contraction_hierarchy().unwrap()
         ));
-        assert!(Arc::ptr_eq(
-            &donor.shared_contraction_hierarchy().unwrap(),
-            &sibling.shared_contraction_hierarchy().unwrap()
-        ));
-        assert!(Arc::ptr_eq(
-            &donor.shared_social_cache().unwrap(),
-            &sibling.shared_social_cache().unwrap()
+        assert!(std::ptr::eq(
+            donor.social_cache().unwrap(),
+            sibling.social_cache().unwrap()
         ));
         // And identical answers, of course.
         for &user in &query_users {
@@ -1462,7 +1256,6 @@ mod tests {
             .unwrap();
         let sibling = GeoSocialEngine::builder(donor.dataset().clone())
             .granularity(4)
-            .cache_social_neighbors(query_users.to_vec(), 60)
             .share_graph_artifacts_with(&donor)
             .build()
             .unwrap();
@@ -1472,20 +1265,19 @@ mod tests {
         sibling
             .run(&request(0, 5, 0.4, Algorithm::SfaCached))
             .unwrap();
-        let built = sibling.shared_social_cache().unwrap();
-        assert!(Arc::ptr_eq(&built, &donor.shared_social_cache().unwrap()));
+        let built = sibling.social_cache().unwrap();
+        assert!(std::ptr::eq(built, donor.social_cache().unwrap()));
         // install_social_cache detaches only the installing engine.
         let mut detached = sibling.clone();
-        detached.install_social_cache(SocialNeighborCache::build(
-            detached.dataset().graph(),
-            &query_users,
-            30,
-        ));
-        assert!(!Arc::ptr_eq(
-            &built,
-            &detached.shared_social_cache().unwrap()
-        ));
-        assert!(Arc::ptr_eq(&built, &donor.shared_social_cache().unwrap()));
+        detached
+            .install_social_cache(SocialNeighborCache::build(
+                detached.dataset().graph(),
+                &query_users,
+                30,
+            ))
+            .unwrap();
+        assert!(!std::ptr::eq(built, detached.social_cache().unwrap()));
+        assert!(std::ptr::eq(built, donor.social_cache().unwrap()));
     }
 
     #[test]
@@ -1503,88 +1295,25 @@ mod tests {
     }
 
     #[test]
-    fn shared_landmarks_must_cover_the_graph() {
-        let donor = GeoSocialEngine::builder(dataset())
-            .granularity(4)
-            .build()
-            .unwrap();
+    fn installed_social_cache_must_cover_only_known_users() {
+        let cache = SocialNeighborCache::build(dataset().graph(), &[0, 7, 49], 10);
         let small = {
             let graph = GraphBuilder::from_edges(3, vec![(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
             let locations = vec![Some(Point::new(0.1, 0.2)); 3];
             GeoSocialDataset::new(graph, locations).unwrap()
         };
-        let err = GeoSocialEngine::builder(small)
-            .with_shared_landmarks(donor.shared_landmarks())
-            .build();
-        assert!(matches!(err, Err(CoreError::InvalidParameter(_))));
-    }
-
-    #[test]
-    fn shared_ch_must_cover_the_graph() {
-        let small = {
-            let graph = GraphBuilder::from_edges(3, vec![(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-            let locations = vec![Some(Point::new(0.1, 0.2)); 3];
-            GeoSocialDataset::new(graph, locations).unwrap()
-        };
-        let small_engine = GeoSocialEngine::builder(small)
+        let mut engine = GeoSocialEngine::builder(small)
             .landmarks(2)
-            .with_ch(ChBuild::Eager)
             .build()
             .unwrap();
-        // A 3-vertex CH installed into a 50-user engine must be rejected,
-        // not panic later inside rank lookups.
-        let err = GeoSocialEngine::builder(dataset())
-            .granularity(4)
-            .with_shared_ch(small_engine.shared_contraction_hierarchy().unwrap())
-            .build();
+        // The cache covers user 49; a 3-user engine must reject it and stay
+        // without a cache.
+        let err = engine.install_social_cache(cache);
         assert!(matches!(err, Err(CoreError::InvalidParameter(_))));
-    }
-
-    #[test]
-    fn shared_social_cache_must_cover_only_known_users() {
-        let donor = GeoSocialEngine::builder(dataset())
-            .granularity(4)
-            .with_social_cache(SocialCachePlan::Eager {
-                users: vec![0, 7, 49],
-                t: 10,
-            })
-            .build()
-            .unwrap();
-        let small = {
-            let graph = GraphBuilder::from_edges(3, vec![(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-            let locations = vec![Some(Point::new(0.1, 0.2)); 3];
-            GeoSocialDataset::new(graph, locations).unwrap()
-        };
-        // The donor cache covers user 49; a 3-user engine must reject it.
-        let err = GeoSocialEngine::builder(small)
-            .landmarks(2)
-            .with_shared_social_cache(donor.shared_social_cache().unwrap())
-            .build();
-        assert!(matches!(err, Err(CoreError::InvalidParameter(_))));
-    }
-
-    #[test]
-    fn installed_shared_ch_serves_even_a_disabled_engine() {
-        let donor = GeoSocialEngine::builder(dataset())
-            .granularity(4)
-            .with_ch(ChBuild::Eager)
-            .build()
-            .unwrap();
-        let ch = donor.shared_contraction_hierarchy().unwrap();
-        let consumer = GeoSocialEngine::builder(donor.dataset().clone())
-            .granularity(4)
-            .with_shared_ch(Arc::clone(&ch))
-            .build()
-            .unwrap();
-        // ChBuild stayed Disabled, yet the installed index answers.
-        let oracle = consumer
-            .run(&request(0, 5, 0.5, Algorithm::Exhaustive))
-            .unwrap();
-        let got = consumer.run(&request(0, 5, 0.5, Algorithm::SfaCh)).unwrap();
-        assert!(got.same_users_and_scores(&oracle, 1e-9));
-        assert!(Arc::ptr_eq(
-            &ch,
-            &consumer.shared_contraction_hierarchy().unwrap()
+        assert!(engine.social_cache().is_none());
+        assert!(matches!(
+            engine.run(&request(0, 2, 0.5, Algorithm::SfaCached)),
+            Err(CoreError::MissingIndex(_))
         ));
     }
 }

@@ -13,10 +13,10 @@ pub enum CoreError {
     /// strategy registry.
     UnknownAlgorithm(String),
     /// A strategy needs an auxiliary index that the engine was not
-    /// configured to provide (see
-    /// [`EngineBuilder`](crate::EngineBuilder) — declare the index with
-    /// [`ChBuild`](crate::ChBuild) / [`SocialCachePlan`](crate::SocialCachePlan)
-    /// to have it built lazily or eagerly).
+    /// configured to provide — declare it with
+    /// [`EngineBuilder::with_ch`](crate::EngineBuilder::with_ch) /
+    /// [`EngineBuilder::cache_social_neighbors`](crate::EngineBuilder::cache_social_neighbors)
+    /// to have it built on first use.
     MissingIndex(String),
     /// The dataset is malformed (e.g. location list shorter than the graph).
     InvalidDataset(String),

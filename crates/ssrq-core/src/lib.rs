@@ -18,8 +18,9 @@
 //!
 //! 1. **[`EngineBuilder`]** — fluent engine construction over a
 //!    [`GeoSocialDataset`].  Expensive auxiliary indexes are *declared*
-//!    ([`ChBuild`], [`SocialCachePlan`]) and built lazily on first use (or
-//!    eagerly), behind `OnceLock` so the engine stays `Send + Sync`.
+//!    ([`EngineBuilder::with_ch`], [`EngineBuilder::cache_social_neighbors`])
+//!    and built on first use, behind `OnceLock` so the engine stays
+//!    `Send + Sync`.
 //! 2. **[`QueryRequest`]** — a typed, validated query: `u_q`, `k`, `α`, the
 //!    algorithm, and per-query scenario options (spatial filter window,
 //!    exclusion set, score cutoff) honoured by every algorithm.
@@ -75,36 +76,15 @@
 //! assert_eq!(result.ranked.len(), 2);
 //! ```
 //!
-//! # Migrating from the 0.1 API
-//!
-//! The deprecated 0.1 entry points (`EngineConfig`, `QueryParams`,
-//! `engine.query*`, `engine.build_*`) have been **removed** after two
-//! releases of deprecation:
-//!
-//! * `GeoSocialEngine::build(dataset, EngineConfig { .. })` →
-//!   [`GeoSocialEngine::builder`] + [`EngineBuilder`] methods.
-//! * `engine.build_contraction_hierarchy()` / `engine.build_social_cache(..)`
-//!   → declare at construction time with [`EngineBuilder::with_ch`] /
-//!   [`EngineBuilder::cache_social_neighbors`] (lazy by default), or install
-//!   a pre-built shared index with [`EngineBuilder::with_shared_ch`] /
-//!   [`GeoSocialEngine::install_social_cache`].
-//! * `engine.query(algorithm, &QueryParams::new(u, k, a))` →
-//!   `engine.run(&QueryRequest::for_user(u).k(k).alpha(a).algorithm(algorithm).build()?)`.
-//! * `engine.query_batch(algorithm, &params)` →
-//!   [`GeoSocialEngine::run_batch`] over [`QueryRequest`]s.
-//! * [`GeoSocialEngine::install_social_cache`] now takes
-//!   `impl Into<Arc<SocialNeighborCache>>` (pass a cache by value as
-//!   before, or an `Arc` to share one instance across engines).
-//!
 //! # Shared immutable substrate
 //!
 //! [`GeoSocialDataset`] is an `Arc`-backed immutable core (graph, bounds,
 //! normalization constants) plus per-instance locations: `Clone` and
 //! [`GeoSocialDataset::restrict_locations`] never copy the graph.  The
 //! graph-only indexes (landmarks, Contraction Hierarchies, social cache)
-//! are consumed through `Arc` handles and can be shared across engines —
-//! see [`EngineBuilder::share_graph_artifacts_with`] and the `with_shared_*`
-//! builder methods.
+//! live in one cloneable handle per engine; clones of an engine and
+//! siblings built with [`EngineBuilder::share_graph_artifacts_with`] hold
+//! the same handle, so each index is built at most once among them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -130,9 +110,7 @@ pub use algorithms::SocialNeighborCache;
 pub use context::QueryContext;
 pub use dataset::{GeoSocialDataset, UserId};
 pub use driver::{EagerDriver, QueryDriver, StepOutcome};
-pub use engine::{
-    Algorithm, ChBuild, EngineBuilder, EngineMemory, GeoSocialEngine, IndexParams, SocialCachePlan,
-};
+pub use engine::{Algorithm, EngineBuilder, EngineMemory, GeoSocialEngine, IndexParams};
 pub use error::CoreError;
 pub use planner::{
     ChoiceReason, PlannerConfig, PlannerSnapshot, PlannerStrategy, QueryPlanner, AUTO_STRATEGY_NAME,

@@ -542,15 +542,7 @@ impl PlannerStrategy {
         request: &QueryRequest,
     ) -> Result<&'e Arc<dyn AlgorithmStrategy>, CoreError> {
         let (algorithm, _reason) = self.planner.choose(engine, request);
-        let inner = engine.strategies().resolve(algorithm.name())?;
-        let requires = inner.requires();
-        if requires.contraction_hierarchy {
-            engine.require_contraction_hierarchy()?;
-        }
-        if requires.social_cache {
-            engine.require_social_cache()?;
-        }
-        Ok(inner)
+        engine.ready_strategy(algorithm.name())
     }
 }
 

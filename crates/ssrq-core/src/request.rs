@@ -163,9 +163,8 @@ impl QueryRequest {
         self.max_score
     }
 
-    /// Returns a copy of the request with the algorithm replaced — the
-    /// request-side counterpart of running one query through several
-    /// methods (see [`GeoSocialEngine::run_each`](crate::GeoSocialEngine::run_each)).
+    /// Returns a copy of the request with the algorithm replaced — for
+    /// running one query through several methods.
     pub fn with_algorithm(mut self, algorithm: impl Into<AlgorithmSpec>) -> Self {
         self.algorithm = algorithm.into();
         self

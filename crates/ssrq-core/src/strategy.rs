@@ -10,8 +10,8 @@
 
 use crate::ais::{ais_query, AisDriver, AisVariant};
 use crate::algorithms::{
-    cached_query, exhaustive_query, sfa_ch_query, sfa_query, spa_query, tsa_query, CachedDriver,
-    ExhaustiveDriver, SfaChDriver, SfaDriver, SpaDriver, SpaOptions, TsaDriver, TsaOptions,
+    CachedDriver, ExhaustiveDriver, SfaChDriver, SfaDriver, SpaDriver, SpaOptions, TsaDriver,
+    TsaOptions,
 };
 use crate::driver::{EagerDriver, QueryDriver};
 use crate::{Algorithm, CoreError, GeoSocialEngine, QueryContext, QueryRequest, QueryResult};
@@ -22,8 +22,9 @@ use std::sync::Arc;
 /// The auxiliary indexes a strategy needs before it can execute.
 ///
 /// The engine resolves these ahead of [`AlgorithmStrategy::execute`]: a
-/// declared-but-unbuilt index is built lazily (see
-/// [`ChBuild`](crate::ChBuild) / [`SocialCachePlan`](crate::SocialCachePlan)),
+/// declared-but-unbuilt index is built on the spot (see
+/// [`EngineBuilder::with_ch`](crate::EngineBuilder::with_ch) /
+/// [`EngineBuilder::cache_social_neighbors`](crate::EngineBuilder::cache_social_neighbors)),
 /// an undeclared one yields [`CoreError::MissingIndex`] instead of a panic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexRequirements {
@@ -230,107 +231,7 @@ impl AlgorithmStrategy for BuiltinStrategy {
         request: &QueryRequest,
         ctx: &mut QueryContext,
     ) -> Result<QueryResult, CoreError> {
-        let dataset = engine.dataset();
-        match self.algorithm {
-            Algorithm::Exhaustive => exhaustive_query(dataset, request, ctx),
-            Algorithm::Sfa => sfa_query(dataset, request, ctx),
-            Algorithm::Spa => {
-                spa_query(dataset, engine.grid(), request, SpaOptions::default(), ctx)
-            }
-            Algorithm::Tsa => tsa_query(
-                dataset,
-                engine.grid(),
-                request,
-                TsaOptions {
-                    quick_combine: false,
-                    landmarks: Some(engine.landmarks()),
-                    ch_phase2: None,
-                },
-                ctx,
-            ),
-            Algorithm::TsaQc => tsa_query(
-                dataset,
-                engine.grid(),
-                request,
-                TsaOptions {
-                    quick_combine: true,
-                    landmarks: Some(engine.landmarks()),
-                    ch_phase2: None,
-                },
-                ctx,
-            ),
-            Algorithm::AisBid => ais_query(
-                dataset,
-                engine.ais_index(),
-                engine.landmarks(),
-                request,
-                AisVariant::bid(),
-                ctx,
-            ),
-            Algorithm::AisMinus => ais_query(
-                dataset,
-                engine.ais_index(),
-                engine.landmarks(),
-                request,
-                AisVariant::minus(),
-                ctx,
-            ),
-            Algorithm::Ais => ais_query(
-                dataset,
-                engine.ais_index(),
-                engine.landmarks(),
-                request,
-                AisVariant::full(),
-                ctx,
-            ),
-            Algorithm::SfaCh => {
-                let ch = engine.require_contraction_hierarchy()?;
-                sfa_ch_query(dataset, ch, request, ctx)
-            }
-            Algorithm::SpaCh => {
-                let ch = engine.require_contraction_hierarchy()?;
-                spa_query(
-                    dataset,
-                    engine.grid(),
-                    request,
-                    SpaOptions { ch: Some(ch) },
-                    ctx,
-                )
-            }
-            Algorithm::TsaCh => {
-                let ch = engine.require_contraction_hierarchy()?;
-                tsa_query(
-                    dataset,
-                    engine.grid(),
-                    request,
-                    TsaOptions {
-                        quick_combine: false,
-                        landmarks: Some(engine.landmarks()),
-                        ch_phase2: Some(ch),
-                    },
-                    ctx,
-                )
-            }
-            Algorithm::SfaCached => {
-                let cache = engine.require_social_cache()?;
-                cached_query(dataset, cache, request, |fallback_request| {
-                    ais_query(
-                        dataset,
-                        engine.ais_index(),
-                        engine.landmarks(),
-                        fallback_request,
-                        AisVariant::full(),
-                        ctx,
-                    )
-                })
-            }
-            // `builtin_strategy` maps `Auto` to a `PlannerStrategy`; a
-            // hand-built `BuiltinStrategy { algorithm: Auto }` cannot exist
-            // outside this module, so this arm is defensive.
-            Algorithm::Auto => Err(CoreError::UnknownAlgorithm(
-                "AUTO has no built-in executor; use PlannerStrategy".to_owned(),
-            )),
-        }
+        self.begin_stream(engine, request, ctx)?.run_to_completion()
     }
 
     fn begin_stream<'a>(

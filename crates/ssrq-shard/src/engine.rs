@@ -73,7 +73,9 @@ impl ShardedEngineBuilder {
     }
 
     /// Customizes every per-shard [`EngineBuilder`] (index parameters,
-    /// lazy auxiliary indexes, …).  The closure runs once per shard.
+    /// auxiliary-index declarations, …).  The closure runs once per shard;
+    /// shards `1..n` then take the graph-only indexes, and their
+    /// declarations, from shard 0.
     pub fn configure_engines(
         mut self,
         configure: impl Fn(EngineBuilder) -> EngineBuilder + Send + Sync + 'static,
@@ -94,15 +96,14 @@ impl ShardedEngineBuilder {
     /// # Memory model
     ///
     /// The shard datasets share the unpartitioned dataset's `Arc`-backed
-    /// immutable core — **one** graph instance backs every shard — and the
-    /// graph-only indexes are built **once** and handed to every shard
-    /// engine through `Arc` handles
+    /// immutable core — **one** graph instance backs every shard — and
+    /// shards `1..n` hold shard 0's graph-only indexes
     /// ([`EngineBuilder::share_graph_artifacts_with`]): one landmark set,
-    /// one Contraction Hierarchies index (eager *or* lazy — a lazy CH is
-    /// built by whichever shard first runs a `*-CH` query and observed by
-    /// all), one social neighbour cache.  Only the per-shard location
-    /// vector, SPA/TSA grid and AIS aggregate index are replicated, so
-    /// memory and graph-index build time stay flat in the shard count.
+    /// at most one Contraction Hierarchies index (built by whichever shard
+    /// first runs a `*-CH` query and observed by all), at most one social
+    /// neighbour cache.  Only the per-shard location vector, SPA/TSA grid
+    /// and AIS aggregate index are replicated, so memory and graph-index
+    /// build time stay flat in the shard count.
     ///
     /// # Errors
     ///
@@ -124,10 +125,9 @@ impl ShardedEngineBuilder {
                 Some(configure) => configure(builder),
                 None => builder,
             };
-            // Graph-only artifacts (landmarks, CH, social cache) are pure
-            // functions of the shared graph and the — identical per shard —
-            // configuration: build them once on shard 0 and hand the same
-            // `Arc`s to every later shard, including the lazy slots.
+            // Graph-only indexes (landmarks, CH, social cache) are pure
+            // functions of the shared graph: shard 0 owns them and every
+            // later shard holds its handle.
             if let Some(first) = shards.first() {
                 builder = builder.share_graph_artifacts_with(&first.engine);
             }
@@ -495,16 +495,7 @@ impl ShardedEngine {
         request.validate()?;
         let representative = &self.shards[0].engine;
         representative.dataset().check_user(request.user())?;
-        let strategy = representative
-            .strategies()
-            .resolve(request.algorithm().key())?;
-        let requires = strategy.requires();
-        if requires.contraction_hierarchy {
-            representative.require_contraction_hierarchy()?;
-        }
-        if requires.social_cache {
-            representative.require_social_cache()?;
-        }
+        representative.ready_strategy(request.algorithm().key())?;
         Ok(
             match request.origin().or_else(|| self.location(request.user())) {
                 Some(origin) => request.clone().with_origin(origin),

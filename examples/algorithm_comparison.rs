@@ -29,16 +29,14 @@ fn main() {
         .with_alpha(0.3);
 
     // Declare every auxiliary index at construction time: the Contraction
-    // Hierarchies index builds lazily when the first *-CH query arrives,
-    // the social neighbour cache eagerly for the workload users.
+    // Hierarchies index builds when the first *-CH query arrives, the
+    // social neighbour cache for the workload users right away.
     let engine = GeoSocialEngine::builder(dataset)
-        .with_ch(ChBuild::Lazy)
-        .with_social_cache(SocialCachePlan::Eager {
-            users: workload.users.clone(),
-            t: 2_000,
-        })
+        .with_ch()
+        .cache_social_neighbors(workload.users.clone(), 2_000)
         .build()
         .expect("engine builds");
+    engine.require_social_cache().expect("cache was declared");
     println!("registered strategies: {:?}", engine.strategies().names());
     println!(
         "running {} queries (k = {}, alpha = {}) with every algorithm\n",

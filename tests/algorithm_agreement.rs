@@ -7,7 +7,7 @@
 //! score-tie group (not just the score sequence), so two results can only
 //! pass as interchangeable when they genuinely report the same users.
 
-use geosocial_ssrq::core::{Algorithm, ChBuild, GeoSocialEngine, QueryRequest};
+use geosocial_ssrq::core::{Algorithm, GeoSocialEngine, QueryRequest};
 use geosocial_ssrq::data::{DatasetConfig, QueryWorkload};
 use geosocial_ssrq::prelude::{Point, Rect};
 
@@ -130,7 +130,7 @@ fn ch_and_cached_variants_agree_with_the_oracle() {
     let dataset = DatasetConfig::gowalla_like(160).with_seed(77).generate();
     let workload = QueryWorkload::generate(&dataset, 3, 23);
     let engine = GeoSocialEngine::builder(dataset)
-        .with_ch(ChBuild::Lazy)
+        .with_ch()
         .cache_social_neighbors(workload.users.clone(), 100)
         .build()
         .expect("engine builds");

@@ -14,7 +14,7 @@
 //! across tests — which `GeoSocialEngine: Send + Sync` makes trivially
 //! safe.
 
-use geosocial_ssrq::core::{Algorithm, ChBuild, GeoSocialEngine, QueryContext, QueryRequest};
+use geosocial_ssrq::core::{Algorithm, GeoSocialEngine, QueryContext, QueryRequest};
 use geosocial_ssrq::data::{DatasetConfig, QueryWorkload};
 use std::sync::OnceLock;
 
@@ -30,7 +30,7 @@ fn full_engine() -> (GeoSocialEngine, Vec<u32>) {
         .generate();
     let workload = QueryWorkload::generate(&dataset, 6, SEED ^ 0xBA7C).users;
     let engine = GeoSocialEngine::builder(dataset)
-        .with_ch(ChBuild::Lazy)
+        .with_ch()
         .cache_social_neighbors(workload.clone(), 60)
         .build()
         .unwrap();

@@ -157,11 +157,10 @@ fn lazy_ch_and_social_cache_stay_fresh_across_location_churn() {
     // builds and churn *after* they exist — and require oracle agreement
     // each time.  (Kept tiny: CH construction is quadratic-ish on these
     // hub-heavy graphs.)
-    use geosocial_ssrq::core::ChBuild;
     let dataset = DatasetConfig::gowalla_like(150).with_seed(77).generate();
     let workload = QueryWorkload::generate(&dataset, 2, 61);
     let mut engine = GeoSocialEngine::builder(dataset)
-        .with_ch(ChBuild::Lazy)
+        .with_ch()
         .cache_social_neighbors(workload.users.clone(), 80)
         .build()
         .unwrap();

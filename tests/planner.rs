@@ -13,7 +13,7 @@
 //! against the same bar.
 
 use geosocial_ssrq::core::{
-    Algorithm, ChBuild, ChoiceReason, GeoSocialEngine, PlannerConfig, QueryPlanner, QueryRequest,
+    Algorithm, ChoiceReason, GeoSocialEngine, PlannerConfig, QueryPlanner, QueryRequest,
 };
 use geosocial_ssrq::data::{DatasetConfig, QueryWorkload};
 use geosocial_ssrq::prelude::{Point, Rect};
@@ -100,7 +100,7 @@ fn pinned_auto_agrees_for_index_backed_algorithms() {
     let dataset = DatasetConfig::gowalla_like(160).with_seed(77).generate();
     let workload = QueryWorkload::generate(&dataset, 3, 23);
     let engine = GeoSocialEngine::builder(dataset)
-        .with_ch(ChBuild::Lazy)
+        .with_ch()
         .cache_social_neighbors(workload.users.clone(), 100)
         .build()
         .unwrap();
@@ -363,7 +363,7 @@ fn planner_unit_behaviour_pins_explores_and_converges() {
     assert!(degree(&users[0]) < degree(&users[1]));
     let bounds = dataset.bounds();
     let engine = GeoSocialEngine::builder(dataset)
-        .with_ch(ChBuild::Lazy)
+        .with_ch()
         .cache_social_neighbors(users.to_vec(), 100)
         .build()
         .unwrap();

@@ -4,8 +4,8 @@
 //! panics).
 
 use geosocial_ssrq::core::{
-    Algorithm, AlgorithmStrategy, ChBuild, CoreError, GeoSocialEngine, QueryContext, QueryRequest,
-    QueryResult, SocialCachePlan,
+    Algorithm, AlgorithmStrategy, CoreError, GeoSocialEngine, QueryContext, QueryRequest,
+    QueryResult,
 };
 use geosocial_ssrq::data::{DatasetConfig, QueryWorkload};
 use geosocial_ssrq::prelude::{Point, Rect};
@@ -14,10 +14,10 @@ use std::sync::Arc;
 // CH construction is ~quadratic on these hub-heavy synthetic graphs, so the
 // engines that may build one stay at 160 users (same scale as
 // tests/algorithm_agreement.rs).
-fn engine_with(ch: ChBuild) -> GeoSocialEngine {
+fn engine_with(ch: bool) -> GeoSocialEngine {
     let dataset = DatasetConfig::gowalla_like(160).with_seed(9).generate();
-    GeoSocialEngine::builder(dataset)
-        .with_ch(ch)
+    let builder = GeoSocialEngine::builder(dataset);
+    if ch { builder.with_ch() } else { builder }
         .build()
         .unwrap()
 }
@@ -32,7 +32,7 @@ fn query_user(engine: &GeoSocialEngine) -> u32 {
 
 #[test]
 fn unknown_query_user_is_a_typed_error() {
-    let engine = engine_with(ChBuild::Disabled);
+    let engine = engine_with(false);
     let ghost = engine.dataset().user_count() as u32 + 7;
     let request = QueryRequest::for_user(ghost).build().unwrap();
     assert!(matches!(
@@ -60,7 +60,7 @@ fn degenerate_parameters_fail_at_request_build_time() {
 
 #[test]
 fn ch_strategy_without_ch_is_a_typed_error_not_a_panic() {
-    let engine = engine_with(ChBuild::Disabled);
+    let engine = engine_with(false);
     let user = query_user(&engine);
     for algorithm in [Algorithm::SfaCh, Algorithm::SpaCh, Algorithm::TsaCh] {
         let request = QueryRequest::for_user(user)
@@ -78,7 +78,7 @@ fn ch_strategy_without_ch_is_a_typed_error_not_a_panic() {
 
 #[test]
 fn ch_strategy_with_lazy_ch_builds_and_answers() {
-    let engine = engine_with(ChBuild::Lazy);
+    let engine = engine_with(true);
     let user = query_user(&engine);
     let request = QueryRequest::for_user(user)
         .k(8)
@@ -112,10 +112,7 @@ fn social_cache_plan_gates_the_cached_algorithm() {
     ));
 
     let with = GeoSocialEngine::builder(dataset)
-        .with_social_cache(SocialCachePlan::Lazy {
-            users: users.clone(),
-            t: 80,
-        })
+        .cache_social_neighbors(users.clone(), 80)
         .build()
         .unwrap();
     assert!(with.social_cache().is_none());
@@ -129,7 +126,7 @@ fn social_cache_plan_gates_the_cached_algorithm() {
 
 #[test]
 fn empty_window_spatial_filters_return_empty_results() {
-    let engine = engine_with(ChBuild::Disabled);
+    let engine = engine_with(false);
     let user = query_user(&engine);
     // A window far outside the data bounds admits nobody.
     let nowhere = Rect::new(Point::new(40.0, 40.0), Point::new(41.0, 41.0));
@@ -179,7 +176,7 @@ fn invalid_filter_values_fail_at_build_time() {
 
 #[test]
 fn session_run_matches_engine_run() {
-    let engine = engine_with(ChBuild::Disabled);
+    let engine = engine_with(false);
     let user = query_user(&engine);
     let mut session = engine.session();
     for algorithm in [Algorithm::Sfa, Algorithm::Tsa, Algorithm::Ais] {
@@ -198,7 +195,7 @@ fn session_run_matches_engine_run() {
 
 #[test]
 fn streams_yield_the_full_result_in_rank_order() {
-    let engine = engine_with(ChBuild::Disabled);
+    let engine = engine_with(false);
     let user = query_user(&engine);
     let mut session = engine.session();
     for algorithm in Algorithm::ALL {
@@ -222,7 +219,7 @@ fn streams_yield_the_full_result_in_rank_order() {
 
 #[test]
 fn incremental_threshold_algorithms_finalize_results_before_completion() {
-    let engine = engine_with(ChBuild::Disabled);
+    let engine = engine_with(false);
     let workload = QueryWorkload::generate(engine.dataset(), 5, 77);
     let mut session = engine.session();
     // The exhaustive oracle can never finalize early (drain-after-complete).
@@ -348,7 +345,7 @@ impl AlgorithmStrategy for CappedAis {
 
 #[test]
 fn downstream_crates_can_register_custom_strategies() {
-    let mut engine = engine_with(ChBuild::Disabled);
+    let mut engine = engine_with(false);
     let user = query_user(&engine);
     engine.register_strategy(Arc::new(CappedAis { cap: 3 }));
     let request = QueryRequest::for_user(user)

@@ -9,7 +9,7 @@
 //! so the comparison is `assert_eq!` on the ranked vectors (bit-identical
 //! scores), not a tolerance check.
 
-use geosocial_ssrq::core::{Algorithm, ChBuild, GeoSocialEngine, QueryRequest};
+use geosocial_ssrq::core::{Algorithm, GeoSocialEngine, QueryRequest};
 use geosocial_ssrq::data::{DatasetConfig, QueryWorkload};
 use geosocial_ssrq::prelude::{Point, Rect};
 use geosocial_ssrq::shard::{Partitioning, ShardedEngine};
@@ -160,17 +160,14 @@ fn sharded_ch_and_cached_variants_match_the_single_engine() {
     let workload = QueryWorkload::generate(&dataset, 2, 23);
     let cache_users = workload.users.clone();
     let single = GeoSocialEngine::builder(dataset.clone())
-        .with_ch(ChBuild::Lazy)
+        .with_ch()
         .cache_social_neighbors(cache_users.clone(), 80)
         .build()
         .unwrap();
     let sharded = ShardedEngine::builder(dataset)
         .shards(2)
         .partitioning(Partitioning::SpatialGrid { cells_per_axis: 4 })
-        .configure_engines(move |b| {
-            b.with_ch(ChBuild::Lazy)
-                .cache_social_neighbors(cache_users.clone(), 80)
-        })
+        .configure_engines(move |b| b.with_ch().cache_social_neighbors(cache_users.clone(), 80))
         .build()
         .unwrap();
     for &user in &workload.users {

@@ -1,18 +1,17 @@
 //! Shared-immutable-substrate regressions: a sharded deployment must hold
 //! exactly **one** graph, one landmark set, one Contraction Hierarchies
-//! index and one social neighbour cache across all shards (`Arc::ptr_eq`,
-//! not structural equality); sharing must survive churn, migration and
-//! rebalancing; and concurrent lazy builds — even across *separately
-//! built* sharded engines over the same dataset — must race into a single
-//! instance.  Lazy arm admission of the cross-shard stream is covered at
-//! the end: truncated consumption must open strictly fewer shard arms
-//! while full drains stay identical to the eager scatter-gather.
+//! index and one social neighbour cache across all shards (pointer
+//! identity, not structural equality); sharing must survive churn,
+//! migration and rebalancing; a sibling engine inherits its donor's
+//! declarations with its indexes, while engines built independently own
+//! independent indexes.  Lazy arm admission of the cross-shard stream is
+//! covered at the end: truncated consumption must open strictly fewer shard
+//! arms while full drains stay identical to the eager scatter-gather.
 
-use geosocial_ssrq::core::{Algorithm, ChBuild, GeoSocialEngine, QueryRequest};
+use geosocial_ssrq::core::{Algorithm, GeoSocialEngine, QueryRequest};
 use geosocial_ssrq::data::{DatasetConfig, QueryWorkload};
 use geosocial_ssrq::prelude::Point;
 use geosocial_ssrq::shard::{Partitioning, ShardedEngine};
-use std::sync::Arc;
 
 fn request(user: u32, k: usize, alpha: f64, algorithm: Algorithm) -> QueryRequest {
     QueryRequest::for_user(user)
@@ -32,7 +31,7 @@ fn an_eight_shard_build_holds_one_graph_one_landmark_set_one_ch() {
     let sharded = ShardedEngine::builder(dataset.clone())
         .shards(8)
         .partitioning(Partitioning::SpatialGrid { cells_per_axis: 8 })
-        .configure_engines(|b| b.with_ch(ChBuild::Lazy))
+        .configure_engines(|b| b.with_ch())
         .build()
         .unwrap();
 
@@ -47,15 +46,15 @@ fn an_eight_shard_build_holds_one_graph_one_landmark_set_one_ch() {
             "shard {s} holds its own graph core"
         );
         assert!(
-            Arc::ptr_eq(&shard.shared_landmarks(), &first.shared_landmarks()),
+            std::ptr::eq(shard.landmarks(), first.landmarks()),
             "shard {s} holds its own landmark set"
         );
         // The lazy CH has not been requested yet — nowhere.
         assert!(shard.contraction_hierarchy().is_none());
     }
 
-    // One CH: the first *-CH query builds it once; every shard (and the
-    // original dataset handle) observes the same Arc.
+    // One CH: the first *-CH query builds it once; every shard observes
+    // the same instance.
     let user = workload.users[0];
     let got = sharded
         .run(&request(user, 8, 0.4, Algorithm::SfaCh))
@@ -64,14 +63,14 @@ fn an_eight_shard_build_holds_one_graph_one_landmark_set_one_ch() {
         .run(&request(user, 8, 0.4, Algorithm::Exhaustive))
         .unwrap();
     assert!(got.same_users_and_scores(&oracle, 1e-9));
-    let ch = first.shared_contraction_hierarchy().expect("CH built");
+    let ch = first.contraction_hierarchy().expect("CH built");
     for s in 1..sharded.shard_count() {
         assert!(
-            Arc::ptr_eq(
-                &ch,
-                &sharded
+            std::ptr::eq(
+                ch,
+                sharded
                     .shard_engine(s)
-                    .shared_contraction_hierarchy()
+                    .contraction_hierarchy()
                     .expect("CH visible on every shard")
             ),
             "shard {s} holds its own CH instance"
@@ -79,8 +78,7 @@ fn an_eight_shard_build_holds_one_graph_one_landmark_set_one_ch() {
     }
 }
 
-/// The lazily built social neighbour cache is also built once and shared
-/// through the adopted slot.
+/// The lazily built social neighbour cache is also built once and shared.
 #[test]
 fn shards_share_one_lazily_built_social_cache() {
     let dataset = DatasetConfig::gowalla_like(300).with_seed(7).generate();
@@ -95,17 +93,14 @@ fn shards_share_one_lazily_built_social_cache() {
     sharded
         .run(&request(users[0], 10, 0.3, Algorithm::SfaCached))
         .unwrap();
-    let cache = sharded
-        .shard_engine(0)
-        .shared_social_cache()
-        .expect("cache built");
+    let cache = sharded.shard_engine(0).social_cache().expect("cache built");
     for s in 1..sharded.shard_count() {
         assert!(
-            Arc::ptr_eq(
-                &cache,
-                &sharded
+            std::ptr::eq(
+                cache,
+                sharded
                     .shard_engine(s)
-                    .shared_social_cache()
+                    .social_cache()
                     .expect("cache visible on every shard")
             ),
             "shard {s} holds its own social cache"
@@ -114,15 +109,15 @@ fn shards_share_one_lazily_built_social_cache() {
 }
 
 /// Location churn, cross-shard migration and a full rebalance re-partition
-/// locations only: the shared graph core and the `Arc`-held graph indexes
-/// come through untouched (same instances, not rebuilt equivalents).
+/// locations only: the shared graph core and the graph-only indexes come
+/// through untouched (same instances, not rebuilt equivalents).
 #[test]
 fn churn_migration_and_rebalance_preserve_the_shared_instances() {
     let dataset = DatasetConfig::gowalla_like(160).with_seed(31).generate();
     let mut sharded = ShardedEngine::builder(dataset)
         .shards(4)
         .partitioning(Partitioning::SpatialGrid { cells_per_axis: 8 })
-        .configure_engines(|b| b.with_ch(ChBuild::Lazy))
+        .configure_engines(|b| b.with_ch())
         .build()
         .unwrap();
     let user = QueryWorkload::generate(sharded.shard_engine(0).dataset(), 1, 3).users[0];
@@ -130,11 +125,9 @@ fn churn_migration_and_rebalance_preserve_the_shared_instances() {
         .run(&request(user, 6, 0.5, Algorithm::TsaCh))
         .unwrap();
     let core_witness = sharded.shard_engine(0).dataset().clone();
-    let landmarks = sharded.shard_engine(0).shared_landmarks();
-    let ch = sharded
-        .shard_engine(0)
-        .shared_contraction_hierarchy()
-        .unwrap();
+    // Addresses, not references: the engines are mutated below.
+    let landmarks: *const _ = sharded.shard_engine(0).landmarks();
+    let ch: *const _ = sharded.shard_engine(0).contraction_hierarchy().unwrap();
 
     // Drive users across cell boundaries (guaranteed migrations for the
     // spatial policy), drop some, then rebalance.
@@ -154,11 +147,8 @@ fn churn_migration_and_rebalance_preserve_the_shared_instances() {
     for s in 0..sharded.shard_count() {
         let shard = sharded.shard_engine(s);
         assert!(shard.dataset().shares_core_with(&core_witness));
-        assert!(Arc::ptr_eq(&shard.shared_landmarks(), &landmarks));
-        assert!(Arc::ptr_eq(
-            &shard.shared_contraction_hierarchy().unwrap(),
-            &ch
-        ));
+        assert!(std::ptr::eq(shard.landmarks(), landmarks));
+        assert!(std::ptr::eq(shard.contraction_hierarchy().unwrap(), ch));
     }
     // And the engine still answers exactly after all of it.
     let oracle = sharded
@@ -170,83 +160,75 @@ fn churn_migration_and_rebalance_preserve_the_shared_instances() {
     assert!(got.same_users_and_scores(&oracle, 1e-9));
 }
 
-/// Two sharded engines built independently from (clones of) the same
-/// dataset race their `ChBuild::Lazy` builds from different threads:
-/// exactly one build may run — proven by every handle, across both
-/// deployments, resolving to the same `Arc` (the write-once slot lives in
-/// the shared dataset core, so a second build could not be observed).
+/// A sibling built with `share_graph_artifacts_with` and no declarations
+/// of its own inherits the donor's: it answers `SFA-CH` and `AIS-Cache`
+/// exactly, and the indexes it builds on the way are the donor's instances.
 #[test]
-fn two_sharded_engines_race_one_lazy_ch_build() {
-    let dataset = DatasetConfig::gowalla_like(160).with_seed(55).generate();
-    let user = QueryWorkload::generate(&dataset, 1, 9).users[0];
-    let build = |policy| {
-        ShardedEngine::builder(dataset.clone())
-            .shards(2)
-            .partitioning(policy)
-            .configure_engines(|b| b.with_ch(ChBuild::Lazy))
-            .build()
-            .unwrap()
-    };
-    let a = build(Partitioning::UserHash);
-    let b = build(Partitioning::SpatialGrid { cells_per_axis: 8 });
-    assert!(a.shard_engine(0).contraction_hierarchy().is_none());
-    assert!(b.shard_engine(0).contraction_hierarchy().is_none());
+fn a_sibling_inherits_the_donors_declarations_with_its_indexes() {
+    let dataset = DatasetConfig::gowalla_like(150).with_seed(55).generate();
+    let users = QueryWorkload::generate(&dataset, 2, 9).users;
+    let donor = GeoSocialEngine::builder(dataset.clone())
+        .with_ch()
+        .cache_social_neighbors(users.clone(), 60)
+        .build()
+        .unwrap();
+    let sibling = GeoSocialEngine::builder(dataset.clone())
+        .share_graph_artifacts_with(&donor)
+        .build()
+        .unwrap();
+    assert!(donor.contraction_hierarchy().is_none());
+    assert!(donor.social_cache().is_none());
 
-    let req = request(user, 6, 0.4, Algorithm::SfaCh);
-    std::thread::scope(|scope| {
-        let ra = scope.spawn(|| a.run(&req).unwrap());
-        let rb = scope.spawn(|| b.run(&req).unwrap());
-        let (ra, rb) = (ra.join().unwrap(), rb.join().unwrap());
-        assert_eq!(ra.ranked, rb.ranked);
-    });
-
-    let ch = a
-        .shard_engine(0)
-        .shared_contraction_hierarchy()
-        .expect("built by the race");
-    for engine in [&a, &b] {
-        for s in 0..engine.shard_count() {
-            assert!(
-                Arc::ptr_eq(
-                    &ch,
-                    &engine
-                        .shard_engine(s)
-                        .shared_contraction_hierarchy()
-                        .expect("every handle observes the build")
-                ),
-                "a second CH build was observable"
-            );
-        }
+    for algorithm in [Algorithm::SfaCh, Algorithm::SfaCached] {
+        let got = sibling.run(&request(users[0], 6, 0.4, algorithm)).unwrap();
+        let oracle = sibling
+            .run(&request(users[0], 6, 0.4, Algorithm::Exhaustive))
+            .unwrap();
+        assert!(
+            got.same_users_and_scores(&oracle, 1e-9),
+            "{} on the sibling",
+            algorithm.name()
+        );
     }
+    // The sibling triggered both builds; the donor observes them.
+    assert!(std::ptr::eq(donor.landmarks(), sibling.landmarks()));
+    assert!(std::ptr::eq(
+        donor.contraction_hierarchy().expect("built by the sibling"),
+        sibling.contraction_hierarchy().unwrap()
+    ));
+    assert!(std::ptr::eq(
+        donor.social_cache().expect("built by the sibling"),
+        sibling.social_cache().unwrap()
+    ));
 }
 
-/// Plain (unsharded) engines built from clones of one dataset also race
-/// into a single lazy CH — the slot lives in the dataset core, not in the
-/// engine.
+/// Engines built independently over clones of one dataset share the graph
+/// but not the indexes: ownership is the engine's, not the dataset's, so
+/// each builds (and each answers from) its own CH.
 #[test]
-fn independent_engines_over_one_dataset_share_the_lazy_ch() {
+fn independent_engines_over_one_dataset_own_independent_chs() {
     let dataset = DatasetConfig::gowalla_like(150).with_seed(71).generate();
     let user = QueryWorkload::generate(&dataset, 1, 2).users[0];
     let make = || {
         GeoSocialEngine::builder(dataset.clone())
-            .with_ch(ChBuild::Lazy)
+            .with_ch()
             .build()
             .unwrap()
     };
-    let e1 = make();
-    let e2 = make();
-    std::thread::scope(|scope| {
-        for engine in [&e1, &e2] {
-            scope.spawn(move || {
-                engine
-                    .run(&request(user, 5, 0.5, Algorithm::SpaCh))
-                    .unwrap()
-            });
-        }
-    });
-    assert!(Arc::ptr_eq(
-        &e1.shared_contraction_hierarchy().unwrap(),
-        &e2.shared_contraction_hierarchy().unwrap()
+    let (e1, e2) = (make(), make());
+    assert!(e1.dataset().shares_core_with(e2.dataset()));
+    for engine in [&e1, &e2] {
+        let got = engine
+            .run(&request(user, 5, 0.5, Algorithm::SpaCh))
+            .unwrap();
+        let oracle = engine
+            .run(&request(user, 5, 0.5, Algorithm::Exhaustive))
+            .unwrap();
+        assert!(got.same_users_and_scores(&oracle, 1e-9));
+    }
+    assert!(!std::ptr::eq(
+        e1.contraction_hierarchy().unwrap(),
+        e2.contraction_hierarchy().unwrap()
     ));
 }
 

@@ -4,7 +4,7 @@
 //! and to the standard layout, under every request filter, and the indexes
 //! of empty or fully-migrated engines must actually be cheap.
 
-use geosocial_ssrq::core::{Algorithm, ChBuild, GeoSocialDataset, GeoSocialEngine, QueryRequest};
+use geosocial_ssrq::core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest};
 use geosocial_ssrq::data::{DatasetConfig, QueryWorkload};
 use geosocial_ssrq::graph::CsrLayout;
 use geosocial_ssrq::prelude::{Partitioning, Point, Rect, ShardedEngine};
@@ -36,7 +36,7 @@ fn all_twelve_algorithms_agree_under_filters_on_the_sparse_ais_index() {
     let dataset = DatasetConfig::gowalla_like(160).with_seed(77).generate();
     let workload = QueryWorkload::generate(&dataset, 3, 29);
     let engine = GeoSocialEngine::builder(dataset)
-        .with_ch(ChBuild::Lazy)
+        .with_ch()
         .cache_social_neighbors(workload.users.clone(), 100)
         .build()
         .expect("engine builds");

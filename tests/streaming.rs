@@ -8,7 +8,7 @@
 //! strictly less search work than the full run.
 
 use geosocial_ssrq::core::{
-    Algorithm, AlgorithmStrategy, ChBuild, CoreError, GeoSocialEngine, QueryContext, QueryRequest,
+    Algorithm, AlgorithmStrategy, CoreError, GeoSocialEngine, QueryContext, QueryRequest,
     QueryResult,
 };
 use geosocial_ssrq::data::{DatasetConfig, QueryWorkload};
@@ -22,7 +22,7 @@ fn full_engine() -> (GeoSocialEngine, Vec<u32>) {
     let dataset = DatasetConfig::gowalla_like(160).with_seed(42).generate();
     let workload = QueryWorkload::generate(&dataset, 3, 7);
     let engine = GeoSocialEngine::builder(dataset)
-        .with_ch(ChBuild::Lazy)
+        .with_ch()
         .cache_social_neighbors(workload.users.clone(), 40)
         .build()
         .expect("engine builds");
