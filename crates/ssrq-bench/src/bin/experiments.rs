@@ -8,22 +8,21 @@
 //! ```
 //!
 //! Experiments: `table2 table3 fig7a fig7b fig8 fig9 fig10 fig11 fig12
-//! fig13 fig14a fig14b ablation throughput latency sharding memory scale
-//! obs all` (`scale` is the 10k→1M sweep persisted to `BENCH_scale.json`,
-//! `obs` spawns `shard-server` processes, drives traced queries over them
-//! and persists `BENCH_obs.json`; neither is part of `all`).
+//! fig13 fig14a fig14b ablation` (together: `all`, the default) and
+//! `scale`, the 10k→1M sweep persisted to `BENCH_scale.json`.  Timing of
+//! the serving system itself is the repository benchmark's job (`bench/`).
 //!
 //! Flags: `--quick` (small datasets), `--full` (paper-scale datasets),
 //! `--scale <factor>`, `--queries <n>`, `--with-ch` (include the expensive
 //! Contraction Hierarchies baselines in fig8), `--out <path>` (artifact
-//! path of the `scale` / `obs` experiments, defaults
-//! `BENCH_<experiment>.json`).
+//! path of `scale`, default `BENCH_scale.json`).  An unknown experiment or
+//! flag, or a flag value that does not parse, exits with code 2; a figure
+//! with a series whose every query failed exits with code 1.
 
 use ssrq_bench::report::FigureReport;
 use ssrq_bench::{
-    max_result_hops, measure_algorithm, measure_batch_qps, measure_memory, measure_prefix,
-    measure_sequential_qps, measure_sharding, run_scale_sweep, single_engine_breakdown,
-    validate_scale_report, BenchDataset, Json, Scale, ScaleSweepConfig,
+    max_result_hops, measure_algorithm, run_scale_sweep, validate_scale_report,
+    AggregateMeasurement, BenchDataset, Json, Scale, ScaleSweepConfig,
 };
 use ssrq_core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest, SocialNeighborCache};
 use ssrq_data::{
@@ -31,6 +30,8 @@ use ssrq_data::{
     QueryWorkload,
 };
 use ssrq_graph::LandmarkSelection;
+use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// The k values of Table 3.
@@ -63,9 +64,40 @@ struct Options {
     factor: f64,
     /// The raw `--queries` override, if any.
     queries: Option<usize>,
-    /// `--out` override of the artifact path (each experiment has its own
-    /// default, so the unset case is kept distinguishable).
-    out: Option<String>,
+    /// Artifact path of the `scale` sweep.
+    out: String,
+}
+
+/// Set once a measurement comes back with no successful query — its
+/// series prints as `failed` — and turned into the exit code by `main`.
+static ANY_SERIES_FAILED: AtomicBool = AtomicBool::new(false);
+
+/// [`measure_algorithm`], noting an all-failed workload for the exit code.
+fn measure(
+    engine: &GeoSocialEngine,
+    algorithm: Algorithm,
+    users: &[u32],
+    k: usize,
+    alpha: f64,
+) -> AggregateMeasurement {
+    let m = measure_algorithm(engine, algorithm, users, k, alpha);
+    if m.queries == 0 {
+        ANY_SERIES_FAILED.store(true, Ordering::Relaxed);
+    }
+    m
+}
+
+/// Parses the value following `flag`; a missing or unparsable value is a
+/// usage error (exit code 2), never a silent fall-back to the default.
+fn flag_value<T: FromStr>(flag: &str, value: Option<&String>) -> T {
+    let Some(value) = value else {
+        eprintln!("flag {flag} needs a value");
+        std::process::exit(2);
+    };
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("flag {flag}: cannot parse value `{value}`");
+        std::process::exit(2);
+    })
 }
 
 fn main() {
@@ -75,25 +107,17 @@ fn main() {
     let mut with_ch = false;
     let mut factor: Option<f64> = None;
     let mut queries: Option<usize> = None;
-    let mut out: Option<String> = None;
+    let mut out = "BENCH_scale.json".to_string();
 
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--quick" => scale = Scale::quick(),
             "--full" => scale = Scale::full(),
             "--with-ch" => with_ch = true,
-            "--scale" => {
-                factor = iter.next().and_then(|v| v.parse().ok());
-            }
-            "--queries" => {
-                queries = iter.next().and_then(|v| v.parse().ok());
-            }
-            "--out" => {
-                if let Some(path) = iter.next() {
-                    out = Some(path.clone());
-                }
-            }
+            "--scale" => factor = Some(flag_value(arg, iter.next())),
+            "--queries" => queries = Some(flag_value(arg, iter.next())),
+            "--out" => out = flag_value(arg, iter.next()),
             name if !name.starts_with("--") => experiment = name.to_string(),
             other => {
                 eprintln!("unknown flag {other}");
@@ -138,12 +162,7 @@ fn main() {
         "fig14a" => fig14a(&options),
         "fig14b" => fig14b(&options),
         "ablation" => ablation(&options),
-        "throughput" => throughput(&options),
-        "latency" => latency(&options),
-        "sharding" => sharding(&options),
-        "memory" => memory(&options),
         "scale" => scale_sweep(&options),
-        "obs" => obs(&options),
         "all" => {
             table2(&options);
             table3();
@@ -158,10 +177,6 @@ fn main() {
             fig14a(&options);
             fig14b(&options);
             ablation(&options);
-            throughput(&options);
-            latency(&options);
-            sharding(&options);
-            memory(&options);
         }
         other => {
             eprintln!("unknown experiment `{other}`");
@@ -169,6 +184,10 @@ fn main() {
         }
     }
     println!("\ntotal harness time: {:?}", started.elapsed());
+    if ANY_SERIES_FAILED.load(Ordering::Relaxed) {
+        eprintln!("at least one series has no successful query (cells marked `failed`)");
+        std::process::exit(1);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -358,7 +377,7 @@ fn fig8(options: &Options) {
             runtime.push_x(k);
             pops.push_x(k);
             for algorithm in MAIN_ALGORITHMS {
-                let m = measure_algorithm(
+                let m = measure(
                     &bench.engine,
                     algorithm,
                     &bench.workload.users,
@@ -379,7 +398,7 @@ fn fig8(options: &Options) {
                     .take((options.scale.queries / 5).max(5))
                     .collect();
                 for algorithm in [Algorithm::SfaCh, Algorithm::SpaCh, Algorithm::TsaCh] {
-                    let m = measure_algorithm(&bench.engine, algorithm, &sample, k, DEFAULT_ALPHA);
+                    let m = measure(&bench.engine, algorithm, &sample, k, DEFAULT_ALPHA);
                     runtime.push_runtime(algorithm.name(), &m);
                 }
             }
@@ -406,7 +425,7 @@ fn fig9(options: &Options) {
         for alpha in ALPHA_VALUES {
             runtime.push_x(alpha);
             for algorithm in MAIN_ALGORITHMS {
-                let m = measure_algorithm(
+                let m = measure(
                     &bench.engine,
                     algorithm,
                     &bench.workload.users,
@@ -444,7 +463,7 @@ fn fig10(options: &Options) {
             runtime.push_x(k);
             pops.push_x(k);
             for algorithm in AIS_VARIANTS {
-                let m = measure_algorithm(
+                let m = measure(
                     &bench.engine,
                     algorithm,
                     &bench.workload.users,
@@ -483,7 +502,7 @@ fn fig11(options: &Options) {
             .iter()
             .map(|f| ((n as f64 * f) as usize).max(50))
             .collect();
-        let ais = measure_algorithm(
+        let ais = measure(
             &bench.engine,
             Algorithm::Ais,
             &bench.workload.users,
@@ -504,7 +523,7 @@ fn fig11(options: &Options) {
                     t,
                 ))
                 .expect("cache built over the engine's own graph");
-            let m = measure_algorithm(
+            let m = measure(
                 &bench.engine,
                 Algorithm::SfaCached,
                 &users,
@@ -549,7 +568,7 @@ fn fig12(options: &Options) {
                 Algorithm::AisMinus,
                 Algorithm::Ais,
             ] {
-                let m = measure_algorithm(
+                let m = measure(
                     &bench.engine,
                     algorithm,
                     &bench.workload.users,
@@ -576,7 +595,7 @@ fn fig13(options: &Options) {
     for k in K_VALUES {
         by_k.push_x(k);
         for algorithm in MAIN_ALGORITHMS {
-            let m = measure_algorithm(
+            let m = measure(
                 &bench.engine,
                 algorithm,
                 &bench.workload.users,
@@ -595,7 +614,7 @@ fn fig13(options: &Options) {
     for alpha in ALPHA_VALUES {
         by_alpha.push_x(alpha);
         for algorithm in MAIN_ALGORITHMS {
-            let m = measure_algorithm(
+            let m = measure(
                 &bench.engine,
                 algorithm,
                 &bench.workload.users,
@@ -624,8 +643,8 @@ fn fig14a(options: &Options) {
     let anchors = QueryWorkload::generate(&base, 5, 0xFA14).users;
     for correlation in Correlation::ALL {
         report.push_x(correlation.name());
-        let mut totals = vec![0.0f64; MAIN_ALGORITHMS.len()];
-        let mut counted = 0usize;
+        // Per algorithm: summed run-time and the anchors it succeeded on.
+        let mut totals = vec![(0.0f64, 0usize); MAIN_ALGORITHMS.len()];
         for &anchor in &anchors {
             let locations = correlated_locations(base.graph(), anchor, correlation, 0xC0FE);
             let Ok(dataset) = GeoSocialDataset::new(base.graph().clone(), locations) else {
@@ -634,17 +653,24 @@ fn fig14a(options: &Options) {
             let Ok(engine) = GeoSocialEngine::builder(dataset).build() else {
                 continue;
             };
-            counted += 1;
-            for (i, algorithm) in MAIN_ALGORITHMS.iter().enumerate() {
-                let m = measure_algorithm(&engine, *algorithm, &[anchor], DEFAULT_K, 0.5);
-                totals[i] += m.avg_millis();
+            for (total, algorithm) in totals.iter_mut().zip(MAIN_ALGORITHMS) {
+                let m = measure_algorithm(&engine, algorithm, &[anchor], DEFAULT_K, 0.5);
+                if m.queries > 0 {
+                    total.0 += m.avg_millis();
+                    total.1 += 1;
+                }
             }
         }
-        for (i, algorithm) in MAIN_ALGORITHMS.iter().enumerate() {
-            report.push_cell(
-                algorithm.name(),
-                format!("{:.3}", totals[i] / counted.max(1) as f64),
-            );
+        for (&(millis, succeeded), algorithm) in totals.iter().zip(MAIN_ALGORITHMS) {
+            if succeeded == 0 {
+                ANY_SERIES_FAILED.store(true, Ordering::Relaxed);
+                report.push_cell(algorithm.name(), "failed");
+            } else {
+                report.push_cell(
+                    algorithm.name(),
+                    format!("{:.3}", millis / succeeded as f64),
+                );
+            }
         }
     }
     print!("{}", report.render());
@@ -672,7 +698,7 @@ fn fig14b(options: &Options) {
             |b| b,
         );
         for algorithm in MAIN_ALGORITHMS {
-            let m = measure_algorithm(
+            let m = measure(
                 &bench.engine,
                 algorithm,
                 &bench.workload.users,
@@ -683,264 +709,6 @@ fn fig14b(options: &Options) {
         }
     }
     print!("{}", report.render());
-}
-
-// ---------------------------------------------------------------------------
-// Throughput — sequential vs parallel batch execution
-// ---------------------------------------------------------------------------
-
-/// Beyond the paper: queries/second of the main algorithms, sequential
-/// (one thread, reused context) vs `run_batch` at increasing worker
-/// counts.  This is the serving-throughput trajectory future scaling work
-/// measures itself against.
-fn throughput(options: &Options) {
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // Always measure at least one batch configuration: on a single-core
-    // machine "batch x2" still exercises the parallel path (timeshared).
-    let thread_counts: Vec<usize> = [2usize, 4, 8, 16]
-        .into_iter()
-        .filter(|&t| t <= available.max(2))
-        .collect();
-    let bench = BenchDataset::gowalla(options.scale);
-    let mut report = FigureReport::new(
-        format!(
-            "Throughput — queries/sec, sequential vs batch ({}, {} queries, {} cores available)",
-            bench.name,
-            bench.workload.len(),
-            available
-        ),
-        "algorithm",
-    );
-    for algorithm in MAIN_ALGORITHMS {
-        report.push_x(algorithm.name());
-        let (_, sequential_qps) = measure_sequential_qps(
-            &bench.engine,
-            algorithm,
-            &bench.workload.users,
-            DEFAULT_K,
-            DEFAULT_ALPHA,
-        );
-        report.push_cell("sequential", format!("{sequential_qps:.0}"));
-        for &threads in &thread_counts {
-            let (_, batch_qps) = measure_batch_qps(
-                &bench.engine,
-                algorithm,
-                &bench.workload.users,
-                DEFAULT_K,
-                DEFAULT_ALPHA,
-                threads,
-            );
-            report.push_cell(&format!("batch x{threads}"), format!("{batch_qps:.0}"));
-        }
-    }
-    print!("{}", report.render());
-}
-
-// ---------------------------------------------------------------------------
-// Latency — first-result / prefix streaming vs eager execution
-// ---------------------------------------------------------------------------
-
-/// Beyond the paper: time (and search work) until the pull-lazy stream
-/// yields its first / top-5 result versus the eager full run.  This is the
-/// trajectory figure of the resumable-driver refactor: the
-/// incremental-threshold algorithms should show first-result latency well
-/// below full-query latency, with a matching drop in relaxed edges.
-fn latency(options: &Options) {
-    let bench = BenchDataset::gowalla(options.scale);
-    let mut report = FigureReport::new(
-        format!(
-            "Latency — first-result vs full query ({}, {} queries, k = {})",
-            bench.name,
-            bench.workload.len(),
-            DEFAULT_K
-        ),
-        "algorithm",
-    );
-    for algorithm in MAIN_ALGORITHMS {
-        report.push_x(algorithm.name());
-        let first = measure_prefix(
-            &bench.engine,
-            algorithm,
-            &bench.workload.users,
-            DEFAULT_K,
-            DEFAULT_ALPHA,
-            1,
-        );
-        let top5 = measure_prefix(
-            &bench.engine,
-            algorithm,
-            &bench.workload.users,
-            DEFAULT_K,
-            DEFAULT_ALPHA,
-            5,
-        );
-        report.push_cell(
-            "full (ms)",
-            format!("{:.3}", first.avg_full.as_secs_f64() * 1e3),
-        );
-        report.push_cell(
-            "first (ms)",
-            format!("{:.3}", first.avg_prefix.as_secs_f64() * 1e3),
-        );
-        report.push_cell(
-            "top-5 (ms)",
-            format!("{:.3}", top5.avg_prefix.as_secs_f64() * 1e3),
-        );
-        report.push_cell("speedup@1", format!("{:.1}x", first.speedup()));
-        report.push_cell("relaxed full", format!("{:.0}", first.full_relaxed));
-        report.push_cell("relaxed@1", format!("{:.0}", first.prefix_relaxed));
-        report.push_cell("work@1", format!("{:.3}", first.work_ratio()));
-    }
-    print!("{}", report.render());
-}
-
-// ---------------------------------------------------------------------------
-// Sharding — scatter-gather throughput vs shard count
-// ---------------------------------------------------------------------------
-
-/// Beyond the paper: batch queries/second of the sharded scatter-gather
-/// layer as the shard count grows, for both partitioning policies, plus the
-/// shards-skipped-per-query counts from the coordinator's threshold /
-/// bounding-rect pruning.  The single-engine batch throughput on the same
-/// workload is the baseline every configuration is compared against.
-fn sharding(options: &Options) {
-    use ssrq_data::DatasetConfig;
-    use ssrq_shard::Partitioning;
-
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let dataset = DatasetConfig::gowalla_like(options.scale.gowalla_users).generate();
-    let workload = QueryWorkload::generate(&dataset, options.scale.queries, 0x5A4D);
-
-    // Baseline: the unpartitioned engine on the identical batch.
-    let single = GeoSocialEngine::builder(dataset.clone())
-        .build()
-        .expect("single engine builds");
-    let (baseline_ok, baseline_qps) = measure_batch_qps(
-        &single,
-        Algorithm::Ais,
-        &workload.users,
-        DEFAULT_K,
-        DEFAULT_ALPHA,
-        threads,
-    );
-
-    let mut report = FigureReport::new(
-        format!(
-            "Sharding — scatter-gather batch q/s vs shard count (gowalla-like, {} queries, {} worker threads; single-engine baseline {:.0} q/s)",
-            baseline_ok, threads, baseline_qps
-        ),
-        "shards",
-    );
-    for shards in [1usize, 2, 4, 8] {
-        report.push_x(shards);
-        for (label, policy) in [
-            ("hash", Partitioning::UserHash),
-            ("spatial", Partitioning::SpatialGrid { cells_per_axis: 16 }),
-        ] {
-            let m = measure_sharding(
-                &dataset,
-                policy,
-                shards,
-                &workload.users,
-                DEFAULT_K,
-                DEFAULT_ALPHA,
-                threads,
-                options.with_ch,
-            );
-            report.push_cell(&format!("{label} q/s"), format!("{:.0}", m.batch_qps));
-            report.push_cell(
-                &format!("{label} skipped/query"),
-                format!("{:.2}", m.avg_skipped_shards),
-            );
-            report.push_cell(
-                &format!("{label} build (ms)"),
-                format!("{:.0}", m.build_time.as_secs_f64() * 1e3),
-            );
-        }
-    }
-    print!("{}", report.render());
-    println!(
-        "(skipped/query counts shards the coordinator pruned via the running f_k threshold and the shard bounding rectangles — only the spatial policy has informative rectangles)"
-    );
-    if options.with_ch {
-        println!(
-            "(--with-ch: build (ms) includes exactly one Contraction Hierarchies build per deployment, owned by shard 0 and held by every other shard)"
-        );
-    } else {
-        println!(
-            "(pass --with-ch to include one per-deployment Contraction Hierarchies build in the build-time column — built once and shared across shards; keep the dataset small, CH preprocessing is quadratic-ish on these graphs)"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Memory — shared immutable substrate vs per-shard cloning
-// ---------------------------------------------------------------------------
-
-/// Beyond the paper: approximate resident bytes of the sharded layer per
-/// shard count, split into `Arc`-shared graph-only artifacts (graph,
-/// landmarks, CH — resident once) and per-shard location state (location
-/// vectors, grids, AIS indexes), against the counterfactual cost of the
-/// pre-refactor ownership model in which every shard cloned the graph side.
-fn memory(options: &Options) {
-    use ssrq_shard::Partitioning;
-
-    let dataset = DatasetConfig::gowalla_like(options.scale.gowalla_users).generate();
-    let single = single_engine_breakdown(&dataset);
-    println!(
-        "\n## Memory — single engine baseline (gowalla-like, {} users): graph {}, landmarks {}, locations {}, grid {}, AIS {}",
-        dataset.user_count(),
-        fmt_bytes(single.graph_bytes),
-        fmt_bytes(single.landmarks_bytes),
-        fmt_bytes(single.locations_bytes),
-        fmt_bytes(single.grid_bytes),
-        fmt_bytes(single.ais_bytes),
-    );
-    println!(
-        "   AIS occupancy: {} of {} grid cells materialised ({:.1}%) — empty cells share one static summary and cost nothing",
-        single.ais_occupied_cells,
-        single.ais_total_cells,
-        single.ais_occupancy_ratio() * 100.0,
-    );
-    let mut report = FigureReport::new(
-        format!(
-            "Memory — approx. resident bytes vs shard count (gowalla-like, spatial partitioning{})",
-            if options.with_ch { ", CH built" } else { "" }
-        ),
-        "shards",
-    );
-    for shards in [1usize, 2, 4, 8] {
-        report.push_x(shards);
-        let m = measure_memory(
-            &dataset,
-            Partitioning::SpatialGrid { cells_per_axis: 16 },
-            shards,
-            options.with_ch,
-        );
-        report.push_cell("shared", fmt_bytes(m.shared_bytes));
-        report.push_cell("per-shard", fmt_bytes(m.per_shard_bytes));
-        report.push_cell("total", fmt_bytes(m.total_bytes()));
-        report.push_cell("cloned (pre-refactor)", fmt_bytes(m.cloned_estimate_bytes));
-        report.push_cell("savings", format!("{:.2}x", m.savings_factor()));
-        report.push_cell(
-            "build (ms)",
-            format!("{:.0}", m.build_time.as_secs_f64() * 1e3),
-        );
-    }
-    print!("{}", report.render());
-    println!(
-        "(shared = graph + landmarks{} behind Arc handles, resident once; cloned = the same configuration if every shard cloned them, the pre-refactor ownership model{})",
-        if options.with_ch { " + CH" } else { "" },
-        if options.with_ch {
-            ""
-        } else {
-            "; pass --with-ch to include the Contraction Hierarchies index"
-        }
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -964,19 +732,16 @@ fn scale_sweep(options: &Options) {
         "\n## Scale sweep — gowalla-like at {:?} users, shard counts {:?}, {} queries",
         config.user_counts, config.shard_counts, config.queries
     );
-    let out = options
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_scale.json".into());
+    let out = &options.out;
     let report = run_scale_sweep(&config);
-    std::fs::write(&out, report.render()).expect("scale artifact is writable");
+    std::fs::write(out, report.render()).expect("scale artifact is writable");
 
     // Trust nothing the writer meant: re-read the artifact from disk and
     // validate the parsed document.
-    let persisted = std::fs::read_to_string(&out).expect("scale artifact re-reads");
+    let persisted = std::fs::read_to_string(out).expect("scale artifact re-reads");
     let parsed = Json::parse(&persisted).expect("scale artifact re-parses as JSON");
     if let Err(violation) = validate_scale_report(&parsed) {
-        eprintln!("BENCH_scale.json failed validation: {violation}");
+        eprintln!("{out} failed validation: {violation}");
         std::process::exit(1);
     }
     let scales = parsed
@@ -1012,125 +777,6 @@ fn scale_sweep(options: &Options) {
     );
 }
 
-// ---------------------------------------------------------------------------
-// OBS — end-to-end tracing, metrics and introspection over real processes
-// ---------------------------------------------------------------------------
-
-/// Observability smoke over a real multi-process deployment: spawns
-/// `shard-server` processes (with structured logging and slow-query logs
-/// armed), drives traced queries through the socket coordinator, then
-/// snapshots every server's metrics registry over the wire and validates
-/// the whole pipeline — trace ids bit-identical in every shard's span
-/// log, query counters covering the workload, consistent histograms, a
-/// captured slow query, and the calibrated instrumentation overhead under
-/// the 2% bar.  The artifact is written to `--out` (default
-/// `BENCH_obs.json`), re-read, re-parsed and validated.
-fn obs(options: &Options) {
-    use ssrq_bench::{
-        launch_cluster, measure_obs, sibling_shard_server, validate_obs_report, DeploymentConfig,
-    };
-    use ssrq_net::RemoteShardedEngine;
-    use ssrq_shard::Partitioning;
-    use ssrq_spatial::Point;
-    use std::time::Duration;
-
-    let Some(binary) = sibling_shard_server() else {
-        eprintln!(
-            "shard-server binary not found next to this executable — build it first:\n\
-             \x20   cargo build --release -p ssrq-bench --bin shard-server"
-        );
-        std::process::exit(1);
-    };
-    let users = options.scale.gowalla_users;
-    // The servers' span logs retain 256 traces; stay under that so no
-    // trace id this run checks for was evicted.
-    let queries = options.scale.queries.clamp(1, 256);
-    let shards = 3usize;
-    let out = options
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_obs.json".into());
-    let dir = std::env::temp_dir().join(format!("ssrq-obs-{}", std::process::id()));
-    println!(
-        "\n## OBS — tracing, metrics and introspection over {shards} shard processes \
-         (gowalla-like, {users} users, {queries} traced queries)"
-    );
-
-    let mut config = DeploymentConfig::new(
-        users,
-        4242,
-        shards,
-        Partitioning::SpatialGrid { cells_per_axis: 16 },
-    );
-    // Exercise the logging and slow-query satellites on the server side
-    // too (warn keeps stdout readiness parsing and stderr noise sane).
-    config.extra_args = vec![
-        "--log".into(),
-        "warn".into(),
-        "--slow-query-ms".into(),
-        "1000".into(),
-    ];
-    let servers = launch_cluster(&binary, &dir, &config).expect("shard-server processes launch");
-    let endpoints = servers.iter().map(|s| s.endpoint.clone()).collect();
-    let mut remote = RemoteShardedEngine::builder(endpoints)
-        .slow_query_threshold(Duration::ZERO)
-        .health_check(Duration::from_millis(100), 3)
-        .connect()
-        .expect("coordinator connects");
-
-    // A pinned origin and a large k keep the f_k threshold from skipping
-    // any shard, so every server must see every trace id.
-    let workload = QueryWorkload::generate(&config.dataset(), queries, 0x0B5);
-    let batch: Vec<QueryRequest> = workload
-        .users
-        .iter()
-        .map(|&u| {
-            QueryRequest::for_user(u)
-                .k(64)
-                .alpha(DEFAULT_ALPHA)
-                .origin(Point::new(0.5, 0.5))
-                .algorithm(Algorithm::Ais)
-                .build()
-                .expect("valid request")
-        })
-        .collect();
-    let m = measure_obs(&remote, &batch).expect("observability measurement succeeds");
-    remote.shutdown().expect("servers acknowledge shutdown");
-    drop(servers);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    println!(
-        "trace coverage: {}/{} ids bit-identical in all {} span logs",
-        m.trace_coverage, m.queries, m.shards
-    );
-    println!(
-        "query counts: coordinator {}, shards {:?}; histograms consistent: {}",
-        m.coordinator_queries, m.server_queries, m.histograms_consistent
-    );
-    println!(
-        "mean traced query: {:.0}us; slow-query log captured {} offenders",
-        m.mean_query_latency.as_secs_f64() * 1e6,
-        m.slow_queries
-    );
-    println!(
-        "instrumentation: {:.1}ns/op x {} ops/query = {:.4}% of a query (bar: 2%)",
-        m.metrics_ns_per_op,
-        m.instrument_ops_per_query,
-        m.overhead_fraction * 100.0
-    );
-    println!("sample coordinator span tree:\n{}", m.sample_trace);
-
-    let artifact = m.to_json();
-    std::fs::write(&out, artifact.render()).expect("obs artifact is writable");
-    let persisted = std::fs::read_to_string(&out).expect("obs artifact re-reads");
-    let parsed = Json::parse(&persisted).expect("obs artifact re-parses as JSON");
-    if let Err(violation) = validate_obs_report(&parsed) {
-        eprintln!("{out} failed validation: {violation}");
-        std::process::exit(1);
-    }
-    println!("wrote {out} — parsed back and observability invariants verified");
-}
-
 fn fmt_bytes(bytes: usize) -> String {
     if bytes >= 1 << 20 {
         format!("{:.1} MiB", bytes as f64 / (1u64 << 20) as f64)
@@ -1161,7 +807,7 @@ fn ablation(options: &Options) {
             |b| b.landmarks(m_landmarks),
         );
         for algorithm in [Algorithm::Tsa, Algorithm::Ais] {
-            let m = measure_algorithm(
+            let m = measure(
                 &bench.engine,
                 algorithm,
                 &bench.workload.users,
@@ -1190,7 +836,7 @@ fn ablation(options: &Options) {
             |b| b.landmark_selection(selection),
         );
         for algorithm in [Algorithm::Tsa, Algorithm::Ais] {
-            let m = measure_algorithm(
+            let m = measure(
                 &bench.engine,
                 algorithm,
                 &bench.workload.users,

@@ -67,71 +67,6 @@ pub fn measure_algorithm(
     }
 }
 
-/// Throughput of one algorithm over one workload: sequential (one thread,
-/// one reused context) versus batch execution across worker threads.
-///
-/// The figure future PRs have to beat: queries/second at a given thread
-/// count, measured over identical query sets.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThroughputMeasurement {
-    /// Number of queries each mode executed.
-    pub queries: usize,
-    /// Worker threads used by the batch mode.
-    pub threads: usize,
-    /// Queries per second, sequential execution with a reused context.
-    pub sequential_qps: f64,
-    /// Queries per second through `run_batch_with_threads`.
-    pub batch_qps: f64,
-}
-
-impl ThroughputMeasurement {
-    /// Batch speed-up over sequential execution.
-    pub fn speedup(&self) -> f64 {
-        if self.sequential_qps > 0.0 {
-            self.batch_qps / self.sequential_qps
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Measures sequential vs batch throughput of `algorithm` over the workload
-/// `(users, k, alpha)` with the given worker-thread count.
-///
-/// Both modes run the identical query list.  Failed queries (e.g. a
-/// missing auxiliary index) are excluded from the success counts, but
-/// their (typically tiny) validation time is part of each mode's clock —
-/// qps figures are only meaningful for workloads that mostly succeed.
-///
-/// To compare several thread counts without re-timing the sequential pass
-/// each time, use [`measure_sequential_qps`] + [`measure_batch_qps`]
-/// directly.
-pub fn measure_throughput(
-    engine: &GeoSocialEngine,
-    algorithm: Algorithm,
-    users: &[UserId],
-    k: usize,
-    alpha: f64,
-    threads: usize,
-) -> ThroughputMeasurement {
-    let batch = requests_for(users, k, alpha, algorithm);
-    let (executed, sequential_qps) = time_sequential(engine, &batch);
-    let (batch_ok, batch_qps) = time_batch(engine, &batch, threads);
-    // Queries are deterministic, so the two modes must succeed on exactly
-    // the same subset; a mismatch would mean the parallel path changed
-    // outcomes, which should fail loudly rather than skew the figures.
-    assert_eq!(
-        executed, batch_ok,
-        "sequential and batch execution disagreed on query outcomes"
-    );
-    ThroughputMeasurement {
-        queries: executed,
-        threads,
-        sequential_qps,
-        batch_qps,
-    }
-}
-
 /// Queries/second of one-thread execution with a reused context, returned
 /// with the number of successful queries.
 pub fn measure_sequential_qps(
@@ -141,20 +76,19 @@ pub fn measure_sequential_qps(
     k: usize,
     alpha: f64,
 ) -> (usize, f64) {
-    time_sequential(engine, &requests_for(users, k, alpha, algorithm))
-}
-
-/// Queries/second of `run_batch_with_threads`, returned with the number
-/// of successful queries.
-pub fn measure_batch_qps(
-    engine: &GeoSocialEngine,
-    algorithm: Algorithm,
-    users: &[UserId],
-    k: usize,
-    alpha: f64,
-    threads: usize,
-) -> (usize, f64) {
-    time_batch(engine, &requests_for(users, k, alpha, algorithm), threads)
+    let batch = requests_for(users, k, alpha, algorithm);
+    // Context construction stays inside the clock: the figure covers a
+    // cold start for the workload.
+    let start = Instant::now();
+    let mut ctx = engine.make_context();
+    let mut executed = 0usize;
+    for request in &batch {
+        if engine.run_with(request, &mut ctx).is_ok() {
+            executed += 1;
+        }
+    }
+    let secs = start.elapsed().as_secs_f64();
+    (executed, executed as f64 / secs.max(1e-9))
 }
 
 fn requests_for(users: &[UserId], k: usize, alpha: f64, algorithm: Algorithm) -> Vec<QueryRequest> {
@@ -169,30 +103,6 @@ fn requests_for(users: &[UserId], k: usize, alpha: f64, algorithm: Algorithm) ->
                 .expect("measurement parameters are valid")
         })
         .collect()
-}
-
-fn time_sequential(engine: &GeoSocialEngine, batch: &[QueryRequest]) -> (usize, f64) {
-    // Context construction stays inside the clock: the batch mode pays its
-    // per-worker contexts (and thread spawns) inside its clock too, so both
-    // figures cover a cold start for the workload.
-    let start = Instant::now();
-    let mut ctx = engine.make_context();
-    let mut executed = 0usize;
-    for request in batch {
-        if engine.run_with(request, &mut ctx).is_ok() {
-            executed += 1;
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    (executed, executed as f64 / secs.max(1e-9))
-}
-
-fn time_batch(engine: &GeoSocialEngine, batch: &[QueryRequest], threads: usize) -> (usize, f64) {
-    let start = Instant::now();
-    let results = engine.run_batch_with_threads(batch, threads);
-    let secs = start.elapsed().as_secs_f64();
-    let ok = results.iter().filter(|r| r.is_ok()).count();
-    (ok, ok as f64 / secs.max(1e-9))
 }
 
 /// Aggregated first-result (prefix) latency of one algorithm over one
@@ -368,18 +278,6 @@ mod tests {
             .unwrap();
         let hops = max_result_hops(&engine, &request, &mut ctx);
         assert!(hops.unwrap_or(0) >= 1);
-    }
-
-    #[test]
-    fn throughput_measures_both_modes_over_the_same_workload() {
-        let engine = engine_for(500);
-        let workload = QueryWorkload::generate(engine.dataset(), 8, 5);
-        let t = measure_throughput(&engine, Algorithm::Ais, &workload.users, 10, 0.3, 2);
-        assert_eq!(t.queries, 8);
-        assert_eq!(t.threads, 2);
-        assert!(t.sequential_qps > 0.0);
-        assert!(t.batch_qps > 0.0);
-        assert!(t.speedup() > 0.0);
     }
 
     #[test]

@@ -43,14 +43,22 @@ impl FigureReport {
         }
     }
 
-    /// Convenience: record the run-time (ms) of a measurement.
+    /// Convenience: record the run-time (ms) of a measurement — `failed`
+    /// when no query of it succeeded, so an all-failed series never reads
+    /// as the fastest.
     pub fn push_runtime(&mut self, series: &str, m: &AggregateMeasurement) {
-        self.push_cell(series, format!("{:.3}", m.avg_millis()));
+        self.push_measured(series, m, format!("{:.3}", m.avg_millis()));
     }
 
-    /// Convenience: record the pop ratio of a measurement.
+    /// Convenience: record the pop ratio of a measurement (`failed` as in
+    /// [`FigureReport::push_runtime`]).
     pub fn push_pop_ratio(&mut self, series: &str, m: &AggregateMeasurement) {
-        self.push_cell(series, format!("{:.4}", m.pop_ratio));
+        self.push_measured(series, m, format!("{:.4}", m.pop_ratio));
+    }
+
+    fn push_measured(&mut self, series: &str, m: &AggregateMeasurement, value: String) {
+        let cell = if m.queries == 0 { "failed" } else { &value };
+        self.push_cell(series, cell);
     }
 
     /// Renders the report as an aligned text table.
@@ -100,6 +108,16 @@ mod tests {
             report.push_runtime("SFA", &sample_measurement());
             report.push_pop_ratio("AIS", &sample_measurement());
         }
+        // A series whose every query failed must not render as 0.000 ms.
+        let all_failed = AggregateMeasurement {
+            queries: 0,
+            avg_runtime: Duration::ZERO,
+            pop_ratio: 0.0,
+            ..sample_measurement()
+        };
+        report.push_x(30);
+        report.push_runtime("SFA", &all_failed);
+        report.push_pop_ratio("AIS", &all_failed);
         let text = report.render();
         assert!(text.contains("Figure X"));
         assert!(text.contains("SFA"));
@@ -107,6 +125,8 @@ mod tests {
         assert!(text.contains("1.500"));
         assert!(text.contains("0.0421"));
         assert!(text.matches('\n').count() >= 5);
+        assert_eq!(text.matches("failed").count(), 2);
+        assert!(!text.contains("0.000"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `shard-server` process management: launching a multi-process
 //! deployment and building its in-process twin, for the agreement tests
-//! and `experiments -- obs`.
+//! (`tests/rpc_agreement.rs`).
 //!
 //! The deployment contract mirrors the `shard-server` binary: every
 //! process is launched with the same `--users/--seed/--partitioning/
@@ -15,7 +15,7 @@ use ssrq_data::DatasetConfig;
 use ssrq_net::Endpoint;
 use ssrq_shard::{Partitioning, ShardedEngine};
 use std::io::{self, BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 
 /// One synthetic multi-process deployment: the parameters every
@@ -35,8 +35,8 @@ pub struct DeploymentConfig {
     /// `(queries, seed, t)` of a social-neighbour cache warmed for the
     /// deterministic workload — what AIS-Cache needs.
     pub cache_workload: Option<(usize, u64, usize)>,
-    /// Extra `shard-server` flags appended verbatim (e.g. `--log info`
-    /// or `--slow-query-ms 0`).
+    /// Extra `shard-server` flags appended verbatim (e.g. `--log warn`
+    /// or `--slow-query-ms 1000`).
     pub extra_args: Vec<String>,
 }
 
@@ -90,17 +90,6 @@ impl DeploymentConfig {
         });
         builder.build().expect("in-process twin builds")
     }
-}
-
-/// The `shard-server` binary built alongside the current executable, if
-/// present (the `experiments` harness and the `shard-server` live in the
-/// same target directory).
-pub fn sibling_shard_server() -> Option<PathBuf> {
-    let exe = std::env::current_exe().ok()?;
-    let candidate = exe
-        .parent()?
-        .join(format!("shard-server{}", std::env::consts::EXE_SUFFIX));
-    candidate.is_file().then_some(candidate)
 }
 
 /// One running `shard-server` OS process.  Dropping it kills and reaps the

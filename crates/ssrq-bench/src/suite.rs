@@ -34,7 +34,7 @@ impl Default for Scale {
 }
 
 impl Scale {
-    /// A quick scale for smoke runs and the Criterion benches.
+    /// A quick scale for smoke runs (CI runs `all --quick --scale 0.2`).
     pub fn quick() -> Self {
         Scale {
             gowalla_users: 6_000,

@@ -84,6 +84,11 @@ fn shard_server_processes_agree_with_the_in_process_engine_for_all_algorithms() 
         DeploymentConfig::new(180, 77, 3, Partitioning::SpatialGrid { cells_per_axis: 4 });
     config.with_ch = true;
     config.cache_workload = Some((3, 23, 80));
+    // Logging and the slow-query log armed on every server: neither may
+    // write to stdout, whose only line is the readiness announcement.
+    config.extra_args = ["--log", "warn", "--slow-query-ms", "1000"]
+        .map(String::from)
+        .to_vec();
 
     let local = config.in_process_engine();
     let dir = SocketDir::new();

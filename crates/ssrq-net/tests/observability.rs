@@ -1,12 +1,13 @@
 //! End-to-end observability over real sockets: a coordinator-assigned
 //! trace id must arrive bit-identical in every shard server's span log,
-//! the `Metrics` request must snapshot a live server remotely, and the
-//! health monitor must publish its ping gauges into the global registry.
+//! the `Metrics` request must snapshot a live server remotely (every
+//! histogram consistent), the coordinator must capture slow queries, and
+//! the health monitor must publish its ping gauges into the global registry.
 
 use ssrq_core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest};
 use ssrq_data::{DatasetConfig, QueryWorkload};
 use ssrq_net::{Endpoint, RemoteShardedEngine, ShardServer};
-use ssrq_obs::Registry;
+use ssrq_obs::{MetricValue, ObsReport, Registry};
 use ssrq_shard::{Partitioning, ShardAssignment};
 use ssrq_spatial::Point;
 use std::path::PathBuf;
@@ -75,6 +76,19 @@ impl Drop for Cluster {
     }
 }
 
+/// Every histogram of a snapshot has a sum its bucket counts allow.
+fn assert_histograms_consistent(who: &str, report: &ObsReport) {
+    for sample in &report.metrics {
+        if let MetricValue::Histogram(snapshot) = &sample.value {
+            assert!(
+                snapshot.is_consistent(),
+                "{who}: histogram {} is inconsistent: {snapshot:?}",
+                sample.name
+            );
+        }
+    }
+}
+
 #[test]
 fn trace_ids_arrive_bit_identical_in_every_shards_span_log() {
     let dataset = DatasetConfig::gowalla_like(250).generate();
@@ -87,6 +101,8 @@ fn trace_ids_arrive_bit_identical_in_every_shards_span_log() {
     let remote = RemoteShardedEngine::builder(cluster.endpoints.clone())
         .connect_timeout(Duration::from_secs(10))
         .deadline(Duration::from_secs(30))
+        // Threshold zero: every completed query is a slow-query offender.
+        .slow_query_threshold(Duration::ZERO)
         .connect()
         .expect("coordinator connects");
 
@@ -142,17 +158,31 @@ fn trace_ids_arrive_bit_identical_in_every_shards_span_log() {
         }
     }
 
-    // The servers' metric registries counted the queries too.
+    // The coordinator captured every query as a slow one and counted it.
+    let driven = workload.users.len();
+    assert_eq!(remote.slow_queries().len(), driven);
+    let coordinator = remote.coordinator_report();
+    assert_histograms_consistent("coordinator", &coordinator);
+    let counted = coordinator
+        .counter("ssrq_coordinator_queries_total", &[])
+        .unwrap_or(0);
+    assert!(
+        counted >= driven as u64,
+        "coordinator counted {counted} < {driven} queries"
+    );
+
+    // The servers' metric registries counted the queries too, and their
+    // histograms survive the wire intact.
     for shard in 0..shards {
         let report = remote.remote_metrics(shard).expect("metrics snapshot");
+        assert_histograms_consistent(&format!("shard {shard}"), &report);
         let shard_label = shard.to_string();
         let served = report
             .counter("ssrq_server_queries_total", &[("shard", &shard_label)])
             .unwrap_or(0);
         assert!(
-            served >= workload.users.len() as u64,
-            "shard {shard} served {served} < {} queries",
-            workload.users.len()
+            served >= driven as u64,
+            "shard {shard} served {served} < {driven} queries"
         );
     }
 }

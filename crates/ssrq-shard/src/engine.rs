@@ -428,7 +428,7 @@ impl ShardedEngine {
     /// shard's bounding rectangle.
     ///
     /// Under [`Partitioning::SpatialGrid`] the cells are re-packed
-    /// (heaviest cell to the least-loaded shard) and users whose cell
+    /// (contiguous, load-balanced serpentine runs) and users whose cell
     /// moved are migrated — the skew-repair pass for datasets whose
     /// population drifted since construction.  Under
     /// [`Partitioning::UserHash`] ownership is already stable and balanced,

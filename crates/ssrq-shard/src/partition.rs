@@ -11,7 +11,7 @@
 //!   coordinator's rect pruning rarely skips a shard.
 //! * [`Partitioning::SpatialGrid`] — the domain is tiled into
 //!   `cells_per_axis²` grid cells and whole cells are packed onto shards
-//!   (greedily, heaviest cell to the least-loaded shard).  Shards get
+//!   (contiguous, load-balanced runs of a serpentine cell walk).  Shards get
 //!   compact bounding rectangles, which is what lets the coordinator skip
 //!   shards whose best possible spatial score cannot beat the current
 //!   threshold — at the price of user *migration* when a location update
@@ -242,7 +242,7 @@ impl ShardAssignment {
     }
 
     /// Re-packs the spatial cells for the given located population
-    /// (heaviest-band serpentine packing, see the module docs).  A no-op
+    /// (contiguous serpentine runs, as at construction).  A no-op
     /// under hash partitioning, whose assignment is location-independent.
     pub fn repack(&mut self, located: &[Point]) {
         let shards = self.shards;
