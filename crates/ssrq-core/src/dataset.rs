@@ -80,7 +80,9 @@ impl GeoSocialDataset {
         } else {
             1.0
         };
-        let social_norm = estimate_graph_diameter(&graph).max(f64::MIN_POSITIVE);
+        // The double-sweep pseudo-diameter: a lower bound on the diameter,
+        // adequate as a normalization constant.
+        let social_norm = pseudo_diameter(&graph).max(f64::MIN_POSITIVE);
         Ok(GeoSocialDataset {
             core: Arc::new(DatasetCore {
                 graph,
@@ -251,29 +253,6 @@ impl GeoSocialDataset {
     pub fn locations_heap_bytes(&self) -> usize {
         self.locations.capacity() * std::mem::size_of::<Option<Point>>()
     }
-}
-
-/// Node-count threshold above which the construction-time double sweep
-/// fans its per-round relaxation out across all available cores.  Below
-/// it the sweep stays sequential — thread-spawn overhead would dominate,
-/// and [`pseudo_diameter`] is bit-identical either way.
-const PARALLEL_SWEEP_MIN_NODES: usize = 1 << 14;
-
-/// Estimates the weighted diameter of the graph with the standard double
-/// sweep (see [`pseudo_diameter`]); this is the pseudo-diameter lower
-/// bound, adequate as a normalization constant.  Large graphs run the
-/// sweep chunk-parallel — ROADMAP notes it dominates 1M-user build time —
-/// with the norms guaranteed bit-identical to the sequential sweep
-/// (regression-tested in `ssrq-data`).
-fn estimate_graph_diameter(graph: &SocialGraph) -> f64 {
-    let threads = if graph.node_count() >= PARALLEL_SWEEP_MIN_NODES {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        1
-    };
-    pseudo_diameter(graph, threads)
 }
 
 #[cfg(test)]

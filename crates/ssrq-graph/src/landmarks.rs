@@ -40,7 +40,9 @@ pub struct LandmarkSet {
 
 impl LandmarkSet {
     /// Selects `m` landmarks with the given strategy and pre-computes the
-    /// distance vectors (one single-source Dijkstra per landmark).
+    /// distance vectors (one single-source Dijkstra per landmark; farthest-
+    /// first selection adds one more sweep to find its start, and its
+    /// selection sweeps are the table's columns).
     ///
     /// # Errors
     ///
@@ -62,34 +64,27 @@ impl LandmarkSet {
                 "cannot select landmarks on an empty graph".into(),
             ));
         }
-        let m = m.min(graph.node_count());
-        let landmarks = match strategy {
-            LandmarkSelection::Random => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut ids: Vec<NodeId> = graph.nodes().collect();
-                ids.shuffle(&mut rng);
-                ids.truncate(m);
-                ids
-            }
-            LandmarkSelection::HighestDegree => {
-                let mut ids: Vec<NodeId> = graph.nodes().collect();
-                ids.sort_by_key(|&v| std::cmp::Reverse(graph.degree(v)));
-                ids.truncate(m);
-                ids
-            }
-            LandmarkSelection::FarthestFirst => farthest_first(graph, m, seed),
-        };
-
         let node_count = graph.node_count();
-        let mut dist = vec![f64::INFINITY; node_count * landmarks.len()];
-        // One scratch backs all M single-source sweeps.
+        let m = m.min(node_count);
+        // One scratch backs every single-source sweep.
         let mut scratch = SearchScratch::with_capacity(node_count);
-        for (j, &lm) in landmarks.iter().enumerate() {
-            let d = dijkstra_all_with(graph, lm, &mut scratch);
-            for v in 0..node_count {
-                dist[v * landmarks.len() + j] = d[v];
+        let (landmarks, dist) = match strategy {
+            LandmarkSelection::FarthestFirst => farthest_first(graph, m, seed, &mut scratch),
+            LandmarkSelection::Random | LandmarkSelection::HighestDegree => {
+                let mut ids: Vec<NodeId> = graph.nodes().collect();
+                if strategy == LandmarkSelection::Random {
+                    ids.shuffle(&mut StdRng::seed_from_u64(seed));
+                } else {
+                    ids.sort_by_key(|&v| std::cmp::Reverse(graph.degree(v)));
+                }
+                ids.truncate(m);
+                let mut dist = vec![f64::INFINITY; node_count * m];
+                for (j, &lm) in ids.iter().enumerate() {
+                    write_column(&mut dist, m, j, &dijkstra_all_with(graph, lm, &mut scratch));
+                }
+                (ids, dist)
             }
-        }
+        };
         Ok(LandmarkSet {
             landmarks,
             dist,
@@ -171,52 +166,88 @@ impl LandmarkSet {
 /// the vertex maximizing the distance to the closest already-chosen
 /// landmark.  Vertices in unreachable components are skipped (they would
 /// produce infinite, useless bounds for the main component).
-fn farthest_first(graph: &SocialGraph, m: usize, seed: u64) -> Vec<NodeId> {
+///
+/// Each landmark's selection sweep is written straight into its column of
+/// the `|V| × m` table, so selection and table together cost `m + 1`
+/// sweeps.  Returns the landmarks and the table, compacted to
+/// `landmarks.len()` columns when selection stops early.
+fn farthest_first(
+    graph: &SocialGraph,
+    m: usize,
+    seed: u64,
+    scratch: &mut SearchScratch,
+) -> (Vec<NodeId>, Vec<Distance>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = graph.node_count();
-    let first = rng.gen_range(0..n) as NodeId;
-    let mut scratch = SearchScratch::with_capacity(n);
+    // An isolated vertex would be its own farthest vertex and end the
+    // selection at one landmark, so advance cyclically from the random
+    // draw to the first vertex of positive degree.
+    let drawn = rng.gen_range(0..n);
+    let first = (drawn..n)
+        .chain(0..drawn)
+        .map(|v| v as NodeId)
+        .find(|&v| graph.degree(v) > 0)
+        .unwrap_or(drawn as NodeId);
 
-    // Distance to the closest chosen landmark so far.
-    let mut closest = dijkstra_all_with(graph, first, &mut scratch);
     // Replace the random seed vertex by the farthest reachable vertex from
     // it; this avoids a poor (central) first landmark.
-    let start = closest
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.is_finite())
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-        .map(|(v, _)| v as NodeId)
-        .unwrap_or(first);
+    let start = farthest(&dijkstra_all_with(graph, first, scratch)).unwrap_or(first);
 
     let mut landmarks = vec![start];
-    closest = dijkstra_all_with(graph, start, &mut scratch);
+    let mut dist = vec![f64::INFINITY; n * m];
+    // Distance to the closest chosen landmark so far.
+    let mut closest = dijkstra_all_with(graph, start, scratch);
+    write_column(&mut dist, m, 0, &closest);
     while landmarks.len() < m {
-        let next = closest
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_finite())
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(v, _)| v as NodeId);
-        let Some(next) = next else { break };
+        let Some(next) = farthest(&closest) else {
+            break;
+        };
         if landmarks.contains(&next) {
             break; // graph smaller than m reachable vertices
         }
+        let d = dijkstra_all_with(graph, next, scratch);
+        write_column(&mut dist, m, landmarks.len(), &d);
         landmarks.push(next);
-        let d = dijkstra_all_with(graph, next, &mut scratch);
         for v in 0..n {
             if d[v] < closest[v] {
                 closest[v] = d[v];
             }
         }
     }
-    landmarks
+
+    let len = landmarks.len();
+    if len < m {
+        for v in 1..n {
+            dist.copy_within(v * m..v * m + len, v * len);
+        }
+        dist.truncate(n * len);
+        dist.shrink_to_fit();
+    }
+    (landmarks, dist)
+}
+
+/// The finite-distance vertex farthest from a sweep's source (the last one
+/// among equals).
+fn farthest(dist: &[Distance]) -> Option<NodeId> {
+    dist.iter()
+        .enumerate()
+        .filter(|(_, d)| d.is_finite())
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+        .map(|(v, _)| v as NodeId)
+}
+
+/// Writes one landmark's sweep into column `j` of the vertex-major table
+/// with `m` columns.
+fn write_column(table: &mut [Distance], m: usize, j: usize, sweep: &[Distance]) {
+    for (row, &d) in table.chunks_exact_mut(m).zip(sweep) {
+        row[j] = d;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dijkstra_distance, GraphBuilder};
+    use crate::{dijkstra_all, dijkstra_distance, GraphBuilder};
 
     fn path_graph(n: usize) -> SocialGraph {
         GraphBuilder::from_edges(n, (0..n - 1).map(|i| (i as NodeId, i as NodeId + 1, 1.0)))
@@ -335,5 +366,131 @@ mod tests {
                 assert_eq!(lms.distance_to_landmark(v, j), dijkstra_distance(&g, v, lm));
             }
         }
+    }
+
+    /// The landmark selection as it ran when a second round of sweeps
+    /// built the table after selection: Random and HighestDegree as they
+    /// still are, farthest-first verbatim.
+    fn reference_landmarks(
+        graph: &SocialGraph,
+        m: usize,
+        strategy: LandmarkSelection,
+        seed: u64,
+    ) -> Vec<NodeId> {
+        let m = m.min(graph.node_count());
+        let mut ids: Vec<NodeId> = graph.nodes().collect();
+        match strategy {
+            LandmarkSelection::Random => ids.shuffle(&mut StdRng::seed_from_u64(seed)),
+            LandmarkSelection::HighestDegree => {
+                ids.sort_by_key(|&v| std::cmp::Reverse(graph.degree(v)))
+            }
+            LandmarkSelection::FarthestFirst => return reference_farthest_first(graph, m, seed),
+        }
+        ids.truncate(m);
+        ids
+    }
+
+    fn reference_farthest_first(graph: &SocialGraph, m: usize, seed: u64) -> Vec<NodeId> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = graph.node_count();
+        let first = rng.gen_range(0..n) as NodeId;
+        let mut scratch = SearchScratch::with_capacity(n);
+
+        // Distance to the closest chosen landmark so far.
+        let mut closest = dijkstra_all_with(graph, first, &mut scratch);
+        // Replace the random seed vertex by the farthest reachable vertex from
+        // it; this avoids a poor (central) first landmark.
+        let start = closest
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| d.is_finite())
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .map(|(v, _)| v as NodeId)
+            .unwrap_or(first);
+
+        let mut landmarks = vec![start];
+        closest = dijkstra_all_with(graph, start, &mut scratch);
+        while landmarks.len() < m {
+            let next = closest
+                .iter()
+                .enumerate()
+                .filter(|(_, d)| d.is_finite())
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .map(|(v, _)| v as NodeId);
+            let Some(next) = next else { break };
+            if landmarks.contains(&next) {
+                break; // graph smaller than m reachable vertices
+            }
+            landmarks.push(next);
+            let d = dijkstra_all_with(graph, next, &mut scratch);
+            for v in 0..n {
+                if d[v] < closest[v] {
+                    closest[v] = d[v];
+                }
+            }
+        }
+        landmarks
+    }
+
+    /// A generated graph, rebuilt from its edge list as this crate's type.
+    fn generated(config: ssrq_data::DatasetConfig) -> SocialGraph {
+        let g = config.generate_graph();
+        GraphBuilder::from_edges(g.node_count(), g.undirected_edges()).unwrap()
+    }
+
+    #[test]
+    fn tables_are_bit_identical_to_a_sweep_per_landmark() {
+        use ssrq_data::DatasetConfig;
+        // A 5-vertex path and a triangle, no isolated vertex: farthest-first
+        // exhausts its component before reaching 6 landmarks.
+        let path = (0..4).map(|i| (i, i + 1, 0.3 + 0.2 * f64::from(i)));
+        let triangle = [(5, 6, 0.2), (6, 7, 0.4), (5, 7, 0.5)];
+        let split = GraphBuilder::from_edges(8, path.chain(triangle)).unwrap();
+        let gowalla = generated(DatasetConfig::gowalla_like(1_500).with_seed(42));
+        let twitter = generated(DatasetConfig::twitter_like(1_000).with_seed(7));
+        let cases = [
+            ("gowalla", gowalla, 8, 42),
+            ("twitter", twitter, 8, 7),
+            ("split", split, 6, 3),
+        ];
+        for (label, graph, m, seed) in cases {
+            for strategy in [
+                LandmarkSelection::FarthestFirst,
+                LandmarkSelection::Random,
+                LandmarkSelection::HighestDegree,
+            ] {
+                let lms = LandmarkSet::build(&graph, m, strategy, seed).unwrap();
+                let expected = reference_landmarks(&graph, m, strategy, seed);
+                assert_eq!(lms.landmarks(), &expected[..], "{label} {strategy:?}");
+                if label == "split" && strategy == LandmarkSelection::FarthestFirst {
+                    assert!(lms.len() < m, "selection stops early");
+                }
+                assert_eq!(lms.dist.len(), graph.node_count() * lms.len());
+                for (j, &lm) in lms.landmarks().iter().enumerate() {
+                    let sweep = dijkstra_all(&graph, lm);
+                    for v in graph.nodes() {
+                        assert_eq!(
+                            lms.distance_to_landmark(v, j).to_bits(),
+                            sweep[v as usize].to_bits(),
+                            "{label} {strategy:?}: landmark {j}, vertex {v}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn farthest_first_never_stops_at_an_isolated_start() {
+        // A 50-vertex path followed by 50 isolated vertices.
+        let g = GraphBuilder::from_edges(100, (0..49).map(|i| (i, i + 1, 1.0))).unwrap();
+        let mut short_before = 0;
+        for seed in 0..200 {
+            let lms = LandmarkSet::build(&g, 4, LandmarkSelection::FarthestFirst, seed).unwrap();
+            assert_eq!(lms.len(), 4, "seed {seed}");
+            short_before += usize::from(reference_farthest_first(&g, 4, seed).len() < 4);
+        }
+        // The graph does trip the old selection.
+        assert!(short_before > 0);
     }
 }

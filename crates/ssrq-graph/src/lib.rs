@@ -30,23 +30,23 @@
 pub mod astar;
 mod builder;
 mod ch;
+mod diameter;
 mod dijkstra;
 mod distance_engine;
 mod error;
 mod graph;
 mod landmarks;
-mod parallel;
 mod queue;
 mod scratch;
 
 pub use builder::GraphBuilder;
 pub use ch::{ChParams, ChQueryScratch, ContractionHierarchy};
+pub use diameter::pseudo_diameter;
 pub use dijkstra::{dijkstra_all, dijkstra_all_with, dijkstra_distance, IncrementalDijkstra};
 pub use distance_engine::{DistanceEngineStats, GraphDistanceEngine, SharingMode};
 pub use error::GraphError;
 pub use graph::{CsrLayout, Edge, Neighbors, NodeId, SocialGraph};
 pub use landmarks::{LandmarkSelection, LandmarkSet};
-pub use parallel::{dijkstra_all_parallel, pseudo_diameter};
 pub use scratch::SearchScratch;
 
 /// Weight of a social edge; smaller weights denote stronger friendships

@@ -17,6 +17,12 @@
 //! of its own at its first query.  Queries run under the engine's read
 //! lock; mutations (relocations, assignment updates) take the write lock.
 //!
+//! The accept loop blocks in `accept`, so a connection is served the
+//! moment it arrives.  Raising the shutdown flag cannot interrupt that
+//! call, so one waker thread watches the flag and, once it is up, connects
+//! to the server's own endpoint; the accept loop sees the flag and exits
+//! without serving that connection.
+//!
 //! A frame the server cannot trust costs only its own connection: a bad
 //! header (wrong magic or protocol version, oversized payload) closes it,
 //! since the byte stream can no longer be re-synchronised, while a
@@ -33,14 +39,14 @@ use ssrq_obs::{Counter, Histogram, Logger, ObsReport, Registry, SlowQueryLog, Sp
 use ssrq_shard::ShardAssignment;
 use ssrq_spatial::Rect;
 use std::io::{Read, Write};
-use std::net::TcpListener;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-/// How long the accept loop and idle connection threads wait before
+/// How long the waker thread and idle connection threads wait before
 /// re-checking the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
@@ -154,14 +160,9 @@ impl ShardServer {
                     }
                     Err(e) => return Err(NetError::Io(e)),
                 };
-                listener.set_nonblocking(true)?;
                 Listener::Unix(listener, path.clone())
             }
-            Endpoint::Tcp(addr) => {
-                let listener = TcpListener::bind(addr)?;
-                listener.set_nonblocking(true)?;
-                Listener::Tcp(listener)
-            }
+            Endpoint::Tcp(addr) => Listener::Tcp(TcpListener::bind(addr)?),
         };
         Ok(ShardServer {
             engine: RwLock::new(engine),
@@ -210,46 +211,71 @@ impl ShardServer {
     }
 
     /// Serves connections until the shutdown flag is raised, one thread
-    /// per accepted connection.
+    /// per accepted connection; returns within about 50 ms of the flag
+    /// going up (see the module docs for how a blocked accept is woken).
     ///
     /// # Errors
     ///
-    /// [`NetError::Io`] for an accept-loop failure (per-connection errors
-    /// only terminate that connection).
+    /// [`NetError::Io`] for an accept-loop failure or an unreadable bound
+    /// address (per-connection errors only terminate that connection).
     pub fn serve(&self) -> Result<(), NetError> {
+        // Where the waker connects: a wildcard TCP bind is reached on
+        // loopback.
+        let wake = match &self.listener {
+            Listener::Unix(_, path) => Endpoint::Unix(path.clone()),
+            Listener::Tcp(listener) => {
+                let mut addr = listener.local_addr()?;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                Endpoint::Tcp(addr.to_string())
+            }
+        };
+        let exited = AtomicBool::new(false);
         std::thread::scope(|scope| {
+            let waker = scope.spawn(|| {
+                while !exited.load(Ordering::SeqCst) {
+                    if self.shutdown.load(Ordering::SeqCst) {
+                        // Unblocks the accept; a failed attempt is retried
+                        // on the next tick.
+                        let _ = Stream::connect(&wake);
+                    }
+                    std::thread::park_timeout(POLL_INTERVAL);
+                }
+            });
             let mut next_conn_id: u64 = 0;
             let result = loop {
+                let accepted = match &self.listener {
+                    Listener::Unix(listener, _) => {
+                        listener.accept().map(|(stream, _)| Stream::Unix(stream))
+                    }
+                    Listener::Tcp(listener) => listener.accept().map(|(stream, _)| {
+                        stream.set_nodelay(true).ok();
+                        Stream::Tcp(stream)
+                    }),
+                };
+                // A connection accepted after the flag went up (the
+                // waker's among them) is closed unserved.
                 if self.shutdown.load(Ordering::SeqCst) {
                     break Ok(());
                 }
-                let accepted = match &self.listener {
-                    Listener::Unix(listener, _) => match listener.accept() {
-                        Ok((stream, _)) => Some(Stream::Unix(stream)),
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                        Err(e) => break Err(NetError::Io(e)),
-                    },
-                    Listener::Tcp(listener) => match listener.accept() {
-                        Ok((stream, _)) => {
-                            stream.set_nodelay(true).ok();
-                            Some(Stream::Tcp(stream))
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                        Err(e) => break Err(NetError::Io(e)),
-                    },
-                };
                 match accepted {
-                    Some(stream) => {
+                    Ok(stream) => {
                         let conn_id = next_conn_id;
                         next_conn_id += 1;
                         scope.spawn(move || self.serve_connection(conn_id, stream));
                     }
-                    None => std::thread::sleep(POLL_INTERVAL),
+                    Err(e) => break Err(NetError::Io(e)),
                 }
             };
             // Connection threads poll this flag; raising it on the error
             // path too lets the scope join instead of hanging.
             self.shutdown.store(true, Ordering::SeqCst);
+            exited.store(true, Ordering::SeqCst);
+            waker.thread().unpark();
             result
         })?;
         if let Listener::Unix(_, path) = &self.listener {

@@ -5,7 +5,8 @@
 //! rebalances, fail the way the [`FailurePolicy`] promises when a shard
 //! dies, report a missed deadline after one deadline and never reuse the
 //! connection that missed it, refuse a response under the wrong frame id,
-//! and refuse frames outside the protocol without going down.
+//! refuse frames outside the protocol without going down, and stop
+//! promptly however they are told to.
 
 use ssrq_core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest, QueryResult};
 use ssrq_data::{DatasetConfig, QueryWorkload};
@@ -844,4 +845,75 @@ fn tcp_endpoints_serve_too() {
 
     flag.store(true, Ordering::SeqCst);
     handle.join().unwrap();
+}
+
+#[test]
+fn a_blocked_accept_never_hangs_shutdown() {
+    let dataset = DatasetConfig::gowalla_like(60).generate();
+    let assignment = ShardAssignment::compute(&dataset, Partitioning::UserHash, 1).unwrap();
+    let engine = GeoSocialEngine::builder(dataset).build().unwrap();
+    let dir = std::env::temp_dir().join(format!(
+        "ssrq-net-stop-{}-{}",
+        std::process::id(),
+        CLUSTER_SEQ.fetch_add(1, Ordering::SeqCst)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Shard labels no other test uses, so each connection counter below
+    // belongs to one server alone.
+    let mut shard = 900;
+    for bind_to in ["unix", "tcp:127.0.0.1:0", "tcp:0.0.0.0:0"] {
+        // How the server is stopped: the flag with no connection ever
+        // made, the flag with an idle connection open, a `Shutdown` frame.
+        let stops = [
+            (None, true),
+            (Some((Message::Ping, Message::Pong)), true),
+            (Some((Message::Shutdown, Message::Ok)), false),
+        ];
+        for (call, raise_flag) in stops {
+            shard += 1;
+            let stop = format!("{bind_to}, {call:?}");
+            let endpoint = match bind_to {
+                "unix" => Endpoint::Unix(dir.join(format!("{shard}.sock"))),
+                tcp => Endpoint::parse(tcp).unwrap(),
+            };
+            let server =
+                ShardServer::bind(&endpoint, engine.clone(), shard, assignment.clone()).unwrap();
+            let reach = match server.endpoint() {
+                Endpoint::Tcp(addr) => Endpoint::Tcp(addr.replace("0.0.0.0", "127.0.0.1")),
+                unix => unix,
+            };
+            let flag = server.shutdown_flag();
+            let (done, served) = std::sync::mpsc::channel();
+            let handle = std::thread::spawn(move || {
+                let _ = done.send(server.serve());
+            });
+
+            let client = call.map(|(request, reply)| {
+                let mut client = ShardClient::connect(&reach, Duration::from_secs(10)).unwrap();
+                assert_eq!(client.call(&request).unwrap().0, reply);
+                client
+            });
+            if raise_flag {
+                flag.store(true, Ordering::SeqCst);
+            }
+            served
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|e| panic!("{stop}: serve() did not return: {e}"))
+                .unwrap_or_else(|e| panic!("{stop}: serve() failed: {e}"));
+            handle.join().unwrap();
+
+            let connections = ssrq_obs::Registry::global()
+                .counter(
+                    "ssrq_server_connections_total",
+                    &[("shard", &shard.to_string())],
+                )
+                .get();
+            assert_eq!(
+                connections,
+                u64::from(client.is_some()),
+                "{stop}: only the client's connection is counted"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
