@@ -11,13 +11,21 @@
 //! shared, and a fully-drained stream is bit-identical to the eager result.
 //!
 //! Drivers borrow the engine's immutable indexes and the caller's
-//! [`QueryContext`](crate::QueryContext) for their whole lifetime; dropping
-//! a driver (or the [`QueryStream`](crate::QueryStream) wrapping it)
-//! mid-search simply releases those borrows — the context's epoch-versioned
-//! scratch makes later queries on the same context bit-identical to fresh
-//! ones (asserted by `tests/property_based.rs`).
+//! [`QueryContext`] for their whole lifetime; dropping a driver (or the
+//! [`QueryStream`](crate::QueryStream) wrapping it) mid-search simply
+//! releases those borrows — the context's epoch-versioned scratch makes
+//! later queries on the same context bit-identical to fresh ones (asserted
+//! by `tests/property_based.rs`).
 
-use crate::{CoreError, QueryResult, QueryStats, RankedUser, TopK};
+use crate::ais::{ais_query, AisDriver, AisVariant};
+use crate::algorithms::{
+    CachedDriver, ExhaustiveDriver, SfaChDriver, SfaDriver, SpaDriver, SpaOptions, TsaDriver,
+    TsaOptions,
+};
+use crate::{
+    Algorithm, CoreError, GeoSocialEngine, QueryContext, QueryRequest, QueryResult, QueryStats,
+    RankedUser, TopK,
+};
 
 /// What a single [`QueryDriver::step`] call achieved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,12 +56,9 @@ pub enum StepOutcome {
 ///   returned [`StepOutcome::Complete`] and yields the same result the
 ///   eager entry point computes.  It may be called at most once.
 ///
-/// Obtain drivers through
-/// [`GeoSocialEngine::begin_stream`](crate::GeoSocialEngine::begin_stream)
-/// (or a strategy's
-/// [`AlgorithmStrategy::begin_stream`](crate::AlgorithmStrategy::begin_stream));
-/// most callers want the [`QueryStream`](crate::QueryStream) iterator
-/// instead, which pulls a driver just far enough for each `next()`.
+/// Obtain drivers through [`GeoSocialEngine::begin_stream`]; most callers
+/// want the [`QueryStream`](crate::QueryStream) iterator instead, which
+/// pulls a driver just far enough for each `next()`.
 pub trait QueryDriver {
     /// Advances the search by one probe.
     fn step(&mut self) -> StepOutcome;
@@ -62,9 +67,9 @@ pub trait QueryDriver {
     /// `out`, in ascending `(score, user)` order.
     ///
     /// Drain-after-complete algorithms (the exhaustive oracle, the cached
-    /// method while its fallback is still possible, custom strategies
-    /// running behind [`EagerDriver`]) never emit anything here; their
-    /// whole result arrives through [`QueryDriver::take_result`].
+    /// method while its fallback is still possible, a planner cache hit)
+    /// never emit anything here; their whole result arrives through
+    /// [`QueryDriver::take_result`].
     fn drain_finalized(&mut self, out: &mut Vec<RankedUser>);
 
     /// Returns `true` once the underlying search has completed.
@@ -113,22 +118,127 @@ pub(crate) fn drain_new_finalized(topk: &TopK, emitted: &mut usize, out: &mut Ve
     }
 }
 
+/// Starts the driver of one concrete `algorithm` over `engine` — the one
+/// place the twelve paper algorithms are told apart.  An index-backed
+/// algorithm builds its declared index here on first use.
+///
+/// # Errors
+///
+/// [`CoreError::MissingIndex`] for an index the engine does not declare;
+/// otherwise whatever the driver's constructor reports for the request
+/// (typically [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`]).
+///
+/// # Panics
+///
+/// On [`Algorithm::Auto`], which names no driver: the engine hands it to
+/// its planner, whose choice is never `Auto`.
+pub(crate) fn start<'a>(
+    algorithm: Algorithm,
+    engine: &'a GeoSocialEngine,
+    request: &QueryRequest,
+    ctx: &'a mut QueryContext,
+) -> Result<Box<dyn QueryDriver + 'a>, CoreError> {
+    let dataset = engine.dataset();
+    let tsa = |quick_combine, ch_phase2| TsaOptions {
+        quick_combine,
+        landmarks: Some(engine.landmarks()),
+        ch_phase2,
+    };
+    let ais = |variant, ctx| {
+        AisDriver::new(
+            dataset,
+            engine.ais_index(),
+            engine.landmarks(),
+            request,
+            variant,
+            ctx,
+        )
+    };
+    Ok(match algorithm {
+        Algorithm::Exhaustive => Box::new(ExhaustiveDriver::new(dataset, request, ctx)?),
+        Algorithm::Sfa => Box::new(SfaDriver::new(dataset, request, ctx)?),
+        Algorithm::Spa => Box::new(SpaDriver::new(
+            dataset,
+            engine.grid(),
+            request,
+            SpaOptions::default(),
+            ctx,
+        )?),
+        Algorithm::Tsa => Box::new(TsaDriver::new(
+            dataset,
+            engine.grid(),
+            request,
+            tsa(false, None),
+            ctx,
+        )?),
+        Algorithm::TsaQc => Box::new(TsaDriver::new(
+            dataset,
+            engine.grid(),
+            request,
+            tsa(true, None),
+            ctx,
+        )?),
+        Algorithm::AisBid => Box::new(ais(AisVariant::bid(), ctx)?),
+        Algorithm::AisMinus => Box::new(ais(AisVariant::minus(), ctx)?),
+        Algorithm::Ais => Box::new(ais(AisVariant::full(), ctx)?),
+        Algorithm::SfaCh => {
+            let ch = engine.require_contraction_hierarchy()?;
+            Box::new(SfaChDriver::new(dataset, ch, request, ctx)?)
+        }
+        Algorithm::SpaCh => {
+            let ch = engine.require_contraction_hierarchy()?;
+            Box::new(SpaDriver::new(
+                dataset,
+                engine.grid(),
+                request,
+                SpaOptions { ch: Some(ch) },
+                ctx,
+            )?)
+        }
+        Algorithm::TsaCh => {
+            let ch = engine.require_contraction_hierarchy()?;
+            Box::new(TsaDriver::new(
+                dataset,
+                engine.grid(),
+                request,
+                tsa(false, Some(ch)),
+                ctx,
+            )?)
+        }
+        Algorithm::SfaCached => {
+            let cache = engine.require_social_cache()?;
+            Box::new(CachedDriver::new(
+                dataset,
+                cache,
+                request,
+                move |fallback_request: &QueryRequest| {
+                    ais_query(
+                        dataset,
+                        engine.ais_index(),
+                        engine.landmarks(),
+                        fallback_request,
+                        AisVariant::full(),
+                        ctx,
+                    )
+                },
+            )?)
+        }
+        Algorithm::Auto => unreachable!("Algorithm::Auto is dispatched to the planner"),
+    })
+}
+
 /// A driver over an already-computed result: completes on the first `step`
 /// and delivers everything through [`QueryDriver::take_result`]
-/// (drain-after-complete).
-///
-/// This is the default [`AlgorithmStrategy::begin_stream`](crate::AlgorithmStrategy::begin_stream)
-/// fallback, so custom strategies are streamable without writing a state
-/// machine — they just gain no first-result latency.
+/// (drain-after-complete) — how a planner cache hit streams.
 #[derive(Debug)]
-pub struct EagerDriver {
+pub(crate) struct EagerDriver {
     stats: QueryStats,
     result: Option<QueryResult>,
 }
 
 impl EagerDriver {
     /// Wraps an eagerly computed result.
-    pub fn new(result: QueryResult) -> Self {
+    pub(crate) fn new(result: QueryResult) -> Self {
         EagerDriver {
             stats: result.stats,
             result: Some(result),

@@ -1,10 +1,8 @@
 use crate::ais::AisIndex;
 use crate::algorithms::SocialNeighborCache;
-use crate::planner::{PlannerStrategy, QueryPlanner};
-use crate::strategy::AlgorithmStrategy;
+use crate::planner::QueryPlanner;
 use crate::{
-    CoreError, GeoSocialDataset, QueryContext, QueryRequest, QueryResult, QuerySession,
-    StrategyRegistry, UserId,
+    CoreError, GeoSocialDataset, QueryContext, QueryRequest, QueryResult, QuerySession, UserId,
 };
 use ssrq_graph::{ChParams, ContractionHierarchy, LandmarkSelection, LandmarkSet};
 use ssrq_spatial::{Point, Rect, UniformGrid};
@@ -16,11 +14,6 @@ use std::sync::{Arc, OnceLock};
 /// All algorithms return the same (exact) result set; they differ only in
 /// how much work they perform — which is precisely what the paper's
 /// evaluation measures.
-///
-/// Each variant corresponds to a built-in
-/// [`AlgorithmStrategy`](crate::AlgorithmStrategy) registered under
-/// [`Algorithm::name`]; custom strategies live alongside them in the
-/// engine's [`StrategyRegistry`] and are requested by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Brute-force oracle: full Dijkstra plus a linear scan.
@@ -61,7 +54,7 @@ pub enum Algorithm {
 impl Algorithm {
     /// Every **paper** algorithm variant, in the order they appear in the
     /// paper.  [`Algorithm::Auto`] is deliberately not listed: it is a
-    /// meta-strategy that delegates to one of these twelve, and every
+    /// meta-algorithm that delegates to one of these twelve, and every
     /// exactness/agreement sweep iterating `ALL` should compare concrete
     /// methods.
     pub const ALL: [Algorithm; 12] = [
@@ -79,8 +72,8 @@ impl Algorithm {
         Algorithm::SfaCached,
     ];
 
-    /// Short display name (matches the labels used in the paper's figures)
-    /// and the key the built-in strategy is registered under.
+    /// Short display name (matches the labels used in the paper's figures
+    /// and names the algorithm on the wire).
     pub fn name(&self) -> &'static str {
         match self {
             Algorithm::Exhaustive => "EXH",
@@ -100,9 +93,8 @@ impl Algorithm {
     }
 
     /// Resolves a display name (as produced by [`Algorithm::name`]) back to
-    /// the variant — the lookup the wire protocol uses to decode built-in
-    /// algorithm specs, covering the twelve paper methods *and*
-    /// [`Algorithm::Auto`].
+    /// the variant — the lookup the wire protocol decodes requests with,
+    /// covering the twelve paper methods *and* [`Algorithm::Auto`].
     pub fn from_name(name: &str) -> Option<Algorithm> {
         if name == Algorithm::Auto.name() {
             return Some(Algorithm::Auto);
@@ -112,13 +104,13 @@ impl Algorithm {
 
     /// Returns `true` when the algorithm needs a Contraction Hierarchies
     /// index (see [`EngineBuilder::with_ch`]).
-    pub fn needs_ch(&self) -> bool {
+    pub const fn needs_ch(&self) -> bool {
         matches!(self, Algorithm::SfaCh | Algorithm::SpaCh | Algorithm::TsaCh)
     }
 
     /// Returns `true` when the algorithm needs a pre-computed social
     /// neighbour cache (see [`EngineBuilder::cache_social_neighbors`]).
-    pub fn needs_social_cache(&self) -> bool {
+    pub const fn needs_social_cache(&self) -> bool {
         matches!(self, Algorithm::SfaCached)
     }
 }
@@ -408,27 +400,20 @@ impl EngineBuilder {
             params.granularity,
             params.ais_levels,
         )?;
-        let planner = Arc::new(QueryPlanner::default());
-        let mut strategies = StrategyRegistry::with_builtins();
-        // Replace the detached built-in "AUTO" entry with a strategy wired
-        // to *this* engine's planner, so location updates invalidate its
-        // hot-result cache.
-        strategies.register(Arc::new(PlannerStrategy::new(Arc::clone(&planner))));
         Ok(GeoSocialEngine {
             dataset,
             params,
             graph_indexes,
             grid,
             ais,
-            strategies,
-            planner,
+            planner: QueryPlanner::default(),
         })
     }
 }
 
 /// The SSRQ query engine: owns the dataset, the spatial indexes, the
-/// landmark tables and the (lazily built) auxiliary indexes, and dispatches
-/// [`QueryRequest`]s through its [`StrategyRegistry`].
+/// landmark tables and the (lazily built) auxiliary indexes, and runs each
+/// [`QueryRequest`] with the [`Algorithm`] it names.
 ///
 /// # Memory model
 ///
@@ -448,34 +433,28 @@ pub struct GeoSocialEngine {
     graph_indexes: GraphIndexes,
     grid: UniformGrid,
     ais: AisIndex,
-    strategies: StrategyRegistry,
     /// The planner behind [`Algorithm::Auto`] — per-engine, like every
     /// location-dependent structure (its hot-result cache is invalidated
     /// by *this* engine's location updates).
-    planner: Arc<QueryPlanner>,
+    planner: QueryPlanner,
 }
 
 impl Clone for GeoSocialEngine {
     /// Cloning shares the graph-only indexes but gives the clone a
-    /// **fresh planner** (and re-registers a fresh `"AUTO"` strategy over
-    /// it): the clones' location vectors diverge independently, and a
-    /// shared hot-result cache would let one clone serve answers computed
-    /// in the other's world.  The fresh planner starts unpinned, with empty
-    /// counters and an empty cache of the original's current capacity (a
-    /// cache disabled on the original stays disabled on the clone).  Custom
-    /// strategies registered by name are carried over untouched.
+    /// **fresh planner**: the clones' location vectors diverge
+    /// independently, and a shared hot-result cache would let one clone
+    /// serve answers computed in the other's world.  The fresh planner
+    /// starts unpinned, with empty counters and an empty cache of the
+    /// original's current capacity (a cache disabled on the original stays
+    /// disabled on the clone).
     fn clone(&self) -> GeoSocialEngine {
-        let planner = Arc::new(QueryPlanner::new(self.planner.config()));
-        let mut strategies = self.strategies.clone();
-        strategies.register(Arc::new(PlannerStrategy::new(Arc::clone(&planner))));
         GeoSocialEngine {
             dataset: self.dataset.clone(),
             params: self.params,
             graph_indexes: self.graph_indexes.clone(),
             grid: self.grid.clone(),
             ais: self.ais.clone(),
-            strategies,
-            planner,
+            planner: QueryPlanner::new(self.planner.config()),
         }
     }
 }
@@ -615,47 +594,23 @@ impl GeoSocialEngine {
         Ok(())
     }
 
-    /// The strategy registry the engine dispatches through.
-    pub fn strategies(&self) -> &StrategyRegistry {
-        &self.strategies
-    }
-
-    /// Registers a custom [`AlgorithmStrategy`] (or replaces a built-in
-    /// registered under the same name).  Requests select it with
-    /// [`QueryRequestBuilder::algorithm`](crate::QueryRequestBuilder::algorithm)
-    /// by name.
-    ///
-    /// Returns the strategy previously registered under that name, so
-    /// wrappers can delegate to the original.
-    pub fn register_strategy(
-        &mut self,
-        strategy: Arc<dyn AlgorithmStrategy>,
-    ) -> Option<Arc<dyn AlgorithmStrategy>> {
-        self.strategies.register(strategy)
-    }
-
-    /// Resolves the strategy registered under `name` and makes the
-    /// auxiliary indexes it [`requires`](AlgorithmStrategy::requires)
-    /// ready, building a declared-but-unbuilt one on the spot — the one
-    /// preflight behind every way of starting a query (this engine's
-    /// `run*` / `begin_stream`, the planner's delegate, a sharded
-    /// deployment's scatter).
+    /// Makes the auxiliary index `algorithm` needs ready, building a
+    /// declared-but-unbuilt one on the spot — the preflight a sharded
+    /// deployment runs once before scattering, so a missing index fails
+    /// the query the way [`GeoSocialEngine::run`] does.
     ///
     /// # Errors
     ///
-    /// [`CoreError::UnknownAlgorithm`] for an unregistered name;
-    /// [`CoreError::MissingIndex`] for a required index the engine does not
+    /// [`CoreError::MissingIndex`] for a needed index the engine does not
     /// declare.
-    pub fn ready_strategy(&self, name: &str) -> Result<&Arc<dyn AlgorithmStrategy>, CoreError> {
-        let strategy = self.strategies.resolve(name)?;
-        let requires = strategy.requires();
-        if requires.contraction_hierarchy {
+    pub fn ready(&self, algorithm: Algorithm) -> Result<(), CoreError> {
+        if algorithm.needs_ch() {
             self.require_contraction_hierarchy()?;
         }
-        if requires.social_cache {
+        if algorithm.needs_social_cache() {
             self.require_social_cache()?;
         }
-        Ok(strategy)
+        Ok(())
     }
 
     /// A query context pre-sized for this engine's graph.
@@ -682,10 +637,8 @@ impl GeoSocialEngine {
     ///
     /// # Errors
     ///
-    /// * [`CoreError::UnknownAlgorithm`] when the request names an
-    ///   unregistered strategy.
-    /// * [`CoreError::MissingIndex`] when the strategy requires an index
-    ///   the engine was not configured to provide.
+    /// * [`CoreError::MissingIndex`] when the algorithm needs an index the
+    ///   engine was not configured to provide.
     /// * [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for
     ///   invalid request fields.
     pub fn run(&self, request: &QueryRequest) -> Result<QueryResult, CoreError> {
@@ -702,9 +655,8 @@ impl GeoSocialEngine {
         request: &QueryRequest,
         ctx: &mut QueryContext,
     ) -> Result<QueryResult, CoreError> {
-        let strategy = self.ready_strategy(request.algorithm().key())?;
-        let result = strategy.execute(self, request, ctx)?;
-        crate::obs::record_query_metrics(request.algorithm().key(), &result.stats);
+        let result = self.begin_stream(request, ctx)?.run_to_completion()?;
+        crate::obs::record_query_metrics(request.algorithm().name(), &result.stats);
         Ok(result)
     }
 
@@ -718,6 +670,10 @@ impl GeoSocialEngine {
     /// schedules).  Most callers want [`GeoSocialEngine::stream_with`] or
     /// [`QuerySession::stream`], which wrap the driver in an iterator.
     ///
+    /// [`Algorithm::Auto`] goes to the engine's planner, which serves a
+    /// cache hit or starts the algorithm it chooses; every other algorithm
+    /// starts its own driver.
+    ///
     /// # Errors
     ///
     /// Same as [`GeoSocialEngine::run_with`].
@@ -726,8 +682,10 @@ impl GeoSocialEngine {
         request: &QueryRequest,
         ctx: &'a mut QueryContext,
     ) -> Result<Box<dyn crate::QueryDriver + 'a>, CoreError> {
-        self.ready_strategy(request.algorithm().key())?
-            .begin_stream(self, request, ctx)
+        match request.algorithm() {
+            Algorithm::Auto => self.planner.begin(self, request, ctx),
+            algorithm => crate::driver::start(algorithm, self, request, ctx),
+        }
     }
 
     /// Processes one request as a pull-lazy [`QueryStream`](crate::QueryStream)
@@ -869,10 +827,10 @@ impl GeoSocialEngine {
         Ok(())
     }
 
-    /// The planner behind this engine's [`Algorithm::Auto`] strategy: pin
-    /// it to one algorithm, resize its hot-result cache, or read its
-    /// decision/cache counters via [`QueryPlanner::snapshot`].
-    pub fn planner(&self) -> &Arc<QueryPlanner> {
+    /// The planner behind this engine's [`Algorithm::Auto`]: pin it to one
+    /// algorithm, resize its hot-result cache, or read its decision/cache
+    /// counters via [`QueryPlanner::snapshot`].
+    pub fn planner(&self) -> &QueryPlanner {
         &self.planner
     }
 }
@@ -883,8 +841,8 @@ impl GeoSocialEngine {
     /// cache — paid once no matter how many engines hold them) and the
     /// bytes that are **per-engine** (locations, SPA/TSA grid, AIS index).
     ///
-    /// Capacity-based estimates; allocator overhead and the strategy
-    /// registry are ignored.  This powers the `experiments -- memory`
+    /// Capacity-based estimates; allocator overhead and the planner's
+    /// hot-result cache are ignored.  This powers the `experiments -- memory`
     /// report of `ssrq-bench`.
     pub fn memory_breakdown(&self) -> EngineMemory {
         EngineMemory {
@@ -1090,54 +1048,6 @@ mod tests {
             engine.run(&request(0, 5, 0.5, Algorithm::SfaCached)),
             Err(CoreError::MissingIndex(_))
         ));
-    }
-
-    #[test]
-    fn unknown_algorithm_names_are_rejected() {
-        let engine = engine();
-        let req = QueryRequest::for_user(0)
-            .algorithm("NOT-REGISTERED")
-            .build()
-            .unwrap();
-        assert!(matches!(
-            engine.run(&req),
-            Err(CoreError::UnknownAlgorithm(_))
-        ));
-    }
-
-    #[test]
-    fn custom_strategies_can_be_registered_and_dispatched() {
-        struct Oracle2;
-        impl crate::AlgorithmStrategy for Oracle2 {
-            fn name(&self) -> &str {
-                "ORACLE-2"
-            }
-            fn execute(
-                &self,
-                engine: &GeoSocialEngine,
-                request: &QueryRequest,
-                ctx: &mut QueryContext,
-            ) -> Result<QueryResult, CoreError> {
-                crate::algorithms::exhaustive_query(engine.dataset(), request, ctx)
-            }
-        }
-        let mut engine = engine();
-        assert!(engine.register_strategy(Arc::new(Oracle2)).is_none());
-        assert!(engine.strategies().names().contains(&"ORACLE-2"));
-        let via_custom = engine
-            .run(
-                &QueryRequest::for_user(3)
-                    .k(5)
-                    .alpha(0.4)
-                    .algorithm("ORACLE-2")
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-        let via_builtin = engine
-            .run(&request(3, 5, 0.4, Algorithm::Exhaustive))
-            .unwrap();
-        assert_eq!(via_custom.ranked, via_builtin.ranked);
     }
 
     #[test]

@@ -9,10 +9,7 @@ pub enum CoreError {
     InvalidParameter(String),
     /// A user id that does not exist in the dataset was referenced.
     UnknownUser(u32),
-    /// A query named an algorithm that is not registered with the engine's
-    /// strategy registry.
-    UnknownAlgorithm(String),
-    /// A strategy needs an auxiliary index that the engine was not
+    /// An algorithm needs an auxiliary index that the engine was not
     /// configured to provide — declare it with
     /// [`EngineBuilder::with_ch`](crate::EngineBuilder::with_ch) /
     /// [`EngineBuilder::cache_social_neighbors`](crate::EngineBuilder::cache_social_neighbors)
@@ -31,9 +28,6 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             CoreError::UnknownUser(id) => write!(f, "unknown user {id}"),
-            CoreError::UnknownAlgorithm(name) => {
-                write!(f, "no algorithm strategy registered under {name:?}")
-            }
             CoreError::MissingIndex(msg) => write!(f, "missing index: {msg}"),
             CoreError::InvalidDataset(msg) => write!(f, "invalid dataset: {msg}"),
             CoreError::Graph(e) => write!(f, "graph error: {e}"),

@@ -24,10 +24,9 @@
 //! 2. **[`QueryRequest`]** — a typed, validated query: `u_q`, `k`, `α`, the
 //!    algorithm, and per-query scenario options (spatial filter window,
 //!    exclusion set, score cutoff) honoured by every algorithm.
-//! 3. **[`AlgorithmStrategy`]** — every processing algorithm is a strategy
-//!    object in the engine's [`StrategyRegistry`]; downstream crates add or
-//!    wrap algorithms via
-//!    [`GeoSocialEngine::register_strategy`] without touching the engine.
+//! 3. **[`Algorithm`]** — the closed set of the paper's twelve algorithms
+//!    plus [`Algorithm::Auto`]; the engine runs a request with one `match`
+//!    on the algorithm it names, and `Auto` goes to the [`QueryPlanner`].
 //! 4. **[`QuerySession`]** — a per-worker handle (engine reference + owned
 //!    [`QueryContext`]) with [`QuerySession::run`] and the **pull-lazy**
 //!    finalization-order iterator [`QuerySession::stream`], backed by the
@@ -104,21 +103,17 @@ mod request;
 mod result;
 mod session;
 mod stats;
-mod strategy;
 
 pub use algorithms::SocialNeighborCache;
 pub use context::QueryContext;
 pub use dataset::{GeoSocialDataset, UserId};
-pub use driver::{EagerDriver, QueryDriver, StepOutcome};
+pub use driver::{QueryDriver, StepOutcome};
 pub use engine::{Algorithm, EngineBuilder, EngineMemory, GeoSocialEngine, IndexParams};
 pub use error::CoreError;
-pub use planner::{
-    ChoiceReason, PlannerConfig, PlannerSnapshot, PlannerStrategy, QueryPlanner, AUTO_STRATEGY_NAME,
-};
+pub use planner::{ChoiceReason, PlannerConfig, PlannerSnapshot, QueryPlanner};
 pub use query::{QueryResult, RankedUser};
 pub use ranking::{combine, RankingContext};
-pub use request::{AlgorithmSpec, QueryRequest, QueryRequestBuilder};
+pub use request::{QueryRequest, QueryRequestBuilder};
 pub use result::TopK;
 pub use session::{QuerySession, QueryStream};
 pub use stats::QueryStats;
-pub use strategy::{builtin_strategy, AlgorithmStrategy, IndexRequirements, StrategyRegistry};

@@ -36,20 +36,16 @@
 //! clones' location vectors diverge independently and a shared cache could
 //! serve answers from the sibling's world.
 
-use crate::driver::{EagerDriver, QueryDriver, StepOutcome};
+use crate::driver::{self, EagerDriver, QueryDriver, StepOutcome};
 use crate::{
-    Algorithm, AlgorithmStrategy, CoreError, GeoSocialDataset, GeoSocialEngine, IndexRequirements,
-    QueryContext, QueryRequest, QueryResult, QueryStats, RankedUser, UserId,
+    Algorithm, CoreError, GeoSocialDataset, GeoSocialEngine, QueryContext, QueryRequest,
+    QueryResult, QueryStats, RankedUser, UserId,
 };
 use ssrq_spatial::Point;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
-
-/// The name the planner strategy is registered under — also
-/// [`Algorithm::Auto`]'s [`Algorithm::name`].
-pub const AUTO_STRATEGY_NAME: &str = "AUTO";
 
 /// The one setting of a [`QueryPlanner`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -294,8 +290,11 @@ impl QueryPlanner {
     /// each of the twelve algorithms; pinning an index-backed algorithm
     /// builds a lazily declared index on first use, and pinning one whose
     /// index is missing surfaces the usual [`CoreError::MissingIndex`].
+    ///
+    /// `Some(Algorithm::Auto)` means the same as `None`: `Auto` names no
+    /// algorithm of its own, so [`QueryPlanner::choose`] never returns it.
     pub fn pin(&self, algorithm: Option<Algorithm>) {
-        self.state.lock().unwrap().pinned = algorithm;
+        self.state.lock().unwrap().pinned = algorithm.filter(|&a| a != Algorithm::Auto);
     }
 
     /// Replaces the hot-result cache capacity (`0` disables caching) and
@@ -333,10 +332,10 @@ impl QueryPlanner {
     }
 
     /// Picks the algorithm for one query — the pin if one is set, else the
-    /// `(k, α)` rule — and records the decision (and its
-    /// `ssrq_planner_choices_total{algorithm,reason}` metric sample).  The
-    /// engine is not read; the parameter is part of the signature the
-    /// repository benchmark (`bench/`) calls.
+    /// `(k, α)` rule; never [`Algorithm::Auto`] — and records the decision
+    /// (and its `ssrq_planner_choices_total{algorithm,reason}` metric
+    /// sample).  The engine is not read; the parameter is part of the
+    /// signature the repository benchmark (`bench/`) calls.
     pub fn choose(
         &self,
         _engine: &GeoSocialEngine,
@@ -355,7 +354,7 @@ impl QueryPlanner {
 
     /// Looks the request up in the hot-result cache, counting the hit or
     /// miss.  A hit returns a clone of the cached result (its `stats` are
-    /// the original computation's; the serving strategy replaces them).
+    /// the original computation's; the `Auto` path replaces them).
     pub fn cache_lookup(&self, request: &QueryRequest) -> Option<QueryResult> {
         if self.capacity() == 0 {
             return None;
@@ -437,6 +436,35 @@ impl QueryPlanner {
         }
     }
 
+    /// Begins one [`Algorithm::Auto`] query: a cache hit streams the
+    /// cached result; otherwise the chosen algorithm's driver runs, wrapped
+    /// so its completed result is admitted to the cache.
+    pub(crate) fn begin<'a>(
+        &'a self,
+        engine: &'a GeoSocialEngine,
+        request: &QueryRequest,
+        ctx: &'a mut QueryContext,
+    ) -> Result<Box<dyn QueryDriver + 'a>, CoreError> {
+        request.validate()?;
+        engine.dataset().check_user(request.user())?;
+        let started = Instant::now();
+        if let Some(mut result) = self.cache_lookup(request) {
+            result.stats = QueryStats {
+                cache_hits: 1,
+                runtime: started.elapsed(),
+                ..QueryStats::default()
+            };
+            return Ok(Box::new(EagerDriver::new(result)));
+        }
+        let (algorithm, _reason) = self.choose(engine, request);
+        Ok(Box::new(PlannedDriver {
+            inner: driver::start(algorithm, engine, request, ctx)?,
+            planner: self,
+            request: request.clone(),
+            origin: request.resolved_origin(engine.dataset()),
+        }))
+    }
+
     fn capacity(&self) -> usize {
         self.cache_capacity.load(Ordering::Relaxed)
     }
@@ -502,119 +530,6 @@ fn evict_lru(entries: &mut HashMap<CacheKey, CacheEntry>) {
         .map(|(k, _)| k.clone())
     {
         entries.remove(&key);
-    }
-}
-
-/// The [`AlgorithmStrategy`] registered under `"AUTO"`: consult the
-/// planner (cache first, then the rule) and delegate to the chosen
-/// built-in strategy, admitting the completed result to the cache.
-pub struct PlannerStrategy {
-    planner: Arc<QueryPlanner>,
-}
-
-impl PlannerStrategy {
-    /// A strategy dispatching through `planner` — the engine registers one
-    /// over its own planner at construction time.
-    pub fn new(planner: Arc<QueryPlanner>) -> PlannerStrategy {
-        PlannerStrategy { planner }
-    }
-
-    /// A self-contained strategy with a private planner whose hot-result
-    /// cache is **disabled** — the safe configuration for a strategy
-    /// object detached from any engine's churn hooks (served by
-    /// [`builtin_strategy`](crate::builtin_strategy) for
-    /// [`Algorithm::Auto`]).  The algorithm is chosen by the same rule as
-    /// on an engine; only result reuse is off.
-    pub fn detached() -> PlannerStrategy {
-        PlannerStrategy {
-            planner: Arc::new(QueryPlanner::new(PlannerConfig { cache_capacity: 0 })),
-        }
-    }
-
-    /// The planner the strategy consults.
-    pub fn planner(&self) -> &Arc<QueryPlanner> {
-        &self.planner
-    }
-
-    fn resolve_choice<'e>(
-        &self,
-        engine: &'e GeoSocialEngine,
-        request: &QueryRequest,
-    ) -> Result<&'e Arc<dyn AlgorithmStrategy>, CoreError> {
-        let (algorithm, _reason) = self.planner.choose(engine, request);
-        engine.ready_strategy(algorithm.name())
-    }
-}
-
-impl std::fmt::Debug for PlannerStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlannerStrategy")
-            .field("planner", &self.planner)
-            .finish()
-    }
-}
-
-impl AlgorithmStrategy for PlannerStrategy {
-    fn name(&self) -> &str {
-        AUTO_STRATEGY_NAME
-    }
-
-    fn requires(&self) -> IndexRequirements {
-        // The rule names only index-free algorithms, and a pinned
-        // index-backed choice checks (or lazily builds) its index when it
-        // is resolved, so there are no up-front requirements.
-        IndexRequirements::NONE
-    }
-
-    fn execute(
-        &self,
-        engine: &GeoSocialEngine,
-        request: &QueryRequest,
-        ctx: &mut QueryContext,
-    ) -> Result<QueryResult, CoreError> {
-        request.validate()?;
-        engine.dataset().check_user(request.user())?;
-        let started = Instant::now();
-        if let Some(mut result) = self.planner.cache_lookup(request) {
-            result.stats = QueryStats {
-                cache_hits: 1,
-                runtime: started.elapsed(),
-                ..QueryStats::default()
-            };
-            return Ok(result);
-        }
-        let inner = self.resolve_choice(engine, request)?;
-        let result = inner.execute(engine, request, ctx)?;
-        self.planner
-            .cache_admit(request, request.resolved_origin(engine.dataset()), &result);
-        Ok(result)
-    }
-
-    fn begin_stream<'a>(
-        &'a self,
-        engine: &'a GeoSocialEngine,
-        request: &QueryRequest,
-        ctx: &'a mut QueryContext,
-    ) -> Result<Box<dyn QueryDriver + 'a>, CoreError> {
-        request.validate()?;
-        engine.dataset().check_user(request.user())?;
-        let started = Instant::now();
-        if let Some(mut result) = self.planner.cache_lookup(request) {
-            result.stats = QueryStats {
-                cache_hits: 1,
-                runtime: started.elapsed(),
-                ..QueryStats::default()
-            };
-            return Ok(Box::new(EagerDriver::new(result)));
-        }
-        let inner = self.resolve_choice(engine, request)?;
-        let driver = inner.begin_stream(engine, request, ctx)?;
-        Ok(Box::new(PlannedDriver {
-            inner: driver,
-            planner: &self.planner,
-            request: request.clone(),
-            origin: request.resolved_origin(engine.dataset()),
-        }))
     }
 }
 

@@ -5,51 +5,12 @@
 //! per-query scenario options the flat parameter triple could never express
 //! — a spatial filter window, an exclusion set, and a score cutoff.
 //! Requests are built through [`QueryRequestBuilder`] and validated once at
-//! [`QueryRequestBuilder::build`], so an executing strategy can trust every
-//! field.
+//! [`QueryRequestBuilder::build`], so an executing algorithm can trust
+//! every field.
 
 use crate::{Algorithm, CoreError, GeoSocialDataset, UserId};
 use ssrq_spatial::{Point, Rect};
 use std::collections::HashSet;
-
-/// Names the algorithm a request should run with: one of the twelve
-/// built-ins, or a custom strategy registered with
-/// [`GeoSocialEngine::register_strategy`](crate::GeoSocialEngine::register_strategy).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum AlgorithmSpec {
-    /// A built-in algorithm (resolved by its paper name, e.g. `"AIS"`).
-    Builtin(Algorithm),
-    /// A custom strategy, resolved by its registered name.
-    Named(String),
-}
-
-impl AlgorithmSpec {
-    /// The registry key the spec resolves to.
-    pub fn key(&self) -> &str {
-        match self {
-            AlgorithmSpec::Builtin(a) => a.name(),
-            AlgorithmSpec::Named(name) => name,
-        }
-    }
-}
-
-impl From<Algorithm> for AlgorithmSpec {
-    fn from(a: Algorithm) -> Self {
-        AlgorithmSpec::Builtin(a)
-    }
-}
-
-impl From<&str> for AlgorithmSpec {
-    fn from(name: &str) -> Self {
-        AlgorithmSpec::Named(name.to_owned())
-    }
-}
-
-impl From<String> for AlgorithmSpec {
-    fn from(name: String) -> Self {
-        AlgorithmSpec::Named(name)
-    }
-}
 
 /// A validated SSRQ query: who asks, how many results, the social/spatial
 /// preference, the algorithm, and the scenario options.
@@ -76,7 +37,7 @@ pub struct QueryRequest {
     user: UserId,
     k: usize,
     alpha: f64,
-    algorithm: AlgorithmSpec,
+    algorithm: Algorithm,
     origin: Option<Point>,
     within: Option<Rect>,
     exclude: HashSet<UserId>,
@@ -94,7 +55,7 @@ impl QueryRequest {
                 user,
                 k: 10,
                 alpha: 0.3,
-                algorithm: AlgorithmSpec::Builtin(Algorithm::Ais),
+                algorithm: Algorithm::Ais,
                 origin: None,
                 within: None,
                 exclude: HashSet::new(),
@@ -120,8 +81,8 @@ impl QueryRequest {
     }
 
     /// The algorithm the request runs with.
-    pub fn algorithm(&self) -> &AlgorithmSpec {
-        &self.algorithm
+    pub fn algorithm(&self) -> Algorithm {
+        self.algorithm
     }
 
     /// The spatial-origin override, when set: the point spatial distances
@@ -165,8 +126,8 @@ impl QueryRequest {
 
     /// Returns a copy of the request with the algorithm replaced — for
     /// running one query through several methods.
-    pub fn with_algorithm(mut self, algorithm: impl Into<AlgorithmSpec>) -> Self {
-        self.algorithm = algorithm.into();
+    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
+        self.algorithm = algorithm;
         self
     }
 
@@ -226,9 +187,9 @@ impl QueryRequest {
 
     /// Re-checks the invariants [`QueryRequestBuilder::build`] established.
     ///
-    /// Strategies call this defensively so that a hand-rolled request (e.g.
-    /// one deserialized by a downstream service) cannot put an algorithm
-    /// into an undefined state.
+    /// Every algorithm calls this defensively so that a hand-rolled request
+    /// (e.g. one deserialized by a downstream service) cannot put it into
+    /// an undefined state.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.k == 0 {
             return Err(CoreError::InvalidParameter("k must be at least 1".into()));
@@ -283,10 +244,9 @@ impl QueryRequestBuilder {
         self
     }
 
-    /// Sets the algorithm (a built-in [`Algorithm`] or a registered
-    /// strategy name).
-    pub fn algorithm(mut self, algorithm: impl Into<AlgorithmSpec>) -> Self {
-        self.request.algorithm = algorithm.into();
+    /// Sets the algorithm.
+    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
+        self.request.algorithm = algorithm;
         self
     }
 
@@ -339,7 +299,7 @@ impl QueryRequestBuilder {
     /// Returns the request **without** validating it — the in-process
     /// counterpart of a request deserialized from an untrusted peer.
     ///
-    /// Every strategy re-checks [`QueryRequest::validate`] defensively at
+    /// Every algorithm re-checks [`QueryRequest::validate`] defensively at
     /// execution time, so an invalid request built this way produces a
     /// typed [`CoreError::InvalidParameter`] when run, never an undefined
     /// algorithm state.  The test-suite uses this to exercise exactly that
@@ -367,7 +327,7 @@ mod tests {
         assert_eq!(request.user(), 7);
         assert_eq!(request.k(), 10);
         assert!((request.alpha() - 0.3).abs() < 1e-12);
-        assert_eq!(request.algorithm().key(), "AIS");
+        assert_eq!(request.algorithm(), Algorithm::Ais);
         assert!(!request.has_filters());
 
         let request = QueryRequest::for_user(7)
@@ -380,7 +340,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(request.k(), 3);
-        assert_eq!(request.algorithm().key(), "TSA");
+        assert_eq!(request.algorithm(), Algorithm::Tsa);
         assert_eq!(request.within(), Some(Rect::unit()));
         assert!(request.excluded().contains(&2));
         assert_eq!(request.max_score(), Some(0.8));
@@ -466,10 +426,11 @@ mod tests {
     }
 
     #[test]
-    fn algorithm_spec_conversions() {
-        assert_eq!(AlgorithmSpec::from(Algorithm::Sfa).key(), "SFA");
-        assert_eq!(AlgorithmSpec::from("MY-ALGO").key(), "MY-ALGO");
-        assert_eq!(AlgorithmSpec::from(String::from("X")).key(), "X");
+    fn algorithm_names_resolve_to_their_variant() {
+        for algorithm in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
+            assert_eq!(Algorithm::from_name(algorithm.name()), Some(algorithm));
+        }
+        assert_eq!(Algorithm::from_name("MY-ALGO"), None);
     }
 
     #[test]

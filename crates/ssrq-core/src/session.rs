@@ -74,12 +74,11 @@ impl<'e> QuerySession<'e> {
     ///   and later queries on this session are unaffected.
     ///
     /// Algorithms without a usable mid-search bound — the exhaustive
-    /// oracle, the cached method while its AIS fallback is still possible,
-    /// and custom strategies that don't override
-    /// [`AlgorithmStrategy::begin_stream`](crate::AlgorithmStrategy::begin_stream)
-    /// — fall back to **drain-after-complete**: the first `next()` runs the
-    /// search to completion and the entries are replayed from the finished
-    /// result.
+    /// oracle and the cached method while its AIS fallback is still
+    /// possible — and an `Auto` request served from the planner's cache
+    /// fall back to **drain-after-complete**: the first `next()` runs the
+    /// search to completion (or takes the cached result) and the entries
+    /// are replayed from the finished result.
     ///
     /// A fully drained stream yields exactly [`QuerySession::run`]'s
     /// entries, in the same ascending-score order, and every prefix of
@@ -138,9 +137,10 @@ pub struct QueryStream<'s> {
 }
 
 impl<'s> QueryStream<'s> {
-    /// Wraps a running driver; used by
-    /// [`GeoSocialEngine::stream_with`](crate::GeoSocialEngine::stream_with).
-    pub(crate) fn new(driver: Box<dyn QueryDriver + 's>, k: usize) -> Self {
+    /// Wraps any [`QueryDriver`] as a stream of a `k`-entry query; this is
+    /// what [`GeoSocialEngine::stream_with`](crate::GeoSocialEngine::stream_with)
+    /// returns.
+    pub fn new(driver: Box<dyn QueryDriver + 's>, k: usize) -> Self {
         QueryStream {
             state: StreamState::Running(driver),
             buffer: VecDeque::new(),

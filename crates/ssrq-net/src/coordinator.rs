@@ -492,7 +492,7 @@ impl RemoteShardedEngine {
             slow_log.offer(spans.total_ns(), spans, || {
                 format!(
                     "algorithm={} user={} k={} shards={}",
-                    request.algorithm().key(),
+                    request.algorithm().name(),
                     request.user(),
                     request.k(),
                     self.shards.len(),

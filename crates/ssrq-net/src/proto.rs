@@ -9,9 +9,7 @@
 //! [`WireError`].
 
 use crate::wire::{frame_with_id, Reader, WireError, Writer};
-use ssrq_core::{
-    Algorithm, AlgorithmSpec, QueryRequest, QueryResult, QueryStats, RankedUser, UserId,
-};
+use ssrq_core::{Algorithm, QueryRequest, QueryResult, QueryStats, RankedUser, UserId};
 use ssrq_obs::{HistogramSnapshot, MetricSample, MetricValue, ObsReport, QuerySpans, SpanRecord};
 use ssrq_shard::{ShardOutcome, ShardStats};
 use ssrq_spatial::{Point, Rect};
@@ -45,8 +43,6 @@ pub enum FailureKind {
     InvalidRequest,
     /// The named user does not exist.
     UnknownUser,
-    /// The named algorithm is not registered on the server.
-    UnknownAlgorithm,
     /// The algorithm needs an index the server was not built with.
     MissingIndex,
     /// Any other server-side failure.
@@ -58,7 +54,7 @@ impl FailureKind {
         match self {
             FailureKind::InvalidRequest => 0,
             FailureKind::UnknownUser => 1,
-            FailureKind::UnknownAlgorithm => 2,
+            // 2 is unassigned.
             FailureKind::MissingIndex => 3,
             FailureKind::Internal => 4,
         }
@@ -68,7 +64,6 @@ impl FailureKind {
         Ok(match tag {
             0 => FailureKind::InvalidRequest,
             1 => FailureKind::UnknownUser,
-            2 => FailureKind::UnknownAlgorithm,
             3 => FailureKind::MissingIndex,
             4 => FailureKind::Internal,
             t => return Err(WireError::Invalid(format!("failure kind {t}"))),
@@ -81,7 +76,6 @@ impl FailureKind {
         match error {
             CoreError::InvalidParameter(_) => FailureKind::InvalidRequest,
             CoreError::UnknownUser(_) => FailureKind::UnknownUser,
-            CoreError::UnknownAlgorithm(_) => FailureKind::UnknownAlgorithm,
             CoreError::MissingIndex(_) => FailureKind::MissingIndex,
             _ => FailureKind::Internal,
         }
@@ -93,7 +87,6 @@ impl std::fmt::Display for FailureKind {
         let name = match self {
             FailureKind::InvalidRequest => "invalid request",
             FailureKind::UnknownUser => "unknown user",
-            FailureKind::UnknownAlgorithm => "unknown algorithm",
             FailureKind::MissingIndex => "missing index",
             FailureKind::Internal => "internal error",
         };
@@ -388,16 +381,12 @@ pub fn encode_request(w: &mut Writer, request: &QueryRequest) {
     w.u32(request.user());
     w.u64(request.k() as u64);
     w.f64(request.alpha());
-    match request.algorithm() {
-        AlgorithmSpec::Builtin(a) => {
-            w.u8(0);
-            w.str(a.name());
-        }
-        AlgorithmSpec::Named(name) => {
-            w.u8(1);
-            w.str(name);
-        }
-    }
+    // The marker byte once told a paper algorithm (0) from a name only the
+    // server's registry knew (1).  Only 0 is left, but it stays on the
+    // wire so request bytes, and every byte count and digest over them,
+    // are unchanged.
+    w.u8(0);
+    w.str(request.algorithm().name());
     w.opt(request.origin(), encode_point);
     w.opt(request.within(), encode_rect);
     let mut excluded: Vec<UserId> = request.excluded().iter().copied().collect();
@@ -418,27 +407,21 @@ pub fn encode_request(w: &mut Writer, request: &QueryRequest) {
 ///
 /// # Errors
 ///
-/// [`WireError`] for malformed bytes, including a builtin-algorithm tag
-/// naming no built-in.
+/// [`WireError`] for malformed bytes, including an algorithm marker other
+/// than 0 and a name that is neither a paper algorithm nor `AUTO`.
 pub fn decode_request(r: &mut Reader<'_>) -> Result<QueryRequest, WireError> {
     let user = r.u32()?;
     let k = r.usize()?;
     let alpha = r.f64()?;
-    let algorithm: AlgorithmSpec = match r.u8()? {
-        0 => {
-            let name = r.str()?;
-            // `from_name` covers the twelve paper methods plus the `AUTO`
-            // meta-algorithm, so planner-driven requests cross the
-            // wire as built-ins and the server resolves its own engine's
-            // planner strategy.
-            let builtin = Algorithm::from_name(&name).ok_or_else(|| {
-                WireError::Invalid(format!("unknown built-in algorithm {name:?}"))
-            })?;
-            AlgorithmSpec::Builtin(builtin)
-        }
-        1 => AlgorithmSpec::Named(r.str()?),
-        t => return Err(WireError::Invalid(format!("algorithm spec tag {t}"))),
-    };
+    let marker = r.u8()?;
+    if marker != 0 {
+        return Err(WireError::Invalid(format!("algorithm marker {marker}")));
+    }
+    let name = r.str()?;
+    // `AUTO` crosses the wire like the twelve paper methods; the server's
+    // own engine plans it.
+    let algorithm = Algorithm::from_name(&name)
+        .ok_or_else(|| WireError::Invalid(format!("unknown algorithm {name:?}")))?;
     let origin = r.opt(decode_point)?;
     let within = r.opt(decode_rect)?;
     let n = r.u32()? as usize;
@@ -781,8 +764,8 @@ mod tests {
                 cell_to_shard: vec![0, 1, 1, 0],
             },
             Message::Fail {
-                kind: FailureKind::UnknownAlgorithm,
-                message: "no algorithm \"X\"".into(),
+                kind: FailureKind::MissingIndex,
+                message: "no index \"X\"".into(),
             },
         ] {
             round_trip(message);
@@ -802,15 +785,58 @@ mod tests {
             .build()
             .unwrap();
         round_trip(Message::query(request.clone()));
-        round_trip(Message::query(
-            QueryRequest::for_user(0)
-                .algorithm("CUSTOM")
-                .build_unvalidated(),
-        ));
         round_trip(Message::Query {
             request,
             trace_id: 0xDEAD_BEEF_0000_0001,
         });
+    }
+
+    #[test]
+    fn algorithms_cross_the_wire_by_name_behind_a_zero_marker() {
+        // All thirteen values round-trip.
+        for algorithm in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
+            round_trip(Message::query(
+                QueryRequest::for_user(1)
+                    .algorithm(algorithm)
+                    .build_unvalidated(),
+            ));
+        }
+
+        // The request encoding is pinned byte for byte.
+        let request = QueryRequest::for_user(7)
+            .k(3)
+            .alpha(0.5)
+            .algorithm(Algorithm::Sfa)
+            .exclude([2])
+            .build_unvalidated();
+        let mut w = Writer::new();
+        encode_request(&mut w, &request);
+        let bytes = w.finish();
+        #[rustfmt::skip]
+        let pinned: &[u8] = &[
+            7, 0, 0, 0,                         // user
+            3, 0, 0, 0, 0, 0, 0, 0,             // k
+            0, 0, 0, 0, 0, 0, 0xE0, 0x3F,       // alpha = 0.5
+            0,                                  // algorithm marker
+            3, 0, 0, 0, b'S', b'F', b'A',       // algorithm name
+            0,                                  // no origin
+            0,                                  // no window
+            1, 0, 0, 0, 2, 0, 0, 0,             // excluded: [2]
+            0,                                  // no max_score
+        ];
+        assert_eq!(bytes, pinned);
+
+        // Any other marker, and any unknown name, is a typed error.
+        let marker_at = 4 + 8 + 8;
+        let decode = |payload: &[u8]| decode_request(&mut Reader::new(payload));
+        for marker in [1u8, 2, 0xFF] {
+            let mut bad = bytes.clone();
+            bad[marker_at] = marker;
+            assert!(matches!(decode(&bad), Err(WireError::Invalid(_))));
+        }
+        let mut bad = bytes.clone();
+        bad[marker_at + 5..marker_at + 8].copy_from_slice(b"XYZ");
+        assert!(matches!(decode(&bad), Err(WireError::Invalid(_))));
     }
 
     #[test]

@@ -417,7 +417,7 @@ impl ShardServer {
         trace.close(root);
         // The streaming path bypasses `run_with`, so the server records
         // the per-algorithm engine series itself.
-        ssrq_core::obs::record_query_metrics(request.algorithm().key(), &stats);
+        ssrq_core::obs::record_query_metrics(request.algorithm().name(), &stats);
         self.obs.queries.inc();
         self.obs.query_ns.observe_duration(stats.runtime);
         let spans = trace.finish();
@@ -426,7 +426,7 @@ impl ShardServer {
             let captured = slow_log.offer(total_ns, &spans, || {
                 format!(
                     "algorithm={} user={} k={} shard={}",
-                    request.algorithm().key(),
+                    request.algorithm().name(),
                     request.user(),
                     request.k(),
                     self.shard,

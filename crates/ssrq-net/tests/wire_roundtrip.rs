@@ -54,17 +54,13 @@ fn request(rng: &mut StdRng) -> QueryRequest {
     let mut builder = QueryRequest::for_user(rng.gen_range(0..10_000u32))
         .k(rng.gen_range(0..64usize))
         .alpha(edge_f64(rng));
-    builder = if rng.gen_bool(0.8) {
-        // Built-ins: the twelve paper methods plus the AUTO
-        // meta-algorithm, which crosses the wire as a built-in too.
-        if rng.gen_bool(0.1) {
-            builder.algorithm(Algorithm::Auto)
-        } else {
-            builder.algorithm(Algorithm::ALL[rng.gen_range(0..Algorithm::ALL.len())])
-        }
+    // The twelve paper methods plus the AUTO meta-algorithm: every value a
+    // request can name.
+    builder = builder.algorithm(if rng.gen_bool(0.1) {
+        Algorithm::Auto
     } else {
-        builder.algorithm("CUSTOM-STRATEGY-ω")
-    };
+        Algorithm::ALL[rng.gen_range(0..Algorithm::ALL.len())]
+    });
     if rng.gen_bool(0.5) {
         builder = builder.origin(point(rng));
     }
@@ -166,10 +162,9 @@ fn message(rng: &mut StdRng) -> Message {
             kind: [
                 FailureKind::InvalidRequest,
                 FailureKind::UnknownUser,
-                FailureKind::UnknownAlgorithm,
                 FailureKind::MissingIndex,
                 FailureKind::Internal,
-            ][rng.gen_range(0..5usize)],
+            ][rng.gen_range(0..4usize)],
             message: format!("detail #{} — ünïcode", rng.gen_range(0..1000u32)),
         },
         13 => Message::Ping,
@@ -316,15 +311,15 @@ fn payload_level_corruptions_are_typed_not_panics() {
     bytes[text_start..].copy_from_slice(&[0xFF, 0xFE, 0xFD, 0xFC]);
     assert!(matches!(decode_frame(&bytes), Err(WireError::Invalid(_))));
 
-    // A Query frame naming an unknown built-in algorithm.
+    // A Query frame naming an unknown algorithm.
     let query = Message::query(
         QueryRequest::for_user(1)
             .algorithm(Algorithm::Sfa)
             .build_unvalidated(),
     );
     let mut bytes = query.encode();
-    // The builtin name "SFA" sits after user(4) + k(8) + alpha(8) + spec
-    // tag(1) + string length(4) in the payload.
+    // The name "SFA" sits after user(4) + k(8) + alpha(8) + algorithm
+    // marker(1) + string length(4) in the payload.
     let name_at = HEADER_LEN + 4 + 8 + 8 + 1 + 4;
     bytes[name_at..name_at + 3].copy_from_slice(b"ZZZ");
     assert!(matches!(decode_frame(&bytes), Err(WireError::Invalid(_))));

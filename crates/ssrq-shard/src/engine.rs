@@ -4,13 +4,12 @@ use crate::partition::{Partitioning, ShardAssignment};
 use crate::stats::ShardStats;
 use crate::transport::{self, shard_score_lower_bound, FailurePolicy, ShardTransport};
 use ssrq_core::{
-    AlgorithmStrategy, CoreError, EngineBuilder, GeoSocialDataset, GeoSocialEngine, QueryContext,
-    QueryRequest, QueryResult, UserId,
+    CoreError, EngineBuilder, GeoSocialDataset, GeoSocialEngine, QueryContext, QueryRequest,
+    QueryResult, UserId,
 };
 use ssrq_spatial::{Point, Rect};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One partition: a full [`GeoSocialEngine`] over the shared social graph
@@ -271,14 +270,6 @@ impl ShardedEngine {
         self.shards.iter().map(|s| s.engine.grid().len()).collect()
     }
 
-    /// Registers a custom [`AlgorithmStrategy`] on **every** shard engine,
-    /// so scatter-gather queries can request it by name like any built-in.
-    pub fn register_strategy(&mut self, strategy: Arc<dyn AlgorithmStrategy>) {
-        for shard in &mut self.shards {
-            shard.engine.register_strategy(Arc::clone(&strategy));
-        }
-    }
-
     /// A [`ShardedSession`](crate::ShardedSession): per-worker handle with
     /// reusable [`QueryContext`]s and cross-shard streaming.
     pub fn session(&self) -> crate::ShardedSession<'_> {
@@ -495,7 +486,7 @@ impl ShardedEngine {
         request.validate()?;
         let representative = &self.shards[0].engine;
         representative.dataset().check_user(request.user())?;
-        representative.ready_strategy(request.algorithm().key())?;
+        representative.ready(request.algorithm())?;
         Ok(
             match request.origin().or_else(|| self.location(request.user())) {
                 Some(origin) => request.clone().with_origin(origin),

@@ -308,12 +308,9 @@ impl Iterator for ShardedStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssrq_core::{
-        AlgorithmStrategy, GeoSocialDataset, GeoSocialEngine, QueryDriver, QueryStats, StepOutcome,
-    };
+    use ssrq_core::{GeoSocialDataset, QueryDriver, QueryStats, StepOutcome};
     use ssrq_graph::GraphBuilder;
     use ssrq_spatial::Point;
-    use std::sync::Arc;
 
     /// A driver that completes immediately but whose result is an error —
     /// the mid-stream failure shape only deferred sub-queries produce.
@@ -334,29 +331,6 @@ mod tests {
         }
     }
 
-    struct FailingStrategy;
-    impl AlgorithmStrategy for FailingStrategy {
-        fn name(&self) -> &str {
-            "FAIL-MIDSTREAM"
-        }
-        fn execute(
-            &self,
-            _engine: &GeoSocialEngine,
-            _request: &QueryRequest,
-            _ctx: &mut QueryContext,
-        ) -> Result<QueryResult, CoreError> {
-            Err(CoreError::InvalidParameter("mid-stream failure".into()))
-        }
-        fn begin_stream<'a>(
-            &'a self,
-            _engine: &'a GeoSocialEngine,
-            _request: &QueryRequest,
-            _ctx: &'a mut QueryContext,
-        ) -> Result<Box<dyn QueryDriver + 'a>, CoreError> {
-            Ok(Box::new(FailingDriver))
-        }
-    }
-
     #[test]
     fn a_mid_stream_shard_failure_ends_the_merge_and_is_reported() {
         let graph =
@@ -365,19 +339,26 @@ mod tests {
             .map(|i| Some(Point::new(0.1 + 0.2 * i as f64, 0.5)))
             .collect();
         let dataset = GeoSocialDataset::new(graph, locations).unwrap();
-        let mut engine = ShardedEngine::builder(dataset).shards(2).build().unwrap();
-        engine.register_strategy(Arc::new(FailingStrategy));
-        let request = QueryRequest::for_user(0)
-            .k(3)
-            .algorithm("FAIL-MIDSTREAM")
-            .build()
-            .unwrap();
-        // The eager path fails outright...
-        assert!(engine.run(&request).is_err());
-        // ...and the streaming path must not silently yield a truncated
-        // answer: it ends and reports the error.
-        let mut session = engine.session();
-        let mut stream = session.stream(&request).unwrap();
+        let engine = ShardedEngine::builder(dataset).shards(2).build().unwrap();
+        let base = QueryRequest::for_user(0).k(3).build().unwrap();
+        // One open arm whose shard search fails after the stream started:
+        // the merge must not silently yield a truncated answer — it ends
+        // and reports the error.
+        let mut stream = ShardedStream {
+            engine: &engine,
+            base,
+            pending: VecDeque::new(),
+            arms: vec![Arm {
+                stream: QueryStream::new(Box::new(FailingDriver), 3),
+                head: None,
+                exhausted: false,
+            }],
+            remaining: 3,
+            skipped: 0,
+            k: 3,
+            failed: false,
+            open_error: None,
+        };
         assert!(stream.next().is_none());
         assert!(matches!(
             stream.error(),

@@ -1,6 +1,5 @@
 //! Side-by-side comparison of every SSRQ processing algorithm on the same
-//! workload — a miniature version of the paper's Figure 8, driven through
-//! the strategy registry.
+//! workload — a miniature version of the paper's Figure 8.
 //!
 //! Run with:
 //! ```sh
@@ -37,7 +36,8 @@ fn main() {
         .build()
         .expect("engine builds");
     engine.require_social_cache().expect("cache was declared");
-    println!("registered strategies: {:?}", engine.strategies().names());
+    let names: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
+    println!("algorithms: {names:?}");
     println!(
         "running {} queries (k = {}, alpha = {}) with every algorithm\n",
         workload.len(),

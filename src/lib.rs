@@ -29,9 +29,8 @@ pub use ssrq_spatial as spatial;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use ssrq_core::{
-        Algorithm, AlgorithmStrategy, EngineBuilder, GeoSocialEngine, QueryContext, QueryDriver,
-        QueryRequest, QueryResult, QuerySession, QueryStream, RankedUser, StepOutcome,
-        StrategyRegistry,
+        Algorithm, EngineBuilder, GeoSocialEngine, QueryContext, QueryDriver, QueryRequest,
+        QueryResult, QuerySession, QueryStream, RankedUser, StepOutcome,
     };
     pub use ssrq_data::{DatasetConfig, GeoSocialDataset};
     pub use ssrq_graph::{EdgeWeight, NodeId as GraphNodeId, SearchScratch, SocialGraph};

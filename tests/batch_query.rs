@@ -210,7 +210,7 @@ fn reused_scratch_matches_fresh_engine_query_by_query() {
             fresh.ranked,
             "step {step}: {} with a reused context diverged from a fresh engine \
              (user {}, k {}, alpha {})",
-            request.algorithm().key(),
+            request.algorithm().name(),
             request.user(),
             request.k(),
             request.alpha()

@@ -218,10 +218,13 @@ fn hot_cache_serves_repeats_and_survives_resizing() {
         assert_eq!(warm.stats.cache_hits, 1, "second identical query must hit");
         assert_eq!(warm.stats.vertex_pops, 0);
         assert_eq!(warm.ranked, cold.ranked);
-        // Streamed repeats hit the cache too.
+        // Streamed repeats hit the cache too, and a hit is
+        // drain-after-complete: the whole answer, nothing finalized early.
         let mut ctx = engine.make_context();
-        let streamed: Vec<_> = engine.stream_with(&base, &mut ctx).unwrap().collect();
-        assert_eq!(streamed.len(), cold.ranked.len());
+        let mut stream = engine.stream_with(&base, &mut ctx).unwrap();
+        let streamed: Vec<_> = stream.by_ref().collect();
+        assert_eq!(streamed, cold.ranked);
+        assert_eq!(stream.finalized_early(), 0);
     }
     let snapshot = engine.planner().snapshot();
     assert!(snapshot.cache_hits >= 2 * workload.users.len() as u64);
@@ -423,6 +426,42 @@ fn planner_unit_behaviour_pins_explores_and_converges() {
         engine.planner().choose(&engine, &request),
         (Algorithm::Ais, ChoiceReason::Rule)
     );
+}
+
+#[test]
+fn pinning_auto_to_itself_restores_the_rule() {
+    let dataset = DatasetConfig::gowalla_like(300).with_seed(2).generate();
+    let user = QueryWorkload::generate(&dataset, 1, 2).users[0];
+    let engine = GeoSocialEngine::builder(dataset.clone()).build().unwrap();
+    let sharded = ShardedEngine::builder(dataset).shards(2).build().unwrap();
+    let planners = std::iter::once(engine.planner())
+        .chain((0..sharded.shard_count()).map(|s| sharded.shard_engine(s).planner()));
+    for planner in planners {
+        planner.set_cache_capacity(0);
+        planner.pin(Some(Algorithm::Auto));
+    }
+    for alpha in [0.2, 0.6] {
+        let request = QueryRequest::for_user(user)
+            .k(8)
+            .alpha(alpha)
+            .algorithm(Algorithm::Auto)
+            .build()
+            .unwrap();
+        let (choice, reason) = engine.planner().choose(&engine, &request);
+        assert_eq!(reason, ChoiceReason::Rule);
+        assert_ne!(choice, Algorithm::Auto);
+        let fixed = request.clone().with_algorithm(choice);
+
+        let expected = engine.run(&fixed).unwrap();
+        assert_eq!(engine.run(&request).unwrap().ranked, expected.ranked);
+        let mut ctx = engine.make_context();
+        let streamed: Vec<_> = engine.stream_with(&request, &mut ctx).unwrap().collect();
+        assert_eq!(streamed, expected.ranked);
+        assert_eq!(
+            sharded.run(&request).unwrap().ranked,
+            sharded.run(&fixed).unwrap().ranked
+        );
+    }
 }
 
 #[test]

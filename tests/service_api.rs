@@ -1,15 +1,12 @@
 //! Integration tests of the service-grade query API: builder-configured
-//! engines, typed requests, strategy dispatch, sessions/streaming — and
+//! engines, typed requests, algorithm dispatch, sessions/streaming — and
 //! every error path a service handler has to care about (typed errors, not
 //! panics).
 
-use geosocial_ssrq::core::{
-    Algorithm, AlgorithmStrategy, CoreError, GeoSocialEngine, QueryContext, QueryRequest,
-    QueryResult,
-};
+use geosocial_ssrq::core::{Algorithm, CoreError, GeoSocialEngine, QueryRequest};
 use geosocial_ssrq::data::{DatasetConfig, QueryWorkload};
 use geosocial_ssrq::prelude::{Point, Rect};
-use std::sync::Arc;
+use geosocial_ssrq::shard::ShardedEngine;
 
 // CH construction is ~quadratic on these hub-heavy synthetic graphs, so the
 // engines that may build one stay at 160 users (same scale as
@@ -122,6 +119,45 @@ fn social_cache_plan_gates_the_cached_algorithm() {
         .run(&request.clone().with_algorithm(Algorithm::Exhaustive))
         .unwrap();
     assert!(got.same_users_and_scores(&oracle, 1e-9));
+}
+
+#[test]
+fn the_index_preflight_agrees_across_every_entry_point() {
+    // Neither CH nor a social cache is declared on any engine here.
+    let dataset = DatasetConfig::gowalla_like(160).with_seed(9).generate();
+    let user = QueryWorkload::generate(&dataset, 1, 5).users[0];
+    let engine = GeoSocialEngine::builder(dataset.clone()).build().unwrap();
+    let sharded = ShardedEngine::builder(dataset).shards(2).build().unwrap();
+    let mut session = sharded.session();
+    let mut ctx = engine.make_context();
+    for algorithm in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
+        let request = QueryRequest::for_user(user)
+            .k(5)
+            .alpha(0.4)
+            .algorithm(algorithm)
+            .build()
+            .unwrap();
+        let outcomes = [
+            ("run", engine.run(&request).err()),
+            ("stream_with", engine.stream_with(&request, &mut ctx).err()),
+            ("sharded run", sharded.run(&request).err()),
+            ("sharded stream", session.stream(&request).err()),
+        ];
+        let needs_index = algorithm.needs_ch() || algorithm.needs_social_cache();
+        for (entry_point, error) in outcomes {
+            if needs_index {
+                assert!(
+                    matches!(error, Some(CoreError::MissingIndex(_))),
+                    "{} via {entry_point}: {error:?}",
+                    algorithm.name()
+                );
+            } else {
+                assert_eq!(error, None, "{} via {entry_point}", algorithm.name());
+            }
+        }
+    }
+    assert!(engine.contraction_hierarchy().is_none());
+    assert!(engine.social_cache().is_none());
 }
 
 #[test]
@@ -310,54 +346,4 @@ fn exhausted_streams_finalize_their_entire_result() {
             algorithm.name()
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// Custom strategies from outside the core crate
-// ---------------------------------------------------------------------------
-
-/// A downstream strategy: delegates to the built-in AIS search but clamps
-/// `k` (a service-side result cap) — exactly the kind of wrapper the
-/// registry exists for.
-struct CappedAis {
-    cap: usize,
-}
-
-impl AlgorithmStrategy for CappedAis {
-    fn name(&self) -> &str {
-        "AIS-CAPPED"
-    }
-
-    fn execute(
-        &self,
-        engine: &GeoSocialEngine,
-        request: &QueryRequest,
-        ctx: &mut QueryContext,
-    ) -> Result<QueryResult, CoreError> {
-        let capped = QueryRequest::for_user(request.user())
-            .k(request.k().min(self.cap))
-            .alpha(request.alpha())
-            .algorithm(Algorithm::Ais)
-            .build()?;
-        engine.run_with(&capped, ctx)
-    }
-}
-
-#[test]
-fn downstream_crates_can_register_custom_strategies() {
-    let mut engine = engine_with(false);
-    let user = query_user(&engine);
-    engine.register_strategy(Arc::new(CappedAis { cap: 3 }));
-    let request = QueryRequest::for_user(user)
-        .k(25)
-        .alpha(0.4)
-        .algorithm("AIS-CAPPED")
-        .build()
-        .unwrap();
-    let result = engine.run(&request).unwrap();
-    assert_eq!(result.ranked.len(), 3);
-    let reference = engine
-        .run(&request.clone().with_algorithm(Algorithm::Ais))
-        .unwrap();
-    assert_eq!(&reference.ranked[..3], &result.ranked[..]);
 }

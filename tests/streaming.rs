@@ -1,19 +1,15 @@
 //! Stream ≡ run equivalence for the pull-lazy query drivers.
 //!
 //! `QuerySession::stream` runs the same resumable state machine the eager
-//! entry points drive, so for **all twelve** registered algorithms — and
+//! entry points drive, so for **all twelve** paper algorithms — and
 //! under every request scenario option — a fully drained stream must be
 //! bit-identical to `QuerySession::run`, every prefix of length `j` must
 //! equal the eager top-`j`, and an early-exited stream (`take(1)`) must do
 //! strictly less search work than the full run.
 
-use geosocial_ssrq::core::{
-    Algorithm, AlgorithmStrategy, CoreError, GeoSocialEngine, QueryContext, QueryRequest,
-    QueryResult,
-};
+use geosocial_ssrq::core::{Algorithm, GeoSocialEngine, QueryRequest};
 use geosocial_ssrq::data::{DatasetConfig, QueryWorkload};
 use geosocial_ssrq::spatial::{Point, Rect};
-use std::sync::Arc;
 
 /// A small engine with every auxiliary index declared, so all twelve
 /// algorithms are runnable (the CH build is quadratic-ish on hub-heavy
@@ -186,42 +182,4 @@ fn truncated_streams_do_not_corrupt_later_session_queries() {
     let _ = session.stream(&request).unwrap().next();
     let after_abandon = session.run(&request).unwrap();
     assert_eq!(after_abandon.ranked, baseline.ranked);
-}
-
-/// A custom strategy without a `begin_stream` override: streaming must fall
-/// back to the eager drain-after-complete driver and still be exact.
-struct OracleAlias;
-
-impl AlgorithmStrategy for OracleAlias {
-    fn name(&self) -> &str {
-        "ORACLE-ALIAS"
-    }
-
-    fn execute(
-        &self,
-        engine: &GeoSocialEngine,
-        request: &QueryRequest,
-        ctx: &mut QueryContext,
-    ) -> Result<QueryResult, CoreError> {
-        engine.run_with(&request.clone().with_algorithm(Algorithm::Exhaustive), ctx)
-    }
-}
-
-#[test]
-fn custom_strategies_stream_through_the_eager_fallback() {
-    let (mut engine, users) = full_engine();
-    engine.register_strategy(Arc::new(OracleAlias));
-    let request = QueryRequest::for_user(users[0])
-        .k(10)
-        .alpha(0.3)
-        .algorithm("ORACLE-ALIAS")
-        .build()
-        .unwrap();
-    let expected = engine.run(&request).unwrap();
-    let mut session = engine.session();
-    let mut stream = session.stream(&request).unwrap();
-    let streamed: Vec<_> = stream.by_ref().collect();
-    assert_eq!(streamed, expected.ranked);
-    // The eager fallback finalizes nothing before completion.
-    assert_eq!(stream.finalized_early(), 0);
 }
