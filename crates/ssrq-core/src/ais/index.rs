@@ -24,16 +24,22 @@ impl SocialSummary {
         }
     }
 
-    /// Folds one user's landmark-distance vector into the summary.
-    pub fn absorb_vector(&mut self, vector: &[f64]) {
-        for (j, &d) in vector.iter().enumerate() {
-            if d < self.min[j] {
-                self.min[j] = d;
+    /// Folds one user's landmark-distance vector into the summary, widening
+    /// it in place; returns whether any bound moved.
+    pub fn absorb_vector(&mut self, vector: &[f64]) -> bool {
+        debug_assert_eq!(vector.len(), self.min.len());
+        let mut widened = false;
+        for ((lo, hi), &d) in self.min.iter_mut().zip(&mut self.max).zip(vector) {
+            if d < *lo {
+                *lo = d;
+                widened = true;
             }
-            if d > self.max[j] {
-                self.max[j] = d;
+            if d > *hi {
+                *hi = d;
+                widened = true;
             }
         }
+        widened
     }
 
     /// Folds another summary (e.g. of a child node) into this one.
@@ -46,6 +52,22 @@ impl SocialSummary {
                 self.max[j] = other.max[j];
             }
         }
+    }
+
+    /// Resets the summary to the empty one, keeping its buffers.
+    fn clear(&mut self) {
+        self.min.fill(f64::INFINITY);
+        self.max.fill(f64::NEG_INFINITY);
+    }
+
+    /// Whether `parent` can change when this child summary narrows to
+    /// `narrowed`: for some landmark the child held the parent's `m̌[j]` (or
+    /// `m̂[j]`) and that bound of the child moved.
+    fn releases_bound_of(&self, narrowed: &SocialSummary, parent: &SocialSummary) -> bool {
+        (0..self.min.len()).any(|j| {
+            (self.min[j] == parent.min[j] && narrowed.min[j] != self.min[j])
+                || (self.max[j] == parent.max[j] && narrowed.max[j] != self.max[j])
+        })
     }
 
     /// `m̌[j]`.
@@ -116,6 +138,27 @@ impl SocialSummary {
 /// are bit-identical, never loosened or tightened).  An index over a shard
 /// with few residents therefore costs kilobytes instead of the ~2 MiB a
 /// dense per-cell layout needs at the default granularity.
+///
+/// # Maintenance
+///
+/// A summary changes in exactly one of two ways, and [`AisIndex::build`]
+/// bulk-loads the grid, then enters every located user through the first:
+///
+/// * **Enter.** A user's landmark vector is folded into its leaf, then into
+///   each ancestor in turn, stopping at the first node the vector does not
+///   widen: that node already covers the vector, and so does every node
+///   above it.
+/// * **Leave.** The user's old leaf is recomputed from the users it still
+///   holds.  Its parent is recomputed from its children only when, for some
+///   landmark, the leaf's old `m̌[j]` (or `m̂[j]`) was the parent's and has
+///   now moved; the same rule climbs on, and the walk stops at the first
+///   node whose summary did not change.
+///
+/// Both keep every summary equal to the minimum and maximum over the
+/// vectors of the users below its node.  Minimum and maximum over `f64`
+/// distances are exact and independent of order, so the summaries — and
+/// with them every AIS key, work counter and answer — are bit-identical to
+/// a rebuild from scratch after any sequence of updates.
 #[derive(Debug, Clone)]
 pub struct AisIndex {
     grid: MultiLevelGrid,
@@ -129,6 +172,9 @@ pub struct AisIndex {
     free_slots: Vec<u32>,
     /// The shared summary of every unoccupied node (`m̌ = +∞`, `m̂ = −∞`).
     empty_summary: SocialSummary,
+    /// Buffer a leave recomputes summaries into, so the walk allocates
+    /// nothing.
+    scratch: SocialSummary,
     num_landmarks: usize,
 }
 
@@ -151,78 +197,38 @@ impl AisIndex {
         // Expand the bounds marginally so boundary points stay strictly
         // inside and the index tolerates small location drifts.
         let bounds = expanded_bounds(dataset.bounds());
-        let grid = MultiLevelGrid::bulk_load(bounds, branch, levels, dataset.located_users())?;
         let num_landmarks = landmarks.len();
         let mut index = AisIndex {
-            grid,
+            grid: MultiLevelGrid::bulk_load(bounds, branch, levels, dataset.located_users())?,
             slots: HashMap::new(),
             summaries: Vec::new(),
             free_slots: Vec::new(),
             empty_summary: SocialSummary::empty(num_landmarks),
+            scratch: SocialSummary::empty(num_landmarks),
             num_landmarks,
         };
-        for top in index.grid.top_nodes().collect::<Vec<_>>() {
-            let summary = index.compute_summary(top, landmarks);
-            index.set_summary(top, summary);
+        for top in index.grid.top_nodes() {
+            index.enter_below(top, landmarks);
         }
         Ok(index)
     }
 
-    fn compute_summary(&mut self, node: NodeId, landmarks: &LandmarkSet) -> SocialSummary {
-        let mut summary = SocialSummary::empty(self.num_landmarks);
+    /// Enters the users below `node` leaf by leaf in depth-first order, so
+    /// that the summaries of siblings, which the search reads together, are
+    /// allocated together.
+    fn enter_below(&mut self, node: NodeId, landmarks: &LandmarkSet) {
         match self.grid.node_kind(node) {
-            NodeKind::Leaf => {
-                for &user in self.grid.leaf_items(node) {
-                    summary.absorb_vector(landmarks.vector(user));
-                }
-            }
             NodeKind::Internal => {
                 for child in self.grid.children(node) {
-                    let child_summary = self.compute_summary(child, landmarks);
-                    summary.absorb_summary(&child_summary);
-                    self.set_summary(child, child_summary);
+                    self.enter_below(child, landmarks);
                 }
             }
-        }
-        summary
-    }
-
-    /// Stores (or clears) the summary of a node.  Empty summaries release
-    /// the node's slot — a node that loses its last user goes back to
-    /// answering through the shared empty summary and costs nothing.
-    ///
-    /// "Empty" is [`SocialSummary::is_empty`]'s no-vector-ever-absorbed test
-    /// (`m̂ = −∞`), **not** `m̌ = +∞`: a cell whose users all sit at infinite
-    /// landmark distance stays materialised, because its stored summary
-    /// (`m̂ = +∞`) yields bound 0 for an equally unreachable query vertex
-    /// where the shared empty summary would wrongly yield `∞`.
-    fn set_summary(&mut self, node: NodeId, summary: SocialSummary) {
-        if summary.is_empty() {
-            if let Some(slot) = self.slots.remove(&node.0) {
-                // Replace the vacated slot's payload with a zero-capacity
-                // stub so its landmark vectors are freed immediately.
-                self.summaries[slot as usize] = SocialSummary::empty(0);
-                self.free_slots.push(slot);
+            NodeKind::Leaf => {
+                for i in 0..self.grid.leaf_items(node).len() {
+                    let user = self.grid.leaf_items(node)[i];
+                    self.enter(node, landmarks.vector(user));
+                }
             }
-            if self.slots.is_empty() {
-                // The last occupied node vacated: release the slot
-                // machinery outright so a fully drained index returns to
-                // its empty footprint instead of keeping stub capacity.
-                self.slots = HashMap::new();
-                self.summaries = Vec::new();
-                self.free_slots = Vec::new();
-            }
-            return;
-        }
-        if let Some(&slot) = self.slots.get(&node.0) {
-            self.summaries[slot as usize] = summary;
-        } else if let Some(slot) = self.free_slots.pop() {
-            self.summaries[slot as usize] = summary;
-            self.slots.insert(node.0, slot);
-        } else {
-            let slot = self.summaries.len() as u32;
-            self.summaries.push(summary);
-            self.slots.insert(node.0, slot);
         }
     }
 
@@ -274,6 +280,7 @@ impl AisIndex {
                 .map(SocialSummary::approx_heap_bytes)
                 .sum::<usize>()
             + self.empty_summary.approx_heap_bytes()
+            + self.scratch.approx_heap_bytes()
     }
 
     /// The social summary of a node (the shared empty summary for nodes with
@@ -293,13 +300,13 @@ impl AisIndex {
 
     /// The raw spatial lower bound `ď(u_q, C)` for a node.
     pub fn spatial_lower_bound(&self, node: NodeId, query_location: Point) -> f64 {
-        self.grid.node_rect(node).min_distance(query_location)
+        self.grid.node_min_distance(node, query_location)
     }
 
     /// Moves a user to a new location, maintaining leaf membership and the
     /// social summaries along the affected paths (the update procedure of
     /// §5.1: a move is a deletion from the old cell plus an insertion into
-    /// the new one; summaries are recomputed and propagated upward).
+    /// the new one; see the maintenance rule on [`AisIndex`]).
     pub fn update_location(
         &mut self,
         user: UserId,
@@ -309,12 +316,12 @@ impl AisIndex {
         if self.grid.position(user).is_some() {
             let (old_leaf, new_leaf) = self.grid.update(user, location)?;
             if old_leaf != new_leaf {
-                self.rebuild_path(old_leaf, landmarks);
-                self.rebuild_path(new_leaf, landmarks);
+                self.leave(old_leaf, landmarks);
+                self.enter(new_leaf, landmarks.vector(user));
             }
         } else {
             let leaf = self.grid.insert(user, location);
-            self.rebuild_path(leaf, landmarks);
+            self.enter(leaf, landmarks.vector(user));
         }
         Ok(())
     }
@@ -323,26 +330,103 @@ impl AisIndex {
     /// summaries along its former path.
     pub fn remove_user(&mut self, user: UserId, landmarks: &LandmarkSet) -> Result<(), CoreError> {
         let leaf = self.grid.remove(user)?;
-        self.rebuild_path(leaf, landmarks);
+        self.leave(leaf, landmarks);
         Ok(())
     }
 
-    /// Recomputes the summary of a leaf from its users, then refreshes every
-    /// ancestor from its children.
-    fn rebuild_path(&mut self, leaf: NodeId, landmarks: &LandmarkSet) {
-        let mut summary = SocialSummary::empty(self.num_landmarks);
-        for &user in self.grid.leaf_items(leaf) {
-            summary.absorb_vector(landmarks.vector(user));
-        }
-        self.set_summary(leaf, summary);
-        let ancestors = self.grid.ancestors(leaf);
-        for node in ancestors.into_iter().skip(1) {
-            let mut summary = SocialSummary::empty(self.num_landmarks);
-            for child in self.grid.children(node) {
-                summary.absorb_summary(self.summary(child));
+    /// Folds a landmark vector into `leaf` and its ancestors, stopping at
+    /// the first node it does not widen.
+    fn enter(&mut self, leaf: NodeId, vector: &[f64]) {
+        let mut node = Some(leaf);
+        while let Some(n) = node {
+            if !self.widen(n, vector) {
+                break;
             }
-            self.set_summary(node, summary);
+            node = self.grid.parent(n);
         }
+    }
+
+    /// Folds a landmark vector into one node's summary, materialising it if
+    /// the node was unoccupied; returns whether the summary changed.
+    fn widen(&mut self, node: NodeId, vector: &[f64]) -> bool {
+        if let Some(&slot) = self.slots.get(&node.0) {
+            return self.summaries[slot as usize].absorb_vector(vector);
+        }
+        let mut summary = SocialSummary::empty(self.num_landmarks);
+        summary.absorb_vector(vector);
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.summaries[slot as usize] = summary;
+                slot
+            }
+            None => {
+                self.summaries.push(summary);
+                (self.summaries.len() - 1) as u32
+            }
+        };
+        self.slots.insert(node.0, slot);
+        true
+    }
+
+    /// Restores the summaries above `leaf` after a user left it: recomputes
+    /// the leaf from its remaining users, then each ancestor from its
+    /// children while the node below released one of its bounds.
+    fn leave(&mut self, leaf: NodeId, landmarks: &LandmarkSet) {
+        let mut fresh = std::mem::replace(&mut self.scratch, SocialSummary::empty(0));
+        fresh.clear();
+        for &user in self.grid.leaf_items(leaf) {
+            fresh.absorb_vector(landmarks.vector(user));
+        }
+        let mut node = leaf;
+        loop {
+            let old = self.summary(node);
+            if fresh == *old {
+                break;
+            }
+            let parent = self
+                .grid
+                .parent(node)
+                .filter(|&p| old.releases_bound_of(&fresh, self.summary(p)));
+            fresh = self.replace(node, fresh);
+            let Some(parent) = parent else { break };
+            fresh.clear();
+            for child in self.grid.children(parent) {
+                fresh.absorb_summary(self.summary(child));
+            }
+            node = parent;
+        }
+        self.scratch = fresh;
+    }
+
+    /// Replaces the summary of an occupied node, returning a spare buffer
+    /// of the same length.  An empty summary releases the node's slot — a
+    /// node that loses its last user goes back to answering through the
+    /// shared empty summary and costs nothing.
+    ///
+    /// "Empty" is [`SocialSummary::is_empty`]'s no-vector-ever-absorbed test
+    /// (`m̂ = −∞`), **not** `m̌ = +∞`: a cell whose users all sit at infinite
+    /// landmark distance stays materialised, because its stored summary
+    /// (`m̂ = +∞`) yields bound 0 for an equally unreachable query vertex
+    /// where the shared empty summary would wrongly yield `∞`.
+    fn replace(&mut self, node: NodeId, summary: SocialSummary) -> SocialSummary {
+        let slot = self.slots[&node.0];
+        if !summary.is_empty() {
+            return std::mem::replace(&mut self.summaries[slot as usize], summary);
+        }
+        self.slots.remove(&node.0);
+        // A zero-capacity stub frees the vacated slot's landmark vectors
+        // immediately.
+        self.summaries[slot as usize] = SocialSummary::empty(0);
+        self.free_slots.push(slot);
+        if self.slots.is_empty() {
+            // The last occupied node vacated: release the slot machinery
+            // outright so a fully drained index returns to its empty
+            // footprint instead of keeping stub capacity.
+            self.slots = HashMap::new();
+            self.summaries = Vec::new();
+            self.free_slots = Vec::new();
+        }
+        summary
     }
 }
 

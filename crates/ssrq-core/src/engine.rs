@@ -799,8 +799,9 @@ impl GeoSocialEngine {
             )));
         }
         self.dataset.set_location(user, Some(location))?;
-        // The grids clamp points into their bounds, so a location slightly
-        // outside the original bounding box is still handled.
+        // A location outside the dataset's bounds stays exact: the grids
+        // store it as given, file it in the boundary cell its clamped image
+        // falls in, and open the search bounds of boundary cells outward.
         self.grid.insert(user, location);
         self.ais
             .update_location(user, location, &self.graph_indexes.landmarks)?;

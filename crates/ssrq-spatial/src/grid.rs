@@ -29,6 +29,12 @@ impl CellCoord {
 /// grid's heap footprint scales with the number of stored items rather than
 /// with the `side × side` geometry or the largest item id.  A shard holding
 /// few (or no) residents of a large deployment pays only for what it stores.
+///
+/// Items are stored at the point the caller gives, even outside the
+/// bounds; a point is clamped into the bounds only to choose its cell.  A
+/// boundary cell can therefore hold items beyond its rectangle, so the
+/// search bound of a cell ([`IncrementalNn`](crate::IncrementalNn)'s key)
+/// opens each side that lies on the grid boundary out to infinity.
 #[derive(Debug, Clone)]
 pub struct UniformGrid {
     bounds: Rect,
@@ -78,10 +84,6 @@ impl UniformGrid {
     }
 
     /// Builds a grid from an iterator of `(id, point)` pairs.
-    ///
-    /// Points outside `bounds` are clamped onto the boundary (the SSRQ
-    /// datasets normalize all locations into the unit square first, so this
-    /// only matters for numerical edge cases).
     pub fn bulk_load(
         bounds: Rect,
         side: u32,
@@ -139,10 +141,7 @@ impl UniformGrid {
     }
 
     /// Inserts `id` at `point`, or moves it there if it is already stored.
-    ///
-    /// The point is clamped into the grid bounds.
     pub fn insert(&mut self, id: ItemId, point: Point) {
-        let point = self.clamp(point);
         if self.position(id).is_some() {
             // Re-insertion acts as an update.
             self.update(id, point).expect("item verified present");
@@ -201,7 +200,6 @@ impl UniformGrid {
         id: ItemId,
         point: Point,
     ) -> Result<(CellCoord, CellCoord), SpatialError> {
-        let point = self.clamp(point);
         let old = self.position(id).ok_or(SpatialError::UnknownItem(id))?;
         let old_cell = self.cell_of(old);
         let new_cell = self.cell_of(point);
@@ -215,7 +213,8 @@ impl UniformGrid {
         Ok((old_cell, new_cell))
     }
 
-    /// The cell containing `point` (clamped into bounds).
+    /// The cell `point` is stored in: the one containing it, or for a point
+    /// outside the bounds, the one containing its clamped image.
     pub fn cell_of(&self, point: Point) -> CellCoord {
         let p = self.clamp(point);
         let cx = ((p.x - self.bounds.min.x) / self.cell_w) as u32;
@@ -231,6 +230,13 @@ impl UniformGrid {
             Point::new(x0, y0),
             Point::new(x0 + self.cell_w, y0 + self.cell_h),
         )
+    }
+
+    /// A lower bound on the distance from `point` to every item stored in
+    /// `cell`: the distance to the cell's rectangle, with each side on the
+    /// grid boundary opened out to infinity.
+    pub(crate) fn cell_min_distance(&self, cell: CellCoord, point: Point) -> f64 {
+        open_boundary_sides(self.cell_rect(cell), self.side, cell.cx, cell.cy).min_distance(point)
     }
 
     /// Items stored in a cell (empty slice for an unoccupied cell).
@@ -292,6 +298,26 @@ impl UniformGrid {
             p.y.clamp(self.bounds.min.y, self.bounds.max.y),
         )
     }
+}
+
+/// `rect`, the extent of cell `(cx, cy)` of a `side × side` grid, with each
+/// side on the grid boundary moved out to infinity.  Whether a side is on
+/// the boundary is read from the cell index: the last cell's computed edge
+/// can fall an ulp short of the bound.
+pub(crate) fn open_boundary_sides(mut rect: Rect, side: u32, cx: u32, cy: u32) -> Rect {
+    if cx == 0 {
+        rect.min.x = f64::NEG_INFINITY;
+    }
+    if cx + 1 == side {
+        rect.max.x = f64::INFINITY;
+    }
+    if cy == 0 {
+        rect.min.y = f64::NEG_INFINITY;
+    }
+    if cy + 1 == side {
+        rect.max.y = f64::INFINITY;
+    }
+    rect
 }
 
 #[cfg(test)]
@@ -379,10 +405,26 @@ mod tests {
     }
 
     #[test]
-    fn out_of_bounds_points_are_clamped() {
+    fn out_of_bounds_points_are_stored_as_given() {
         let mut g = unit_grid(5);
-        g.insert(1, Point::new(2.0, -1.0));
-        assert_eq!(g.position(1), Some(Point::new(1.0, 0.0)));
+        let outside = Point::new(2.0, -1.0);
+        g.insert(1, outside);
+        g.insert(2, Point::new(0.5, 0.5));
+        assert_eq!(g.position(1), Some(outside));
+        assert_eq!(g.cell_items(CellCoord::new(4, 0)), &[1]);
+        // The NN stream reports the true distance, and in order.
+        let query = Point::new(2.0, -0.5);
+        let got: Vec<(ItemId, f64)> = g
+            .nearest_neighbors(query)
+            .map(|n| (n.id, n.distance))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (1, outside.distance(query)),
+                (2, Point::new(0.5, 0.5).distance(query))
+            ]
+        );
     }
 
     #[test]

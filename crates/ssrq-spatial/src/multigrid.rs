@@ -1,3 +1,4 @@
+use crate::grid::open_boundary_sides;
 use crate::{hash_map_heap_bytes, ItemId, Point, Rect, SpatialError};
 use std::collections::HashMap;
 
@@ -26,6 +27,12 @@ pub enum NodeKind {
 /// search starts from all top-level nodes (the paper keeps the lowest two
 /// levels of a three-level hierarchy, which is the default here:
 /// `levels = 2`).
+///
+/// Items are stored at the point the caller gives, even outside the
+/// bounds; a point is clamped into the bounds only to choose its leaf.  A
+/// boundary cell can therefore hold items beyond its rectangle, so
+/// [`MultiLevelGrid::node_min_distance`] opens each side of a node that
+/// lies on the grid boundary out to infinity.
 #[derive(Debug, Clone)]
 pub struct MultiLevelGrid {
     bounds: Rect,
@@ -211,13 +218,17 @@ impl MultiLevelGrid {
         }
     }
 
-    /// Spatial extent of a node.
-    pub fn node_rect(&self, node: NodeId) -> Rect {
-        let level = self.node_level(node);
-        let side = self.level_sides[level as usize];
-        let local = node.0 - self.level_offsets[level as usize];
-        let cx = local % side;
-        let cy = local / side;
+    /// The node's level, the cells per axis of that level, and the node's
+    /// column and row in it.
+    fn cell(&self, node: NodeId) -> (usize, u32, u32, u32) {
+        let level = self.node_level(node) as usize;
+        let side = self.level_sides[level];
+        let local = node.0 - self.level_offsets[level];
+        (level, side, local % side, local / side)
+    }
+
+    /// Extent of cell `(cx, cy)` of a level with `side` cells per axis.
+    fn cell_rect(&self, side: u32, cx: u32, cy: u32) -> Rect {
         let w = self.bounds.width() / side as f64;
         let h = self.bounds.height() / side as f64;
         let x0 = self.bounds.min.x + cx as f64 * w;
@@ -225,41 +236,49 @@ impl MultiLevelGrid {
         Rect::new(Point::new(x0, y0), Point::new(x0 + w, y0 + h))
     }
 
+    /// Spatial extent of a node.
+    pub fn node_rect(&self, node: NodeId) -> Rect {
+        let (_, side, cx, cy) = self.cell(node);
+        self.cell_rect(side, cx, cy)
+    }
+
+    /// A lower bound on the distance from `point` to every item stored
+    /// below `node`: the distance to the node's rectangle, with each side
+    /// on the grid boundary opened out to infinity (items outside the
+    /// bounds are stored in the boundary cells).
+    pub fn node_min_distance(&self, node: NodeId, point: Point) -> f64 {
+        let (_, side, cx, cy) = self.cell(node);
+        open_boundary_sides(self.cell_rect(side, cx, cy), side, cx, cy).min_distance(point)
+    }
+
     /// Iterates over the nodes of the top (coarsest) level — the entry point
     /// of the AIS branch-and-bound search.
-    pub fn top_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn top_nodes(&self) -> impl Iterator<Item = NodeId> {
         let side = self.level_sides[0] as u64;
         (0..side * side).map(|i| NodeId(i as u32))
     }
 
     /// Iterates over the children of an internal node (its `s × s` cells of
-    /// the next lower level).
+    /// the next lower level) in row-major order.  The AIS search pushes
+    /// children in this order and breaks equal keys by push order, so the
+    /// order is part of the contract.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if `node` is a leaf.
-    pub fn children(&self, node: NodeId) -> Vec<NodeId> {
-        let level = self.node_level(node);
+    pub fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> {
+        let (level, _, cx, cy) = self.cell(node);
         debug_assert!(
-            level + 1 < self.levels,
+            level + 1 < self.levels as usize,
             "leaf nodes have no children (node {node:?})"
         );
-        let side = self.level_sides[level as usize];
-        let child_level = level + 1;
-        let child_side = self.level_sides[child_level as usize];
-        let child_offset = self.level_offsets[child_level as usize];
-        let local = node.0 - self.level_offsets[level as usize];
-        let cx = local % side;
-        let cy = local / side;
-        let mut out = Vec::with_capacity((self.branch * self.branch) as usize);
-        for dy in 0..self.branch {
-            for dx in 0..self.branch {
-                let ccx = cx * self.branch + dx;
-                let ccy = cy * self.branch + dy;
-                out.push(NodeId(child_offset + ccy * child_side + ccx));
-            }
-        }
-        out
+        let branch = self.branch;
+        let child_side = self.level_sides[level + 1];
+        let first = self.level_offsets[level + 1] + cy * branch * child_side + cx * branch;
+        (0..branch).flat_map(move |dy| {
+            let row = first + dy * child_side;
+            (row..row + branch).map(NodeId)
+        })
     }
 
     /// Parent node of `node`; `None` for top-level nodes.
@@ -293,7 +312,8 @@ impl MultiLevelGrid {
         }
     }
 
-    /// The leaf cell containing `point` (clamped into bounds).
+    /// The leaf cell `point` is stored in: the one containing it, or for a
+    /// point outside the bounds, the one containing its clamped image.
     pub fn leaf_of(&self, point: Point) -> NodeId {
         let p = self.clamp(point);
         let side = *self.level_sides.last().expect("levels >= 1");
@@ -307,7 +327,6 @@ impl MultiLevelGrid {
     /// Inserts `id` at `point` (or moves it there if already present).
     /// Returns the leaf cell the item now belongs to.
     pub fn insert(&mut self, id: ItemId, point: Point) -> NodeId {
-        let point = self.clamp(point);
         if self.position(id).is_some() {
             let (_, new) = self.update(id, point).expect("item verified present");
             return new;
@@ -359,14 +378,13 @@ impl MultiLevelGrid {
     }
 
     /// Moves `id` to `point`; returns `(old_leaf, new_leaf)` so callers can
-    /// maintain per-node aggregates (the AIS index recomputes social
+    /// maintain per-node aggregates (the AIS index touches social
     /// summaries only when these differ).
     ///
     /// # Errors
     ///
     /// Returns [`SpatialError::UnknownItem`] if the item is not stored.
     pub fn update(&mut self, id: ItemId, point: Point) -> Result<(NodeId, NodeId), SpatialError> {
-        let point = self.clamp(point);
         let old = self.position(id).ok_or(SpatialError::UnknownItem(id))?;
         let old_leaf = self.leaf_of(old);
         let new_leaf = self.leaf_of(point);
@@ -385,19 +403,6 @@ impl MultiLevelGrid {
     /// Iterates over all stored `(id, point)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (ItemId, Point)> + '_ {
         self.positions.iter().map(|(&id, &p)| (id, p))
-    }
-
-    /// Walks from a leaf cell up to its top-level ancestor, yielding every
-    /// node on the way (leaf first).  Used for upward propagation of
-    /// aggregate updates.
-    pub fn ancestors(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out = vec![node];
-        let mut cur = node;
-        while let Some(p) = self.parent(cur) {
-            out.push(p);
-            cur = p;
-        }
-        out
     }
 
     fn clamp(&self, p: Point) -> Point {
@@ -452,7 +457,7 @@ mod tests {
         let g = grid(3, 2);
         for top in g.top_nodes() {
             let parent_rect = g.node_rect(top);
-            let children = g.children(top);
+            let children: Vec<NodeId> = g.children(top).collect();
             assert_eq!(children.len(), 9);
             let area: f64 = children.iter().map(|&c| g.node_rect(c).area()).sum();
             assert!((area - parent_rect.area()).abs() < 1e-9);
@@ -514,10 +519,34 @@ mod tests {
     }
 
     #[test]
-    fn ancestors_chain_reaches_top() {
+    fn children_are_row_major() {
+        // The AIS search breaks equal keys by push order, so every `=` work
+        // counter depends on this order.
+        let (branch, g) = (3, grid(3, 3));
+        let sides = [3, 9, 27];
+        let offsets = [0, 9, 90];
+        for level in 0..2 {
+            let side = sides[level];
+            for local in 0..side * side {
+                let node = NodeId(offsets[level] + local);
+                let (cx, cy) = (local % side, local / side);
+                let mut expected = Vec::new();
+                for dy in 0..branch {
+                    for dx in 0..branch {
+                        let child = (cy * branch + dy) * sides[level + 1] + cx * branch + dx;
+                        expected.push(NodeId(offsets[level + 1] + child));
+                    }
+                }
+                assert_eq!(g.children(node).collect::<Vec<_>>(), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn parent_chain_reaches_top() {
         let g = grid(3, 3);
         let leaf = g.leaf_of(Point::new(0.4, 0.6));
-        let chain = g.ancestors(leaf);
+        let chain: Vec<NodeId> = std::iter::successors(Some(leaf), |&n| g.parent(n)).collect();
         assert_eq!(chain.len(), 3);
         assert_eq!(g.node_level(chain[0]), 2);
         assert_eq!(g.node_level(chain[1]), 1);
@@ -576,6 +605,36 @@ mod tests {
         g.update(2, Point::new(0.9, 0.92)).unwrap();
         assert_eq!(g.occupied_leaf_count(), 1);
         assert_eq!(g.len(), 2);
+    }
+
+    #[test]
+    fn out_of_bounds_items_keep_their_point_and_a_valid_bound() {
+        let mut g = grid(4, 2);
+        let outside = Point::new(1.5, 2.0);
+        let leaf = g.insert(3, outside);
+        assert_eq!(g.position(3), Some(outside));
+        assert_eq!(leaf, g.leaf_of(Point::new(1.0, 1.0)));
+        // Neither the leaf nor its parent may bound the item away from a
+        // query beside it, also outside the bounds.
+        let query = Point::new(1.5, 1.9);
+        let truth = outside.distance(query);
+        for node in [leaf, g.parent(leaf).unwrap()] {
+            assert!(g.node_rect(node).min_distance(query) > truth);
+            assert!(g.node_min_distance(node, query) <= truth);
+        }
+        // Inside the bounds the opened bound is the rectangle's.
+        let inner = Point::new(0.3, 0.6);
+        for node in 0..g.node_count() {
+            let node = NodeId(node);
+            assert_eq!(
+                g.node_min_distance(node, inner),
+                g.node_rect(node).min_distance(inner)
+            );
+        }
+        // Moving back inside and removing find the item where it is stored.
+        let (old, new) = g.update(3, Point::new(0.1, 0.1)).unwrap();
+        assert_eq!(old, leaf);
+        assert_eq!(g.remove(3).unwrap(), new);
     }
 
     #[test]

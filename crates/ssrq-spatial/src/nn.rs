@@ -50,8 +50,9 @@ impl Ord for HeapEntry {
 /// query point, fetching one neighbour at a time — exactly the "incremental
 /// nearest neighbor search" that SPA and the spatial repository of TSA rely
 /// on (§4.1 of the paper).  Grid cells enter a min-heap keyed by the minimum
-/// distance between the query point and the cell rectangle; items are pushed
-/// with their exact distance when their cell is expanded.
+/// distance between the query point and the cell rectangle (opened outward
+/// on the grid boundary, where cells hold the items outside the bounds);
+/// items are pushed with their exact distance when their cell is expanded.
 ///
 /// The search takes an immutable snapshot of the grid via a shared borrow;
 /// location updates must not happen while an incremental search is alive
@@ -79,7 +80,7 @@ impl<'a> IncrementalNn<'a> {
         let mut heap = BinaryHeap::with_capacity(occupied.len() * 2);
         for cell in occupied {
             heap.push(HeapEntry {
-                key: grid.cell_rect(cell).min_distance(query),
+                key: grid.cell_min_distance(cell, query),
                 entry: Entry::Cell(cell),
             });
         }

@@ -1,9 +1,12 @@
 //! Integration test of the dynamic-location path: the engine's indexes must
 //! stay exact while users move, appear and disappear.
 
-use geosocial_ssrq::core::{Algorithm, GeoSocialEngine, QueryRequest};
+use geosocial_ssrq::core::ais::AisIndex;
+use geosocial_ssrq::core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest};
 use geosocial_ssrq::data::{DatasetConfig, QueryWorkload};
-use geosocial_ssrq::spatial::Point;
+use geosocial_ssrq::graph::{GraphBuilder, LandmarkSelection, LandmarkSet};
+use geosocial_ssrq::shard::ShardedEngine;
+use geosocial_ssrq::spatial::{NodeId, Point};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -213,4 +216,250 @@ fn lazy_ch_and_social_cache_stay_fresh_across_location_churn() {
     // the graph-only indexes valid.
     churn(&mut engine, &mut rng);
     verify(&engine, "after churn on built indexes");
+}
+
+#[test]
+fn locations_outside_the_dataset_bounds_stay_exact() {
+    // A user may move outside the bounding box the indexes were built over.
+    // The grids file such a user in a boundary cell; its scores must still
+    // use the true location, and no boundary cell's bound may exceed it.
+    let dataset = DatasetConfig::gowalla_like(1_000).with_seed(8).generate();
+    let bounds = dataset.bounds();
+    let (w, h) = (bounds.width(), bounds.height());
+    let mid = bounds.min.y + 0.5 * h;
+    let (right, far) = (bounds.max.x + 0.5 * w, bounds.max.x + w);
+    // (query user's location, its friend's location, k values, alphas):
+    // both right of the bounds at mid-height; then the query user far right
+    // of the bounds and the friend right of and above the top edge, nearer
+    // to it than any user inside the bounds but filed in a corner cell that
+    // is farther away.
+    let geometries: [(Point, Point, &[usize], &[f64]); 2] = [
+        (
+            Point::new(right, mid),
+            Point::new(right - 0.1 * w, mid),
+            &[3],
+            &[0.05, 0.3],
+        ),
+        (
+            Point::new(far, mid),
+            Point::new(far, bounds.max.y + 0.05 * h),
+            &[1, 2],
+            &[0.01, 0.05],
+        ),
+    ];
+    let algorithms = [
+        Algorithm::Sfa,
+        Algorithm::Spa,
+        Algorithm::Tsa,
+        Algorithm::TsaQc,
+        Algorithm::AisBid,
+        Algorithm::AisMinus,
+        Algorithm::Ais,
+    ];
+    let users = QueryWorkload::generate(&dataset, 6, 5).users;
+    let mut single = GeoSocialEngine::builder(dataset.clone()).build().unwrap();
+    let mut sharded = ShardedEngine::builder(dataset.clone())
+        .shards(2)
+        .build()
+        .unwrap();
+    for &user in &users {
+        let friend = dataset.graph().neighbors(user).next().unwrap().to;
+        for &(at, friend_at, ks, alphas) in &geometries {
+            for (mover, to) in [(user, at), (friend, friend_at)] {
+                single.update_location(mover, to).unwrap();
+                sharded.update_location(mover, to).unwrap();
+            }
+            for &k in ks {
+                for &alpha in alphas {
+                    let base = QueryRequest::for_user(user)
+                        .k(k)
+                        .alpha(alpha)
+                        .build()
+                        .unwrap();
+                    let oracle = single
+                        .run(&base.clone().with_algorithm(Algorithm::Exhaustive))
+                        .unwrap();
+                    for algorithm in algorithms {
+                        let request = base.clone().with_algorithm(algorithm);
+                        for (engine, result) in [
+                            ("single", single.run(&request).unwrap()),
+                            ("2 shards", sharded.run(&request).unwrap()),
+                        ] {
+                            assert!(
+                                result.same_users_and_scores(&oracle, 1e-9),
+                                "{} ({engine}) diverged for user {user} at {at}, friend {friend} at {friend_at}, k {k}, alpha {alpha}:\n  got {:?}\n  expected {:?}",
+                                algorithm.name(),
+                                result.ranked,
+                                oracle.ranked
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        for mover in [user, friend] {
+            match dataset.location(mover) {
+                Some(home) => {
+                    single.update_location(mover, home).unwrap();
+                    sharded.update_location(mover, home).unwrap();
+                }
+                None => {
+                    single.remove_location(mover).unwrap();
+                    sharded.remove_location(mover).unwrap();
+                }
+            }
+        }
+    }
+}
+
+/// Asserts that every node's summary is the minimum and maximum over the
+/// landmark vectors of the users located below it, computed here from
+/// `locations` alone, and that exactly the nodes with users below them are
+/// materialised.
+fn assert_summaries_match_reference(
+    index: &AisIndex,
+    landmarks: &LandmarkSet,
+    locations: &[Option<Point>],
+    label: &str,
+) {
+    let grid = index.grid();
+    let m = landmarks.len();
+    let nodes = grid.node_count() as usize;
+    let mut min = vec![f64::INFINITY; nodes * m];
+    let mut max = vec![f64::NEG_INFINITY; nodes * m];
+    let mut occupied = vec![false; nodes];
+    for (user, location) in locations.iter().enumerate() {
+        let Some(location) = *location else { continue };
+        let vector = landmarks.vector(user as u32);
+        let mut node = Some(grid.leaf_of(location));
+        while let Some(n) = node {
+            let at = n.0 as usize;
+            occupied[at] = true;
+            for (j, &d) in vector.iter().enumerate() {
+                min[at * m + j] = min[at * m + j].min(d);
+                max[at * m + j] = max[at * m + j].max(d);
+            }
+            node = grid.parent(n);
+        }
+    }
+    for at in 0..nodes {
+        let summary = index.summary(NodeId(at as u32));
+        for j in 0..m {
+            assert!(
+                summary.min_distance(j) == min[at * m + j]
+                    && summary.max_distance(j) == max[at * m + j],
+                "{label}: node {at}, landmark {j}: summary [{}, {}], reference [{}, {}]",
+                summary.min_distance(j),
+                summary.max_distance(j),
+                min[at * m + j],
+                max[at * m + j]
+            );
+        }
+    }
+    let expected = occupied.iter().filter(|&&o| o).count();
+    assert_eq!(index.occupied_cells(), expected, "{label}: occupied cells");
+}
+
+/// Drives one index through seeded churn — small moves, leaf-crossing
+/// moves, teleports (some outside the bounds), removals, re-insertions and
+/// one full drain and refill — checking it against the reference
+/// throughout.
+fn churn_against_reference(dataset: &GeoSocialDataset, landmarks: &LandmarkSet, seed: u64) {
+    let mut index = AisIndex::build(dataset, landmarks, 10, 2).unwrap();
+    let mut locations: Vec<Option<Point>> = (0..dataset.user_count() as u32)
+        .map(|u| dataset.location(u))
+        .collect();
+    assert_summaries_match_reference(&index, landmarks, &locations, "after build");
+    let bounds = dataset.bounds();
+    let (w, h) = (bounds.width(), bounds.height());
+    let (leaf_w, leaf_h) = (w / 100.0, h / 100.0);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = locations.len() as u32;
+    for step in 1..=3_000 {
+        let user = rng.gen_range(0..n);
+        let to = match (locations[user as usize], rng.gen_range(0..10)) {
+            (Some(_), 0) => None,
+            (Some(p), 1..=4) => Some(Point::new(
+                p.x + rng.gen_range(-0.01..0.01) * w,
+                p.y + rng.gen_range(-0.01..0.01) * h,
+            )),
+            (Some(p), 5..=7) => Some(match rng.gen_range(0..4) {
+                0 => Point::new(p.x + leaf_w, p.y),
+                1 => Point::new(p.x - leaf_w, p.y),
+                2 => Point::new(p.x, p.y + leaf_h),
+                _ => Point::new(p.x, p.y - leaf_h),
+            }),
+            _ => Some(Point::new(
+                bounds.min.x + rng.gen_range(-0.05..1.05) * w,
+                bounds.min.y + rng.gen_range(-0.05..1.05) * h,
+            )),
+        };
+        match to {
+            Some(p) => index.update_location(user, p, landmarks).unwrap(),
+            None => index.remove_user(user, landmarks).unwrap(),
+        }
+        locations[user as usize] = to;
+        if step % 50 == 0 {
+            assert_summaries_match_reference(
+                &index,
+                landmarks,
+                &locations,
+                &format!("step {step}"),
+            );
+        }
+        if step == 1_500 {
+            for u in 0..n {
+                if locations[u as usize].take().is_some() {
+                    index.remove_user(u, landmarks).unwrap();
+                }
+            }
+            assert_eq!(index.occupied_cells(), 0);
+            assert_summaries_match_reference(&index, landmarks, &locations, "drained");
+            for u in 0..n {
+                let p = Point::new(
+                    bounds.min.x + rng.gen::<f64>() * w,
+                    bounds.min.y + rng.gen::<f64>() * h,
+                );
+                index.update_location(u, p, landmarks).unwrap();
+                locations[u as usize] = Some(p);
+            }
+            assert_summaries_match_reference(&index, landmarks, &locations, "refilled");
+        }
+    }
+}
+
+#[test]
+fn incremental_ais_summaries_equal_a_from_scratch_reference() {
+    let dataset = DatasetConfig::gowalla_like(800).with_seed(13).generate();
+    let landmarks =
+        LandmarkSet::build(dataset.graph(), 8, LandmarkSelection::FarthestFirst, 3).unwrap();
+    churn_against_reference(&dataset, &landmarks, 29);
+}
+
+#[test]
+fn incremental_ais_summaries_keep_landmark_unreachable_cells() {
+    // A second component, a ring of 200 users, that no landmark can reach:
+    // its users' vectors are all infinite, and the cells holding only them
+    // must stay materialised with `m̂ = +∞`.
+    let base = DatasetConfig::gowalla_like(600).with_seed(17).generate();
+    let n = base.user_count() as u32;
+    let ring = 200u32;
+    let mut builder = GraphBuilder::new((n + ring) as usize);
+    for (u, v, weight) in base.graph().undirected_edges() {
+        builder.add_edge(u, v, weight).unwrap();
+    }
+    for i in 0..ring {
+        builder.add_edge(n + i, n + (i + 1) % ring, 1.0).unwrap();
+    }
+    let graph = builder.build();
+    // The hubs, and so every landmark, sit in the first component.
+    let landmarks = LandmarkSet::build(&graph, 6, LandmarkSelection::HighestDegree, 0).unwrap();
+    assert!(landmarks.vector(n).iter().all(|d| d.is_infinite()));
+    let mut rng = StdRng::seed_from_u64(71);
+    let locations: Vec<Option<Point>> = (0..n)
+        .map(|u| base.location(u))
+        .chain((0..ring).map(|_| Some(Point::new(rng.gen(), rng.gen()))))
+        .collect();
+    let dataset = GeoSocialDataset::new(graph, locations).unwrap();
+    churn_against_reference(&dataset, &landmarks, 31);
 }
