@@ -153,3 +153,129 @@ fn irrelevant_churn_keeps_entries_hot() {
         .unwrap();
     assert!(warm.same_users_and_scores(&oracle, 1e-9));
 }
+
+/// Request shapes per `(k, α)` in [`every_admitted_shape`].
+const SHAPES: usize = 5;
+
+/// One request of every shape the cache admits — plain, windowed, with
+/// exclusions, with a `max_score` cutoff, with an explicit origin — at each
+/// `(k, α)` of the benchmark's grid, plus one asking for more users than
+/// exist (admission bound `+∞`).  Exclusion requests exclude the top two
+/// of the unfiltered answer, so excluded users sit where churn matters.
+fn every_admitted_shape(engine: &GeoSocialEngine, users: &[u32]) -> Vec<QueryRequest> {
+    let window = Rect::new(Point::new(0.1, 0.1), Point::new(0.8, 0.8));
+    let mut requests = Vec::new();
+    for k in [1, 10, 50] {
+        for alpha in [0.1, 0.3, 0.9] {
+            for shape in 0..SHAPES {
+                let user = users[requests.len() % users.len()];
+                let builder = QueryRequest::for_user(user)
+                    .k(k)
+                    .alpha(alpha)
+                    .algorithm(Algorithm::Auto);
+                let builder = match shape {
+                    0 => builder,
+                    1 => builder.within(window),
+                    2 => {
+                        let plain = builder.clone().algorithm(Algorithm::Exhaustive);
+                        let top = engine.run(&plain.build().unwrap()).unwrap().users();
+                        builder.exclude(top.into_iter().take(2))
+                    }
+                    3 => builder.max_score(0.15),
+                    _ => builder.origin(Point::new(0.5, 0.5)),
+                };
+                requests.push(builder.build().unwrap());
+            }
+        }
+    }
+    let everyone = engine.dataset().user_count() + 1;
+    requests.push(
+        QueryRequest::for_user(users[0])
+            .k(everyone)
+            .alpha(0.3)
+            .algorithm(Algorithm::Auto)
+            .build()
+            .unwrap(),
+    );
+    requests
+}
+
+#[test]
+fn every_cached_request_shape_matches_an_uncached_twin_under_churn() {
+    let dataset = DatasetConfig::gowalla_like(400).with_seed(505).generate();
+    let workload = QueryWorkload::generate(&dataset, 7, 78);
+    let user_count = dataset.user_count() as u32;
+    let mut engine = GeoSocialEngine::builder(dataset).build().unwrap();
+    // A small cache, so LRU eviction and slot reuse interleave with
+    // invalidation; the twin never caches and runs the same delegate.
+    engine.planner().set_cache_capacity(8);
+    let mut twin = engine.clone();
+    twin.planner().set_cache_capacity(0);
+    let requests = every_admitted_shape(&engine, &workload.users);
+    let excluded: Vec<u32> = requests
+        .iter()
+        .flat_map(|r| r.excluded().iter().copied())
+        .collect();
+    let mut members: Vec<u32> = Vec::new();
+    let mut served_by_shape = [0usize; SHAPES];
+    let mut rng = StdRng::seed_from_u64(2025);
+
+    for step in 0..120 {
+        // A sliding window of ten requests, four new per step: the six
+        // carried over were cached one step ago and now face one move.
+        for i in 0..10 {
+            let index = (step * 4 + i) % requests.len();
+            let request = &requests[index];
+            let auto = engine.run(request).unwrap();
+            let uncached = twin.run(request).unwrap();
+            let served_from_cache = auto.stats.cache_hits == 1;
+            assert_eq!(
+                auto.ranked, uncached.ranked,
+                "step {step}, request {request:?}, served_from_cache={served_from_cache}"
+            );
+            let oracle = engine
+                .run(&request.clone().with_algorithm(Algorithm::Exhaustive))
+                .unwrap();
+            assert!(
+                auto.same_users_and_scores(&oracle, 1e-9),
+                "stale answer at step {step} for {request:?}:\n  got      {:?}\n  expected {:?}",
+                auto.users(),
+                oracle.users()
+            );
+            if served_from_cache && index < requests.len() - 1 {
+                served_by_shape[index % SHAPES] += 1;
+            }
+            members.extend(auto.users());
+        }
+
+        // One churn event, biased toward the users each clause of the
+        // admission test is about: query users (explicit-origin ones
+        // included), result members and excluded users.
+        let user = match rng.gen_range(0..10) {
+            0..=2 => workload.users[rng.gen_range(0..workload.users.len())],
+            3 | 4 if !members.is_empty() => members[rng.gen_range(0..members.len())],
+            5 => excluded[rng.gen_range(0..excluded.len())],
+            _ => rng.gen_range(0..user_count),
+        };
+        members.clear();
+        if rng.gen_bool(0.15) {
+            engine.remove_location(user).unwrap();
+            twin.remove_location(user).unwrap();
+        } else {
+            let p = Point::new(rng.gen::<f64>(), rng.gen::<f64>());
+            engine.update_location(user, p).unwrap();
+            twin.update_location(user, p).unwrap();
+        }
+    }
+
+    let snapshot = engine.planner().snapshot();
+    assert!(snapshot.cache_len <= 8);
+    assert!(
+        snapshot.cache_invalidations > 0,
+        "the run never invalidated anything"
+    );
+    assert!(
+        served_by_shape.iter().all(|&n| n > 0),
+        "every request shape must be served from the cache at least once: {served_by_shape:?}"
+    );
+}
