@@ -718,7 +718,7 @@ fn fig14b(options: &Options) {
 /// Beyond the paper: the million-user scale pass.  Generates gowalla-like
 /// datasets at 10k/50k/200k/1M users (scaled by `--scale`), records the
 /// shared-graph bytes under both CSR layouts, and measures the single
-/// engine plus both partitioning policies at several shard counts — per
+/// engine plus spatially partitioned shards at several shard counts — per
 /// shard, with AIS occupancy.  The artifact is written to `--out`
 /// (default `BENCH_scale.json`), re-read, re-parsed and validated: the run
 /// fails if the file does not parse or any AIS index exceeds its

@@ -52,7 +52,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: shard-server --listen <unix:PATH|tcp:ADDR> --shard <I> --shards <N>\n\
-         \x20                 [--users <N>] [--seed <S>] [--partitioning <hash|spatial:CELLS>]\n\
+         \x20                 [--users <N>] [--seed <S>] [--partitioning <spatial:CELLS>]\n\
          \x20                 [--with-ch] [--cache-workload <QUERIES,SEED,T>]\n\
          \x20                 [--log <error|warn|info|debug>] [--slow-query-ms <MS>]\n\
          \x20      shard-server --introspect <unix:PATH|tcp:ADDR>"
@@ -86,9 +86,6 @@ fn introspect(endpoint: &Endpoint) -> i32 {
 }
 
 fn parse_partitioning(text: &str) -> Option<Partitioning> {
-    if text == "hash" {
-        return Some(Partitioning::UserHash);
-    }
     let cells = text.strip_prefix("spatial:")?.parse().ok()?;
     Some(Partitioning::SpatialGrid {
         cells_per_axis: cells,

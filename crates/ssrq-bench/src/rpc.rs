@@ -63,10 +63,8 @@ impl DeploymentConfig {
 
     /// The `--partitioning` argument encoding of the policy.
     pub fn partitioning_arg(&self) -> String {
-        match self.partitioning {
-            Partitioning::UserHash => "hash".to_string(),
-            Partitioning::SpatialGrid { cells_per_axis } => format!("spatial:{cells_per_axis}"),
-        }
+        let Partitioning::SpatialGrid { cells_per_axis } = self.partitioning;
+        format!("spatial:{cells_per_axis}")
     }
 
     /// The in-process twin of the deployment: a [`ShardedEngine`] over the
@@ -202,8 +200,6 @@ mod tests {
 
     #[test]
     fn partitioning_args_round_trip_the_policies() {
-        let hash = DeploymentConfig::new(100, 1, 2, Partitioning::UserHash);
-        assert_eq!(hash.partitioning_arg(), "hash");
         let spatial =
             DeploymentConfig::new(100, 1, 2, Partitioning::SpatialGrid { cells_per_axis: 16 });
         assert_eq!(spatial.partitioning_arg(), "spatial:16");

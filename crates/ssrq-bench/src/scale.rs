@@ -5,8 +5,9 @@
 //! substrate itself runs on the compressed layout — both decode
 //! bit-identically), measures the unsharded engine (build time, sequential
 //! q/s, first-result latency, memory breakdown with AIS occupancy), and
-//! then measures the sharded scatter-gather layer under both partitioning
-//! policies at several shard counts, with a per-shard memory breakdown.
+//! then measures the sharded scatter-gather layer (spatial partitioning,
+//! 16 cells per axis) at several shard counts, with a per-shard memory
+//! breakdown.
 //!
 //! Every AIS index the sweep touches is checked against the
 //! occupancy-proportional budget of [`ais_budget_bytes`]: per-shard AIS
@@ -71,7 +72,7 @@ pub fn check_ais_budget(
 pub struct ScaleSweepConfig {
     /// Target user counts, one sweep point each.
     pub user_counts: Vec<usize>,
-    /// Shard counts measured per partitioning policy at every point.
+    /// Shard counts measured at every point.
     pub shard_counts: Vec<usize>,
     /// Queries per measurement.
     pub queries: usize,
@@ -204,22 +205,11 @@ fn measure_scale_point(config: &ScaleSweepConfig, users: usize) -> Json {
     );
     drop(engine);
 
-    let mut sharded = Vec::new();
-    for (policy_name, policy) in [
-        ("hash", Partitioning::UserHash),
-        ("spatial", Partitioning::SpatialGrid { cells_per_axis: 16 }),
-    ] {
-        for &shards in &config.shard_counts {
-            sharded.push(measure_sharded_point(
-                config,
-                &dataset,
-                &workload,
-                policy_name,
-                policy,
-                shards,
-            ));
-        }
-    }
+    let sharded = config
+        .shard_counts
+        .iter()
+        .map(|&shards| measure_sharded_point(config, &dataset, &workload, shards))
+        .collect();
 
     Json::Obj(vec![
         ("users".into(), Json::num(users)),
@@ -262,14 +252,12 @@ fn measure_sharded_point(
     config: &ScaleSweepConfig,
     dataset: &GeoSocialDataset,
     workload: &QueryWorkload,
-    policy_name: &str,
-    policy: Partitioning,
     shards: usize,
 ) -> Json {
     let build_started = Instant::now();
     let engine = ShardedEngine::builder(dataset.clone())
         .shards(shards)
-        .partitioning(policy)
+        .partitioning(Partitioning::SpatialGrid { cells_per_axis: 16 })
         .build()
         .expect("sharded engine builds");
     let build_secs = build_started.elapsed().as_secs_f64();
@@ -300,7 +288,7 @@ fn measure_sharded_point(
         let located = shard.dataset().located_user_count();
         if let Err(violation) = check_ais_budget(
             &format!(
-                "{policy_name} x{shards} shard {s} @{} users",
+                "spatial x{shards} shard {s} @{} users",
                 dataset.user_count()
             ),
             &memory,
@@ -329,7 +317,7 @@ fn measure_sharded_point(
     let shared_bytes = engine.shard_engine(0).memory_breakdown().shared_bytes();
 
     Json::Obj(vec![
-        ("policy".into(), Json::str(policy_name)),
+        ("policy".into(), Json::str("spatial")),
         ("shards".into(), Json::num(shards)),
         ("build_secs".into(), Json::Num(build_secs)),
         ("batch_qps".into(), Json::Num(ok as f64 / secs.max(1e-9))),
@@ -497,13 +485,13 @@ mod tests {
         assert_eq!(scales.len(), 2);
         let first = &scales[0];
         assert_eq!(first.get("users").and_then(Json::as_usize), Some(300));
-        // hash + spatial at one shard count each.
+        // One shard count, one row.
         assert_eq!(
             first
                 .get("sharded")
                 .and_then(Json::as_array)
                 .map(<[_]>::len),
-            Some(2)
+            Some(1)
         );
         assert!(
             first
@@ -513,6 +501,18 @@ mod tests {
                 .unwrap()
                 > 0.0
         );
+    }
+
+    #[test]
+    fn the_checked_in_scale_report_validates() {
+        let report = Json::parse(include_str!("../../../BENCH_scale.json"))
+            .expect("BENCH_scale.json parses");
+        validate_scale_report(&report).expect("BENCH_scale.json validates");
+        for scale in report.get("scales").and_then(Json::as_array).unwrap() {
+            for run in scale.get("sharded").and_then(Json::as_array).unwrap() {
+                assert_eq!(run.get("policy").and_then(Json::as_str), Some("spatial"));
+            }
+        }
     }
 
     #[test]

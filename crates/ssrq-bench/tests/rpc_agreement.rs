@@ -145,23 +145,24 @@ fn shard_server_processes_agree_with_the_in_process_engine_for_all_algorithms() 
 
 #[test]
 fn killing_a_shard_process_fails_or_degrades_per_policy() {
-    let config = DeploymentConfig::new(400, 9, 3, Partitioning::UserHash);
+    let config = DeploymentConfig::new(400, 9, 3, Partitioning::SpatialGrid { cells_per_axis: 8 });
     let local = config.in_process_engine();
     let dir = SocketDir::new();
     let mut servers = launch_cluster(server_binary(), &dir.0, &config).expect("cluster launches");
     let mut remote = connect(&servers);
 
-    // A pinned origin keeps the origin lookup off the wire, and k far
-    // above the population guarantees every shard (hash partitioning:
-    // uninformative rects) must be visited.
+    // A pinned origin keeps the origin lookup off the wire, and a k above
+    // the located population keeps `f_k` infinite, so no shard is pruned:
+    // every shard must be visited.
     let request = QueryRequest::for_user(1)
-        .k(100)
+        .k(config.users)
         .alpha(0.4)
         .origin(Point::new(0.5, 0.5))
         .algorithm(Algorithm::Ais)
         .build()
         .unwrap();
-    remote.query(&request).expect("all shards up");
+    let (_, healthy) = remote.query_detailed(&request).expect("all shards up");
+    assert_eq!(healthy.executed_shards(), 3, "every shard is visited");
 
     let killed_endpoint = servers[1].endpoint.to_string();
     servers[1].kill();
@@ -217,7 +218,7 @@ fn killing_a_shard_process_fails_or_degrades_per_policy() {
 
 #[test]
 fn a_hard_killed_server_restarts_on_the_same_socket_path() {
-    let config = DeploymentConfig::new(200, 5, 2, Partitioning::UserHash);
+    let config = DeploymentConfig::new(200, 5, 2, Partitioning::SpatialGrid { cells_per_axis: 8 });
     let local = config.in_process_engine();
     let dir = SocketDir::new();
     let mut servers = launch_cluster(server_binary(), &dir.0, &config).expect("cluster launches");

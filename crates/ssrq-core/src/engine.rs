@@ -656,7 +656,11 @@ impl GeoSocialEngine {
         ctx: &mut QueryContext,
     ) -> Result<QueryResult, CoreError> {
         let result = self.begin_stream(request, ctx)?.run_to_completion()?;
-        crate::obs::record_query_metrics(request.algorithm().name(), &result.stats);
+        crate::obs::record_query_metrics(
+            ssrq_obs::Registry::global(),
+            request.algorithm().name(),
+            &result.stats,
+        );
         Ok(result)
     }
 

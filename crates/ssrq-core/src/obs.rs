@@ -2,10 +2,11 @@
 //!
 //! Every eagerly-driven query (the [`GeoSocialEngine::run_with`]
 //! chokepoint) records its latency and work counters into the
-//! process-wide [`ssrq_obs::Registry`], labelled by algorithm.  Streaming
+//! process-wide [`Registry::global`], labelled by algorithm.  Streaming
 //! callers that bypass `run_with` (e.g. a shard server draining
 //! `stream_with`) call [`record_query_metrics`] themselves once the
-//! stream completes.
+//! stream completes.  Each hook takes the registry it records into, so
+//! tests can pass a private one.
 //!
 //! [`GeoSocialEngine::run_with`]: crate::GeoSocialEngine::run_with
 
@@ -20,7 +21,7 @@ use ssrq_obs::Registry;
 /// | `ssrq_engine_query_ns{algorithm}` | histogram | end-to-end latency (`stats.runtime`) |
 /// | `ssrq_engine_steps{algorithm}` | histogram | heap pops per query (the paper's `\|V_pop\|`) |
 /// | `ssrq_engine_relaxed_edges{algorithm}` | histogram | edge relaxations per query |
-pub fn record_query_metrics_in(registry: &Registry, algorithm: &str, stats: &QueryStats) {
+pub fn record_query_metrics(registry: &Registry, algorithm: &str, stats: &QueryStats) {
     let labels = &[("algorithm", algorithm)];
     registry.counter("ssrq_engine_queries_total", labels).inc();
     registry
@@ -34,17 +35,11 @@ pub fn record_query_metrics_in(registry: &Registry, algorithm: &str, stats: &Que
         .observe(stats.relaxed_edges as u64);
 }
 
-/// [`record_query_metrics_in`] against the process-wide
-/// [`Registry::global`].
-pub fn record_query_metrics(algorithm: &str, stats: &QueryStats) {
-    record_query_metrics_in(Registry::global(), algorithm, stats);
-}
-
 /// Records one planner decision into `registry`:
 /// `ssrq_planner_choices_total{algorithm,reason}` counts which concrete
 /// algorithm [`Algorithm::Auto`](crate::Algorithm::Auto) delegated to and
 /// why (`pinned` / `rule`).
-pub fn record_planner_choice_in(registry: &Registry, algorithm: &str, reason: &str) {
+pub fn record_planner_choice(registry: &Registry, algorithm: &str, reason: &str) {
     registry
         .counter(
             "ssrq_planner_choices_total",
@@ -53,17 +48,11 @@ pub fn record_planner_choice_in(registry: &Registry, algorithm: &str, reason: &s
         .inc();
 }
 
-/// [`record_planner_choice_in`] against the process-wide
-/// [`Registry::global`].
-pub fn record_planner_choice(algorithm: &str, reason: &str) {
-    record_planner_choice_in(Registry::global(), algorithm, reason);
-}
-
 /// Records hot-result cache activity into `registry` as one of
 /// `ssrq_cache_hits_total`, `ssrq_cache_misses_total` or
 /// `ssrq_cache_invalidations_total` (`event` ∈ `hit` / `miss` /
 /// `invalidation`; `n` supports bulk invalidations).
-pub fn record_cache_event_in(registry: &Registry, event: &str, n: u64) {
+pub fn record_cache_event(registry: &Registry, event: &str, n: u64) {
     let name = match event {
         "hit" => "ssrq_cache_hits_total",
         "miss" => "ssrq_cache_misses_total",
@@ -71,11 +60,6 @@ pub fn record_cache_event_in(registry: &Registry, event: &str, n: u64) {
         other => panic!("unknown cache event {other:?}"),
     };
     registry.counter(name, &[]).add(n);
-}
-
-/// [`record_cache_event_in`] against the process-wide [`Registry::global`].
-pub fn record_cache_event(event: &str, n: u64) {
-    record_cache_event_in(Registry::global(), event, n);
 }
 
 #[cfg(test)]
@@ -92,9 +76,9 @@ mod tests {
             runtime: Duration::from_micros(5),
             ..QueryStats::default()
         };
-        record_query_metrics_in(&registry, "ais", &stats);
-        record_query_metrics_in(&registry, "ais", &stats);
-        record_query_metrics_in(&registry, "sfa", &stats);
+        record_query_metrics(&registry, "ais", &stats);
+        record_query_metrics(&registry, "ais", &stats);
+        record_query_metrics(&registry, "sfa", &stats);
         let text = registry.render();
         assert!(text.contains("ssrq_engine_queries_total{algorithm=\"ais\"} 2"));
         assert!(text.contains("ssrq_engine_queries_total{algorithm=\"sfa\"} 1"));
@@ -106,10 +90,10 @@ mod tests {
     #[test]
     fn planner_choices_land_labelled_by_algorithm_and_reason() {
         let registry = Registry::new();
-        record_planner_choice_in(&registry, "AIS", "pinned");
-        record_planner_choice_in(&registry, "AIS", "rule");
-        record_planner_choice_in(&registry, "AIS", "rule");
-        record_planner_choice_in(&registry, "SFA", "rule");
+        record_planner_choice(&registry, "AIS", "pinned");
+        record_planner_choice(&registry, "AIS", "rule");
+        record_planner_choice(&registry, "AIS", "rule");
+        record_planner_choice(&registry, "SFA", "rule");
         let text = registry.render();
         assert!(text.contains("ssrq_planner_choices_total{algorithm=\"AIS\",reason=\"rule\"} 2"));
         assert!(text.contains("ssrq_planner_choices_total{algorithm=\"AIS\",reason=\"pinned\"} 1"));
@@ -119,10 +103,10 @@ mod tests {
     #[test]
     fn cache_events_map_to_their_own_counters() {
         let registry = Registry::new();
-        record_cache_event_in(&registry, "hit", 1);
-        record_cache_event_in(&registry, "hit", 1);
-        record_cache_event_in(&registry, "miss", 1);
-        record_cache_event_in(&registry, "invalidation", 5);
+        record_cache_event(&registry, "hit", 1);
+        record_cache_event(&registry, "hit", 1);
+        record_cache_event(&registry, "miss", 1);
+        record_cache_event(&registry, "invalidation", 5);
         let text = registry.render();
         assert!(text.contains("ssrq_cache_hits_total 2"));
         assert!(text.contains("ssrq_cache_misses_total 1"));
@@ -132,6 +116,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown cache event")]
     fn unknown_cache_events_are_rejected() {
-        record_cache_event_in(&Registry::new(), "evict", 1);
+        record_cache_event(&Registry::new(), "evict", 1);
     }
 }

@@ -520,7 +520,11 @@ impl QueryPlanner {
         };
         *state.choice_counts.entry((algorithm, reason)).or_insert(0) += 1;
         drop(state);
-        crate::obs::record_planner_choice(algorithm.name(), reason.as_str());
+        crate::obs::record_planner_choice(
+            ssrq_obs::Registry::global(),
+            algorithm.name(),
+            reason.as_str(),
+        );
         (algorithm, reason)
     }
 
@@ -542,7 +546,7 @@ impl QueryPlanner {
             "miss"
         };
         drop(cache);
-        crate::obs::record_cache_event(event, 1);
+        crate::obs::record_cache_event(ssrq_obs::Registry::global(), event, 1);
         result
     }
 
@@ -607,7 +611,7 @@ impl QueryPlanner {
         cache.invalidations += dropped;
         drop(cache);
         if dropped > 0 {
-            crate::obs::record_cache_event("invalidation", dropped);
+            crate::obs::record_cache_event(ssrq_obs::Registry::global(), "invalidation", dropped);
         }
     }
 

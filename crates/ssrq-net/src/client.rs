@@ -10,8 +10,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Where a shard server listens.
@@ -384,91 +383,5 @@ impl ConnectionPool {
     /// Drops every idle connection.
     pub fn close(&self) {
         self.idle.lock().expect("pool lock").clear();
-    }
-}
-
-/// A background health checker over a set of [`ConnectionPool`]s.
-///
-/// Every `interval` it sends [`Message::Ping`] to each endpoint through
-/// its pool and records the outcome in the global metrics registry:
-///
-/// - `ssrq_ping_rtt_ns{endpoint}` — round-trip latency of the last
-///   successful ping, in nanoseconds;
-/// - `ssrq_ping_consecutive_failures{endpoint}` — failures since the
-///   last successful ping;
-/// - `ssrq_ping_unhealthy{endpoint}` — `1` once the consecutive-failure
-///   count reaches the configured threshold, `0` otherwise.
-///
-/// Dropping the monitor stops the background thread and joins it.
-#[derive(Debug)]
-pub struct HealthMonitor {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl HealthMonitor {
-    /// Spawns the monitor thread over `targets` (display label + pool per
-    /// endpoint). `fail_threshold` is clamped to at least 1; `deadline`
-    /// bounds each individual ping call.
-    pub fn start(
-        targets: Vec<(String, Arc<ConnectionPool>)>,
-        interval: Duration,
-        fail_threshold: u32,
-        deadline: Option<Duration>,
-    ) -> HealthMonitor {
-        let fail_threshold = u64::from(fail_threshold.max(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("ssrq-health".into())
-            .spawn(move || {
-                let registry = ssrq_obs::Registry::global();
-                let mut failures: Vec<u64> = vec![0; targets.len()];
-                while !stop_flag.load(Ordering::Acquire) {
-                    for (i, (label, pool)) in targets.iter().enumerate() {
-                        let labels = [("endpoint", label.as_str())];
-                        let started = Instant::now();
-                        let healthy =
-                            matches!(pool.call(&Message::Ping, deadline), Ok((Message::Pong, _)));
-                        if healthy {
-                            failures[i] = 0;
-                            registry
-                                .gauge("ssrq_ping_rtt_ns", &labels)
-                                .set(started.elapsed().as_nanos() as f64);
-                        } else {
-                            failures[i] = failures[i].saturating_add(1);
-                        }
-                        registry
-                            .gauge("ssrq_ping_consecutive_failures", &labels)
-                            .set(failures[i] as f64);
-                        registry.gauge("ssrq_ping_unhealthy", &labels).set(
-                            if failures[i] >= fail_threshold {
-                                1.0
-                            } else {
-                                0.0
-                            },
-                        );
-                    }
-                    // Sleep in short slices so Drop never waits a full interval.
-                    let wake = Instant::now() + interval;
-                    while Instant::now() < wake && !stop_flag.load(Ordering::Acquire) {
-                        std::thread::sleep(Duration::from_millis(10).min(interval));
-                    }
-                }
-            })
-            .expect("spawn health monitor thread");
-        HealthMonitor {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for HealthMonitor {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
     }
 }

@@ -22,7 +22,7 @@
 //! (`Fail`, the default) or degrades it to a flagged partial answer
 //! (`Degrade`).
 
-use crate::client::{ConnectionPool, Endpoint, HealthMonitor, WireTraffic};
+use crate::client::{ConnectionPool, Endpoint, WireTraffic};
 use crate::error::NetError;
 use crate::proto::{Message, ShardInfo};
 use ssrq_core::{CoreError, QueryRequest, QueryResult, QueryStats, UserId};
@@ -35,11 +35,17 @@ use ssrq_shard::{
 };
 use ssrq_spatial::{Point, Rect};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
 /// How many slow-query offenders the coordinator retains.
 const SLOW_LOG_CAPACITY: usize = 64;
+
+/// After how many adopted relocations a shard's cached bounding rectangle
+/// is re-tightened with a `Refresh` round trip.  Growth-only rect
+/// maintenance keeps bounds admissible but degrades rect-skip pruning
+/// under churn; this bounds the staleness.
+const RECT_REFRESH_RELOCATIONS: usize = 256;
 
 /// One remote shard as the coordinator sees it: its endpoint, a pool of
 /// connections to it, the cached handshake [`ShardInfo`] the score
@@ -47,7 +53,7 @@ const SLOW_LOG_CAPACITY: usize = 64;
 /// info was last refreshed.
 struct RemoteShard {
     endpoint: Endpoint,
-    pool: Arc<ConnectionPool>,
+    pool: ConnectionPool,
     info: RwLock<ShardInfo>,
     /// Relocations adopted by this shard since its cached rect was last
     /// tightened — each one can only *grow* the rect, so churn measures
@@ -159,10 +165,8 @@ pub struct RemoteEngineBuilder {
     policy: FailurePolicy,
     deadline: Option<Duration>,
     connect_timeout: Duration,
-    refresh_after_relocations: usize,
     assignment: Option<ShardAssignment>,
     slow_query_threshold: Option<Duration>,
-    health_check: Option<(Duration, u32)>,
 }
 
 impl RemoteEngineBuilder {
@@ -174,16 +178,6 @@ impl RemoteEngineBuilder {
         self
     }
 
-    /// Starts a background health monitor: every `interval`, each shard
-    /// server is sent a `Ping` and its round-trip latency is recorded as
-    /// the gauge `ssrq_ping_rtt_ns{endpoint}`; a server failing
-    /// `fail_threshold` consecutive pings is flagged unhealthy
-    /// (`ssrq_ping_unhealthy{endpoint}` = 1), all surfaced in `Metrics`
-    /// output.  Off by default.
-    pub fn health_check(mut self, interval: Duration, fail_threshold: u32) -> Self {
-        self.health_check = Some((interval, fail_threshold.max(1)));
-        self
-    }
     /// Sets what a mid-query shard failure does (default:
     /// [`FailurePolicy::Fail`]).
     pub fn failure_policy(mut self, policy: FailurePolicy) -> Self {
@@ -204,16 +198,6 @@ impl RemoteEngineBuilder {
     /// (default: 5 s).
     pub fn connect_timeout(mut self, timeout: Duration) -> Self {
         self.connect_timeout = timeout;
-        self
-    }
-
-    /// After how many adopted relocations a shard's cached bounding
-    /// rectangle is opportunistically re-tightened with a `Refresh` round
-    /// trip (default: 256).  Growth-only rect maintenance keeps bounds
-    /// admissible but degrades rect-skip pruning under churn; this knob
-    /// bounds the staleness.
-    pub fn refresh_after_relocations(mut self, relocations: usize) -> Self {
-        self.refresh_after_relocations = relocations.max(1);
         self
     }
 
@@ -256,7 +240,7 @@ impl RemoteEngineBuilder {
             // (a dead shard must fail fast mid-query); the *handshake*
             // retries here until `connect_timeout`, because servers may
             // still be binding their sockets.
-            let pool = Arc::new(ConnectionPool::new(endpoint.clone(), Duration::ZERO));
+            let pool = ConnectionPool::new(endpoint.clone(), Duration::ZERO);
             let handshake_deadline = Instant::now() + self.connect_timeout;
             let info = loop {
                 match pool.call(&Message::Hello, self.deadline) {
@@ -308,28 +292,15 @@ impl RemoteEngineBuilder {
                 churn: AtomicUsize::new(0),
             });
         }
-        let health = self.health_check.map(|(interval, fail_threshold)| {
-            HealthMonitor::start(
-                shards
-                    .iter()
-                    .map(|s| (s.endpoint.to_string(), Arc::clone(&s.pool)))
-                    .collect(),
-                interval,
-                fail_threshold,
-                self.deadline,
-            )
-        });
         Ok(RemoteShardedEngine {
             shards,
             policy: self.policy,
             deadline: self.deadline,
-            refresh_after_relocations: self.refresh_after_relocations,
             user_count: user_count.expect("at least one shard"),
             assignment: self.assignment,
             slow_log: self
                 .slow_query_threshold
                 .map(|threshold| SlowQueryLog::new(threshold, SLOW_LOG_CAPACITY)),
-            health,
         })
     }
 }
@@ -348,11 +319,9 @@ pub struct RemoteShardedEngine {
     shards: Vec<RemoteShard>,
     policy: FailurePolicy,
     deadline: Option<Duration>,
-    refresh_after_relocations: usize,
     user_count: u64,
     assignment: Option<ShardAssignment>,
     slow_log: Option<SlowQueryLog>,
-    health: Option<HealthMonitor>,
 }
 
 impl std::fmt::Debug for RemoteShardedEngine {
@@ -381,10 +350,8 @@ impl RemoteShardedEngine {
             policy: FailurePolicy::default(),
             deadline: None,
             connect_timeout: Duration::from_secs(5),
-            refresh_after_relocations: 256,
             assignment: None,
             slow_query_threshold: None,
-            health_check: None,
         }
     }
 
@@ -412,11 +379,6 @@ impl RemoteShardedEngine {
     /// [`refresh`](RemoteShardedEngine::refresh)) will reclaim.
     pub fn rect_churn(&self, shard: usize) -> usize {
         self.shards[shard].churn.load(Ordering::Relaxed)
-    }
-
-    /// The active failure policy.
-    pub fn failure_policy(&self) -> FailurePolicy {
-        self.policy
     }
 
     /// Switches the failure policy for subsequent queries.
@@ -511,17 +473,9 @@ impl RemoteShardedEngine {
             .unwrap_or_default()
     }
 
-    /// Whether a background health monitor is pinging the shards (set up
-    /// via [`RemoteEngineBuilder::health_check`]). The monitor publishes
-    /// `ssrq_ping_*` gauges into the global registry and stops when this
-    /// engine is dropped.
-    pub fn health_monitoring(&self) -> bool {
-        self.health.is_some()
-    }
-
     /// This coordinator process's observability snapshot: the global
-    /// metric registry (engine, scatter, health-check series) plus the
-    /// span trees of retained slow queries.
+    /// metric registry (engine and scatter series) plus the span trees of
+    /// retained slow queries.
     pub fn coordinator_report(&self) -> ObsReport {
         ObsReport {
             metrics: Registry::global().snapshot(),
@@ -628,8 +582,8 @@ impl RemoteShardedEngine {
         trace.close(root);
         // Same series names the in-process scatter records, plus the
         // coordinator's own query tallies.
-        ssrq_shard::obs::record_scatter(&stats, scatter_elapsed, merge_elapsed);
         let registry = Registry::global();
+        ssrq_shard::obs::record_scatter(registry, &stats, scatter_elapsed, merge_elapsed);
         registry
             .counter("ssrq_coordinator_queries_total", &[])
             .inc();
@@ -637,14 +591,6 @@ impl RemoteShardedEngine {
             .histogram("ssrq_coordinator_query_ns", &[])
             .observe_duration(started.elapsed());
         Ok((result, stats))
-    }
-
-    /// Runs `requests` back to back on the pooled connections, one result
-    /// per request in order.  Per-request failures follow the failure
-    /// policy exactly as [`RemoteShardedEngine::query`]; a failed request
-    /// does not stop the batch.
-    pub fn query_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResult, NetError>> {
-        requests.iter().map(|r| self.query(r)).collect()
     }
 
     /// Asks shards in turn for `user`'s stored location, charging the
@@ -701,19 +647,25 @@ impl RemoteShardedEngine {
     /// The adopter's cached bounding rectangle is grown to cover the new
     /// location, keeping the coordinator's shard lower bounds admissible
     /// without a refresh round trip — and its churn counter ticks up;
-    /// once it reaches the configured
-    /// [`refresh_after_relocations`](RemoteEngineBuilder::refresh_after_relocations),
-    /// that one shard is re-handshaken to tighten the rect back down
-    /// (growth-only rects otherwise degrade rect-skip pruning forever).
+    /// once it reaches 256 adoptions, that one shard is re-handshaken to
+    /// tighten the rect back down (growth-only rects otherwise degrade
+    /// rect-skip pruning forever).
     ///
     /// # Errors
     ///
-    /// Any shard failure (relocations are exactness-critical, so the
-    /// failure policy does not apply), or [`NetError::Protocol`] when not
-    /// exactly one shard adopts.
+    /// [`NetError::Core`] for an unknown user or a non-finite location,
+    /// checked before any shard is contacted; any shard failure
+    /// (relocations are exactness-critical, so the failure policy does
+    /// not apply), or [`NetError::Protocol`] when not exactly one shard
+    /// adopts.
     pub fn update_location(&mut self, user: UserId, location: Point) -> Result<usize, NetError> {
         if u64::from(user) >= self.user_count {
             return Err(NetError::Core(CoreError::UnknownUser(user)));
+        }
+        if !location.is_finite() {
+            return Err(NetError::Core(CoreError::InvalidParameter(format!(
+                "non-finite location {location}"
+            ))));
         }
         let mut adopter = None;
         for (index, shard) in self.shards.iter().enumerate() {
@@ -741,7 +693,7 @@ impl RemoteShardedEngine {
             });
         }
         let churn = shard.churn.fetch_add(1, Ordering::Relaxed) + 1;
-        if churn >= self.refresh_after_relocations {
+        if churn >= RECT_REFRESH_RELOCATIONS {
             self.refresh_shard(adopter)?;
         }
         Ok(adopter)
@@ -836,21 +788,19 @@ impl RemoteShardedEngine {
         let assignment = self.assignment.as_mut().expect("checked above");
         let points: Vec<Point> = holders.iter().map(|&(_, point, _)| point).collect();
         assignment.repack(&points);
-        let cell_map = assignment.cell_map().map(<[u32]>::to_vec);
+        let cell_map = assignment.cell_map().to_vec();
         let moves: Vec<(UserId, Point)> = holders
             .iter()
             .filter(|&&(user, point, holder)| assignment.owner_for(user, Some(point)) != holder)
             .map(|&(user, point, _)| (user, point))
             .collect();
-        if let Some(map) = cell_map {
-            for shard in &self.shards {
-                let message = Message::SetAssignment {
-                    cell_to_shard: map.clone(),
-                };
-                shard.call(&message, self.deadline, "Ok to SetAssignment", |response| {
-                    matches!(response, Message::Ok).then_some(())
-                })?;
-            }
+        for shard in &self.shards {
+            let message = Message::SetAssignment {
+                cell_to_shard: cell_map.clone(),
+            };
+            shard.call(&message, self.deadline, "Ok to SetAssignment", |response| {
+                matches!(response, Message::Ok).then_some(())
+            })?;
         }
         for &(user, point) in &moves {
             for shard in &self.shards {

@@ -47,7 +47,7 @@ pub mod proto;
 mod server;
 pub mod wire;
 
-pub use client::{ConnectionPool, Endpoint, HealthMonitor, ShardClient, WireTraffic};
+pub use client::{ConnectionPool, Endpoint, ShardClient, WireTraffic};
 pub use coordinator::{RemoteEngineBuilder, RemoteShardedEngine};
 pub use error::NetError;
 pub use proto::{FailureKind, Message, ShardInfo};

@@ -417,7 +417,11 @@ impl ShardServer {
         trace.close(root);
         // The streaming path bypasses `run_with`, so the server records
         // the per-algorithm engine series itself.
-        ssrq_core::obs::record_query_metrics(request.algorithm().name(), &stats);
+        ssrq_core::obs::record_query_metrics(
+            Registry::global(),
+            request.algorithm().name(),
+            &stats,
+        );
         self.obs.queries.inc();
         self.obs.query_ns.observe_duration(stats.runtime);
         let spans = trace.finish();
@@ -480,6 +484,14 @@ impl ShardServer {
                 let engine = self.engine.read().expect("engine lock");
                 Message::LocatedUsers(engine.dataset().located_users().collect())
             }
+            Message::Relocate {
+                location: Some(p), ..
+            } if !p.is_finite() => Message::Fail {
+                // Refused before any state is touched: a peer's bytes can
+                // carry any f64.
+                kind: FailureKind::InvalidRequest,
+                message: format!("non-finite location {p}"),
+            },
             Message::Relocate { user, location } => {
                 let mut engine = self.engine.write().expect("engine lock");
                 let owner = location.map(|p| {

@@ -1,13 +1,12 @@
 //! End-to-end observability over real sockets: a coordinator-assigned
 //! trace id must arrive bit-identical in every shard server's span log,
 //! the `Metrics` request must snapshot a live server remotely (every
-//! histogram consistent), the coordinator must capture slow queries, and
-//! the health monitor must publish its ping gauges into the global registry.
+//! histogram consistent), and the coordinator must capture slow queries.
 
 use ssrq_core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest};
 use ssrq_data::{DatasetConfig, QueryWorkload};
 use ssrq_net::{Endpoint, RemoteShardedEngine, ShardServer};
-use ssrq_obs::{MetricValue, ObsReport, Registry};
+use ssrq_obs::{MetricValue, ObsReport};
 use ssrq_shard::{Partitioning, ShardAssignment};
 use ssrq_spatial::Point;
 use std::path::PathBuf;
@@ -185,33 +184,4 @@ fn trace_ids_arrive_bit_identical_in_every_shards_span_log() {
             "shard {shard} served {served} < {driven} queries"
         );
     }
-}
-
-#[test]
-fn the_health_monitor_publishes_ping_gauges() {
-    let dataset = DatasetConfig::gowalla_like(100).generate();
-    let cluster = Cluster::start(&dataset, Partitioning::UserHash, 2);
-    let remote = RemoteShardedEngine::builder(cluster.endpoints.clone())
-        .connect_timeout(Duration::from_secs(10))
-        .deadline(Duration::from_secs(5))
-        .health_check(Duration::from_millis(25), 3)
-        .connect()
-        .expect("coordinator connects");
-    assert!(remote.health_monitoring());
-
-    // Give the monitor a couple of rounds, then read the global registry.
-    std::thread::sleep(Duration::from_millis(300));
-    let registry = Registry::global();
-    for endpoint in &cluster.endpoints {
-        let label = endpoint.to_string();
-        let labels = [("endpoint", label.as_str())];
-        let rtt = registry.gauge("ssrq_ping_rtt_ns", &labels).get();
-        assert!(rtt > 0.0, "no ping round trip recorded for {label}");
-        assert_eq!(
-            registry.gauge("ssrq_ping_unhealthy", &labels).get(),
-            0.0,
-            "a live server must not be flagged unhealthy"
-        );
-    }
-    drop(remote);
 }

@@ -2,7 +2,8 @@
 //! Unix-domain sockets) behind a [`RemoteShardedEngine`] coordinator must
 //! return exactly what the in-process [`ShardedEngine`] returns, forward
 //! the `f_k` threshold across the wire, survive relocations and
-//! rebalances, fail the way the [`FailurePolicy`] promises when a shard
+//! rebalances, refuse a non-finite relocation or a malformed cell map
+//! without changing any state, fail the way the [`FailurePolicy`] promises when a shard
 //! dies, report a missed deadline after one deadline and never reuse the
 //! connection that missed it, refuse a response under the wrong frame id,
 //! refuse frames outside the protocol without going down, and stop
@@ -344,7 +345,7 @@ fn rebalance_repacks_and_preserves_agreement() {
 #[test]
 fn a_dead_shard_fails_or_degrades_per_policy() {
     let dataset = DatasetConfig::gowalla_like(200).generate();
-    let policy = Partitioning::UserHash;
+    let policy = Partitioning::SpatialGrid { cells_per_axis: 8 };
     let cluster = Cluster::start(&dataset, policy, 3);
     let mut remote = RemoteShardedEngine::builder(cluster.endpoints.clone())
         .connect_timeout(Duration::from_secs(10))
@@ -352,17 +353,20 @@ fn a_dead_shard_fails_or_degrades_per_policy() {
         .connect()
         .unwrap();
 
-    // A large k keeps the threshold from pruning any shard, and a pinned
-    // origin skips the location lookup, so the dead shard is guaranteed to
-    // be *visited* (not skipped) by the scatter.
+    // A k above the located population keeps `f_k` infinite, so no shard
+    // is ever pruned, and a pinned origin skips the location lookup: the
+    // dead shard is guaranteed to be *visited* (not skipped) by the scatter.
     let request = QueryRequest::for_user(0)
-        .k(50)
+        .k(dataset.user_count())
         .alpha(0.5)
         .origin(Point::new(0.5, 0.5))
         .algorithm(Algorithm::Ais)
         .build()
         .unwrap();
-    remote.query(&request).expect("healthy cluster answers");
+    let (_, healthy) = remote
+        .query_detailed(&request)
+        .expect("healthy cluster answers");
+    assert_eq!(healthy.executed_shards(), 3, "every shard is visited");
 
     cluster.kill_shard(1);
     std::thread::sleep(Duration::from_millis(200));
@@ -455,7 +459,9 @@ fn concurrent_queries_share_one_engine_and_stay_exact() {
 #[test]
 fn a_stale_socket_file_is_reclaimed_but_a_live_server_is_not() {
     let dataset = DatasetConfig::gowalla_like(120).generate();
-    let assignment = ShardAssignment::compute(&dataset, Partitioning::UserHash, 1).unwrap();
+    let assignment =
+        ShardAssignment::compute(&dataset, Partitioning::SpatialGrid { cells_per_axis: 8 }, 1)
+            .unwrap();
     let dir = std::env::temp_dir().join(format!(
         "ssrq-net-stale-{}-{}",
         std::process::id(),
@@ -506,7 +512,7 @@ fn a_stale_socket_file_is_reclaimed_but_a_live_server_is_not() {
 #[test]
 fn an_unreachable_shard_during_origin_resolution_degrades_the_answer() {
     let dataset = DatasetConfig::gowalla_like(200).generate();
-    let policy = Partitioning::UserHash;
+    let policy = Partitioning::SpatialGrid { cells_per_axis: 8 };
     let assignment = ShardAssignment::compute(&dataset, policy, 3).unwrap();
     let owner = assignment.owners(&dataset);
     // A user whose location lives on shard 1 — the shard about to die.
@@ -577,12 +583,8 @@ fn relocation_churn_triggers_an_opportunistic_rect_refresh() {
         Some(Point::new(0.15, 0.30)),
     ];
     let dataset = GeoSocialDataset::new(graph, locations).unwrap();
-    let cluster = Cluster::start(&dataset, Partitioning::UserHash, 1);
-    let mut remote = RemoteShardedEngine::builder(cluster.endpoints.clone())
-        .connect_timeout(Duration::from_secs(10))
-        .refresh_after_relocations(2)
-        .connect()
-        .unwrap();
+    let cluster = Cluster::start(&dataset, Partitioning::SpatialGrid { cells_per_axis: 4 }, 1);
+    let mut remote = cluster.connect();
 
     // First relocation: the cached rect can only *grow* to stay admissible.
     remote.update_location(0, Point::new(0.95, 0.95)).unwrap();
@@ -590,16 +592,133 @@ fn relocation_churn_triggers_an_opportunistic_rect_refresh() {
     let grown = remote.shard_info(0).rect.expect("rect exists");
     assert!(grown.max.x >= 0.95 && grown.max.y >= 0.95);
 
-    // Second relocation (back into the cluster) hits the churn threshold:
-    // the coordinator re-handshakes that shard and the rect tightens back
-    // down to the *actual* locations — no user is near (0.95, 0.95) now.
+    // Back into the cluster, then wiggles inside it: the slack persists
+    // under growth-only maintenance until the 256th relocation hits the
+    // churn threshold, when the coordinator re-handshakes that shard and
+    // the rect tightens back down to the *actual* locations — no user is
+    // near (0.95, 0.95) now.
     remote.update_location(0, Point::new(0.12, 0.12)).unwrap();
+    for i in 3..256 {
+        let wiggle = 0.10 + 0.001 * (i % 7) as f64;
+        remote
+            .update_location(1, Point::new(wiggle, wiggle))
+            .unwrap();
+    }
+    assert_eq!(remote.rect_churn(0), 255);
+    assert_eq!(remote.shard_info(0).rect, Some(grown));
+    remote.update_location(1, Point::new(0.2, 0.15)).unwrap();
     assert_eq!(remote.rect_churn(0), 0, "the refresh resets the churn");
     let tightened = remote.shard_info(0).rect.expect("rect exists");
     assert!(
         tightened.max.x < 0.5 && tightened.max.y < 0.5,
         "the refreshed rect {tightened:?} still carries the relocation slack"
     );
+}
+
+#[test]
+fn a_non_finite_relocation_is_refused_and_erases_nobody() {
+    let dataset = DatasetConfig::gowalla_like(300).generate();
+    let policy = Partitioning::SpatialGrid { cells_per_axis: 8 };
+    let mut local = ShardedEngine::builder(dataset.clone())
+        .shards(3)
+        .partitioning(policy)
+        .build()
+        .unwrap();
+    let cluster = Cluster::start(&dataset, policy, 3);
+    let mut remote = cluster.connect();
+    let owner = cluster.assignment.owners(&dataset);
+    let user = (0..dataset.user_count() as u32)
+        .find(|&u| owner[u as usize] == 0 && dataset.location(u).is_some())
+        .expect("some located user lives on shard 0");
+
+    let nowhere = Point::new(f64::INFINITY, f64::INFINITY);
+    assert!(local.update_location(user, nowhere).is_err());
+    let refused = remote.update_location(user, nowhere);
+    assert!(
+        matches!(
+            refused,
+            Err(NetError::Core(ssrq_core::CoreError::InvalidParameter(_)))
+        ),
+        "unexpected outcome {refused:?}"
+    );
+
+    // A peer that bypasses the coordinator is refused by the server itself,
+    // before it drops its copy.
+    let mut client = ShardClient::connect(&cluster.endpoints[0], Duration::from_secs(10)).unwrap();
+    let refused = client.call(&Message::Relocate {
+        user,
+        location: Some(nowhere),
+    });
+    assert!(
+        matches!(
+            refused,
+            Err(NetError::Remote {
+                kind: FailureKind::InvalidRequest,
+                ..
+            })
+        ),
+        "unexpected outcome {refused:?}"
+    );
+    let (located, _) = client.call(&Message::Locate(user)).unwrap();
+    assert_eq!(located, Message::Located(dataset.location(user)));
+
+    let request = QueryRequest::for_user(user)
+        .k(5)
+        .alpha(0.5)
+        .algorithm(Algorithm::Sfa)
+        .build()
+        .unwrap();
+    let expected = local.run(&request).unwrap();
+    assert_eq!(expected.ranked.len(), 5);
+    assert_eq!(remote.query(&request).unwrap().ranked, expected.ranked);
+}
+
+#[test]
+fn a_bad_cell_map_is_refused_and_routing_is_unchanged() {
+    let dataset = DatasetConfig::gowalla_like(250).generate();
+    let policy = Partitioning::SpatialGrid { cells_per_axis: 4 };
+    let mut local = ShardedEngine::builder(dataset.clone())
+        .shards(3)
+        .partitioning(policy)
+        .build()
+        .unwrap();
+    let cluster = Cluster::start(&dataset, policy, 3);
+    let mut remote = cluster.connect();
+
+    let mut client = ShardClient::connect(&cluster.endpoints[1], Duration::from_secs(10)).unwrap();
+    for bad in [vec![0; 15], vec![3; 16]] {
+        let refused = client.call(&Message::SetAssignment { cell_to_shard: bad });
+        assert!(
+            matches!(
+                refused,
+                Err(NetError::Remote {
+                    kind: FailureKind::InvalidRequest,
+                    ..
+                })
+            ),
+            "unexpected outcome {refused:?}"
+        );
+    }
+
+    // Every server still routes by the installed map: a relocation into
+    // each corner is adopted by the shard the original assignment names.
+    for (user, corner) in [(3u32, (0.05, 0.05)), (9, (0.95, 0.05)), (14, (0.95, 0.95))] {
+        let p = Point::new(corner.0, corner.1);
+        let adopter = remote.update_location(user, p).unwrap();
+        assert_eq!(adopter, cluster.assignment.owner_for(user, Some(p)));
+        local.update_location(user, p).unwrap();
+    }
+    let request = QueryRequest::for_user(3)
+        .k(6)
+        .alpha(0.5)
+        .algorithm(Algorithm::Ais)
+        .build()
+        .unwrap();
+    let expected = local.run(&request).unwrap();
+    assert!(remote
+        .query(&request)
+        .unwrap()
+        .same_users_and_scores(&expected, 1e-12));
 }
 
 #[test]
@@ -751,7 +870,9 @@ fn retired_inputs_are_refused_typed_without_taking_the_server_down() {
     );
 
     let dataset = DatasetConfig::gowalla_like(120).generate();
-    let assignment = ShardAssignment::compute(&dataset, Partitioning::UserHash, 1).unwrap();
+    let assignment =
+        ShardAssignment::compute(&dataset, Partitioning::SpatialGrid { cells_per_axis: 8 }, 1)
+            .unwrap();
     let engine = GeoSocialEngine::builder(dataset).build().unwrap();
     let server =
         ShardServer::bind(&Endpoint::Tcp("127.0.0.1:0".into()), engine, 0, assignment).unwrap();
@@ -819,7 +940,9 @@ fn retired_inputs_are_refused_typed_without_taking_the_server_down() {
 #[test]
 fn tcp_endpoints_serve_too() {
     let dataset = DatasetConfig::gowalla_like(150).generate();
-    let assignment = ShardAssignment::compute(&dataset, Partitioning::UserHash, 1).unwrap();
+    let assignment =
+        ShardAssignment::compute(&dataset, Partitioning::SpatialGrid { cells_per_axis: 8 }, 1)
+            .unwrap();
     let engine = GeoSocialEngine::builder(dataset.clone()).build().unwrap();
     let server =
         ShardServer::bind(&Endpoint::Tcp("127.0.0.1:0".into()), engine, 0, assignment).unwrap();
@@ -850,7 +973,9 @@ fn tcp_endpoints_serve_too() {
 #[test]
 fn a_blocked_accept_never_hangs_shutdown() {
     let dataset = DatasetConfig::gowalla_like(60).generate();
-    let assignment = ShardAssignment::compute(&dataset, Partitioning::UserHash, 1).unwrap();
+    let assignment =
+        ShardAssignment::compute(&dataset, Partitioning::SpatialGrid { cells_per_axis: 8 }, 1)
+            .unwrap();
     let engine = GeoSocialEngine::builder(dataset).build().unwrap();
     let dir = std::env::temp_dir().join(format!(
         "ssrq-net-stop-{}-{}",

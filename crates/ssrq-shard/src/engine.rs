@@ -366,9 +366,7 @@ impl ShardedEngine {
     }
 
     /// Routes a location report to the owning shard, migrating the user
-    /// when the partitioning policy moves ownership with the location
-    /// (spatial tiling: a move across a cell boundary changes shards; hash
-    /// partitioning never migrates).
+    /// when the move crosses into a cell packed onto another shard.
     pub fn update_location(&mut self, user: UserId, location: Point) -> Result<(), CoreError> {
         self.shards[0].engine.dataset().check_user(user)?;
         if !location.is_finite() {
@@ -418,13 +416,11 @@ impl ShardedEngine {
     /// Re-partitions for the **current** locations and tightens every
     /// shard's bounding rectangle.
     ///
-    /// Under [`Partitioning::SpatialGrid`] the cells are re-packed
-    /// (contiguous, load-balanced serpentine runs) and users whose cell
-    /// moved are migrated — the skew-repair pass for datasets whose
-    /// population drifted since construction.  Under
-    /// [`Partitioning::UserHash`] ownership is already stable and balanced,
-    /// so only the rectangles are re-tightened (updates grow them
-    /// conservatively and removals never shrink them).
+    /// The cells are re-packed (contiguous, load-balanced serpentine runs)
+    /// and users whose cell moved are migrated — the skew-repair pass for
+    /// datasets whose population drifted since construction.  Every
+    /// rectangle is re-tightened too (updates grow them conservatively and
+    /// removals never shrink them).
     ///
     /// Re-partitioning moves **locations only**: the shared graph core and
     /// the `Arc`-held graph-only indexes (landmarks, CH, social cache) are
@@ -528,7 +524,12 @@ impl ShardedEngine {
         let ranked = transport::merge_ranked(scatter.entries, base.k());
         let merge_elapsed = merge_started.elapsed();
         let shard_stats = ShardStats::new(scatter.outcomes, started.elapsed());
-        crate::obs::record_scatter(&shard_stats, scatter_elapsed, merge_elapsed);
+        crate::obs::record_scatter(
+            ssrq_obs::Registry::global(),
+            &shard_stats,
+            scatter_elapsed,
+            merge_elapsed,
+        );
         let result = QueryResult {
             ranked,
             k: base.k(),
@@ -586,7 +587,7 @@ mod tests {
         let dataset = GeoSocialDataset::new(graph, locations).unwrap();
         ShardedEngine::builder(dataset)
             .shards(1)
-            .partitioning(Partitioning::UserHash)
+            .partitioning(Partitioning::SpatialGrid { cells_per_axis: 4 })
             .build()
             .unwrap()
     }

@@ -10,9 +10,9 @@
 //! # Design
 //!
 //! * **Partitioning** ([`Partitioning`]) — the social graph is replicated
-//!   (social distances are global); *locations* are partitioned, either by
-//!   a stable user-id hash or by spatial tiling (compact shard
-//!   rectangles).  Shard datasets inherit the global normalization
+//!   (social distances are global); *locations* are partitioned by
+//!   spatial tiling, which gives every shard a compact rectangle for the
+//!   coordinator to prune against.  Shard datasets inherit the global normalization
 //!   constants, so per-shard scores are bit-identical to single-engine
 //!   scores.
 //! * **Scatter** — the coordinator resolves the query user's location once

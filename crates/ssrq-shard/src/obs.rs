@@ -17,12 +17,7 @@ use std::time::Duration;
 /// | `ssrq_shard_scatter_ns` | histogram | scatter phase (visit + wait on all shards) |
 /// | `ssrq_shard_merge_ns` | histogram | deterministic cross-shard merge |
 /// | `ssrq_shard_outcomes_total{outcome}` | counter | per-shard `executed` / `skipped` / `failed` tallies |
-pub fn record_scatter_in(
-    registry: &Registry,
-    stats: &ShardStats,
-    scatter: Duration,
-    merge: Duration,
-) {
+pub fn record_scatter(registry: &Registry, stats: &ShardStats, scatter: Duration, merge: Duration) {
     registry
         .histogram("ssrq_shard_scatter_ns", &[])
         .observe_duration(scatter);
@@ -37,11 +32,6 @@ pub fn record_scatter_in(
     registry
         .counter("ssrq_shard_outcomes_total", &[("outcome", "failed")])
         .add(stats.failed_shards() as u64);
-}
-
-/// [`record_scatter_in`] against the process-wide [`Registry::global`].
-pub fn record_scatter(stats: &ShardStats, scatter: Duration, merge: Duration) {
-    record_scatter_in(Registry::global(), stats, scatter, merge);
 }
 
 #[cfg(test)]
@@ -61,7 +51,7 @@ mod tests {
             ],
             Duration::from_micros(30),
         );
-        record_scatter_in(
+        record_scatter(
             &registry,
             &stats,
             Duration::from_micros(25),

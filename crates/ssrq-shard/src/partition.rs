@@ -1,26 +1,20 @@
-//! Partitioning policies: how users are assigned to shards.
+//! The partitioning policy: how users are assigned to shards.
 //!
 //! A [`Partitioning`] decides, for every user, which shard *owns* their
 //! location (the full social graph is replicated to every shard — social
-//! distances are global, locations are not).  Two policies are provided:
+//! distances are global, locations are not).  The one policy,
+//! [`Partitioning::SpatialGrid`], tiles the domain into
+//! `cells_per_axis²` grid cells and packs whole cells onto shards
+//! (contiguous, load-balanced runs of a serpentine cell walk).  Shards get
+//! compact bounding rectangles, which is what lets the coordinator skip
+//! shards whose best possible spatial score cannot beat the current
+//! threshold — at the price of user *migration* when a location update
+//! crosses a cell boundary, and of occupancy skew as users drift
+//! (see [`ShardedEngine::rebalance`](crate::ShardedEngine::rebalance)).
 //!
-//! * [`Partitioning::UserHash`] — a stable multiplicative hash of the user
-//!   id.  Occupancy is balanced by construction and a user never migrates
-//!   on a location update, but queries gain no spatial locality: every
-//!   shard's bounding rectangle covers the whole domain, so the
-//!   coordinator's rect pruning rarely skips a shard.
-//! * [`Partitioning::SpatialGrid`] — the domain is tiled into
-//!   `cells_per_axis²` grid cells and whole cells are packed onto shards
-//!   (contiguous, load-balanced runs of a serpentine cell walk).  Shards get
-//!   compact bounding rectangles, which is what lets the coordinator skip
-//!   shards whose best possible spatial score cannot beat the current
-//!   threshold — at the price of user *migration* when a location update
-//!   crosses a cell boundary, and of occupancy skew as users drift
-//!   (see [`ShardedEngine::rebalance`](crate::ShardedEngine::rebalance)).
-//!
-//! Users without a location fall back to the hash assignment under either
-//! policy (they occupy no spatial index and never appear in results until
-//! they report a location, at which point they are routed like any update).
+//! Users without a location are placed by a stable hash of their id
+//! (they occupy no spatial index and never appear in results until they
+//! report a location, at which point they are routed like any update).
 
 use ssrq_core::{CoreError, GeoSocialDataset, UserId};
 use ssrq_spatial::{Point, Rect};
@@ -28,9 +22,6 @@ use ssrq_spatial::{Point, Rect};
 /// How a [`ShardedEngine`](crate::ShardedEngine) assigns users to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Partitioning {
-    /// Stable hash of the user id — balanced, migration-free, no spatial
-    /// locality.
-    UserHash,
     /// Tile the location domain into `cells_per_axis × cells_per_axis`
     /// cells and pack whole cells onto shards — spatially compact shards
     /// whose bounding rectangles enable coordinator-side pruning.
@@ -47,54 +38,24 @@ impl Default for Partitioning {
     }
 }
 
-/// Stable shard hash (Fibonacci multiplicative hashing): deterministic
-/// across runs and platforms, uniform enough for id-dense user sets.
+/// Stable shard hash (Fibonacci multiplicative hashing) for users without
+/// a location: deterministic across runs and platforms, uniform enough for
+/// id-dense user sets.
 #[inline]
 pub(crate) fn hash_shard(user: UserId, shards: usize) -> usize {
     let h = (user as u64 ^ 0x5353_5251).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((h >> 32) as usize) % shards
 }
 
-/// The materialized assignment state of a sharded engine.
-#[derive(Debug, Clone)]
-pub(crate) enum AssignmentState {
-    /// Hash partitioning needs no state beyond the shard count.
-    Hash,
-    /// Spatial tiling: the domain rectangle, the resolution, and the shard
-    /// each cell is packed onto.
-    Spatial {
-        bounds: Rect,
-        cells_per_axis: u32,
-        cell_to_shard: Vec<u32>,
-    },
-}
-
-impl AssignmentState {
-    /// The cell index of a location (clamped into the tiling bounds, like
-    /// the engine-side grids clamp drifting points).
-    pub(crate) fn cell_of(bounds: Rect, cells_per_axis: u32, p: Point) -> usize {
-        let side = cells_per_axis as f64;
-        let fx = ((p.x - bounds.min.x) / bounds.width().max(f64::MIN_POSITIVE)) * side;
-        let fy = ((p.y - bounds.min.y) / bounds.height().max(f64::MIN_POSITIVE)) * side;
-        let cx = (fx as i64).clamp(0, cells_per_axis as i64 - 1) as usize;
-        let cy = (fy as i64).clamp(0, cells_per_axis as i64 - 1) as usize;
-        cy * cells_per_axis as usize + cx
-    }
-
-    /// The shard that owns a user currently at `location` (or without one).
-    pub(crate) fn owner_for(&self, user: UserId, location: Option<Point>, shards: usize) -> usize {
-        match (self, location) {
-            (
-                AssignmentState::Spatial {
-                    bounds,
-                    cells_per_axis,
-                    cell_to_shard,
-                },
-                Some(p),
-            ) => cell_to_shard[Self::cell_of(*bounds, *cells_per_axis, p)] as usize,
-            _ => hash_shard(user, shards),
-        }
-    }
+/// The cell index of a location (clamped into the tiling bounds, like the
+/// engine-side grids clamp drifting points).
+fn cell_of(bounds: Rect, cells_per_axis: u32, p: Point) -> usize {
+    let side = cells_per_axis as f64;
+    let fx = ((p.x - bounds.min.x) / bounds.width().max(f64::MIN_POSITIVE)) * side;
+    let fy = ((p.y - bounds.min.y) / bounds.height().max(f64::MIN_POSITIVE)) * side;
+    let cx = (fx as i64).clamp(0, cells_per_axis as i64 - 1) as usize;
+    let cy = (fy as i64).clamp(0, cells_per_axis as i64 - 1) as usize;
+    cy * cells_per_axis as usize + cx
 }
 
 /// The materialized user→shard assignment of a sharded deployment.
@@ -108,8 +69,11 @@ impl AssignmentState {
 #[derive(Debug, Clone)]
 pub struct ShardAssignment {
     shards: usize,
-    policy: Partitioning,
-    state: AssignmentState,
+    /// The domain rectangle the cells tile.
+    bounds: Rect,
+    cells_per_axis: u32,
+    /// The shard each cell is packed onto.
+    cell_to_shard: Vec<u32>,
 }
 
 impl ShardAssignment {
@@ -121,7 +85,7 @@ impl ShardAssignment {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] for zero shards or a zero-resolution
-    /// spatial tiling.
+    /// tiling.
     pub fn compute(
         dataset: &GeoSocialDataset,
         policy: Partitioning,
@@ -132,31 +96,21 @@ impl ShardAssignment {
                 "a sharded engine needs at least one shard".into(),
             ));
         }
-        let state = match policy {
-            Partitioning::UserHash => AssignmentState::Hash,
-            Partitioning::SpatialGrid { cells_per_axis } => {
-                if cells_per_axis == 0 {
-                    return Err(CoreError::InvalidParameter(
-                        "spatial partitioning needs at least one cell per axis".into(),
-                    ));
-                }
-                let bounds = dataset.bounds();
-                let mut loads = vec![0usize; (cells_per_axis as usize).pow(2)];
-                for (_, p) in dataset.located_users() {
-                    loads[AssignmentState::cell_of(bounds, cells_per_axis, p)] += 1;
-                }
-                AssignmentState::Spatial {
-                    bounds,
-                    cells_per_axis,
-                    cell_to_shard: pack_cells(&loads, cells_per_axis, shards),
-                }
-            }
-        };
-        Ok(ShardAssignment {
+        let Partitioning::SpatialGrid { cells_per_axis } = policy;
+        if cells_per_axis == 0 {
+            return Err(CoreError::InvalidParameter(
+                "spatial partitioning needs at least one cell per axis".into(),
+            ));
+        }
+        let mut assignment = ShardAssignment {
             shards,
-            policy,
-            state,
-        })
+            bounds: dataset.bounds(),
+            cells_per_axis,
+            cell_to_shard: Vec::new(),
+        };
+        let located: Vec<Point> = dataset.located_users().map(|(_, p)| p).collect();
+        assignment.repack(&located);
+        Ok(assignment)
     }
 
     /// Number of shards the assignment routes onto.
@@ -166,12 +120,17 @@ impl ShardAssignment {
 
     /// The partitioning policy the assignment was materialized from.
     pub fn policy(&self) -> Partitioning {
-        self.policy
+        Partitioning::SpatialGrid {
+            cells_per_axis: self.cells_per_axis,
+        }
     }
 
     /// The shard owning a user currently at `location` (or without one).
     pub fn owner_for(&self, user: UserId, location: Option<Point>) -> usize {
-        self.state.owner_for(user, location, self.shards)
+        match location {
+            Some(p) => self.cell_to_shard[cell_of(self.bounds, self.cells_per_axis, p)] as usize,
+            None => hash_shard(user, self.shards),
+        }
     }
 
     /// The owning shard of every user of `dataset`, indexed by user id.
@@ -181,83 +140,54 @@ impl ShardAssignment {
             .collect()
     }
 
-    /// The tiling bounds (`None` under hash partitioning).
-    pub fn bounds(&self) -> Option<Rect> {
-        match &self.state {
-            AssignmentState::Spatial { bounds, .. } => Some(*bounds),
-            AssignmentState::Hash => None,
-        }
+    /// The tiling bounds.
+    pub fn bounds(&self) -> Rect {
+        self.bounds
     }
 
-    /// The tiling resolution per axis (`None` under hash partitioning).
-    pub fn cells_per_axis(&self) -> Option<u32> {
-        match &self.state {
-            AssignmentState::Spatial { cells_per_axis, .. } => Some(*cells_per_axis),
-            AssignmentState::Hash => None,
-        }
+    /// The tiling resolution per axis.
+    pub fn cells_per_axis(&self) -> u32 {
+        self.cells_per_axis
     }
 
-    /// The cell→shard map (`None` under hash partitioning) — what a
-    /// rebalancing coordinator ships to its shard servers.
-    pub fn cell_map(&self) -> Option<&[u32]> {
-        match &self.state {
-            AssignmentState::Spatial { cell_to_shard, .. } => Some(cell_to_shard),
-            AssignmentState::Hash => None,
-        }
+    /// The cell→shard map — what a rebalancing coordinator ships to its
+    /// shard servers.
+    pub fn cell_map(&self) -> &[u32] {
+        &self.cell_to_shard
     }
 
     /// Installs a cell→shard map received from a coordinator.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] under hash partitioning, for a map
-    /// of the wrong length, or one naming a shard out of range.
+    /// [`CoreError::InvalidParameter`] for a map of the wrong length, or
+    /// one naming a shard out of range; the installed map is unchanged.
     pub fn set_cell_map(&mut self, map: Vec<u32>) -> Result<(), CoreError> {
-        let shards = self.shards;
-        match &mut self.state {
-            AssignmentState::Spatial {
-                cells_per_axis,
-                cell_to_shard,
-                ..
-            } => {
-                let expected = (*cells_per_axis as usize).pow(2);
-                if map.len() != expected {
-                    return Err(CoreError::InvalidParameter(format!(
-                        "cell map has {} entries, tiling has {expected} cells",
-                        map.len()
-                    )));
-                }
-                if let Some(&bad) = map.iter().find(|&&s| s as usize >= shards) {
-                    return Err(CoreError::InvalidParameter(format!(
-                        "cell map names shard {bad} of {shards}"
-                    )));
-                }
-                *cell_to_shard = map;
-                Ok(())
-            }
-            AssignmentState::Hash => Err(CoreError::InvalidParameter(
-                "hash partitioning has no cell map".into(),
-            )),
+        let expected = (self.cells_per_axis as usize).pow(2);
+        if map.len() != expected {
+            return Err(CoreError::InvalidParameter(format!(
+                "cell map has {} entries, tiling has {expected} cells",
+                map.len()
+            )));
         }
+        if let Some(&bad) = map.iter().find(|&&s| s as usize >= self.shards) {
+            return Err(CoreError::InvalidParameter(format!(
+                "cell map names shard {bad} of {}",
+                self.shards
+            )));
+        }
+        self.cell_to_shard = map;
+        Ok(())
     }
 
-    /// Re-packs the spatial cells for the given located population
-    /// (contiguous serpentine runs, as at construction).  A no-op
-    /// under hash partitioning, whose assignment is location-independent.
+    /// Re-packs the cells for the given located population (contiguous
+    /// serpentine runs, as at construction).
     pub fn repack(&mut self, located: &[Point]) {
-        let shards = self.shards;
-        if let AssignmentState::Spatial {
-            bounds,
-            cells_per_axis,
-            cell_to_shard,
-        } = &mut self.state
-        {
-            let mut loads = vec![0usize; (*cells_per_axis as usize).pow(2)];
-            for &p in located {
-                loads[AssignmentState::cell_of(*bounds, *cells_per_axis, p)] += 1;
-            }
-            *cell_to_shard = pack_cells(&loads, *cells_per_axis, shards);
+        let mut loads = vec![0usize; (self.cells_per_axis as usize).pow(2)];
+        for &p in located {
+            loads[cell_of(self.bounds, self.cells_per_axis, p)] += 1;
         }
+        self.cell_to_shard = pack_cells(&loads, self.cells_per_axis, self.shards);
     }
 }
 
@@ -330,22 +260,41 @@ mod tests {
     }
 
     #[test]
+    fn set_cell_map_rejects_bad_maps_and_keeps_the_installed_one() {
+        let graph =
+            ssrq_graph::GraphBuilder::from_edges(3, vec![(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
+        let locations = vec![
+            Some(Point::new(0.1, 0.1)),
+            Some(Point::new(0.9, 0.9)),
+            Some(Point::new(0.5, 0.5)),
+        ];
+        let dataset = GeoSocialDataset::new(graph, locations).unwrap();
+        let policy = Partitioning::SpatialGrid { cells_per_axis: 2 };
+        let mut assignment = ShardAssignment::compute(&dataset, policy, 2).unwrap();
+        let installed = assignment.cell_map().to_vec();
+        let owners = assignment.owners(&dataset);
+
+        let wrong_length = assignment.set_cell_map(vec![0; 3]);
+        assert!(matches!(wrong_length, Err(CoreError::InvalidParameter(_))));
+        let out_of_range = assignment.set_cell_map(vec![0, 1, 2, 0]);
+        assert!(matches!(out_of_range, Err(CoreError::InvalidParameter(_))));
+        assert_eq!(assignment.cell_map(), installed.as_slice());
+        assert_eq!(assignment.owners(&dataset), owners);
+
+        // A valid map is installed and routes from then on.
+        assignment.set_cell_map(vec![1, 1, 1, 1]).unwrap();
+        assert_eq!(assignment.cell_map(), &[1, 1, 1, 1]);
+        assert_eq!(assignment.owners(&dataset), vec![1, 1, 1]);
+    }
+
+    #[test]
     fn cell_of_clamps_out_of_bounds_points() {
         let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        assert_eq!(AssignmentState::cell_of(bounds, 4, Point::new(0.1, 0.1)), 0);
-        assert_eq!(
-            AssignmentState::cell_of(bounds, 4, Point::new(0.9, 0.9)),
-            15
-        );
+        assert_eq!(cell_of(bounds, 4, Point::new(0.1, 0.1)), 0);
+        assert_eq!(cell_of(bounds, 4, Point::new(0.9, 0.9)), 15);
         // Points outside the tiling land in the nearest boundary cell.
-        assert_eq!(
-            AssignmentState::cell_of(bounds, 4, Point::new(-5.0, -5.0)),
-            0
-        );
-        assert_eq!(
-            AssignmentState::cell_of(bounds, 4, Point::new(9.0, 9.0)),
-            15
-        );
+        assert_eq!(cell_of(bounds, 4, Point::new(-5.0, -5.0)), 0);
+        assert_eq!(cell_of(bounds, 4, Point::new(9.0, 9.0)), 15);
     }
 
     #[test]

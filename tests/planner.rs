@@ -294,7 +294,7 @@ fn sharded_auto_agrees_with_the_single_engine_oracle() {
     let workload = QueryWorkload::generate(&dataset, 3, 17);
     let single = GeoSocialEngine::builder(dataset.clone()).build().unwrap();
     for policy in [
-        Partitioning::UserHash,
+        Partitioning::SpatialGrid { cells_per_axis: 2 },
         Partitioning::SpatialGrid { cells_per_axis: 8 },
     ] {
         let sharded = ShardedEngine::builder(dataset.clone())

@@ -2,12 +2,12 @@
 //! share a single query-rooted social expansion.  Three consequences are
 //! pinned here:
 //!
-//! * **one social search per query** — on `Partitioning::UserHash` every
-//!   arm executes (every shard's rectangle covers the whole extent: the
-//!   worst case for re-expansion), and still the scatter relaxes no more
-//!   edges than its most expensive arm would on its own, where it used to
-//!   relax about their sum.  The recorded ratios are also the data
-//!   ROADMAP item 3 asks for before `UserHash`'s fate is decided;
+//! * **one social search per query** — the scatter relaxes no more edges
+//!   than its most expensive executed arm would on its own, where it used
+//!   to relax about their sum.  A plain request whose `k` exceeds the
+//!   located population makes every arm execute (no threshold ever prunes
+//!   a shard: the worst case for re-expansion) and is held to the same
+//!   bound;
 //! * **sharing is invisible** — a query repeated inside
 //!   `QueryContext::share_social_expansion` returns the same answer and,
 //!   for the sorted-access algorithms, the same counters except
@@ -67,69 +67,107 @@ fn without_runtime(mut stats: QueryStats) -> QueryStats {
     stats
 }
 
+/// Runs `request` through the scatter and checks it against the single
+/// engine and against its executed arms run alone; returns the edges the
+/// scatter relaxed, the largest executed arm's edges alone, and how many
+/// arms executed.
+fn check_scatter(
+    sharded: &ShardedEngine,
+    single: &GeoSocialEngine,
+    request: &QueryRequest,
+    at: Point,
+    what: &str,
+) -> (usize, usize, usize) {
+    let (result, stats) = sharded.run_with_stats(request).unwrap();
+    assert_eq!(
+        result.ranked,
+        single.run(request).unwrap().ranked,
+        "{what}: differs from the single engine"
+    );
+    // Each executed arm on its own: the same request (origin pinned, as
+    // the coordinator broadcasts it) on the bare shard engine, a fresh
+    // context each.
+    let broadcast = request.clone().with_origin(at);
+    let largest_arm = stats
+        .per_shard
+        .iter()
+        .enumerate()
+        .filter(|(_, outcome)| matches!(outcome, ShardOutcome::Executed(_)))
+        .map(|(s, _)| {
+            let arm = sharded.shard_engine(s).run(&broadcast).unwrap();
+            arm.stats.relaxed_edges
+        })
+        .max()
+        .unwrap_or(0);
+    let relaxed = stats.merged.relaxed_edges;
+    assert!(
+        relaxed as f64 <= 1.05 * largest_arm as f64,
+        "{what}: the scatter relaxed {relaxed} edges, its largest arm alone {largest_arm}"
+    );
+    let per_shard: usize = stats
+        .per_shard
+        .iter()
+        .map(|outcome| match outcome {
+            ShardOutcome::Executed(arm) => arm.relaxed_edges,
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(per_shard, relaxed, "{what}: the arms sum to the work done");
+    (relaxed, largest_arm, stats.executed_shards())
+}
+
 #[test]
-fn a_user_hash_scatter_relaxes_no_more_than_its_most_expensive_arm() {
+fn a_scatter_relaxes_no_more_than_its_most_expensive_arm() {
     let dataset = DatasetConfig::gowalla_like(1500).with_seed(2016).generate();
     let workload = QueryWorkload::generate(&dataset, 3, 23);
     let single = GeoSocialEngine::builder(dataset.clone()).build().unwrap();
+    let users = dataset.user_count() as u32;
     for shards in [4usize, 8] {
         let sharded = ShardedEngine::builder(dataset.clone())
             .shards(shards)
-            .partitioning(Partitioning::UserHash)
+            .partitioning(Partitioning::SpatialGrid { cells_per_axis: 8 })
             .build()
             .unwrap();
         let (mut scattered, mut largest_arms) = (0usize, 0usize);
         for &user in &workload.users {
             let at = dataset.location(user).expect("workload users are located");
-            for (shape, builder) in shapes(dataset.user_count() as u32, user, at) {
+            for (shape, builder) in shapes(users, user, at) {
                 for algorithm in FORWARD_EXPANSION {
                     let request = builder.clone().algorithm(algorithm).build().unwrap();
                     let what =
                         format!("{} {shape}, user {user}, {shards} shards", algorithm.name());
-                    let (result, stats) = sharded.run_with_stats(&request).unwrap();
-                    assert_eq!(
-                        result.ranked,
-                        single.run(&request).unwrap().ranked,
-                        "{what}: differs from the single engine"
-                    );
-                    assert_eq!(
-                        stats.executed_shards(),
-                        shards,
-                        "{what}: every arm executes"
-                    );
-                    // Each arm on its own: the same request (origin pinned,
-                    // as the coordinator broadcasts it) on the bare shard
-                    // engine, a fresh context each.
-                    let broadcast = request.clone().with_origin(at);
-                    let largest_arm = (0..shards)
-                        .map(|s| {
-                            let arm = sharded.shard_engine(s).run(&broadcast).unwrap();
-                            arm.stats.relaxed_edges
-                        })
-                        .max()
-                        .unwrap();
-                    let relaxed = stats.merged.relaxed_edges;
-                    assert!(
-                        relaxed as f64 <= 1.05 * largest_arm as f64,
-                        "{what}: the scatter relaxed {relaxed} edges, its largest arm alone {largest_arm}"
-                    );
-                    let per_shard: usize = stats
-                        .per_shard
-                        .iter()
-                        .map(|outcome| match outcome {
-                            ShardOutcome::Executed(arm) => arm.relaxed_edges,
-                            _ => 0,
-                        })
-                        .sum();
-                    assert_eq!(per_shard, relaxed, "{what}: the arms sum to the work done");
+                    let (relaxed, largest_arm, _) =
+                        check_scatter(&sharded, &single, &request, at, &what);
                     scattered += relaxed;
                     largest_arms += largest_arm;
                 }
             }
         }
+        // The worst case for re-expansion: a `k` above the located
+        // population keeps `f_k` infinite, so no shard is pruned and every
+        // arm executes.
+        let user = workload.users[0];
+        let at = dataset.location(user).expect("workload users are located");
+        for algorithm in FORWARD_EXPANSION {
+            let request = QueryRequest::for_user(user)
+                .k(users as usize)
+                .alpha(0.3)
+                .algorithm(algorithm)
+                .build()
+                .unwrap();
+            let what = format!(
+                "{} plain k={users}, user {user}, {shards} shards",
+                algorithm.name()
+            );
+            let (relaxed, largest_arm, executed) =
+                check_scatter(&sharded, &single, &request, at, &what);
+            assert_eq!(executed, shards, "{what}: every arm executes");
+            scattered += relaxed;
+            largest_arms += largest_arm;
+        }
         assert!(largest_arms > 0, "the workload must exercise the expansion");
         println!(
-            "UserHash, {shards} shards: scatter relaxed {scattered} edges, \
+            "SpatialGrid 8, {shards} shards: scatter relaxed {scattered} edges, \
              the largest arms alone {largest_arms} ({:.3}x)",
             scattered as f64 / largest_arms as f64
         );
@@ -208,7 +246,7 @@ fn scatter_statistics_do_not_depend_on_the_entry_point_or_the_run() {
     let dataset = DatasetConfig::gowalla_like(1200).with_seed(909).generate();
     let workload = QueryWorkload::generate(&dataset, 4, 41);
     for policy in [
-        Partitioning::UserHash,
+        Partitioning::SpatialGrid { cells_per_axis: 2 },
         Partitioning::SpatialGrid { cells_per_axis: 8 },
     ] {
         let sharded = ShardedEngine::builder(dataset.clone())

@@ -1,4 +1,4 @@
-//! Scatter-gather exactness: for every algorithm, partitioning policy and
+//! Scatter-gather exactness: for every algorithm, spatial tiling and
 //! shard count, `ShardedEngine::run` must return a ranked list identical to
 //! the single unpartitioned `GeoSocialEngine::run` — same users, same
 //! scores, same order — and the cross-shard stream must replay exactly the
@@ -14,8 +14,10 @@ use geosocial_ssrq::data::{DatasetConfig, QueryWorkload};
 use geosocial_ssrq::prelude::{Point, Rect};
 use geosocial_ssrq::shard::{Partitioning, ShardedEngine};
 
+/// A fine tiling, and a coarse one whose four cells cannot balance three
+/// shards.
 const POLICIES: [Partitioning; 2] = [
-    Partitioning::UserHash,
+    Partitioning::SpatialGrid { cells_per_axis: 2 },
     Partitioning::SpatialGrid { cells_per_axis: 8 },
 ];
 
@@ -122,8 +124,7 @@ fn sharded_run_honours_request_filters_identically() {
 fn spatial_partitioning_skips_shards_the_threshold_proves_useless() {
     // A tight score cutoff plus spatially compact shards: the query's own
     // neighbourhood answers the query and remote shards are skipped by the
-    // rect / threshold pruning (hash partitioning cannot skip — every
-    // shard's rectangle spans the whole domain).
+    // rect / threshold pruning.
     let dataset = DatasetConfig::gowalla_like(1_500).with_seed(7).generate();
     let workload = QueryWorkload::generate(&dataset, 6, 3);
     let sharded = ShardedEngine::builder(dataset.clone())
@@ -248,7 +249,7 @@ fn single_shard_degenerates_to_the_plain_engine() {
     let single = GeoSocialEngine::builder(dataset.clone()).build().unwrap();
     let sharded = ShardedEngine::builder(dataset)
         .shards(1)
-        .partitioning(Partitioning::UserHash)
+        .partitioning(Partitioning::SpatialGrid { cells_per_axis: 8 })
         .build()
         .unwrap();
     let workload = QueryWorkload::generate(single.dataset(), 3, 8);
