@@ -434,8 +434,8 @@ pub struct GeoSocialEngine {
     grid: UniformGrid,
     ais: AisIndex,
     /// The planner behind [`Algorithm::Auto`] — per-engine, like every
-    /// location-dependent structure (its hot-result cache is invalidated
-    /// by *this* engine's location updates).
+    /// location-dependent structure (its hot-result cache replays *this*
+    /// engine's location updates).
     planner: QueryPlanner,
 }
 
@@ -809,8 +809,7 @@ impl GeoSocialEngine {
         self.grid.insert(user, location);
         self.ais
             .update_location(user, location, &self.graph_indexes.landmarks)?;
-        self.planner
-            .note_location_change(user, Some(location), &self.dataset);
+        self.planner.note_location_change(user);
         Ok(())
     }
 
@@ -827,7 +826,7 @@ impl GeoSocialEngine {
             self.dataset.set_location(user, None)?;
             self.grid.remove(user)?;
             self.ais.remove_user(user, &self.graph_indexes.landmarks)?;
-            self.planner.note_location_change(user, None, &self.dataset);
+            self.planner.note_location_change(user);
         }
         Ok(())
     }

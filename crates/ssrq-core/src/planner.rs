@@ -18,35 +18,45 @@
 //! The planner layers a per-user hot-result cache over the choice logic:
 //! a repeated identical request (same user, `k`, `α`, explicit origin
 //! override and filters) is answered from the cache in microseconds.
-//! Location churn invalidates **only the entries whose result could
-//! actually change**, using a score-delta admission test in the manner of
-//! Fagin's threshold algorithm: when user `u` moves to point `q`, a cached
-//! entry with spatial origin `o`, preference `α` and top-k threshold `f_k`
-//! can only change if `u` was the (derived-origin) query user, appears in
-//! the cached result, or could newly enter it — and `u` can enter only if
-//! its spatial-only score lower bound `(1 − α) · d(o, q)` does not exceed
-//! the entry's admission bound (`f_k` for a full result, the `max_score`
-//! cutoff — or nothing — for a truncated one), only if `q` lies inside the
-//! entry's filter window and only if `u` is not excluded.  The origin `o`
-//! is the one the result was evaluated from (the override, else the query
-//! user's location at admission); it is stored with the entry, not in the
-//! key.  Social distances never change under location churn, so this test
-//! is exact up to conservativeness: the churn property test asserts a
-//! cached answer is never stale.
 //!
-//! Each cache slot is split by who reads it.  The cold half — key and
-//! result — lives in a slab that a `HashMap` from request identity
-//! addresses, so a hit or an admission costs one hash lookup.  The hot
-//! half, a guard in a parallel dense array, holds exactly what the churn
-//! test and LRU eviction read: query user, derived-origin flag, `α`,
-//! resolved origin, window, admission bound, a has-exclusions flag, the
-//! result's member ids and a 64-bit membership signature (one hashed bit
-//! per member, so a clear bit proves the mover is no member without
-//! reading the ids).  A location update walks only the guards and opens a
-//! cold entry only to check the exclusions of a mover that could otherwise
-//! enter.  Walking guards instead of whole entries took the repository
-//! benchmark's `churn_auto` mean update from 33.1 to 17.9 µs
-//! (2-vCPU Xeon @ 2.10 GHz, medians of ten alternated 30 s runs).
+//! A location update does not touch the cache's entries: it appends the
+//! mover to a **churn log**, in `O(1)`.  Each entry keeps a checkpoint, the
+//! log position at the start of the query that computed it.  A hit first
+//! replays the movers logged since its checkpoint and asks, in the manner
+//! of Fagin's threshold algorithm, whether any of them could change the
+//! answer.  The entry has a spatial origin `o` (the override, else the
+//! query user's location at query start), a preference `α` and an
+//! admission bound: `f_k` for a full result, else the `max_score` cutoff
+//! (or `+∞`).  Per mover, at its location *now*:
+//!
+//! - **drop** when the mover is the query user and the origin was derived
+//!   from their location, or when the mover is in the cached result (its
+//!   own score changed, or it left the spatial domain or the window);
+//! - **keep** when the mover has no location any more, is the query user
+//!   of an explicit-origin entry, lies outside the filter window, is
+//!   excluded, or when its spatial-only lower bound `(1 − α) · d(o, q)`
+//!   lies strictly above the bound;
+//! - otherwise decide **exactly**: one [`SharingMode::Shared`] forward
+//!   search from the query user, shared by every such mover, settles the
+//!   mover's social distance or proves it at least
+//!   `(bound − (1 − α) · d(o, q)) / α`, normalized back to raw units —
+//!   the arithmetic AIS and SFA evaluate candidates with.  A mover whose
+//!   exact score is at most the bound could enter (a tie could swap the
+//!   canonical answer), so the entry is dropped.
+//!
+//! An entry every mover leaves untouched advances its checkpoint and is
+//! served.  Social distances never change under location churn, so the
+//! replay is exact: the churn tests compare every cached answer with an
+//! uncached twin engine bit for bit.  A replay whose search settles more
+//! vertices than the cached result's own computation did drops the entry
+//! instead, so validating never costs much more than recomputing.  The
+//! search runs outside the cache lock, on the caller's [`QueryContext`].
+//!
+//! The log is empty while the cache is and never holds more movers than
+//! the cache has slots.  When it is full, the entries holding its older
+//! half are dropped and it forgets what precedes the oldest remaining
+//! checkpoint.  An answer whose query started before a move that has since
+//! left the log is not admitted.
 //!
 //! The planner is engine-local state: cloning a [`GeoSocialEngine`] gives
 //! the clone a **fresh** planner with the same cache capacity, because
@@ -54,14 +64,16 @@
 //! serve answers from the sibling's world.
 
 use crate::driver::{self, EagerDriver, QueryDriver, StepOutcome};
+use crate::ranking::combine;
 use crate::{
-    Algorithm, CoreError, GeoSocialDataset, GeoSocialEngine, QueryContext, QueryRequest,
-    QueryResult, QueryStats, RankedUser, UserId,
+    Algorithm, CoreError, GeoSocialEngine, QueryContext, QueryRequest, QueryResult, QueryStats,
+    RankedUser, UserId,
 };
+use ssrq_graph::{GraphDistanceEngine, SharingMode};
 use ssrq_spatial::{Point, Rect};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The one setting of a [`QueryPlanner`].
@@ -209,183 +221,244 @@ impl CacheKey {
     }
 }
 
-/// The cold half of one cache slot: the answer and the key that
-/// addresses it (kept so a dropped slot can leave the index).
+/// One admitted answer and what its churn replay reads.  Immutable once
+/// admitted, so a lookup can validate it outside the cache lock.
 #[derive(Debug)]
-struct CacheEntry {
+struct Admitted {
     key: CacheKey,
     result: QueryResult,
-}
-
-/// The hot half of one cache slot: exactly what the churn test and LRU
-/// eviction read, stored densely so a location update walks these and
-/// not the cold entries with their results.
-#[derive(Debug)]
-struct Guard {
-    user: UserId,
-    /// The origin was derived from the query user's stored location (the
-    /// request has no explicit override).
-    derived_origin: bool,
-    /// The request excludes someone; only then does the churn test open
-    /// the cold entry, whose key lists the excluded users.
-    has_exclusions: bool,
-    alpha: f64,
-    /// The spatial origin the result was evaluated from, resolved at
-    /// admission time (explicit override, else the query user's stored
-    /// location — `None` when neither existed).
+    /// The spatial origin the result was evaluated from, resolved at query
+    /// start (explicit override, else the query user's stored location —
+    /// `None` when neither existed).
     origin: Option<Point>,
     within: Option<Rect>,
-    /// Score a new entrant must stay *under* to change the result: `f_k`
-    /// when the result is full, else the `max_score` cutoff (or `+∞`).
+    /// Score a mover must stay *under* to change the result: `f_k` when the
+    /// result is full, else the `max_score` cutoff (or `+∞`).
     bound: f64,
-    /// OR of [`signature_bit`] over `members`: a clear bit proves the
-    /// mover is not a member without reading `members`.
-    signature: u64,
-    /// The result's user ids.
-    members: Box<[UserId]>,
+}
+
+/// Relative slack on the bound when sizing an exact check's search: a
+/// mover whose computed score ties the bound, whatever the rounding, is
+/// searched to the end and so dropped.
+const TIE_SLACK: f64 = 1e-9;
+
+impl Admitted {
+    /// Whether the answer is still exact after `movers` (sorted, distinct)
+    /// changed location, and the work the exact checks did.
+    fn survives(
+        &self,
+        movers: &[UserId],
+        engine: &GeoSocialEngine,
+        ctx: &mut QueryContext,
+    ) -> (bool, QueryStats) {
+        let key = &self.key;
+        let moved = |user: &UserId| movers.binary_search(user).is_ok();
+        if (key.origin.is_none() && moved(&key.user))
+            || self.result.ranked.iter().any(|r| moved(&r.user))
+        {
+            return (false, QueryStats::default());
+        }
+        let Some(origin) = self.origin else {
+            // Every candidate's spatial distance is infinite, and so is
+            // every score: a mover's stays so too.
+            return (true, QueryStats::default());
+        };
+        let dataset = engine.dataset();
+        let alpha = f64::from_bits(key.alpha);
+        let mut exact: Vec<(f64, UserId)> = movers
+            .iter()
+            .filter(|&&mover| mover != key.user)
+            .filter_map(|&mover| {
+                let at = dataset.location(mover)?;
+                let spatial = dataset.normalize_spatial(origin.distance(at));
+                let undecided = self.within.is_none_or(|window| window.contains(at))
+                    && (1.0 - alpha) * spatial <= self.bound
+                    && key.exclude.binary_search(&mover).is_err();
+                undecided.then_some((spatial, mover))
+            })
+            .collect();
+        if exact.is_empty() {
+            return (true, QueryStats::default());
+        }
+        // Smallest budget first, so the cap trips before the widest search.
+        exact.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+        let mut search = GraphDistanceEngine::new(
+            dataset.graph(),
+            engine.landmarks(),
+            key.user,
+            SharingMode::Shared,
+            &mut ctx.social,
+        );
+        let bound = self.bound * (1.0 + TIE_SLACK);
+        let mut fresh = true;
+        for &(spatial, mover) in &exact {
+            let budget = (bound - (1.0 - alpha) * spatial) / alpha * dataset.social_norm();
+            let social = dataset.normalize_social(search.distance_within(mover, budget));
+            let score = combine(alpha, social, spatial);
+            if (score.is_finite() && score <= self.bound)
+                || search.stats().forward_settles > self.result.stats.social_pops
+            {
+                fresh = false;
+                break;
+            }
+        }
+        let work = search.stats();
+        let stats = QueryStats {
+            social_pops: work.forward_settles,
+            distance_calls: work.distance_calls,
+            relaxed_edges: work.edge_relaxations,
+            ..QueryStats::default()
+        };
+        (fresh, stats)
+    }
+}
+
+/// One occupied cache slot.
+#[derive(Debug)]
+struct Slot {
+    admitted: Arc<Admitted>,
+    /// Churn-log position up to which the answer is known exact: the start
+    /// of the query that computed it, advanced by each replay that keeps it.
+    checkpoint: u64,
     last_used: u64,
 }
 
-/// The one bit a member sets in its entry's membership signature.
-fn signature_bit(user: UserId) -> u64 {
-    1 << (u64::from(user).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
+/// The users whose location changed, in order, since the oldest live
+/// checkpoint.
+#[derive(Debug, Default)]
+struct ChurnLog {
+    /// Position of `movers[0]`; the log ends at `start + movers.len()`.
+    start: u64,
+    movers: VecDeque<UserId>,
+}
+
+impl ChurnLog {
+    fn end(&self) -> u64 {
+        self.start + self.movers.len() as u64
+    }
+
+    /// Forgets every mover before position `to`.
+    fn forget_before(&mut self, to: u64) {
+        self.movers.drain(..(to - self.start) as usize);
+        self.start = to;
+    }
 }
 
 /// The hot-result cache: a slab of slots addressed by request identity,
-/// split into parallel cold (`entries`) and hot (`guards`) halves that are
-/// `None` together exactly where the slot is free.
+/// and the churn log their checkpoints point into.
 #[derive(Debug, Default)]
 struct CacheState {
     /// Every key's slot; a slot is occupied exactly when a key maps to it.
     index: HashMap<CacheKey, usize>,
-    entries: Vec<Option<CacheEntry>>,
-    guards: Vec<Option<Guard>>,
+    slots: Vec<Option<Slot>>,
     free: Vec<usize>,
+    log: ChurnLog,
     tick: u64,
     hits: u64,
     misses: u64,
     invalidations: u64,
 }
 
-/// Why indexing an occupied slot's halves cannot fail.
-const OCCUPIED: &str = "an indexed or guarded slot holds an entry";
+/// Why indexing an occupied slot cannot fail.
+const OCCUPIED: &str = "an indexed slot holds an entry";
+
+/// Why locking the cache cannot fail: nothing panics while holding it.
+const UNPOISONED: &str = "no cache lock holder panics";
 
 impl CacheState {
     fn len(&self) -> usize {
         self.index.len()
     }
 
-    /// The cached answer to `key`, marked as used now.
-    fn get(&mut self, key: &CacheKey) -> Option<QueryResult> {
-        self.tick += 1;
-        let slot = *self.index.get(key)?;
-        self.guards[slot].as_mut().expect(OCCUPIED).last_used = self.tick;
-        Some(self.entries[slot].as_ref().expect(OCCUPIED).result.clone())
-    }
-
-    /// Stores `result` under `key`, replacing an entry with the same key.
-    fn insert(&mut self, key: CacheKey, guard: Guard, result: QueryResult) {
-        let slot = match self.index.get(&key) {
-            Some(&slot) => slot,
+    /// Stores `slot` under its key, replacing an entry with the same key.
+    fn insert(&mut self, slot: Slot) {
+        let at = match self.index.get(&slot.admitted.key) {
+            Some(&at) => at,
             None => {
-                let slot = self.free.pop().unwrap_or_else(|| {
-                    self.entries.push(None);
-                    self.guards.push(None);
-                    self.entries.len() - 1
+                let at = self.free.pop().unwrap_or_else(|| {
+                    self.slots.push(None);
+                    self.slots.len() - 1
                 });
-                self.index.insert(key.clone(), slot);
-                slot
+                self.index.insert(slot.admitted.key.clone(), at);
+                at
             }
         };
-        self.entries[slot] = Some(CacheEntry { key, result });
-        self.guards[slot] = Some(guard);
+        self.slots[at] = Some(slot);
     }
 
-    /// Frees an occupied slot.
-    fn release(&mut self, slot: usize) {
-        self.guards[slot] = None;
-        let entry = self.entries[slot].take().expect(OCCUPIED);
-        self.index.remove(&entry.key);
-        self.free.push(slot);
+    /// Frees an occupied slot; the last one out empties the log.
+    fn release(&mut self, at: usize) {
+        let slot = self.slots[at].take().expect(OCCUPIED);
+        self.index.remove(&slot.admitted.key);
+        self.free.push(at);
+        if self.index.is_empty() {
+            self.log.forget_before(self.log.end());
+        }
     }
 
     fn evict_lru(&mut self) {
         let lru = self
-            .guards
+            .slots
             .iter()
             .enumerate()
-            .filter_map(|(slot, guard)| Some((guard.as_ref()?.last_used, slot)))
+            .filter_map(|(at, slot)| Some((slot.as_ref()?.last_used, at)))
             .min();
-        if let Some((_, slot)) = lru {
-            self.release(slot);
+        if let Some((_, at)) = lru {
+            self.release(at);
         }
     }
 
-    /// Returns `true` when the entry in `slot` (or the free slot) provably
-    /// cannot change because `user` moved to `location` (`None` = location
-    /// removed).
-    fn entry_survives_churn(
-        &self,
-        slot: usize,
-        user: UserId,
-        location: Option<Point>,
-        dataset: &GeoSocialDataset,
-    ) -> bool {
-        let Some(guard) = &self.guards[slot] else {
-            return true;
+    /// Appends `user` to the log, first making room when it holds
+    /// `capacity` movers.  Returns the entries dropped for room.
+    fn log_move(&mut self, user: UserId, capacity: usize) -> u64 {
+        let dropped = if !self.index.is_empty() && self.log.movers.len() >= capacity {
+            self.shrink_log(capacity / 2)
+        } else {
+            0
         };
-        // The query user moved and the entry's origin was derived from
-        // their stored location: every spatial distance in the result
-        // changes.
-        if guard.user == user && guard.derived_origin {
-            return false;
+        if self.index.is_empty() {
+            // Nothing to replay it to; the position still advances, so an
+            // answer whose query started before this move is not admitted.
+            self.log.start += 1;
+        } else {
+            self.log.movers.push_back(user);
         }
-        // The mover is in the cached result: its own score changed (or it
-        // left the spatial domain / the filter window).
-        if guard.signature & signature_bit(user) != 0 && guard.members.contains(&user) {
-            return false;
-        }
-        // From here on the question is only whether the mover could
-        // *enter* the cached result.
-        if guard.user == user {
-            // Explicit-origin entry of the mover's own query: the query
-            // user never appears in its own result and the origin is
-            // pinned.
-            return true;
-        }
-        let Some(location) = location else {
-            // Removal: the mover's spatial distance becomes infinite; a
-            // user that was not in the result cannot enter by
-            // disappearing.
-            return true;
-        };
-        if let Some(rect) = guard.within {
-            if !rect.contains(location) {
-                return true;
+        dropped
+    }
+
+    /// Drops the entries holding more than `keep` logged movers and forgets
+    /// what precedes the oldest remaining checkpoint.  Returns the entries
+    /// dropped.
+    fn shrink_log(&mut self, keep: usize) -> u64 {
+        let cutoff = self.log.end().saturating_sub(keep as u64);
+        let mut dropped = 0;
+        for at in 0..self.slots.len() {
+            if self.slots[at]
+                .as_ref()
+                .is_some_and(|slot| slot.checkpoint < cutoff)
+            {
+                self.release(at);
+                dropped += 1;
             }
         }
-        let Some(origin) = guard.origin else {
-            // No origin at all: every candidate's spatial distance is
-            // infinite and every score is infinite — the mover's stays so
-            // too.
-            return true;
-        };
-        // Score lower bound of the mover at its new location: the social
-        // term is non-negative, so f ≥ (1 − α) · d.  Strictly above the
-        // entry's admission bound ⇒ the mover cannot displace anything; at
-        // or below it (including score ties, where the canonical answer
-        // could swap the tied user) ⇒ conservatively invalidate.
-        let spatial = dataset.normalize_spatial(origin.distance(location));
-        if (1.0 - guard.alpha) * spatial > guard.bound {
-            return true;
-        }
-        // Last, and only for a mover that could enter: an excluded user
-        // never does.
-        guard.has_exclusions
-            && (self.entries[slot].as_ref().expect(OCCUPIED).key.exclude)
-                .binary_search(&user)
-                .is_ok()
+        let oldest = self
+            .slots
+            .iter()
+            .flatten()
+            .map(|slot| slot.checkpoint)
+            .min();
+        self.log.forget_before(oldest.unwrap_or(self.log.end()));
+        dropped
     }
+}
+
+/// What a cache lookup found.
+enum Lookup {
+    /// A cached answer, exact now; its stats are the replay's work.
+    Hit(QueryResult),
+    /// No exact answer cached.  `checkpoint` is the log position the query
+    /// starts from; `work` is what a replay that dropped the entry did.
+    Miss { checkpoint: u64, work: QueryStats },
 }
 
 /// Aggregated planner introspection, for tests and the benchmark.
@@ -397,10 +470,14 @@ pub struct PlannerSnapshot {
     pub cache_hits: u64,
     /// Cache lookups that missed.
     pub cache_misses: u64,
-    /// Entries dropped by churn-aware invalidation.
+    /// Entries dropped because location churn could have changed them:
+    /// by the replay of a hit, or to keep the churn log within capacity.
     pub cache_invalidations: u64,
     /// Entries currently cached.
     pub cache_len: usize,
+    /// Location changes logged and not yet replayed by every entry; at
+    /// most the cache capacity, and zero while the cache is empty.
+    pub churn_log_len: usize,
 }
 
 impl PlannerSnapshot {
@@ -477,6 +554,12 @@ impl QueryPlanner {
         while cache.len() > capacity {
             cache.evict_lru();
         }
+        if cache.log.movers.len() > capacity {
+            let dropped = cache.shrink_log(capacity / 2);
+            cache.invalidations += dropped;
+            drop(cache);
+            crate::obs::record_cache_event(ssrq_obs::Registry::global(), "invalidation", dropped);
+        }
     }
 
     /// Number of currently cached hot results.
@@ -500,6 +583,7 @@ impl QueryPlanner {
             cache_misses: cache.misses,
             cache_invalidations: cache.invalidations,
             cache_len: cache.len(),
+            churn_log_len: cache.log.movers.len(),
         }
     }
 
@@ -529,30 +613,91 @@ impl QueryPlanner {
     }
 
     /// Looks the request up in the hot-result cache, counting the hit or
-    /// miss.  A hit returns a clone of the cached result (its `stats` are
-    /// the original computation's; the `Auto` path replaces them).
-    pub fn cache_lookup(&self, request: &QueryRequest) -> Option<QueryResult> {
-        if self.capacity() == 0 {
-            return None;
-        }
+    /// miss.  An entry with movers logged since its checkpoint is replayed
+    /// against them first (outside the cache lock), and dropped when one
+    /// of them could change it.
+    fn lookup(
+        &self,
+        engine: &GeoSocialEngine,
+        request: &QueryRequest,
+        ctx: &mut QueryContext,
+    ) -> Lookup {
         let key = CacheKey::of(request);
-        let mut cache = self.cache.lock().unwrap();
-        let result = cache.get(&key);
-        let event = if result.is_some() {
-            cache.hits += 1;
-            "hit"
-        } else {
+        let mut guard = self.cache.lock().expect(UNPOISONED);
+        let cache = &mut *guard;
+        cache.tick += 1;
+        let checkpoint = cache.log.end();
+        let Some(&at) = cache.index.get(&key) else {
             cache.misses += 1;
-            "miss"
+            drop(guard);
+            crate::obs::record_cache_event(ssrq_obs::Registry::global(), "miss", 1);
+            return Lookup::Miss {
+                checkpoint,
+                work: QueryStats::default(),
+            };
         };
-        drop(cache);
-        crate::obs::record_cache_event(ssrq_obs::Registry::global(), event, 1);
-        result
+        let slot = cache.slots[at].as_mut().expect(OCCUPIED);
+        slot.last_used = cache.tick;
+        let admitted = Arc::clone(&slot.admitted);
+        let since = (slot.checkpoint - cache.log.start) as usize;
+        let mut movers: Vec<UserId> = cache.log.movers.range(since..).copied().collect();
+        drop(guard);
+        movers.sort_unstable();
+        movers.dedup();
+        let (fresh, work) = admitted.survives(&movers, engine, ctx);
+        self.settle_replay(at, &admitted, checkpoint, fresh);
+        if !fresh {
+            return Lookup::Miss { checkpoint, work };
+        }
+        let mut result = admitted.result.clone();
+        result.stats = work;
+        Lookup::Hit(result)
     }
 
-    /// Admits a freshly computed result.  Degraded results are never
-    /// cached (their identity depends on how far the stream was driven).
-    pub fn cache_admit(&self, request: &QueryRequest, origin: Option<Point>, result: &QueryResult) {
+    /// Records a replay's verdict on the entry in slot `at`, unless the
+    /// slot was reassigned meanwhile: a kept entry's checkpoint advances to
+    /// `checkpoint`, a changed one is dropped.
+    fn settle_replay(&self, at: usize, admitted: &Arc<Admitted>, checkpoint: u64, fresh: bool) {
+        let mut cache = self.cache.lock().expect(UNPOISONED);
+        let slot = cache.slots[at]
+            .as_mut()
+            .filter(|slot| Arc::ptr_eq(&slot.admitted, admitted));
+        let dropped = match slot {
+            Some(slot) if fresh => {
+                slot.checkpoint = slot.checkpoint.max(checkpoint);
+                false
+            }
+            Some(_) => {
+                cache.release(at);
+                cache.invalidations += 1;
+                true
+            }
+            None => false,
+        };
+        if fresh {
+            cache.hits += 1;
+        } else {
+            cache.misses += 1;
+        }
+        drop(cache);
+        let registry = ssrq_obs::Registry::global();
+        crate::obs::record_cache_event(registry, if fresh { "hit" } else { "miss" }, 1);
+        if dropped {
+            crate::obs::record_cache_event(registry, "invalidation", 1);
+        }
+    }
+
+    /// Admits a freshly computed result, whose query started at log
+    /// position `checkpoint`.  Degraded results are never cached (their
+    /// identity depends on how far the stream was driven), nor is a result
+    /// some of whose unseen movers the log has already forgotten.
+    fn admit(
+        &self,
+        request: &QueryRequest,
+        origin: Option<Point>,
+        checkpoint: u64,
+        result: &QueryResult,
+    ) {
         let capacity = self.capacity();
         if capacity == 0 || result.degraded {
             return;
@@ -562,52 +707,35 @@ impl QueryPlanner {
         } else {
             request.max_score().unwrap_or(f64::INFINITY)
         };
-        let key = CacheKey::of(request);
-        let mut cache = self.cache.lock().unwrap();
-        cache.tick += 1;
-        let guard = Guard {
-            user: request.user(),
-            derived_origin: request.origin().is_none(),
-            has_exclusions: !request.excluded().is_empty(),
-            alpha: request.alpha(),
+        let admitted = Arc::new(Admitted {
+            key: CacheKey::of(request),
+            result: result.clone(),
             origin,
             within: request.within(),
             bound,
-            signature: result
-                .ranked
-                .iter()
-                .fold(0, |signature, r| signature | signature_bit(r.user)),
-            members: result.ranked.iter().map(|r| r.user).collect(),
-            last_used: cache.tick,
-        };
-        cache.insert(key, guard, result.clone());
+        });
+        let mut cache = self.cache.lock().expect(UNPOISONED);
+        if checkpoint < cache.log.start {
+            return;
+        }
+        cache.tick += 1;
+        let last_used = cache.tick;
+        cache.insert(Slot {
+            admitted,
+            checkpoint,
+            last_used,
+        });
         while cache.len() > capacity {
             cache.evict_lru();
         }
     }
 
-    /// Churn hook: `user` moved to `location` (or lost its location when
-    /// `None`).  Drops exactly the entries whose result could change; see
-    /// the module docs for the admission test.  `dataset` provides the
-    /// spatial normalization so the score lower bound matches what the
-    /// algorithms would compute.
-    pub fn note_location_change(
-        &self,
-        user: UserId,
-        location: Option<Point>,
-        dataset: &GeoSocialDataset,
-    ) {
-        if self.capacity() == 0 {
-            return;
-        }
-        let mut cache = self.cache.lock().unwrap();
-        let mut dropped = 0;
-        for slot in 0..cache.guards.len() {
-            if !cache.entry_survives_churn(slot, user, location, dataset) {
-                cache.release(slot);
-                dropped += 1;
-            }
-        }
+    /// Churn hook: `user` moved or lost its location.  Appends the mover to
+    /// the churn log, which hits replay; see the module docs.
+    pub(crate) fn note_location_change(&self, user: UserId) {
+        let capacity = self.capacity();
+        let mut cache = self.cache.lock().expect(UNPOISONED);
+        let dropped = cache.log_move(user, capacity);
         cache.invalidations += dropped;
         drop(cache);
         if dropped > 0 {
@@ -627,20 +755,27 @@ impl QueryPlanner {
         request.validate()?;
         engine.dataset().check_user(request.user())?;
         let started = Instant::now();
-        if let Some(mut result) = self.cache_lookup(request) {
-            result.stats = QueryStats {
-                cache_hits: 1,
-                runtime: started.elapsed(),
-                ..QueryStats::default()
-            };
-            return Ok(Box::new(EagerDriver::new(result)));
-        }
+        let (checkpoint, mut prior) = if self.capacity() == 0 {
+            (0, QueryStats::default())
+        } else {
+            match self.lookup(engine, request, ctx) {
+                Lookup::Hit(mut result) => {
+                    result.stats.cache_hits = 1;
+                    result.stats.runtime = started.elapsed();
+                    return Ok(Box::new(EagerDriver::new(result)));
+                }
+                Lookup::Miss { checkpoint, work } => (checkpoint, work),
+            }
+        };
+        prior.runtime = started.elapsed();
         let (algorithm, _reason) = self.choose(engine, request);
         Ok(Box::new(PlannedDriver {
             inner: driver::start(algorithm, engine, request, ctx)?,
             planner: self,
             request: request.clone(),
             origin: request.resolved_origin(engine.dataset()),
+            checkpoint,
+            prior,
         }))
     }
 
@@ -657,6 +792,10 @@ struct PlannedDriver<'a> {
     planner: &'a QueryPlanner,
     request: QueryRequest,
     origin: Option<Point>,
+    /// The churn-log position when the query started.
+    checkpoint: u64,
+    /// The lookup's own work: a replay that dropped the entry, and time.
+    prior: QueryStats,
 }
 
 impl QueryDriver for PlannedDriver<'_> {
@@ -673,13 +812,16 @@ impl QueryDriver for PlannedDriver<'_> {
     }
 
     fn stats(&self) -> QueryStats {
-        self.inner.stats()
+        let mut stats = self.inner.stats();
+        stats.absorb(&self.prior);
+        stats
     }
 
     fn take_result(&mut self) -> Result<QueryResult, CoreError> {
-        let result = self.inner.take_result()?;
+        let mut result = self.inner.take_result()?;
         self.planner
-            .cache_admit(&self.request, self.origin, &result);
+            .admit(&self.request, self.origin, self.checkpoint, &result);
+        result.stats.absorb(&self.prior);
         Ok(result)
     }
 }
@@ -687,8 +829,8 @@ impl QueryDriver for PlannedDriver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QueryRequestBuilder;
-    use ssrq_graph::GraphBuilder;
+    use crate::{GeoSocialDataset, QueryRequestBuilder};
+    use ssrq_graph::{GraphBuilder, LandmarkSelection};
 
     /// Six users on a social line, placed at x = 0, 0.2, …, 1 on the x axis:
     /// the bounds' diagonal is 1, so a normalized spatial distance equals
@@ -704,6 +846,8 @@ mod tests {
     /// Where user 0, the query user of every request below, stands.
     const ORIGIN: Point = Point::ORIGIN;
 
+    /// A result as if computed by a search that settled the whole graph, so
+    /// the replay's cap never trips unless a test lowers it.
     fn result(k: usize, members: &[(UserId, f64)]) -> QueryResult {
         QueryResult {
             ranked: members
@@ -717,21 +861,71 @@ mod tests {
                 .collect(),
             k,
             degraded: false,
-            stats: QueryStats::default(),
+            stats: QueryStats {
+                social_pops: 6,
+                ..QueryStats::default()
+            },
         }
     }
 
-    /// A full top-2 at α = 0.5: members 1 and 2, admission bound
-    /// `f_k` = 0.25, which a non-member reaches at distance 0.5.
-    const FULL: [(UserId, f64); 2] = [(1, 0.15), (2, 0.25)];
+    /// The true top-2 at α = 0.5, as far as the replay reads it: members 1
+    /// and 2, admission bound `f_k` = 0.4.  A non-member's lower bound
+    /// `(1 − α) · d` reaches it at distance 0.8.
+    const FULL: [(UserId, f64); 2] = [(1, 0.2), (2, 0.4)];
 
     fn request() -> QueryRequestBuilder {
         QueryRequest::for_user(0).k(2).alpha(0.5)
     }
 
-    /// Admits `members` as the answer to `request` evaluated from `origin`,
-    /// applies one location change and reports whether the entry is still
-    /// served.
+    fn at(x: f64) -> Option<Point> {
+        Some(Point::new(x, 0.0))
+    }
+
+    /// An engine over [`dataset`] whose planner caches `answer` for
+    /// `request`, evaluated from `origin`.
+    fn engine_caching(
+        request: &QueryRequest,
+        origin: Option<Point>,
+        answer: &QueryResult,
+    ) -> GeoSocialEngine {
+        let engine = GeoSocialEngine::builder(dataset()).build().unwrap();
+        engine.planner().admit(request, origin, 0, answer);
+        engine
+    }
+
+    fn relocate(engine: &mut GeoSocialEngine, mover: UserId, to: Option<Point>) {
+        match to {
+            Some(p) => engine.update_location(mover, p).unwrap(),
+            None => engine.remove_location(mover).unwrap(),
+        }
+    }
+
+    /// The cached answer to `request` with its replay's work, or `None`
+    /// when the lookup missed.
+    fn lookup(engine: &GeoSocialEngine, request: &QueryRequest) -> Option<QueryResult> {
+        match engine
+            .planner()
+            .lookup(engine, request, &mut QueryContext::new())
+        {
+            Lookup::Hit(result) => Some(result),
+            Lookup::Miss { .. } => None,
+        }
+    }
+
+    /// Caches `members` as the answer to `request` evaluated from `origin`,
+    /// applies one location change and returns the lookup's answer.
+    fn replay(
+        request: &QueryRequest,
+        origin: Option<Point>,
+        members: &[(UserId, f64)],
+        mover: UserId,
+        to: Option<Point>,
+    ) -> Option<QueryResult> {
+        let mut engine = engine_caching(request, origin, &result(request.k(), members));
+        relocate(&mut engine, mover, to);
+        lookup(&engine, request)
+    }
+
     fn survives(
         request: &QueryRequest,
         origin: Option<Point>,
@@ -739,14 +933,7 @@ mod tests {
         mover: UserId,
         to: Option<Point>,
     ) -> bool {
-        let planner = QueryPlanner::new(PlannerConfig { cache_capacity: 8 });
-        planner.cache_admit(request, origin, &result(request.k(), members));
-        planner.note_location_change(mover, to, &dataset());
-        planner.cache_lookup(request).is_some()
-    }
-
-    fn at(x: f64) -> Option<Point> {
-        Some(Point::new(x, 0.0))
+        replay(request, origin, members, mover, to).is_some()
     }
 
     #[test]
@@ -757,8 +944,8 @@ mod tests {
 
     #[test]
     fn query_user_move_keeps_an_explicit_origin_entry() {
-        // At 0.1 the lower bound 0.05 is under the bound: only the pinned
-        // origin keeps the entry.
+        // The query user never appears in its own result, and the pinned
+        // origin keeps every other distance.
         let request = request().origin(ORIGIN).build().unwrap();
         assert!(survives(&request, Some(ORIGIN), &FULL, 0, at(0.1)));
     }
@@ -772,9 +959,12 @@ mod tests {
 
     #[test]
     fn excluded_mover_keeps_the_entry() {
-        let request = request().exclude([3]).build().unwrap();
-        assert!(survives(&request, Some(ORIGIN), &FULL, 3, at(0.05)));
-        assert!(!survives(&request, Some(ORIGIN), &FULL, 4, at(0.05)));
+        // At 0.05 user 3 scores 0.5 · 0.6 + 0.5 · 0.05 = 0.325 < 0.4: it
+        // enters unless excluded.
+        let excluding = request().exclude([3]).build().unwrap();
+        assert!(survives(&excluding, Some(ORIGIN), &FULL, 3, at(0.05)));
+        let plain = request().build().unwrap();
+        assert!(!survives(&plain, Some(ORIGIN), &FULL, 3, at(0.05)));
     }
 
     #[test]
@@ -787,17 +977,68 @@ mod tests {
     }
 
     #[test]
-    fn lower_bound_tying_the_bound_drops_the_entry() {
+    fn exact_score_tying_the_bound_drops_the_entry() {
         let request = request().build().unwrap();
-        let tie = (1.0 - 0.5) * dataset().normalize_spatial(0.5);
-        assert_eq!(tie, FULL[1].1);
-        assert!(!survives(&request, Some(ORIGIN), &FULL, 4, at(0.5)));
+        let ds = dataset();
+        let tie = combine(0.5, ds.normalize_social(3.0), ds.normalize_spatial(0.1));
+        assert!(!survives(
+            &request,
+            Some(ORIGIN),
+            &[(1, 0.2), (2, tie)],
+            3,
+            at(0.1)
+        ));
+        let under = f64::from_bits(tie.to_bits() - 1);
+        assert!(survives(
+            &request,
+            Some(ORIGIN),
+            &[(1, 0.2), (2, under)],
+            3,
+            at(0.1)
+        ));
     }
 
     #[test]
     fn lower_bound_strictly_above_the_bound_keeps_the_entry() {
         let request = request().build().unwrap();
-        assert!(survives(&request, Some(ORIGIN), &FULL, 4, at(0.6)));
+        let hit = replay(&request, Some(ORIGIN), &FULL, 4, at(0.9)).unwrap();
+        assert_eq!(hit.stats, QueryStats::default(), "no search was needed");
+    }
+
+    /// An engine caching `answer` for `request` whose one landmark is an
+    /// inner vertex of the line, so it bounds user 0's distance to user 5
+    /// by at most 3 of the 5 hops: deciding user 5 takes a search.
+    fn engine_searching(request: &QueryRequest, answer: &QueryResult) -> GeoSocialEngine {
+        let engine = GeoSocialEngine::builder(dataset())
+            .landmarks(1)
+            .landmark_selection(LandmarkSelection::HighestDegree)
+            .build()
+            .unwrap();
+        engine.planner().admit(request, Some(ORIGIN), 0, answer);
+        engine
+    }
+
+    #[test]
+    fn socially_distant_mover_is_cleared_by_the_exact_check() {
+        // Near the origin, but 5 hops away: 0.5 · 1 + 0.5 · 0.05 > 0.4.
+        let request = request().build().unwrap();
+        let mut engine = engine_searching(&request, &result(2, &FULL));
+        relocate(&mut engine, 5, at(0.05));
+        let hit = lookup(&engine, &request).unwrap();
+        assert_eq!(hit.users(), vec![1, 2]);
+        assert_eq!(hit.stats.distance_calls, 1);
+        assert!(hit.stats.social_pops > 0 && hit.stats.relaxed_edges > 0);
+    }
+
+    #[test]
+    fn a_replay_costlier_than_the_cached_search_drops_the_entry() {
+        let request = request().build().unwrap();
+        let mut cheap = result(2, &FULL);
+        cheap.stats.social_pops = 1;
+        let mut engine = engine_searching(&request, &cheap);
+        relocate(&mut engine, 5, at(0.05));
+        assert_eq!(lookup(&engine, &request), None);
+        assert_eq!(engine.planner().snapshot().cache_invalidations, 1);
     }
 
     #[test]
@@ -812,18 +1053,69 @@ mod tests {
         assert!(survives(&request, None, &[], 4, at(0.05)));
     }
 
+    fn log_end(engine: &GeoSocialEngine) -> u64 {
+        engine.planner().cache.lock().unwrap().log.end()
+    }
+
     #[test]
     fn a_reused_slot_misses_under_its_old_key() {
-        let planner = QueryPlanner::new(PlannerConfig { cache_capacity: 8 });
         let old = request().build().unwrap();
         let new = request().k(3).build().unwrap();
-        planner.cache_admit(&old, Some(ORIGIN), &result(2, &FULL));
-        planner.note_location_change(0, at(0.1), &dataset());
+        let mut engine = engine_caching(&old, Some(ORIGIN), &result(2, &FULL));
+        relocate(&mut engine, 0, at(0.1));
+        assert_eq!(lookup(&engine, &old), None);
         let answer = result(3, &[(3, 0.1)]);
-        planner.cache_admit(&new, Some(ORIGIN), &answer);
-        assert_eq!(planner.cache.lock().unwrap().guards.len(), 1, "slot reused");
-        assert_eq!(planner.cache_lookup(&old), None);
-        assert_eq!(planner.cache_lookup(&new), Some(answer));
+        let planner = engine.planner();
+        planner.admit(&new, Some(ORIGIN), log_end(&engine), &answer);
+        assert_eq!(planner.cache.lock().unwrap().slots.len(), 1, "slot reused");
+        assert_eq!(lookup(&engine, &old), None);
+        let hit = lookup(&engine, &new).unwrap();
+        assert_eq!(hit.ranked, answer.ranked);
         assert_eq!(planner.cache_len(), 1);
+    }
+
+    #[test]
+    fn the_log_is_empty_while_the_cache_is() {
+        let request = request().build().unwrap();
+        let mut engine = engine_caching(&request, Some(ORIGIN), &result(2, &FULL));
+        relocate(&mut engine, 5, at(0.9));
+        assert_eq!(engine.planner().snapshot().churn_log_len, 1);
+        engine.planner().set_cache_capacity(0);
+        engine.planner().set_cache_capacity(8);
+        relocate(&mut engine, 5, at(1.0));
+        let snapshot = engine.planner().snapshot();
+        assert_eq!((snapshot.cache_len, snapshot.churn_log_len), (0, 0));
+        // An answer whose query started before that move is not admitted.
+        let started = log_end(&engine) - 1;
+        let planner = engine.planner();
+        planner.admit(&request, Some(ORIGIN), started, &result(2, &FULL));
+        assert_eq!(planner.cache_len(), 0);
+    }
+
+    #[test]
+    fn a_full_log_drops_the_entries_holding_its_older_half() {
+        let stale = request().build().unwrap();
+        let recent = request().k(3).build().unwrap();
+        let mut engine = engine_caching(&stale, Some(ORIGIN), &result(2, &FULL));
+        engine.planner().set_cache_capacity(4);
+        relocate(&mut engine, 5, at(0.9));
+        relocate(&mut engine, 5, at(1.0));
+        let answer = result(3, &[(1, 0.2), (2, 0.4), (3, 0.6)]);
+        let checkpoint = log_end(&engine);
+        engine
+            .planner()
+            .admit(&recent, Some(ORIGIN), checkpoint, &answer);
+        for step in 0..3 {
+            relocate(&mut engine, 4, at(0.9 + 0.01 * f64::from(step)));
+            assert!(engine.planner().snapshot().churn_log_len <= 4);
+        }
+        // The fifth move found the log full: the stale entry, holding all
+        // five, went; the recent one holds only the last three.
+        let snapshot = engine.planner().snapshot();
+        assert_eq!(snapshot.cache_len, 1);
+        assert_eq!(snapshot.churn_log_len, 3);
+        assert_eq!(snapshot.cache_invalidations, 1);
+        assert!(lookup(&engine, &recent).is_some());
+        assert_eq!(lookup(&engine, &stale), None);
     }
 }
