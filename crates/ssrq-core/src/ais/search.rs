@@ -136,7 +136,10 @@ impl<'a> AisDriver<'a> {
         dataset.check_user(request.user())?;
         let start = Instant::now();
         let ctx = RankingContext::new(dataset, request);
-        let query_location = request.resolved_origin(dataset);
+        // Without an origin no candidate has a finite score: no node is
+        // pushed and the first step completes with the empty answer.  (The
+        // engine answers such a query before starting any driver.)
+        let origin = ctx.origin();
         let query_vector: Vec<f64> = landmarks.vector(request.user()).to_vec();
         let mut driver = AisDriver {
             topk: TopK::for_request(request),
@@ -148,8 +151,7 @@ impl<'a> AisDriver<'a> {
                 &mut qctx.social,
             ),
             heap: BinaryHeap::new(),
-            // Placeholder for the unlocated case; replaced below otherwise.
-            query_location: Point::new(0.0, 0.0),
+            query_location: origin.unwrap_or(Point::ORIGIN),
             dataset,
             index,
             landmarks,
@@ -163,27 +165,12 @@ impl<'a> AisDriver<'a> {
             result: None,
             done: false,
         };
-        let Some(query_location) = query_location else {
-            // A query user without a location sees every candidate at
-            // infinite spatial distance; with α < 1 no candidate has a
-            // finite score.
-            driver.stats.runtime = driver.start.elapsed();
-            driver.result = Some(Ok(QueryResult {
-                ranked: Vec::new(),
-                k: request.k(),
-                degraded: false,
-                stats: driver.stats,
-            }));
-            driver.done = true;
-            return Ok(driver);
-        };
-        driver.query_location = query_location;
-        for node in index.grid().top_nodes() {
+        for node in index.grid().top_nodes().filter(|_| origin.is_some()) {
             let key = node_lower_bound(
                 index,
                 &driver.ctx,
                 node,
-                query_location,
+                driver.query_location,
                 &driver.query_vector,
             );
             if key.is_finite() {

@@ -221,7 +221,7 @@ where
                 spatial: spatial_norm,
             });
         }
-        let theta = self.request.alpha() * self.ctx.normalize_social(raw_social);
+        let theta = self.ctx.stop_bound(raw_social);
         self.topk.raise_threshold(theta);
         if theta >= self.topk.fk() {
             return self.complete();

@@ -1,3 +1,23 @@
+//! The Social First Approach (SFA, §4.1) and its CH baseline.
+//!
+//! SFA visits users in increasing social distance from the query user and
+//! scores each one on the spot.  It stops when the threshold
+//! `θ = combine(α, p(v_q, v_last), d⁻)` reaches `f_k`: every unseen user is
+//! socially at least `p(v_q, v_last)` away and, if it is admissible and
+//! located in this engine, spatially at least `d⁻` away — `d⁻` being the
+//! distance from the origin to the engine's located box intersected with
+//! the request's window
+//! ([`RankingContext::stop_bound`](crate::RankingContext::stop_bound)).
+//! This is Fagin, Lotem and Naor's threshold over both attributes.
+//!
+//! On one engine whose query user is located (and no window or explicit
+//! origin lies elsewhere) `d⁻ = 0`, so `θ` is bit-identical to the paper's
+//! `α · p(v_q, v_last)` and so are the answer, the settle order and every
+//! counter.  On a shard that does not hold the origin, `d⁻ > 0` and the
+//! search stops once no remaining user can score below `f_k`, instead of
+//! repeating the owner's social search out to the same radius.  The same
+//! test ends SFA-CH's scan and SFA-Cached's list walk.
+
 use crate::driver::{drain_new_finalized, QueryDriver, StepOutcome};
 use crate::{
     CoreError, GeoSocialDataset, QueryContext, QueryRequest, QueryResult, QueryStats, RankedUser,
@@ -9,9 +29,10 @@ use std::time::Instant;
 /// The Social First Approach (SFA, §4.1) as a resumable state machine.
 ///
 /// Each [`QueryDriver::step`] settles one vertex of the query-rooted social
-/// Dijkstra expansion and evaluates it on the spot; the social-only lower
-/// bound `θ = α · p(v_q, v_last)` finalizes result entries as it rises, so
-/// the driver emits top-k entries long before the search terminates.
+/// Dijkstra expansion and evaluates it on the spot; the lower bound
+/// `θ = combine(α, p(v_q, v_last), d⁻)` (see the module notes) finalizes
+/// result entries as it rises, so the driver emits top-k entries long
+/// before the search terminates.
 #[derive(Debug)]
 pub struct SfaDriver<'a> {
     dataset: &'a GeoSocialDataset,
@@ -98,9 +119,10 @@ impl QueryDriver for SfaDriver<'_> {
             });
         }
         // Termination: every unseen user is at least as far socially as the
-        // last settled vertex — which also makes θ a finalization bound for
-        // the entries already held.
-        let theta = self.request.alpha() * self.ctx.normalize_social(raw_social);
+        // last settled vertex, and at least `d⁻` away spatially if it can
+        // score at all — which also makes θ a finalization bound for the
+        // entries already held.
+        let theta = self.ctx.stop_bound(raw_social);
         self.topk.raise_threshold(theta);
         if theta >= self.topk.fk() {
             return self.complete();
@@ -140,8 +162,10 @@ impl QueryDriver for SfaDriver<'_> {
 /// Users are processed in increasing social distance from the query user by
 /// expanding the social graph with Dijkstra's algorithm.  For every settled
 /// vertex the Euclidean distance (and hence the ranking value) is computed
-/// directly.  The search stops when the social-only lower bound
-/// `θ = α · p(v_q, v_last)` reaches the current threshold `f_k`.
+/// directly.  The search stops when the lower bound
+/// `θ = combine(α, p(v_q, v_last), d⁻)` reaches the current threshold `f_k`
+/// (`d⁻ = 0` on an engine holding the query user's location: the paper's
+/// `θ = α · p(v_q, v_last)`).
 ///
 /// This is the eager wrapper over [`SfaDriver`]: it runs the exact same
 /// state machine to completion in a tight loop.
@@ -293,7 +317,7 @@ impl QueryDriver for SfaChDriver<'_> {
                         spatial: spatial_norm,
                     });
                 }
-                let theta = self.request.alpha() * self.ctx.normalize_social(raw_social);
+                let theta = self.ctx.stop_bound(raw_social);
                 self.topk.raise_threshold(theta);
                 if theta >= self.topk.fk() {
                     return self.complete();

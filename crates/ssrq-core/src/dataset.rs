@@ -42,10 +42,25 @@ struct DatasetCore {
 /// they copy only the `O(|V|)` location entries, never the graph — so a
 /// sharded deployment over N partitions holds exactly one graph in memory.
 /// [`GeoSocialDataset::shares_core_with`] tests core identity.
+///
+/// # The located box
+///
+/// Each instance also keeps [`GeoSocialDataset::located_bounds`], a
+/// rectangle that contains every location the instance holds.  It is exact
+/// when the instance is made ([`GeoSocialDataset::new`],
+/// [`GeoSocialDataset::restrict_locations`]) and only ever *grows*
+/// afterwards: [`GeoSocialDataset::set_location`] widens it to take a new
+/// location in and never shrinks it when one leaves.  So reading it is
+/// `O(1)`, and it stays a valid region for a lower bound (no location of
+/// the instance lies outside it) under any churn — the spatial half of
+/// SFA's stop test (see [`RankingContext`](crate::RankingContext)).
 #[derive(Debug, Clone)]
 pub struct GeoSocialDataset {
     core: Arc<DatasetCore>,
     locations: Vec<Option<Point>>,
+    /// Contains every `Some` of `locations`; `None` only while the instance
+    /// has never held a location.  Grows on writes, never shrinks.
+    located_bounds: Option<Rect>,
 }
 
 impl GeoSocialDataset {
@@ -91,6 +106,7 @@ impl GeoSocialDataset {
                 social_norm,
             }),
             locations,
+            located_bounds: Some(bounds),
         })
     }
 
@@ -137,6 +153,14 @@ impl GeoSocialDataset {
     /// Bounding rectangle of all user locations.
     pub fn bounds(&self) -> Rect {
         self.core.bounds
+    }
+
+    /// A rectangle containing every location this instance holds: exact
+    /// when the instance was made, grown by every later location write and
+    /// never shrunk (see the type-level notes).  `None` when the instance
+    /// has never held a location.
+    pub fn located_bounds(&self) -> Option<Rect> {
+        self.located_bounds
     }
 
     /// The spatial normalization constant (maximum possible pairwise
@@ -215,7 +239,7 @@ impl GeoSocialDataset {
     /// type-level ownership notes): only the location vector is copied, so
     /// N shards cost `N · O(|V|)` location entries plus a single graph.
     pub fn restrict_locations(&self, mut keep: impl FnMut(UserId) -> bool) -> GeoSocialDataset {
-        let locations = self
+        let locations: Vec<Option<Point>> = self
             .locations
             .iter()
             .enumerate()
@@ -223,12 +247,15 @@ impl GeoSocialDataset {
             .collect();
         GeoSocialDataset {
             core: Arc::clone(&self.core),
+            located_bounds: Rect::bounding(locations.iter().flatten().copied()),
             locations,
         }
     }
 
     /// Replaces the location of `user` (the "last reported location" of the
-    /// problem setting).  Passing `None` removes the location.
+    /// problem setting).  Passing `None` removes the location.  A new
+    /// location widens [`GeoSocialDataset::located_bounds`]; a removed one
+    /// leaves it as it is.
     ///
     /// Note: this mutates only the dataset; engines built from a clone of
     /// the dataset maintain their own indexes via
@@ -241,6 +268,10 @@ impl GeoSocialDataset {
                     "non-finite location {p}"
                 )));
             }
+            self.located_bounds = Some(match self.located_bounds {
+                Some(rect) => rect.including(p),
+                None => Rect { min: p, max: p },
+            });
         }
         self.locations[user as usize] = location;
         Ok(())
@@ -364,6 +395,27 @@ mod tests {
         assert!(shard.shares_core_with(&ds));
         assert!(empty.shares_core_with(&ds));
         assert!(shard.shares_core_with(&empty));
+    }
+
+    #[test]
+    fn located_bounds_are_exact_when_made_and_only_grow() {
+        let rect = |x0, y0, x1, y1| Rect::new(Point::new(x0, y0), Point::new(x1, y1));
+        let mut ds = sample_dataset();
+        assert_eq!(ds.located_bounds(), Some(ds.bounds()));
+        let shard = ds.restrict_locations(|u| u == 1);
+        assert_eq!(shard.located_bounds(), Some(rect(3.0, 4.0, 3.0, 4.0)));
+        ds.set_location(2, Some(Point::new(-1.0, 9.0))).unwrap();
+        assert_eq!(ds.located_bounds(), Some(rect(-1.0, 0.0, 6.0, 9.0)));
+        // Removals and rejected writes leave it as it is.
+        ds.set_location(2, None).unwrap();
+        ds.set_location(3, None).unwrap();
+        assert!(ds.set_location(0, Some(Point::new(f64::NAN, 0.0))).is_err());
+        assert_eq!(ds.located_bounds(), Some(rect(-1.0, 0.0, 6.0, 9.0)));
+        // An empty view has no box until its first location arrives.
+        let mut empty = ds.restrict_locations(|_| false);
+        assert_eq!(empty.located_bounds(), None);
+        empty.set_location(0, Some(Point::new(2.0, 2.0))).unwrap();
+        assert_eq!(empty.located_bounds(), Some(rect(2.0, 2.0, 2.0, 2.0)));
     }
 
     #[test]

@@ -122,6 +122,12 @@ pub(crate) fn drain_new_finalized(topk: &TopK, emitted: &mut usize, out: &mut Ve
 /// place the twelve paper algorithms are told apart.  An index-backed
 /// algorithm builds its declared index here on first use.
 ///
+/// A query with no spatial origin (no explicit origin, and a query user
+/// without a location) sees every candidate at infinite spatial distance,
+/// so no candidate has a finite score: it completes with the empty answer
+/// before any search.  Only the [`Algorithm::Exhaustive`] oracle still
+/// scans, so it keeps checking that claim.
+///
 /// # Errors
 ///
 /// [`CoreError::MissingIndex`] for an index the engine does not declare;
@@ -139,6 +145,18 @@ pub(crate) fn start<'a>(
     ctx: &'a mut QueryContext,
 ) -> Result<Box<dyn QueryDriver + 'a>, CoreError> {
     let dataset = engine.dataset();
+    if algorithm != Algorithm::Exhaustive && request.resolved_origin(dataset).is_none() {
+        // The same errors, in the same order, as the drivers below report.
+        engine.ready(algorithm)?;
+        request.validate()?;
+        dataset.check_user(request.user())?;
+        return Ok(Box::new(EagerDriver::new(QueryResult {
+            ranked: Vec::new(),
+            k: request.k(),
+            degraded: false,
+            stats: QueryStats::default(),
+        })));
+    }
     let tsa = |quick_combine, ch_phase2| TsaOptions {
         quick_combine,
         landmarks: Some(engine.landmarks()),

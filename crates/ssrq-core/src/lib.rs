@@ -112,7 +112,7 @@ pub use engine::{Algorithm, EngineBuilder, EngineMemory, GeoSocialEngine, IndexP
 pub use error::CoreError;
 pub use planner::{ChoiceReason, PlannerConfig, PlannerSnapshot, QueryPlanner};
 pub use query::{QueryResult, RankedUser};
-pub use ranking::{combine, RankingContext};
+pub use ranking::{combine, RankingContext, ScoreFloor};
 pub use request::{QueryRequest, QueryRequestBuilder};
 pub use result::TopK;
 pub use session::{QuerySession, QueryStream};

@@ -1,5 +1,25 @@
+//! The ranking function (Equation 1) and the bounds built on it.
+//!
+//! [`combine`] is the paper's `f = α · p + (1 − α) · d`.  Every lower bound
+//! in the system is `combine` over lower bounds of the two distances, and
+//! the one that holds for a whole *region* of users — "no admissible user
+//! located inside this rectangle scores below X" — is [`ScoreFloor`].  Two
+//! places read it:
+//!
+//! * the scatter's shard skip (`ssrq_shard::shard_score_lower_bound`), with
+//!   the shard's rectangle and a social bound of `0`;
+//! * SFA's stop test (SFA, SFA-CH's scan, SFA-Cached), through
+//!   [`RankingContext::stop_bound`], with the dataset view's
+//!   [located box](GeoSocialDataset::located_bounds) and the social
+//!   distance of the last settled vertex.
+//!
+//! The paper's SFA stops at `θ = α · p(v_q, v_last) ≥ f_k`, which is
+//! Fagin, Lotem and Naor's TA threshold with the spatial attribute's bound
+//! left at `0`; the floor supplies that bound (see the `sfa` module for why
+//! the two agree bit for bit on one engine whose query user is located).
+
 use crate::{GeoSocialDataset, QueryRequest, UserId};
-use ssrq_spatial::Point;
+use ssrq_spatial::{Point, Rect};
 
 /// Combines a normalized social distance and a normalized spatial distance
 /// into the SSRQ ranking value `f = α · p + (1 − α) · d` (Equation 1 of the
@@ -12,6 +32,60 @@ use ssrq_spatial::Point;
 #[inline]
 pub fn combine(alpha: f64, social_norm: f64, spatial_norm: f64) -> f64 {
     alpha * social_norm + (1.0 - alpha) * spatial_norm
+}
+
+/// A lower bound on the score of every admissible user located inside a
+/// region: `combine(α, social_lb, d⁻)`, where `d⁻` is the normalized
+/// distance from the origin to the part of the region the request's
+/// `within` window leaves (`INFINITY` when there is no region, no origin or
+/// no such part).
+///
+/// Users without a location score `INFINITY`, so the bound holds for them
+/// too.  It is monotone in every input the way the exact score is: for a
+/// user located at `p` inside the region, `spatial() ≤ origin.distance(p) /
+/// spatial_norm` bit for bit, because [`Rect::min_distance`] rounds the
+/// same differences the same way.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScoreFloor {
+    alpha: f64,
+    spatial: f64,
+}
+
+impl ScoreFloor {
+    /// The floor of the admissible users of `request` inside `region`, seen
+    /// from `origin`.
+    pub fn new(
+        request: &QueryRequest,
+        region: Option<Rect>,
+        origin: Option<Point>,
+        spatial_norm: f64,
+    ) -> Self {
+        let admissible = match request.within() {
+            Some(window) => region.and_then(|r| r.intersection(&window)),
+            None => region,
+        };
+        let spatial = match (origin, admissible) {
+            (Some(origin), Some(rect)) => rect.min_distance(origin) / spatial_norm,
+            _ => f64::INFINITY,
+        };
+        ScoreFloor {
+            alpha: request.alpha(),
+            spatial,
+        }
+    }
+
+    /// The spatial half `d⁻`, normalized.
+    #[inline]
+    pub fn spatial(&self) -> f64 {
+        self.spatial
+    }
+
+    /// No admissible user of the region whose normalized social distance is
+    /// at least `social_lb` scores below this.
+    #[inline]
+    pub fn at(&self, social_lb: f64) -> f64 {
+        combine(self.alpha, social_lb, self.spatial)
+    }
 }
 
 /// Per-query helper bundling the dataset, the query user and `α`, and
@@ -29,17 +103,27 @@ pub struct RankingContext<'a> {
     /// then infinite.
     origin: Option<Point>,
     alpha: f64,
+    /// The floor of this dataset view's admissible users (its located box
+    /// ∩ the request's window), resolved once per query.
+    floor: ScoreFloor,
 }
 
 impl<'a> RankingContext<'a> {
     /// Creates a ranking context for one query, resolving the spatial
     /// origin once (see [`QueryRequest::resolved_origin`]).
     pub fn new(dataset: &'a GeoSocialDataset, request: &QueryRequest) -> Self {
+        let origin = request.resolved_origin(dataset);
         RankingContext {
             dataset,
             query_user: request.user(),
-            origin: request.resolved_origin(dataset),
+            origin,
             alpha: request.alpha(),
+            floor: ScoreFloor::new(
+                request,
+                dataset.located_bounds(),
+                origin,
+                dataset.spatial_norm(),
+            ),
         }
     }
 
@@ -99,6 +183,24 @@ impl<'a> RankingContext<'a> {
         combine(self.alpha, social_norm, spatial_norm)
     }
 
+    /// The normalized distance `d⁻` from the origin to the box every
+    /// admissible user of this dataset view lies in: `0` when the origin is
+    /// inside it, `INFINITY` without an origin or when the box misses the
+    /// request's window.  Never above [`RankingContext::spatial`] of a
+    /// located user.
+    #[inline]
+    pub fn spatial_floor(&self) -> f64 {
+        self.floor.spatial()
+    }
+
+    /// SFA's stop test: no user socially at least `raw_social` away from
+    /// the query user scores below this (`combine(α, p, d⁻)`; see the
+    /// module notes).
+    #[inline]
+    pub fn stop_bound(&self, raw_social: f64) -> f64 {
+        self.floor.at(self.normalize_social(raw_social))
+    }
+
     /// Lower bound on `f` given lower bounds on the two normalized
     /// distances.
     #[inline]
@@ -111,7 +213,6 @@ impl<'a> RankingContext<'a> {
 mod tests {
     use super::*;
     use ssrq_graph::GraphBuilder;
-    use ssrq_spatial::Point;
 
     fn dataset() -> GeoSocialDataset {
         let graph = GraphBuilder::from_edges(3, vec![(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
@@ -155,6 +256,33 @@ mod tests {
         let (f, _, spatial) = ctx.score_from_raw_social(2, 2.0);
         assert!(spatial.is_infinite());
         assert!(f.is_infinite());
+    }
+
+    #[test]
+    fn score_floor_clips_the_region_to_the_window() {
+        let region = Some(Rect::new(Point::new(1.0, 0.0), Point::new(2.0, 1.0)));
+        let request = |within: Option<Rect>| {
+            let builder = QueryRequest::for_user(0).alpha(0.5);
+            match within {
+                Some(w) => builder.within(w).build().unwrap(),
+                None => builder.build().unwrap(),
+            }
+        };
+        let at = |x, y| Some(Point::new(x, y));
+        let floor = |within, origin| ScoreFloor::new(&request(within), region, origin, 2.0);
+        // Inside the region the floor is the social half alone.
+        assert_eq!(floor(None, at(1.5, 0.5)).spatial(), 0.0);
+        assert_eq!(floor(None, at(1.5, 0.5)).at(0.4), 0.5 * 0.4);
+        assert_eq!(floor(None, at(0.0, 0.0)).spatial(), 0.5);
+        // The window leaves x ≥ 1.5 of the region.
+        let window = Some(Rect::new(Point::new(1.5, -1.0), Point::new(9.0, 9.0)));
+        assert_eq!(floor(window, at(0.0, 0.0)).spatial(), 0.75);
+        // No origin, no region, or a window that misses it: nobody scores.
+        let missing = Some(Rect::new(Point::new(5.0, 5.0), Point::new(6.0, 6.0)));
+        assert_eq!(floor(None, None).at(0.0), f64::INFINITY);
+        assert_eq!(floor(missing, at(0.0, 0.0)).at(0.0), f64::INFINITY);
+        let nowhere = ScoreFloor::new(&request(None), None, at(0.0, 0.0), 2.0);
+        assert_eq!(nowhere.at(0.0), f64::INFINITY);
     }
 
     #[test]

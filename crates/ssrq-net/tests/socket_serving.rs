@@ -199,6 +199,38 @@ fn remote_coordinator_matches_the_in_process_engine() {
 }
 
 #[test]
+fn an_unlocated_query_user_is_answered_without_a_search_remotely() {
+    // No shard locates the query user and no origin is given: every
+    // candidate is infinitely far, so the answer is empty and no arm may
+    // sweep the graph to find that out.
+    let mut dataset = DatasetConfig::gowalla_like(300).generate();
+    let users = QueryWorkload::generate(&dataset, 2, 9).users;
+    for &user in &users {
+        dataset.set_location(user, None).unwrap();
+    }
+    let cluster = Cluster::start(&dataset, Partitioning::SpatialGrid { cells_per_axis: 8 }, 3);
+    let remote = cluster.connect();
+    for &user in &users {
+        for algorithm in [
+            Algorithm::Sfa,
+            Algorithm::Tsa,
+            Algorithm::Ais,
+            Algorithm::Auto,
+        ] {
+            let request = QueryRequest::for_user(user)
+                .k(5)
+                .alpha(0.4)
+                .algorithm(algorithm)
+                .build()
+                .unwrap();
+            let got = remote.query(&request).expect("remote query");
+            assert!(got.ranked.is_empty(), "{algorithm:?}: {:?}", got.ranked);
+            assert_eq!(got.stats.social_pops, 0, "{algorithm:?} searched the graph");
+        }
+    }
+}
+
+#[test]
 fn the_fk_threshold_crosses_the_wire() {
     let dataset = DatasetConfig::gowalla_like(400).generate();
     let policy = Partitioning::SpatialGrid { cells_per_axis: 8 };

@@ -11,7 +11,7 @@
 //! proved once and holds for both deployments.
 
 use crate::stats::ShardOutcome;
-use ssrq_core::{combine, QueryRequest, QueryResult, RankedUser, TopK};
+use ssrq_core::{QueryRequest, QueryResult, RankedUser, ScoreFloor, TopK};
 use ssrq_spatial::{Point, Rect};
 
 /// What a coordinator does when a shard fails mid-query.
@@ -56,28 +56,20 @@ pub trait ShardTransport {
 }
 
 /// The score lower bound backing every [`ShardTransport::score_lower_bound`]
-/// implementation: `(1 − α) · mindist(origin, rect) / spatial_norm`, or
-/// `INFINITY` for an empty shard (`rect` is `None`), an unlocated origin,
+/// implementation: the [`ScoreFloor`] of the shard's rectangle at a social
+/// bound of `0` — `(1 − α) · mindist(origin, rect ∩ window) / spatial_norm`,
+/// or `INFINITY` for an empty shard (`rect` is `None`), an unlocated origin,
 /// or a bounding rectangle disjoint from the request's spatial filter.
+///
+/// Each shard's SFA stop test reads the same floor over its own located box,
+/// so the skip here and the stop there share one arithmetic.
 pub fn shard_score_lower_bound(
     rect: Option<Rect>,
     request: &QueryRequest,
     origin: Option<Point>,
     spatial_norm: f64,
 ) -> f64 {
-    let (Some(origin), Some(rect)) = (origin, rect) else {
-        return f64::INFINITY;
-    };
-    if let Some(window) = request.within() {
-        if !rect.intersects(&window) {
-            return f64::INFINITY;
-        }
-    }
-    combine(
-        request.alpha(),
-        0.0,
-        rect.min_distance(origin) / spatial_norm,
-    )
+    ScoreFloor::new(request, rect, origin, spatial_norm).at(0.0)
 }
 
 /// A shard failure that aborted a [`FailurePolicy::Fail`] scatter.
@@ -379,5 +371,24 @@ mod tests {
         // (1 - 0.5) * mindist(origin, rect) / norm = 0.5 * 5 / 10.
         let bound = shard_score_lower_bound(rect, &base, origin, 10.0);
         assert!((bound - 0.25).abs() < 1e-12);
+        // A window clips the rectangle before the distance is taken: the
+        // nearest admissible point is (4, 4), not the corner (3, 4).
+        let clipped = QueryRequest::for_user(0)
+            .k(2)
+            .alpha(0.5)
+            .within(Rect::new(Point::new(4.0, 0.0), Point::new(9.0, 9.0)))
+            .build_unvalidated();
+        let bound = shard_score_lower_bound(rect, &clipped, origin, 10.0);
+        assert_eq!(bound, 0.5 * (32.0_f64.sqrt() / 10.0));
+        // A window that misses the rectangle rules the shard out.
+        let missed = QueryRequest::for_user(0)
+            .k(2)
+            .alpha(0.5)
+            .within(Rect::new(Point::new(6.0, 0.0), Point::new(9.0, 9.0)))
+            .build_unvalidated();
+        assert_eq!(
+            shard_score_lower_bound(rect, &missed, origin, 10.0),
+            f64::INFINITY
+        );
     }
 }

@@ -87,6 +87,16 @@ impl Rect {
             && self.max.y >= other.min.y
     }
 
+    /// The common part of the two rectangles (boundary inclusive); `None`
+    /// when they do not [intersect](Rect::intersects).
+    #[inline]
+    pub fn intersection(&self, other: &Rect) -> Option<Rect> {
+        self.intersects(other).then(|| Rect {
+            min: self.min.max(other.min),
+            max: self.max.min(other.max),
+        })
+    }
+
     /// Minimum Euclidean distance from `p` to any point of the rectangle.
     ///
     /// Zero when `p` lies inside; otherwise the distance to the closest
@@ -258,6 +268,11 @@ mod tests {
         assert!(a.intersects(&b));
         assert!(b.intersects(&c));
         assert!(!a.intersects(&c));
+        assert_eq!(a.intersection(&b), Some(rect(1.0, 1.0, 2.0, 2.0)));
+        assert_eq!(a.intersection(&c), None);
+        // Touching rectangles share their boundary.
+        let d = rect(2.0, 0.0, 3.0, 1.0);
+        assert_eq!(a.intersection(&d), Some(rect(2.0, 0.0, 2.0, 1.0)));
     }
 
     #[test]

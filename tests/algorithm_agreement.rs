@@ -7,9 +7,9 @@
 //! score-tie group (not just the score sequence), so two results can only
 //! pass as interchangeable when they genuinely report the same users.
 
-use geosocial_ssrq::core::{Algorithm, GeoSocialEngine, QueryRequest};
+use geosocial_ssrq::core::{Algorithm, GeoSocialEngine, QueryRequest, QueryResult};
 use geosocial_ssrq::data::{DatasetConfig, QueryWorkload};
-use geosocial_ssrq::prelude::{Point, Rect};
+use geosocial_ssrq::prelude::{Point, Rect, ShardedEngine};
 
 fn build_engine(users: usize, granularity: u32) -> GeoSocialEngine {
     let dataset = DatasetConfig::gowalla_like(users).with_seed(77).generate();
@@ -211,6 +211,64 @@ fn different_landmark_configurations_do_not_change_results() {
                     "{} disagrees with M = {m}, selection {selection:?}",
                     algorithm.name()
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn an_unlocated_query_user_is_answered_without_a_search() {
+    // Without an origin every candidate sits at infinite spatial distance,
+    // so the answer is empty — and no algorithm but the oracle may sweep
+    // the graph to find that out.  Small graph: the CH build is the
+    // expensive part.
+    let mut dataset = DatasetConfig::gowalla_like(200).with_seed(3).generate();
+    let users = QueryWorkload::generate(&dataset, 3, 5).users;
+    for &user in &users {
+        dataset.set_location(user, None).unwrap();
+    }
+    let engine = GeoSocialEngine::builder(dataset.clone())
+        .with_ch()
+        .cache_social_neighbors(users.clone(), 50)
+        .build()
+        .unwrap();
+    // The shards adopt the engine's graph indexes: one CH build in all.
+    let donor = engine.clone();
+    let sharded = ShardedEngine::builder(dataset)
+        .shards(3)
+        .configure_engines(move |builder| builder.share_graph_artifacts_with(&donor))
+        .build()
+        .unwrap();
+    let bits = |result: &QueryResult| -> Vec<(u32, u64)> {
+        result
+            .ranked
+            .iter()
+            .map(|e| (e.user, e.score.to_bits()))
+            .collect()
+    };
+    for &user in &users {
+        for (k, alpha) in [(1usize, 0.5), (10, 0.3), (10, 0.9)] {
+            let base = request(user, k, alpha);
+            let oracle = engine
+                .run(&base.clone().with_algorithm(Algorithm::Exhaustive))
+                .unwrap();
+            for algorithm in Algorithm::ALL
+                .into_iter()
+                .filter(|&a| a != Algorithm::Exhaustive)
+                .chain([Algorithm::Auto])
+            {
+                let request = base.clone().with_algorithm(algorithm);
+                for (path, result) in [
+                    ("engine", engine.run(&request).unwrap()),
+                    ("sharded", sharded.run(&request).unwrap()),
+                ] {
+                    let name = algorithm.name();
+                    assert_eq!(bits(&result), bits(&oracle), "{name} ({path}, user {user})");
+                    assert_eq!(
+                        result.stats.social_pops, 0,
+                        "{name} ({path}, user {user}) searched the graph"
+                    );
+                }
             }
         }
     }
