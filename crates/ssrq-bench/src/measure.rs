@@ -144,16 +144,6 @@ impl LatencyMeasurement {
             0.0
         }
     }
-
-    /// Fraction of the full run's edge relaxations the prefix needed
-    /// (< 1 when the early exit saves work).
-    pub fn work_ratio(&self) -> f64 {
-        if self.full_relaxed > 0.0 {
-            self.prefix_relaxed / self.full_relaxed
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Measures time-to-first-result: [`measure_prefix`] with `prefix = 1`.
@@ -291,8 +281,12 @@ mod tests {
         assert!(m.full_relaxed > 0.0);
         // A first-result stream never does more search work than the full
         // run, and on a typical workload it does strictly less.
-        assert!(m.prefix_relaxed <= m.full_relaxed);
-        assert!(m.work_ratio() < 1.0, "work ratio {}", m.work_ratio());
+        assert!(
+            m.prefix_relaxed < m.full_relaxed,
+            "prefix relaxed {} of {}",
+            m.prefix_relaxed,
+            m.full_relaxed
+        );
     }
 
     #[test]

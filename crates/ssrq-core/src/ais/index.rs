@@ -253,17 +253,6 @@ impl AisIndex {
         self.grid.node_count() as usize
     }
 
-    /// Fraction of grid nodes carrying a materialised summary (0 for an
-    /// index over an empty shard).  This is the ratio the per-shard memory
-    /// accounting reports: index bytes are proportional to it, not to the
-    /// geometry.
-    pub fn occupancy_ratio(&self) -> f64 {
-        if self.total_cells() == 0 {
-            return 0.0;
-        }
-        self.occupied_cells() as f64 / self.total_cells() as f64
-    }
-
     /// Approximate heap footprint of the index in bytes: the multi-level
     /// grid, the node→slot map and the summaries of **occupied** nodes only
     /// (unoccupied nodes share one empty summary).  The index aggregates
@@ -597,7 +586,6 @@ mod tests {
         // 7 leaves + 7 level-0 parents can be occupied.
         assert_eq!(index.total_cells(), 10_100);
         assert!(index.occupied_cells() <= 14);
-        assert!(index.occupancy_ratio() < 0.002);
         // The footprint reflects occupancy, not geometry: far below the
         // ~2 MiB a dense summary-per-cell layout would cost here.
         assert!(index.approx_heap_bytes() < 16 * 1024);
@@ -614,7 +602,6 @@ mod tests {
         }
         assert_eq!(index.grid().len(), 0);
         assert_eq!(index.occupied_cells(), 0);
-        assert_eq!(index.occupancy_ratio(), 0.0);
         // Every node now answers through the shared empty summary.
         let qvec: Vec<f64> = landmarks.vector(0).to_vec();
         for node_id in 0..index.grid().node_count() {

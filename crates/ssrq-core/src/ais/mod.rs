@@ -8,7 +8,7 @@
 //! best-first branch-and-bound search that quickly zooms into users close in
 //! *both* domains.
 //!
-//! Three variants of the search are exposed (matching the evaluation of the
+//! The engine runs three variants of the search (matching the evaluation of the
 //! paper, Figure 10):
 //!
 //! * **AIS-BID** — the plain search with fresh bidirectional distance
@@ -21,4 +21,4 @@ mod index;
 mod search;
 
 pub use index::{AisIndex, SocialSummary};
-pub use search::{ais_query, AisDriver, AisVariant};
+pub(crate) use search::{ais_query, AisDriver, AisVariant};

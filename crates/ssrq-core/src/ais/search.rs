@@ -13,7 +13,7 @@ use std::time::Instant;
 /// Which optimizations the AIS search applies — the three flavours evaluated
 /// in Figure 10 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AisVariant {
+pub(crate) struct AisVariant {
     /// Sharing mode of the graph-distance submodule (§5.2).
     pub sharing: SharingMode,
     /// Whether the delayed-evaluation strategy (§5.3) is applied.
@@ -23,7 +23,7 @@ pub struct AisVariant {
 impl AisVariant {
     /// AIS-BID: plain bidirectional distance computations, no sharing, no
     /// delayed evaluation.
-    pub fn bid() -> Self {
+    pub(crate) fn bid() -> Self {
         AisVariant {
             sharing: SharingMode::None,
             delayed_evaluation: false,
@@ -31,7 +31,7 @@ impl AisVariant {
     }
 
     /// AIS⁻: computation sharing but no delayed evaluation.
-    pub fn minus() -> Self {
+    pub(crate) fn minus() -> Self {
         AisVariant {
             sharing: SharingMode::Shared,
             delayed_evaluation: false,
@@ -39,7 +39,7 @@ impl AisVariant {
     }
 
     /// AIS: all optimizations.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         AisVariant {
             sharing: SharingMode::Shared,
             delayed_evaluation: true,
@@ -88,7 +88,7 @@ impl Ord for Entry {
 /// exactly.  Pops arrive in non-decreasing key order, so every pop key is a
 /// finalization bound: the driver emits result entries as soon as their
 /// score drops below the best key still in the heap.
-pub struct AisDriver<'a> {
+pub(crate) struct AisDriver<'a> {
     dataset: &'a GeoSocialDataset,
     index: &'a AisIndex,
     landmarks: &'a LandmarkSet,
@@ -124,7 +124,7 @@ impl<'a> AisDriver<'a> {
     ///
     /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for an
     /// invalid request.
-    pub fn new(
+    pub(crate) fn new(
         dataset: &'a GeoSocialDataset,
         index: &'a AisIndex,
         landmarks: &'a LandmarkSet,
@@ -344,10 +344,8 @@ impl QueryDriver for AisDriver<'_> {
 }
 
 /// Runs the AIS branch-and-bound search (Algorithm 2 of the paper) with the
-/// chosen variant.
-///
-/// This is the eager wrapper over [`AisDriver`].
-pub fn ais_query(
+/// chosen variant to completion — the SFA-Cached fallback.
+pub(crate) fn ais_query(
     dataset: &GeoSocialDataset,
     index: &AisIndex,
     landmarks: &LandmarkSet,
@@ -432,9 +430,7 @@ mod tests {
             for &k in &[1usize, 3, 5, 10] {
                 for user in [0u32, 5, 13, 22] {
                     let request = req(user, k, alpha);
-                    let expected =
-                        exhaustive::exhaustive_query(&dataset, &request, &mut QueryContext::new())
-                            .unwrap();
+                    let expected = exhaustive::run(&dataset, &request).unwrap();
                     let got = ais_query(
                         &dataset,
                         &index,

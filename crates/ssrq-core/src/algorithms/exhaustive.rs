@@ -16,7 +16,15 @@ enum ExhaustivePhase {
     Scan { next_user: UserId },
 }
 
-/// The brute-force oracle as a resumable state machine.
+/// The brute-force oracle as a resumable state machine: one full
+/// single-source Dijkstra from the query vertex, then a linear scan over all
+/// users.
+///
+/// This is the correctness oracle used throughout the test suite and the
+/// baseline "no index, no pruning" reference point; it is not part of the
+/// paper's evaluated methods.  Being the oracle, its admission loop *defines*
+/// the semantics of the request filters (spatial window, exclusions, score
+/// cutoff) that every other algorithm must reproduce.
 ///
 /// The oracle carries no incremental threshold — its scan order implies no
 /// bound on unseen users — so it never finalizes an entry before
@@ -25,7 +33,7 @@ enum ExhaustivePhase {
 /// (*drain-after-complete*).  The machine still steps one vertex/user at a
 /// time, so it can be suspended and resumed like every other driver.
 #[derive(Debug)]
-pub struct ExhaustiveDriver<'a> {
+pub(crate) struct ExhaustiveDriver<'a> {
     dataset: &'a GeoSocialDataset,
     request: QueryRequest,
     ctx: RankingContext<'a>,
@@ -45,7 +53,7 @@ impl<'a> ExhaustiveDriver<'a> {
     ///
     /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for an
     /// invalid request.
-    pub fn new(
+    pub(crate) fn new(
         dataset: &'a GeoSocialDataset,
         request: &QueryRequest,
         qctx: &'a mut QueryContext,
@@ -153,22 +161,14 @@ impl QueryDriver for ExhaustiveDriver<'_> {
     }
 }
 
-/// Brute-force SSRQ evaluation: one full single-source Dijkstra from the
-/// query vertex, then a linear scan over all users.
-///
-/// This is the correctness oracle used throughout the test suite and the
-/// baseline "no index, no pruning" reference point; it is not part of the
-/// paper's evaluated methods.  Being the oracle, its admission loop *defines*
-/// the semantics of the request filters (spatial window, exclusions, score
-/// cutoff) that every other algorithm must reproduce.
-///
-/// This is the eager wrapper over [`ExhaustiveDriver`].
-pub fn exhaustive_query(
+/// The oracle's answer to `request`, run to completion on a fresh context:
+/// the reference the other algorithms' unit tests compare against.
+#[cfg(test)]
+pub(crate) fn run(
     dataset: &GeoSocialDataset,
     request: &QueryRequest,
-    qctx: &mut QueryContext,
 ) -> Result<QueryResult, CoreError> {
-    ExhaustiveDriver::new(dataset, request, qctx)?.run_to_completion()
+    ExhaustiveDriver::new(dataset, request, &mut QueryContext::new())?.run_to_completion()
 }
 
 #[cfg(test)]
@@ -214,25 +214,24 @@ mod tests {
         let dataset = tiny_dataset();
         // With a balanced alpha the compromise user u4 (index 3) should beat
         // both the purely-social (u2) and purely-spatial (u5) favourites.
-        let result = exhaustive_query(&dataset, &req(0, 1, 0.5), &mut QueryContext::new()).unwrap();
+        let result = run(&dataset, &req(0, 1, 0.5)).unwrap();
         assert_eq!(result.ranked[0].user, 3);
         // With alpha -> social, the strong friend u2 (index 1) wins.
-        let result = exhaustive_query(&dataset, &req(0, 1, 0.9), &mut QueryContext::new()).unwrap();
+        let result = run(&dataset, &req(0, 1, 0.9)).unwrap();
         assert_eq!(result.ranked[0].user, 1);
         // With alpha -> spatial, the nearest user u5 (index 4) wins.
-        let result = exhaustive_query(&dataset, &req(0, 1, 0.1), &mut QueryContext::new()).unwrap();
+        let result = run(&dataset, &req(0, 1, 0.1)).unwrap();
         assert_eq!(result.ranked[0].user, 4);
     }
 
     #[test]
     fn excludes_the_query_user_and_respects_k() {
         let dataset = tiny_dataset();
-        let result =
-            exhaustive_query(&dataset, &req(0, 10, 0.5), &mut QueryContext::new()).unwrap();
+        let result = run(&dataset, &req(0, 10, 0.5)).unwrap();
         assert_eq!(result.ranked.len(), 4);
         assert!(result.is_complete());
         assert!(result.users().iter().all(|&u| u != 0));
-        let result = exhaustive_query(&dataset, &req(0, 2, 0.5), &mut QueryContext::new()).unwrap();
+        let result = run(&dataset, &req(0, 2, 0.5)).unwrap();
         assert_eq!(result.ranked.len(), 2);
         // Scores are ascending.
         assert!(result.ranked[0].score <= result.ranked[1].score);
@@ -248,7 +247,7 @@ mod tests {
             None,
         ];
         let dataset = GeoSocialDataset::new(graph, locations).unwrap();
-        let result = exhaustive_query(&dataset, &req(0, 4, 0.5), &mut QueryContext::new()).unwrap();
+        let result = run(&dataset, &req(0, 4, 0.5)).unwrap();
         // User 2 is socially unreachable, user 3 additionally lacks a
         // location: both have infinite scores and are excluded.
         assert_eq!(result.users(), vec![1]);
@@ -264,7 +263,7 @@ mod tests {
             .exclude([3])
             .build()
             .unwrap();
-        let result = exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
+        let result = run(&dataset, &request).unwrap();
         assert!(!result.users().contains(&3));
         // Spatial window: only users in the lower-left quadrant qualify.
         let request = QueryRequest::for_user(0)
@@ -273,7 +272,7 @@ mod tests {
             .within(Rect::new(Point::new(0.0, 0.0), Point::new(0.6, 0.6)))
             .build()
             .unwrap();
-        let result = exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
+        let result = run(&dataset, &request).unwrap();
         let mut users = result.users();
         users.sort_unstable();
         assert_eq!(users, vec![3, 4]);
@@ -284,7 +283,7 @@ mod tests {
             .max_score(1e-12)
             .build()
             .unwrap();
-        let result = exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
+        let result = run(&dataset, &request).unwrap();
         assert!(result.ranked.is_empty());
     }
 
@@ -297,7 +296,7 @@ mod tests {
             .k(0)
             .alpha(0.5)
             .build_unvalidated();
-        assert!(exhaustive_query(&dataset, &invalid, &mut QueryContext::new()).is_err());
-        assert!(exhaustive_query(&dataset, &req(99, 1, 0.5), &mut QueryContext::new()).is_err());
+        assert!(run(&dataset, &invalid).is_err());
+        assert!(run(&dataset, &req(99, 1, 0.5)).is_err());
     }
 }

@@ -4,18 +4,19 @@
 //! pre-computation method of §5.4.
 
 /// Brute-force oracle (full Dijkstra + linear scan).
-pub mod exhaustive;
+pub(crate) mod exhaustive;
 /// Pre-computed socially-closest lists with AIS fallback (§5.4).
-pub mod precompute;
+mod precompute;
 /// Social First Approach and its CH variant (§4.1).
-pub mod sfa;
+mod sfa;
 /// Spatial First Approach and its CH variant (§4.1).
-pub mod spa;
+mod spa;
 /// Twofold Search Approach: round-robin, Quick Combine, landmarks, CH (§4.2).
-pub mod tsa;
+mod tsa;
 
-pub use exhaustive::{exhaustive_query, ExhaustiveDriver};
-pub use precompute::{cached_query, CachedDriver, SocialNeighborCache};
-pub use sfa::{sfa_ch_query, sfa_query, SfaChDriver, SfaDriver};
-pub use spa::{spa_query, SpaDriver, SpaOptions};
-pub use tsa::{tsa_query, TsaDriver, TsaOptions};
+pub(crate) use exhaustive::ExhaustiveDriver;
+pub(crate) use precompute::CachedDriver;
+pub use precompute::SocialNeighborCache;
+pub(crate) use sfa::{SfaChDriver, SfaDriver};
+pub(crate) use spa::{SpaDriver, SpaOptions};
+pub(crate) use tsa::{TsaDriver, TsaOptions};

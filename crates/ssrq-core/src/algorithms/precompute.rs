@@ -50,11 +50,6 @@ impl SocialNeighborCache {
         self.t
     }
 
-    /// Number of users the cache covers.
-    pub fn covered_users(&self) -> usize {
-        self.lists.len()
-    }
-
     /// The users the cache holds a list for (arbitrary order).
     pub fn covered(&self) -> impl Iterator<Item = UserId> + '_ {
         self.lists.keys().copied()
@@ -86,7 +81,7 @@ impl SocialNeighborCache {
 /// [`QueryDriver::drain_finalized`] yields nothing and the whole result
 /// arrives at [`QueryDriver::take_result`].
 #[derive(Debug)]
-pub struct CachedDriver<'a, F> {
+pub(crate) struct CachedDriver<'a, F> {
     dataset: &'a GeoSocialDataset,
     request: QueryRequest,
     ctx: RankingContext<'a>,
@@ -115,7 +110,7 @@ where
     ///
     /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for an
     /// invalid request.
-    pub fn new(
+    pub(crate) fn new(
         dataset: &'a GeoSocialDataset,
         cache: &'a SocialNeighborCache,
         request: &QueryRequest,
@@ -254,34 +249,21 @@ where
     }
 }
 
-/// SSRQ processing with the pre-computed lists ("AIS-Cache" in Figure 11):
-/// run the SFA loop over the cached, already-sorted social neighbour list of
-/// the query user; if the list is exhausted before the termination condition
-/// holds, fall back to the supplied AIS query.
-///
-/// `fallback` is invoked lazily, only when the cache proves insufficient; it
-/// receives the original parameters and must produce a complete result.
-///
-/// This is the eager wrapper over [`CachedDriver`].
-pub fn cached_query<F>(
-    dataset: &GeoSocialDataset,
-    cache: &SocialNeighborCache,
-    request: &QueryRequest,
-    fallback: F,
-) -> Result<QueryResult, CoreError>
-where
-    F: FnOnce(&QueryRequest) -> Result<QueryResult, CoreError>,
-{
-    CachedDriver::new(dataset, cache, request, fallback)?.run_to_completion()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::exhaustive::exhaustive_query;
-    use crate::QueryContext;
+    use crate::algorithms::exhaustive;
     use ssrq_graph::GraphBuilder;
     use ssrq_spatial::Point;
+
+    fn cached(
+        dataset: &GeoSocialDataset,
+        cache: &SocialNeighborCache,
+        request: &QueryRequest,
+        fallback: impl FnOnce(&QueryRequest) -> Result<QueryResult, CoreError>,
+    ) -> Result<QueryResult, CoreError> {
+        CachedDriver::new(dataset, cache, request, fallback)?.run_to_completion()
+    }
 
     fn req(user: u32, k: usize, alpha: f64) -> QueryRequest {
         QueryRequest::for_user(user)
@@ -319,7 +301,7 @@ mod tests {
         let dataset = dataset();
         let cache = SocialNeighborCache::build(dataset.graph(), &[0, 5, 10], 7);
         assert_eq!(cache.t(), 7);
-        assert_eq!(cache.covered_users(), 3);
+        assert_eq!(cache.covered().count(), 3);
         assert!(cache.memory_bytes() > 0);
         for user in [0u32, 5, 10] {
             let list = cache.neighbors(user).unwrap();
@@ -340,9 +322,8 @@ mod tests {
         for user in [0u32, 12] {
             for &alpha in &[0.3, 0.7] {
                 let request = req(user, 5, alpha);
-                let expected =
-                    exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-                let got = cached_query(&dataset, &cache, &request, |_| {
+                let expected = exhaustive::run(&dataset, &request).unwrap();
+                let got = cached(&dataset, &cache, &request, |_| {
                     panic!("fallback must not be used when the cache suffices")
                 })
                 .unwrap();
@@ -356,11 +337,8 @@ mod tests {
         let dataset = dataset();
         let cache = SocialNeighborCache::build(dataset.graph(), &[0], 2);
         let request = req(0, 8, 0.2);
-        let expected = exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-        let got = cached_query(&dataset, &cache, &request, |p| {
-            exhaustive_query(&dataset, p, &mut QueryContext::new())
-        })
-        .unwrap();
+        let expected = exhaustive::run(&dataset, &request).unwrap();
+        let got = cached(&dataset, &cache, &request, |p| exhaustive::run(&dataset, p)).unwrap();
         assert!(got.same_users_and_scores(&expected, 1e-9));
     }
 
@@ -369,11 +347,8 @@ mod tests {
         let dataset = dataset();
         let cache = SocialNeighborCache::build(dataset.graph(), &[1], 5);
         let request = req(2, 3, 0.5);
-        let expected = exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-        let got = cached_query(&dataset, &cache, &request, |p| {
-            exhaustive_query(&dataset, p, &mut QueryContext::new())
-        })
-        .unwrap();
+        let expected = exhaustive::run(&dataset, &request).unwrap();
+        let got = cached(&dataset, &cache, &request, |p| exhaustive::run(&dataset, p)).unwrap();
         assert!(got.same_users_and_scores(&expected, 1e-9));
     }
 
@@ -388,8 +363,8 @@ mod tests {
         let dataset = GeoSocialDataset::new(graph, locations).unwrap();
         let cache = SocialNeighborCache::build(dataset.graph(), &[0], 10);
         let request = req(0, 5, 0.5);
-        let expected = exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-        let got = cached_query(&dataset, &cache, &request, |_| {
+        let expected = exhaustive::run(&dataset, &request).unwrap();
+        let got = cached(&dataset, &cache, &request, |_| {
             panic!("fallback must not run when the component is exhausted")
         })
         .unwrap();

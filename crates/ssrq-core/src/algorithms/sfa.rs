@@ -34,7 +34,7 @@ use std::time::Instant;
 /// result entries as it rises, so the driver emits top-k entries long
 /// before the search terminates.
 #[derive(Debug)]
-pub struct SfaDriver<'a> {
+pub(crate) struct SfaDriver<'a> {
     dataset: &'a GeoSocialDataset,
     request: QueryRequest,
     ctx: RankingContext<'a>,
@@ -54,7 +54,7 @@ impl<'a> SfaDriver<'a> {
     ///
     /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for an
     /// invalid request.
-    pub fn new(
+    pub(crate) fn new(
         dataset: &'a GeoSocialDataset,
         request: &QueryRequest,
         qctx: &'a mut QueryContext,
@@ -157,26 +157,6 @@ impl QueryDriver for SfaDriver<'_> {
     }
 }
 
-/// The Social First Approach (SFA, §4.1).
-///
-/// Users are processed in increasing social distance from the query user by
-/// expanding the social graph with Dijkstra's algorithm.  For every settled
-/// vertex the Euclidean distance (and hence the ranking value) is computed
-/// directly.  The search stops when the lower bound
-/// `θ = combine(α, p(v_q, v_last), d⁻)` reaches the current threshold `f_k`
-/// (`d⁻ = 0` on an engine holding the query user's location: the paper's
-/// `θ = α · p(v_q, v_last)`).
-///
-/// This is the eager wrapper over [`SfaDriver`]: it runs the exact same
-/// state machine to completion in a tight loop.
-pub fn sfa_query(
-    dataset: &GeoSocialDataset,
-    request: &QueryRequest,
-    qctx: &mut QueryContext,
-) -> Result<QueryResult, CoreError> {
-    SfaDriver::new(dataset, request, qctx)?.run_to_completion()
-}
-
 /// The two phases of the SFA-CH machine: ranking every user by its CH
 /// distance, then scanning the sorted order with the SFA termination test.
 #[derive(Debug)]
@@ -197,7 +177,7 @@ enum SfaChPhase {
 /// start finalizing in the scan phase, which is exactly why the paper finds
 /// the `*-CH` variants unattractive on social networks.
 #[derive(Debug)]
-pub struct SfaChDriver<'a> {
+pub(crate) struct SfaChDriver<'a> {
     dataset: &'a GeoSocialDataset,
     ch: &'a ContractionHierarchy,
     ch_scratch: &'a mut ssrq_graph::ChQueryScratch,
@@ -221,7 +201,7 @@ impl<'a> SfaChDriver<'a> {
     ///
     /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for an
     /// invalid request.
-    pub fn new(
+    pub(crate) fn new(
         dataset: &'a GeoSocialDataset,
         ch: &'a ContractionHierarchy,
         request: &QueryRequest,
@@ -353,29 +333,10 @@ impl QueryDriver for SfaChDriver<'_> {
     }
 }
 
-/// The SFA-CH baseline of the evaluation (§6, Figure 8): the Dijkstra-based
-/// social module is replaced by Contraction Hierarchies point-to-point
-/// queries.
-///
-/// CH provides no incremental "next socially-closest user" primitive, so the
-/// method must compute the CH distance of every user and sort — exactly the
-/// kind of repeated, non-shared work that makes the `*-CH` variants slower
-/// than the vanilla algorithms on social networks (the paper's observation).
-///
-/// This is the eager wrapper over [`SfaChDriver`].
-pub fn sfa_ch_query(
-    dataset: &GeoSocialDataset,
-    ch: &ContractionHierarchy,
-    request: &QueryRequest,
-    qctx: &mut QueryContext,
-) -> Result<QueryResult, CoreError> {
-    SfaChDriver::new(dataset, ch, request, qctx)?.run_to_completion()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::exhaustive::exhaustive_query;
+    use crate::algorithms::exhaustive;
     use ssrq_graph::GraphBuilder;
     use ssrq_spatial::{Point, Rect};
 
@@ -385,6 +346,22 @@ mod tests {
             .alpha(alpha)
             .build()
             .unwrap()
+    }
+
+    fn sfa(dataset: &GeoSocialDataset, request: &QueryRequest) -> QueryResult {
+        let mut qctx = QueryContext::new();
+        let mut driver = SfaDriver::new(dataset, request, &mut qctx).unwrap();
+        driver.run_to_completion().unwrap()
+    }
+
+    fn sfa_ch(
+        dataset: &GeoSocialDataset,
+        ch: &ContractionHierarchy,
+        request: &QueryRequest,
+    ) -> QueryResult {
+        let mut qctx = QueryContext::new();
+        let mut driver = SfaChDriver::new(dataset, ch, request, &mut qctx).unwrap();
+        driver.run_to_completion().unwrap()
     }
 
     fn dataset() -> GeoSocialDataset {
@@ -423,9 +400,8 @@ mod tests {
             for &k in &[1usize, 4, 12] {
                 for user in [0u32, 7, 21, 33] {
                     let request = req(user, k, alpha);
-                    let expected =
-                        exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-                    let got = sfa_query(&dataset, &request, &mut QueryContext::new()).unwrap();
+                    let expected = exhaustive::run(&dataset, &request).unwrap();
+                    let got = sfa(&dataset, &request);
                     assert!(
                         got.same_users_and_scores(&expected, 1e-9),
                         "alpha {alpha}, k {k}, user {user}"
@@ -448,8 +424,8 @@ mod tests {
                 .max_score(0.6)
                 .build()
                 .unwrap();
-            let expected = exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-            let got = sfa_query(&dataset, &request, &mut QueryContext::new()).unwrap();
+            let expected = exhaustive::run(&dataset, &request).unwrap();
+            let got = sfa(&dataset, &request);
             assert!(got.same_users_and_scores(&expected, 1e-9), "user {user}");
         }
     }
@@ -461,9 +437,8 @@ mod tests {
         for &alpha in &[0.3, 0.7] {
             for user in [2u32, 19] {
                 let request = req(user, 6, alpha);
-                let expected =
-                    exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-                let got = sfa_ch_query(&dataset, &ch, &request, &mut QueryContext::new()).unwrap();
+                let expected = exhaustive::run(&dataset, &request).unwrap();
+                let got = sfa_ch(&dataset, &ch, &request);
                 assert!(
                     got.same_users_and_scores(&expected, 1e-9),
                     "alpha {alpha}, user {user}"
@@ -477,7 +452,7 @@ mod tests {
         let dataset = dataset();
         // With a very social-heavy alpha the first few settled vertices
         // already dominate; SFA must not expand the whole graph.
-        let result = sfa_query(&dataset, &req(0, 2, 0.9), &mut QueryContext::new()).unwrap();
+        let result = sfa(&dataset, &req(0, 2, 0.9));
         assert!(result.stats.social_pops < dataset.user_count());
         // The incremental threshold finalizes the result before completion.
         assert_eq!(result.stats.streamable_results, result.ranked.len());
@@ -489,7 +464,7 @@ mod tests {
             GraphBuilder::from_edges(5, vec![(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)]).unwrap();
         let locations = vec![Some(Point::new(0.1, 0.1)); 5];
         let dataset = GeoSocialDataset::new(graph, locations).unwrap();
-        let result = sfa_query(&dataset, &req(0, 4, 0.5), &mut QueryContext::new()).unwrap();
+        let result = sfa(&dataset, &req(0, 4, 0.5));
         assert_eq!(result.users(), vec![1]);
     }
 }

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 /// How SPA computes the social distance of a spatially-encountered user.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SpaOptions<'a> {
+pub(crate) struct SpaOptions<'a> {
     /// When set, social distances come from Contraction Hierarchies
     /// point-to-point queries (the SPA-CH baseline of Figure 8); otherwise a
     /// single incremental Dijkstra expansion rooted at the query vertex is
@@ -23,7 +23,7 @@ pub struct SpaOptions<'a> {
 /// spatial NN stream and fully evaluates it; the spatial-only lower bound
 /// `θ = (1 − α) · d(u_q, u_last)` finalizes result entries as it rises.
 #[derive(Debug)]
-pub struct SpaDriver<'a> {
+pub(crate) struct SpaDriver<'a> {
     dataset: &'a GeoSocialDataset,
     request: QueryRequest,
     ctx: RankingContext<'a>,
@@ -51,7 +51,7 @@ impl<'a> SpaDriver<'a> {
     ///
     /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for an
     /// invalid request.
-    pub fn new(
+    pub(crate) fn new(
         dataset: &'a GeoSocialDataset,
         grid: &'a UniformGrid,
         request: &QueryRequest,
@@ -186,29 +186,10 @@ impl QueryDriver for SpaDriver<'_> {
     }
 }
 
-/// The Spatial First Approach (SPA, §4.1).
-///
-/// Users are processed in increasing Euclidean distance from the query user
-/// through an incremental nearest-neighbour search over the regular grid.
-/// Every encountered user is fully evaluated (its social distance is
-/// computed immediately).  The search stops when the spatial-only lower
-/// bound `θ = (1 − α) · d(u_q, u_last)` reaches the threshold `f_k`.
-///
-/// This is the eager wrapper over [`SpaDriver`].
-pub fn spa_query(
-    dataset: &GeoSocialDataset,
-    grid: &UniformGrid,
-    request: &QueryRequest,
-    options: SpaOptions<'_>,
-    qctx: &mut QueryContext,
-) -> Result<QueryResult, CoreError> {
-    SpaDriver::new(dataset, grid, request, options, qctx)?.run_to_completion()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::exhaustive::exhaustive_query;
+    use crate::algorithms::exhaustive;
     use ssrq_graph::GraphBuilder;
     use ssrq_spatial::{Point, Rect};
 
@@ -249,6 +230,16 @@ mod tests {
         GeoSocialDataset::new(graph, locations).unwrap()
     }
 
+    fn spa(
+        dataset: &GeoSocialDataset,
+        grid: &UniformGrid,
+        request: &QueryRequest,
+        options: SpaOptions<'_>,
+    ) -> Result<QueryResult, CoreError> {
+        let mut qctx = QueryContext::new();
+        SpaDriver::new(dataset, grid, request, options, &mut qctx)?.run_to_completion()
+    }
+
     fn grid_for(dataset: &GeoSocialDataset) -> UniformGrid {
         UniformGrid::bulk_load(Rect::unit(), 8, dataset.located_users()).unwrap()
     }
@@ -261,16 +252,8 @@ mod tests {
             for &k in &[1usize, 5, 9] {
                 for user in [0u32, 8, 17, 29] {
                     let request = req(user, k, alpha);
-                    let expected =
-                        exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-                    let got = spa_query(
-                        &dataset,
-                        &grid,
-                        &request,
-                        SpaOptions::default(),
-                        &mut QueryContext::new(),
-                    )
-                    .unwrap();
+                    let expected = exhaustive::run(&dataset, &request).unwrap();
+                    let got = spa(&dataset, &grid, &request, SpaOptions::default()).unwrap();
                     assert!(
                         got.same_users_and_scores(&expected, 1e-9),
                         "alpha {alpha}, k {k}, user {user}"
@@ -293,15 +276,8 @@ mod tests {
                 .max_score(0.7)
                 .build()
                 .unwrap();
-            let expected = exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-            let got = spa_query(
-                &dataset,
-                &grid,
-                &request,
-                SpaOptions::default(),
-                &mut QueryContext::new(),
-            )
-            .unwrap();
+            let expected = exhaustive::run(&dataset, &request).unwrap();
+            let got = spa(&dataset, &grid, &request, SpaOptions::default()).unwrap();
             assert!(got.same_users_and_scores(&expected, 1e-9), "user {user}");
         }
     }
@@ -313,15 +289,8 @@ mod tests {
         let ch = ContractionHierarchy::new(dataset.graph());
         for user in [3u32, 24] {
             let request = req(user, 5, 0.3);
-            let expected = exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-            let got = spa_query(
-                &dataset,
-                &grid,
-                &request,
-                SpaOptions { ch: Some(&ch) },
-                &mut QueryContext::new(),
-            )
-            .unwrap();
+            let expected = exhaustive::run(&dataset, &request).unwrap();
+            let got = spa(&dataset, &grid, &request, SpaOptions { ch: Some(&ch) }).unwrap();
             assert!(got.same_users_and_scores(&expected, 1e-9), "user {user}");
         }
     }
@@ -331,14 +300,7 @@ mod tests {
         let dataset = dataset();
         let grid = grid_for(&dataset);
         // User 10 has no location (10 % 11 == 10).
-        let result = spa_query(
-            &dataset,
-            &grid,
-            &req(10, 5, 0.5),
-            SpaOptions::default(),
-            &mut QueryContext::new(),
-        )
-        .unwrap();
+        let result = spa(&dataset, &grid, &req(10, 5, 0.5), SpaOptions::default()).unwrap();
         assert!(result.ranked.is_empty());
     }
 
@@ -347,14 +309,7 @@ mod tests {
         let dataset = dataset();
         let grid = grid_for(&dataset);
         // Spatial-heavy alpha: the first few NNs dominate.
-        let result = spa_query(
-            &dataset,
-            &grid,
-            &req(0, 1, 0.1),
-            SpaOptions::default(),
-            &mut QueryContext::new(),
-        )
-        .unwrap();
+        let result = spa(&dataset, &grid, &req(0, 1, 0.1), SpaOptions::default()).unwrap();
         assert!(result.stats.evaluated_users < dataset.located_user_count());
     }
 
@@ -362,14 +317,7 @@ mod tests {
     fn stats_count_spatial_and_social_work() {
         let dataset = dataset();
         let grid = grid_for(&dataset);
-        let result = spa_query(
-            &dataset,
-            &grid,
-            &req(5, 3, 0.5),
-            SpaOptions::default(),
-            &mut QueryContext::new(),
-        )
-        .unwrap();
+        let result = spa(&dataset, &grid, &req(5, 3, 0.5), SpaOptions::default()).unwrap();
         assert!(result.stats.spatial_pops > 0);
         assert!(result.stats.social_pops > 0);
         assert!(result.stats.distance_calls >= result.stats.evaluated_users);

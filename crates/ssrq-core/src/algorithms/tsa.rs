@@ -10,7 +10,7 @@ use std::time::Instant;
 
 /// Configuration of the Twofold Search Approach (TSA, §4.2).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TsaOptions<'a> {
+pub(crate) struct TsaOptions<'a> {
     /// Probe the two searches with the Quick Combine heuristic instead of
     /// round-robin (the TSA-QC variant).
     pub quick_combine: bool,
@@ -60,7 +60,7 @@ enum TsaPhase {
 /// `α·t_p + (1−α)·min(t_d, min_pending_d)` finalizes result entries, so the
 /// driver emits top-k entries while both searches are still running.
 #[derive(Debug)]
-pub struct TsaDriver<'a> {
+pub(crate) struct TsaDriver<'a> {
     dataset: &'a GeoSocialDataset,
     request: QueryRequest,
     ctx: RankingContext<'a>,
@@ -104,7 +104,7 @@ impl<'a> TsaDriver<'a> {
     ///
     /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for an
     /// invalid request.
-    pub fn new(
+    pub(crate) fn new(
         dataset: &'a GeoSocialDataset,
         grid: &'a UniformGrid,
         request: &QueryRequest,
@@ -411,20 +411,6 @@ impl QueryDriver for TsaDriver<'_> {
     }
 }
 
-/// The Twofold Search Approach (TSA): a concurrent social and spatial search
-/// that maintains lower bounds in *both* domains (Algorithm 1 of the paper).
-/// See [`TsaDriver`] for the phase structure; this is the eager wrapper
-/// running the same state machine to completion.
-pub fn tsa_query(
-    dataset: &GeoSocialDataset,
-    grid: &UniformGrid,
-    request: &QueryRequest,
-    options: TsaOptions<'_>,
-    qctx: &mut QueryContext,
-) -> Result<QueryResult, CoreError> {
-    TsaDriver::new(dataset, grid, request, options, qctx)?.run_to_completion()
-}
-
 fn min_value(candidates: &HashMap<UserId, f64>) -> f64 {
     candidates.values().copied().fold(f64::INFINITY, f64::min)
 }
@@ -432,7 +418,7 @@ fn min_value(candidates: &HashMap<UserId, f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::exhaustive::exhaustive_query;
+    use crate::algorithms::exhaustive;
     use ssrq_graph::{GraphBuilder, LandmarkSelection};
     use ssrq_spatial::{Point, Rect};
 
@@ -473,6 +459,16 @@ mod tests {
         GeoSocialDataset::new(graph, locations).unwrap()
     }
 
+    fn tsa(
+        dataset: &GeoSocialDataset,
+        grid: &UniformGrid,
+        request: &QueryRequest,
+        options: TsaOptions<'_>,
+    ) -> Result<QueryResult, CoreError> {
+        let mut qctx = QueryContext::new();
+        TsaDriver::new(dataset, grid, request, options, &mut qctx)?.run_to_completion()
+    }
+
     fn grid_for(dataset: &GeoSocialDataset) -> UniformGrid {
         UniformGrid::bulk_load(Rect::unit(), 8, dataset.located_users()).unwrap()
     }
@@ -485,16 +481,8 @@ mod tests {
             for &k in &[1usize, 5, 10] {
                 for user in [0u32, 9, 20, 37] {
                     let request = req(user, k, alpha);
-                    let expected =
-                        exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-                    let got = tsa_query(
-                        &dataset,
-                        &grid,
-                        &request,
-                        TsaOptions::default(),
-                        &mut QueryContext::new(),
-                    )
-                    .unwrap();
+                    let expected = exhaustive::run(&dataset, &request).unwrap();
+                    let got = tsa(&dataset, &grid, &request, TsaOptions::default()).unwrap();
                     assert!(
                         got.same_users_and_scores(&expected, 1e-9),
                         "alpha {alpha}, k {k}, user {user}"
@@ -517,15 +505,8 @@ mod tests {
                 .max_score(0.65)
                 .build()
                 .unwrap();
-            let expected = exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-            let got = tsa_query(
-                &dataset,
-                &grid,
-                &request,
-                TsaOptions::default(),
-                &mut QueryContext::new(),
-            )
-            .unwrap();
+            let expected = exhaustive::run(&dataset, &request).unwrap();
+            let got = tsa(&dataset, &grid, &request, TsaOptions::default()).unwrap();
             assert!(got.same_users_and_scores(&expected, 1e-9), "user {user}");
         }
     }
@@ -537,9 +518,8 @@ mod tests {
         for &alpha in &[0.2, 0.8] {
             for user in [1u32, 14, 30] {
                 let request = req(user, 6, alpha);
-                let expected =
-                    exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-                let got = tsa_query(
+                let expected = exhaustive::run(&dataset, &request).unwrap();
+                let got = tsa(
                     &dataset,
                     &grid,
                     &request,
@@ -547,7 +527,6 @@ mod tests {
                         quick_combine: true,
                         ..TsaOptions::default()
                     },
-                    &mut QueryContext::new(),
                 )
                 .unwrap();
                 assert!(got.same_users_and_scores(&expected, 1e-9));
@@ -564,9 +543,8 @@ mod tests {
         for &alpha in &[0.3, 0.6] {
             for user in [4u32, 26] {
                 let request = req(user, 8, alpha);
-                let expected =
-                    exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-                let got = tsa_query(
+                let expected = exhaustive::run(&dataset, &request).unwrap();
+                let got = tsa(
                     &dataset,
                     &grid,
                     &request,
@@ -574,7 +552,6 @@ mod tests {
                         landmarks: Some(&landmarks),
                         ..TsaOptions::default()
                     },
-                    &mut QueryContext::new(),
                 )
                 .unwrap();
                 assert!(got.same_users_and_scores(&expected, 1e-9));
@@ -591,8 +568,8 @@ mod tests {
             LandmarkSet::build(dataset.graph(), 4, LandmarkSelection::FarthestFirst, 5).unwrap();
         for user in [0u32, 11, 33] {
             let request = req(user, 5, 0.4);
-            let expected = exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-            let got = tsa_query(
+            let expected = exhaustive::run(&dataset, &request).unwrap();
+            let got = tsa(
                 &dataset,
                 &grid,
                 &request,
@@ -601,7 +578,6 @@ mod tests {
                     ch_phase2: Some(&ch),
                     ..TsaOptions::default()
                 },
-                &mut QueryContext::new(),
             )
             .unwrap();
             assert!(got.same_users_and_scores(&expected, 1e-9), "user {user}");
@@ -616,15 +592,8 @@ mod tests {
         // infinite, so only the social stream contributes and no finite
         // score exists (alpha < 1).
         let request = req(12, 5, 0.5);
-        let expected = exhaustive_query(&dataset, &request, &mut QueryContext::new()).unwrap();
-        let got = tsa_query(
-            &dataset,
-            &grid,
-            &request,
-            TsaOptions::default(),
-            &mut QueryContext::new(),
-        )
-        .unwrap();
+        let expected = exhaustive::run(&dataset, &request).unwrap();
+        let got = tsa(&dataset, &grid, &request, TsaOptions::default()).unwrap();
         assert!(got.same_users_and_scores(&expected, 1e-9));
         assert!(got.ranked.is_empty());
     }
@@ -633,14 +602,7 @@ mod tests {
     fn stats_reflect_twofold_search() {
         let dataset = dataset();
         let grid = grid_for(&dataset);
-        let result = tsa_query(
-            &dataset,
-            &grid,
-            &req(0, 5, 0.5),
-            TsaOptions::default(),
-            &mut QueryContext::new(),
-        )
-        .unwrap();
+        let result = tsa(&dataset, &grid, &req(0, 5, 0.5), TsaOptions::default()).unwrap();
         assert!(result.stats.social_pops > 0);
         assert!(result.stats.spatial_pops > 0);
     }

@@ -189,23 +189,6 @@ impl GeoSocialDataset {
         }
     }
 
-    /// Normalized Euclidean distance between two users
-    /// (`f64::INFINITY` when either lacks a location).
-    pub fn spatial_distance(&self, a: UserId, b: UserId) -> f64 {
-        match (self.location(a), self.location(b)) {
-            (Some(pa), Some(pb)) => pa.distance(pb) / self.core.spatial_norm,
-            _ => f64::INFINITY,
-        }
-    }
-
-    /// Normalized Euclidean distance between a user and an arbitrary point.
-    pub fn spatial_distance_to_point(&self, a: UserId, p: Point) -> f64 {
-        match self.location(a) {
-            Some(pa) => pa.distance(p) / self.core.spatial_norm,
-            None => f64::INFINITY,
-        }
-    }
-
     /// Normalizes a raw spatial distance.
     #[inline]
     pub fn normalize_spatial(&self, d: f64) -> f64 {
@@ -336,15 +319,6 @@ mod tests {
         assert_eq!(ds.social_norm(), 3.0);
         // Spatial diagonal of bounding box (0,0)-(6,8) is 10.
         assert_eq!(ds.spatial_norm(), 10.0);
-    }
-
-    #[test]
-    fn spatial_distance_is_normalized_and_handles_missing() {
-        let ds = sample_dataset();
-        assert!((ds.spatial_distance(0, 1) - 0.5).abs() < 1e-12);
-        assert!(ds.spatial_distance(0, 2).is_infinite());
-        assert!(ds.spatial_distance(2, 0).is_infinite());
-        assert_eq!(ds.spatial_distance(0, 0), 0.0);
     }
 
     #[test]

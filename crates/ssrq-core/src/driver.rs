@@ -5,10 +5,10 @@
 //! state machine that advances the search one probe at a time
 //! ([`QueryDriver::step`]) and hands out result entries the moment the
 //! incremental threshold finalizes them ([`QueryDriver::drain_finalized`]).
-//! The eager entry points (`sfa_query`, `tsa_query`, …) are thin
-//! `while step` loops over the same machines, so both execution styles run
-//! the exact same probe sequence: bounds, admission gating and exactness are
-//! shared, and a fully-drained stream is bit-identical to the eager result.
+//! [`QuerySession::run`](crate::QuerySession::run) is a thin `while step`
+//! loop over the same machines, so both execution styles run the exact same
+//! probe sequence: bounds, admission gating and exactness are shared, and a
+//! fully-drained stream is bit-identical to the eager result.
 //!
 //! Drivers borrow the engine's immutable indexes and the caller's
 //! [`QueryContext`] for their whole lifetime; dropping a driver (or the
@@ -53,8 +53,8 @@ pub enum StepOutcome {
 ///   final [`QueryResult::ranked`] — suspension (not stepping for a while)
 ///   can never change entries already drained.
 /// * [`take_result`](QueryDriver::take_result) is available once `step`
-///   returned [`StepOutcome::Complete`] and yields the same result the
-///   eager entry point computes.  It may be called at most once.
+///   returned [`StepOutcome::Complete`] and yields the same result an
+///   eager run computes.  It may be called at most once.
 ///
 /// Obtain drivers through [`GeoSocialEngine::begin_stream`]; most callers
 /// want the [`QueryStream`](crate::QueryStream) iterator instead, which
@@ -100,7 +100,7 @@ pub trait QueryDriver {
     fn take_result(&mut self) -> Result<QueryResult, CoreError>;
 
     /// Runs the machine to completion and takes the result — the thin
-    /// eager loop every `*_query` entry point is built from.
+    /// eager loop behind every eager run.
     fn run_to_completion(&mut self) -> Result<QueryResult, CoreError> {
         while let StepOutcome::Progress = self.step() {}
         self.take_result()

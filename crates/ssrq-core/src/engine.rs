@@ -907,11 +907,6 @@ impl EngineMemory {
         self.locations_bytes + self.grid_bytes + self.ais_bytes
     }
 
-    /// Shared plus per-engine bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.shared_bytes() + self.per_engine_bytes()
-    }
-
     /// Fraction of AIS grid nodes carrying a materialised summary; 0 for an
     /// engine over an empty shard.  Per-shard AIS bytes are proportional to
     /// this ratio, not to the grid geometry.

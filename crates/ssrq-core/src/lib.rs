@@ -87,9 +87,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ais;
-pub mod algorithms;
+mod algorithms;
 mod context;
 mod dataset;
 mod driver;

@@ -159,12 +159,6 @@ impl QueryRequest {
         self
     }
 
-    /// Returns `true` when the request carries any admissibility filter
-    /// beyond the implicit "not the query user" rule.
-    pub fn has_filters(&self) -> bool {
-        self.within.is_some() || !self.exclude.is_empty() || self.max_score.is_some()
-    }
-
     /// Returns `true` when `user` may appear in the result of this request:
     /// not the query user, not excluded, and (when a spatial filter is set)
     /// currently located inside the filter window.
@@ -328,7 +322,6 @@ mod tests {
         assert_eq!(request.k(), 10);
         assert!((request.alpha() - 0.3).abs() < 1e-12);
         assert_eq!(request.algorithm(), Algorithm::Ais);
-        assert!(!request.has_filters());
 
         let request = QueryRequest::for_user(7)
             .k(3)
@@ -344,7 +337,6 @@ mod tests {
         assert_eq!(request.within(), Some(Rect::unit()));
         assert!(request.excluded().contains(&2));
         assert_eq!(request.max_score(), Some(0.8));
-        assert!(request.has_filters());
     }
 
     #[test]

@@ -151,18 +151,6 @@ impl<'s> QueryStream<'s> {
         }
     }
 
-    /// Wraps an already-computed result as a (fully buffered) stream.
-    pub fn from_result(result: QueryResult) -> QueryStream<'static> {
-        QueryStream {
-            buffer: result.ranked.iter().copied().collect(),
-            received: result.ranked.len(),
-            finalized_pre_completion: result.stats.streamable_results,
-            k: result.k,
-            state: StreamState::Finished(result),
-            drained: Vec::new(),
-        }
-    }
-
     /// How many entries are known to have been final — membership and
     /// rank — before the underlying search completed.
     ///
@@ -211,24 +199,6 @@ impl<'s> QueryStream<'s> {
         match &self.state {
             StreamState::Failed { error, .. } => Some(error),
             _ => None,
-        }
-    }
-
-    /// Runs the rest of the search eagerly and returns the full
-    /// [`QueryResult`] (identical to [`QuerySession::run`]'s), discarding
-    /// any entries not yet yielded.
-    ///
-    /// # Errors
-    ///
-    /// A mid-stream sub-query error (see [`QueryStream::error`]).
-    pub fn into_result(mut self) -> Result<QueryResult, CoreError> {
-        match self.state {
-            StreamState::Running(ref mut driver) => {
-                let result = driver.run_to_completion()?;
-                Ok(result)
-            }
-            StreamState::Finished(result) => Ok(result),
-            StreamState::Failed { error, .. } => Err(error),
         }
     }
 

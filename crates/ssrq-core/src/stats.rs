@@ -62,12 +62,6 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    /// Total number of vertices popped from the algorithm's search heaps,
-    /// the `|V_pop|` of the paper's pop-ratio metric.
-    pub fn popped_vertices(&self) -> usize {
-        self.vertex_pops
-    }
-
     /// The paper's pop ratio: popped vertices divided by `|V|`.
     pub fn pop_ratio(&self, graph_vertices: usize) -> f64 {
         if graph_vertices == 0 {
@@ -136,7 +130,6 @@ mod tests {
         };
         assert!((stats.pop_ratio(100) - 0.25).abs() < 1e-12);
         assert_eq!(stats.pop_ratio(0), 0.0);
-        assert_eq!(stats.popped_vertices(), 25);
     }
 
     #[test]

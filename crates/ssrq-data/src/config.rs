@@ -85,12 +85,6 @@ impl DatasetConfig {
         self
     }
 
-    /// Overrides the user count (builder style).
-    pub fn with_users(mut self, num_users: usize) -> Self {
-        self.num_users = num_users;
-        self
-    }
-
     /// Generates the social graph only (degree-derived weights applied).
     pub fn generate_graph(&self) -> SocialGraph {
         let edges_per_node = ((self.target_degree / 2.0).round() as usize).max(1);
@@ -190,7 +184,11 @@ mod tests {
             b.graph().edge_count() * 31 + b.located_user_count(),
             "different seeds should give different datasets"
         );
-        let c = DatasetConfig::gowalla_like(100).with_users(250).generate();
+        let c = DatasetConfig {
+            num_users: 250,
+            ..DatasetConfig::gowalla_like(100)
+        }
+        .generate();
         assert_eq!(c.user_count(), 250);
     }
 

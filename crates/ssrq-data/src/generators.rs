@@ -4,8 +4,7 @@
 //! Dijkstra frontiers explode) and to the hop diameter (how many hops a
 //! top-k result may be away, Figure 7(a)).  Real location-based social
 //! networks are scale-free with small diameter, which the preferential
-//! attachment model reproduces; a Watts–Strogatz small-world generator is
-//! provided for ablations on graphs without hubs.
+//! attachment model reproduces.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -67,39 +66,6 @@ pub fn preferential_attachment(n: usize, edges_per_node: usize, seed: u64) -> So
     builder.build()
 }
 
-/// Generates a Watts–Strogatz small-world graph: a ring lattice where every
-/// vertex connects to its `k_nearest` nearest ring neighbours, with each
-/// edge rewired to a random endpoint with probability `rewire_prob`.
-pub fn small_world(n: usize, k_nearest: usize, rewire_prob: f64, seed: u64) -> SocialGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new(n);
-    if n <= 1 {
-        return builder.build();
-    }
-    let half = (k_nearest / 2).max(1);
-    for i in 0..n {
-        for offset in 1..=half {
-            let mut j = (i + offset) % n;
-            if rng.gen_bool(rewire_prob.clamp(0.0, 1.0)) {
-                // Rewire to a random endpoint distinct from i.
-                let mut attempts = 0;
-                loop {
-                    let candidate = rng.gen_range(0..n);
-                    attempts += 1;
-                    if candidate != i || attempts > 20 {
-                        j = candidate;
-                        break;
-                    }
-                }
-            }
-            if i != j {
-                let _ = builder.add_edge(i as NodeId, j as NodeId, 1.0);
-            }
-        }
-    }
-    builder.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,24 +116,5 @@ mod tests {
         let g = preferential_attachment(2, 3, 1);
         assert_eq!(g.node_count(), 2);
         assert!(g.edge_count() <= 1);
-        assert_eq!(small_world(1, 4, 0.1, 1).node_count(), 1);
-    }
-
-    #[test]
-    fn small_world_has_uniform_degrees_without_rewiring() {
-        let g = small_world(200, 6, 0.0, 3);
-        assert_eq!(g.node_count(), 200);
-        // Ring lattice with k/2 = 3 neighbours on each side -> degree 6.
-        assert!((g.average_degree() - 6.0).abs() < 0.5);
-        assert!(g.max_degree() <= 7);
-    }
-
-    #[test]
-    fn small_world_rewiring_keeps_edge_count_stable() {
-        let regular = small_world(300, 8, 0.0, 5);
-        let rewired = small_world(300, 8, 0.3, 5);
-        let diff = (regular.edge_count() as i64 - rewired.edge_count() as i64).abs();
-        // Rewiring may merge a few duplicate edges but not many.
-        assert!(diff < regular.edge_count() as i64 / 10);
     }
 }

@@ -136,7 +136,7 @@ mod rand_distr_normal {
     use rand::Rng;
 
     /// Draws one sample from the standard normal distribution.
-    pub fn sample_normal<R: Rng>(rng: &mut R) -> f64 {
+    pub(crate) fn sample_normal<R: Rng>(rng: &mut R) -> f64 {
         let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         let u2: f64 = rng.gen();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

@@ -28,19 +28,6 @@ impl GraphBuilder {
         self.node_count
     }
 
-    /// Number of (possibly duplicate) edges added so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Ensures the builder has room for vertex `v` (growing the vertex count
-    /// if necessary).
-    pub fn ensure_node(&mut self, v: NodeId) {
-        if v as usize >= self.node_count {
-            self.node_count = v as usize + 1;
-        }
-    }
-
     /// Adds an undirected edge between `u` and `v` with weight `w`.
     ///
     /// # Errors
@@ -185,17 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn ensure_node_grows_vertex_count() {
-        let mut b = GraphBuilder::new(1);
-        b.ensure_node(10);
-        assert_eq!(b.node_count(), 11);
-        b.add_edge(0, 10, 1.0).unwrap();
-        let g = b.build();
-        assert_eq!(g.node_count(), 11);
-        assert_eq!(g.edge_weight(0, 10), Some(1.0));
-    }
-
-    #[test]
     fn from_edges_builds_symmetric_adjacency() {
         let g = GraphBuilder::from_edges(4, vec![(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]).unwrap();
         assert_eq!(g.edge_count(), 3);
@@ -203,14 +179,5 @@ mod tests {
             assert_eq!(g.edge_weight(u, v), Some(w));
             assert_eq!(g.edge_weight(v, u), Some(w));
         }
-    }
-
-    #[test]
-    fn pending_edge_counter() {
-        let mut b = GraphBuilder::new(3);
-        assert_eq!(b.pending_edges(), 0);
-        b.add_edge(0, 1, 1.0).unwrap();
-        b.add_edge(1, 2, 1.0).unwrap();
-        assert_eq!(b.pending_edges(), 2);
     }
 }

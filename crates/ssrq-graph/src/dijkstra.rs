@@ -12,8 +12,8 @@
 //! popped in, so which vertex settles when, every distance bit and every
 //! [`pops`](IncrementalDijkstra::pops) /
 //! [`relaxations`](IncrementalDijkstra::relaxations) count are unchanged;
-//! a settle costs about half the time.  (A* keeps a binary heap: `g + h`
-//! is monotone only up to rounding.)
+//! a settle costs about half the time.  (The ALT reverse search keeps a
+//! binary heap: `g + h` is monotone only up to rounding.)
 
 use crate::{Distance, NodeId, SearchScratch, SocialGraph};
 
@@ -169,15 +169,6 @@ impl<'s> IncrementalDijkstra<'s> {
         } else {
             None
         }
-    }
-
-    /// Tentative (upper-bound) distance of a vertex; `INFINITY` if it has
-    /// not been touched yet.  (While a resumed search replays, the bound is
-    /// the retained expansion's — possibly tighter than a fresh search's at
-    /// the same position, never wrong.)
-    #[inline]
-    pub fn tentative_distance(&self, v: NodeId) -> Distance {
-        self.scratch.tentative(v)
     }
 
     /// Returns `true` when `v` has been settled (its distance is exact).
@@ -381,7 +372,6 @@ mod tests {
         let _ = search.next_settled(&g).unwrap();
         assert!(search.is_settled(0));
         assert!(!search.is_settled(11));
-        assert!(search.tentative_distance(11).is_infinite());
         let d5 = search.run_until_settled(&g, 5);
         assert_eq!(d5, 4.0);
         // Frontier bound equals distance of last settled vertex.

@@ -237,12 +237,6 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
         }
     }
 
-    /// Returns `true` when `v` has been visited (settled) by the shared
-    /// forward search.
-    pub fn visited_by_forward(&self, v: NodeId) -> bool {
-        self.mode == SharingMode::Shared && self.forward.is_settled(v)
-    }
-
     /// Number of vertices settled by the shared forward search so far.
     pub fn forward_settled_count(&self) -> usize {
         self.forward.settled_count()
@@ -517,7 +511,7 @@ mod tests {
             assert!(beta >= prev_beta);
             prev_beta = beta;
             for v in g.nodes() {
-                if !e.visited_by_forward(v) {
+                if e.known_distance(v).is_none() {
                     assert!(
                         truth[v as usize] >= beta - 1e-9,
                         "beta {beta} exceeds distance {} of unvisited {v}",

@@ -1,4 +1,4 @@
-use crate::{EdgeWeight, GraphError};
+use crate::EdgeWeight;
 
 /// Identifier of a vertex in the social graph.
 ///
@@ -268,24 +268,6 @@ impl SocialGraph {
         self.neighbors(u).find(|e| e.to == v).map(|e| e.weight)
     }
 
-    /// Validates that a vertex id is in range.
-    pub fn check_node(&self, v: NodeId) -> Result<(), GraphError> {
-        if self.contains(v) {
-            Ok(())
-        } else {
-            Err(GraphError::UnknownNode(v))
-        }
-    }
-
-    /// Total weight of all undirected edges.
-    pub fn total_edge_weight(&self) -> f64 {
-        self.nodes()
-            .flat_map(|v| self.neighbors(v))
-            .map(|e| e.weight)
-            .sum::<f64>()
-            / 2.0
-    }
-
     /// Approximate heap footprint of the CSR representation in bytes
     /// (offsets plus the layout-dependent adjacency payload).
     ///
@@ -491,20 +473,11 @@ mod tests {
     }
 
     #[test]
-    fn check_node_detects_out_of_range() {
-        let g = triangle();
-        assert!(g.check_node(2).is_ok());
-        assert_eq!(g.check_node(3), Err(GraphError::UnknownNode(3)));
-        assert_eq!(g.edge_weight(0, 99), None);
-    }
-
-    #[test]
     fn undirected_edge_iteration_visits_each_edge_once() {
         let g = triangle();
         let mut edges: Vec<_> = g.undirected_edges().collect();
         edges.sort_by_key(|e| (e.0, e.1));
         assert_eq!(edges, vec![(0, 1, 1.0), (0, 2, 4.0), (1, 2, 2.0)]);
-        assert!((g.total_edge_weight() - 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -108,13 +108,8 @@ impl LandmarkSet {
         &self.landmarks
     }
 
-    /// Distance from vertex `v` to landmark `j` (`m_{vj}` in the paper).
-    #[inline]
-    pub fn distance_to_landmark(&self, v: NodeId, j: usize) -> Distance {
-        self.dist[v as usize * self.landmarks.len() + j]
-    }
-
-    /// The full landmark-distance vector of vertex `v`.
+    /// The full landmark-distance vector of vertex `v`: entry `j` is its
+    /// distance to landmark `j` (`m_{vj}` in the paper).
     #[inline]
     pub fn vector(&self, v: NodeId) -> &[Distance] {
         let m = self.landmarks.len();
@@ -363,7 +358,7 @@ mod tests {
         let lms = LandmarkSet::build(&g, 2, LandmarkSelection::FarthestFirst, 11).unwrap();
         for (j, &lm) in lms.landmarks().iter().enumerate() {
             for v in g.nodes() {
-                assert_eq!(lms.distance_to_landmark(v, j), dijkstra_distance(&g, v, lm));
+                assert_eq!(lms.vector(v)[j], dijkstra_distance(&g, v, lm));
             }
         }
     }
@@ -470,7 +465,7 @@ mod tests {
                     let sweep = dijkstra_all(&graph, lm);
                     for v in graph.nodes() {
                         assert_eq!(
-                            lms.distance_to_landmark(v, j).to_bits(),
+                            lms.vector(v)[j].to_bits(),
                             sweep[v as usize].to_bits(),
                             "{label} {strategy:?}: landmark {j}, vertex {v}"
                         );

@@ -14,8 +14,6 @@
 //!   one settled vertex at a time.  SFA and the social repository of TSA use
 //!   it directly; AIS shares one instance across all of its point-to-point
 //!   computations (the *forward heap caching* of §5.2).
-//! * [`astar`] — point-to-point A* search with pluggable heuristics,
-//!   including the landmark (ALT) heuristic.
 //! * [`LandmarkSet`] — landmark selection and per-vertex distance vectors,
 //!   the basis of both the ALT heuristic and the AIS social summaries.
 //! * [`GraphDistanceEngine`] — the bidirectional point-to-point module of
@@ -26,8 +24,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod astar;
 mod builder;
 mod ch;
 mod diameter;

@@ -3,7 +3,7 @@
 //! * [`RadixQueue`] — the monotone radix (bucket) queue under every
 //!   [`IncrementalDijkstra`](crate::IncrementalDijkstra) expansion.
 //! * [`HeapItem`] — the entry of the `std` binary heaps that the searches
-//!   with *non*-monotone keys keep: A* and the per-call `HashSearch` (their
+//!   with *non*-monotone keys keep: the per-call `HashSearch` (its ALT
 //!   `g + h` keys are monotone only up to rounding) and the contraction
 //!   ordering and witness searches of `ch.rs`.
 //!
@@ -107,7 +107,7 @@ impl Default for RadixQueue {
 
 impl RadixQueue {
     /// Empties the queue and resets `last` to zero; capacity is kept.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.head.clear();
         while self.occupied != 0 {
             self.buckets[self.occupied.trailing_zeros() as usize].clear();
@@ -116,12 +116,12 @@ impl RadixQueue {
         self.last = 0;
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.head.is_empty() && self.occupied == 0
     }
 
     #[inline]
-    pub fn push(&mut self, key: f64, node: NodeId) {
+    pub(crate) fn push(&mut self, key: f64, node: NodeId) {
         let bits = key.to_bits();
         // Negative keys have the sign bit set and NaNs lie above infinity,
         // so one range check covers the whole precondition.
@@ -145,7 +145,7 @@ impl RadixQueue {
 
     /// Removes and returns the entry with the smallest `(key, vertex)`.
     #[inline]
-    pub fn pop(&mut self) -> Option<(f64, NodeId)> {
+    pub(crate) fn pop(&mut self) -> Option<(f64, NodeId)> {
         if self.head.is_empty() {
             if self.occupied == 0 {
                 return None;

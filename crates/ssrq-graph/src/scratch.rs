@@ -1,6 +1,6 @@
 //! Reusable search state for the graph searches.
 //!
-//! Every SSRQ query runs at least one graph expansion (Dijkstra, A*, or the
+//! Every SSRQ query runs at least one graph expansion (a Dijkstra, or the
 //! shared forward search of the AIS distance module).  Allocating the dense
 //! `dist` / `settled` / `parent` arrays per query costs `O(|V|)` work and
 //! memory traffic *before the search settles a single vertex* — on large
@@ -10,7 +10,7 @@
 //! [`SearchScratch`] fixes this with epoch versioning: the arrays are
 //! allocated once (per worker) and "cleared" by bumping a generation
 //! counter.  An entry is valid only when its stored epoch matches the
-//! current one, so [`SearchScratch::begin`] is `O(1)` (amortized — the
+//! current one, so starting a search is `O(1)` (amortized — the
 //! arrays still grow when a larger graph is seen, and the epoch counter
 //! wrap-around forces a full refresh every `u32::MAX` searches).
 //!
@@ -28,8 +28,7 @@
 //! binary heap it replaced at about half the cost per settle.  Its
 //! precondition — pushed keys are never NaN, negative or below the key
 //! popped last — holds for Dijkstra over positive weights and is a
-//! `debug_assert!`.  A search whose keys are not monotone (A*) keeps a
-//! binary heap of its own and uses the scratch for everything else.
+//! `debug_assert!`.
 
 use crate::queue::RadixQueue;
 use crate::{Distance, NodeId, SocialGraph};
@@ -38,10 +37,9 @@ use crate::{Distance, NodeId, SocialGraph};
 /// marks, shortest-path-tree parents and the Dijkstra priority queue.
 ///
 /// Create one per worker (typically inside a per-query context bundle) and
-/// pass it to [`IncrementalDijkstra::new`](crate::IncrementalDijkstra::new) or
-/// [`AStar::new`](crate::astar::AStar::new); each search calls
-/// [`SearchScratch::begin`] itself, so the same scratch can back any number
-/// of consecutive searches without reallocating.
+/// pass it to [`IncrementalDijkstra::new`](crate::IncrementalDijkstra::new),
+/// which resets it itself, so the same scratch can back any number of
+/// consecutive searches without reallocating.
 ///
 /// A scratch is exclusively borrowed by the search using it, so stale state
 /// can never leak between two searches — the epoch check makes entries from
@@ -59,7 +57,7 @@ pub struct SearchScratch {
     settled_epoch: Vec<u32>,
     /// Shortest-path-tree parent of each touched vertex.
     parent: Vec<NodeId>,
-    /// The Dijkstra expansion's priority queue (A* brings its own heap).
+    /// The Dijkstra expansion's priority queue.
     pub(crate) queue: RadixQueue,
     /// Number of searches that have used this scratch (diagnostics).
     resets: u64,
@@ -108,7 +106,7 @@ impl SearchScratch {
     /// [`IncrementalDijkstra::new`](crate::IncrementalDijkstra::new) over the
     /// same graph and source *resumes* it — it replays the settled prefix
     /// and then keeps expanding the retained queue — instead of starting
-    /// from zero.  Any other search (another source, another graph, an A*)
+    /// from zero.  A search from another source or over another graph
     /// starts fresh and replaces what was retained.  Opening and closing
     /// both drop whatever was retained, so nothing crosses the scope's
     /// boundary; outside a scope every search starts fresh.
@@ -160,7 +158,7 @@ impl SearchScratch {
     /// Starts a new search over a graph of `n` vertices: invalidates every
     /// entry (O(1) via the epoch bump), empties the queue and forgets any
     /// retained expansion.
-    pub fn begin(&mut self, n: usize) {
+    pub(crate) fn begin(&mut self, n: usize) {
         self.grow(n);
         self.queue.clear();
         self.order.clear();

@@ -12,7 +12,6 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use ssrq_graph::astar::{AStar, ZeroHeuristic};
 use ssrq_graph::{
     Distance, GraphBuilder, GraphDistanceEngine, IncrementalDijkstra, LandmarkSelection,
     LandmarkSet, NodeId, SearchScratch, SharingMode, SocialGraph,
@@ -265,10 +264,6 @@ fn another_source_or_a_closed_scope_always_starts_fresh() {
         }
         assert_eq!(search.relaxations(), fresh_a.relaxations_after[29]);
     }
-    assert_eq!(consume(&mut scratch, a, 10).1, fresh_a.relaxations_after[9]);
-    // Any other search on the scratch — here an A* from the very same
-    // source — overwrites the state a resume would need, and so ends it.
-    AStar::new(&graph, a, ZeroHeuristic, &mut scratch).next_settled(&graph);
     assert_eq!(consume(&mut scratch, a, 10).1, fresh_a.relaxations_after[9]);
     // Closing the scope forgets the expansion, outside it nothing is
     // retained, and so nothing is there for the next scope to resume.

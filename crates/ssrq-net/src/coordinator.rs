@@ -162,7 +162,6 @@ impl ShardTransport for QueryTransport<'_> {
 #[derive(Debug, Clone)]
 pub struct RemoteEngineBuilder {
     endpoints: Vec<Endpoint>,
-    policy: FailurePolicy,
     deadline: Option<Duration>,
     connect_timeout: Duration,
     assignment: Option<ShardAssignment>,
@@ -175,13 +174,6 @@ impl RemoteEngineBuilder {
     /// ([`RemoteShardedEngine::slow_queries`]).  Off by default.
     pub fn slow_query_threshold(mut self, threshold: Duration) -> Self {
         self.slow_query_threshold = Some(threshold);
-        self
-    }
-
-    /// Sets what a mid-query shard failure does (default:
-    /// [`FailurePolicy::Fail`]).
-    pub fn failure_policy(mut self, policy: FailurePolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -294,7 +286,7 @@ impl RemoteEngineBuilder {
         }
         Ok(RemoteShardedEngine {
             shards,
-            policy: self.policy,
+            policy: FailurePolicy::default(),
             deadline: self.deadline,
             user_count: user_count.expect("at least one shard"),
             assignment: self.assignment,
@@ -347,7 +339,6 @@ impl RemoteShardedEngine {
     pub fn builder(endpoints: Vec<Endpoint>) -> RemoteEngineBuilder {
         RemoteEngineBuilder {
             endpoints,
-            policy: FailurePolicy::default(),
             deadline: None,
             connect_timeout: Duration::from_secs(5),
             assignment: None,
@@ -381,7 +372,8 @@ impl RemoteShardedEngine {
         self.shards[shard].churn.load(Ordering::Relaxed)
     }
 
-    /// Switches the failure policy for subsequent queries.
+    /// Switches what a mid-query shard failure does for subsequent queries
+    /// (default: [`FailurePolicy::Fail`]).
     pub fn set_failure_policy(&mut self, policy: FailurePolicy) {
         self.policy = policy;
     }

@@ -11,7 +11,6 @@
 use crate::wire::{frame_with_id, Reader, WireError, Writer};
 use ssrq_core::{Algorithm, QueryRequest, QueryResult, QueryStats, RankedUser, UserId};
 use ssrq_obs::{HistogramSnapshot, MetricSample, MetricValue, ObsReport, QuerySpans, SpanRecord};
-use ssrq_shard::{ShardOutcome, ShardStats};
 use ssrq_spatial::{Point, Rect};
 use std::time::Duration;
 
@@ -540,61 +539,6 @@ pub fn decode_result(r: &mut Reader<'_>) -> Result<QueryResult, WireError> {
     })
 }
 
-/// Encodes a [`ShardStats`] payload (per-shard outcomes + merged
-/// aggregate) — what a coordinator persists or forwards for observability.
-pub fn encode_shard_stats(w: &mut Writer, stats: &ShardStats) {
-    w.u32(stats.per_shard.len() as u32);
-    for outcome in &stats.per_shard {
-        match outcome {
-            ShardOutcome::Executed(s) => {
-                w.u8(0);
-                encode_stats(w, s);
-            }
-            ShardOutcome::Skipped { lower_bound } => {
-                w.u8(1);
-                w.f64(*lower_bound);
-            }
-            ShardOutcome::Failed { shard, detail } => {
-                w.u8(2);
-                w.str(shard);
-                w.str(detail);
-            }
-        }
-    }
-    encode_stats(w, &stats.merged);
-    w.u64(stats.gather_runtime.as_nanos() as u64);
-}
-
-/// Decodes a [`ShardStats`] payload.
-///
-/// # Errors
-///
-/// [`WireError`] for malformed bytes, including an unknown outcome tag.
-pub fn decode_shard_stats(r: &mut Reader<'_>) -> Result<ShardStats, WireError> {
-    let n = r.u32()? as usize;
-    let mut per_shard = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        per_shard.push(match r.u8()? {
-            0 => ShardOutcome::Executed(decode_stats(r)?),
-            1 => ShardOutcome::Skipped {
-                lower_bound: r.f64()?,
-            },
-            2 => ShardOutcome::Failed {
-                shard: r.str()?,
-                detail: r.str()?,
-            },
-            t => return Err(WireError::Invalid(format!("shard outcome tag {t}"))),
-        });
-    }
-    let merged = decode_stats(r)?;
-    let gather_runtime = Duration::from_nanos(r.u64()?);
-    Ok(ShardStats {
-        per_shard,
-        merged,
-        gather_runtime,
-    })
-}
-
 fn encode_metric_sample(w: &mut Writer, sample: &MetricSample) {
     w.str(&sample.name);
     w.u32(sample.labels.len() as u32);
@@ -918,33 +862,6 @@ mod tests {
             degraded: false,
             stats: QueryStats::default(),
         }));
-    }
-
-    #[test]
-    fn shard_stats_round_trip() {
-        let stats = ShardStats::new(
-            vec![
-                ShardOutcome::Executed(QueryStats {
-                    evaluated_users: 11,
-                    ..QueryStats::default()
-                }),
-                ShardOutcome::Skipped {
-                    lower_bound: f64::INFINITY,
-                },
-                ShardOutcome::Failed {
-                    shard: "unix:/tmp/s2.sock".into(),
-                    detail: "connection reset".into(),
-                },
-            ],
-            Duration::from_millis(3),
-        );
-        let mut w = Writer::new();
-        encode_shard_stats(&mut w, &stats);
-        let bytes = w.finish();
-        let mut r = Reader::new(&bytes);
-        let decoded = decode_shard_stats(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(decoded, stats);
     }
 
     #[test]

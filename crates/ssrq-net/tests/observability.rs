@@ -3,77 +3,17 @@
 //! the `Metrics` request must snapshot a live server remotely (every
 //! histogram consistent), and the coordinator must capture slow queries.
 
-use ssrq_core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest};
+// `pub`: each test file uses a different part of the shared helper.
+pub mod common;
+
+use common::Cluster;
+use ssrq_core::{Algorithm, QueryRequest};
 use ssrq_data::{DatasetConfig, QueryWorkload};
-use ssrq_net::{Endpoint, RemoteShardedEngine, ShardServer};
+use ssrq_net::RemoteShardedEngine;
 use ssrq_obs::{MetricValue, ObsReport};
-use ssrq_shard::{Partitioning, ShardAssignment};
+use ssrq_shard::Partitioning;
 use ssrq_spatial::Point;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// A cluster of in-thread shard servers over Unix sockets in a temp dir.
-struct Cluster {
-    endpoints: Vec<Endpoint>,
-    flags: Vec<Arc<AtomicBool>>,
-    handles: Vec<JoinHandle<()>>,
-    dir: PathBuf,
-}
-
-static CLUSTER_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-impl Cluster {
-    fn start(dataset: &GeoSocialDataset, policy: Partitioning, shards: usize) -> Cluster {
-        let assignment =
-            ShardAssignment::compute(dataset, policy, shards).expect("assignment computes");
-        let owner = assignment.owners(dataset);
-        let dir = std::env::temp_dir().join(format!(
-            "ssrq-obs-test-{}-{}",
-            std::process::id(),
-            CLUSTER_SEQ.fetch_add(1, Ordering::SeqCst)
-        ));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let mut endpoints = Vec::new();
-        let mut flags = Vec::new();
-        let mut handles = Vec::new();
-        for s in 0..shards {
-            let shard_dataset = dataset.restrict_locations(|u| owner[u as usize] as usize == s);
-            let engine = GeoSocialEngine::builder(shard_dataset)
-                .build()
-                .expect("shard engine builds");
-            let endpoint = Endpoint::Unix(dir.join(format!("shard-{s}.sock")));
-            let server = ShardServer::bind(&endpoint, engine, s, assignment.clone())
-                .expect("server binds")
-                .with_slow_query_threshold(Duration::from_secs(3600));
-            flags.push(server.shutdown_flag());
-            endpoints.push(endpoint);
-            handles.push(std::thread::spawn(move || {
-                server.serve().expect("server loop");
-            }));
-        }
-        Cluster {
-            endpoints,
-            flags,
-            handles,
-            dir,
-        }
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        for flag in &self.flags {
-            flag.store(true, Ordering::SeqCst);
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
 
 /// Every histogram of a snapshot has a sum its bucket counts allow.
 fn assert_histograms_consistent(who: &str, report: &ObsReport) {
@@ -92,10 +32,11 @@ fn assert_histograms_consistent(who: &str, report: &ObsReport) {
 fn trace_ids_arrive_bit_identical_in_every_shards_span_log() {
     let dataset = DatasetConfig::gowalla_like(250).generate();
     let shards = 3;
-    let cluster = Cluster::start(
+    let cluster = Cluster::start_with(
         &dataset,
         Partitioning::SpatialGrid { cells_per_axis: 4 },
         shards,
+        |server| server.with_slow_query_threshold(Duration::from_secs(3600)),
     );
     let remote = RemoteShardedEngine::builder(cluster.endpoints.clone())
         .connect_timeout(Duration::from_secs(10))

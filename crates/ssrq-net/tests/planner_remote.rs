@@ -6,76 +6,14 @@
 //! request (and may serve repeats from its hot cache): the merged ranked
 //! vector is the same by construction.
 
-use ssrq_core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest};
+// `pub`: each test file uses a different part of the shared helper.
+pub mod common;
+
+use common::Cluster;
+use ssrq_core::{Algorithm, QueryRequest};
 use ssrq_data::{DatasetConfig, QueryWorkload};
-use ssrq_net::{Endpoint, RemoteShardedEngine, ShardServer};
-use ssrq_shard::{Partitioning, ShardAssignment, ShardedEngine};
+use ssrq_shard::{Partitioning, ShardedEngine};
 use ssrq_spatial::{Point, Rect};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-struct Cluster {
-    endpoints: Vec<Endpoint>,
-    flags: Vec<Arc<AtomicBool>>,
-    handles: Vec<JoinHandle<()>>,
-    dir: PathBuf,
-}
-
-impl Cluster {
-    fn start(dataset: &GeoSocialDataset, policy: Partitioning, shards: usize) -> Cluster {
-        let assignment =
-            ShardAssignment::compute(dataset, policy, shards).expect("assignment computes");
-        let owner = assignment.owners(dataset);
-        let dir = std::env::temp_dir().join(format!("ssrq-planner-remote-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let mut endpoints = Vec::new();
-        let mut flags = Vec::new();
-        let mut handles = Vec::new();
-        for s in 0..shards {
-            let shard_dataset = dataset.restrict_locations(|u| owner[u as usize] as usize == s);
-            let engine = GeoSocialEngine::builder(shard_dataset)
-                .build()
-                .expect("shard engine builds");
-            let endpoint = Endpoint::Unix(dir.join(format!("shard-{s}.sock")));
-            let server =
-                ShardServer::bind(&endpoint, engine, s, assignment.clone()).expect("server binds");
-            flags.push(server.shutdown_flag());
-            endpoints.push(endpoint);
-            handles.push(std::thread::spawn(move || {
-                server.serve().expect("server loop");
-            }));
-        }
-        Cluster {
-            endpoints,
-            flags,
-            handles,
-            dir,
-        }
-    }
-
-    fn connect(&self) -> RemoteShardedEngine {
-        RemoteShardedEngine::builder(self.endpoints.clone())
-            .connect_timeout(Duration::from_secs(10))
-            .deadline(Duration::from_secs(30))
-            .connect()
-            .expect("coordinator connects")
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        for flag in &self.flags {
-            flag.store(true, Ordering::SeqCst);
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
 
 #[test]
 fn remote_auto_is_bit_identical_to_in_process_auto() {

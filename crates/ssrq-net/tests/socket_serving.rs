@@ -3,12 +3,17 @@
 //! return exactly what the in-process [`ShardedEngine`] returns, forward
 //! the `f_k` threshold across the wire, survive relocations and
 //! rebalances, refuse a non-finite relocation or a malformed cell map
-//! without changing any state, fail the way the [`FailurePolicy`] promises when a shard
-//! dies, report a missed deadline after one deadline and never reuse the
+//! without changing any state, refuse out-of-range query parameters typed,
+//! fail the way the [`FailurePolicy`] promises when a shard dies, report a
+//! missed deadline after one deadline and never reuse the
 //! connection that missed it, refuse a response under the wrong frame id,
 //! refuse frames outside the protocol without going down, and stop
 //! promptly however they are told to.
 
+// `pub`: each test file uses a different part of the shared helper.
+pub mod common;
+
+use common::{temp_dir, Cluster};
 use ssrq_core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest, QueryResult};
 use ssrq_data::{DatasetConfig, QueryWorkload};
 use ssrq_net::wire::{self, WireError};
@@ -23,83 +28,9 @@ use ssrq_spatial::{Point, Rect};
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// A cluster of in-thread shard servers over Unix sockets in a temp dir.
-struct Cluster {
-    endpoints: Vec<Endpoint>,
-    flags: Vec<Arc<AtomicBool>>,
-    handles: Vec<JoinHandle<()>>,
-    assignment: ShardAssignment,
-    dir: PathBuf,
-}
-
-static CLUSTER_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-impl Cluster {
-    fn start(dataset: &GeoSocialDataset, policy: Partitioning, shards: usize) -> Cluster {
-        let assignment =
-            ShardAssignment::compute(dataset, policy, shards).expect("assignment computes");
-        let owner = assignment.owners(dataset);
-        let dir = std::env::temp_dir().join(format!(
-            "ssrq-net-test-{}-{}",
-            std::process::id(),
-            CLUSTER_SEQ.fetch_add(1, Ordering::SeqCst)
-        ));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let mut endpoints = Vec::new();
-        let mut flags = Vec::new();
-        let mut handles = Vec::new();
-        for s in 0..shards {
-            let shard_dataset = dataset.restrict_locations(|u| owner[u as usize] as usize == s);
-            let engine = GeoSocialEngine::builder(shard_dataset)
-                .build()
-                .expect("shard engine builds");
-            let endpoint = Endpoint::Unix(dir.join(format!("shard-{s}.sock")));
-            let server =
-                ShardServer::bind(&endpoint, engine, s, assignment.clone()).expect("server binds");
-            flags.push(server.shutdown_flag());
-            endpoints.push(endpoint);
-            handles.push(std::thread::spawn(move || {
-                server.serve().expect("server loop");
-            }));
-        }
-        Cluster {
-            endpoints,
-            flags,
-            handles,
-            assignment,
-            dir,
-        }
-    }
-
-    fn connect(&self) -> RemoteShardedEngine {
-        RemoteShardedEngine::builder(self.endpoints.clone())
-            .connect_timeout(Duration::from_secs(10))
-            .deadline(Duration::from_secs(30))
-            .connect()
-            .expect("coordinator connects")
-    }
-
-    fn kill_shard(&self, shard: usize) {
-        self.flags[shard].store(true, Ordering::SeqCst);
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        for flag in &self.flags {
-            flag.store(true, Ordering::SeqCst);
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
 
 /// Reads one frame off a raw socket: its frame id and its message.
 fn read_frame(socket: &mut impl Read) -> (u32, Message) {
@@ -116,12 +47,7 @@ fn read_frame(socket: &mut impl Read) -> (u32, Message) {
 
 /// A fresh temp dir holding one scripted peer's Unix socket.
 fn scripted_listener(name: &str) -> (UnixListener, Endpoint, PathBuf) {
-    let dir = std::env::temp_dir().join(format!(
-        "ssrq-net-{name}-{}-{}",
-        std::process::id(),
-        CLUSTER_SEQ.fetch_add(1, Ordering::SeqCst)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = temp_dir(name);
     let path = dir.join(format!("{name}.sock"));
     let listener = UnixListener::bind(&path).unwrap();
     (listener, Endpoint::Unix(path), dir)
@@ -494,12 +420,7 @@ fn a_stale_socket_file_is_reclaimed_but_a_live_server_is_not() {
     let assignment =
         ShardAssignment::compute(&dataset, Partitioning::SpatialGrid { cells_per_axis: 8 }, 1)
             .unwrap();
-    let dir = std::env::temp_dir().join(format!(
-        "ssrq-net-stale-{}-{}",
-        std::process::id(),
-        CLUSTER_SEQ.fetch_add(1, Ordering::SeqCst)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = temp_dir("stale");
     let path = dir.join("shard-0.sock");
 
     // A crashed server leaves its socket file behind (closing a listener
@@ -706,6 +627,48 @@ fn a_non_finite_relocation_is_refused_and_erases_nobody() {
 }
 
 #[test]
+fn out_of_range_parameters_are_refused_typed_remotely() {
+    let dataset = DatasetConfig::gowalla_like(200).generate();
+    let cluster = Cluster::start(&dataset, Partitioning::SpatialGrid { cells_per_axis: 4 }, 2);
+    let remote = cluster.connect();
+    let mut client = ShardClient::connect(&cluster.endpoints[0], Duration::from_secs(10)).unwrap();
+    // What `build` refuses, built unchecked: k = 0, α on the ends of (0, 1)
+    // and NaN, and non-finite score cutoffs.
+    let base = || QueryRequest::for_user(3).k(5).alpha(0.4);
+    let mut requests = vec![base().k(0).build_unvalidated()];
+    for alpha in [0.0, 1.0, f64::NAN] {
+        requests.push(base().alpha(alpha).build_unvalidated());
+    }
+    for cutoff in [f64::NAN, f64::INFINITY] {
+        requests.push(base().max_score(cutoff).build_unvalidated());
+    }
+    for request in &requests {
+        let refused = remote.query(request);
+        assert!(
+            matches!(
+                refused,
+                Err(NetError::Core(ssrq_core::CoreError::InvalidParameter(_)))
+            ),
+            "{request:?}: unexpected outcome {refused:?}"
+        );
+        // A peer that bypasses the coordinator is refused by the server,
+        // and the connection keeps serving.
+        let refused = client.call(&Message::query(request.clone()));
+        assert!(
+            matches!(
+                refused,
+                Err(NetError::Remote {
+                    kind: FailureKind::InvalidRequest,
+                    ..
+                })
+            ),
+            "{request:?}: unexpected outcome {refused:?}"
+        );
+        assert_eq!(client.call(&Message::Ping).unwrap().0, Message::Pong);
+    }
+}
+
+#[test]
 fn a_bad_cell_map_is_refused_and_routing_is_unchanged() {
     let dataset = DatasetConfig::gowalla_like(250).generate();
     let policy = Partitioning::SpatialGrid { cells_per_axis: 4 };
@@ -755,12 +718,7 @@ fn a_bad_cell_map_is_refused_and_routing_is_unchanged() {
 
 #[test]
 fn a_missed_deadline_is_reported_after_one_deadline_not_retried() {
-    let dir = std::env::temp_dir().join(format!(
-        "ssrq-net-mute-{}-{}",
-        std::process::id(),
-        CLUSTER_SEQ.fetch_add(1, Ordering::SeqCst)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = temp_dir("mute");
     let path = dir.join("mute.sock");
     // A server that is merely slow: it accepts, reads, and never answers.
     let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
@@ -1009,12 +967,7 @@ fn a_blocked_accept_never_hangs_shutdown() {
         ShardAssignment::compute(&dataset, Partitioning::SpatialGrid { cells_per_axis: 8 }, 1)
             .unwrap();
     let engine = GeoSocialEngine::builder(dataset).build().unwrap();
-    let dir = std::env::temp_dir().join(format!(
-        "ssrq-net-stop-{}-{}",
-        std::process::id(),
-        CLUSTER_SEQ.fetch_add(1, Ordering::SeqCst)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = temp_dir("stop");
     // Shard labels no other test uses, so each connection counter below
     // belongs to one server alone.
     let mut shard = 900;

@@ -15,7 +15,7 @@ use std::fmt::Write;
 /// quote and newline get backslash escapes, other control characters are
 /// spelled as `\u{..}` — the same characters the bench JSON writer
 /// refuses to emit raw.
-pub fn escape_label_value(value: &str) -> String {
+fn escape_label_value(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

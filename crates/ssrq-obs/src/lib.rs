@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod expose;
 mod log;
@@ -35,7 +36,7 @@ mod metrics;
 mod slowlog;
 mod trace;
 
-pub use expose::{escape_label_value, render_prometheus};
+pub use expose::render_prometheus;
 pub use log::{Level, Logger};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSample, MetricValue, Registry,

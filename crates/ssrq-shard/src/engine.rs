@@ -242,12 +242,6 @@ impl ShardedEngine {
         &self.shards[s].engine
     }
 
-    /// The conservative bounding rectangle of shard `s`'s resident
-    /// locations (`None` for a shard without located residents).
-    pub fn shard_rect(&self, s: usize) -> Option<Rect> {
-        self.shards[s].rect
-    }
-
     /// The shard currently owning `user`.
     pub fn owner_of(&self, user: UserId) -> Option<usize> {
         self.owner.get(user as usize).map(|&s| s as usize)
@@ -397,12 +391,6 @@ impl ShardedEngine {
             shard.churn = 0;
         }
         Ok(())
-    }
-
-    /// Relocations shard `s` has adopted since its bounding rectangle was
-    /// last recomputed exactly (see [`RECT_REFRESH_CHURN`]).
-    pub fn rect_churn(&self, s: usize) -> usize {
-        self.shards[s].churn
     }
 
     /// Routes a location removal to the owning shard (ownership is
@@ -599,8 +587,8 @@ mod tests {
         // One excursion far outside the cluster grows the rect (it must —
         // the bound stays admissible without a recompute) …
         engine.update_location(0, Point::new(0.95, 0.95)).unwrap();
-        assert_eq!(engine.rect_churn(0), 1);
-        let grown = engine.shard_rect(0).unwrap();
+        assert_eq!(engine.shards[0].churn, 1);
+        let grown = engine.shards[0].rect.unwrap();
         assert!(grown.max.x >= 0.95 && grown.max.y >= 0.95);
 
         // … and the slack persists under growth-only maintenance until the
@@ -613,10 +601,10 @@ mod tests {
                 .unwrap();
         }
         assert!(
-            engine.rect_churn(0) < RECT_REFRESH_CHURN,
+            engine.shards[0].churn < RECT_REFRESH_CHURN,
             "the opportunistic refresh resets the churn counter"
         );
-        let tightened = engine.shard_rect(0).unwrap();
+        let tightened = engine.shards[0].rect.unwrap();
         assert!(
             tightened.max.x < 0.5 && tightened.max.y < 0.5,
             "the refreshed rect {tightened:?} still carries relocation slack"
@@ -627,10 +615,10 @@ mod tests {
     fn rebalance_resets_the_churn_counter() {
         let mut engine = clustered_engine();
         engine.update_location(0, Point::new(0.9, 0.9)).unwrap();
-        assert_eq!(engine.rect_churn(0), 1);
+        assert_eq!(engine.shards[0].churn, 1);
         engine.rebalance();
-        assert_eq!(engine.rect_churn(0), 0);
-        let rect = engine.shard_rect(0).unwrap();
+        assert_eq!(engine.shards[0].churn, 0);
+        let rect = engine.shards[0].rect.unwrap();
         assert!(rect.max.x >= 0.9, "the resident at (0.9, 0.9) is covered");
     }
 }

@@ -163,13 +163,6 @@ impl MultiLevelGrid {
         self.len == 0
     }
 
-    /// Number of leaf cells that currently hold at least one item.  Together
-    /// with [`MultiLevelGrid::leaf_cell_count`] this is the occupancy the
-    /// memory accounting reports: empty cells cost nothing.
-    pub fn occupied_leaf_count(&self) -> usize {
-        self.leaf_items.len()
-    }
-
     /// Total number of leaf cells of the geometry (occupied or not).
     pub fn leaf_cell_count(&self) -> usize {
         let side = *self.level_sides.last().expect("levels >= 1") as usize;
@@ -234,12 +227,6 @@ impl MultiLevelGrid {
         let x0 = self.bounds.min.x + cx as f64 * w;
         let y0 = self.bounds.min.y + cy as f64 * h;
         Rect::new(Point::new(x0, y0), Point::new(x0 + w, y0 + h))
-    }
-
-    /// Spatial extent of a node.
-    pub fn node_rect(&self, node: NodeId) -> Rect {
-        let (_, side, cx, cy) = self.cell(node);
-        self.cell_rect(side, cx, cy)
     }
 
     /// A lower bound on the distance from `point` to every item stored
@@ -421,6 +408,12 @@ mod tests {
         MultiLevelGrid::new(Rect::unit(), branch, levels).unwrap()
     }
 
+    /// Spatial extent of a node.
+    fn extent(g: &MultiLevelGrid, node: NodeId) -> Rect {
+        let (_, side, cx, cy) = g.cell(node);
+        g.cell_rect(side, cx, cy)
+    }
+
     #[test]
     fn rejects_invalid_configurations() {
         assert!(MultiLevelGrid::new(Rect::unit(), 0, 2).is_err());
@@ -456,13 +449,16 @@ mod tests {
     fn children_tile_the_parent() {
         let g = grid(3, 2);
         for top in g.top_nodes() {
-            let parent_rect = g.node_rect(top);
+            let parent_rect = extent(&g, top);
             let children: Vec<NodeId> = g.children(top).collect();
             assert_eq!(children.len(), 9);
-            let area: f64 = children.iter().map(|&c| g.node_rect(c).area()).sum();
-            assert!((area - parent_rect.area()).abs() < 1e-9);
+            let covered: f64 = children
+                .iter()
+                .map(|&c| extent(&g, c).width() * extent(&g, c).height())
+                .sum();
+            assert!((covered - parent_rect.width() * parent_rect.height()).abs() < 1e-9);
             for c in children {
-                let r = g.node_rect(c);
+                let r = extent(&g, c);
                 assert!(parent_rect.contains(r.center()));
                 assert_eq!(g.parent(c), Some(top));
             }
@@ -486,7 +482,7 @@ mod tests {
         ] {
             let leaf = g.leaf_of(p);
             assert_eq!(g.node_kind(leaf), NodeKind::Leaf);
-            assert!(g.node_rect(leaf).contains(p));
+            assert!(extent(&g, leaf).contains(p));
         }
     }
 
@@ -552,9 +548,9 @@ mod tests {
         assert_eq!(g.node_level(chain[1]), 1);
         assert_eq!(g.node_level(chain[2]), 0);
         // Every ancestor's rect contains the leaf's centre.
-        let c = g.node_rect(leaf).center();
+        let c = extent(&g, leaf).center();
         for n in chain {
-            assert!(g.node_rect(n).contains(c));
+            assert!(extent(&g, n).contains(c));
         }
     }
 
@@ -582,15 +578,15 @@ mod tests {
     fn empty_cells_cost_nothing() {
         let mut g = grid(10, 2);
         assert_eq!(g.leaf_cell_count(), 10_000);
-        assert_eq!(g.occupied_leaf_count(), 0);
+        assert_eq!(g.leaf_items.len(), 0);
         // An empty grid's footprint is bounded by its per-level tables, not
         // by its 10k leaf cells.
         assert!(g.approx_heap_bytes() < 1024);
         g.insert(5, Point::new(0.55, 0.55));
-        assert_eq!(g.occupied_leaf_count(), 1);
+        assert_eq!(g.leaf_items.len(), 1);
         // Vacating the only occupied cell drops its bucket again.
         g.remove(5).unwrap();
-        assert_eq!(g.occupied_leaf_count(), 0);
+        assert_eq!(g.leaf_items.len(), 0);
         assert!(g.iter().next().is_none());
     }
 
@@ -599,11 +595,11 @@ mod tests {
         let mut g = grid(4, 2);
         g.insert(1, Point::new(0.1, 0.1));
         g.insert(2, Point::new(0.1, 0.12));
-        assert_eq!(g.occupied_leaf_count(), 1);
+        assert_eq!(g.leaf_items.len(), 1);
         g.update(1, Point::new(0.9, 0.9)).unwrap();
-        assert_eq!(g.occupied_leaf_count(), 2);
+        assert_eq!(g.leaf_items.len(), 2);
         g.update(2, Point::new(0.9, 0.92)).unwrap();
-        assert_eq!(g.occupied_leaf_count(), 1);
+        assert_eq!(g.leaf_items.len(), 1);
         assert_eq!(g.len(), 2);
     }
 
@@ -619,7 +615,7 @@ mod tests {
         let query = Point::new(1.5, 1.9);
         let truth = outside.distance(query);
         for node in [leaf, g.parent(leaf).unwrap()] {
-            assert!(g.node_rect(node).min_distance(query) > truth);
+            assert!(extent(&g, node).min_distance(query) > truth);
             assert!(g.node_min_distance(node, query) <= truth);
         }
         // Inside the bounds the opened bound is the rectangle's.
@@ -628,7 +624,7 @@ mod tests {
             let node = NodeId(node);
             assert_eq!(
                 g.node_min_distance(node, inner),
-                g.node_rect(node).min_distance(inner)
+                extent(&g, node).min_distance(inner)
             );
         }
         // Moving back inside and removing find the item where it is stored.

@@ -97,12 +97,6 @@ impl<'a> IncrementalNn<'a> {
     pub fn pops(&self) -> usize {
         self.pops
     }
-
-    /// Distance key at the head of the heap: a lower bound on the distance
-    /// of every not-yet-reported item.  `None` when the search is exhausted.
-    pub fn peek_lower_bound(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.key)
-    }
 }
 
 impl Iterator for IncrementalNn<'_> {
@@ -247,7 +241,7 @@ mod tests {
         let q = Point::new(0.3, 0.7);
         let mut it = g.nearest_neighbors(q);
         loop {
-            let bound = it.peek_lower_bound();
+            let bound = it.heap.peek().map(|e| e.key);
             match it.next() {
                 Some(n) => {
                     assert!(bound.unwrap() <= n.distance + 1e-12);

@@ -55,15 +55,6 @@ impl Point {
     pub fn is_finite(&self) -> bool {
         self.x.is_finite() && self.y.is_finite()
     }
-
-    /// Linear interpolation between `self` (t = 0) and `other` (t = 1).
-    #[inline]
-    pub fn lerp(self, other: Point, t: f64) -> Point {
-        Point::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
-    }
 }
 
 impl fmt::Display for Point {
@@ -115,15 +106,6 @@ mod tests {
         let b = Point::new(3.0, 2.0);
         assert_eq!(a.min(b), Point::new(1.0, 2.0));
         assert_eq!(a.max(b), Point::new(3.0, 5.0));
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(2.0, 4.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Point::new(1.0, 2.0));
     }
 
     #[test]

@@ -56,12 +56,6 @@ impl Rect {
         self.max.y - self.min.y
     }
 
-    /// Area of the rectangle.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
     /// Center point of the rectangle.
     #[inline]
     pub fn center(&self) -> Point {
@@ -280,7 +274,6 @@ mod tests {
         let r = rect(0.0, 0.0, 2.0, 4.0);
         assert_eq!(r.width(), 2.0);
         assert_eq!(r.height(), 4.0);
-        assert_eq!(r.area(), 8.0);
         assert_eq!(r.center(), Point::new(1.0, 2.0));
         assert!((r.diagonal() - 20.0_f64.sqrt()).abs() < 1e-12);
     }
@@ -311,7 +304,7 @@ mod tests {
     #[test]
     fn unit_rect() {
         let u = Rect::unit();
-        assert_eq!(u.area(), 1.0);
+        assert_eq!((u.width(), u.height()), (1.0, 1.0));
         assert!(u.contains(Point::new(0.5, 0.5)));
     }
 }

@@ -161,6 +161,48 @@ fn the_index_preflight_agrees_across_every_entry_point() {
 }
 
 #[test]
+fn out_of_range_parameters_are_refused_by_every_entry_point() {
+    let dataset = DatasetConfig::gowalla_like(160).with_seed(9).generate();
+    let user = QueryWorkload::generate(&dataset, 1, 5).users[0];
+    let engine = GeoSocialEngine::builder(dataset.clone()).build().unwrap();
+    let sharded = ShardedEngine::builder(dataset).shards(2).build().unwrap();
+    let mut session = engine.session();
+    let mut sharded_session = sharded.session();
+    // What `build` refuses, built unchecked: k = 0, α on the ends of (0, 1)
+    // and NaN, and non-finite score cutoffs.
+    let base = || QueryRequest::for_user(user).k(5).alpha(0.4);
+    let mut requests = vec![("k = 0", base().k(0))];
+    for (label, alpha) in [("α = 0", 0.0), ("α = 1", 1.0), ("α = NaN", f64::NAN)] {
+        requests.push((label, base().alpha(alpha)));
+    }
+    for (label, cutoff) in [
+        ("max_score = NaN", f64::NAN),
+        ("max_score = ∞", f64::INFINITY),
+    ] {
+        requests.push((label, base().max_score(cutoff)));
+    }
+    let algorithms = Algorithm::ALL.into_iter().chain([Algorithm::Auto]);
+    for algorithm in algorithms.filter(|a| !a.needs_ch() && !a.needs_social_cache()) {
+        for (label, builder) in &requests {
+            let request = builder.clone().algorithm(algorithm).build_unvalidated();
+            let outcomes = [
+                ("run", engine.run(&request).err()),
+                ("session stream", session.stream(&request).err()),
+                ("sharded run", sharded.run(&request).err()),
+                ("sharded stream", sharded_session.stream(&request).err()),
+            ];
+            for (entry_point, error) in outcomes {
+                assert!(
+                    matches!(error, Some(CoreError::InvalidParameter(_))),
+                    "{label}, {} via {entry_point}: {error:?}",
+                    algorithm.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn empty_window_spatial_filters_return_empty_results() {
     let engine = engine_with(false);
     let user = query_user(&engine);
