@@ -188,8 +188,10 @@ impl<'a> AisDriver<'a> {
         let mut stats = self.stats;
         let engine_stats = self.distance_engine.stats();
         stats.social_pops += engine_stats.forward_settles + engine_stats.reverse_settles;
+        stats.reverse_settles += engine_stats.reverse_settles;
         stats.cache_hits += engine_stats.cache_hits;
         stats.relaxed_edges += engine_stats.edge_relaxations;
+        stats.reverse_relaxed_edges += engine_stats.reverse_relaxed_edges;
         // |V_pop| for AIS is the number of entries popped from its own
         // search heap H (Algorithm 2), not the internal work of the distance
         // submodule.
@@ -258,9 +260,15 @@ impl QueryDriver for AisDriver<'_> {
                             continue;
                         }
                         let spatial = self.ctx.spatial(user);
-                        let social_lb = self.ctx.normalize_social(
-                            self.landmarks.lower_bound(self.request.user(), user),
-                        );
+                        let mut raw_lb = self.landmarks.lower_bound(self.request.user(), user);
+                        // Delayed evaluation's β bound (§5.3), applied on
+                        // the way in as well as on the way out.
+                        if self.variant.delayed_evaluation
+                            && self.distance_engine.known_distance(user).is_none()
+                        {
+                            raw_lb = raw_lb.max(self.distance_engine.beta());
+                        }
+                        let social_lb = self.ctx.normalize_social(raw_lb);
                         let user_key = self.ctx.score_lower_bound(social_lb, spatial);
                         if user_key.is_finite() && user_key < self.topk.fk() {
                             self.heap.push(Entry {

@@ -73,8 +73,10 @@ impl QueryContext {
     /// expansion the first run leaves behind is resumed by the next instead
     /// of being repeated: sorted-access algorithms (SFA, SPA, TSA, the
     /// oracle) replay the settled prefix and continue, AIS inherits every
-    /// settled distance as a cache hit.  Answers and every algorithm
-    /// decision are exactly those of unshared runs — see
+    /// settled distance as a cache hit and meets the inherited expansion
+    /// with its per-candidate reverse searches (those are never shared).
+    /// Answers are exactly those of unshared runs, and so is every decision
+    /// of the sorted-access algorithms — see
     /// [`IncrementalDijkstra`](ssrq_graph::IncrementalDijkstra) — only
     /// [`QueryStats::relaxed_edges`](crate::QueryStats::relaxed_edges)
     /// drops, to the edges each run relaxed itself.

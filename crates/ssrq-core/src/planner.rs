@@ -36,9 +36,10 @@
 //!   of an explicit-origin entry, lies outside the filter window, is
 //!   excluded, or when its spatial-only lower bound `(1 − α) · d(o, q)`
 //!   lies strictly above the bound;
-//! - otherwise decide **exactly**: one [`SharingMode::Shared`] forward
-//!   search from the query user, shared by every such mover, settles the
-//!   mover's social distance or proves it at least
+//! - otherwise decide **exactly**: one [`SharingMode::Shared`] distance
+//!   engine rooted at the query user (its forward search shared by every
+//!   such mover, a reverse search per mover) settles the mover's social
+//!   distance or proves it at least
 //!   `(bound − (1 − α) · d(o, q)) / α`, normalized back to raw units —
 //!   the arithmetic AIS and SFA evaluate candidates with.  A mover whose
 //!   exact score is at most the bound could enter (a tie could swap the
@@ -47,8 +48,9 @@
 //! An entry every mover leaves untouched advances its checkpoint and is
 //! served.  Social distances never change under location churn, so the
 //! replay is exact: the churn tests compare every cached answer with an
-//! uncached twin engine bit for bit.  A replay whose search settles more
-//! vertices than the cached result's own computation did drops the entry
+//! uncached twin engine bit for bit.  A replay whose searches settle more
+//! vertices, forward and reverse together, than the cached result's own
+//! computation did drops the entry
 //! instead, so validating never costs much more than recomputing.  The
 //! search runs outside the cache lock, on the caller's [`QueryContext`].
 //!
@@ -295,8 +297,9 @@ impl Admitted {
             let budget = (bound - (1.0 - alpha) * spatial) / alpha * dataset.social_norm();
             let social = dataset.normalize_social(search.distance_within(mover, budget));
             let score = combine(alpha, social, spatial);
+            let work = search.stats();
             if (score.is_finite() && score <= self.bound)
-                || search.stats().forward_settles > self.result.stats.social_pops
+                || work.forward_settles + work.reverse_settles > self.result.stats.social_pops
             {
                 fresh = false;
                 break;
@@ -304,9 +307,11 @@ impl Admitted {
         }
         let work = search.stats();
         let stats = QueryStats {
-            social_pops: work.forward_settles,
+            social_pops: work.forward_settles + work.reverse_settles,
             distance_calls: work.distance_calls,
             relaxed_edges: work.edge_relaxations,
+            reverse_settles: work.reverse_settles,
+            reverse_relaxed_edges: work.reverse_relaxed_edges,
             ..QueryStats::default()
         };
         (fresh, stats)

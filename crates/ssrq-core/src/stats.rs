@@ -40,6 +40,15 @@ pub struct QueryStats {
     /// run-time, so this is the timing-free effort metric the early-exit
     /// streaming tests compare between a full run and a `take(1)` stream.
     pub relaxed_edges: usize,
+    /// The part of `social_pops` settled by per-call searches from a
+    /// candidate's side: the reverse half of the AIS distance submodule
+    /// (with its completion step in the shared variants, the reverse ALT
+    /// A* in AIS-BID).  Zero for every other algorithm.
+    pub reverse_settles: usize,
+    /// The part of `relaxed_edges` relaxed by the searches counted in
+    /// `reverse_settles`; `relaxed_edges − reverse_relaxed_edges` is the
+    /// query-rooted (forward) work.
+    pub reverse_relaxed_edges: usize,
     /// Result entries whose membership *and* rank were already fixed before
     /// the search completed — the incremental-threshold property of the
     /// paper's algorithms that [`QuerySession::stream`](crate::QuerySession::stream)
@@ -111,6 +120,8 @@ impl QueryStats {
         self.cache_hits += other.cache_hits;
         self.delayed_reinsertions += other.delayed_reinsertions;
         self.relaxed_edges += other.relaxed_edges;
+        self.reverse_settles += other.reverse_settles;
+        self.reverse_relaxed_edges += other.reverse_relaxed_edges;
         self.streamable_results += other.streamable_results;
         self.bytes_sent += other.bytes_sent;
         self.bytes_received += other.bytes_received;
@@ -144,6 +155,8 @@ mod tests {
             cache_hits: 6,
             delayed_reinsertions: 7,
             relaxed_edges: 11,
+            reverse_settles: 1,
+            reverse_relaxed_edges: 5,
             streamable_results: 2,
             bytes_sent: 100,
             bytes_received: 200,
@@ -161,6 +174,8 @@ mod tests {
         assert_eq!(a.cache_hits, 12);
         assert_eq!(a.delayed_reinsertions, 14);
         assert_eq!(a.relaxed_edges, 22);
+        assert_eq!(a.reverse_settles, 2);
+        assert_eq!(a.reverse_relaxed_edges, 10);
         assert_eq!(a.streamable_results, 4);
         assert_eq!(a.bytes_sent, 200);
         assert_eq!(a.bytes_received, 400);
@@ -222,6 +237,8 @@ mod tests {
             index_pops: 5,
             spatial_pops: 6,
             relaxed_edges: 8,
+            reverse_settles: 3,
+            reverse_relaxed_edges: 4,
             streamable_results: 1,
             bytes_sent: 12,
             bytes_received: 34,

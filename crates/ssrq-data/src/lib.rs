@@ -3,7 +3,7 @@
 //! The paper evaluates on the Gowalla, Foursquare and Twitter-Singapore
 //! snapshots, which are not redistributable.  This crate builds synthetic
 //! substitutes that preserve the structural properties the SSRQ algorithms
-//! are sensitive to (see `DESIGN.md`, §3 *Substitutions*):
+//! are sensitive to:
 //!
 //! * scale-free social graphs with a configurable average degree
 //!   (preferential attachment, [`generators`]);

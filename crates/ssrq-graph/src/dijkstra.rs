@@ -12,8 +12,10 @@
 //! popped in, so which vertex settles when, every distance bit and every
 //! [`pops`](IncrementalDijkstra::pops) /
 //! [`relaxations`](IncrementalDijkstra::relaxations) count are unchanged;
-//! a settle costs about half the time.  (The ALT reverse search keeps a
-//! binary heap: `g + h` is monotone only up to rounding.)
+//! a settle costs about half the time.  (AIS-BID's ALT reverse search
+//! keeps a binary heap: `g + h` is monotone only up to rounding.  The
+//! shared-mode distance engine's reverse search orders by `g` alone and
+//! uses ALT only to prune, so it runs on a radix queue too.)
 
 use crate::{Distance, NodeId, SearchScratch, SocialGraph};
 
@@ -211,6 +213,21 @@ impl<'s> IncrementalDijkstra<'s> {
     /// search effort.
     pub fn relaxations(&self) -> usize {
         self.relaxations
+    }
+
+    /// The scratch the expansion lives in — for a search that runs beside
+    /// it (the distance engine's reverse half), reading the forward labels
+    /// and keeping its own state in the scratch's reverse slots.
+    #[inline]
+    pub(crate) fn scratch(&self) -> &SearchScratch {
+        self.scratch
+    }
+
+    /// Mutable access to the scratch, for the reverse slots (see
+    /// [`Self::scratch`]); the forward state must be left as it is.
+    #[inline]
+    pub(crate) fn scratch_mut(&mut self) -> &mut SearchScratch {
+        self.scratch
     }
 
     /// Parent of `v` in the shortest-path tree (only meaningful for settled

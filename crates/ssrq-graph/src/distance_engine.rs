@@ -9,9 +9,11 @@ pub enum SharingMode {
     /// No reuse: every call runs a fresh bidirectional search.  This is the
     /// behaviour of the paper's AIS-BID baseline (§6, Figure 10).
     None,
-    /// Distance caching and forward-heap caching (§5.2): the forward
-    /// Dijkstra expansion from the source is shared across calls, and
-    /// every vertex it has settled is answered without further search.
+    /// Distance caching and forward-heap caching (§5.2): one forward
+    /// Dijkstra expansion from the source is shared across calls, and every
+    /// vertex it has settled is answered without further search.  Every
+    /// other target gets a per-call reverse search that meets the shared
+    /// forward search; the reverse state is dropped when the call returns.
     Shared,
 }
 
@@ -20,21 +22,27 @@ pub enum SharingMode {
 pub struct DistanceEngineStats {
     /// Number of `distance()` calls.
     pub distance_calls: usize,
-    /// Calls answered directly from what the forward search had settled.
+    /// Calls answered without a search: the target was forward-settled, or
+    /// an earlier call computed it.
     pub cache_hits: usize,
     /// Vertices settled by the (shared or per-call) forward search.
     pub forward_settles: usize,
-    /// Vertices settled by reverse A* searches.
+    /// Vertices settled by the per-call searches from the target's side:
+    /// AIS-BID's reverse ALT A*, or, in [`SharingMode::Shared`], the
+    /// reverse Dijkstra and its completion step.
     pub reverse_settles: usize,
     /// Edge relaxations attempted across every search the engine ran (the
-    /// shared forward expansion plus all per-call bidirectional searches).
+    /// shared forward expansion plus all per-call searches).
     pub edge_relaxations: usize,
+    /// The part of `edge_relaxations` done by the searches counted in
+    /// `reverse_settles`.
+    pub reverse_relaxed_edges: usize,
 }
 
 /// A point-to-point search keyed by hash maps instead of dense vectors, so
-/// that creating one per target stays cheap even on large graphs.  Used for
-/// the reverse (ALT A*) direction and for the un-shared forward direction of
-/// [`SharingMode::None`].
+/// that creating one per target stays cheap even on large graphs.  Both
+/// directions of [`SharingMode::None`] use it: the forward Dijkstra and the
+/// reverse ALT A*.
 struct HashSearch<'a> {
     goal_heuristic: Option<(&'a LandmarkSet, NodeId)>,
     dist: HashMap<NodeId, Distance>,
@@ -129,35 +137,125 @@ fn finite_or_large(x: Distance) -> Distance {
 /// The graph-distance submodule of AIS (Algorithm 3, *GraphDist*).
 ///
 /// The engine computes exact shortest-path distances from a fixed source
-/// (the query user `v_q`) to arbitrary target vertices.
+/// (the query user `v_q`) to arbitrary target vertices.  Both modes run the
+/// paper's bidirectional search: a Dijkstra from the source meets a search
+/// from the target (Goldberg & Harrelson, SODA 2005, for the landmark
+/// bounds).
 ///
 /// * With [`SharingMode::None`] (the AIS-BID baseline) every call runs a
 ///   fresh bidirectional search: a plain Dijkstra from the source and an A*
 ///   expansion from the target guided by the landmark (ALT) heuristic.
 ///   Nothing is reused between calls.
-/// * With [`SharingMode::Shared`] the engine applies the §5.2 optimizations:
-///   **distance caching** (targets already settled by the forward search —
-///   which include every vertex on a previously reported shortest path, so
-///   the paper's `T` table needs no storage of its own — are answered
-///   without any traversal) and **forward heap caching** (a single
-///   resumable Dijkstra expansion from the source is paused and resumed
-///   across calls).  Because
-///   every SSRQ evaluation shares the same source, resuming the forward
-///   expansion until the target settles reuses *all* previous work, whereas
-///   per-target reverse searches would be discarded; the shared mode
-///   therefore leans entirely on the forward expansion — this is the
-///   forward-heap-caching idea of the paper taken to its limit (the
-///   trade-off is documented in `DESIGN.md`).
+/// * With [`SharingMode::Shared`] the engine applies the §5.2
+///   optimizations.  **Forward heap caching:** one resumable Dijkstra
+///   expansion from the source lives for the engine's whole life (and,
+///   inside a sharing scope, for the query's), and each call moves it on
+///   only as far as that call needs.  **Distance caching:** a target the
+///   forward expansion has settled, or one an earlier call of this engine
+///   computed (the paper's table `T`, a sorted list in the scratch), is
+///   answered without any traversal.  Any other target gets
+///   a per-call *reverse* Dijkstra from the target, interleaved with the
+///   shared forward search, whose state lives in the scratch's reverse
+///   slots and is dropped when the call returns.
+///
+/// # The shared-mode call
+///
+/// Write `β` for the forward frontier (the key settled last, a lower
+/// bound on the forward label of every vertex not yet forward-settled),
+/// `γ` for the smallest key in the reverse queue, and `δ = 8·|V|·ε` (see
+/// below).  A call with budget `B` (`∞` for [`distance`](Self::distance))
+/// repeats, while the reverse queue is not empty:
+///
+/// 1. `cap = min(μ, B)·(1+δ)`; stop if `β + γ ≥ cap`;
+/// 2. if `γ < β/2` settle one reverse vertex, else one forward vertex.
+///
+/// `μ`, the shortest path seen, is met on edges: the reverse search relaxing
+/// an edge into a forward-settled vertex `u` offers `d_f(u) + g + w`, and the
+/// forward search settling a vertex the reverse search has labelled `r`
+/// offers `d_f + r`.  The reverse search never expands a forward-settled
+/// vertex (its forward label is exact, so every path through it is already
+/// offered), and ALT prunes: a vertex whose `g + LB(v, v_q) ≥ cap` is not
+/// queued.
+///
+/// **Why the stop is safe.**  The first step settles the source (`γ = β =
+/// 0` steps forward).  Take a path `P` from the source to the target
+/// shorter than `cap` and `u` its last forward-settled vertex; the
+/// vertices after `u` were never forward-settled, so each one the reverse
+/// search settled, it expanded.  If all of them were, the reverse search
+/// relaxed the edge from `u`'s successor into `u`: it offered a meet then
+/// (`u` already forward-settled), or labelled `u` and the forward search
+/// offered one on settling `u`, or pruned `u` (`|P| ≥ cap`); either way
+/// `μ ≤ |P|`.  Otherwise let `y` be the vertex nearest the target on `P`
+/// that is not reverse-settled: it is after `u`, so its prefix is at least
+/// `β`; its successor was expanded, so `y` is queued with a key at most its
+/// suffix (or was pruned, and then `|P| ≥ cap`).  So `|P| ≥ β + γ ≥ cap`.
+/// No path shorter than `cap` is missed, and a target whose `μ ≥ B·(1+δ)`
+/// is at least `B` away.
+///
+/// **Why `δ`, and the completion step.**  `μ` adds `f64`s in another order
+/// than the forward expansion would, so it can be some ulps off the
+/// distance the forward search settles — which is what every caller
+/// compares bits with (the AIS tests `assert_eq!` scores against the
+/// exhaustive oracle).  An `h`-edge `f64` sum lies within `h·ε` of its
+/// real value, in any order, and a shortest path has `h < |V|` edges; so
+/// any two sums over the same or competing paths differ by less than a
+/// factor `(1 + |V|·ε)²`, and `δ = 8·|V|·ε` covers the stop, the prune and
+/// the region below with room.  A target that survives (`μ < B·(1+δ)`)
+/// then gets its distance in forward arithmetic: a Dijkstra seeded with
+/// the forward search's tentative labels, confined to the vertices the
+/// reverse search settled with `β + g ≤ cap` that the forward search has
+/// not.  Every path whose left-to-right sum could tie or beat `μ`'s runs
+/// through forward-settled vertices and then only through that region, so
+/// the step returns the minimum over paths of the left-to-right sum —
+/// what the forward expansion would settle, bit for bit.  The prune and
+/// the up-front budget check read the landmark bound with the table's own
+/// rounding taken off (`|V|·ε` per entry, twice over), so a bound that
+/// overshoots the distance by an ulp cannot prune the path that wins.
+///
+/// The forward expansion is resumed exactly as the forward-only engine
+/// resumed it, so everything about sharing it — [`beta`](Self::beta),
+/// [`known_distance`](Self::known_distance), resuming it in a sharing scope
+/// — is unchanged; a call merely settles fewer forward vertices.
+///
+/// **Side selection: step the reverse side while `γ < β/2`.**  Forward
+/// steps are the ones later calls inherit, and a wider forward ball also
+/// raises the `β` that AIS's delayed evaluation prunes with; reverse steps
+/// are thrown away.  Measured on `single_social` and `churn_auto` (whose
+/// misses run AIS), seed 1 traced, as social pops per query
+/// `single_social`/`churn_auto`, and `qps` over alternated 4 s runs on a
+/// 2-vCPU Xeon @ 2.10 GHz:
+///
+/// | rule             | pops          | `single_social` q/s      | `churn_auto` q/s          |
+/// |------------------|---------------|--------------------------|---------------------------|
+/// | `γ < β`          | 3,449 / 970   | 345, 349, 402            | 1,428, 1,258, 1,348       |
+/// | **`γ < β/2`**    | 3,320 / 568   | 561, 634, 557            | 2,403, 2,094, 2,456       |
+/// | equal settles    | 2,376 / 522   | 504, 537, 580            | 1,944, 1,809, 2,208       |
+/// | 2 forward : 1    | 2,337 / 494   | 675, 607, 665            | 2,008, 1,954, 2,589       |
+/// | `γ < β/4`        | 8,685 / 1,132 | —                        | —                         |
+/// | `γ < 2β`         | 20,465 / 5,846 | —                       | —                         |
+///
+/// (seeds 41–43).  On seeds 44–47 `γ < β/2` read 833, 625, 961, 823 and
+/// 2,970, 3,130, 3,380, 2,620 q/s against 616, 907, 869, 588 and 2,260,
+/// 3,290, 2,370, 2,140 for "2 forward : 1"; on seeds 51–54, 786, 672, 644,
+/// 608 and 2,856, 2,428, 2,827, 2,888 against `γ < 0.6β` (2,547 / 527
+/// pops; 698, 647, 817, 552 and 2,396, 2,671, 2,666, 2,313) and `γ < 0.7β`
+/// (2,258 / 548; 609, 680, 708, 825 and 2,318, 2,763, 2,219, 2,681).
+/// Ratios trade social pops against AIS heap pops (248 per query at `β/2`,
+/// 339 at `β`, 427 for equal settles).  `β/2` had the best `churn_auto`
+/// median in every set and was within the host's noise of the best
+/// `single_social` median.
 pub struct GraphDistanceEngine<'g, 's> {
     graph: &'g SocialGraph,
     landmarks: &'g LandmarkSet,
     source: NodeId,
     mode: SharingMode,
     forward: IncrementalDijkstra<'s>,
+    /// Relative slack `δ = 8·|V|·ε` of the shared-mode stop (type docs).
+    slack: Distance,
     stats: DistanceEngineStats,
-    /// Relaxations performed by completed per-call [`HashSearch`]es (the
-    /// live forward expansion reports its own count).
-    hash_relaxations: usize,
+    /// Relaxations performed by completed per-call searches (the live
+    /// forward expansion reports its own count).
+    call_relaxations: usize,
 }
 
 impl<'g, 's> GraphDistanceEngine<'g, 's> {
@@ -185,6 +283,7 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
         let mut forward = IncrementalDijkstra::new(graph, source, scratch);
         if mode == SharingMode::Shared {
             forward.skip_replay();
+            forward.scratch_mut().answers.clear();
         }
         GraphDistanceEngine {
             graph,
@@ -192,8 +291,9 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
             source,
             mode,
             forward,
+            slack: 8.0 * graph.node_count() as Distance * f64::EPSILON,
             stats: DistanceEngineStats::default(),
-            hash_relaxations: 0,
+            call_relaxations: 0,
         }
     }
 
@@ -210,7 +310,7 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
     /// Work counters accumulated so far.
     pub fn stats(&self) -> DistanceEngineStats {
         let mut stats = self.stats;
-        stats.edge_relaxations = self.forward.relaxations() + self.hash_relaxations;
+        stats.edge_relaxations = self.forward.relaxations() + self.call_relaxations;
         stats
     }
 
@@ -226,13 +326,17 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
     }
 
     /// Exact distance of `v` if it is already known without further search
-    /// (settled by the forward expansion).
+    /// (settled by the forward expansion, or computed by an earlier call).
     pub fn known_distance(&self, v: NodeId) -> Option<Distance> {
         if v == self.source {
             return Some(0.0);
         }
         match self.mode {
-            SharingMode::Shared => self.forward.settled_distance(v),
+            SharingMode::Shared => self.forward.settled_distance(v).or_else(|| {
+                let answers = &self.forward.scratch().answers;
+                let at = answers.binary_search_by_key(&v, |&(t, _)| t).ok()?;
+                Some(answers[at].1)
+            }),
             SharingMode::None => None,
         }
     }
@@ -245,20 +349,7 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
     /// Computes the exact graph distance from the source to `target`
     /// (`f64::INFINITY` when unreachable).
     pub fn distance(&mut self, target: NodeId) -> Distance {
-        self.stats.distance_calls += 1;
-        if target == self.source {
-            return 0.0;
-        }
-        match self.mode {
-            SharingMode::Shared => {
-                if let Some(d) = self.known_distance(target) {
-                    self.stats.cache_hits += 1;
-                    return d;
-                }
-                self.shared_forward(target)
-            }
-            SharingMode::None => self.fresh_bidirectional(target),
-        }
+        self.distance_within(target, f64::INFINITY)
     }
 
     /// Computes the distance to `target`, giving up as soon as the distance
@@ -268,73 +359,180 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
     /// This is the "evaluate or disqualify" primitive the AIS search needs:
     /// a candidate whose social distance reaches the budget can no longer
     /// enter the result, so there is no point computing its exact value.
-    /// In [`SharingMode::Shared`] the check is essentially free — the shared
-    /// forward expansion simply stops growing once its frontier passes the
-    /// budget.  In [`SharingMode::None`] the budget is ignored and the full
-    /// bidirectional search runs (the AIS-BID baseline has no such
-    /// optimization).
+    /// In [`SharingMode::Shared`] the budget caps both halves of the search
+    /// (the stop `β + γ ≥ cap` and the ALT prune).  In [`SharingMode::None`]
+    /// the budget is ignored and the full bidirectional search runs (the
+    /// AIS-BID baseline has no such optimization).
     pub fn distance_within(&mut self, target: NodeId, budget: Distance) -> Distance {
         self.stats.distance_calls += 1;
         if target == self.source {
             return 0.0;
         }
-        match self.mode {
+        let d = match self.mode {
             SharingMode::Shared => {
                 if let Some(d) = self.known_distance(target) {
                     self.stats.cache_hits += 1;
-                    return if d < budget { d } else { f64::INFINITY };
-                }
-                if self.landmarks.lower_bound(self.source, target) >= budget {
-                    return f64::INFINITY;
-                }
-                let before = self.forward.settled_count();
-                let mut result = f64::INFINITY;
-                while !self.forward.is_settled(target) {
-                    if self.forward.frontier_bound() >= budget {
-                        break;
-                    }
-                    if self.forward.next_settled(self.graph).is_none() {
-                        break;
-                    }
-                }
-                if let Some(d) = self.forward.settled_distance(target) {
-                    if d < budget {
-                        result = d;
-                    }
-                }
-                self.stats.forward_settles += self.forward.settled_count() - before;
-                result
-            }
-            SharingMode::None => {
-                let d = self.fresh_bidirectional(target);
-                if d < budget {
                     d
-                } else {
+                } else if self.lower_bound(target, self.source) >= budget * (1.0 + self.slack) {
+                    // Includes the provably disconnected target (an
+                    // infinite bound), so no search drains a component.
                     f64::INFINITY
+                } else {
+                    self.shared_bidirectional(target, budget)
                 }
             }
+            SharingMode::None => self.fresh_bidirectional(target),
+        };
+        if d < budget {
+            d
+        } else {
+            f64::INFINITY
         }
     }
 
-    /// Resumes the shared forward expansion until `target` settles
-    /// (distance caching + forward heap caching of §5.2).
-    ///
-    /// A target provably disconnected from the source (one of the two
-    /// reaches a landmark the other cannot) is answered immediately, so the
-    /// expansion never drains the whole component just to prove
-    /// unreachability.
-    fn shared_forward(&mut self, target: NodeId) -> Distance {
-        if self
-            .landmarks
-            .lower_bound(self.source, target)
-            .is_infinite()
-        {
-            return f64::INFINITY;
-        }
+    /// The landmark bound on `d(u, v)` with the table's rounding taken off
+    /// (see [`LandmarkSet`]'s strict bound): `|V|·ε` per entry, twice over.
+    fn lower_bound(&self, u: NodeId, v: NodeId) -> Distance {
+        self.landmarks.strict_lower_bound(u, v, self.slack / 4.0)
+    }
+
+    /// The shared-mode call (see the type docs): the shared forward search
+    /// and a reverse Dijkstra from `target` until `β + γ ≥ cap`, then the
+    /// completion step for a target that survives.  Returns the exact
+    /// distance, or something at least `budget`.
+    fn shared_bidirectional(&mut self, target: NodeId, budget: Distance) -> Distance {
         let before = self.forward.settled_count();
-        let d = self.forward.run_until_settled(self.graph, target);
+        let scratch = self.forward.scratch_mut();
+        scratch.begin_reverse(self.graph.node_count());
+        scratch.set_reverse_dist(target, 0.0);
+        scratch.reverse_queue.push(0.0, target);
+        let slack = 1.0 + self.slack;
+        let mut mu = f64::INFINITY;
+        loop {
+            let beta = self.forward.frontier_bound();
+            let Some(gamma) = self.forward.scratch_mut().reverse_queue.min_key() else {
+                break;
+            };
+            if beta + gamma >= mu.min(budget) * slack {
+                break;
+            }
+            if gamma < 0.5 * beta {
+                self.reverse_settle(&mut mu, budget * slack, slack);
+            } else {
+                let Some((v, d)) = self.forward.next_settled(self.graph) else {
+                    break;
+                };
+                mu = mu.min(d + self.forward.scratch().reverse_dist(v));
+            }
+        }
         self.stats.forward_settles += self.forward.settled_count() - before;
-        d
+        if let Some(d) = self.forward.settled_distance(target) {
+            d
+        } else if mu < budget * slack {
+            let d = self.complete(target, mu.min(budget) * slack);
+            if d < budget {
+                // Exact (type docs): keep it for a repeated call.
+                let answers = &mut self.forward.scratch_mut().answers;
+                if let Err(at) = answers.binary_search_by_key(&target, |&(t, _)| t) {
+                    answers.insert(at, (target, d));
+                }
+            }
+            d
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// Settles the next reverse vertex (skipping stale queue entries and
+    /// vertices the forward search settled meanwhile), offering a meet for
+    /// each of its edges into a forward-settled vertex.  `budget_cap` is
+    /// `B·(1+δ)`.
+    fn reverse_settle(&mut self, mu: &mut Distance, budget_cap: Distance, slack: Distance) {
+        let (graph, landmarks, source) = (self.graph, self.landmarks, self.source);
+        let rounding = self.slack / 4.0;
+        let scratch = self.forward.scratch_mut();
+        let Some((g, x)) = scratch.reverse_queue.pop() else {
+            return;
+        };
+        if scratch.is_reverse_settled(x) || scratch.is_settled(x) {
+            return;
+        }
+        scratch.mark_reverse_settled(x);
+        self.stats.reverse_settles += 1;
+        let mut relaxed = 0;
+        for edge in graph.neighbors(x) {
+            relaxed += 1;
+            let cand = g + edge.weight;
+            let u = edge.to;
+            if scratch.is_settled(u) {
+                *mu = mu.min(scratch.tentative(u) + cand);
+                continue;
+            }
+            if cand < scratch.reverse_dist(u) {
+                let cap = (*mu * slack).min(budget_cap);
+                if cap < f64::INFINITY
+                    && cand + landmarks.strict_lower_bound(u, source, rounding) >= cap
+                {
+                    continue;
+                }
+                scratch.set_reverse_dist(u, cand);
+                scratch.reverse_queue.push(cand, u);
+            }
+        }
+        self.stats.reverse_relaxed_edges += relaxed;
+        self.call_relaxations += relaxed;
+    }
+
+    /// The completion step (type docs): a Dijkstra in forward arithmetic
+    /// over the reverse-settled, not forward-settled vertices within
+    /// `cap − β` of the target, seeded with the forward tentative labels.
+    /// Returns the target's label, or `INFINITY` if the region holds no
+    /// path to it.
+    fn complete(&mut self, target: NodeId, cap: Distance) -> Distance {
+        let graph = self.graph;
+        let beta = self.forward.frontier_bound();
+        let scratch = self.forward.scratch_mut();
+        let in_region = |scratch: &SearchScratch, v: NodeId| {
+            scratch.is_reverse_settled(v)
+                && !scratch.is_settled(v)
+                && beta + scratch.reverse_dist(v) <= cap
+        };
+        scratch.reverse_queue.clear();
+        for i in 0..scratch.reverse_settled.len() {
+            let v = scratch.reverse_settled[i];
+            if in_region(scratch, v) {
+                let label = scratch.tentative(v);
+                scratch.set_label(v, label);
+                if label < f64::INFINITY {
+                    scratch.reverse_queue.push(label, v);
+                }
+            }
+        }
+        let (mut settles, mut relaxed) = (0, 0);
+        let mut found = f64::INFINITY;
+        while let Some((key, v)) = scratch.reverse_queue.pop() {
+            if key > scratch.label(v) {
+                continue; // stale queue entry
+            }
+            settles += 1;
+            if v == target {
+                found = key;
+                break;
+            }
+            for edge in graph.neighbors(v) {
+                relaxed += 1;
+                let u = edge.to;
+                let cand = key + edge.weight;
+                if cand < scratch.label(u) && in_region(scratch, u) {
+                    scratch.set_label(u, cand);
+                    scratch.reverse_queue.push(cand, u);
+                }
+            }
+        }
+        self.stats.reverse_settles += settles;
+        self.stats.reverse_relaxed_edges += relaxed;
+        self.call_relaxations += relaxed;
+        found
     }
 
     /// Fresh, non-shared bidirectional search (forward Dijkstra + reverse
@@ -391,7 +589,8 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
                 }
             }
         }
-        self.hash_relaxations += forward.relaxations + reverse.relaxations;
+        self.stats.reverse_relaxed_edges += reverse.relaxations;
+        self.call_relaxations += forward.relaxations + reverse.relaxations;
         min_dist
     }
 }

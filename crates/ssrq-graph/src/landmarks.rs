@@ -142,6 +142,22 @@ impl LandmarkSet {
         best
     }
 
+    /// [`Self::lower_bound`] less the rounding the table may carry: each
+    /// entry is an `f64` path sum within a factor `1 ± rel` of its real
+    /// value, so `max_j (|m_uj − m_vj| − rel·(m_uj + m_vj))` is at most the
+    /// real distance even where the plain bound overshoots it by ulps.
+    pub(crate) fn strict_lower_bound(&self, u: NodeId, v: NodeId, rel: Distance) -> Distance {
+        let mut best = 0.0_f64;
+        for (&a, &b) in self.vector(u).iter().zip(self.vector(v)) {
+            if a.is_finite() && b.is_finite() {
+                best = best.max((a - b).abs() - rel * (a + b));
+            } else if a.is_finite() != b.is_finite() {
+                return f64::INFINITY;
+            }
+        }
+        best
+    }
+
     /// Number of vertices covered by the distance table.
     pub fn node_count(&self) -> usize {
         self.node_count

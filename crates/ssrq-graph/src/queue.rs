@@ -1,7 +1,9 @@
 //! The crate's two priority queues.
 //!
 //! * [`RadixQueue`] — the monotone radix (bucket) queue under every
-//!   [`IncrementalDijkstra`](crate::IncrementalDijkstra) expansion.
+//!   [`IncrementalDijkstra`](crate::IncrementalDijkstra) expansion, and
+//!   under the shared-mode distance engine's per-call reverse search and
+//!   completion step (plain Dijkstra keys too: ALT only prunes there).
 //! * [`HeapItem`] — the entry of the `std` binary heaps that the searches
 //!   with *non*-monotone keys keep: the per-call `HashSearch` (its ALT
 //!   `g + h` keys are monotone only up to rounding) and the contraction
@@ -143,6 +145,19 @@ impl RadixQueue {
         }
     }
 
+    /// The smallest queued key, without removing its entry.  (Takes `&mut`
+    /// because it may refill the head, which changes no pop.)
+    #[inline]
+    pub(crate) fn min_key(&mut self) -> Option<f64> {
+        if self.head.is_empty() {
+            if self.occupied == 0 {
+                return None;
+            }
+            self.refill();
+        }
+        Some(f64::from_bits(self.last))
+    }
+
     /// Removes and returns the entry with the smallest `(key, vertex)`.
     #[inline]
     pub(crate) fn pop(&mut self) -> Option<(f64, NodeId)> {
@@ -212,6 +227,11 @@ mod tests {
 
         /// Pops both; asserts the same entry (compared by bit pattern).
         fn pop(&mut self, what: &str) -> Option<(f64, NodeId)> {
+            assert_eq!(
+                self.radix.min_key().map(f64::to_bits),
+                self.heap.peek().map(|e| e.key.to_bits()),
+                "{what}: min_key"
+            );
             let got = self.radix.pop();
             let want = self.heap.pop().map(|e| (e.key, e.node));
             assert_eq!(

@@ -22,19 +22,26 @@
 //! over — the paper's §5.2 forward heap caching, stretched from the
 //! evaluations of one search to the searches of one query.
 //!
-//! The scratch holds exactly one priority queue, the Dijkstra expansion's:
-//! a monotone radix queue (`queue.rs` has the mechanism and the
-//! measurements) that pops in the ascending `(key, vertex)` order of the
-//! binary heap it replaced at about half the cost per settle.  Its
-//! precondition — pushed keys are never NaN, negative or below the key
-//! popped last — holds for Dijkstra over positive weights and is a
-//! `debug_assert!`.
+//! The Dijkstra expansion's priority queue is a monotone radix queue
+//! (`queue.rs` has the mechanism and the measurements) that pops in the
+//! ascending `(key, vertex)` order of the binary heap it replaced at about
+//! half the cost per settle.  Its precondition — pushed keys are never
+//! NaN, negative or below the key popped last — holds for Dijkstra over
+//! positive weights and is a `debug_assert!`.
+//!
+//! Beside the forward state the scratch holds the shared-mode distance
+//! engine's *reverse* state (a second radix queue, per-vertex reverse
+//! distances and completion labels, the reverse-settled list) under an
+//! epoch of its own: every call bumps it, so no reverse state crosses
+//! calls, while the forward epoch — and with it a retained expansion —
+//! stays put.  The reverse slots grow on the first reverse search only.
 
 use crate::queue::RadixQueue;
 use crate::{Distance, NodeId, SocialGraph};
 
 /// Reusable storage for one graph search: tentative distances, settled
-/// marks, shortest-path-tree parents and the Dijkstra priority queue.
+/// marks, shortest-path-tree parents and the Dijkstra priority queue, plus
+/// the distance engine's per-call reverse search beside it.
 ///
 /// Create one per worker (typically inside a per-query context bundle) and
 /// pass it to [`IncrementalDijkstra::new`](crate::IncrementalDijkstra::new),
@@ -74,6 +81,37 @@ pub struct SearchScratch {
     pub(crate) order: Vec<(NodeId, Distance)>,
     /// Position in `order` of each vertex settled by the retained expansion.
     rank: Vec<u32>,
+    /// Generation of the per-call reverse search: bumped by every
+    /// [`Self::begin_reverse`], independent of `epoch`, which a retained
+    /// forward expansion keeps across calls.
+    reverse_epoch: u32,
+    /// Reverse-search state per vertex, valid iff its epochs match
+    /// `reverse_epoch`.  Grown on the first reverse search, so scratches
+    /// that only ever back forward expansions do not pay for it.
+    reverse: Vec<ReverseSlot>,
+    /// The reverse search's queue, reused by the completion step after it.
+    pub(crate) reverse_queue: RadixQueue,
+    /// The vertices the current reverse search settled, in settle order.
+    pub(crate) reverse_settled: Vec<NodeId>,
+    /// The shared-mode distance engine's table `T` (§5.2): the exact
+    /// distances it computed with the reverse half, sorted by vertex.
+    /// Cleared by every engine, so it lives exactly as long as one.
+    pub(crate) answers: Vec<(NodeId, Distance)>,
+}
+
+/// One vertex's state in the shared-mode distance engine's per-call search
+/// from the target (see `distance_engine.rs`).
+#[derive(Debug, Clone, Copy, Default)]
+struct ReverseSlot {
+    /// Tentative (once settled: exact) distance to the target.
+    dist: Distance,
+    /// Forward-arithmetic label of the completion step (written for every
+    /// vertex of its region before it starts).
+    label: Distance,
+    /// Generation in which `dist` was last written.
+    touched: u32,
+    /// Generation in which the vertex was settled.
+    settled: u32,
 }
 
 impl SearchScratch {
@@ -222,6 +260,68 @@ impl SearchScratch {
     pub(crate) fn parent(&self, v: NodeId) -> NodeId {
         self.parent[v as usize]
     }
+
+    /// Starts a reverse search over a graph of `n` vertices: invalidates
+    /// the previous one's entries (O(1) via its own epoch bump) and empties
+    /// its queue and settled list.  The forward state is untouched.
+    pub(crate) fn begin_reverse(&mut self, n: usize) {
+        if n > self.reverse.len() {
+            self.reverse.resize(n, ReverseSlot::default());
+        }
+        self.reverse_queue.clear();
+        self.reverse_settled.clear();
+        if self.reverse_epoch == u32::MAX {
+            self.reverse.fill(ReverseSlot::default());
+            self.reverse_epoch = 1;
+        } else {
+            self.reverse_epoch += 1;
+        }
+    }
+
+    /// Reverse tentative distance of `v` (`INFINITY` when untouched).
+    #[inline]
+    pub(crate) fn reverse_dist(&self, v: NodeId) -> Distance {
+        let slot = &self.reverse[v as usize];
+        if slot.touched == self.reverse_epoch {
+            slot.dist
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// Records a (tighter) reverse tentative distance for `v`.
+    #[inline]
+    pub(crate) fn set_reverse_dist(&mut self, v: NodeId, d: Distance) {
+        let slot = &mut self.reverse[v as usize];
+        slot.dist = d;
+        slot.touched = self.reverse_epoch;
+    }
+
+    /// Whether the current reverse search has settled `v`.
+    #[inline]
+    pub(crate) fn is_reverse_settled(&self, v: NodeId) -> bool {
+        self.reverse[v as usize].settled == self.reverse_epoch
+    }
+
+    /// Marks `v` settled by the current reverse search and lists it.
+    #[inline]
+    pub(crate) fn mark_reverse_settled(&mut self, v: NodeId) {
+        self.reverse[v as usize].settled = self.reverse_epoch;
+        self.reverse_settled.push(v);
+    }
+
+    /// The completion step's label of `v` (meaningful only inside its
+    /// region, where it is written before the step starts).
+    #[inline]
+    pub(crate) fn label(&self, v: NodeId) -> Distance {
+        self.reverse[v as usize].label
+    }
+
+    /// Sets the completion step's label of `v`.
+    #[inline]
+    pub(crate) fn set_label(&mut self, v: NodeId, d: Distance) {
+        self.reverse[v as usize].label = d;
+    }
 }
 
 /// A graph's identity for the resume check: every search that shares one
@@ -262,6 +362,28 @@ mod tests {
         s.begin(100);
         assert_eq!(s.capacity(), 100);
         assert!(s.tentative(99).is_infinite());
+    }
+
+    #[test]
+    fn a_reverse_search_starts_clean_and_leaves_the_forward_state_alone() {
+        let mut s = SearchScratch::with_capacity(4);
+        s.begin(4);
+        s.set_tentative(1, 0.5, 1);
+        s.mark_settled(1);
+        s.reverse_epoch = u32::MAX - 2;
+        for _ in 0..3 {
+            // The last round wraps the reverse epoch around.
+            s.begin_reverse(4);
+            assert!(s.reverse_dist(2).is_infinite(), "stale reverse distance");
+            assert!(!s.is_reverse_settled(2), "stale reverse mark");
+            assert!(s.reverse_settled.is_empty());
+            s.set_reverse_dist(2, 0.25);
+            s.mark_reverse_settled(2);
+            assert_eq!(s.reverse_dist(2), 0.25);
+        }
+        assert_eq!(s.reverse_epoch, 1);
+        assert_eq!(s.tentative(1), 0.5);
+        assert!(s.is_settled(1));
     }
 
     #[test]

@@ -458,6 +458,8 @@ pub fn encode_stats(w: &mut Writer, stats: &QueryStats) {
     w.u64(stats.cache_hits as u64);
     w.u64(stats.delayed_reinsertions as u64);
     w.u64(stats.relaxed_edges as u64);
+    w.u64(stats.reverse_settles as u64);
+    w.u64(stats.reverse_relaxed_edges as u64);
     w.u64(stats.streamable_results as u64);
     w.u64(stats.bytes_sent as u64);
     w.u64(stats.bytes_received as u64);
@@ -482,6 +484,8 @@ pub fn decode_stats(r: &mut Reader<'_>) -> Result<QueryStats, WireError> {
         cache_hits: r.usize()?,
         delayed_reinsertions: r.usize()?,
         relaxed_edges: r.usize()?,
+        reverse_settles: r.usize()?,
+        reverse_relaxed_edges: r.usize()?,
         streamable_results: r.usize()?,
         bytes_sent: r.usize()?,
         bytes_received: r.usize()?,

@@ -87,6 +87,8 @@ fn stats(rng: &mut StdRng) -> QueryStats {
         cache_hits: counter(rng),
         delayed_reinsertions: counter(rng),
         relaxed_edges: counter(rng),
+        reverse_settles: counter(rng),
+        reverse_relaxed_edges: counter(rng),
         streamable_results: counter(rng),
         bytes_sent: counter(rng),
         bytes_received: counter(rng),

@@ -327,3 +327,44 @@ fn stats_show_ais_settles_fewer_vertices_than_single_domain_baselines() {
         "AIS settled {ais_pops} vs SPA {spa_pops}"
     );
 }
+
+#[test]
+fn ais_scores_are_bit_identical_to_the_oracle() {
+    // AIS and AIS⁻ evaluate candidates with a reverse search that meets the
+    // shared forward search and then recompute the survivor's distance in
+    // forward arithmetic, so every score must equal the oracle's to the bit,
+    // not merely to a tolerance.
+    for users in [1_500, 6_000] {
+        let engine = build_engine(users, 10);
+        let workload = QueryWorkload::generate(engine.dataset(), 3, 57);
+        for &user in &workload.users {
+            for alpha in [0.05, 0.3, 0.9] {
+                for k in [1usize, 10, 50] {
+                    let base = request(user, k, alpha);
+                    let bits = |result: QueryResult| -> Vec<(u32, u64)> {
+                        result
+                            .ranked
+                            .iter()
+                            .map(|entry| (entry.user, entry.score.to_bits()))
+                            .collect()
+                    };
+                    let oracle = bits(
+                        engine
+                            .run(&base.clone().with_algorithm(Algorithm::Exhaustive))
+                            .unwrap(),
+                    );
+                    for algorithm in [Algorithm::AisMinus, Algorithm::Ais] {
+                        let got =
+                            bits(engine.run(&base.clone().with_algorithm(algorithm)).unwrap());
+                        assert_eq!(
+                            got,
+                            oracle,
+                            "{} on {users} users, user {user}, alpha {alpha}, k {k}",
+                            algorithm.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -87,22 +87,29 @@ fn check_scatter(
     // Each executed arm on its own: the same request (origin pinned, as
     // the coordinator broadcasts it) on the bare shard engine, a fresh
     // context each.
+    //
+    // The bound is on the forward (query-rooted) half, the one the arms
+    // share; AIS and AIS⁻ also run a reverse search per evaluated
+    // candidate, which is never shared.
+    let forward = |stats: &QueryStats| stats.relaxed_edges - stats.reverse_relaxed_edges;
     let broadcast = request.clone().with_origin(at);
-    let largest_arm = stats
-        .per_shard
-        .iter()
-        .enumerate()
-        .filter(|(_, outcome)| matches!(outcome, ShardOutcome::Executed(_)))
-        .map(|(s, _)| {
+    let (mut largest_arm, mut arms_reverse) = (0, 0);
+    for (s, outcome) in stats.per_shard.iter().enumerate() {
+        if matches!(outcome, ShardOutcome::Executed(_)) {
             let arm = sharded.shard_engine(s).run(&broadcast).unwrap();
-            arm.stats.relaxed_edges
-        })
-        .max()
-        .unwrap_or(0);
-    let relaxed = stats.merged.relaxed_edges;
+            largest_arm = largest_arm.max(forward(&arm.stats));
+            arms_reverse += arm.stats.reverse_relaxed_edges;
+        }
+    }
+    let relaxed = forward(&stats.merged);
     assert!(
         relaxed as f64 <= 1.05 * largest_arm as f64,
         "{what}: the scatter relaxed {relaxed} edges, its largest arm alone {largest_arm}"
+    );
+    let reverse = stats.merged.reverse_relaxed_edges;
+    assert!(
+        reverse <= arms_reverse,
+        "{what}: the scatter relaxed {reverse} reverse edges, its executed arms alone {arms_reverse}"
     );
     let per_shard: usize = stats
         .per_shard
@@ -112,7 +119,10 @@ fn check_scatter(
             _ => 0,
         })
         .sum();
-    assert_eq!(per_shard, relaxed, "{what}: the arms sum to the work done");
+    assert_eq!(
+        per_shard, stats.merged.relaxed_edges,
+        "{what}: the arms sum to the work done"
+    );
     (relaxed, largest_arm, stats.executed_shards())
 }
 
@@ -190,8 +200,9 @@ fn a_shared_expansion_changes_no_answer_and_no_sorted_access_counter() {
                 .unwrap();
             let what = format!("{}, user {user}", algorithm.name());
             let alone = engine.run_with(&request, &mut QueryContext::new()).unwrap();
-            let (first, second) = ctx.share_social_expansion(|ctx| {
+            let (first, second, third) = ctx.share_social_expansion(|ctx| {
                 (
+                    engine.run_with(&request, ctx).unwrap(),
                     engine.run_with(&request, ctx).unwrap(),
                     engine.run_with(&request, ctx).unwrap(),
                 )
@@ -204,8 +215,19 @@ fn a_shared_expansion_changes_no_answer_and_no_sorted_access_counter() {
                 "{what}: the first run in a scope is an ordinary run"
             );
             assert_eq!(
-                second.stats.relaxed_edges, 0,
+                second.stats.relaxed_edges - second.stats.reverse_relaxed_edges,
+                0,
                 "{what}: a full replay is free"
+            );
+            // The reverse half is never shared: what a resumed run does
+            // depends on the forward expansion it resumes, not on reverse
+            // work before it, so a second resume of the same expansion
+            // repeats the first exactly.
+            assert_eq!(third.ranked, alone.ranked, "{what}: resumed again");
+            assert_eq!(
+                without_runtime(third.stats),
+                without_runtime(second.stats),
+                "{what}: a second resume repeats the first"
             );
             let sorted_access = !matches!(algorithm, Algorithm::AisMinus | Algorithm::Ais);
             if sorted_access {
