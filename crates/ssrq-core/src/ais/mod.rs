@@ -11,8 +11,8 @@
 //! The engine runs three variants of the search (matching the evaluation of the
 //! paper, Figure 10):
 //!
-//! * **AIS-BID** — the plain search with fresh bidirectional distance
-//!   computations per evaluated user;
+//! * **AIS-BID** — the plain search with a bidirectional distance
+//!   computation started over for every evaluated user;
 //! * **AIS⁻** — adds the computation-sharing optimizations of §5.2
 //!   (distance caching + forward heap caching);
 //! * **AIS** — additionally applies the delayed-evaluation strategy of §5.3.

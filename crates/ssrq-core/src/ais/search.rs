@@ -448,11 +448,17 @@ mod tests {
                         &mut QueryContext::new(),
                     )
                     .unwrap();
-                    assert!(
-                        got.same_users_and_scores(&expected, 1e-9),
-                        "variant {variant:?}, alpha {alpha}, k {k}, user {user}:\n  got {:?}\n  expected {:?}",
-                        got.users(),
-                        expected.users()
+                    let bits = |result: &QueryResult| -> Vec<(UserId, u64)> {
+                        result
+                            .ranked
+                            .iter()
+                            .map(|entry| (entry.user, entry.score.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(
+                        bits(&got),
+                        bits(&expected),
+                        "variant {variant:?}, alpha {alpha}, k {k}, user {user}"
                     );
                 }
             }

@@ -167,10 +167,11 @@ impl ChoiceReason {
 /// No index-backed algorithm wins often enough to be named: a `*-CH`
 /// method is fastest on 3 of 360 requests of a 400-user engine, and
 /// `AIS-Cache` loses to plain `SFA` wherever its list is too short and wins
-/// only microseconds where it is not.  `AIS-BID` and `TSA-QC` can be orders
-/// of magnitude off (`AIS-BID` up to 6 s where `AIS` takes 1.2 ms; `TSA-QC`
-/// 27 ms where `AIS` takes 1.4 ms at k = 50, α = 0.1), which is why nothing
-/// is probed at run time.
+/// only microseconds where it is not.  `AIS-BID` and `TSA-QC` can be an
+/// order of magnitude off (`AIS-BID` takes 5–9× `AIS`'s time on the quick
+/// Fig. 10 grid, `experiments -- fig10 --quick --scale 0.2`; `TSA-QC` 27 ms
+/// where `AIS` takes 1.4 ms at k = 50, α = 0.1), which is why nothing is
+/// probed at run time.
 fn rule(request: &QueryRequest) -> Algorithm {
     let (k, alpha) = (request.k(), request.alpha());
     if alpha >= 0.4 || (k <= 2 && alpha > 0.25) {

@@ -13,7 +13,7 @@ pub struct QueryStats {
     /// `|V_pop|` definition and is the numerator of the pop ratio.
     pub vertex_pops: usize,
     /// Vertices popped (settled) by social-graph searches: the query-rooted
-    /// Dijkstra expansions, forward searches and reverse A* searches
+    /// Dijkstra expansions, forward searches and reverse searches
     /// (including the work done inside the AIS graph-distance submodule).
     pub social_pops: usize,
     /// Entries (cells and users) popped from spatial search heaps.
@@ -41,9 +41,8 @@ pub struct QueryStats {
     /// streaming tests compare between a full run and a `take(1)` stream.
     pub relaxed_edges: usize,
     /// The part of `social_pops` settled by per-call searches from a
-    /// candidate's side: the reverse half of the AIS distance submodule
-    /// (with its completion step in the shared variants, the reverse ALT
-    /// A* in AIS-BID).  Zero for every other algorithm.
+    /// candidate's side: the reverse half of the AIS distance submodule,
+    /// with its completion step.  Zero for every other algorithm.
     pub reverse_settles: usize,
     /// The part of `relaxed_edges` relaxed by the searches counted in
     /// `reverse_settles`; `relaxed_edges − reverse_relaxed_edges` is the

@@ -12,10 +12,9 @@
 //! popped in, so which vertex settles when, every distance bit and every
 //! [`pops`](IncrementalDijkstra::pops) /
 //! [`relaxations`](IncrementalDijkstra::relaxations) count are unchanged;
-//! a settle costs about half the time.  (AIS-BID's ALT reverse search
-//! keeps a binary heap: `g + h` is monotone only up to rounding.  The
-//! shared-mode distance engine's reverse search orders by `g` alone and
-//! uses ALT only to prune, so it runs on a radix queue too.)
+//! a settle costs about half the time.  (The distance engine's reverse
+//! search orders by `g` alone and uses ALT only to prune, so it runs on a
+//! radix queue too.)
 
 use crate::{Distance, NodeId, SearchScratch, SocialGraph};
 
@@ -77,20 +76,31 @@ impl<'s> IncrementalDijkstra<'s> {
             graph.contains(source),
             "source vertex {source} out of range"
         );
-        if !scratch.retains(graph, source) {
-            scratch.begin(graph.node_count());
-            scratch.set_tentative(source, 0.0, source);
-            scratch.queue.push(0.0, source);
-            scratch.retain_from(graph, source);
-        }
-        IncrementalDijkstra {
+        let resume = scratch.retains(graph, source);
+        let mut search = IncrementalDijkstra {
             source,
             scratch,
             last_settled: 0.0,
             settled_count: 0,
             pops: 0,
             relaxations: 0,
+        };
+        if !resume {
+            search.restart(graph);
+            search.scratch.retain_from(graph, source);
         }
+        search
+    }
+
+    /// Starts the expansion over from its source on a reset scratch, and
+    /// does not retain it for a later search: the per-call forward search
+    /// of an unshared distance engine.  The work counters keep counting.
+    pub(crate) fn restart(&mut self, graph: &SocialGraph) {
+        self.scratch.begin(graph.node_count());
+        self.scratch.set_tentative(self.source, 0.0, self.source);
+        self.scratch.queue.push(0.0, self.source);
+        self.last_settled = 0.0;
+        self.settled_count = 0;
     }
 
     /// The source vertex of the expansion.
@@ -228,12 +238,6 @@ impl<'s> IncrementalDijkstra<'s> {
     #[inline]
     pub(crate) fn scratch_mut(&mut self) -> &mut SearchScratch {
         self.scratch
-    }
-
-    /// Parent of `v` in the shortest-path tree (only meaningful for settled
-    /// vertices; the source is its own parent).
-    pub fn parent(&self, v: NodeId) -> NodeId {
-        self.scratch.parent(v)
     }
 
     /// Reconstructs the shortest path from the source to `v` (inclusive of

@@ -1,13 +1,12 @@
-use crate::queue::HeapItem;
 use crate::{Distance, IncrementalDijkstra, LandmarkSet, NodeId, SearchScratch, SocialGraph};
-use std::collections::{BinaryHeap, HashMap};
 
 /// How much work the engine may reuse across point-to-point computations
 /// from the same source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SharingMode {
-    /// No reuse: every call runs a fresh bidirectional search.  This is the
-    /// behaviour of the paper's AIS-BID baseline (§6, Figure 10).
+    /// No reuse: every call runs the [`Shared`](Self::Shared) call on a
+    /// forward search started over for it, with no budget.  This is the
+    /// paper's AIS-BID baseline (§6, Figure 10).
     None,
     /// Distance caching and forward-heap caching (§5.2): one forward
     /// Dijkstra expansion from the source is shared across calls, and every
@@ -28,8 +27,7 @@ pub struct DistanceEngineStats {
     /// Vertices settled by the (shared or per-call) forward search.
     pub forward_settles: usize,
     /// Vertices settled by the per-call searches from the target's side:
-    /// AIS-BID's reverse ALT A*, or, in [`SharingMode::Shared`], the
-    /// reverse Dijkstra and its completion step.
+    /// the reverse Dijkstra and its completion step.
     pub reverse_settles: usize,
     /// Edge relaxations attempted across every search the engine ran (the
     /// shared forward expansion plus all per-call searches).
@@ -37,101 +35,6 @@ pub struct DistanceEngineStats {
     /// The part of `edge_relaxations` done by the searches counted in
     /// `reverse_settles`.
     pub reverse_relaxed_edges: usize,
-}
-
-/// A point-to-point search keyed by hash maps instead of dense vectors, so
-/// that creating one per target stays cheap even on large graphs.  Both
-/// directions of [`SharingMode::None`] use it: the forward Dijkstra and the
-/// reverse ALT A*.
-struct HashSearch<'a> {
-    goal_heuristic: Option<(&'a LandmarkSet, NodeId)>,
-    dist: HashMap<NodeId, Distance>,
-    settled: HashMap<NodeId, Distance>,
-    heap: BinaryHeap<HeapItem>,
-    settles: usize,
-    relaxations: usize,
-}
-
-impl<'a> HashSearch<'a> {
-    fn new(source: NodeId, goal_heuristic: Option<(&'a LandmarkSet, NodeId)>) -> Self {
-        let mut heap = BinaryHeap::new();
-        let h0 = match goal_heuristic {
-            Some((lms, goal)) => finite_or_large(lms.lower_bound(source, goal)),
-            None => 0.0,
-        };
-        heap.push(HeapItem {
-            key: h0,
-            node: source,
-        });
-        let mut dist = HashMap::new();
-        dist.insert(source, 0.0);
-        HashSearch {
-            goal_heuristic,
-            dist,
-            settled: HashMap::new(),
-            heap,
-            settles: 0,
-            relaxations: 0,
-        }
-    }
-
-    fn heuristic(&self, v: NodeId) -> Distance {
-        match self.goal_heuristic {
-            Some((lms, goal)) => finite_or_large(lms.lower_bound(v, goal)),
-            None => 0.0,
-        }
-    }
-
-    fn next_settled(&mut self, graph: &SocialGraph) -> Option<(NodeId, Distance)> {
-        while let Some(HeapItem { node, .. }) = self.heap.pop() {
-            if self.settled.contains_key(&node) {
-                continue;
-            }
-            let g = *self.dist.get(&node).expect("heap entries have distances");
-            self.settled.insert(node, g);
-            self.settles += 1;
-            for edge in graph.neighbors(node) {
-                self.relaxations += 1;
-                let cand = g + edge.weight;
-                let better = self
-                    .dist
-                    .get(&edge.to)
-                    .map(|&cur| cand < cur)
-                    .unwrap_or(true);
-                if better && !self.settled.contains_key(&edge.to) {
-                    self.dist.insert(edge.to, cand);
-                    self.heap.push(HeapItem {
-                        key: cand + self.heuristic(edge.to),
-                        node: edge.to,
-                    });
-                }
-            }
-            return Some((node, g));
-        }
-        None
-    }
-
-    fn settled_distance(&self, v: NodeId) -> Option<Distance> {
-        self.settled.get(&v).copied()
-    }
-
-    /// Lower bound on the key of any vertex still to be settled.
-    fn peek_key(&self) -> Option<Distance> {
-        self.heap.peek().map(|e| e.key)
-    }
-
-    fn exhausted(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-#[inline]
-fn finite_or_large(x: Distance) -> Distance {
-    if x.is_finite() {
-        x
-    } else {
-        f64::MAX / 4.0
-    }
 }
 
 /// The graph-distance submodule of AIS (Algorithm 3, *GraphDist*).
@@ -142,10 +45,9 @@ fn finite_or_large(x: Distance) -> Distance {
 /// from the target (Goldberg & Harrelson, SODA 2005, for the landmark
 /// bounds).
 ///
-/// * With [`SharingMode::None`] (the AIS-BID baseline) every call runs a
-///   fresh bidirectional search: a plain Dijkstra from the source and an A*
-///   expansion from the target guided by the landmark (ALT) heuristic.
-///   Nothing is reused between calls.
+/// * With [`SharingMode::None`] (the AIS-BID baseline) every call runs the
+///   shared-mode call below on a forward search started over for it, with
+///   no budget.  Nothing is reused between calls.
 /// * With [`SharingMode::Shared`] the engine applies the §5.2
 ///   optimizations.  **Forward heap caching:** one resumable Dijkstra
 ///   expansion from the source lives for the engine's whole life (and,
@@ -283,8 +185,8 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
         let mut forward = IncrementalDijkstra::new(graph, source, scratch);
         if mode == SharingMode::Shared {
             forward.skip_replay();
-            forward.scratch_mut().answers.clear();
         }
+        forward.scratch_mut().answers.clear();
         GraphDistanceEngine {
             graph,
             landmarks,
@@ -302,11 +204,6 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
         self.source
     }
 
-    /// The sharing mode the engine was created with.
-    pub fn mode(&self) -> SharingMode {
-        self.mode
-    }
-
     /// Work counters accumulated so far.
     pub fn stats(&self) -> DistanceEngineStats {
         let mut stats = self.stats;
@@ -317,12 +214,9 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
     /// The `β` bound of §5.3: the distance of the last vertex settled by the
     /// (shared) forward search.  Every vertex not yet visited by the forward
     /// search is at least this far from the source.  Zero until the forward
-    /// search has made progress, and always zero in [`SharingMode::None`].
+    /// search has made progress.
     pub fn beta(&self) -> Distance {
-        match self.mode {
-            SharingMode::Shared => self.forward.frontier_bound(),
-            SharingMode::None => 0.0,
-        }
+        self.forward.frontier_bound()
     }
 
     /// Exact distance of `v` if it is already known without further search
@@ -331,14 +225,11 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
         if v == self.source {
             return Some(0.0);
         }
-        match self.mode {
-            SharingMode::Shared => self.forward.settled_distance(v).or_else(|| {
-                let answers = &self.forward.scratch().answers;
-                let at = answers.binary_search_by_key(&v, |&(t, _)| t).ok()?;
-                Some(answers[at].1)
-            }),
-            SharingMode::None => None,
-        }
+        self.forward.settled_distance(v).or_else(|| {
+            let answers = &self.forward.scratch().answers;
+            let at = answers.binary_search_by_key(&v, |&(t, _)| t).ok()?;
+            Some(answers[at].1)
+        })
     }
 
     /// Number of vertices settled by the shared forward search so far.
@@ -360,28 +251,31 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
     /// a candidate whose social distance reaches the budget can no longer
     /// enter the result, so there is no point computing its exact value.
     /// In [`SharingMode::Shared`] the budget caps both halves of the search
-    /// (the stop `β + γ ≥ cap` and the ALT prune).  In [`SharingMode::None`]
-    /// the budget is ignored and the full bidirectional search runs (the
-    /// AIS-BID baseline has no such optimization).
+    /// (the stop `β + γ ≥ cap` and the ALT prune).  In
+    /// [`SharingMode::None`] it caps only the result: the paper's AIS-BID
+    /// searches without a budget.
     pub fn distance_within(&mut self, target: NodeId, budget: Distance) -> Distance {
         self.stats.distance_calls += 1;
         if target == self.source {
             return 0.0;
         }
-        let d = match self.mode {
-            SharingMode::Shared => {
-                if let Some(d) = self.known_distance(target) {
-                    self.stats.cache_hits += 1;
-                    d
-                } else if self.lower_bound(target, self.source) >= budget * (1.0 + self.slack) {
-                    // Includes the provably disconnected target (an
-                    // infinite bound), so no search drains a component.
-                    f64::INFINITY
-                } else {
-                    self.shared_bidirectional(target, budget)
-                }
+        let search_budget = match self.mode {
+            SharingMode::Shared => budget,
+            SharingMode::None => {
+                self.forward.restart(self.graph);
+                self.forward.scratch_mut().answers.clear();
+                f64::INFINITY
             }
-            SharingMode::None => self.fresh_bidirectional(target),
+        };
+        let d = if let Some(d) = self.known_distance(target) {
+            self.stats.cache_hits += 1;
+            d
+        } else if self.lower_bound(target, self.source) >= search_budget * (1.0 + self.slack) {
+            // Includes the provably disconnected target (an infinite
+            // bound), so no search drains a component.
+            f64::INFINITY
+        } else {
+            self.shared_bidirectional(target, search_budget)
         };
         if d < budget {
             d
@@ -534,65 +428,6 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
         self.call_relaxations += relaxed;
         found
     }
-
-    /// Fresh, non-shared bidirectional search (forward Dijkstra + reverse
-    /// ALT A*), used by [`SharingMode::None`].
-    fn fresh_bidirectional(&mut self, target: NodeId) -> Distance {
-        let mut forward = HashSearch::new(self.source, None);
-        let mut reverse = HashSearch::new(target, Some((self.landmarks, self.source)));
-        let mut min_dist = f64::INFINITY;
-
-        loop {
-            let fwd_key = forward.peek_key();
-            let rev_key = reverse.peek_key();
-            if let (None, None) = (fwd_key, rev_key) {
-                break;
-            }
-            // Termination: no remaining meeting can beat min_dist.
-            if let Some(rk) = rev_key {
-                if min_dist <= rk + 1e-12 {
-                    break;
-                }
-            } else if forward.exhausted() {
-                break;
-            }
-            if let Some(fk) = fwd_key {
-                if min_dist <= fk + 1e-12 {
-                    break;
-                }
-            } else if reverse.exhausted() {
-                break;
-            }
-
-            if let Some((vf, df)) = forward.next_settled(self.graph) {
-                self.stats.forward_settles += 1;
-                if let Some(dr) = reverse.settled_distance(vf) {
-                    if df + dr < min_dist {
-                        min_dist = df + dr;
-                    }
-                }
-                if vf == target {
-                    min_dist = df;
-                    break;
-                }
-            }
-            if let Some((vr, dr)) = reverse.next_settled(self.graph) {
-                self.stats.reverse_settles += 1;
-                if let Some(df) = forward.settled_distance(vr) {
-                    if df + dr < min_dist {
-                        min_dist = df + dr;
-                    }
-                }
-                if vr == self.source {
-                    min_dist = min_dist.min(dr);
-                    break;
-                }
-            }
-        }
-        self.stats.reverse_relaxed_edges += reverse.relaxations;
-        self.call_relaxations += forward.relaxations + reverse.relaxations;
-        min_dist
-    }
 }
 
 #[cfg(test)]
@@ -635,8 +470,9 @@ mod tests {
             for _ in 0..40 {
                 let t = rng.gen_range(0..120) as NodeId;
                 let got = engine.distance(t);
-                assert!(
-                    (got - truth[t as usize]).abs() < 1e-9,
+                assert_eq!(
+                    got.to_bits(),
+                    truth[t as usize].to_bits(),
                     "mode {mode:?}, seed {seed}: d({source},{t}) = {got}, want {}",
                     truth[t as usize]
                 );
@@ -733,7 +569,6 @@ mod tests {
         let s = e.stats();
         assert_eq!(s.distance_calls, 2);
         assert!(s.forward_settles + s.reverse_settles > 0);
-        assert_eq!(e.mode(), SharingMode::Shared);
         assert_eq!(e.source(), 0);
     }
 
@@ -751,8 +586,9 @@ mod tests {
                 let budget = rng.gen_range(0.0..6.0);
                 let got = e.distance_within(t, budget);
                 if truth[t as usize] < budget {
-                    assert!(
-                        (got - truth[t as usize]).abs() < 1e-9,
+                    assert_eq!(
+                        got.to_bits(),
+                        truth[t as usize].to_bits(),
                         "mode {mode:?}: expected exact distance below budget"
                     );
                 } else {

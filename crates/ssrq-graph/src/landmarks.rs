@@ -25,7 +25,7 @@ pub enum LandmarkSelection {
 ///
 /// 1. triangle-inequality lower bounds on pairwise graph distances
 ///    ([`LandmarkSet::lower_bound`]), used to prune TSA candidates;
-/// 2. the ALT heuristic of the reverse A* search inside the bidirectional
+/// 2. the ALT pruning of the reverse search inside the bidirectional
 ///    graph-distance module (§5.2);
 /// 3. the per-cell social summaries (`m̂`, `m̌`) of the AIS index (§5.1),
 ///    which aggregate the per-vertex vectors stored here.

@@ -18,9 +18,9 @@
 //!   the basis of both the ALT heuristic and the AIS social summaries.
 //! * [`GraphDistanceEngine`] — the bidirectional point-to-point module of
 //!   §5.2 (Algorithm 3 *GraphDist*): a plain-Dijkstra forward search met
-//!   by a search from the target (ALT A* in the no-sharing baseline; a
-//!   per-call reverse Dijkstra with ALT pruning beside the shared forward
-//!   search otherwise), distance caching and forward-heap caching.
+//!   by a per-call reverse Dijkstra from the target with ALT pruning,
+//!   distance caching and forward-heap caching (the forward search is
+//!   started over for every call in the no-sharing baseline).
 //! * [`ContractionHierarchy`] — a Contraction Hierarchies implementation
 //!   used by the `*-CH` baselines of the evaluation (Figure 8).
 

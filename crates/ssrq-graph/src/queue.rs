@@ -4,10 +4,9 @@
 //!   [`IncrementalDijkstra`](crate::IncrementalDijkstra) expansion, and
 //!   under the shared-mode distance engine's per-call reverse search and
 //!   completion step (plain Dijkstra keys too: ALT only prunes there).
-//! * [`HeapItem`] — the entry of the `std` binary heaps that the searches
-//!   with *non*-monotone keys keep: the per-call `HashSearch` (its ALT
-//!   `g + h` keys are monotone only up to rounding) and the contraction
-//!   ordering and witness searches of `ch.rs`.
+//! * [`HeapItem`] — the entry of the `std` binary heaps of `ch.rs`: its
+//!   contraction ordering (whose priorities are not monotone), witness
+//!   searches and upward query searches.
 //!
 //! # Why a radix queue, and why it changes nothing but time
 //!

@@ -121,21 +121,6 @@ impl Rect {
         dx * dx + dy * dy
     }
 
-    /// Maximum Euclidean distance from `p` to any point of the rectangle
-    /// (attained at one of the four corners).
-    pub fn max_distance(&self, p: Point) -> f64 {
-        let corners = [
-            self.min,
-            self.max,
-            Point::new(self.min.x, self.max.y),
-            Point::new(self.max.x, self.min.y),
-        ];
-        corners
-            .iter()
-            .map(|c| c.distance(p))
-            .fold(0.0_f64, f64::max)
-    }
-
     /// Smallest rectangle enclosing both `self` and `other`.
     #[inline]
     pub fn union(&self, other: &Rect) -> Rect {
@@ -235,13 +220,6 @@ mod tests {
         let r = rect(3.0, 4.0, 5.0, 6.0);
         // Closest point is the corner (3, 4); origin distance is 5.
         assert_eq!(r.min_distance(Point::ORIGIN), 5.0);
-    }
-
-    #[test]
-    fn max_distance_is_farthest_corner() {
-        let r = rect(0.0, 0.0, 3.0, 4.0);
-        assert_eq!(r.max_distance(Point::ORIGIN), 5.0);
-        assert_eq!(r.max_distance(Point::new(3.0, 4.0)), 5.0);
     }
 
     #[test]

@@ -330,8 +330,9 @@ fn stats_show_ais_settles_fewer_vertices_than_single_domain_baselines() {
 
 #[test]
 fn ais_scores_are_bit_identical_to_the_oracle() {
-    // AIS and AIS⁻ evaluate candidates with a reverse search that meets the
-    // shared forward search and then recompute the survivor's distance in
+    // AIS, AIS⁻ and AIS-BID evaluate candidates with a reverse search that
+    // meets a forward search from the query user (shared, or started over
+    // per call in AIS-BID) and then recompute the survivor's distance in
     // forward arithmetic, so every score must equal the oracle's to the bit,
     // not merely to a tolerance.
     for users in [1_500, 6_000] {
@@ -353,7 +354,7 @@ fn ais_scores_are_bit_identical_to_the_oracle() {
                             .run(&base.clone().with_algorithm(Algorithm::Exhaustive))
                             .unwrap(),
                     );
-                    for algorithm in [Algorithm::AisMinus, Algorithm::Ais] {
+                    for algorithm in [Algorithm::AisBid, Algorithm::AisMinus, Algorithm::Ais] {
                         let got =
                             bits(engine.run(&base.clone().with_algorithm(algorithm)).unwrap());
                         assert_eq!(

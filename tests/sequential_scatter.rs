@@ -35,8 +35,8 @@ use geosocial_ssrq::shard::{Partitioning, ShardOutcome, ShardStats, ShardedEngin
 use std::time::Duration;
 
 /// The index-free algorithms built on the query-rooted forward expansion.
-/// (`AIS-BID` runs a bidirectional search per evaluation — the paper's
-/// no-sharing baseline — and shares nothing.)
+/// (`AIS-BID` starts its forward search over for every evaluation — the
+/// paper's no-sharing baseline — and shares nothing.)
 const FORWARD_EXPANSION: [Algorithm; 6] = [
     Algorithm::Sfa,
     Algorithm::Spa,
@@ -248,6 +248,49 @@ fn a_shared_expansion_changes_no_answer_and_no_sorted_access_counter() {
                 "{what}: nothing may be resumed outside a scope"
             );
         }
+    }
+}
+
+#[test]
+fn ais_bid_in_a_scope_neither_resumes_nor_corrupts_a_retained_expansion() {
+    // AIS-BID resets the scope's forward scratch before every evaluation.
+    // Run between two AIS queries from the same user, it must not pick up
+    // the expansion the first one retained, and the second must still
+    // answer as if run alone.
+    let dataset = DatasetConfig::gowalla_like(800).with_seed(77).generate();
+    let workload = QueryWorkload::generate(&dataset, 3, 5);
+    let engine = GeoSocialEngine::builder(dataset.clone()).build().unwrap();
+    let mut ctx = QueryContext::new();
+    for &user in &workload.users {
+        let request = |algorithm| {
+            QueryRequest::for_user(user)
+                .k(8)
+                .alpha(0.4)
+                .algorithm(algorithm)
+                .build()
+                .unwrap()
+        };
+        let (ais, bid) = (request(Algorithm::Ais), request(Algorithm::AisBid));
+        let ais_alone = engine.run_with(&ais, &mut QueryContext::new()).unwrap();
+        let bid_alone = engine.run_with(&bid, &mut QueryContext::new()).unwrap();
+        let (first, between, last) = ctx.share_social_expansion(|ctx| {
+            (
+                engine.run_with(&ais, ctx).unwrap(),
+                engine.run_with(&bid, ctx).unwrap(),
+                engine.run_with(&ais, ctx).unwrap(),
+            )
+        });
+        assert_eq!(first.ranked, ais_alone.ranked, "user {user}: first AIS");
+        assert_eq!(between.ranked, bid_alone.ranked, "user {user}: AIS-BID");
+        assert_eq!(
+            last.ranked, ais_alone.ranked,
+            "user {user}: AIS after AIS-BID"
+        );
+        assert_eq!(
+            without_runtime(between.stats),
+            without_runtime(bid_alone.stats),
+            "user {user}: AIS-BID shares nothing"
+        );
     }
 }
 
