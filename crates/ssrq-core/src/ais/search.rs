@@ -1,14 +1,13 @@
 use crate::ais::AisIndex;
-use crate::driver::{drain_new_finalized, QueryDriver, StepOutcome};
+use crate::driver::{AnswerBook, Driven, QueryDriver, Search, StepOutcome};
 use crate::{
-    CoreError, GeoSocialDataset, QueryContext, QueryRequest, QueryResult, QueryStats, RankedUser,
-    RankingContext, TopK, UserId,
+    CoreError, GeoSocialDataset, QueryContext, QueryRequest, QueryResult, QueryStats,
+    RankingContext, UserId,
 };
 use ssrq_graph::{GraphDistanceEngine, LandmarkSet, SharingMode};
 use ssrq_spatial::{NodeId, NodeKind, Point};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 /// Which optimizations the AIS search applies — the three flavours evaluated
 /// in Figure 10 of the paper.
@@ -81,30 +80,21 @@ impl Ord for Entry {
 }
 
 /// The Aggregate Index Search (Algorithm 2 of the paper) as a resumable
-/// state machine.
+/// search.
 ///
-/// Each [`QueryDriver::step`] pops one entry from the search heap `H` and
-/// handles it — expanding an index node, parking a user, or evaluating one
-/// exactly.  Pops arrive in non-decreasing key order, so every pop key is a
+/// Each step pops one entry from the search heap `H` and handles it —
+/// expanding an index node, parking a user, or evaluating one exactly.
+/// Pops arrive in non-decreasing key order, so every pop key is a
 /// finalization bound: the driver emits result entries as soon as their
 /// score drops below the best key still in the heap.
 pub(crate) struct AisDriver<'a> {
-    dataset: &'a GeoSocialDataset,
     index: &'a AisIndex,
     landmarks: &'a LandmarkSet,
-    request: QueryRequest,
-    ctx: RankingContext<'a>,
     variant: AisVariant,
     query_location: Point,
-    query_vector: Vec<f64>,
+    query_vector: &'a [f64],
     distance_engine: GraphDistanceEngine<'a, 'a>,
     heap: BinaryHeap<Entry>,
-    topk: TopK,
-    stats: QueryStats,
-    start: Instant,
-    emitted: usize,
-    result: Option<Result<QueryResult, CoreError>>,
-    done: bool,
 }
 
 impl std::fmt::Debug for AisDriver<'_> {
@@ -112,141 +102,79 @@ impl std::fmt::Debug for AisDriver<'_> {
         f.debug_struct("AisDriver")
             .field("variant", &self.variant)
             .field("heap_len", &self.heap.len())
-            .field("done", &self.done)
             .finish()
     }
 }
 
 impl<'a> AisDriver<'a> {
-    /// Starts an AIS search with the chosen variant.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for an
-    /// invalid request.
+    /// An AIS search of the chosen variant from `origin`.
     pub(crate) fn new(
-        dataset: &'a GeoSocialDataset,
+        ranking: &RankingContext<'a>,
         index: &'a AisIndex,
         landmarks: &'a LandmarkSet,
-        request: &QueryRequest,
+        origin: Point,
         variant: AisVariant,
         qctx: &'a mut QueryContext,
-    ) -> Result<Self, CoreError> {
-        request.validate()?;
-        dataset.check_user(request.user())?;
-        let start = Instant::now();
-        let ctx = RankingContext::new(dataset, request);
-        // Without an origin no candidate has a finite score: no node is
-        // pushed and the first step completes with the empty answer.  (The
-        // engine answers such a query before starting any driver.)
-        let origin = ctx.origin();
-        let query_vector: Vec<f64> = landmarks.vector(request.user()).to_vec();
-        let mut driver = AisDriver {
-            topk: TopK::for_request(request),
-            distance_engine: GraphDistanceEngine::new(
-                dataset.graph(),
-                landmarks,
-                request.user(),
-                variant.sharing,
-                &mut qctx.social,
-            ),
-            heap: BinaryHeap::new(),
-            query_location: origin.unwrap_or(Point::ORIGIN),
-            dataset,
-            index,
-            landmarks,
-            request: request.clone(),
-            ctx,
-            variant,
-            query_vector,
-            stats: QueryStats::default(),
-            start,
-            emitted: 0,
-            result: None,
-            done: false,
-        };
-        for node in index.grid().top_nodes().filter(|_| origin.is_some()) {
-            let key = node_lower_bound(
-                index,
-                &driver.ctx,
-                node,
-                driver.query_location,
-                &driver.query_vector,
-            );
+    ) -> Self {
+        let user_q = ranking.query_user();
+        let query_vector = landmarks.vector(user_q);
+        let mut heap = BinaryHeap::new();
+        for node in index.grid().top_nodes() {
+            let key = node_lower_bound(index, ranking, node, origin, query_vector);
             if key.is_finite() {
-                driver.heap.push(Entry {
+                heap.push(Entry {
                     key,
                     item: Item::Node(node),
                 });
             }
         }
-        Ok(driver)
-    }
-
-    /// Folds the distance-submodule counters into the query stats.
-    fn merged_stats(&self) -> QueryStats {
-        let mut stats = self.stats;
-        let engine_stats = self.distance_engine.stats();
-        stats.social_pops += engine_stats.forward_settles + engine_stats.reverse_settles;
-        stats.reverse_settles += engine_stats.reverse_settles;
-        stats.cache_hits += engine_stats.cache_hits;
-        stats.relaxed_edges += engine_stats.edge_relaxations;
-        stats.reverse_relaxed_edges += engine_stats.reverse_relaxed_edges;
-        // |V_pop| for AIS is the number of entries popped from its own
-        // search heap H (Algorithm 2), not the internal work of the distance
-        // submodule.
-        stats.vertex_pops = stats.index_pops;
-        stats
-    }
-
-    fn complete(&mut self) -> StepOutcome {
-        self.stats = self.merged_stats();
-        self.stats.streamable_results = self.topk.finalized();
-        self.stats.runtime = self.start.elapsed();
-        let topk = std::mem::replace(&mut self.topk, TopK::new(0));
-        self.result = Some(Ok(QueryResult {
-            ranked: topk.into_sorted_vec(),
-            k: self.request.k(),
-            degraded: false,
-            stats: self.stats,
-        }));
-        self.done = true;
-        StepOutcome::Complete
+        AisDriver {
+            distance_engine: GraphDistanceEngine::new(
+                ranking.dataset().graph(),
+                landmarks,
+                user_q,
+                variant.sharing,
+                &mut qctx.social,
+            ),
+            heap,
+            query_location: origin,
+            index,
+            landmarks,
+            variant,
+            query_vector,
+        }
     }
 }
 
-impl QueryDriver for AisDriver<'_> {
-    fn step(&mut self) -> StepOutcome {
-        if self.done {
-            return StepOutcome::Complete;
-        }
+impl Search for AisDriver<'_> {
+    fn step(&mut self, book: &mut AnswerBook<'_>) -> StepOutcome {
         let Some(Entry { key, item }) = self.heap.pop() else {
             // The search heap drained: every remaining user was pruned with
             // a key at or above `f_k`, so no held entry can be displaced —
             // the interim result is final.
-            self.topk.raise_threshold(f64::INFINITY);
-            return self.complete();
+            book.topk.raise_threshold(f64::INFINITY);
+            return StepOutcome::Complete;
         };
-        self.stats.index_pops += 1;
+        book.stats.index_pops += 1;
         // Every candidate still in the heap (and everything reachable from
         // it) scores at least `key`: pops arrive in non-decreasing key
         // order, so `key` is a finalization bound for the entries held.
-        self.topk.raise_threshold(key);
-        if key >= self.topk.fk() {
-            return self.complete();
+        if book.raise(key) {
+            return StepOutcome::Complete;
         }
+        let ctx = book.ctx;
         match item {
             Item::Node(node) => match self.index.grid().node_kind(node) {
                 NodeKind::Internal => {
                     for child in self.index.grid().children(node) {
                         let child_key = node_lower_bound(
                             self.index,
-                            &self.ctx,
+                            &ctx,
                             child,
                             self.query_location,
-                            &self.query_vector,
+                            self.query_vector,
                         );
-                        if child_key.is_finite() && child_key < self.topk.fk() {
+                        if child_key.is_finite() && child_key < book.topk.fk() {
                             self.heap.push(Entry {
                                 key: child_key,
                                 item: Item::Node(child),
@@ -256,11 +184,11 @@ impl QueryDriver for AisDriver<'_> {
                 }
                 NodeKind::Leaf => {
                     for &user in self.index.grid().leaf_items(node) {
-                        if !self.request.admits(self.dataset, user) {
+                        if !book.request.admits(book.dataset(), user) {
                             continue;
                         }
-                        let spatial = self.ctx.spatial(user);
-                        let mut raw_lb = self.landmarks.lower_bound(self.request.user(), user);
+                        let spatial = ctx.spatial(user);
+                        let mut raw_lb = self.landmarks.lower_bound(ctx.query_user(), user);
                         // Delayed evaluation's β bound (§5.3), applied on
                         // the way in as well as on the way out.
                         if self.variant.delayed_evaluation
@@ -268,9 +196,9 @@ impl QueryDriver for AisDriver<'_> {
                         {
                             raw_lb = raw_lb.max(self.distance_engine.beta());
                         }
-                        let social_lb = self.ctx.normalize_social(raw_lb);
-                        let user_key = self.ctx.score_lower_bound(social_lb, spatial);
-                        if user_key.is_finite() && user_key < self.topk.fk() {
+                        let social_lb = ctx.normalize_social(raw_lb);
+                        let user_key = ctx.score_lower_bound(social_lb, spatial);
+                        if user_key.is_finite() && user_key < book.topk.fk() {
                             self.heap.push(Entry {
                                 key: user_key,
                                 item: Item::User(user, spatial),
@@ -284,12 +212,12 @@ impl QueryDriver for AisDriver<'_> {
                 // progressed beyond this user's landmark bound, re-insert it
                 // with the tighter β-based key instead of evaluating it now.
                 if self.variant.delayed_evaluation {
-                    let beta_bound = self.ctx.normalize_social(self.distance_engine.beta());
-                    let delayed_key = self.ctx.score_lower_bound(beta_bound, spatial);
+                    let beta_bound = ctx.normalize_social(self.distance_engine.beta());
+                    let delayed_key = ctx.score_lower_bound(beta_bound, spatial);
                     if key < delayed_key - 1e-12
                         && self.distance_engine.known_distance(user).is_none()
                     {
-                        self.stats.delayed_reinsertions += 1;
+                        book.stats.delayed_reinsertions += 1;
                         self.heap.push(Entry {
                             key: delayed_key,
                             item: Item::User(user, spatial),
@@ -300,68 +228,58 @@ impl QueryDriver for AisDriver<'_> {
                 // Evaluate or disqualify: the exact social distance is only
                 // needed up to the budget beyond which the user cannot beat
                 // the current threshold f_k.
-                let fk = self.topk.fk();
+                let fk = book.topk.fk();
                 let budget = if fk.is_finite() {
-                    let social_budget =
-                        (fk - (1.0 - self.request.alpha()) * spatial) / self.request.alpha();
-                    self.dataset.social_norm() * social_budget
+                    let alpha = book.request.alpha();
+                    let social_budget = (fk - (1.0 - alpha) * spatial) / alpha;
+                    book.dataset().social_norm() * social_budget
                 } else {
                     f64::INFINITY
                 };
                 let raw_social = self.distance_engine.distance_within(user, budget);
-                self.stats.distance_calls += 1;
-                self.stats.evaluated_users += 1;
-                let social = self.ctx.normalize_social(raw_social);
-                let score = self.ctx.score(social, spatial);
-                self.topk.consider(RankedUser {
-                    user,
-                    score,
-                    social,
-                    spatial,
-                });
+                book.stats.distance_calls += 1;
+                book.consider(user, ctx.normalize_social(raw_social), spatial);
             }
         }
         StepOutcome::Progress
     }
 
-    fn drain_finalized(&mut self, out: &mut Vec<RankedUser>) {
-        if !self.done {
-            drain_new_finalized(&self.topk, &mut self.emitted, out);
-        }
-    }
-
-    fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    fn stats(&self) -> QueryStats {
-        if self.done {
-            return self.stats;
-        }
-        let mut stats = self.merged_stats();
-        stats.streamable_results = self.topk.finalized();
-        stats.runtime = self.start.elapsed();
-        stats
-    }
-
-    fn take_result(&mut self) -> Result<QueryResult, CoreError> {
-        self.result
-            .take()
-            .expect("AisDriver not complete or result already taken")
+    /// Folds the distance-submodule counters into the query stats.
+    fn fold_stats(&self, stats: &mut QueryStats) {
+        let engine_stats = self.distance_engine.stats();
+        stats.social_pops += engine_stats.forward_settles + engine_stats.reverse_settles;
+        stats.reverse_settles += engine_stats.reverse_settles;
+        stats.cache_hits += engine_stats.cache_hits;
+        stats.relaxed_edges += engine_stats.edge_relaxations;
+        stats.reverse_relaxed_edges += engine_stats.reverse_relaxed_edges;
+        // |V_pop| for AIS is the number of entries popped from its own
+        // search heap H (Algorithm 2), not the internal work of the distance
+        // submodule.
+        stats.vertex_pops = stats.index_pops;
     }
 }
 
-/// Runs the AIS branch-and-bound search (Algorithm 2 of the paper) with the
-/// chosen variant to completion — the SFA-Cached fallback.
+/// Runs the full AIS (Algorithm 2 of the paper) to completion on
+/// `request`, already validated, from its resolved `origin` — the
+/// SFA-Cached fallback.
 pub(crate) fn ais_query(
     dataset: &GeoSocialDataset,
     index: &AisIndex,
     landmarks: &LandmarkSet,
     request: &QueryRequest,
-    variant: AisVariant,
+    origin: Point,
     qctx: &mut QueryContext,
 ) -> Result<QueryResult, CoreError> {
-    AisDriver::new(dataset, index, landmarks, request, variant, qctx)?.run_to_completion()
+    let book = AnswerBook::new(dataset, request);
+    let search = AisDriver::new(
+        &book.ctx,
+        index,
+        landmarks,
+        origin,
+        AisVariant::full(),
+        qctx,
+    );
+    Driven::new(book, search).run_to_completion()
 }
 
 /// `MINF(u_q, C)` of Theorem 1, in normalized/ranking units.
@@ -369,7 +287,7 @@ fn node_lower_bound(
     index: &AisIndex,
     ctx: &RankingContext<'_>,
     node: NodeId,
-    query_location: ssrq_spatial::Point,
+    query_location: Point,
     query_vector: &[f64],
 ) -> f64 {
     let spatial_lb = ctx.normalize_spatial(index.spatial_lower_bound(node, query_location));
@@ -381,8 +299,36 @@ fn node_lower_bound(
 mod tests {
     use super::*;
     use crate::algorithms::exhaustive;
+    use crate::{Algorithm, GeoSocialEngine};
     use ssrq_graph::{GraphBuilder, LandmarkSelection};
-    use ssrq_spatial::Point;
+
+    /// One AIS run of `variant`.  A query user without a location never
+    /// reaches the search: the engine answers it up front, so it runs
+    /// through an engine.
+    fn ais_query(
+        dataset: &GeoSocialDataset,
+        index: &AisIndex,
+        landmarks: &LandmarkSet,
+        request: &QueryRequest,
+        variant: AisVariant,
+        qctx: &mut QueryContext,
+    ) -> Result<QueryResult, CoreError> {
+        let book = AnswerBook::new(dataset, request);
+        let Some(origin) = book.ctx.origin() else {
+            let algorithm = if variant == AisVariant::bid() {
+                Algorithm::AisBid
+            } else if variant == AisVariant::minus() {
+                Algorithm::AisMinus
+            } else {
+                Algorithm::Ais
+            };
+            let engine = GeoSocialEngine::builder(dataset.clone()).build()?;
+            return engine.run(&request.clone().with_algorithm(algorithm));
+        };
+        let search = AisDriver::new(&book.ctx, index, landmarks, origin, variant, qctx);
+        let mut driver = Driven::new(book, search);
+        driver.run_to_completion()
+    }
 
     fn req(user: u32, k: usize, alpha: f64) -> QueryRequest {
         QueryRequest::for_user(user)
@@ -482,49 +428,26 @@ mod tests {
 
     #[test]
     fn query_user_without_location_gets_empty_result() {
-        let (dataset, landmarks) = dataset();
-        let index = AisIndex::build(&dataset, &landmarks, 4, 2).unwrap();
+        let (dataset, _) = dataset();
+        let engine = GeoSocialEngine::builder(dataset).build().unwrap();
         // User 6 has no location (6 % 7 == 6).
-        let request = req(6, 5, 0.5);
-        let result = ais_query(
-            &dataset,
-            &index,
-            &landmarks,
-            &request,
-            AisVariant::full(),
-            &mut QueryContext::new(),
-        )
-        .unwrap();
+        let request = req(6, 5, 0.5).with_algorithm(Algorithm::Ais);
+        let result = engine.run(&request).unwrap();
         assert!(result.ranked.is_empty());
     }
 
     #[test]
     fn invalid_parameters_are_rejected() {
-        let (dataset, landmarks) = dataset();
-        let index = AisIndex::build(&dataset, &landmarks, 4, 2).unwrap();
+        let (dataset, _) = dataset();
+        let engine = GeoSocialEngine::builder(dataset).build().unwrap();
         let bad_alpha = QueryRequest::for_user(0)
             .k(5)
             .alpha(1.0)
+            .algorithm(Algorithm::Ais)
             .build_unvalidated();
-        assert!(ais_query(
-            &dataset,
-            &index,
-            &landmarks,
-            &bad_alpha,
-            AisVariant::full(),
-            &mut QueryContext::new()
-        )
-        .is_err());
-        let bad_user = req(999, 5, 0.5);
-        assert!(ais_query(
-            &dataset,
-            &index,
-            &landmarks,
-            &bad_user,
-            AisVariant::full(),
-            &mut QueryContext::new()
-        )
-        .is_err());
+        assert!(engine.run(&bad_alpha).is_err());
+        let bad_user = req(999, 5, 0.5).with_algorithm(Algorithm::Ais);
+        assert!(engine.run(&bad_user).is_err());
     }
 
     #[test]

@@ -1,10 +1,6 @@
-use crate::driver::{QueryDriver, StepOutcome};
-use crate::{
-    CoreError, GeoSocialDataset, QueryContext, QueryRequest, QueryResult, QueryStats, RankedUser,
-    RankingContext, TopK, UserId,
-};
+use crate::driver::{AnswerBook, Search, StepOutcome};
+use crate::{QueryStats, UserId};
 use ssrq_graph::IncrementalDijkstra;
-use std::time::Instant;
 
 /// The two phases of the oracle machine: the full single-source Dijkstra,
 /// then the linear scan.
@@ -16,9 +12,8 @@ enum ExhaustivePhase {
     Scan { next_user: UserId },
 }
 
-/// The brute-force oracle as a resumable state machine: one full
-/// single-source Dijkstra from the query vertex, then a linear scan over all
-/// users.
+/// The brute-force oracle as a resumable search: one full single-source
+/// Dijkstra from the query vertex, then a linear scan over all users.
 ///
 /// This is the correctness oracle used throughout the test suite and the
 /// baseline "no index, no pruning" reference point; it is not part of the
@@ -28,136 +23,55 @@ enum ExhaustivePhase {
 ///
 /// The oracle carries no incremental threshold — its scan order implies no
 /// bound on unseen users — so it never finalizes an entry before
-/// completion: [`QueryDriver::drain_finalized`] yields nothing and the
-/// whole result arrives at [`QueryDriver::take_result`]
-/// (*drain-after-complete*).  The machine still steps one vertex/user at a
-/// time, so it can be suspended and resumed like every other driver.
+/// completion: it is *drain-after-complete*, and the whole result arrives
+/// at [`QueryDriver::take_result`](crate::QueryDriver::take_result).  The
+/// machine still steps one vertex/user at a time, so it can be suspended
+/// and resumed like every other driver.
 #[derive(Debug)]
 pub(crate) struct ExhaustiveDriver<'a> {
-    dataset: &'a GeoSocialDataset,
-    request: QueryRequest,
-    ctx: RankingContext<'a>,
     social: IncrementalDijkstra<'a>,
     phase: ExhaustivePhase,
-    topk: TopK,
-    stats: QueryStats,
-    start: Instant,
-    result: Option<Result<QueryResult, CoreError>>,
-    done: bool,
 }
 
 impl<'a> ExhaustiveDriver<'a> {
-    /// Starts an exhaustive evaluation.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for an
-    /// invalid request.
-    pub(crate) fn new(
-        dataset: &'a GeoSocialDataset,
-        request: &QueryRequest,
-        qctx: &'a mut QueryContext,
-    ) -> Result<Self, CoreError> {
-        request.validate()?;
-        dataset.check_user(request.user())?;
-        let start = Instant::now();
-        Ok(ExhaustiveDriver {
-            ctx: RankingContext::new(dataset, request),
-            topk: TopK::for_request(request),
-            social: IncrementalDijkstra::new(dataset.graph(), request.user(), &mut qctx.social),
+    /// An exhaustive evaluation over the query-rooted expansion `social`.
+    pub(crate) fn new(social: IncrementalDijkstra<'a>) -> Self {
+        ExhaustiveDriver {
+            social,
             phase: ExhaustivePhase::Expand,
-            dataset,
-            request: request.clone(),
-            stats: QueryStats::default(),
-            start,
-            result: None,
-            done: false,
-        })
-    }
-
-    fn complete(&mut self) -> StepOutcome {
-        // Drain-after-complete: the scan order carries no distance bound, so
-        // no entry is final before the scan ends (`streamable_results` stays
-        // 0 — the threshold was never raised).
-        self.stats.relaxed_edges = self.social.relaxations();
-        self.stats.streamable_results = self.topk.finalized();
-        self.stats.runtime = self.start.elapsed();
-        let topk = std::mem::replace(&mut self.topk, TopK::new(0));
-        self.result = Some(Ok(QueryResult {
-            ranked: topk.into_sorted_vec(),
-            k: self.request.k(),
-            degraded: false,
-            stats: self.stats,
-        }));
-        self.done = true;
-        StepOutcome::Complete
+        }
     }
 }
 
-impl QueryDriver for ExhaustiveDriver<'_> {
-    fn step(&mut self) -> StepOutcome {
-        if self.done {
-            return StepOutcome::Complete;
-        }
+impl Search for ExhaustiveDriver<'_> {
+    const STREAMS: bool = false;
+
+    fn step(&mut self, book: &mut AnswerBook<'_>) -> StepOutcome {
+        let dataset = book.dataset();
         match self.phase {
             ExhaustivePhase::Expand => {
-                if self.social.next_settled(self.dataset.graph()).is_none() {
-                    self.stats.social_pops = self.social.settled_count();
-                    self.stats.vertex_pops = self.dataset.user_count();
+                if self.social.next_settled(dataset.graph()).is_none() {
+                    book.stats.social_pops = self.social.settled_count();
+                    book.stats.vertex_pops = dataset.user_count();
                     self.phase = ExhaustivePhase::Scan { next_user: 0 };
                 }
-                StepOutcome::Progress
             }
             ExhaustivePhase::Scan { next_user } => {
-                if next_user as usize >= self.dataset.user_count() {
-                    return self.complete();
+                if next_user as usize >= dataset.user_count() {
+                    return StepOutcome::Complete;
                 }
                 self.phase = ExhaustivePhase::Scan {
                     next_user: next_user + 1,
                 };
-                if !self.request.admits(self.dataset, next_user) {
-                    return StepOutcome::Progress;
-                }
-                let raw_social = self
-                    .social
-                    .settled_distance(next_user)
-                    .unwrap_or(f64::INFINITY);
-                let (score, social_norm, spatial_norm) =
-                    self.ctx.score_from_raw_social(next_user, raw_social);
-                self.stats.evaluated_users += 1;
-                self.topk.consider(RankedUser {
-                    user: next_user,
-                    score,
-                    social: social_norm,
-                    spatial: spatial_norm,
-                });
-                StepOutcome::Progress
+                let raw_social = self.social.settled_distance(next_user);
+                book.offer(next_user, raw_social.unwrap_or(f64::INFINITY));
             }
         }
+        StepOutcome::Progress
     }
 
-    fn drain_finalized(&mut self, _out: &mut Vec<RankedUser>) {
-        // The oracle never finalizes early; everything arrives through
-        // `take_result`.
-    }
-
-    fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    fn stats(&self) -> QueryStats {
-        let mut stats = self.stats;
-        if !self.done {
-            stats.relaxed_edges = self.social.relaxations();
-            stats.runtime = self.start.elapsed();
-        }
-        stats
-    }
-
-    fn take_result(&mut self) -> Result<QueryResult, CoreError> {
-        self.result
-            .take()
-            .expect("ExhaustiveDriver not complete or result already taken")
+    fn fold_stats(&self, stats: &mut QueryStats) {
+        stats.relaxed_edges = self.social.relaxations();
     }
 }
 
@@ -165,15 +79,20 @@ impl QueryDriver for ExhaustiveDriver<'_> {
 /// the reference the other algorithms' unit tests compare against.
 #[cfg(test)]
 pub(crate) fn run(
-    dataset: &GeoSocialDataset,
-    request: &QueryRequest,
-) -> Result<QueryResult, CoreError> {
-    ExhaustiveDriver::new(dataset, request, &mut QueryContext::new())?.run_to_completion()
+    dataset: &crate::GeoSocialDataset,
+    request: &crate::QueryRequest,
+) -> Result<crate::QueryResult, crate::CoreError> {
+    use crate::driver::{Driven, QueryDriver};
+    let book = AnswerBook::open(dataset, request)?;
+    let mut qctx = crate::QueryContext::new();
+    let social = IncrementalDijkstra::new(dataset.graph(), request.user(), &mut qctx.social);
+    Driven::new(book, ExhaustiveDriver::new(social)).run_to_completion()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GeoSocialDataset, QueryRequest};
     use ssrq_graph::GraphBuilder;
     use ssrq_spatial::{Point, Rect};
 

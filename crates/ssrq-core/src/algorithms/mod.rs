@@ -7,7 +7,7 @@
 pub(crate) mod exhaustive;
 /// Pre-computed socially-closest lists with AIS fallback (§5.4).
 mod precompute;
-/// Social First Approach and its CH variant (§4.1).
+/// Social First Approach over a Dijkstra or a CH-ranked order (§4.1).
 mod sfa;
 /// Spatial First Approach and its CH variant (§4.1).
 mod spa;
@@ -17,6 +17,6 @@ mod tsa;
 pub(crate) use exhaustive::ExhaustiveDriver;
 pub(crate) use precompute::CachedDriver;
 pub use precompute::SocialNeighborCache;
-pub(crate) use sfa::{SfaChDriver, SfaDriver};
-pub(crate) use spa::{SpaDriver, SpaOptions};
+pub(crate) use sfa::{SfaDriver, SocialOrder};
+pub(crate) use spa::SpaDriver;
 pub(crate) use tsa::{TsaDriver, TsaOptions};

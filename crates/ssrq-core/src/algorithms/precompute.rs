@@ -1,11 +1,7 @@
-use crate::driver::{QueryDriver, StepOutcome};
-use crate::{
-    CoreError, GeoSocialDataset, QueryRequest, QueryResult, QueryStats, RankedUser, RankingContext,
-    TopK, UserId,
-};
+use crate::driver::{AnswerBook, Search, StepOutcome};
+use crate::{CoreError, QueryRequest, QueryResult, UserId};
 use ssrq_graph::{IncrementalDijkstra, SearchScratch, SocialGraph};
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Pre-computed lists of the `t` socially closest vertices per user (§5.4 of
 /// the paper).
@@ -70,21 +66,17 @@ impl SocialNeighborCache {
 }
 
 /// The pre-computation method (§5.4, "AIS-Cache" in Figure 11) as a
-/// resumable state machine: the SFA loop over the cached, already-sorted
-/// social neighbour list of the query user, one cached entry per
-/// [`QueryDriver::step`], with a lazy fallback when the cache proves
-/// insufficient.
+/// resumable search: the SFA loop over the cached, already-sorted social
+/// neighbour list of the query user, one cached entry per step, with a lazy
+/// fallback when the cache proves insufficient.
 ///
 /// Because a mid-scan step cannot yet know whether the list will terminate
 /// the search or exhaust into the fallback (which *replaces* the interim
-/// result), this driver is **drain-after-complete**:
-/// [`QueryDriver::drain_finalized`] yields nothing and the whole result
-/// arrives at [`QueryDriver::take_result`].
+/// result), this search is **drain-after-complete**: nothing is drained
+/// early and the whole result arrives at
+/// [`QueryDriver::take_result`](crate::QueryDriver::take_result).
 #[derive(Debug)]
 pub(crate) struct CachedDriver<'a, F> {
-    dataset: &'a GeoSocialDataset,
-    request: QueryRequest,
-    ctx: RankingContext<'a>,
     /// The cached list of the query user; `None` when the cache does not
     /// cover the user (the fallback runs on the first step).
     list: Option<&'a [(UserId, f64)]>,
@@ -92,102 +84,47 @@ pub(crate) struct CachedDriver<'a, F> {
     t: usize,
     idx: usize,
     fallback: Option<F>,
-    topk: TopK,
-    stats: QueryStats,
-    start: Instant,
-    result: Option<Result<QueryResult, CoreError>>,
-    done: bool,
 }
 
 impl<'a, F> CachedDriver<'a, F>
 where
     F: FnOnce(&QueryRequest) -> Result<QueryResult, CoreError>,
 {
-    /// Starts a cached-list search; `fallback` is invoked lazily, only when
-    /// the cache proves insufficient, and must produce a complete result.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for an
-    /// invalid request.
-    pub(crate) fn new(
-        dataset: &'a GeoSocialDataset,
-        cache: &'a SocialNeighborCache,
-        request: &QueryRequest,
-        fallback: F,
-    ) -> Result<Self, CoreError> {
-        request.validate()?;
-        dataset.check_user(request.user())?;
-        let start = Instant::now();
-        Ok(CachedDriver {
-            ctx: RankingContext::new(dataset, request),
-            topk: TopK::for_request(request),
-            list: cache.neighbors(request.user()),
+    /// A cached-list search for `user`; `fallback` is invoked lazily, only
+    /// when the cache proves insufficient, and must produce a complete
+    /// result.
+    pub(crate) fn new(cache: &'a SocialNeighborCache, user: UserId, fallback: F) -> Self {
+        CachedDriver {
+            list: cache.neighbors(user),
             t: cache.t(),
             idx: 0,
             fallback: Some(fallback),
-            dataset,
-            request: request.clone(),
-            stats: QueryStats::default(),
-            start,
-            result: None,
-            done: false,
-        })
+        }
     }
 
-    /// Runs the fallback and completes with its (stat-absorbed) result.
-    /// `deferred` marks the no-list case, where the fallback result is
-    /// passed through unchanged except for the wall clock.
-    fn complete_with_fallback(&mut self, deferred: bool) -> StepOutcome {
+    /// Completes with the fallback's result, which absorbs the scan's
+    /// counters (none when the list was missing).
+    fn fall_back(&mut self, book: &mut AnswerBook<'_>) -> StepOutcome {
         let fallback = self.fallback.take().expect("cached fallback invoked twice");
-        self.result = Some(match fallback(&self.request) {
-            Ok(mut result) => {
-                if deferred {
-                    result.stats.runtime = self.start.elapsed();
-                } else {
-                    self.stats.absorb(&result.stats);
-                    self.stats.runtime = self.start.elapsed();
-                    result.stats = self.stats;
-                }
-                Ok(result)
-            }
-            Err(error) => {
-                // Keep the scan's counters meaningful for post-mortem
-                // `stats()` snapshots even though the query failed.
-                self.stats.runtime = self.start.elapsed();
-                Err(error)
-            }
+        let result = fallback(&book.request).map(|mut result| {
+            book.stats.absorb(&result.stats);
+            result.stats = book.stats;
+            result
         });
-        self.done = true;
-        StepOutcome::Complete
-    }
-
-    fn complete(&mut self) -> StepOutcome {
-        self.stats.streamable_results = self.topk.finalized();
-        self.stats.runtime = self.start.elapsed();
-        let topk = std::mem::replace(&mut self.topk, TopK::new(0));
-        self.result = Some(Ok(QueryResult {
-            ranked: topk.into_sorted_vec(),
-            k: self.request.k(),
-            degraded: false,
-            stats: self.stats,
-        }));
-        self.done = true;
-        StepOutcome::Complete
+        book.finish(result)
     }
 }
 
-impl<F> QueryDriver for CachedDriver<'_, F>
+impl<F> Search for CachedDriver<'_, F>
 where
     F: FnOnce(&QueryRequest) -> Result<QueryResult, CoreError>,
 {
-    fn step(&mut self) -> StepOutcome {
-        if self.done {
-            return StepOutcome::Complete;
-        }
+    const STREAMS: bool = false;
+
+    fn step(&mut self, book: &mut AnswerBook<'_>) -> StepOutcome {
         let Some(list) = self.list else {
             // No list for this user: defer to the fallback entirely.
-            return self.complete_with_fallback(true);
+            return self.fall_back(book);
         };
         let Some(&(user, raw_social)) = list.get(self.idx) else {
             // A list shorter than `t` means the whole component was
@@ -197,55 +134,20 @@ where
                 // The cache is exhausted but the termination condition never
                 // held: the correct answer may involve users beyond the
                 // cached horizon.
-                return self.complete_with_fallback(false);
+                return self.fall_back(book);
             }
-            self.topk.raise_threshold(f64::INFINITY);
-            return self.complete();
+            book.topk.raise_threshold(f64::INFINITY);
+            return StepOutcome::Complete;
         };
         self.idx += 1;
-        self.stats.cache_hits += 1;
-        self.stats.vertex_pops += 1;
-        if self.request.admits(self.dataset, user) {
-            let (score, social_norm, spatial_norm) =
-                self.ctx.score_from_raw_social(user, raw_social);
-            self.stats.evaluated_users += 1;
-            self.topk.consider(RankedUser {
-                user,
-                score,
-                social: social_norm,
-                spatial: spatial_norm,
-            });
+        book.stats.cache_hits += 1;
+        book.stats.vertex_pops += 1;
+        book.offer(user, raw_social);
+        if book.raise(book.ctx.stop_bound(raw_social)) {
+            StepOutcome::Complete
+        } else {
+            StepOutcome::Progress
         }
-        let theta = self.ctx.stop_bound(raw_social);
-        self.topk.raise_threshold(theta);
-        if theta >= self.topk.fk() {
-            return self.complete();
-        }
-        StepOutcome::Progress
-    }
-
-    fn drain_finalized(&mut self, _out: &mut Vec<RankedUser>) {
-        // Drain-after-complete: mid-scan entries may still be superseded by
-        // the fallback's complete result, so nothing is emitted early.
-    }
-
-    fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    fn stats(&self) -> QueryStats {
-        let mut stats = self.stats;
-        if !self.done {
-            stats.streamable_results = self.topk.finalized();
-            stats.runtime = self.start.elapsed();
-        }
-        stats
-    }
-
-    fn take_result(&mut self) -> Result<QueryResult, CoreError> {
-        self.result
-            .take()
-            .expect("CachedDriver not complete or result already taken")
     }
 }
 
@@ -253,6 +155,8 @@ where
 mod tests {
     use super::*;
     use crate::algorithms::exhaustive;
+    use crate::driver::{Driven, QueryDriver};
+    use crate::GeoSocialDataset;
     use ssrq_graph::GraphBuilder;
     use ssrq_spatial::Point;
 
@@ -262,7 +166,9 @@ mod tests {
         request: &QueryRequest,
         fallback: impl FnOnce(&QueryRequest) -> Result<QueryResult, CoreError>,
     ) -> Result<QueryResult, CoreError> {
-        CachedDriver::new(dataset, cache, request, fallback)?.run_to_completion()
+        let book = AnswerBook::open(dataset, request)?;
+        let search = CachedDriver::new(cache, request.user(), fallback);
+        Driven::new(book, search).run_to_completion()
     }
 
     fn req(user: u32, k: usize, alpha: f64) -> QueryRequest {

@@ -10,326 +10,141 @@
 //! ([`RankingContext::stop_bound`](crate::RankingContext::stop_bound)).
 //! This is Fagin, Lotem and Naor's threshold over both attributes.
 //!
+//! The social order is SFA's only moving part, so SFA-CH is the same loop
+//! over a different [`SocialOrder`]: the query-rooted Dijkstra for SFA, or
+//! for SFA-CH every user ranked by its CH distance and sorted once.
+//!
 //! On one engine whose query user is located (and no window or explicit
 //! origin lies elsewhere) `d⁻ = 0`, so `θ` is bit-identical to the paper's
 //! `α · p(v_q, v_last)` and so are the answer, the settle order and every
 //! counter.  On a shard that does not hold the origin, `d⁻ > 0` and the
 //! search stops once no remaining user can score below `f_k`, instead of
 //! repeating the owner's social search out to the same radius.  The same
-//! test ends SFA-CH's scan and SFA-Cached's list walk.
+//! test ends SFA-Cached's list walk.
 
-use crate::driver::{drain_new_finalized, QueryDriver, StepOutcome};
-use crate::{
-    CoreError, GeoSocialDataset, QueryContext, QueryRequest, QueryResult, QueryStats, RankedUser,
-    RankingContext, TopK, UserId,
-};
-use ssrq_graph::{ContractionHierarchy, IncrementalDijkstra};
-use std::time::Instant;
+use crate::driver::{AnswerBook, Search, StepOutcome};
+use crate::{QueryStats, UserId};
+use ssrq_graph::{ChQueryScratch, ContractionHierarchy, IncrementalDijkstra};
+use std::ops::Range;
 
-/// The Social First Approach (SFA, §4.1) as a resumable state machine.
+/// Where SFA's users come from, in non-decreasing social distance.
+#[derive(Debug)]
+pub(crate) enum SocialOrder<'a> {
+    /// The query-rooted Dijkstra expansion, one settled vertex per step
+    /// (SFA).
+    Dijkstra(IncrementalDijkstra<'a>),
+    /// The SFA-CH order.  CH has no incremental "next socially-closest
+    /// user" primitive, so every user is first ranked by one CH
+    /// point-to-point query per step and the ranking is sorted once; only
+    /// then does the scan start finalizing entries — which is exactly why
+    /// the paper finds the `*-CH` variants unattractive on social networks.
+    Ranked {
+        ch: &'a ContractionHierarchy,
+        scratch: &'a mut ChQueryScratch,
+        /// The users still to rank.
+        unranked: Range<UserId>,
+        /// The users at a finite distance, sorted once `unranked` is empty.
+        ranked: Vec<(UserId, f64)>,
+        /// The next scan position in `ranked`.
+        next: usize,
+    },
+}
+
+impl<'a> SocialOrder<'a> {
+    /// The SFA-CH order over `users` users.
+    pub(crate) fn ranked_by(
+        ch: &'a ContractionHierarchy,
+        users: usize,
+        scratch: &'a mut ChQueryScratch,
+    ) -> Self {
+        SocialOrder::Ranked {
+            ch,
+            scratch,
+            unranked: 0..users as UserId,
+            ranked: Vec::with_capacity(users.saturating_sub(1)),
+            next: 0,
+        }
+    }
+}
+
+/// The Social First Approach (SFA, §4.1) as a resumable search.
 ///
-/// Each [`QueryDriver::step`] settles one vertex of the query-rooted social
-/// Dijkstra expansion and evaluates it on the spot; the lower bound
-/// `θ = combine(α, p(v_q, v_last), d⁻)` (see the module notes) finalizes
-/// result entries as it rises, so the driver emits top-k entries long
-/// before the search terminates.
+/// Each step pulls the next user of its [`SocialOrder`] and evaluates it on
+/// the spot; the lower bound `θ = combine(α, p(v_q, v_last), d⁻)` (see the
+/// module notes) finalizes result entries as it rises, so the driver emits
+/// top-k entries long before the search terminates.
 #[derive(Debug)]
 pub(crate) struct SfaDriver<'a> {
-    dataset: &'a GeoSocialDataset,
-    request: QueryRequest,
-    ctx: RankingContext<'a>,
-    social: IncrementalDijkstra<'a>,
-    topk: TopK,
-    stats: QueryStats,
-    start: Instant,
-    emitted: usize,
-    result: Option<Result<QueryResult, CoreError>>,
-    done: bool,
+    order: SocialOrder<'a>,
 }
 
 impl<'a> SfaDriver<'a> {
-    /// Starts an SFA search, drawing all mutable search state from `qctx`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for an
-    /// invalid request.
-    pub(crate) fn new(
-        dataset: &'a GeoSocialDataset,
-        request: &QueryRequest,
-        qctx: &'a mut QueryContext,
-    ) -> Result<Self, CoreError> {
-        request.validate()?;
-        dataset.check_user(request.user())?;
-        let start = Instant::now();
-        Ok(SfaDriver {
-            ctx: RankingContext::new(dataset, request),
-            topk: TopK::for_request(request),
-            social: IncrementalDijkstra::new(dataset.graph(), request.user(), &mut qctx.social),
-            dataset,
-            request: request.clone(),
-            stats: QueryStats::default(),
-            start,
-            emitted: 0,
-            result: None,
-            done: false,
-        })
-    }
-
-    fn complete(&mut self) -> StepOutcome {
-        self.stats.relaxed_edges = self.social.relaxations();
-        self.stats.streamable_results = self.topk.finalized();
-        self.stats.runtime = self.start.elapsed();
-        let topk = std::mem::replace(&mut self.topk, TopK::new(0));
-        self.result = Some(Ok(QueryResult {
-            ranked: topk.into_sorted_vec(),
-            k: self.request.k(),
-            degraded: false,
-            stats: self.stats,
-        }));
-        self.done = true;
-        StepOutcome::Complete
+    /// An SFA search over `order`.
+    pub(crate) fn new(order: SocialOrder<'a>) -> Self {
+        SfaDriver { order }
     }
 }
 
-impl QueryDriver for SfaDriver<'_> {
-    fn step(&mut self) -> StepOutcome {
-        if self.done {
-            return StepOutcome::Complete;
-        }
-        let Some((vertex, raw_social)) = self.social.next_settled(self.dataset.graph()) else {
-            // The expansion exhausted the component without reaching the
-            // threshold: the remaining users are socially unreachable and
-            // therefore have infinite ranking values (α > 0), so the
-            // interim result is final — raise the bound accordingly.
-            self.topk.raise_threshold(f64::INFINITY);
-            return self.complete();
+impl Search for SfaDriver<'_> {
+    fn step(&mut self, book: &mut AnswerBook<'_>) -> StepOutcome {
+        let next = match &mut self.order {
+            SocialOrder::Dijkstra(social) => social.next_settled(book.dataset().graph()),
+            SocialOrder::Ranked {
+                ch,
+                scratch,
+                unranked,
+                ranked,
+                next,
+            } => {
+                if let Some(user) = unranked.next() {
+                    let user_q = book.request.user();
+                    if user != user_q {
+                        let d = ch.distance_with(user_q, user, scratch);
+                        book.stats.distance_calls += 1;
+                        if d.is_finite() {
+                            ranked.push((user, d));
+                        }
+                    }
+                    if unranked.start == unranked.end {
+                        // Sort once, ties broken on user id for determinism.
+                        ranked.sort_by(|a, b| {
+                            a.1.partial_cmp(&b.1)
+                                .unwrap_or(std::cmp::Ordering::Equal)
+                                .then_with(|| a.0.cmp(&b.0))
+                        });
+                    }
+                    return StepOutcome::Progress;
+                }
+                *next += 1;
+                ranked.get(*next - 1).copied()
+            }
         };
-        self.stats.social_pops += 1;
-        self.stats.vertex_pops += 1;
-        if self.request.admits(self.dataset, vertex) {
-            let (score, social_norm, spatial_norm) =
-                self.ctx.score_from_raw_social(vertex, raw_social);
-            self.stats.evaluated_users += 1;
-            self.topk.consider(RankedUser {
-                user: vertex,
-                score,
-                social: social_norm,
-                spatial: spatial_norm,
-            });
-        }
-        // Termination: every unseen user is at least as far socially as the
-        // last settled vertex, and at least `d⁻` away spatially if it can
-        // score at all — which also makes θ a finalization bound for the
-        // entries already held.
-        let theta = self.ctx.stop_bound(raw_social);
-        self.topk.raise_threshold(theta);
-        if theta >= self.topk.fk() {
-            return self.complete();
-        }
-        StepOutcome::Progress
-    }
-
-    fn drain_finalized(&mut self, out: &mut Vec<RankedUser>) {
-        if !self.done {
-            drain_new_finalized(&self.topk, &mut self.emitted, out);
-        }
-    }
-
-    fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    fn stats(&self) -> QueryStats {
-        let mut stats = self.stats;
-        if !self.done {
-            stats.relaxed_edges = self.social.relaxations();
-            stats.streamable_results = self.topk.finalized();
-            stats.runtime = self.start.elapsed();
-        }
-        stats
-    }
-
-    fn take_result(&mut self) -> Result<QueryResult, CoreError> {
-        self.result
-            .take()
-            .expect("SfaDriver not complete or result already taken")
-    }
-}
-
-/// The two phases of the SFA-CH machine: ranking every user by its CH
-/// distance, then scanning the sorted order with the SFA termination test.
-#[derive(Debug)]
-enum SfaChPhase {
-    /// One CH point-to-point distance per step; `next_user` walks the
-    /// vertex range.
-    Rank { next_user: UserId },
-    /// One sorted candidate per step.
-    Scan { idx: usize },
-}
-
-/// The SFA-CH baseline (§6, Figure 8) as a resumable state machine.
-///
-/// CH provides no incremental "next socially-closest user" primitive, so
-/// the machine first computes the CH distance of every user (one
-/// point-to-point query per [`QueryDriver::step`]), sorts once, and then
-/// scans the sorted order with the SFA termination test — entries only
-/// start finalizing in the scan phase, which is exactly why the paper finds
-/// the `*-CH` variants unattractive on social networks.
-#[derive(Debug)]
-pub(crate) struct SfaChDriver<'a> {
-    dataset: &'a GeoSocialDataset,
-    ch: &'a ContractionHierarchy,
-    ch_scratch: &'a mut ssrq_graph::ChQueryScratch,
-    request: QueryRequest,
-    ctx: RankingContext<'a>,
-    order: Vec<(UserId, f64)>,
-    phase: SfaChPhase,
-    topk: TopK,
-    stats: QueryStats,
-    start: Instant,
-    emitted: usize,
-    result: Option<Result<QueryResult, CoreError>>,
-    done: bool,
-}
-
-impl<'a> SfaChDriver<'a> {
-    /// Starts an SFA-CH search against the given Contraction Hierarchies
-    /// index.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for an
-    /// invalid request.
-    pub(crate) fn new(
-        dataset: &'a GeoSocialDataset,
-        ch: &'a ContractionHierarchy,
-        request: &QueryRequest,
-        qctx: &'a mut QueryContext,
-    ) -> Result<Self, CoreError> {
-        request.validate()?;
-        dataset.check_user(request.user())?;
-        let start = Instant::now();
-        Ok(SfaChDriver {
-            ctx: RankingContext::new(dataset, request),
-            topk: TopK::for_request(request),
-            order: Vec::with_capacity(dataset.user_count().saturating_sub(1)),
-            phase: SfaChPhase::Rank { next_user: 0 },
-            dataset,
-            ch,
-            ch_scratch: &mut qctx.ch,
-            request: request.clone(),
-            stats: QueryStats::default(),
-            start,
-            emitted: 0,
-            result: None,
-            done: false,
-        })
-    }
-
-    fn complete(&mut self) -> StepOutcome {
-        self.stats.streamable_results = self.topk.finalized();
-        self.stats.runtime = self.start.elapsed();
-        let topk = std::mem::replace(&mut self.topk, TopK::new(0));
-        self.result = Some(Ok(QueryResult {
-            ranked: topk.into_sorted_vec(),
-            k: self.request.k(),
-            degraded: false,
-            stats: self.stats,
-        }));
-        self.done = true;
-        StepOutcome::Complete
-    }
-}
-
-impl QueryDriver for SfaChDriver<'_> {
-    fn step(&mut self) -> StepOutcome {
-        if self.done {
+        let Some((user, raw_social)) = next else {
+            // The order is exhausted without reaching the threshold: the
+            // remaining users are socially unreachable and therefore have
+            // infinite ranking values (α > 0), so the interim result is
+            // final — raise the bound accordingly.
+            book.topk.raise_threshold(f64::INFINITY);
             return StepOutcome::Complete;
-        }
-        match self.phase {
-            SfaChPhase::Rank { next_user } => {
-                if next_user as usize >= self.dataset.user_count() {
-                    // All distances computed: sort once (ties broken on user
-                    // id for determinism) and move to the scan phase.
-                    self.order.sort_by(|a, b| {
-                        a.1.partial_cmp(&b.1)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then_with(|| a.0.cmp(&b.0))
-                    });
-                    self.phase = SfaChPhase::Scan { idx: 0 };
-                    return StepOutcome::Progress;
-                }
-                self.phase = SfaChPhase::Rank {
-                    next_user: next_user + 1,
-                };
-                if next_user == self.request.user() {
-                    return StepOutcome::Progress;
-                }
-                let d = self
-                    .ch
-                    .distance_with(self.request.user(), next_user, self.ch_scratch);
-                self.stats.distance_calls += 1;
-                if d.is_finite() {
-                    self.order.push((next_user, d));
-                }
-                StepOutcome::Progress
-            }
-            SfaChPhase::Scan { idx } => {
-                let Some(&(user, raw_social)) = self.order.get(idx) else {
-                    // Every finite-distance user was scanned; the rest are
-                    // socially unreachable (infinite score for α > 0), so
-                    // the result is final.
-                    self.topk.raise_threshold(f64::INFINITY);
-                    return self.complete();
-                };
-                self.phase = SfaChPhase::Scan { idx: idx + 1 };
-                self.stats.social_pops += 1;
-                self.stats.vertex_pops += 1;
-                if self.request.admits(self.dataset, user) {
-                    let (score, social_norm, spatial_norm) =
-                        self.ctx.score_from_raw_social(user, raw_social);
-                    self.stats.evaluated_users += 1;
-                    self.topk.consider(RankedUser {
-                        user,
-                        score,
-                        social: social_norm,
-                        spatial: spatial_norm,
-                    });
-                }
-                let theta = self.ctx.stop_bound(raw_social);
-                self.topk.raise_threshold(theta);
-                if theta >= self.topk.fk() {
-                    return self.complete();
-                }
-                StepOutcome::Progress
-            }
+        };
+        book.stats.social_pops += 1;
+        book.stats.vertex_pops += 1;
+        book.offer(user, raw_social);
+        // Termination: every unseen user is at least as far socially as the
+        // last pulled one, and at least `d⁻` away spatially if it can score
+        // at all — which also makes θ a finalization bound for the entries
+        // already held.
+        if book.raise(book.ctx.stop_bound(raw_social)) {
+            StepOutcome::Complete
+        } else {
+            StepOutcome::Progress
         }
     }
 
-    fn drain_finalized(&mut self, out: &mut Vec<RankedUser>) {
-        if !self.done {
-            drain_new_finalized(&self.topk, &mut self.emitted, out);
+    fn fold_stats(&self, stats: &mut QueryStats) {
+        if let SocialOrder::Dijkstra(social) = &self.order {
+            stats.relaxed_edges = social.relaxations();
         }
-    }
-
-    fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    fn stats(&self) -> QueryStats {
-        let mut stats = self.stats;
-        if !self.done {
-            stats.streamable_results = self.topk.finalized();
-            stats.runtime = self.start.elapsed();
-        }
-        stats
-    }
-
-    fn take_result(&mut self) -> Result<QueryResult, CoreError> {
-        self.result
-            .take()
-            .expect("SfaChDriver not complete or result already taken")
     }
 }
 
@@ -337,6 +152,8 @@ impl QueryDriver for SfaChDriver<'_> {
 mod tests {
     use super::*;
     use crate::algorithms::exhaustive;
+    use crate::driver::{Driven, QueryDriver};
+    use crate::{GeoSocialDataset, QueryContext, QueryRequest, QueryResult};
     use ssrq_graph::GraphBuilder;
     use ssrq_spatial::{Point, Rect};
 
@@ -348,10 +165,21 @@ mod tests {
             .unwrap()
     }
 
+    fn run(
+        dataset: &GeoSocialDataset,
+        request: &QueryRequest,
+        order: SocialOrder<'_>,
+    ) -> QueryResult {
+        let book = AnswerBook::new(dataset, request);
+        Driven::new(book, SfaDriver::new(order))
+            .run_to_completion()
+            .unwrap()
+    }
+
     fn sfa(dataset: &GeoSocialDataset, request: &QueryRequest) -> QueryResult {
         let mut qctx = QueryContext::new();
-        let mut driver = SfaDriver::new(dataset, request, &mut qctx).unwrap();
-        driver.run_to_completion().unwrap()
+        let social = IncrementalDijkstra::new(dataset.graph(), request.user(), &mut qctx.social);
+        run(dataset, request, SocialOrder::Dijkstra(social))
     }
 
     fn sfa_ch(
@@ -360,8 +188,8 @@ mod tests {
         request: &QueryRequest,
     ) -> QueryResult {
         let mut qctx = QueryContext::new();
-        let mut driver = SfaChDriver::new(dataset, ch, request, &mut qctx).unwrap();
-        driver.run_to_completion().unwrap()
+        let order = SocialOrder::ranked_by(ch, dataset.user_count(), &mut qctx.ch);
+        run(dataset, request, order)
     }
 
     fn dataset() -> GeoSocialDataset {

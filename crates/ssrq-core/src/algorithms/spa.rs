@@ -1,188 +1,85 @@
-use crate::driver::{drain_new_finalized, QueryDriver, StepOutcome};
-use crate::{
-    CoreError, GeoSocialDataset, QueryContext, QueryRequest, QueryResult, QueryStats, RankedUser,
-    RankingContext, TopK,
-};
-use ssrq_graph::{ContractionHierarchy, IncrementalDijkstra};
-use ssrq_spatial::{IncrementalNn, UniformGrid};
-use std::time::Instant;
+use crate::driver::{AnswerBook, Search, StepOutcome};
+use crate::{QueryContext, QueryStats, RankingContext};
+use ssrq_graph::{ChQueryScratch, ContractionHierarchy, IncrementalDijkstra};
+use ssrq_spatial::{IncrementalNn, Point, UniformGrid};
 
-/// How SPA computes the social distance of a spatially-encountered user.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SpaOptions<'a> {
-    /// When set, social distances come from Contraction Hierarchies
-    /// point-to-point queries (the SPA-CH baseline of Figure 8); otherwise a
-    /// single incremental Dijkstra expansion rooted at the query vertex is
-    /// reused across all evaluations.
-    pub ch: Option<&'a ContractionHierarchy>,
-}
-
-/// The Spatial First Approach (SPA, §4.1) as a resumable state machine.
+/// The Spatial First Approach (SPA, §4.1) as a resumable search.
 ///
-/// Each [`QueryDriver::step`] pulls one neighbour from the incremental
-/// spatial NN stream and fully evaluates it; the spatial-only lower bound
+/// Each step pulls one neighbour from the incremental spatial NN stream and
+/// fully evaluates it; the spatial-only lower bound
 /// `θ = (1 − α) · d(u_q, u_last)` finalizes result entries as it rises.
 #[derive(Debug)]
 pub(crate) struct SpaDriver<'a> {
-    dataset: &'a GeoSocialDataset,
-    request: QueryRequest,
-    ctx: RankingContext<'a>,
+    /// When set, social distances come from Contraction Hierarchies
+    /// point-to-point queries (the SPA-CH baseline of Figure 8).
     ch: Option<&'a ContractionHierarchy>,
-    ch_scratch: &'a mut ssrq_graph::ChQueryScratch,
+    ch_scratch: &'a mut ChQueryScratch,
     /// Shared social expansion: all evaluations have the query vertex as
     /// the source, so one resumable Dijkstra serves every candidate (the
     /// computation reuse the paper credits the vanilla methods with).
     social: IncrementalDijkstra<'a>,
-    /// `None` for an unlocated query user (the driver completes with an
-    /// empty result on construction).
-    nn: Option<IncrementalNn<'a>>,
-    topk: TopK,
-    stats: QueryStats,
-    start: Instant,
-    emitted: usize,
-    result: Option<Result<QueryResult, CoreError>>,
-    done: bool,
+    nn: IncrementalNn<'a>,
 }
 
 impl<'a> SpaDriver<'a> {
-    /// Starts an SPA search over the engine's uniform grid.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for an
-    /// invalid request.
+    /// An SPA search from `origin` over the engine's uniform grid.
     pub(crate) fn new(
-        dataset: &'a GeoSocialDataset,
+        ranking: &RankingContext<'a>,
         grid: &'a UniformGrid,
-        request: &QueryRequest,
-        options: SpaOptions<'a>,
+        origin: Point,
+        ch: Option<&'a ContractionHierarchy>,
         qctx: &'a mut QueryContext,
-    ) -> Result<Self, CoreError> {
-        request.validate()?;
-        dataset.check_user(request.user())?;
-        let start = Instant::now();
-        let QueryContext { social, ch } = qctx;
-        let mut driver = SpaDriver {
-            ctx: RankingContext::new(dataset, request),
-            topk: TopK::for_request(request),
-            ch: options.ch,
-            ch_scratch: ch,
-            social: IncrementalDijkstra::new(dataset.graph(), request.user(), social),
-            nn: request
-                .resolved_origin(dataset)
-                .map(|loc| grid.nearest_neighbors(loc)),
-            dataset,
-            request: request.clone(),
-            stats: QueryStats::default(),
-            start,
-            emitted: 0,
-            result: None,
-            done: false,
-        };
-        if driver.nn.is_none() {
-            // Without a query location every spatial distance is infinite
-            // and no candidate can achieve a finite score (α < 1).
-            driver.complete();
+    ) -> Self {
+        let graph = ranking.dataset().graph();
+        SpaDriver {
+            ch,
+            ch_scratch: &mut qctx.ch,
+            social: IncrementalDijkstra::new(graph, ranking.query_user(), &mut qctx.social),
+            nn: grid.nearest_neighbors(origin),
         }
-        Ok(driver)
-    }
-
-    fn complete(&mut self) -> StepOutcome {
-        self.stats.relaxed_edges = self.social.relaxations();
-        self.stats.streamable_results = self.topk.finalized();
-        self.stats.runtime = self.start.elapsed();
-        let topk = std::mem::replace(&mut self.topk, TopK::new(0));
-        self.result = Some(Ok(QueryResult {
-            ranked: topk.into_sorted_vec(),
-            k: self.request.k(),
-            degraded: false,
-            stats: self.stats,
-        }));
-        self.done = true;
-        StepOutcome::Complete
     }
 }
 
-impl QueryDriver for SpaDriver<'_> {
-    fn step(&mut self) -> StepOutcome {
-        if self.done {
-            return StepOutcome::Complete;
-        }
-        let nn = self
-            .nn
-            .as_mut()
-            .expect("running SPA driver has an NN stream");
-        let Some(neighbor) = nn.next() else {
+impl Search for SpaDriver<'_> {
+    fn step(&mut self, book: &mut AnswerBook<'_>) -> StepOutcome {
+        let Some(neighbor) = self.nn.next() else {
             // The spatial stream is exhausted: users it never produced have
             // no location, hence an infinite spatial distance and (for
             // α < 1) an infinite score — the interim result is final.
-            self.topk.raise_threshold(f64::INFINITY);
-            return self.complete();
+            book.topk.raise_threshold(f64::INFINITY);
+            return StepOutcome::Complete;
         };
-        if neighbor.id == self.request.user() {
+        let user_q = book.request.user();
+        if neighbor.id == user_q {
             return StepOutcome::Progress;
         }
-        self.stats.vertex_pops += 1;
-        self.stats.spatial_pops = nn.pops();
-        let spatial_norm = self.ctx.normalize_spatial(neighbor.distance);
-        if self.request.admits(self.dataset, neighbor.id) {
+        book.stats.vertex_pops += 1;
+        book.stats.spatial_pops = self.nn.pops();
+        let spatial_norm = book.ctx.normalize_spatial(neighbor.distance);
+        if book.request.admits(book.dataset(), neighbor.id) {
             let raw_social = match self.ch {
-                Some(ch) => {
-                    self.stats.distance_calls += 1;
-                    ch.distance_with(self.request.user(), neighbor.id, self.ch_scratch)
-                }
+                Some(ch) => ch.distance_with(user_q, neighbor.id, self.ch_scratch),
                 None => {
                     let before = self.social.settled_count();
-                    let d = self
-                        .social
-                        .run_until_settled(self.dataset.graph(), neighbor.id);
-                    self.stats.social_pops += self.social.settled_count() - before;
-                    self.stats.distance_calls += 1;
+                    let graph = book.dataset().graph();
+                    let d = self.social.run_until_settled(graph, neighbor.id);
+                    book.stats.social_pops += self.social.settled_count() - before;
                     d
                 }
             };
-            let social_norm = self.ctx.normalize_social(raw_social);
-            let score = self.ctx.score(social_norm, spatial_norm);
-            self.stats.evaluated_users += 1;
-            self.topk.consider(RankedUser {
-                user: neighbor.id,
-                score,
-                social: social_norm,
-                spatial: spatial_norm,
-            });
+            book.stats.distance_calls += 1;
+            let social_norm = book.ctx.normalize_social(raw_social);
+            book.consider(neighbor.id, social_norm, spatial_norm);
         }
-        let theta = (1.0 - self.request.alpha()) * spatial_norm;
-        self.topk.raise_threshold(theta);
-        if theta >= self.topk.fk() {
-            return self.complete();
-        }
-        StepOutcome::Progress
-    }
-
-    fn drain_finalized(&mut self, out: &mut Vec<RankedUser>) {
-        if !self.done {
-            drain_new_finalized(&self.topk, &mut self.emitted, out);
+        if book.raise((1.0 - book.request.alpha()) * spatial_norm) {
+            StepOutcome::Complete
+        } else {
+            StepOutcome::Progress
         }
     }
 
-    fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    fn stats(&self) -> QueryStats {
-        let mut stats = self.stats;
-        if !self.done {
-            stats.relaxed_edges = self.social.relaxations();
-            stats.streamable_results = self.topk.finalized();
-            stats.runtime = self.start.elapsed();
-        }
-        stats
-    }
-
-    fn take_result(&mut self) -> Result<QueryResult, CoreError> {
-        self.result
-            .take()
-            .expect("SpaDriver not complete or result already taken")
+    fn fold_stats(&self, stats: &mut QueryStats) {
+        stats.relaxed_edges = self.social.relaxations();
     }
 }
 
@@ -190,8 +87,12 @@ impl QueryDriver for SpaDriver<'_> {
 mod tests {
     use super::*;
     use crate::algorithms::exhaustive;
+    use crate::driver::{Driven, QueryDriver};
+    use crate::{
+        Algorithm, CoreError, GeoSocialDataset, GeoSocialEngine, QueryRequest, QueryResult,
+    };
     use ssrq_graph::GraphBuilder;
-    use ssrq_spatial::{Point, Rect};
+    use ssrq_spatial::Rect;
 
     fn req(user: u32, k: usize, alpha: f64) -> QueryRequest {
         QueryRequest::for_user(user)
@@ -234,10 +135,13 @@ mod tests {
         dataset: &GeoSocialDataset,
         grid: &UniformGrid,
         request: &QueryRequest,
-        options: SpaOptions<'_>,
+        ch: Option<&ContractionHierarchy>,
     ) -> Result<QueryResult, CoreError> {
         let mut qctx = QueryContext::new();
-        SpaDriver::new(dataset, grid, request, options, &mut qctx)?.run_to_completion()
+        let book = AnswerBook::new(dataset, request);
+        let origin = book.ctx.origin().expect("a located query user");
+        let search = SpaDriver::new(&book.ctx, grid, origin, ch, &mut qctx);
+        Driven::new(book, search).run_to_completion()
     }
 
     fn grid_for(dataset: &GeoSocialDataset) -> UniformGrid {
@@ -253,7 +157,7 @@ mod tests {
                 for user in [0u32, 8, 17, 29] {
                     let request = req(user, k, alpha);
                     let expected = exhaustive::run(&dataset, &request).unwrap();
-                    let got = spa(&dataset, &grid, &request, SpaOptions::default()).unwrap();
+                    let got = spa(&dataset, &grid, &request, None).unwrap();
                     assert!(
                         got.same_users_and_scores(&expected, 1e-9),
                         "alpha {alpha}, k {k}, user {user}"
@@ -277,7 +181,7 @@ mod tests {
                 .build()
                 .unwrap();
             let expected = exhaustive::run(&dataset, &request).unwrap();
-            let got = spa(&dataset, &grid, &request, SpaOptions::default()).unwrap();
+            let got = spa(&dataset, &grid, &request, None).unwrap();
             assert!(got.same_users_and_scores(&expected, 1e-9), "user {user}");
         }
     }
@@ -290,17 +194,17 @@ mod tests {
         for user in [3u32, 24] {
             let request = req(user, 5, 0.3);
             let expected = exhaustive::run(&dataset, &request).unwrap();
-            let got = spa(&dataset, &grid, &request, SpaOptions { ch: Some(&ch) }).unwrap();
+            let got = spa(&dataset, &grid, &request, Some(&ch)).unwrap();
             assert!(got.same_users_and_scores(&expected, 1e-9), "user {user}");
         }
     }
 
     #[test]
     fn unlocated_query_user_gets_empty_result() {
-        let dataset = dataset();
-        let grid = grid_for(&dataset);
+        let engine = GeoSocialEngine::builder(dataset()).build().unwrap();
         // User 10 has no location (10 % 11 == 10).
-        let result = spa(&dataset, &grid, &req(10, 5, 0.5), SpaOptions::default()).unwrap();
+        let request = req(10, 5, 0.5).with_algorithm(Algorithm::Spa);
+        let result = engine.run(&request).unwrap();
         assert!(result.ranked.is_empty());
     }
 
@@ -309,7 +213,7 @@ mod tests {
         let dataset = dataset();
         let grid = grid_for(&dataset);
         // Spatial-heavy alpha: the first few NNs dominate.
-        let result = spa(&dataset, &grid, &req(0, 1, 0.1), SpaOptions::default()).unwrap();
+        let result = spa(&dataset, &grid, &req(0, 1, 0.1), None).unwrap();
         assert!(result.stats.evaluated_users < dataset.located_user_count());
     }
 
@@ -317,7 +221,7 @@ mod tests {
     fn stats_count_spatial_and_social_work() {
         let dataset = dataset();
         let grid = grid_for(&dataset);
-        let result = spa(&dataset, &grid, &req(5, 3, 0.5), SpaOptions::default()).unwrap();
+        let result = spa(&dataset, &grid, &req(5, 3, 0.5), None).unwrap();
         assert!(result.stats.spatial_pops > 0);
         assert!(result.stats.social_pops > 0);
         assert!(result.stats.distance_calls >= result.stats.evaluated_users);

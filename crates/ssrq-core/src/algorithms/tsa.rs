@@ -1,12 +1,8 @@
-use crate::driver::{drain_new_finalized, QueryDriver, StepOutcome};
-use crate::{
-    CoreError, GeoSocialDataset, QueryContext, QueryRequest, QueryResult, QueryStats, RankedUser,
-    RankingContext, TopK, UserId,
-};
-use ssrq_graph::{ContractionHierarchy, IncrementalDijkstra, LandmarkSet};
-use ssrq_spatial::{IncrementalNn, UniformGrid};
+use crate::driver::{AnswerBook, Search, StepOutcome};
+use crate::{QueryContext, QueryStats, RankingContext, UserId};
+use ssrq_graph::{ChQueryScratch, ContractionHierarchy, IncrementalDijkstra, LandmarkSet};
+use ssrq_spatial::{IncrementalNn, Point, UniformGrid};
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Configuration of the Twofold Search Approach (TSA, §4.2).
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,15 +37,14 @@ enum TsaPhase {
 }
 
 /// The Twofold Search Approach (TSA, Algorithm 1 of the paper) as a
-/// resumable state machine.
+/// resumable search.
 ///
 /// **Phase 1** alternates between the social expansion (Dijkstra around
 /// `v_q`) and the incremental spatial NN search around `u_q` — one probe
-/// per [`QueryDriver::step`].  Socially encountered users are fully
-/// evaluated on the spot (their Euclidean distance is cheap); spatially
-/// encountered users that the social search has not yet reached are parked
-/// in the candidate set `Q`.  The phase ends when
-/// `θ = α·t_p + (1−α)·t_d ≥ f_k`.
+/// per step.  Socially encountered users are fully evaluated on the spot
+/// (their Euclidean distance is cheap); spatially encountered users that
+/// the social search has not yet reached are parked in the candidate set
+/// `Q`.  The phase ends when `θ = α·t_p + (1−α)·t_d ≥ f_k`.
 ///
 /// **Phase 2** evaluates (or disqualifies) the candidates in `Q`, one
 /// candidate/probe per step; only the social search continues, because
@@ -61,15 +56,12 @@ enum TsaPhase {
 /// driver emits top-k entries while both searches are still running.
 #[derive(Debug)]
 pub(crate) struct TsaDriver<'a> {
-    dataset: &'a GeoSocialDataset,
-    request: QueryRequest,
-    ctx: RankingContext<'a>,
     quick_combine: bool,
     landmarks: Option<&'a LandmarkSet>,
     ch_phase2: Option<&'a ContractionHierarchy>,
-    ch_scratch: &'a mut ssrq_graph::ChQueryScratch,
+    ch_scratch: &'a mut ChQueryScratch,
     social: IncrementalDijkstra<'a>,
-    spatial: Option<IncrementalNn<'a>>,
+    spatial: IncrementalNn<'a>,
     /// Candidate set Q: user -> normalized spatial distance.
     candidates: HashMap<UserId, f64>,
     // Lower bounds on the next result from each domain (normalized).
@@ -89,86 +81,45 @@ pub(crate) struct TsaDriver<'a> {
     spatial_probes: usize,
     probe_social_next: bool,
     phase: TsaPhase,
-    topk: TopK,
-    stats: QueryStats,
-    start: Instant,
-    emitted: usize,
-    result: Option<Result<QueryResult, CoreError>>,
-    done: bool,
 }
 
 impl<'a> TsaDriver<'a> {
-    /// Starts a TSA search over the engine's uniform grid.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`] for an
-    /// invalid request.
+    /// A TSA search from `origin` over the engine's uniform grid.
     pub(crate) fn new(
-        dataset: &'a GeoSocialDataset,
+        ranking: &RankingContext<'a>,
         grid: &'a UniformGrid,
-        request: &QueryRequest,
+        origin: Point,
         options: TsaOptions<'a>,
         qctx: &'a mut QueryContext,
-    ) -> Result<Self, CoreError> {
-        request.validate()?;
-        dataset.check_user(request.user())?;
-        let start = Instant::now();
-        let QueryContext { social, ch } = qctx;
-        let spatial = request
-            .resolved_origin(dataset)
-            .map(|loc| grid.nearest_neighbors(loc));
-        Ok(TsaDriver {
-            ctx: RankingContext::new(dataset, request),
-            topk: TopK::for_request(request),
+    ) -> Self {
+        let graph = ranking.dataset().graph();
+        TsaDriver {
             quick_combine: options.quick_combine,
             landmarks: options.landmarks,
             ch_phase2: options.ch_phase2,
-            ch_scratch: ch,
-            social: IncrementalDijkstra::new(dataset.graph(), request.user(), social),
-            spatial_exhausted: spatial.is_none(),
-            spatial,
+            ch_scratch: &mut qctx.ch,
+            social: IncrementalDijkstra::new(graph, ranking.query_user(), &mut qctx.social),
+            spatial: grid.nearest_neighbors(origin),
             candidates: HashMap::new(),
             tp: 0.0,
             td: 0.0,
             social_exhausted: false,
+            spatial_exhausted: false,
             min_pending_d: f64::INFINITY,
             social_probes: 0,
             spatial_probes: 0,
             probe_social_next: true,
             phase: TsaPhase::Concurrent,
-            dataset,
-            request: request.clone(),
-            stats: QueryStats::default(),
-            start,
-            emitted: 0,
-            result: None,
-            done: false,
-        })
-    }
-
-    fn complete(&mut self) -> StepOutcome {
-        self.stats.relaxed_edges = self.social.relaxations();
-        self.stats.streamable_results = self.topk.finalized();
-        self.stats.runtime = self.start.elapsed();
-        let topk = std::mem::replace(&mut self.topk, TopK::new(0));
-        self.result = Some(Ok(QueryResult {
-            ranked: topk.into_sorted_vec(),
-            k: self.request.k(),
-            degraded: false,
-            stats: self.stats,
-        }));
-        self.done = true;
-        StepOutcome::Complete
+        }
     }
 
     /// Phase-1 → phase-2 transition: landmark pruning of the candidate set,
     /// then the flavour-specific phase-2 setup.
-    fn begin_phase2(&mut self) {
+    fn begin_phase2(&mut self, book: &AnswerBook<'_>) {
         if let Some(landmarks) = self.landmarks {
-            let fk = self.topk.fk();
-            let ctx = self.ctx;
-            let user_q = self.request.user();
+            let fk = book.topk.fk();
+            let ctx = book.ctx;
+            let user_q = book.request.user();
             self.candidates.retain(|&user, &mut spatial_norm| {
                 let social_lb = ctx.normalize_social(landmarks.lower_bound(user_q, user));
                 ctx.score_lower_bound(social_lb, spatial_norm) < fk
@@ -192,12 +143,12 @@ impl<'a> TsaDriver<'a> {
     }
 
     /// One phase-1 probe (a loop iteration of Algorithm 1).
-    fn step_concurrent(&mut self) -> StepOutcome {
+    fn step_concurrent(&mut self, book: &mut AnswerBook<'_>) -> StepOutcome {
         if self.social_exhausted && self.spatial_exhausted {
-            self.begin_phase2();
+            self.begin_phase2(book);
             return StepOutcome::Progress;
         }
-        let alpha = self.request.alpha();
+        let alpha = book.request.alpha();
         let probe_social = if self.social_exhausted {
             false
         } else if self.spatial_exhausted {
@@ -225,24 +176,13 @@ impl<'a> TsaDriver<'a> {
         self.probe_social_next = !probe_social;
 
         if probe_social {
-            match self.social.next_settled(self.dataset.graph()) {
+            match self.social.next_settled(book.dataset().graph()) {
                 Some((vertex, raw_social)) => {
-                    self.stats.social_pops += 1;
-                    self.stats.vertex_pops += 1;
+                    book.stats.social_pops += 1;
+                    book.stats.vertex_pops += 1;
                     self.social_probes += 1;
-                    let social_norm = self.ctx.normalize_social(raw_social);
-                    self.tp = social_norm;
-                    if self.request.admits(self.dataset, vertex) {
-                        let spatial_norm = self.ctx.spatial(vertex);
-                        let score = self.ctx.score(social_norm, spatial_norm);
-                        self.stats.evaluated_users += 1;
-                        self.topk.consider(RankedUser {
-                            user: vertex,
-                            score,
-                            social: social_norm,
-                            spatial: spatial_norm,
-                        });
-                    }
+                    self.tp = book.ctx.normalize_social(raw_social);
+                    book.offer(vertex, raw_social);
                     // A candidate reached by the social search is now fully
                     // evaluated (or inadmissible) and must leave Q
                     // (lines 7–8).
@@ -253,15 +193,15 @@ impl<'a> TsaDriver<'a> {
                     self.tp = f64::INFINITY;
                 }
             }
-        } else if let Some(nn) = self.spatial.as_mut() {
-            match nn.next() {
+        } else {
+            match self.spatial.next() {
                 Some(neighbor) => {
-                    self.stats.spatial_pops = nn.pops();
-                    self.stats.vertex_pops += 1;
+                    book.stats.spatial_pops = self.spatial.pops();
+                    book.stats.vertex_pops += 1;
                     self.spatial_probes += 1;
-                    let spatial_norm = self.ctx.normalize_spatial(neighbor.distance);
+                    let spatial_norm = book.ctx.normalize_spatial(neighbor.distance);
                     self.td = spatial_norm;
-                    if self.request.admits(self.dataset, neighbor.id)
+                    if book.request.admits(book.dataset(), neighbor.id)
                         && !self.social.is_settled(neighbor.id)
                     {
                         self.candidates.insert(neighbor.id, spatial_norm);
@@ -279,17 +219,17 @@ impl<'a> TsaDriver<'a> {
         // Entries below the *pending-aware* bound are final: future stream
         // deliveries score at least θ, parked candidates at least
         // `α·t_p + (1−α)·min_pending_d`.
-        self.topk
+        book.topk
             .raise_threshold(alpha * self.tp + (1.0 - alpha) * self.td.min(self.min_pending_d));
-        if theta >= self.topk.fk() {
-            self.begin_phase2();
+        if theta >= book.topk.fk() {
+            self.begin_phase2(book);
         }
         StepOutcome::Progress
     }
 
     /// One CH-flavoured phase-2 candidate evaluation.
-    fn step_eval_ch(&mut self, idx: usize) -> StepOutcome {
-        let alpha = self.request.alpha();
+    fn step_eval_ch(&mut self, book: &mut AnswerBook<'_>, idx: usize) -> StepOutcome {
+        let alpha = book.request.alpha();
         let order = match std::mem::replace(&mut self.phase, TsaPhase::Concurrent) {
             TsaPhase::EvalCh { order, .. } => order,
             _ => unreachable!("step_eval_ch called outside EvalCh"),
@@ -300,62 +240,38 @@ impl<'a> TsaDriver<'a> {
             idx: idx + 1,
         };
         let Some((user, spatial_norm)) = entry else {
-            return self.complete();
+            return StepOutcome::Complete;
         };
         // θ' with this candidate's spatial distance as t'_d — a bound on
         // this and every later candidate (the order is ascending).
-        let theta_prime = alpha * self.tp + (1.0 - alpha) * spatial_norm;
-        self.topk.raise_threshold(theta_prime);
-        if theta_prime >= self.topk.fk() {
-            return self.complete();
+        if book.raise(alpha * self.tp + (1.0 - alpha) * spatial_norm) {
+            return StepOutcome::Complete;
         }
         let raw_social = self
             .ch_phase2
             .expect("EvalCh phase requires a CH index")
-            .distance_with(self.request.user(), user, self.ch_scratch);
-        self.stats.distance_calls += 1;
-        self.stats.evaluated_users += 1;
-        let social_norm = self.ctx.normalize_social(raw_social);
-        let score = self.ctx.score(social_norm, spatial_norm);
-        self.topk.consider(RankedUser {
-            user,
-            score,
-            social: social_norm,
-            spatial: spatial_norm,
-        });
+            .distance_with(book.request.user(), user, self.ch_scratch);
+        book.stats.distance_calls += 1;
+        book.consider(user, book.ctx.normalize_social(raw_social), spatial_norm);
         StepOutcome::Progress
     }
 
     /// One social-flavoured phase-2 probe.
-    fn step_eval_social(&mut self, t_d_prime: f64) -> StepOutcome {
-        let alpha = self.request.alpha();
-        if self.candidates.is_empty() {
-            // Every candidate was resolved; only users beyond both streams
-            // remain, and they score at least θ'.
-            let theta_prime = alpha * self.tp + (1.0 - alpha) * t_d_prime;
-            self.topk.raise_threshold(theta_prime);
-            return self.complete();
+    fn step_eval_social(&mut self, book: &mut AnswerBook<'_>, t_d_prime: f64) -> StepOutcome {
+        let alpha = book.request.alpha();
+        // Once every candidate is resolved, only users beyond both streams
+        // remain, and they score at least θ'.
+        if book.raise(alpha * self.tp + (1.0 - alpha) * t_d_prime) || self.candidates.is_empty() {
+            return StepOutcome::Complete;
         }
-        let theta_prime = alpha * self.tp + (1.0 - alpha) * t_d_prime;
-        self.topk.raise_threshold(theta_prime);
-        if theta_prime >= self.topk.fk() {
-            return self.complete();
-        }
-        match self.social.next_settled(self.dataset.graph()) {
+        match self.social.next_settled(book.dataset().graph()) {
             Some((vertex, raw_social)) => {
-                self.stats.social_pops += 1;
-                self.stats.vertex_pops += 1;
-                let social_norm = self.ctx.normalize_social(raw_social);
+                book.stats.social_pops += 1;
+                book.stats.vertex_pops += 1;
+                let social_norm = book.ctx.normalize_social(raw_social);
                 self.tp = social_norm;
                 if let Some(spatial_norm) = self.candidates.remove(&vertex) {
-                    let score = self.ctx.score(social_norm, spatial_norm);
-                    self.stats.evaluated_users += 1;
-                    self.topk.consider(RankedUser {
-                        user: vertex,
-                        score,
-                        social: social_norm,
-                        spatial: spatial_norm,
-                    });
+                    book.consider(vertex, social_norm, spatial_norm);
                     self.phase = TsaPhase::EvalSocial {
                         t_d_prime: min_value(&self.candidates),
                     };
@@ -365,49 +281,24 @@ impl<'a> TsaDriver<'a> {
             None => {
                 // Remaining candidates are socially unreachable: the
                 // interim result is final.
-                self.topk.raise_threshold(f64::INFINITY);
-                self.complete()
+                book.topk.raise_threshold(f64::INFINITY);
+                StepOutcome::Complete
             }
         }
     }
 }
 
-impl QueryDriver for TsaDriver<'_> {
-    fn step(&mut self) -> StepOutcome {
-        if self.done {
-            return StepOutcome::Complete;
-        }
+impl Search for TsaDriver<'_> {
+    fn step(&mut self, book: &mut AnswerBook<'_>) -> StepOutcome {
         match self.phase {
-            TsaPhase::Concurrent => self.step_concurrent(),
-            TsaPhase::EvalCh { idx, .. } => self.step_eval_ch(idx),
-            TsaPhase::EvalSocial { t_d_prime } => self.step_eval_social(t_d_prime),
+            TsaPhase::Concurrent => self.step_concurrent(book),
+            TsaPhase::EvalCh { idx, .. } => self.step_eval_ch(book, idx),
+            TsaPhase::EvalSocial { t_d_prime } => self.step_eval_social(book, t_d_prime),
         }
     }
 
-    fn drain_finalized(&mut self, out: &mut Vec<RankedUser>) {
-        if !self.done {
-            drain_new_finalized(&self.topk, &mut self.emitted, out);
-        }
-    }
-
-    fn is_complete(&self) -> bool {
-        self.done
-    }
-
-    fn stats(&self) -> QueryStats {
-        let mut stats = self.stats;
-        if !self.done {
-            stats.relaxed_edges = self.social.relaxations();
-            stats.streamable_results = self.topk.finalized();
-            stats.runtime = self.start.elapsed();
-        }
-        stats
-    }
-
-    fn take_result(&mut self) -> Result<QueryResult, CoreError> {
-        self.result
-            .take()
-            .expect("TsaDriver not complete or result already taken")
+    fn fold_stats(&self, stats: &mut QueryStats) {
+        stats.relaxed_edges = self.social.relaxations();
     }
 }
 
@@ -419,8 +310,12 @@ fn min_value(candidates: &HashMap<UserId, f64>) -> f64 {
 mod tests {
     use super::*;
     use crate::algorithms::exhaustive;
+    use crate::driver::{Driven, QueryDriver};
+    use crate::{
+        Algorithm, CoreError, GeoSocialDataset, GeoSocialEngine, QueryRequest, QueryResult,
+    };
     use ssrq_graph::{GraphBuilder, LandmarkSelection};
-    use ssrq_spatial::{Point, Rect};
+    use ssrq_spatial::Rect;
 
     fn req(user: u32, k: usize, alpha: f64) -> QueryRequest {
         QueryRequest::for_user(user)
@@ -466,7 +361,10 @@ mod tests {
         options: TsaOptions<'_>,
     ) -> Result<QueryResult, CoreError> {
         let mut qctx = QueryContext::new();
-        TsaDriver::new(dataset, grid, request, options, &mut qctx)?.run_to_completion()
+        let book = AnswerBook::new(dataset, request);
+        let origin = book.ctx.origin().expect("a located query user");
+        let search = TsaDriver::new(&book.ctx, grid, origin, options, &mut qctx);
+        Driven::new(book, search).run_to_completion()
     }
 
     fn grid_for(dataset: &GeoSocialDataset) -> UniformGrid {
@@ -587,13 +485,15 @@ mod tests {
     #[test]
     fn unlocated_query_user_falls_back_to_social_only_stream() {
         let dataset = dataset();
-        let grid = grid_for(&dataset);
+        let engine = GeoSocialEngine::builder(dataset.clone()).build().unwrap();
         // User 12 has no location: every candidate's spatial distance is
-        // infinite, so only the social stream contributes and no finite
-        // score exists (alpha < 1).
+        // infinite, so no finite score exists (alpha < 1) and the engine
+        // answers before any search runs.
         let request = req(12, 5, 0.5);
         let expected = exhaustive::run(&dataset, &request).unwrap();
-        let got = tsa(&dataset, &grid, &request, TsaOptions::default()).unwrap();
+        let got = engine
+            .run(&request.clone().with_algorithm(Algorithm::Tsa))
+            .unwrap();
         assert!(got.same_users_and_scores(&expected, 1e-9));
         assert!(got.ranked.is_empty());
     }

@@ -1,14 +1,22 @@
 //! Resumable query drivers: the pull-lazy state machines behind
 //! [`QuerySession::stream`](crate::QuerySession::stream).
 //!
-//! Every SSRQ algorithm in this crate is implemented as a **driver** — a
-//! state machine that advances the search one probe at a time
-//! ([`QueryDriver::step`]) and hands out result entries the moment the
-//! incremental threshold finalizes them ([`QueryDriver::drain_finalized`]).
-//! [`QuerySession::run`](crate::QuerySession::run) is a thin `while step`
-//! loop over the same machines, so both execution styles run the exact same
-//! probe sequence: bounds, admission gating and exactness are shared, and a
-//! fully-drained stream is bit-identical to the eager result.
+//! Every SSRQ algorithm in this crate is one threshold loop (Fagin, Lotem
+//! and Naor): pull candidates in some order — socially for SFA, spatially
+//! for SPA, both for TSA, through the aggregate index for AIS — score each
+//! one, raise a bound on every candidate not yet pulled, and stop once the
+//! bound reaches `f_k`.  The loop's bookkeeping is written once, here.  An
+//! algorithm is a [`Search`] that knows only its own probe; the one
+//! skeleton [`Driven`] pairs it with an [`AnswerBook`] — the interim top-k,
+//! the work counters, the clock, the drain cursor and the final result —
+//! and is the only implementation of [`QueryDriver`] a search runs behind.
+//!
+//! [`start`] is the one way in: it validates the request once, answers a
+//! query without a spatial origin on the spot, and hands every other
+//! search a resolved origin.  [`QuerySession::run`](crate::QuerySession::run)
+//! is a thin `while step` loop over the same machines, so both execution
+//! styles run the exact same probe sequence and a fully-drained stream is
+//! bit-identical to the eager result.
 //!
 //! Drivers borrow the engine's immutable indexes and the caller's
 //! [`QueryContext`] for their whole lifetime; dropping a driver (or the
@@ -19,13 +27,14 @@
 
 use crate::ais::{ais_query, AisDriver, AisVariant};
 use crate::algorithms::{
-    CachedDriver, ExhaustiveDriver, SfaChDriver, SfaDriver, SpaDriver, SpaOptions, TsaDriver,
-    TsaOptions,
+    CachedDriver, ExhaustiveDriver, SfaDriver, SocialOrder, SpaDriver, TsaDriver, TsaOptions,
 };
 use crate::{
-    Algorithm, CoreError, GeoSocialEngine, QueryContext, QueryRequest, QueryResult, QueryStats,
-    RankedUser, TopK,
+    Algorithm, CoreError, GeoSocialDataset, GeoSocialEngine, QueryContext, QueryRequest,
+    QueryResult, QueryStats, RankedUser, RankingContext, TopK, UserId,
 };
+use ssrq_graph::IncrementalDijkstra;
+use std::time::Instant;
 
 /// What a single [`QueryDriver::step`] call achieved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,17 +50,24 @@ pub enum StepOutcome {
 /// A resumable SSRQ search: one algorithm execution, advanced probe by
 /// probe.
 ///
-/// The contract every implementation upholds:
+/// Every built-in algorithm runs behind one shared skeleton that owns the
+/// query's bookkeeping — the interim top-k, the work counters, the clock
+/// and the drain cursor — while the algorithm supplies only its probe.  So
+/// the contract below holds for all twelve by construction:
 ///
 /// * [`step`](QueryDriver::step) performs one bounded unit of work (settle
-///   one vertex, pop one heap entry, scan one candidate).  Calling it after
-///   completion is a no-op.
+///   one vertex, pop one heap entry, scan or rank one candidate).  Calling
+///   it after completion is a no-op.
 /// * [`drain_finalized`](QueryDriver::drain_finalized) appends the entries
 ///   whose membership *and* rank the incremental threshold has fixed since
 ///   the previous drain, in ascending `(score, user)` order.  Across the
 ///   driver's lifetime the drained entries form a stable prefix of the
 ///   final [`QueryResult::ranked`] — suspension (not stepping for a while)
 ///   can never change entries already drained.
+/// * [`stats`](QueryDriver::stats) folds the counters the algorithm's own
+///   searches keep into the skeleton's, so a snapshot at any step counts
+///   the work done so far, and the snapshot after completion equals the
+///   result's counters.
 /// * [`take_result`](QueryDriver::take_result) is available once `step`
 ///   returned [`StepOutcome::Complete`] and yields the same result an
 ///   eager run computes.  It may be called at most once.
@@ -108,9 +124,8 @@ pub trait QueryDriver {
 }
 
 /// Appends the entries of `topk` finalized since the last call (tracked by
-/// `emitted`) to `out` — the shared emission primitive of the incremental
-/// drivers.
-pub(crate) fn drain_new_finalized(topk: &TopK, emitted: &mut usize, out: &mut Vec<RankedUser>) {
+/// `emitted`) to `out`.
+fn drain_new_finalized(topk: &TopK, emitted: &mut usize, out: &mut Vec<RankedUser>) {
     if topk.finalized() > *emitted {
         let sorted = topk.finalized_sorted();
         out.extend_from_slice(&sorted[*emitted..]);
@@ -118,21 +133,220 @@ pub(crate) fn drain_new_finalized(topk: &TopK, emitted: &mut usize, out: &mut Ve
     }
 }
 
+/// The bookkeeping of one query, shared by every search: the request and
+/// its ranking function, the interim result, the counters, the clock, the
+/// drain cursor and, once complete, the result.
+#[derive(Debug)]
+pub(crate) struct AnswerBook<'a> {
+    /// The request being answered.
+    pub(crate) request: QueryRequest,
+    /// The request's ranking function over the engine's dataset.
+    pub(crate) ctx: RankingContext<'a>,
+    /// The interim result `R`, its `f_k` and its finalization bound.
+    pub(crate) topk: TopK,
+    /// The counters the search bumps itself; the ones its graph searches
+    /// keep are folded in by [`Search::fold_stats`].
+    pub(crate) stats: QueryStats,
+    start: Instant,
+    /// Finalized entries already drained.
+    emitted: usize,
+    result: Option<Result<QueryResult, CoreError>>,
+    done: bool,
+}
+
+impl<'a> AnswerBook<'a> {
+    /// An empty book for `request`, which the caller has validated.
+    pub(crate) fn new(dataset: &'a GeoSocialDataset, request: &QueryRequest) -> Self {
+        AnswerBook {
+            request: request.clone(),
+            ctx: RankingContext::new(dataset, request),
+            topk: TopK::for_request(request),
+            stats: QueryStats::default(),
+            start: Instant::now(),
+            emitted: 0,
+            result: None,
+            done: false,
+        }
+    }
+
+    /// Validates `request` against `dataset`, then opens its book: the
+    /// request's own invariants first, then its query user.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`].
+    pub(crate) fn open(
+        dataset: &'a GeoSocialDataset,
+        request: &QueryRequest,
+    ) -> Result<Self, CoreError> {
+        request.validate()?;
+        dataset.check_user(request.user())?;
+        Ok(AnswerBook::new(dataset, request))
+    }
+
+    /// The dataset the query runs on.
+    pub(crate) fn dataset(&self) -> &'a GeoSocialDataset {
+        self.ctx.dataset()
+    }
+
+    /// Admit, score, consider: when the request admits `user`, scores it at
+    /// raw social distance `raw_social` and offers it to the interim result.
+    pub(crate) fn offer(&mut self, user: UserId, raw_social: f64) {
+        if self.request.admits(self.dataset(), user) {
+            let social = self.ctx.normalize_social(raw_social);
+            self.consider(user, social, self.ctx.spatial(user));
+        }
+    }
+
+    /// Scores an evaluated candidate from its normalized distances and
+    /// offers it to the interim result.
+    pub(crate) fn consider(&mut self, user: UserId, social: f64, spatial: f64) {
+        self.stats.evaluated_users += 1;
+        self.topk.consider(RankedUser {
+            user,
+            score: self.ctx.score(social, spatial),
+            social,
+            spatial,
+        });
+    }
+
+    /// Raises the finalization bound to `theta`, a lower bound on the score
+    /// of every candidate not yet offered, and reports whether it reached
+    /// `f_k` — the threshold algorithm's stop test.
+    pub(crate) fn raise(&mut self, theta: f64) -> bool {
+        self.topk.raise_threshold(theta);
+        theta >= self.topk.fk()
+    }
+
+    /// Completes the query with `result`, stamping the wall clock on it;
+    /// after this the book's counters are the result's.
+    pub(crate) fn finish(&mut self, result: Result<QueryResult, CoreError>) -> StepOutcome {
+        self.stats.runtime = self.start.elapsed();
+        self.result = Some(result.map(|mut result| {
+            result.stats.runtime = self.stats.runtime;
+            self.stats = result.stats;
+            result
+        }));
+        self.done = true;
+        StepOutcome::Complete
+    }
+
+    /// Completes the query with the interim result as it stands.
+    fn complete(&mut self, stats: QueryStats) {
+        let topk = std::mem::replace(&mut self.topk, TopK::new(0));
+        self.finish(Ok(QueryResult {
+            ranked: topk.into_sorted_vec(),
+            k: self.request.k(),
+            degraded: false,
+            stats,
+        }));
+    }
+}
+
+/// One algorithm's probe: everything its driver does that the shared
+/// [`AnswerBook`] does not.
+pub(crate) trait Search {
+    /// `false` for a drain-after-complete search, whose interim entries are
+    /// not final before it completes: the oracle's scan order bounds
+    /// nothing, and the cached method's fallback replaces its interim
+    /// result.
+    const STREAMS: bool = true;
+
+    /// Advances by one probe.  [`StepOutcome::Complete`] says the search
+    /// has ended; the skeleton then completes the book with the interim
+    /// result, unless the search already [finished](AnswerBook::finish) it.
+    fn step(&mut self, book: &mut AnswerBook<'_>) -> StepOutcome;
+
+    /// Folds the counters the search keeps outside the book (its graph
+    /// searches' own) into a snapshot of the book's.
+    fn fold_stats(&self, _stats: &mut QueryStats) {}
+}
+
+/// The one skeleton: a [`Search`] driven against its [`AnswerBook`] — the
+/// implementation of [`QueryDriver`] behind every algorithm.
+#[derive(Debug)]
+pub(crate) struct Driven<'a, S> {
+    book: AnswerBook<'a>,
+    search: S,
+}
+
+impl<'a, S: Search> Driven<'a, S> {
+    /// Pairs `search` with the book it answers into.
+    pub(crate) fn new(book: AnswerBook<'a>, search: S) -> Self {
+        Driven { book, search }
+    }
+
+    /// The live counters: the book's, the search's own, and the clock.
+    fn snapshot(&self) -> QueryStats {
+        let mut stats = self.book.stats;
+        self.search.fold_stats(&mut stats);
+        stats.streamable_results = self.book.topk.finalized();
+        stats.runtime = self.book.start.elapsed();
+        stats
+    }
+}
+
+impl<S: Search> QueryDriver for Driven<'_, S> {
+    fn step(&mut self) -> StepOutcome {
+        if self.book.done {
+            return StepOutcome::Complete;
+        }
+        let outcome = self.search.step(&mut self.book);
+        if outcome == StepOutcome::Complete && !self.book.done {
+            let stats = self.snapshot();
+            self.book.complete(stats);
+        }
+        outcome
+    }
+
+    fn drain_finalized(&mut self, out: &mut Vec<RankedUser>) {
+        if S::STREAMS && !self.book.done {
+            drain_new_finalized(&self.book.topk, &mut self.book.emitted, out);
+        }
+    }
+
+    fn is_complete(&self) -> bool {
+        self.book.done
+    }
+
+    fn stats(&self) -> QueryStats {
+        if self.book.done {
+            self.book.stats
+        } else {
+            self.snapshot()
+        }
+    }
+
+    fn take_result(&mut self) -> Result<QueryResult, CoreError> {
+        self.book
+            .result
+            .take()
+            .expect("query not complete or result already taken")
+    }
+}
+
+/// Boxes `search` behind the skeleton.
+fn driven<'a, S: Search + 'a>(book: AnswerBook<'a>, search: S) -> Box<dyn QueryDriver + 'a> {
+    Box::new(Driven::new(book, search))
+}
+
 /// Starts the driver of one concrete `algorithm` over `engine` — the one
-/// place the twelve paper algorithms are told apart.  An index-backed
-/// algorithm builds its declared index here on first use.
+/// place the twelve paper algorithms are told apart, and the one place a
+/// request is validated.  An index-backed algorithm builds its declared
+/// index here on first use.
 ///
 /// A query with no spatial origin (no explicit origin, and a query user
 /// without a location) sees every candidate at infinite spatial distance,
 /// so no candidate has a finite score: it completes with the empty answer
 /// before any search.  Only the [`Algorithm::Exhaustive`] oracle still
-/// scans, so it keeps checking that claim.
+/// scans, so it keeps checking that claim; every other search is handed
+/// the resolved origin.
 ///
 /// # Errors
 ///
-/// [`CoreError::MissingIndex`] for an index the engine does not declare;
-/// otherwise whatever the driver's constructor reports for the request
-/// (typically [`CoreError::InvalidParameter`] / [`CoreError::UnknownUser`]).
+/// In this order: [`CoreError::MissingIndex`] for an index the engine does
+/// not declare, then whatever [`QueryRequest::validate`] reports, then
+/// [`CoreError::UnknownUser`].
 ///
 /// # Panics
 ///
@@ -144,110 +358,90 @@ pub(crate) fn start<'a>(
     request: &QueryRequest,
     ctx: &'a mut QueryContext,
 ) -> Result<Box<dyn QueryDriver + 'a>, CoreError> {
+    engine.ready(algorithm)?;
     let dataset = engine.dataset();
-    if algorithm != Algorithm::Exhaustive && request.resolved_origin(dataset).is_none() {
-        // The same errors, in the same order, as the drivers below report.
-        engine.ready(algorithm)?;
-        request.validate()?;
-        dataset.check_user(request.user())?;
+    let book = AnswerBook::open(dataset, request)?;
+    let user = request.user();
+    if algorithm == Algorithm::Exhaustive {
+        let social = IncrementalDijkstra::new(dataset.graph(), user, &mut ctx.social);
+        return Ok(driven(book, ExhaustiveDriver::new(social)));
+    }
+    let Some(origin) = book.ctx.origin() else {
         return Ok(Box::new(EagerDriver::new(QueryResult {
             ranked: Vec::new(),
             k: request.k(),
             degraded: false,
             stats: QueryStats::default(),
         })));
-    }
-    let tsa = |quick_combine, ch_phase2| TsaOptions {
-        quick_combine,
-        landmarks: Some(engine.landmarks()),
-        ch_phase2,
+    };
+    let ranking = book.ctx;
+    let grid = engine.grid();
+    let tsa = |quick_combine, ch_phase2, ctx| {
+        let options = TsaOptions {
+            quick_combine,
+            landmarks: Some(engine.landmarks()),
+            ch_phase2,
+        };
+        TsaDriver::new(&ranking, grid, origin, options, ctx)
     };
     let ais = |variant, ctx| {
         AisDriver::new(
-            dataset,
+            &ranking,
             engine.ais_index(),
             engine.landmarks(),
-            request,
+            origin,
             variant,
             ctx,
         )
     };
     Ok(match algorithm {
-        Algorithm::Exhaustive => Box::new(ExhaustiveDriver::new(dataset, request, ctx)?),
-        Algorithm::Sfa => Box::new(SfaDriver::new(dataset, request, ctx)?),
-        Algorithm::Spa => Box::new(SpaDriver::new(
-            dataset,
-            engine.grid(),
-            request,
-            SpaOptions::default(),
-            ctx,
-        )?),
-        Algorithm::Tsa => Box::new(TsaDriver::new(
-            dataset,
-            engine.grid(),
-            request,
-            tsa(false, None),
-            ctx,
-        )?),
-        Algorithm::TsaQc => Box::new(TsaDriver::new(
-            dataset,
-            engine.grid(),
-            request,
-            tsa(true, None),
-            ctx,
-        )?),
-        Algorithm::AisBid => Box::new(ais(AisVariant::bid(), ctx)?),
-        Algorithm::AisMinus => Box::new(ais(AisVariant::minus(), ctx)?),
-        Algorithm::Ais => Box::new(ais(AisVariant::full(), ctx)?),
+        Algorithm::Sfa => {
+            let social = IncrementalDijkstra::new(dataset.graph(), user, &mut ctx.social);
+            driven(book, SfaDriver::new(SocialOrder::Dijkstra(social)))
+        }
         Algorithm::SfaCh => {
             let ch = engine.require_contraction_hierarchy()?;
-            Box::new(SfaChDriver::new(dataset, ch, request, ctx)?)
+            let order = SocialOrder::ranked_by(ch, dataset.user_count(), &mut ctx.ch);
+            driven(book, SfaDriver::new(order))
         }
+        Algorithm::Spa => driven(book, SpaDriver::new(&ranking, grid, origin, None, ctx)),
         Algorithm::SpaCh => {
             let ch = engine.require_contraction_hierarchy()?;
-            Box::new(SpaDriver::new(
-                dataset,
-                engine.grid(),
-                request,
-                SpaOptions { ch: Some(ch) },
-                ctx,
-            )?)
+            driven(book, SpaDriver::new(&ranking, grid, origin, Some(ch), ctx))
         }
+        Algorithm::Tsa => driven(book, tsa(false, None, ctx)),
+        Algorithm::TsaQc => driven(book, tsa(true, None, ctx)),
         Algorithm::TsaCh => {
             let ch = engine.require_contraction_hierarchy()?;
-            Box::new(TsaDriver::new(
-                dataset,
-                engine.grid(),
-                request,
-                tsa(false, Some(ch)),
-                ctx,
-            )?)
+            driven(book, tsa(false, Some(ch), ctx))
         }
+        Algorithm::AisBid => driven(book, ais(AisVariant::bid(), ctx)),
+        Algorithm::AisMinus => driven(book, ais(AisVariant::minus(), ctx)),
+        Algorithm::Ais => driven(book, ais(AisVariant::full(), ctx)),
         Algorithm::SfaCached => {
             let cache = engine.require_social_cache()?;
-            Box::new(CachedDriver::new(
-                dataset,
-                cache,
-                request,
-                move |fallback_request: &QueryRequest| {
-                    ais_query(
-                        dataset,
-                        engine.ais_index(),
-                        engine.landmarks(),
-                        fallback_request,
-                        AisVariant::full(),
-                        ctx,
-                    )
-                },
-            )?)
+            let fallback = move |fallback_request: &QueryRequest| {
+                ais_query(
+                    dataset,
+                    engine.ais_index(),
+                    engine.landmarks(),
+                    fallback_request,
+                    origin,
+                    ctx,
+                )
+            };
+            driven(book, CachedDriver::new(cache, user, fallback))
         }
-        Algorithm::Auto => unreachable!("Algorithm::Auto is dispatched to the planner"),
+        Algorithm::Exhaustive | Algorithm::Auto => {
+            unreachable!("the oracle starts above; Algorithm::Auto is dispatched to the planner")
+        }
     })
 }
 
 /// A driver over an already-computed result: completes on the first `step`
 /// and delivers everything through [`QueryDriver::take_result`]
-/// (drain-after-complete) — how a planner cache hit streams.
+/// (drain-after-complete) — how a planner cache hit, and a query without an
+/// origin, stream.
 #[derive(Debug)]
 pub(crate) struct EagerDriver {
     stats: QueryStats,

@@ -738,43 +738,12 @@ impl GeoSocialEngine {
         batch: &[QueryRequest],
         threads: usize,
     ) -> Vec<Result<QueryResult, CoreError>> {
-        let threads = threads.min(batch.len());
-        if threads <= 1 {
-            let mut ctx = self.make_context();
-            return batch
-                .iter()
-                .map(|request| self.run_with(request, &mut ctx))
-                .collect();
-        }
-
-        // Workers pull indices from a shared atomic counter (dynamic load
-        // balancing: query cost varies wildly with the query user's
-        // neighbourhood), collect `(index, result)` pairs locally, and the
-        // batch is stitched back into input order at the end.
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<(usize, Result<QueryResult, CoreError>)> =
-            Vec::with_capacity(batch.len());
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut ctx = self.make_context();
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(request) = batch.get(i) else { break };
-                            local.push((i, self.run_with(request, &mut ctx)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for worker in workers {
-                results.extend(worker.join().expect("batch worker panicked"));
-            }
-        });
-        results.sort_unstable_by_key(|&(i, _)| i);
-        results.into_iter().map(|(_, result)| result).collect()
+        run_batch_on_workers(
+            batch,
+            threads,
+            || self.make_context(),
+            |request, ctx| self.run_with(request, ctx),
+        )
     }
 
     /// Reports a new location for `user`, updating the dataset, the SPA/TSA
@@ -921,6 +890,51 @@ impl EngineMemory {
 fn expanded(bounds: Rect) -> Rect {
     let margin = (bounds.width().max(bounds.height()) * 1e-6).max(1e-9);
     bounds.expanded(margin)
+}
+
+/// Runs `batch` on `threads` worker threads and returns the results in
+/// input order — the one worker loop behind
+/// [`GeoSocialEngine::run_batch_with_threads`] and the sharded engine's.
+///
+/// Each worker makes its own context with `make_context` and pulls the
+/// next request index from a shared counter (dynamic load balancing: query
+/// cost varies wildly with the query user's neighbourhood).  `threads` is
+/// clamped to the batch size; `0` and `1` run inline on the calling thread.
+#[doc(hidden)]
+pub fn run_batch_on_workers<C, T: Send>(
+    batch: &[QueryRequest],
+    threads: usize,
+    make_context: impl Fn() -> C + Sync,
+    run: impl Fn(&QueryRequest, &mut C) -> T + Sync,
+) -> Vec<T> {
+    let threads = threads.min(batch.len());
+    if threads <= 1 {
+        let mut ctx = make_context();
+        return batch.iter().map(|request| run(request, &mut ctx)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<(usize, T)> = Vec::with_capacity(batch.len());
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut ctx = make_context();
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(request) = batch.get(i) else { break };
+                        local.push((i, run(request, &mut ctx)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        for worker in workers {
+            results.extend(worker.join().expect("batch worker panicked"));
+        }
+    });
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]

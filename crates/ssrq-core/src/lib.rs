@@ -109,6 +109,8 @@ pub use algorithms::SocialNeighborCache;
 pub use context::QueryContext;
 pub use dataset::{GeoSocialDataset, UserId};
 pub use driver::{QueryDriver, StepOutcome};
+#[doc(hidden)]
+pub use engine::run_batch_on_workers;
 pub use engine::{Algorithm, EngineBuilder, EngineMemory, GeoSocialEngine, IndexParams};
 pub use error::CoreError;
 pub use planner::{ChoiceReason, PlannerConfig, PlannerSnapshot, QueryPlanner};

@@ -181,9 +181,10 @@ impl QueryRequest {
 
     /// Re-checks the invariants [`QueryRequestBuilder::build`] established.
     ///
-    /// Every algorithm calls this defensively so that a hand-rolled request
-    /// (e.g. one deserialized by a downstream service) cannot put it into
-    /// an undefined state.
+    /// The engine calls this once before any algorithm starts (and the
+    /// planner before its cache lookup), so that a hand-rolled request
+    /// (e.g. one deserialized by a downstream service) cannot put a search
+    /// into an undefined state.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.k == 0 {
             return Err(CoreError::InvalidParameter("k must be at least 1".into()));
@@ -293,8 +294,8 @@ impl QueryRequestBuilder {
     /// Returns the request **without** validating it — the in-process
     /// counterpart of a request deserialized from an untrusted peer.
     ///
-    /// Every algorithm re-checks [`QueryRequest::validate`] defensively at
-    /// execution time, so an invalid request built this way produces a
+    /// The engine re-checks [`QueryRequest::validate`] before any algorithm
+    /// starts, so an invalid request built this way produces a
     /// typed [`CoreError::InvalidParameter`] when run, never an undefined
     /// algorithm state.  The test-suite uses this to exercise exactly that
     /// path; service code should prefer [`QueryRequestBuilder::build`].

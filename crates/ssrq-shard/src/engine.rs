@@ -4,12 +4,11 @@ use crate::partition::{Partitioning, ShardAssignment};
 use crate::stats::ShardStats;
 use crate::transport::{self, shard_score_lower_bound, FailurePolicy, ShardTransport};
 use ssrq_core::{
-    CoreError, EngineBuilder, GeoSocialDataset, GeoSocialEngine, QueryContext, QueryRequest,
-    QueryResult, UserId,
+    run_batch_on_workers, CoreError, EngineBuilder, GeoSocialDataset, GeoSocialEngine,
+    QueryContext, QueryRequest, QueryResult, UserId,
 };
 use ssrq_spatial::{Point, Rect};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// One partition: a full [`GeoSocialEngine`] over the shared social graph
@@ -325,38 +324,12 @@ impl ShardedEngine {
         batch: &[QueryRequest],
         threads: usize,
     ) -> Vec<Result<QueryResult, CoreError>> {
-        let threads = threads.min(batch.len());
-        if threads <= 1 {
-            let mut ctx = self.make_context();
-            return batch
-                .iter()
-                .map(|request| self.scatter(request, &mut ctx).map(|(r, _)| r))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<(usize, Result<QueryResult, CoreError>)> =
-            Vec::with_capacity(batch.len());
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut ctx = self.make_context();
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(request) = batch.get(i) else { break };
-                            local.push((i, self.scatter(request, &mut ctx).map(|(r, _)| r)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for worker in workers {
-                results.extend(worker.join().expect("sharded batch worker panicked"));
-            }
-        });
-        results.sort_unstable_by_key(|&(i, _)| i);
-        results.into_iter().map(|(_, result)| result).collect()
+        run_batch_on_workers(
+            batch,
+            threads,
+            || self.make_context(),
+            |request, ctx| self.scatter(request, ctx).map(|(result, _)| result),
+        )
     }
 
     /// Routes a location report to the owning shard, migrating the user

@@ -71,25 +71,44 @@ fn arb_dataset(rng: &mut StdRng) -> GeoSocialDataset {
 
 #[test]
 fn all_algorithms_match_the_oracle_on_arbitrary_datasets() {
+    // Edges the line-up must keep reaching: an answer shorter than `k`
+    // (few admissible users), and SFA-Cached's AIS fallback (a cached list
+    // of `t = 3` that runs out before the threshold holds).
+    let mut short_answers = 0;
+    let mut fallbacks = 0;
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(BASE_SEED + case);
         let dataset = arb_dataset(&mut rng);
+        let n = dataset.user_count() as u32;
         let user = rng.gen_range(0..dataset.user_count()) as u32;
         let k = rng.gen_range(1usize..8);
         let alpha = rng.gen_range(0.05f64..0.95);
+        // Every fourth case excludes every candidate; the others a random
+        // few or none.
+        let exclude: Vec<u32> = if case % 4 == 3 {
+            (0..n).filter(|&other| other != user).collect()
+        } else {
+            (0..n).filter(|_| rng.gen_bool(0.2)).collect()
+        };
         let engine = GeoSocialEngine::builder(dataset)
             .granularity(3)
             .landmarks(3)
+            .with_ch()
+            .cache_social_neighbors((0..n).collect::<Vec<_>>(), 3)
             .build()
             .unwrap();
         let request = QueryRequest::for_user(user)
             .k(k)
             .alpha(alpha)
+            .exclude(exclude.iter().copied())
             .build()
             .unwrap();
         let oracle = engine
             .run(&request.clone().with_algorithm(Algorithm::Exhaustive))
             .unwrap();
+        if oracle.ranked.len() < k {
+            short_answers += 1;
+        }
         for algorithm in [
             Algorithm::Sfa,
             Algorithm::Spa,
@@ -98,19 +117,34 @@ fn all_algorithms_match_the_oracle_on_arbitrary_datasets() {
             Algorithm::AisBid,
             Algorithm::AisMinus,
             Algorithm::Ais,
+            Algorithm::SfaCh,
+            Algorithm::SpaCh,
+            Algorithm::TsaCh,
+            Algorithm::SfaCached,
         ] {
             let result = engine
                 .run(&request.clone().with_algorithm(algorithm))
                 .unwrap();
             assert!(
                 result.same_users_and_scores(&oracle, 1e-9),
-                "case {case}: {} disagreed (user {user}, k {k}, alpha {alpha}): got {:?}, expected {:?}",
+                "case {case}: {} disagreed (user {user}, k {k}, alpha {alpha}, {} excluded): \
+                 got {:?}, expected {:?}",
                 algorithm.name(),
+                exclude.len(),
                 result.users(),
                 oracle.users()
             );
+            // Only the fallback pops the aggregate index.
+            if algorithm == Algorithm::SfaCached && result.stats.index_pops > 0 {
+                fallbacks += 1;
+            }
         }
     }
+    assert!(
+        short_answers > 0,
+        "no case drew k above the admissible users"
+    );
+    assert!(fallbacks > 0, "no case fell back from the cached lists");
 }
 
 #[test]
