@@ -301,7 +301,6 @@ fn measure_sharded_point(
             ("shard".into(), Json::num(s)),
             ("resident_located_users".into(), Json::num(residents)),
             ("locations_bytes".into(), Json::num(memory.locations_bytes)),
-            ("grid_bytes".into(), Json::num(memory.grid_bytes)),
             ("ais_bytes".into(), Json::num(memory.ais_bytes)),
             (
                 "ais_occupied_cells".into(),
@@ -333,7 +332,6 @@ fn memory_json(memory: &EngineMemory) -> Json {
         ("graph_bytes".into(), Json::num(memory.graph_bytes)),
         ("landmarks_bytes".into(), Json::num(memory.landmarks_bytes)),
         ("locations_bytes".into(), Json::num(memory.locations_bytes)),
-        ("grid_bytes".into(), Json::num(memory.grid_bytes)),
         ("ais_bytes".into(), Json::num(memory.ais_bytes)),
         (
             "ais_occupied_cells".into(),

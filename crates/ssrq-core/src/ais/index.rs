@@ -1,6 +1,6 @@
 use crate::{CoreError, GeoSocialDataset, UserId};
 use ssrq_graph::LandmarkSet;
-use ssrq_spatial::{MultiLevelGrid, NodeId, NodeKind, Point, Rect};
+use ssrq_spatial::{MultiLevelGrid, NodeId, NodeKind, Point};
 use std::collections::HashMap;
 
 /// The social summary of an index node: for each landmark `j`, the minimum
@@ -128,7 +128,9 @@ impl SocialSummary {
 }
 
 /// The AIS aggregate index: a multi-level regular grid over user locations
-/// with a [`SocialSummary`] attached to every **occupied** node.
+/// with a [`SocialSummary`] attached to every **occupied** node.  The grid's
+/// leaf level is the engine's only copy of the locations in a grid: SPA and
+/// TSA search it too.
 ///
 /// Summaries live in an occupancy-aware layout: a dense `Vec` holds the
 /// summaries of occupied nodes only, behind a compact node→slot map, and
@@ -196,7 +198,9 @@ impl AisIndex {
     ) -> Result<Self, CoreError> {
         // Expand the bounds marginally so boundary points stay strictly
         // inside and the index tolerates small location drifts.
-        let bounds = expanded_bounds(dataset.bounds());
+        let bounds = dataset.bounds();
+        let margin = (bounds.width().max(bounds.height()) * 1e-6).max(1e-9);
+        let bounds = bounds.expanded(margin);
         let num_landmarks = landmarks.len();
         let mut index = AisIndex {
             grid: MultiLevelGrid::bulk_load(bounds, branch, levels, dataset.located_users())?,
@@ -232,7 +236,9 @@ impl AisIndex {
         }
     }
 
-    /// The underlying multi-level grid.
+    /// The underlying multi-level grid; its leaf level
+    /// ([`MultiLevelGrid::leaves`]) is the grid the SPA/TSA spatial search
+    /// runs on.
     pub fn grid(&self) -> &MultiLevelGrid {
         &self.grid
     }
@@ -302,7 +308,7 @@ impl AisIndex {
         location: Point,
         landmarks: &LandmarkSet,
     ) -> Result<(), CoreError> {
-        if self.grid.position(user).is_some() {
+        if self.grid.leaves().position(user).is_some() {
             let (old_leaf, new_leaf) = self.grid.update(user, location)?;
             if old_leaf != new_leaf {
                 self.leave(old_leaf, landmarks);
@@ -417,11 +423,6 @@ impl AisIndex {
         }
         summary
     }
-}
-
-fn expanded_bounds(bounds: Rect) -> Rect {
-    let margin = (bounds.width().max(bounds.height()) * 1e-6).max(1e-9);
-    bounds.expanded(margin)
 }
 
 #[cfg(test)]

@@ -103,12 +103,14 @@ where
     }
 
     /// Completes with the fallback's result, which absorbs the scan's
-    /// counters (none when the list was missing).
+    /// counters (none when the list was missing).  Nothing reached the
+    /// caller before completion, so no entry counts as streamable.
     fn fall_back(&mut self, book: &mut AnswerBook<'_>) -> StepOutcome {
         let fallback = self.fallback.take().expect("cached fallback invoked twice");
         let result = fallback(&book.request).map(|mut result| {
             book.stats.absorb(&result.stats);
             result.stats = book.stats;
+            result.stats.streamable_results = 0;
             result
         });
         book.finish(result)

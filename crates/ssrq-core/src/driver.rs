@@ -280,7 +280,13 @@ impl<'a, S: Search> Driven<'a, S> {
     fn snapshot(&self) -> QueryStats {
         let mut stats = self.book.stats;
         self.search.fold_stats(&mut stats);
-        stats.streamable_results = self.book.topk.finalized();
+        // A drain-after-complete search delivers nothing before it
+        // completes, whatever its interim threshold finalized.
+        stats.streamable_results = if S::STREAMS {
+            self.book.topk.finalized()
+        } else {
+            0
+        };
         stats.runtime = self.book.start.elapsed();
         stats
     }

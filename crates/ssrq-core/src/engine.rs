@@ -4,8 +4,8 @@ use crate::planner::QueryPlanner;
 use crate::{
     CoreError, GeoSocialDataset, QueryContext, QueryRequest, QueryResult, QuerySession, UserId,
 };
-use ssrq_graph::{ChParams, ContractionHierarchy, LandmarkSelection, LandmarkSet};
-use ssrq_spatial::{Point, Rect, UniformGrid};
+use ssrq_graph::{ContractionHierarchy, LandmarkSelection, LandmarkSet};
+use ssrq_spatial::{Point, UniformGrid};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -121,8 +121,8 @@ impl Algorithm {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndexParams {
     /// Partitioning granularity `s`: every AIS index node has `s × s`
-    /// children, and the single-level grid used by SPA/TSA has
-    /// `s^levels × s^levels` cells (capped at 256 per axis).
+    /// children, and the AIS leaf level, which SPA/TSA search as their
+    /// single-level grid, has `s^levels × s^levels` cells.
     pub granularity: u32,
     /// Number of retained AIS grid levels (the paper keeps 2).
     pub ais_levels: u32,
@@ -168,10 +168,9 @@ impl IndexParams {
     }
 
     /// The side length (cells per axis) of the single-level grid used by the
-    /// SPA/TSA spatial search.
+    /// SPA/TSA spatial search: the AIS leaf level's `s^levels`.
     pub fn spa_grid_side(&self) -> u32 {
-        let side = (self.granularity as u64).pow(self.ais_levels).min(256);
-        side.max(1) as u32
+        self.granularity.saturating_pow(self.ais_levels)
     }
 }
 
@@ -347,8 +346,8 @@ impl EngineBuilder {
     }
 
     /// Builds the landmark tables (or adopts the donor's graph-only
-    /// indexes), the SPA/TSA grid and the AIS aggregate index, and returns
-    /// the engine.
+    /// indexes) and the AIS aggregate index, whose leaf level is the SPA/TSA
+    /// grid, and returns the engine.
     ///
     /// # Errors
     ///
@@ -392,8 +391,6 @@ impl EngineBuilder {
                 }),
             },
         };
-        let bounds = expanded(dataset.bounds());
-        let grid = UniformGrid::bulk_load(bounds, params.spa_grid_side(), dataset.located_users())?;
         let ais = AisIndex::build(
             &dataset,
             &graph_indexes.landmarks,
@@ -404,7 +401,6 @@ impl EngineBuilder {
             dataset,
             params,
             graph_indexes,
-            grid,
             ais,
             planner: QueryPlanner::default(),
         })
@@ -423,15 +419,15 @@ impl EngineBuilder {
 /// Hierarchies index, social neighbour cache, held together in one
 /// cloneable handle — are shared: clones of the engine, and sibling engines
 /// built with [`EngineBuilder::share_graph_artifacts_with`], reference one
-/// instance of each.  The location vector, the SPA/TSA grid and the AIS
-/// aggregate index depend on locations and stay per-engine (they are what
-/// [`GeoSocialEngine::update_location`] mutates).
+/// instance of each.  The location vector and the AIS aggregate index
+/// depend on locations and stay per-engine (they are what
+/// [`GeoSocialEngine::update_location`] mutates).  The AIS index's leaf
+/// level is the SPA/TSA grid, so each location is indexed once.
 #[derive(Debug)]
 pub struct GeoSocialEngine {
     dataset: GeoSocialDataset,
     params: IndexParams,
     graph_indexes: GraphIndexes,
-    grid: UniformGrid,
     ais: AisIndex,
     /// The planner behind [`Algorithm::Auto`] — per-engine, like every
     /// location-dependent structure (its hot-result cache replays *this*
@@ -452,7 +448,6 @@ impl Clone for GeoSocialEngine {
             dataset: self.dataset.clone(),
             params: self.params,
             graph_indexes: self.graph_indexes.clone(),
-            grid: self.grid.clone(),
             ais: self.ais.clone(),
             planner: QueryPlanner::new(self.planner.config()),
         }
@@ -498,9 +493,10 @@ impl GeoSocialEngine {
         &self.ais
     }
 
-    /// The single-level grid used by the SPA/TSA spatial search.
+    /// The single-level grid used by the SPA/TSA spatial search: the AIS
+    /// index's leaf level.
     pub fn grid(&self) -> &UniformGrid {
-        &self.grid
+        self.ais.grid().leaves()
     }
 
     /// The Contraction Hierarchies index, when already built: it only
@@ -531,8 +527,7 @@ impl GeoSocialEngine {
                     .into(),
             )
         })?;
-        Ok(slot
-            .get_or_init(|| ContractionHierarchy::build(self.dataset.graph(), ChParams::default())))
+        Ok(slot.get_or_init(|| ContractionHierarchy::new(self.dataset.graph())))
     }
 
     /// The pre-computed social neighbour cache, when already built: it only
@@ -746,9 +741,9 @@ impl GeoSocialEngine {
         )
     }
 
-    /// Reports a new location for `user`, updating the dataset, the SPA/TSA
-    /// grid and the AIS index (including its social summaries) — the
-    /// location-update path of §5.1.
+    /// Reports a new location for `user`, updating the dataset and the AIS
+    /// index (its leaf grid, which SPA/TSA search, and its social
+    /// summaries) — the location-update path of §5.1.
     ///
     /// # Auxiliary-index staleness
     ///
@@ -772,10 +767,9 @@ impl GeoSocialEngine {
             )));
         }
         self.dataset.set_location(user, Some(location))?;
-        // A location outside the dataset's bounds stays exact: the grids
-        // store it as given, file it in the boundary cell its clamped image
-        // falls in, and open the search bounds of boundary cells outward.
-        self.grid.insert(user, location);
+        // A location outside the dataset's bounds stays exact: the grid
+        // stores it as given, files it in the boundary cell its clamped image
+        // falls in, and opens the search bounds of boundary cells outward.
         self.ais
             .update_location(user, location, &self.graph_indexes.landmarks)?;
         self.planner.note_location_change(user);
@@ -793,7 +787,6 @@ impl GeoSocialEngine {
         self.dataset.check_user(user)?;
         if self.dataset.location(user).is_some() {
             self.dataset.set_location(user, None)?;
-            self.grid.remove(user)?;
             self.ais.remove_user(user, &self.graph_indexes.landmarks)?;
             self.planner.note_location_change(user);
         }
@@ -812,7 +805,8 @@ impl GeoSocialEngine {
     /// Approximate heap footprint of this engine, split into the bytes that
     /// are **shared** through `Arc` handles (graph, landmarks, CH, social
     /// cache — paid once no matter how many engines hold them) and the
-    /// bytes that are **per-engine** (locations, SPA/TSA grid, AIS index).
+    /// bytes that are **per-engine** (locations, AIS index with its leaf
+    /// grid).
     ///
     /// Capacity-based estimates; allocator overhead and the planner's
     /// hot-result cache are ignored.  This powers the `experiments -- memory`
@@ -830,7 +824,6 @@ impl GeoSocialEngine {
                 .map(|cache| cache.memory_bytes())
                 .unwrap_or(0),
             locations_bytes: self.dataset.locations_heap_bytes(),
-            grid_bytes: self.grid.approx_heap_bytes(),
             ais_bytes: self.ais.approx_heap_bytes(),
             ais_occupied_cells: self.ais.occupied_cells(),
             ais_total_cells: self.ais.total_cells(),
@@ -852,9 +845,8 @@ pub struct EngineMemory {
     pub social_cache_bytes: usize,
     /// Per-engine location vector.
     pub locations_bytes: usize,
-    /// Per-engine SPA/TSA grid.
-    pub grid_bytes: usize,
-    /// Per-engine AIS aggregate index.
+    /// Per-engine AIS aggregate index, including its leaf grid (the SPA/TSA
+    /// grid).
     pub ais_bytes: usize,
     /// AIS grid nodes carrying a materialised social summary (occupancy
     /// numerator — empty nodes share one static summary and cost nothing).
@@ -873,7 +865,7 @@ impl EngineMemory {
     /// Bytes owned by this engine alone (replicated per shard in a
     /// partitioned deployment).
     pub fn per_engine_bytes(&self) -> usize {
-        self.locations_bytes + self.grid_bytes + self.ais_bytes
+        self.locations_bytes + self.ais_bytes
     }
 
     /// Fraction of AIS grid nodes carrying a materialised summary; 0 for an
@@ -885,11 +877,6 @@ impl EngineMemory {
         }
         self.ais_occupied_cells as f64 / self.ais_total_cells as f64
     }
-}
-
-fn expanded(bounds: Rect) -> Rect {
-    let margin = (bounds.width().max(bounds.height()) * 1e-6).max(1e-9);
-    bounds.expanded(margin)
 }
 
 /// Runs `batch` on `threads` worker threads and returns the results in
@@ -1081,7 +1068,7 @@ mod tests {
             ais_levels: 2,
             ..IndexParams::default()
         };
-        assert_eq!(cfg.spa_grid_side(), 256); // capped
+        assert_eq!(cfg.spa_grid_side(), 400); // the AIS leaf side, uncapped
         let cfg = IndexParams {
             granularity: 5,
             ais_levels: 2,

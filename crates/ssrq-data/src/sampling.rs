@@ -132,7 +132,10 @@ mod tests {
         for (u, v, w) in sample.undirected_edges() {
             let ou = mapping[u as usize];
             let ov = mapping[v as usize];
-            assert_eq!(g.edge_weight(ou, ov), Some(w));
+            assert_eq!(
+                g.neighbors(ou).find(|e| e.to == ov).map(|e| e.weight),
+                Some(w)
+            );
         }
     }
 

@@ -44,6 +44,11 @@ mod tests {
     use super::*;
     use ssrq_graph::GraphBuilder;
 
+    /// Weight of the edge `u`–`v`, read off `u`'s adjacency.
+    fn weight(g: &SocialGraph, u: u32, v: u32) -> Option<f64> {
+        g.neighbors(u).find(|e| e.to == v).map(|e| e.weight)
+    }
+
     fn star_plus_edge() -> SocialGraph {
         // Hub 0 with 4 leaves, plus an edge between two leaves.
         GraphBuilder::from_edges(
@@ -65,11 +70,11 @@ mod tests {
         let weighted = degree_weights(&g);
         // max_degree = 4 (the hub).
         // Edge (0, 1): deg 4 * deg 2 / 16 = 0.5.
-        assert!((weighted.edge_weight(0, 1).unwrap() - 0.5).abs() < 1e-12);
+        assert!((weight(&weighted, 0, 1).unwrap() - 0.5).abs() < 1e-12);
         // Edge (0, 3): deg 4 * deg 1 / 16 = 0.25.
-        assert!((weighted.edge_weight(0, 3).unwrap() - 0.25).abs() < 1e-12);
+        assert!((weight(&weighted, 0, 3).unwrap() - 0.25).abs() < 1e-12);
         // Edge (1, 2): deg 2 * deg 2 / 16 = 0.25.
-        assert!((weighted.edge_weight(1, 2).unwrap() - 0.25).abs() < 1e-12);
+        assert!((weight(&weighted, 1, 2).unwrap() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -79,7 +84,7 @@ mod tests {
         assert_eq!(weighted.node_count(), g.node_count());
         assert_eq!(weighted.edge_count(), g.edge_count());
         for (u, v, _) in g.undirected_edges() {
-            assert!(weighted.edge_weight(u, v).is_some());
+            assert!(weight(&weighted, u, v).is_some());
         }
     }
 
@@ -89,7 +94,7 @@ mod tests {
         // (larger weight = weaker tie).
         let g = star_plus_edge();
         let weighted = degree_weights(&g);
-        assert!(weighted.edge_weight(0, 1).unwrap() > weighted.edge_weight(0, 3).unwrap());
+        assert!(weight(&weighted, 0, 1).unwrap() > weight(&weighted, 0, 3).unwrap());
     }
 
     #[test]

@@ -2,32 +2,22 @@ use crate::queue::HeapItem;
 use crate::{Distance, EdgeWeight, NodeId, SocialGraph};
 use std::collections::{BinaryHeap, HashMap};
 
-/// Tuning parameters for Contraction Hierarchies preprocessing.
-///
-/// The witness search is limited in both hops and settled vertices: when it
-/// is cut short without finding a witness the shortcut is added anyway, so
-/// the limits trade preprocessing time and shortcut count against nothing —
-/// query results stay exact.
-#[derive(Debug, Clone, Copy)]
-pub struct ChParams {
-    /// Maximum number of vertices a witness search may settle.
-    pub witness_settle_limit: usize,
-    /// Maximum number of hops a witness path may have.
-    pub witness_hop_limit: usize,
-}
+// The witness search of the preprocessing is limited in both settled
+// vertices and hops: when it is cut short without finding a witness the
+// shortcut is added anyway, so the limits trade preprocessing time and
+// shortcut count against nothing — query results stay exact.
 
-impl Default for ChParams {
-    fn default() -> Self {
-        ChParams {
-            witness_settle_limit: 500,
-            witness_hop_limit: 16,
-        }
-    }
-}
+/// Maximum number of vertices a witness search may settle.
+const WITNESS_SETTLE_LIMIT: usize = 500;
+/// The settle limit of the cheap witness searches that estimate a vertex's
+/// contraction priority.
+const PRIORITY_SETTLE_LIMIT: usize = 50;
+/// Maximum number of hops a witness path may have.
+const WITNESS_HOP_LIMIT: usize = 16;
 
 /// Reusable working storage for the witness searches of the preprocessing
 /// phase.  One instance backs every witness search of a whole
-/// [`ContractionHierarchy::build`] run: clearing hash maps keeps their
+/// [`ContractionHierarchy::new`] run: clearing hash maps keeps their
 /// capacity, so the per-pair searches (there are `O(degree²)` of them per
 /// contracted vertex) stop allocating after the first few.
 #[derive(Debug, Clone, Default)]
@@ -77,7 +67,7 @@ pub struct ContractionHierarchy {
 
 impl ContractionHierarchy {
     /// Builds the hierarchy (this is the expensive pre-processing step).
-    pub fn build(graph: &SocialGraph, params: ChParams) -> Self {
+    pub fn new(graph: &SocialGraph) -> Self {
         let n = graph.node_count();
         // Overlay adjacency, mutated as vertices are contracted.
         let mut adj: Vec<HashMap<NodeId, EdgeWeight>> = vec![HashMap::new(); n];
@@ -103,14 +93,7 @@ impl ContractionHierarchy {
         // Lazy priority queue of (priority, node).
         let mut queue: BinaryHeap<HeapItem> = BinaryHeap::new();
         for v in 0..n as NodeId {
-            let p = Self::priority(
-                v,
-                &adj,
-                &contracted,
-                &deleted_neighbors,
-                &params,
-                &mut scratch,
-            );
+            let p = Self::priority(v, &adj, &contracted, &deleted_neighbors, &mut scratch);
             queue.push(HeapItem { key: p, node: v });
         }
 
@@ -121,14 +104,7 @@ impl ContractionHierarchy {
             }
             // Lazy update: recompute and re-insert if the priority became
             // stale (worse than the next candidate).
-            let fresh = Self::priority(
-                node,
-                &adj,
-                &contracted,
-                &deleted_neighbors,
-                &params,
-                &mut scratch,
-            );
+            let fresh = Self::priority(node, &adj, &contracted, &deleted_neighbors, &mut scratch);
             if let Some(next) = queue.peek() {
                 if fresh > key + 1e-12 && fresh > next.key + 1e-12 {
                     queue.push(HeapItem { key: fresh, node });
@@ -153,8 +129,16 @@ impl ContractionHierarchy {
                     let (u, wu) = neighbors[i];
                     let (w, ww) = neighbors[j];
                     let via = wu + ww;
-                    if Self::has_witness(&adj, &contracted, node, u, w, via, &params, &mut scratch)
-                    {
+                    if Self::has_witness(
+                        &adj,
+                        &contracted,
+                        node,
+                        u,
+                        w,
+                        via,
+                        WITNESS_SETTLE_LIMIT,
+                        &mut scratch,
+                    ) {
                         continue;
                     }
                     // Insert / improve the shortcut u—w.
@@ -210,11 +194,6 @@ impl ContractionHierarchy {
             up,
             shortcut_count,
         }
-    }
-
-    /// Builds the hierarchy with default parameters.
-    pub fn new(graph: &SocialGraph) -> Self {
-        Self::build(graph, ChParams::default())
     }
 
     /// Number of shortcut edges the preprocessing added.
@@ -341,7 +320,7 @@ impl ContractionHierarchy {
         u: NodeId,
         w: NodeId,
         max_len: f64,
-        params: &ChParams,
+        settle_limit: usize,
         scratch: &mut WitnessScratch,
     ) -> bool {
         let WitnessScratch {
@@ -365,11 +344,11 @@ impl ContractionHierarchy {
             if node == w {
                 return key <= max_len + 1e-12;
             }
-            if key > max_len || settled_count >= params.witness_settle_limit {
+            if key > max_len || settled_count >= settle_limit {
                 break;
             }
             let hops = dist.get(&node).map(|&(_, h)| h).unwrap_or(0);
-            if hops >= params.witness_hop_limit {
+            if hops >= WITNESS_HOP_LIMIT {
                 continue;
             }
             for (&to, &weight) in &adj[node as usize] {
@@ -404,7 +383,6 @@ impl ContractionHierarchy {
         adj: &[HashMap<NodeId, EdgeWeight>],
         contracted: &[bool],
         deleted_neighbors: &[u32],
-        params: &ChParams,
         scratch: &mut WitnessScratch,
     ) -> f64 {
         // Borrow the scratch's neighbour buffer for the duration of the
@@ -432,9 +410,16 @@ impl ContractionHierarchy {
                 for j in (i + 1)..degree {
                     let (u, wu) = neighbors[i];
                     let (w, ww) = neighbors[j];
-                    let mut cheap = *params;
-                    cheap.witness_settle_limit = cheap.witness_settle_limit.min(50);
-                    if !Self::has_witness(adj, contracted, v, u, w, wu + ww, &cheap, scratch) {
+                    if !Self::has_witness(
+                        adj,
+                        contracted,
+                        v,
+                        u,
+                        w,
+                        wu + ww,
+                        PRIORITY_SETTLE_LIMIT,
+                        scratch,
+                    ) {
                         shortcuts += 1;
                     }
                 }

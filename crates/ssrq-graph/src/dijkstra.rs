@@ -414,7 +414,7 @@ mod tests {
         // Path length equals the computed distance.
         let mut total = 0.0;
         for w in path.windows(2) {
-            total += g.edge_weight(w[0], w[1]).unwrap();
+            total += g.neighbors(w[0]).find(|e| e.to == w[1]).unwrap().weight;
         }
         assert_eq!(total, 9.0);
         assert!(search.path_to(11).is_none());

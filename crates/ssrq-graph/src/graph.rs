@@ -260,14 +260,6 @@ impl SocialGraph {
         (v as usize) < self.node_count()
     }
 
-    /// Weight of the edge between `u` and `v`, if one exists.
-    pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<EdgeWeight> {
-        if !self.contains(u) || !self.contains(v) {
-            return None;
-        }
-        self.neighbors(u).find(|e| e.to == v).map(|e| e.weight)
-    }
-
     /// Approximate heap footprint of the CSR representation in bytes
     /// (offsets plus the layout-dependent adjacency payload).
     ///
@@ -436,6 +428,11 @@ mod tests {
     use super::*;
     use crate::GraphBuilder;
 
+    /// Weight of the edge `u`–`v`, read off `u`'s adjacency.
+    fn weight(g: &SocialGraph, u: NodeId, v: NodeId) -> Option<EdgeWeight> {
+        g.neighbors(u).find(|e| e.to == v).map(|e| e.weight)
+    }
+
     fn triangle() -> SocialGraph {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1, 1.0).unwrap();
@@ -459,10 +456,10 @@ mod tests {
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.degree(2), 2);
-        assert_eq!(g.edge_weight(0, 1), Some(1.0));
-        assert_eq!(g.edge_weight(1, 0), Some(1.0));
-        assert_eq!(g.edge_weight(0, 2), Some(4.0));
-        assert_eq!(g.edge_weight(2, 2), None);
+        assert_eq!(weight(&g, 0, 1), Some(1.0));
+        assert_eq!(weight(&g, 1, 0), Some(1.0));
+        assert_eq!(weight(&g, 0, 2), Some(4.0));
+        assert_eq!(weight(&g, 2, 2), None);
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod queue;
 mod scratch;
 
 pub use builder::GraphBuilder;
-pub use ch::{ChParams, ChQueryScratch, ContractionHierarchy};
+pub use ch::{ChQueryScratch, ContractionHierarchy};
 pub use diameter::pseudo_diameter;
 pub use dijkstra::{dijkstra_all, dijkstra_all_with, dijkstra_distance, IncrementalDijkstra};
 pub use distance_engine::{DistanceEngineStats, GraphDistanceEngine, SharingMode};

@@ -35,7 +35,7 @@ pub(crate) struct Shard {
 /// maintenance is sound but monotonically degrades rect-skip pruning
 /// under churn; this bounds the staleness at O(n) amortized over 64
 /// updates.
-pub const RECT_REFRESH_CHURN: usize = 64;
+pub(crate) const RECT_REFRESH_CHURN: usize = 64;
 
 /// Fluent construction of a [`ShardedEngine`]; see
 /// [`ShardedEngine::builder`].
@@ -99,9 +99,10 @@ impl ShardedEngineBuilder {
     /// ([`EngineBuilder::share_graph_artifacts_with`]): one landmark set,
     /// at most one Contraction Hierarchies index (built by whichever shard
     /// first runs a `*-CH` query and observed by all), at most one social
-    /// neighbour cache.  Only the per-shard location vector, SPA/TSA grid
-    /// and AIS aggregate index are replicated, so memory and graph-index
-    /// build time stay flat in the shard count.
+    /// neighbour cache.  Only the per-shard location vector and AIS
+    /// aggregate index (whose leaf level is the SPA/TSA grid) are
+    /// replicated, so memory and graph-index build time stay flat in the
+    /// shard count.
     ///
     /// # Errors
     ///

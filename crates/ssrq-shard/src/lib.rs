@@ -81,7 +81,7 @@ mod session;
 mod stats;
 mod transport;
 
-pub use engine::{RebalanceReport, ShardedEngine, ShardedEngineBuilder, RECT_REFRESH_CHURN};
+pub use engine::{RebalanceReport, ShardedEngine, ShardedEngineBuilder};
 pub use partition::{Partitioning, ShardAssignment};
 pub use session::{ShardedSession, ShardedStream};
 pub use stats::{ShardOutcome, ShardStats};

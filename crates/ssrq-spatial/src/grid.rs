@@ -1,4 +1,4 @@
-use crate::{hash_map_heap_bytes, ItemId, Point, Rect, SpatialError};
+use crate::{ItemId, Point, Rect, SpatialError};
 use std::collections::HashMap;
 
 /// Coordinates of a grid cell (column, row), both zero-based.
@@ -24,6 +24,9 @@ impl CellCoord {
 /// branch-and-bound NN retrieval as "the most suitable \[combination\] for
 /// dynamic spatial data kept in main memory".  Location updates are O(1)
 /// amortized: remove the item from its old cell, append it to the new one.
+/// It is also the lowest level of a [`MultiLevelGrid`](crate::MultiLevelGrid)
+/// ([`leaves`](crate::MultiLevelGrid::leaves)), so one grid serves SPA, TSA
+/// and AIS.
 ///
 /// Both per-cell buckets and the position table are stored sparsely, so the
 /// grid's heap footprint scales with the number of stored items rather than
@@ -122,7 +125,7 @@ impl UniformGrid {
     }
 
     /// Approximate heap footprint of the grid in bytes (cell buckets plus
-    /// the dense position table).  The grid indexes *locations*, so in a
+    /// the sparse position table).  The grid indexes *locations*, so in a
     /// partitioned deployment it is per-shard state — unlike the graph-only
     /// indexes, which are shared.
     pub fn approx_heap_bytes(&self) -> usize {
@@ -136,15 +139,20 @@ impl UniformGrid {
     }
 
     /// Inserts `id` at `point`, or moves it there if it is already stored.
-    pub fn insert(&mut self, id: ItemId, point: Point) {
+    /// Returns the cell the item now belongs to.
+    pub fn insert(&mut self, id: ItemId, point: Point) -> CellCoord {
         if self.position(id).is_some() {
             // Re-insertion acts as an update.
-            self.update(id, point).expect("item verified present");
-            return;
+            let (_, cell) = self.update(id, point).expect("item verified present");
+            return cell;
         }
-        let idx = self.cell_index(self.cell_of(point));
-        self.cells.entry(idx).or_default().push(id);
+        let cell = self.cell_of(point);
+        self.cells
+            .entry(self.cell_index(cell))
+            .or_default()
+            .push(id);
         self.positions.insert(id, point);
+        cell
     }
 
     /// Removes `id` from the grid.
@@ -236,10 +244,12 @@ impl UniformGrid {
 
     /// Items stored in a cell (empty slice for an unoccupied cell).
     pub fn cell_items(&self, cell: CellCoord) -> &[ItemId] {
-        self.cells
-            .get(&self.cell_index(cell))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.items_at(self.cell_index(cell))
+    }
+
+    /// Items stored in the cell with row-major index `index`.
+    pub(crate) fn items_at(&self, index: u64) -> &[ItemId] {
+        self.cells.get(&index).map_or(&[], Vec::as_slice)
     }
 
     /// Coordinates of the cells that currently hold at least one item, in
@@ -287,6 +297,12 @@ impl UniformGrid {
             p.y.clamp(self.bounds.min.y, self.bounds.max.y),
         )
     }
+}
+
+/// Rough heap estimate for a `HashMap`: its capacity times the entry size
+/// plus one SwissTable control byte.
+fn hash_map_heap_bytes<K, V>(map: &HashMap<K, V>) -> usize {
+    map.capacity() * (std::mem::size_of::<(K, V)>() + 1)
 }
 
 /// `rect`, the extent of cell `(cx, cy)` of a `side × side` grid, with each

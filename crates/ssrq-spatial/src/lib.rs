@@ -3,7 +3,9 @@
 //! The paper ("Joint Search by Social and Spatial Proximity", Mouratidis et
 //! al.) keeps user locations in main memory and indexes them with a regular
 //! grid (single-level for the SPA/TSA spatial search, multi-level for the
-//! AIS aggregate index).  This crate provides those building blocks:
+//! AIS aggregate index).  Here the two are one structure: the multi-level
+//! grid's lowest level is the single-level grid, so every location is stored
+//! once.  This crate provides those building blocks:
 //!
 //! * [`Point`] and [`Rect`] — plain 2-D Euclidean geometry.
 //! * [`UniformGrid`] — a single-level regular grid over a bounding box with
@@ -14,7 +16,8 @@
 //!   non-decreasing distance from the query point.
 //! * [`MultiLevelGrid`] — the multi-level regular grid that underlies the
 //!   AIS index (§5.1): every internal node is parent to `s × s` nodes of the
-//!   immediately lower level and the lowest level holds the actual items.
+//!   immediately lower level, and the lowest level, a [`UniformGrid`], holds
+//!   the actual items.
 //!
 //! The crate is deliberately independent of the social-graph substrate; the
 //! AIS index in `ssrq-core` composes a [`MultiLevelGrid`] with per-node
@@ -32,13 +35,6 @@ mod point;
 mod rect;
 
 pub use error::SpatialError;
-
-/// Rough per-entry overhead estimate for a `HashMap` (SwissTable control
-/// byte plus padding/load-factor slack), shared by the capacity-based heap
-/// estimates of the sparse grid structures.
-pub(crate) fn hash_map_heap_bytes<K, V>(map: &std::collections::HashMap<K, V>) -> usize {
-    map.capacity() * (std::mem::size_of::<(K, V)>() + 1)
-}
 
 pub use grid::{CellCoord, UniformGrid};
 pub use multigrid::{MultiLevelGrid, NodeId, NodeKind};

@@ -1,6 +1,5 @@
 use crate::grid::open_boundary_sides;
-use crate::{hash_map_heap_bytes, ItemId, Point, Rect, SpatialError};
-use std::collections::HashMap;
+use crate::{CellCoord, ItemId, Point, Rect, SpatialError, UniformGrid};
 
 /// Identifier of a node (internal node or leaf cell) of a
 /// [`MultiLevelGrid`].  Node ids are dense and can be used to index parallel
@@ -28,6 +27,13 @@ pub enum NodeKind {
 /// levels of a three-level hierarchy, which is the default here:
 /// `levels = 2`).
 ///
+/// The lowest level *is* a [`UniformGrid`] of `s^levels` cells per axis
+/// ([`MultiLevelGrid::leaves`]): it holds every item, its position and its
+/// cell bucket, and the same grid serves the SPA/TSA nearest-neighbour
+/// search (§4.1).  The internal levels are pure geometry.  A leaf's
+/// [`NodeId`] is the leaf level's offset plus the row-major index of its
+/// [`CellCoord`].
+///
 /// Items are stored at the point the caller gives, even outside the
 /// bounds; a point is clamped into the bounds only to choose its leaf.  A
 /// boundary cell can therefore hold items beyond its rectangle, so
@@ -35,7 +41,6 @@ pub enum NodeKind {
 /// lies on the grid boundary out to infinity.
 #[derive(Debug, Clone)]
 pub struct MultiLevelGrid {
-    bounds: Rect,
     branch: u32,
     levels: u32,
     /// Cells per axis for each level (index 0 = top level).
@@ -43,17 +48,8 @@ pub struct MultiLevelGrid {
     /// First flat node id of each level.
     level_offsets: Vec<u32>,
     total_nodes: u32,
-    /// Items of each **occupied** leaf cell, keyed by leaf-local index.
-    /// Empty cells have no entry at all, so the grid's footprint scales with
-    /// occupancy instead of geometry (a leaf level of `s^levels × s^levels`
-    /// cells would otherwise cost a `Vec` header per cell regardless of how
-    /// few residents a shard holds).  Buckets are removed as they empty.
-    leaf_items: HashMap<u32, Vec<ItemId>>,
-    /// Position of each stored item.  Sparse for the same reason: a shard
-    /// holding few residents with large ids must not pay for a dense table
-    /// up to the maximum item id.
-    positions: HashMap<ItemId, Point>,
-    len: usize,
+    /// The lowest level, which holds the items.
+    leaves: UniformGrid,
 }
 
 /// Hard cap on the total number of nodes, to protect against accidental
@@ -83,14 +79,6 @@ impl MultiLevelGrid {
                 "a multi-level grid needs at least one level".into(),
             ));
         }
-        if !(bounds.min.is_finite() && bounds.max.is_finite())
-            || bounds.width() <= 0.0
-            || bounds.height() <= 0.0
-        {
-            return Err(SpatialError::InvalidConfiguration(
-                "grid bounds must be finite with positive extent".into(),
-            ));
-        }
         let mut level_sides = Vec::with_capacity(levels as usize);
         let mut level_offsets = Vec::with_capacity(levels as usize);
         let mut total: u64 = 0;
@@ -107,15 +95,12 @@ impl MultiLevelGrid {
             }
         }
         Ok(MultiLevelGrid {
-            bounds,
             branch,
             levels,
+            leaves: UniformGrid::new(bounds, side as u32)?,
             level_sides,
             level_offsets,
             total_nodes: total as u32,
-            leaf_items: HashMap::new(),
-            positions: HashMap::new(),
-            len: 0,
         })
     }
 
@@ -133,9 +118,14 @@ impl MultiLevelGrid {
         Ok(grid)
     }
 
+    /// The lowest level: the single-level grid that holds the items.
+    pub fn leaves(&self) -> &UniformGrid {
+        &self.leaves
+    }
+
     /// Bounding rectangle covered by the grid.
     pub fn bounds(&self) -> Rect {
-        self.bounds
+        self.leaves.bounds()
     }
 
     /// Partitioning granularity `s`.
@@ -155,38 +145,27 @@ impl MultiLevelGrid {
 
     /// Number of stored items.
     pub fn len(&self) -> usize {
-        self.len
+        self.leaves.len()
     }
 
     /// Returns `true` when no item is stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.leaves.is_empty()
     }
 
     /// Total number of leaf cells of the geometry (occupied or not).
     pub fn leaf_cell_count(&self) -> usize {
-        let side = *self.level_sides.last().expect("levels >= 1") as usize;
+        let side = self.leaves.side() as usize;
         side * side
     }
 
     /// Approximate heap footprint of the grid structure in bytes (per-level
-    /// tables, the occupied leaf buckets and the sparse position table).
-    /// Scales with the number of stored items, not with the cell count.
+    /// tables and the leaf grid).  Scales with the number of stored items,
+    /// not with the cell count.
     pub fn approx_heap_bytes(&self) -> usize {
         self.level_sides.capacity() * std::mem::size_of::<u32>()
             + self.level_offsets.capacity() * std::mem::size_of::<u32>()
-            + hash_map_heap_bytes(&self.leaf_items)
-            + self
-                .leaf_items
-                .values()
-                .map(|c| c.capacity() * std::mem::size_of::<ItemId>())
-                .sum::<usize>()
-            + hash_map_heap_bytes(&self.positions)
-    }
-
-    /// Current position of an item.
-    pub fn position(&self, id: ItemId) -> Option<Point> {
-        self.positions.get(&id).copied()
+            + self.leaves.approx_heap_bytes()
     }
 
     /// The level (0 = top) a node belongs to.
@@ -222,10 +201,11 @@ impl MultiLevelGrid {
 
     /// Extent of cell `(cx, cy)` of a level with `side` cells per axis.
     fn cell_rect(&self, side: u32, cx: u32, cy: u32) -> Rect {
-        let w = self.bounds.width() / side as f64;
-        let h = self.bounds.height() / side as f64;
-        let x0 = self.bounds.min.x + cx as f64 * w;
-        let y0 = self.bounds.min.y + cy as f64 * h;
+        let bounds = self.bounds();
+        let w = bounds.width() / side as f64;
+        let h = bounds.height() / side as f64;
+        let x0 = bounds.min.x + cx as f64 * w;
+        let y0 = bounds.min.y + cy as f64 * h;
         Rect::new(Point::new(x0, y0), Point::new(x0 + w, y0 + h))
     }
 
@@ -288,45 +268,33 @@ impl MultiLevelGrid {
     ///
     /// Returns an empty slice for internal nodes.
     pub fn leaf_items(&self, node: NodeId) -> &[ItemId] {
-        match self.node_kind(node) {
-            NodeKind::Leaf => {
-                let leaf_offset = *self.level_offsets.last().expect("levels >= 1");
-                self.leaf_items
-                    .get(&(node.0 - leaf_offset))
-                    .map_or(&[], Vec::as_slice)
-            }
-            NodeKind::Internal => &[],
+        match node.0.checked_sub(self.leaf_offset()) {
+            Some(local) => self.leaves.items_at(local as u64),
+            None => &[],
         }
+    }
+
+    /// First node id of the leaf level (the last level).
+    fn leaf_offset(&self) -> u32 {
+        *self.level_offsets.last().expect("levels >= 1")
+    }
+
+    /// The leaf node of a cell of the leaf grid.
+    fn leaf_node(&self, cell: CellCoord) -> NodeId {
+        NodeId(self.leaf_offset() + self.leaves.cell_index(cell) as u32)
     }
 
     /// The leaf cell `point` is stored in: the one containing it, or for a
     /// point outside the bounds, the one containing its clamped image.
     pub fn leaf_of(&self, point: Point) -> NodeId {
-        let p = self.clamp(point);
-        let side = *self.level_sides.last().expect("levels >= 1");
-        let w = self.bounds.width() / side as f64;
-        let h = self.bounds.height() / side as f64;
-        let cx = (((p.x - self.bounds.min.x) / w) as u32).min(side - 1);
-        let cy = (((p.y - self.bounds.min.y) / h) as u32).min(side - 1);
-        NodeId(*self.level_offsets.last().expect("levels >= 1") + cy * side + cx)
+        self.leaf_node(self.leaves.cell_of(point))
     }
 
     /// Inserts `id` at `point` (or moves it there if already present).
     /// Returns the leaf cell the item now belongs to.
     pub fn insert(&mut self, id: ItemId, point: Point) -> NodeId {
-        if self.position(id).is_some() {
-            let (_, new) = self.update(id, point).expect("item verified present");
-            return new;
-        }
-        let leaf = self.leaf_of(point);
-        let leaf_offset = *self.level_offsets.last().expect("levels >= 1");
-        self.leaf_items
-            .entry(leaf.0 - leaf_offset)
-            .or_default()
-            .push(id);
-        self.positions.insert(id, point);
-        self.len += 1;
-        leaf
+        let cell = self.leaves.insert(id, point);
+        self.leaf_node(cell)
     }
 
     /// Removes `id`, returning the leaf cell it was stored in.
@@ -335,33 +303,8 @@ impl MultiLevelGrid {
     ///
     /// Returns [`SpatialError::UnknownItem`] if the item is not stored.
     pub fn remove(&mut self, id: ItemId) -> Result<NodeId, SpatialError> {
-        let point = self.position(id).ok_or(SpatialError::UnknownItem(id))?;
-        let leaf = self.leaf_of(point);
-        let leaf_offset = *self.level_offsets.last().expect("levels >= 1");
-        self.remove_from_bucket(leaf.0 - leaf_offset, id);
-        self.positions.remove(&id);
-        self.len -= 1;
-        if self.len == 0 {
-            // A fully drained grid must genuinely return to its empty
-            // footprint rather than keep the old map capacity around.
-            self.leaf_items = HashMap::new();
-            self.positions = HashMap::new();
-        }
-        Ok(leaf)
-    }
-
-    /// Removes `id` from an occupied leaf bucket, dropping the bucket
-    /// entirely when it empties (vacated cells must go back to costing
-    /// nothing).
-    fn remove_from_bucket(&mut self, local: u32, id: ItemId) {
-        if let Some(cell) = self.leaf_items.get_mut(&local) {
-            if let Some(pos) = cell.iter().position(|&x| x == id) {
-                cell.swap_remove(pos);
-            }
-            if cell.is_empty() {
-                self.leaf_items.remove(&local);
-            }
-        }
+        let point = self.leaves.remove(id)?;
+        Ok(self.leaf_of(point))
     }
 
     /// Moves `id` to `point`; returns `(old_leaf, new_leaf)` so callers can
@@ -372,31 +315,8 @@ impl MultiLevelGrid {
     ///
     /// Returns [`SpatialError::UnknownItem`] if the item is not stored.
     pub fn update(&mut self, id: ItemId, point: Point) -> Result<(NodeId, NodeId), SpatialError> {
-        let old = self.position(id).ok_or(SpatialError::UnknownItem(id))?;
-        let old_leaf = self.leaf_of(old);
-        let new_leaf = self.leaf_of(point);
-        if old_leaf != new_leaf {
-            let leaf_offset = *self.level_offsets.last().expect("levels >= 1");
-            self.remove_from_bucket(old_leaf.0 - leaf_offset, id);
-            self.leaf_items
-                .entry(new_leaf.0 - leaf_offset)
-                .or_default()
-                .push(id);
-        }
-        self.positions.insert(id, point);
-        Ok((old_leaf, new_leaf))
-    }
-
-    /// Iterates over all stored `(id, point)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (ItemId, Point)> + '_ {
-        self.positions.iter().map(|(&id, &p)| (id, p))
-    }
-
-    fn clamp(&self, p: Point) -> Point {
-        Point::new(
-            p.x.clamp(self.bounds.min.x, self.bounds.max.x),
-            p.y.clamp(self.bounds.min.y, self.bounds.max.y),
-        )
+        let (old, new) = self.leaves.update(id, point)?;
+        Ok((self.leaf_node(old), self.leaf_node(new)))
     }
 }
 
@@ -578,16 +498,16 @@ mod tests {
     fn empty_cells_cost_nothing() {
         let mut g = grid(10, 2);
         assert_eq!(g.leaf_cell_count(), 10_000);
-        assert_eq!(g.leaf_items.len(), 0);
+        assert_eq!(g.leaves.occupied_cell_coords().count(), 0);
         // An empty grid's footprint is bounded by its per-level tables, not
         // by its 10k leaf cells.
         assert!(g.approx_heap_bytes() < 1024);
         g.insert(5, Point::new(0.55, 0.55));
-        assert_eq!(g.leaf_items.len(), 1);
+        assert_eq!(g.leaves.occupied_cell_coords().count(), 1);
         // Vacating the only occupied cell drops its bucket again.
         g.remove(5).unwrap();
-        assert_eq!(g.leaf_items.len(), 0);
-        assert!(g.iter().next().is_none());
+        assert_eq!(g.leaves.occupied_cell_coords().count(), 0);
+        assert!(g.leaves.iter().next().is_none());
     }
 
     #[test]
@@ -595,11 +515,11 @@ mod tests {
         let mut g = grid(4, 2);
         g.insert(1, Point::new(0.1, 0.1));
         g.insert(2, Point::new(0.1, 0.12));
-        assert_eq!(g.leaf_items.len(), 1);
+        assert_eq!(g.leaves.occupied_cell_coords().count(), 1);
         g.update(1, Point::new(0.9, 0.9)).unwrap();
-        assert_eq!(g.leaf_items.len(), 2);
+        assert_eq!(g.leaves.occupied_cell_coords().count(), 2);
         g.update(2, Point::new(0.9, 0.92)).unwrap();
-        assert_eq!(g.leaf_items.len(), 1);
+        assert_eq!(g.leaves.occupied_cell_coords().count(), 1);
         assert_eq!(g.len(), 2);
     }
 
@@ -608,7 +528,7 @@ mod tests {
         let mut g = grid(4, 2);
         let outside = Point::new(1.5, 2.0);
         let leaf = g.insert(3, outside);
-        assert_eq!(g.position(3), Some(outside));
+        assert_eq!(g.leaves.position(3), Some(outside));
         assert_eq!(leaf, g.leaf_of(Point::new(1.0, 1.0)));
         // Neither the leaf nor its parent may bound the item away from a
         // query beside it, also outside the bounds.
@@ -631,6 +551,44 @@ mod tests {
         let (old, new) = g.update(3, Point::new(0.1, 0.1)).unwrap();
         assert_eq!(old, leaf);
         assert_eq!(g.remove(3).unwrap(), new);
+    }
+
+    #[test]
+    fn leaf_ids_name_the_leaf_grid_cell_that_holds_the_item() {
+        let mut g = grid(3, 2);
+        assert_eq!(g.leaves().side(), 9);
+        let holds = |g: &MultiLevelGrid, leaf: NodeId, point: Point, id: ItemId| {
+            assert_eq!(leaf, g.leaf_of(point));
+            let cell = g.leaves().cell_of(point);
+            assert!(g.leaves().cell_items(cell).contains(&id));
+            assert_eq!(g.leaf_items(leaf), g.leaves().cell_items(cell));
+        };
+        let points = [
+            Point::new(0.05, 0.05),
+            Point::new(0.5, 0.95),
+            Point::new(1.0, 0.0),
+            Point::new(-0.5, 0.4),
+            Point::new(1.7, 2.5),
+        ];
+        for (id, &p) in points.iter().enumerate() {
+            let leaf = g.insert(id as ItemId, p);
+            holds(&g, leaf, p, id as ItemId);
+        }
+        for (id, &p) in points.iter().rev().enumerate() {
+            let (old, new) = g.update(id as ItemId, p).unwrap();
+            assert_eq!(old, g.leaf_of(points[id]));
+            holds(&g, new, p, id as ItemId);
+        }
+        let moved = Point::new(0.3, -4.0);
+        let leaf = g.insert(0, moved);
+        holds(&g, leaf, moved, 0);
+        for id in 0..points.len() as ItemId {
+            let p = g.leaves().position(id).unwrap();
+            let cell = g.leaves().cell_of(p);
+            assert_eq!(g.remove(id).unwrap(), g.leaf_of(p));
+            assert!(!g.leaves().cell_items(cell).contains(&id));
+        }
+        assert!(g.is_empty());
     }
 
     #[test]

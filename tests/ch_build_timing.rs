@@ -1,4 +1,4 @@
-//! Manual timing probe for `ContractionHierarchy::build` on the 160-user
+//! Manual timing probe for `ContractionHierarchy::new` on the 160-user
 //! test graph (the scale `tests/algorithm_agreement.rs` uses for the `*-CH`
 //! variants).  Ignored by default; run with
 //!
@@ -7,7 +7,7 @@
 //! ```
 
 use geosocial_ssrq::data::DatasetConfig;
-use geosocial_ssrq::graph::{ChParams, ContractionHierarchy};
+use geosocial_ssrq::graph::ContractionHierarchy;
 use std::time::Instant;
 
 #[test]
@@ -15,12 +15,12 @@ use std::time::Instant;
 fn ch_build_timing_on_160_user_graph() {
     let dataset = DatasetConfig::gowalla_like(160).with_seed(77).generate();
     // Warm-up build, then timed builds.
-    let _ = ContractionHierarchy::build(dataset.graph(), ChParams::default());
+    let _ = ContractionHierarchy::new(dataset.graph());
     let rounds = 5;
     let start = Instant::now();
     let mut shortcuts = 0;
     for _ in 0..rounds {
-        let ch = ContractionHierarchy::build(dataset.graph(), ChParams::default());
+        let ch = ContractionHierarchy::new(dataset.graph());
         shortcuts = ch.shortcut_count();
     }
     let avg = start.elapsed() / rounds;

@@ -28,6 +28,13 @@ fn indexes_stay_exact_under_random_location_churn() {
                     .unwrap(),
             }
         }
+        // SPA and TSA search the AIS index's leaf level: the engine keeps
+        // one spatial grid, so the churn above maintained one.
+        assert!(std::ptr::eq(
+            engine.grid(),
+            engine.ais_index().grid().leaves()
+        ));
+        assert_eq!(engine.grid().len(), engine.dataset().located_user_count());
         for &user in &workload.users {
             // A query user may itself have lost its location; both the
             // oracle and the indexed algorithms must then agree on the
@@ -221,7 +228,7 @@ fn lazy_ch_and_social_cache_stay_fresh_across_location_churn() {
 #[test]
 fn locations_outside_the_dataset_bounds_stay_exact() {
     // A user may move outside the bounding box the indexes were built over.
-    // The grids file such a user in a boundary cell; its scores must still
+    // The grid files such a user in a boundary cell; its scores must still
     // use the true location, and no boundary cell's bound may exceed it.
     let dataset = DatasetConfig::gowalla_like(1_000).with_seed(8).generate();
     let bounds = dataset.bounds();

@@ -297,24 +297,31 @@ fn streams_yield_the_full_result_in_rank_order() {
 
 #[test]
 fn incremental_threshold_algorithms_finalize_results_before_completion() {
-    let engine = engine_with(false);
-    let workload = QueryWorkload::generate(engine.dataset(), 5, 77);
+    let dataset = DatasetConfig::gowalla_like(160).with_seed(9).generate();
+    let workload = QueryWorkload::generate(&dataset, 5, 77);
+    let engine = GeoSocialEngine::builder(dataset)
+        .cache_social_neighbors(workload.users.clone(), 40)
+        .build()
+        .unwrap();
     let mut session = engine.session();
-    // The exhaustive oracle can never finalize early (drain-after-complete).
-    for &user in &workload.users {
-        let mut exh = session
-            .stream(
-                &QueryRequest::for_user(user)
-                    .k(10)
-                    .alpha(0.3)
-                    .algorithm(Algorithm::Exhaustive)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-        let drained = exh.by_ref().count();
-        assert!(drained <= 10);
-        assert_eq!(exh.finalized_early(), 0);
+    // The exhaustive oracle and the cached method can never finalize early
+    // (drain-after-complete), whether or not the cached list suffices.
+    for algorithm in [Algorithm::Exhaustive, Algorithm::SfaCached] {
+        for &user in &workload.users {
+            let mut stream = session
+                .stream(
+                    &QueryRequest::for_user(user)
+                        .k(10)
+                        .alpha(0.3)
+                        .algorithm(algorithm)
+                        .build()
+                        .unwrap(),
+                )
+                .unwrap();
+            let drained = stream.by_ref().count();
+            assert!(drained <= 10);
+            assert_eq!(stream.finalized_early(), 0, "{}", algorithm.name());
+        }
     }
     // The incremental-threshold methods do, on a typical workload (summed
     // over several queries so a single degenerate query cannot flake).
