@@ -1,41 +1,42 @@
 use crate::{CoreError, GeoSocialDataset, UserId};
 use ssrq_graph::LandmarkSet;
-use ssrq_spatial::{MultiLevelGrid, NodeId, NodeKind, Point};
-use std::collections::HashMap;
+use ssrq_spatial::{IdMap, MultiLevelGrid, NodeId, NodeKind, Point};
 
 /// The social summary of an index node: for each landmark `j`, the minimum
 /// (`m̌[j]`) and maximum (`m̂[j]`) graph distance between any user below the
 /// node and that landmark (§5.1).
 ///
+/// The pairs are interleaved in one vector, `[(m̌[0], m̂[0]), (m̌[1], m̂[1]),
+/// …]`: the bound of Lemma 2 reads both ends of each landmark's interval, so
+/// one allocation and one pointer chase serve a whole summary.
+///
 /// An empty node keeps `m̌ = +∞` and `m̂ = −∞`, which makes its social lower
 /// bound infinite — empty cells are pruned automatically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SocialSummary {
-    min: Vec<f64>,
-    max: Vec<f64>,
+    bounds: Vec<[f64; 2]>,
 }
 
 impl SocialSummary {
     /// Creates the summary of an empty node for `m` landmarks.
     pub fn empty(m: usize) -> Self {
         SocialSummary {
-            min: vec![f64::INFINITY; m],
-            max: vec![f64::NEG_INFINITY; m],
+            bounds: vec![[f64::INFINITY, f64::NEG_INFINITY]; m],
         }
     }
 
     /// Folds one user's landmark-distance vector into the summary, widening
     /// it in place; returns whether any bound moved.
     pub fn absorb_vector(&mut self, vector: &[f64]) -> bool {
-        debug_assert_eq!(vector.len(), self.min.len());
+        debug_assert_eq!(vector.len(), self.bounds.len());
         let mut widened = false;
-        for ((lo, hi), &d) in self.min.iter_mut().zip(&mut self.max).zip(vector) {
-            if d < *lo {
-                *lo = d;
+        for (pair, &d) in self.bounds.iter_mut().zip(vector) {
+            if d < pair[0] {
+                pair[0] = d;
                 widened = true;
             }
-            if d > *hi {
-                *hi = d;
+            if d > pair[1] {
+                pair[1] = d;
                 widened = true;
             }
         }
@@ -44,40 +45,42 @@ impl SocialSummary {
 
     /// Folds another summary (e.g. of a child node) into this one.
     pub fn absorb_summary(&mut self, other: &SocialSummary) {
-        for j in 0..self.min.len() {
-            if other.min[j] < self.min[j] {
-                self.min[j] = other.min[j];
+        for (pair, other) in self.bounds.iter_mut().zip(&other.bounds) {
+            if other[0] < pair[0] {
+                pair[0] = other[0];
             }
-            if other.max[j] > self.max[j] {
-                self.max[j] = other.max[j];
+            if other[1] > pair[1] {
+                pair[1] = other[1];
             }
         }
     }
 
-    /// Resets the summary to the empty one, keeping its buffers.
+    /// Resets the summary to the empty one, keeping its buffer.
     fn clear(&mut self) {
-        self.min.fill(f64::INFINITY);
-        self.max.fill(f64::NEG_INFINITY);
+        self.bounds.fill([f64::INFINITY, f64::NEG_INFINITY]);
     }
 
     /// Whether `parent` can change when this child summary narrows to
     /// `narrowed`: for some landmark the child held the parent's `m̌[j]` (or
     /// `m̂[j]`) and that bound of the child moved.
     fn releases_bound_of(&self, narrowed: &SocialSummary, parent: &SocialSummary) -> bool {
-        (0..self.min.len()).any(|j| {
-            (self.min[j] == parent.min[j] && narrowed.min[j] != self.min[j])
-                || (self.max[j] == parent.max[j] && narrowed.max[j] != self.max[j])
-        })
+        self.bounds
+            .iter()
+            .zip(&narrowed.bounds)
+            .zip(&parent.bounds)
+            .any(|((old, new), held)| {
+                (0..2).any(|end| old[end] == held[end] && new[end] != old[end])
+            })
     }
 
     /// `m̌[j]`.
     pub fn min_distance(&self, j: usize) -> f64 {
-        self.min[j]
+        self.bounds[j][0]
     }
 
     /// `m̂[j]`.
     pub fn max_distance(&self, j: usize) -> f64 {
-        self.max[j]
+        self.bounds[j][1]
     }
 
     /// Returns `true` when no user has been folded in.
@@ -90,13 +93,13 @@ impl SocialSummary {
     /// yield bound 0, not `∞`, for a query vertex that also cannot reach the
     /// landmarks.
     pub fn is_empty(&self) -> bool {
-        self.max.iter().all(|d| d.is_infinite() && *d < 0.0)
+        self.bounds.iter().all(|pair| pair[1] == f64::NEG_INFINITY)
     }
 
-    /// Approximate heap footprint of the summary's two aggregate vectors in
-    /// bytes.
+    /// Approximate heap footprint of the summary's interleaved aggregate
+    /// vector in bytes.
     pub fn approx_heap_bytes(&self) -> usize {
-        (self.min.capacity() + self.max.capacity()) * std::mem::size_of::<f64>()
+        self.bounds.capacity() * std::mem::size_of::<[f64; 2]>()
     }
 
     /// The social lower bound `p̌(v_q, C)` of Lemma 2, given the query
@@ -109,13 +112,13 @@ impl SocialSummary {
     ///
     /// The tightest (largest) bound over all landmarks is returned.
     pub fn lower_bound(&self, query_vector: &[f64]) -> f64 {
-        debug_assert_eq!(query_vector.len(), self.min.len());
+        debug_assert_eq!(query_vector.len(), self.bounds.len());
         let mut best = 0.0_f64;
-        for (j, &mqj) in query_vector.iter().enumerate() {
-            let bound = if mqj < self.min[j] {
-                self.min[j] - mqj
-            } else if mqj > self.max[j] {
-                mqj - self.max[j]
+        for (pair, &mqj) in self.bounds.iter().zip(query_vector) {
+            let bound = if mqj < pair[0] {
+                pair[0] - mqj
+            } else if mqj > pair[1] {
+                mqj - pair[1]
             } else {
                 0.0
             };
@@ -139,7 +142,21 @@ impl SocialSummary {
 /// uses to prune empty cells, so sparsification is admission-neutral (bounds
 /// are bit-identical, never loosened or tightened).  An index over a shard
 /// with few residents therefore costs kilobytes instead of the ~2 MiB a
-/// dense per-cell layout needs at the default granularity.
+/// dense per-cell layout needs at the default granularity.  The node→slot
+/// map is an [`IdMap`]: its keys are node ids below
+/// [`total_cells`](Self::total_cells), so the fixed multiplicative hash is
+/// safe and spares every bound a SipHash.
+///
+/// # Occupancy first
+///
+/// [`social_lower_bound`](Self::social_lower_bound) answers `+∞` for a
+/// vacant node from the slot lookup alone, and the search reads it before
+/// any cell geometry: a node whose social bound is `+∞` has key
+/// `combine(α, ∞, ·) = ∞` for every `α ∈ (0, 1)` and is never pushed, so
+/// skipping its rectangle changes no key, push or pop.  At high `α`, where
+/// Lemma 2's bound is loose and the search prices most of the grid, the
+/// work per expanded node is thereby proportional to its occupied
+/// children.
 ///
 /// # Maintenance
 ///
@@ -165,7 +182,7 @@ impl SocialSummary {
 pub struct AisIndex {
     grid: MultiLevelGrid,
     /// Slot of each occupied node in `summaries`.
-    slots: HashMap<u32, u32>,
+    slots: IdMap<u32, u32>,
     /// Summaries of occupied nodes; slots are recycled via `free_slots` as
     /// cells vacate, so the vector's length tracks the historical maximum of
     /// concurrently occupied nodes.
@@ -204,7 +221,7 @@ impl AisIndex {
         let num_landmarks = landmarks.len();
         let mut index = AisIndex {
             grid: MultiLevelGrid::bulk_load(bounds, branch, levels, dataset.located_users())?,
-            slots: HashMap::new(),
+            slots: IdMap::default(),
             summaries: Vec::new(),
             free_slots: Vec::new(),
             empty_summary: SocialSummary::empty(num_landmarks),
@@ -287,10 +304,15 @@ impl AisIndex {
         }
     }
 
-    /// The raw (unnormalized) social lower bound `p̌(v_q, C)` for a node
-    /// (infinite for unoccupied nodes — the pruning fast path).
+    /// The raw (unnormalized) social lower bound `p̌(v_q, C)` for a node.
+    /// An unoccupied node gets `+∞` from the slot lookup alone, which is
+    /// what the shared empty summary's bound evaluates to (every landmark
+    /// vector has at least one entry, and `∞ − m_qj = m_qj − (−∞) = ∞`).
     pub fn social_lower_bound(&self, node: NodeId, query_vector: &[f64]) -> f64 {
-        self.summary(node).lower_bound(query_vector)
+        match self.slots.get(&node.0) {
+            Some(&slot) => self.summaries[slot as usize].lower_bound(query_vector),
+            None => f64::INFINITY,
+        }
     }
 
     /// The raw spatial lower bound `ď(u_q, C)` for a node.
@@ -417,7 +439,7 @@ impl AisIndex {
             // The last occupied node vacated: release the slot machinery
             // outright so a fully drained index returns to its empty
             // footprint instead of keeping stub capacity.
-            self.slots = HashMap::new();
+            self.slots = IdMap::default();
             self.summaries = Vec::new();
             self.free_slots = Vec::new();
         }

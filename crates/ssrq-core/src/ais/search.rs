@@ -283,6 +283,10 @@ pub(crate) fn ais_query(
 }
 
 /// `MINF(u_q, C)` of Theorem 1, in normalized/ranking units.
+///
+/// The social bound is read first: it is `+∞` for every vacant node (see
+/// [`AisIndex`]'s occupancy-first rule), and then so is the key for any
+/// `α ∈ (0, 1)`, so the node's rectangle is never built.
 fn node_lower_bound(
     index: &AisIndex,
     ctx: &RankingContext<'_>,
@@ -290,8 +294,12 @@ fn node_lower_bound(
     query_location: Point,
     query_vector: &[f64],
 ) -> f64 {
+    let raw_social = index.social_lower_bound(node, query_vector);
+    if raw_social == f64::INFINITY {
+        return f64::INFINITY;
+    }
+    let social_lb = ctx.normalize_social(raw_social);
     let spatial_lb = ctx.normalize_spatial(index.spatial_lower_bound(node, query_location));
-    let social_lb = ctx.normalize_social(index.social_lower_bound(node, query_vector));
     ctx.score_lower_bound(social_lb, spatial_lb)
 }
 
@@ -409,6 +417,109 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `MINF` by its definition, the reference for the occupancy-first
+    /// shortcut: both bounds for every node, the social one from the node's
+    /// summary (the shared empty summary for a vacant node).
+    fn minf_reference(
+        index: &AisIndex,
+        ctx: &RankingContext<'_>,
+        node: NodeId,
+        query_location: Point,
+        query_vector: &[f64],
+    ) -> f64 {
+        let spatial_lb = ctx.normalize_spatial(index.spatial_lower_bound(node, query_location));
+        let social_lb = ctx.normalize_social(index.summary(node).lower_bound(query_vector));
+        ctx.score_lower_bound(social_lb, spatial_lb)
+    }
+
+    /// Asserts `node_lower_bound` equals [`minf_reference`] bit for bit on
+    /// every node of `index`, for every user's landmark vector and a spread
+    /// of query points (inside, on and beyond the bounds).
+    fn assert_minf_matches_reference(
+        dataset: &GeoSocialDataset,
+        index: &AisIndex,
+        landmarks: &LandmarkSet,
+    ) {
+        let points = [
+            Point::new(0.05, 0.95),
+            Point::new(0.5, 0.5),
+            Point::new(1.0, 0.0),
+            Point::new(-0.4, 1.7),
+        ];
+        for &alpha in &[0.05, 0.5, 0.95] {
+            for q in 0..dataset.user_count() as UserId {
+                let request = req(q, 3, alpha);
+                let ctx = RankingContext::new(dataset, &request);
+                let query_vector = landmarks.vector(q);
+                for &point in &points {
+                    for node in (0..index.grid().node_count()).map(NodeId) {
+                        let got = node_lower_bound(index, &ctx, node, point, query_vector);
+                        let want = minf_reference(index, &ctx, node, point, query_vector);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "alpha {alpha}, user {q}, point {point:?}, node {node:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn occupancy_first_bound_is_bit_identical_on_a_churned_index() {
+        let (dataset, landmarks) = dataset();
+        let mut index = AisIndex::build(&dataset, &landmarks, 4, 2).unwrap();
+        let occupied_at_build: Vec<NodeId> = (0..index.grid().node_count())
+            .map(NodeId)
+            .filter(|&node| !index.summary(node).is_empty())
+            .collect();
+        // Moves, removals and re-appearances, with every user first pulled
+        // into the lower-left quarter so that cells elsewhere vacate.
+        for user in 0..30u32 {
+            let p = Point::new(
+                0.05 + (user % 5) as f64 * 0.08,
+                0.1 + (user / 10) as f64 * 0.1,
+            );
+            index.update_location(user, p, &landmarks).unwrap();
+        }
+        for step in 0..40u32 {
+            let user = (step * 7) % 30;
+            if step % 4 == 0 && index.grid().leaves().position(user).is_some() {
+                index.remove_user(user, &landmarks).unwrap();
+            } else if step % 3 == 0 {
+                let p = Point::new((step as f64 * 0.037) % 0.5, (step as f64 * 0.061) % 0.5);
+                index.update_location(user, p, &landmarks).unwrap();
+            }
+        }
+        let vacated = occupied_at_build
+            .iter()
+            .filter(|&&node| index.summary(node).is_empty())
+            .count();
+        assert!(vacated > 0, "the churn must vacate some nodes");
+        assert_minf_matches_reference(&dataset, &index, &landmarks);
+    }
+
+    #[test]
+    fn occupancy_first_bound_is_bit_identical_for_landmark_unreachable_cells() {
+        // {0, 1} and {2, 3} are separate components: the vertices of the
+        // one without the landmarks have all-infinite vectors, and their
+        // occupied cell has summary bound 0 for each other and `∞` for the
+        // other component.
+        let graph = GraphBuilder::from_edges(4, vec![(0, 1, 1.0), (2, 3, 1.0)]).unwrap();
+        let landmarks = LandmarkSet::build(&graph, 2, LandmarkSelection::FarthestFirst, 1).unwrap();
+        let locations = vec![
+            Some(Point::new(0.1, 0.1)),
+            Some(Point::new(0.2, 0.2)),
+            Some(Point::new(0.8, 0.8)),
+            Some(Point::new(0.85, 0.85)),
+        ];
+        let dataset = GeoSocialDataset::new(graph, locations).unwrap();
+        let index = AisIndex::build(&dataset, &landmarks, 4, 2).unwrap();
+        assert!((0..4).any(|v| landmarks.vector(v).iter().all(|d| d.is_infinite())));
+        assert_minf_matches_reference(&dataset, &index, &landmarks);
     }
 
     #[test]

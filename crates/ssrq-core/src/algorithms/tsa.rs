@@ -31,9 +31,13 @@ enum TsaPhase {
         idx: usize,
     },
     /// Phase 2, social flavour: the social expansion continues, one settled
-    /// vertex per step; `t_d_prime` is the smallest spatial distance among
-    /// the remaining candidates.
-    EvalSocial { t_d_prime: f64 },
+    /// vertex per step.  `order` holds the candidates parked at the start of
+    /// the phase in ascending spatial order; the social search has resolved
+    /// every one before `next`.
+    EvalSocial {
+        order: Vec<(UserId, f64)>,
+        next: usize,
+    },
 }
 
 /// The Twofold Search Approach (TSA, Algorithm 1 of the paper) as a
@@ -125,20 +129,24 @@ impl<'a> TsaDriver<'a> {
                 ctx.score_lower_bound(social_lb, spatial_norm) < fk
             });
         }
+        // Cheapest spatial distance first (ties broken on user id for
+        // determinism): CH evaluation tightens f_k early in this order, and
+        // the social flavour reads t_d' off its front.
+        let mut order: Vec<(UserId, f64)> = self
+            .candidates
+            .iter()
+            .map(|(&user, &spatial)| (user, spatial))
+            .collect();
+        order.sort_by(|a, b| {
+            a.1.partial_cmp(&b.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.0.cmp(&b.0))
+        });
         if self.ch_phase2.is_some() {
-            // CH-based evaluation: cheapest spatial distance first so that
-            // f_k tightens early (ties broken on user id for determinism).
-            let mut order: Vec<(UserId, f64)> = self.candidates.drain().collect();
-            order.sort_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.0.cmp(&b.0))
-            });
+            self.candidates.clear();
             self.phase = TsaPhase::EvalCh { order, idx: 0 };
         } else {
-            self.phase = TsaPhase::EvalSocial {
-                t_d_prime: min_value(&self.candidates),
-            };
+            self.phase = TsaPhase::EvalSocial { order, next: 0 };
         }
     }
 
@@ -257,7 +265,19 @@ impl<'a> TsaDriver<'a> {
     }
 
     /// One social-flavoured phase-2 probe.
-    fn step_eval_social(&mut self, book: &mut AnswerBook<'_>, t_d_prime: f64) -> StepOutcome {
+    fn step_eval_social(&mut self, book: &mut AnswerBook<'_>) -> StepOutcome {
+        let TsaPhase::EvalSocial { order, next } = &mut self.phase else {
+            unreachable!("step_eval_social called outside EvalSocial")
+        };
+        // t'_d, the smallest spatial distance among the candidates still in
+        // Q: the first one in `order` the social search has not resolved.
+        while order
+            .get(*next)
+            .is_some_and(|c| !self.candidates.contains_key(&c.0))
+        {
+            *next += 1;
+        }
+        let t_d_prime = order.get(*next).map_or(f64::INFINITY, |c| c.1);
         let alpha = book.request.alpha();
         // Once every candidate is resolved, only users beyond both streams
         // remain, and they score at least θ'.
@@ -272,9 +292,6 @@ impl<'a> TsaDriver<'a> {
                 self.tp = social_norm;
                 if let Some(spatial_norm) = self.candidates.remove(&vertex) {
                     book.consider(vertex, social_norm, spatial_norm);
-                    self.phase = TsaPhase::EvalSocial {
-                        t_d_prime: min_value(&self.candidates),
-                    };
                 }
                 StepOutcome::Progress
             }
@@ -293,17 +310,13 @@ impl Search for TsaDriver<'_> {
         match self.phase {
             TsaPhase::Concurrent => self.step_concurrent(book),
             TsaPhase::EvalCh { idx, .. } => self.step_eval_ch(book, idx),
-            TsaPhase::EvalSocial { t_d_prime } => self.step_eval_social(book, t_d_prime),
+            TsaPhase::EvalSocial { .. } => self.step_eval_social(book),
         }
     }
 
     fn fold_stats(&self, stats: &mut QueryStats) {
         stats.relaxed_edges = self.social.relaxations();
     }
-}
-
-fn min_value(candidates: &HashMap<UserId, f64>) -> f64 {
-    candidates.values().copied().fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]

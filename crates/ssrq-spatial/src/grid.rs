@@ -1,4 +1,4 @@
-use crate::{ItemId, Point, Rect, SpatialError};
+use crate::{IdMap, ItemId, Point, Rect, SpatialError};
 use std::collections::HashMap;
 
 /// Coordinates of a grid cell (column, row), both zero-based.
@@ -32,6 +32,9 @@ impl CellCoord {
 /// grid's heap footprint scales with the number of stored items rather than
 /// with the `side × side` geometry or the largest item id.  A shard holding
 /// few (or no) residents of a large deployment pays only for what it stores.
+/// Both maps are [`IdMap`]s: their keys are item ids the caller validated
+/// and cell indices below `side²`, so they hash with the fixed
+/// [`IdHasher`](crate::IdHasher), not SipHash.
 ///
 /// Items are stored at the point the caller gives, even outside the
 /// bounds; a point is clamped into the bounds only to choose its cell.  A
@@ -46,11 +49,11 @@ pub struct UniformGrid {
     cell_h: f64,
     /// Items of each **occupied** cell, keyed by flat cell index.  Empty
     /// cells have no entry; buckets are removed as they empty.
-    cells: HashMap<u64, Vec<ItemId>>,
+    cells: IdMap<u64, Vec<ItemId>>,
     /// Position of each stored item.  Sparse: ids are global in a
     /// partitioned deployment, and a thin shard must not pay for a dense
     /// table up to the maximum resident id.
-    positions: HashMap<ItemId, Point>,
+    positions: IdMap<ItemId, Point>,
 }
 
 impl UniformGrid {
@@ -81,8 +84,8 @@ impl UniformGrid {
             side,
             cell_w: bounds.width() / side as f64,
             cell_h: bounds.height() / side as f64,
-            cells: HashMap::new(),
-            positions: HashMap::new(),
+            cells: IdMap::default(),
+            positions: IdMap::default(),
         })
     }
 
@@ -169,8 +172,8 @@ impl UniformGrid {
             // A fully drained grid (e.g. a shard whose residents were all
             // migrated away) must genuinely return to its empty footprint,
             // not keep the old capacity around.
-            self.cells = HashMap::new();
-            self.positions = HashMap::new();
+            self.cells = IdMap::default();
+            self.positions = IdMap::default();
         }
         Ok(point)
     }
@@ -301,7 +304,7 @@ impl UniformGrid {
 
 /// Rough heap estimate for a `HashMap`: its capacity times the entry size
 /// plus one SwissTable control byte.
-fn hash_map_heap_bytes<K, V>(map: &HashMap<K, V>) -> usize {
+fn hash_map_heap_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
     map.capacity() * (std::mem::size_of::<(K, V)>() + 1)
 }
 

@@ -18,6 +18,8 @@
 //!   AIS index (§5.1): every internal node is parent to `s × s` nodes of the
 //!   immediately lower level, and the lowest level, a [`UniformGrid`], holds
 //!   the actual items.
+//! * [`IdMap`] — the `HashMap` the indexes key by bounded integer ids, under
+//!   a fixed multiplicative [`IdHasher`] instead of SipHash.
 //!
 //! The crate is deliberately independent of the social-graph substrate; the
 //! AIS index in `ssrq-core` composes a [`MultiLevelGrid`] with per-node
@@ -29,6 +31,7 @@
 
 mod error;
 mod grid;
+mod id_hash;
 mod multigrid;
 mod nn;
 mod point;
@@ -37,6 +40,7 @@ mod rect;
 pub use error::SpatialError;
 
 pub use grid::{CellCoord, UniformGrid};
+pub use id_hash::{IdHasher, IdMap};
 pub use multigrid::{MultiLevelGrid, NodeId, NodeKind};
 pub use nn::{IncrementalNn, Neighbor};
 pub use point::Point;
