@@ -16,6 +16,16 @@
 //! number of threads can drive queries through one engine concurrently.
 //! Mutations (relocations, rebalance, refresh) still take `&mut self`.
 //!
+//! Like the in-process engine, the coordinator keeps a user → shard owner
+//! table, filled at connect from each shard's resident list and kept by
+//! every relocation it routes.  The table only decides whom to ask
+//! *first*: a location report goes to the cached owner, and a query
+//! without a pinned origin is put to the cached owner without one, which
+//! evaluates it from its own copy and names the origin it used.  Whenever
+//! an answer shows the entry stale — another coordinator moved the user —
+//! the coordinator falls back to asking every other shard, so answers and
+//! the one-holder invariant never depend on the table being right.
+//!
 //! The extra failure modes of a multi-process deployment are explicit:
 //! a per-shard deadline bounds how long one slow shard can stall a query,
 //! and [`FailurePolicy`] decides whether a dead shard fails the query
@@ -37,6 +47,9 @@ use ssrq_spatial::{Point, Rect};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::RwLock;
 use std::time::{Duration, Instant};
+
+/// The owner-table entry of a user no shard is known to hold.
+const UNLOCATED: u32 = u32::MAX;
 
 /// How many slow-query offenders the coordinator retains.
 const SLOW_LOG_CAPACITY: usize = 64;
@@ -89,21 +102,57 @@ impl RemoteShard {
     }
 
     /// Reports `user`'s new `location` (`None`: no location any more);
-    /// returns whether this shard adopted the user.
+    /// returns whether this shard hosts the user now, and whether it did
+    /// before: `(adopted, held)`.
     fn relocate(
         &self,
         user: UserId,
         location: Option<Point>,
         deadline: Option<Duration>,
-    ) -> Result<bool, NetError> {
+    ) -> Result<(bool, bool), NetError> {
         let accept = |response| match response {
-            Message::Relocated { adopted } => Some(adopted),
+            Message::Relocated { adopted, held } => Some((adopted, held)),
             _ => None,
         };
         let message = Message::Relocate { user, location };
-        let (adopted, _) = self.call(&message, deadline, "Relocated to Relocate", accept)?;
-        Ok(adopted)
+        let (reply, _) = self.call(&message, deadline, "Relocated to Relocate", accept)?;
+        Ok(reply)
     }
+
+    /// Every located resident of this shard.
+    fn list_located(&self, deadline: Option<Duration>) -> Result<Vec<(UserId, Point)>, NetError> {
+        let (users, _) = self.call(
+            &Message::ListLocated,
+            deadline,
+            "LocatedUsers to ListLocated",
+            |response| match response {
+                Message::LocatedUsers(users) => Some(users),
+                _ => None,
+            },
+        )?;
+        Ok(users)
+    }
+}
+
+/// The owner table of a deployment of `user_count` users whose located
+/// residents are `holders`, as `(user, shard)`.
+fn owner_table(user_count: u64, holders: impl IntoIterator<Item = (UserId, usize)>) -> Vec<u32> {
+    let mut owners = vec![UNLOCATED; user_count as usize];
+    for (user, shard) in holders {
+        if let Some(entry) = owners.get_mut(user as usize) {
+            *entry = shard as u32;
+        }
+    }
+    owners
+}
+
+/// Whether `error` means the shard answered but refused — as opposed to
+/// being unreachable, which is what the failure policy is about.
+fn refused(error: &NetError) -> bool {
+    matches!(
+        error,
+        NetError::Core(_) | NetError::Remote { .. } | NetError::Protocol { .. }
+    )
 }
 
 /// One shard's view for **one** query: a borrowed [`RemoteShard`] plus a
@@ -121,14 +170,11 @@ struct QueryTransport<'a> {
     root: SpanId,
 }
 
-impl ShardTransport for QueryTransport<'_> {
-    type Error = NetError;
-
-    fn score_lower_bound(&self, request: &QueryRequest) -> f64 {
-        shard_score_lower_bound(self.rect, request, request.origin(), self.spatial_norm)
-    }
-
-    fn execute(&mut self, request: &QueryRequest) -> Result<QueryResult, NetError> {
+impl QueryTransport<'_> {
+    /// One `Query` round trip: the shard's answer, with the wire counters
+    /// added to its stats, and the origin the shard resolved from its own
+    /// copy when `request` carried none and the shard holds the user.
+    fn query(&self, request: &QueryRequest) -> Result<(QueryResult, Option<Point>), NetError> {
         let span = self
             .trace
             .open(&format!("shard {}", self.shard.endpoint), Some(self.root));
@@ -140,16 +186,29 @@ impl ShardTransport for QueryTransport<'_> {
             self.deadline,
             "Answer to Query",
             |response| match response {
-                Message::Answer(result) => Some(result),
+                Message::Answer(result) => Some((result, None)),
+                Message::AnswerFrom { origin, result } => Some((result, Some(origin))),
                 _ => None,
             },
         );
         self.trace.close(span);
-        let (mut result, traffic) = exchange?;
+        let ((mut result, origin), traffic) = exchange?;
         result.stats.bytes_sent += traffic.bytes_sent;
         result.stats.bytes_received += traffic.bytes_received;
         result.stats.wire_round_trips += 1;
-        Ok(result)
+        Ok((result, origin))
+    }
+}
+
+impl ShardTransport for QueryTransport<'_> {
+    type Error = NetError;
+
+    fn score_lower_bound(&self, request: &QueryRequest) -> f64 {
+        shard_score_lower_bound(self.rect, request, request.origin(), self.spatial_norm)
+    }
+
+    fn execute(&mut self, request: &QueryRequest) -> Result<QueryResult, NetError> {
+        self.query(request).map(|(result, _)| result)
     }
 
     fn describe(&self) -> String {
@@ -203,7 +262,8 @@ impl RemoteEngineBuilder {
 
     /// Connects and handshakes every shard: each server must report the
     /// shard index matching its position in the endpoint list, the same
-    /// shard count, and the same total user count.
+    /// shard count, and the same total user count.  Each shard's resident
+    /// list (`ListLocated`) then fills the owner table.
     ///
     /// # Errors
     ///
@@ -284,11 +344,18 @@ impl RemoteEngineBuilder {
                 churn: AtomicUsize::new(0),
             });
         }
+        let user_count = user_count.expect("at least one shard");
+        let mut holders = Vec::new();
+        for (index, shard) in shards.iter().enumerate() {
+            let residents = shard.list_located(self.deadline)?;
+            holders.extend(residents.into_iter().map(|(user, _)| (user, index)));
+        }
         Ok(RemoteShardedEngine {
+            owners: owner_table(user_count, holders),
             shards,
             policy: FailurePolicy::default(),
             deadline: self.deadline,
-            user_count: user_count.expect("at least one shard"),
+            user_count,
             assignment: self.assignment,
             slow_log: self
                 .slow_query_threshold
@@ -307,8 +374,17 @@ impl RemoteEngineBuilder {
 /// builds its own transports over those pools, queries take `&self`: any
 /// number of threads may call [`query`](RemoteShardedEngine::query)
 /// concurrently on one shared engine.
+///
+/// The coordinator's owner table ([`owner_of`](RemoteShardedEngine::owner_of))
+/// routes location reports and origin resolution: with a current entry a
+/// relocation within the owner's cells costs one round trip, and a query
+/// one round trip per executed shard.  The table is a hint — a stale entry
+/// costs round trips, never exactness.
 pub struct RemoteShardedEngine {
     shards: Vec<RemoteShard>,
+    /// User → shard that last reported holding the user's location
+    /// ([`UNLOCATED`]: none), as this coordinator last saw it.
+    owners: Vec<u32>,
     policy: FailurePolicy,
     deadline: Option<Duration>,
     user_count: u64,
@@ -356,6 +432,18 @@ impl RemoteShardedEngine {
         self.user_count
     }
 
+    /// The shard this coordinator's owner table names as holding `user`'s
+    /// location (`None`: no shard, or an unknown user).  A hint only: a
+    /// second coordinator on the same servers may have moved the user
+    /// since; every operation that reads the table checks the shards'
+    /// answers and falls back to asking all of them.
+    pub fn owner_of(&self, user: UserId) -> Option<usize> {
+        match self.owners.get(user as usize) {
+            Some(&shard) if shard != UNLOCATED => Some(shard as usize),
+            _ => None,
+        }
+    }
+
     /// A snapshot of the cached handshake info of shard `shard`.
     pub fn shard_info(&self, shard: usize) -> ShardInfo {
         self.shards[shard]
@@ -391,12 +479,17 @@ impl RemoteShardedEngine {
     /// Runs one scatter-gather query and additionally reports the
     /// per-shard [`ShardStats`].
     ///
-    /// The coordinator validates locally, resolves the query user's origin
-    /// (asking shards in turn when the request does not pin one), then
-    /// visits the shards best-first, one at a time, with the running `f_k`
-    /// forwarded in each next request ([`scatter_sequential`]).  The
+    /// The coordinator validates locally, then visits the shards
+    /// best-first, one at a time, with the running `f_k` forwarded in each
+    /// next request ([`scatter_sequential`]).  When the request pins no
+    /// origin, the first visit goes to the query user's cached owner
+    /// ([`owner_of`](RemoteShardedEngine::owner_of)) without one: that
+    /// shard evaluates the query from its own copy of the location and
+    /// names it, and the other shards are bounded from it.  If the owner
+    /// names no origin (a stale entry or an unlocated user), its answer is
+    /// discarded and the other shards are asked the same in turn.  The
     /// merged [`QueryStats`] include the wire counters (`bytes_sent`,
-    /// `bytes_received`, `wire_round_trips`), origin lookups included.
+    /// `bytes_received`, `wire_round_trips`), discarded answers included.
     ///
     /// # Errors
     ///
@@ -507,21 +600,6 @@ impl RemoteShardedEngine {
         if u64::from(request.user()) >= self.user_count {
             return Err(NetError::Core(CoreError::UnknownUser(request.user())));
         }
-        let mut lookups = QueryStats::default();
-        let mut locate_failures: Vec<(usize, String)> = Vec::new();
-        let base = match request.origin() {
-            Some(_) => request.clone(),
-            None => {
-                let locate = trace.open("resolve_origin", Some(root));
-                let resolved =
-                    self.locate_remote(request.user(), &mut lookups, &mut locate_failures);
-                trace.close(locate);
-                match resolved? {
-                    Some(origin) => request.clone().with_origin(origin),
-                    None => request.clone(),
-                }
-            }
-        };
         let mut transports: Vec<QueryTransport<'_>> = self
             .shards
             .iter()
@@ -537,9 +615,23 @@ impl RemoteShardedEngine {
                 }
             })
             .collect();
+        // Origin resolution is the scatter's first visit, so the scatter
+        // span and timer cover it.
         let scatter_span = trace.open("scatter", Some(root));
         let scatter_started = Instant::now();
-        let scatter = scatter_sequential(&mut transports, &base, self.policy);
+        let mut lookups = QueryStats::default();
+        let mut locate_failures: Vec<(usize, String)> = Vec::new();
+        let (base, first_visit) = match request.origin() {
+            Some(_) => (request.clone(), None),
+            None => {
+                let locate = trace.open("resolve_origin", Some(scatter_span));
+                let resolved =
+                    self.resolve_origin(request, &transports, &mut lookups, &mut locate_failures);
+                trace.close(locate);
+                resolved?
+            }
+        };
+        let scatter = scatter_sequential(&mut transports, &base, self.policy, first_visit);
         let scatter_elapsed = scatter_started.elapsed();
         trace.close(scatter_span);
         let scatter = scatter.map_err(|failure| failure.error)?;
@@ -585,56 +677,98 @@ impl RemoteShardedEngine {
         Ok((result, stats))
     }
 
-    /// Asks shards in turn for `user`'s stored location, charging the
-    /// round trips to `lookups`.  Transport failures follow the failure
+    /// Resolves the broadcast form of `request`, which pins no origin, by
+    /// putting it as it is to the user's cached owner first, then to the
+    /// other shards in turn.  The first shard that names the origin it
+    /// evaluated from ends the search: the request pinned to that origin
+    /// is returned together with that shard and its answer — the
+    /// scatter's first visit.  A shard that does not hold the user answers
+    /// without a search; its answer is discarded and its round trip
+    /// charged to `lookups`.  Transport failures follow the failure
     /// policy: under `Degrade` the unreachable shard is recorded in
     /// `failures` — the caller flags the query degraded if the origin
     /// stays unresolved, because the silent answer "not located" may be
     /// wrong.
-    fn locate_remote(
+    fn resolve_origin(
         &self,
-        user: UserId,
+        request: &QueryRequest,
+        transports: &[QueryTransport<'_>],
         lookups: &mut QueryStats,
         failures: &mut Vec<(usize, String)>,
-    ) -> Result<Option<Point>, NetError> {
-        for (index, shard) in self.shards.iter().enumerate() {
-            let exchange = shard.call(
-                &Message::Locate(user),
-                self.deadline,
-                "Located to Locate",
-                |response| match response {
-                    Message::Located(location) => Some(location),
-                    _ => None,
-                },
-            );
-            let (location, traffic) = match exchange {
-                Ok(exchange) => exchange,
+    ) -> Result<(QueryRequest, Option<(usize, QueryResult)>), NetError> {
+        let owner = self.owner_of(request.user());
+        let others = (0..transports.len()).filter(|&index| Some(index) != owner);
+        for index in owner.into_iter().chain(others) {
+            match transports[index].query(request) {
+                Ok((result, Some(origin))) => {
+                    return Ok((request.clone().with_origin(origin), Some((index, result))));
+                }
+                Ok((result, None)) => lookups.merge(&result.stats),
                 // A refusal or a response outside the protocol is not a
                 // shard being unreachable: the policy does not apply.
-                Err(
-                    e @ (NetError::Core(_) | NetError::Remote { .. } | NetError::Protocol { .. }),
-                ) => return Err(e),
+                Err(e) if refused(&e) => return Err(e),
                 Err(e) => match self.policy {
                     FailurePolicy::Fail => return Err(e),
-                    FailurePolicy::Degrade => {
-                        failures.push((index, e.to_string()));
-                        continue;
-                    }
+                    FailurePolicy::Degrade => failures.push((index, e.to_string())),
                 },
-            };
-            lookups.bytes_sent += traffic.bytes_sent;
-            lookups.bytes_received += traffic.bytes_received;
-            lookups.wire_round_trips += 1;
-            if location.is_some() {
-                return Ok(location);
             }
         }
-        Ok(None)
+        Ok((request.clone(), None))
     }
 
-    /// Moves `user` to `location`: broadcasts the relocation so the owning
-    /// shard (per each server's assignment replica) adopts it and every
-    /// other shard drops any stale copy.  Returns the adopting shard.
+    /// Reports `user`'s new location (`None`: removal) and keeps the owner
+    /// table current; returns the shard that adopted the user.
+    ///
+    /// The cached owner is asked first.  When it held the user, it was the
+    /// one holder, so if it also adopts (or the report is a removal) no
+    /// other shard can hold a copy and one round trip settles the report.
+    /// Otherwise — it dropped the user for another shard's cells, it did
+    /// not hold it (a stale entry), or there is no cached owner — every
+    /// other shard is told too, each adopting or dropping per its own
+    /// assignment replica.
+    fn route_relocation(
+        &mut self,
+        user: UserId,
+        location: Option<Point>,
+    ) -> Result<Option<usize>, NetError> {
+        let cached = self.owner_of(user);
+        let mut adopter = None;
+        let mut settled = false;
+        if let Some(owner) = cached {
+            let (adopted, held) = self.shards[owner].relocate(user, location, self.deadline)?;
+            adopter = adopted.then_some(owner);
+            settled = held && (adopted || location.is_none());
+        }
+        if !settled {
+            for (index, shard) in self.shards.iter().enumerate() {
+                if cached == Some(index) {
+                    continue;
+                }
+                let (adopted, _) = shard.relocate(user, location, self.deadline)?;
+                if adopted {
+                    if let Some(first) = adopter {
+                        return Err(shard.protocol(format!(
+                            "shards {first} and {index} both adopted user {user}"
+                        )));
+                    }
+                    adopter = Some(index);
+                }
+            }
+        }
+        // A rebalance routes ids taken from the servers' resident lists,
+        // which nothing checked against `user_count`.
+        if let Some(entry) = self.owners.get_mut(user as usize) {
+            *entry = adopter.map_or(UNLOCATED, |shard| shard as u32);
+        }
+        Ok(adopter)
+    }
+
+    /// Moves `user` to `location`: the relocation goes to the user's cached
+    /// owner, which adopts it and, having held the user, settles it in one
+    /// round trip; when the owner changes or the entry is stale, every
+    /// other shard is told too, so the shard owning the new location (per
+    /// each server's assignment replica) adopts it and every other shard
+    /// drops any stale copy.  Returns the adopting shard.
     ///
     /// The adopter's cached bounding rectangle is grown to cover the new
     /// location, keeping the coordinator's shard lower bounds admissible
@@ -646,10 +780,10 @@ impl RemoteShardedEngine {
     /// # Errors
     ///
     /// [`NetError::Core`] for an unknown user or a non-finite location,
-    /// checked before any shard is contacted; any shard failure
-    /// (relocations are exactness-critical, so the failure policy does
-    /// not apply), or [`NetError::Protocol`] when not exactly one shard
-    /// adopts.
+    /// checked before any shard is contacted; any shard failure, the
+    /// cached owner's included (relocations are exactness-critical, so
+    /// the failure policy does not apply), or [`NetError::Protocol`] when
+    /// not exactly one shard adopts.
     pub fn update_location(&mut self, user: UserId, location: Point) -> Result<usize, NetError> {
         if u64::from(user) >= self.user_count {
             return Err(NetError::Core(CoreError::UnknownUser(user)));
@@ -659,18 +793,7 @@ impl RemoteShardedEngine {
                 "non-finite location {location}"
             ))));
         }
-        let mut adopter = None;
-        for (index, shard) in self.shards.iter().enumerate() {
-            if shard.relocate(user, Some(location), self.deadline)? {
-                if let Some(first) = adopter {
-                    return Err(shard.protocol(format!(
-                        "shards {first} and {index} both adopted user {user}"
-                    )));
-                }
-                adopter = Some(index);
-            }
-        }
-        let Some(adopter) = adopter else {
+        let Some(adopter) = self.route_relocation(user, Some(location))? else {
             return Err(NetError::Protocol {
                 shard: "coordinator".into(),
                 detail: format!("no shard adopted the relocation of user {user}"),
@@ -691,19 +814,20 @@ impl RemoteShardedEngine {
         Ok(adopter)
     }
 
-    /// Removes `user`'s location everywhere (cached rectangles are left as
-    /// conservative over-approximations — still valid lower bounds).
+    /// Removes `user`'s location: the removal goes to the user's cached
+    /// owner, and to every other shard unless that one held the user
+    /// (cached rectangles are left as conservative over-approximations —
+    /// still valid lower bounds).
     ///
     /// # Errors
     ///
-    /// Any shard failure; removal is broadcast to all shards.
+    /// [`NetError::Core`] for an unknown user; any shard failure the
+    /// removal meets.
     pub fn remove_location(&mut self, user: UserId) -> Result<(), NetError> {
         if u64::from(user) >= self.user_count {
             return Err(NetError::Core(CoreError::UnknownUser(user)));
         }
-        for shard in &self.shards {
-            shard.relocate(user, None, self.deadline)?;
-        }
+        self.route_relocation(user, None)?;
         Ok(())
     }
 
@@ -747,9 +871,10 @@ impl RemoteShardedEngine {
     /// Repacks the spatial assignment to the *current* location
     /// distribution and migrates every user whose owner changed, exactly
     /// as [`ShardedEngine::rebalance`](ssrq_shard::ShardedEngine::rebalance)
-    /// does in-process: gather locations, [`ShardAssignment::repack`],
-    /// broadcast the new cell map, relocate the moved users, refresh.
-    /// Returns how many users moved shards.
+    /// does in-process: gather locations (and rebuild the owner table from
+    /// them), [`ShardAssignment::repack`], broadcast the new cell map,
+    /// relocate the moved users, refresh.  Returns how many users moved
+    /// shards.
     ///
     /// # Errors
     ///
@@ -766,17 +891,13 @@ impl RemoteShardedEngine {
         }
         let mut holders: Vec<(UserId, Point, usize)> = Vec::new();
         for (index, shard) in self.shards.iter().enumerate() {
-            let (users, _) = shard.call(
-                &Message::ListLocated,
-                self.deadline,
-                "LocatedUsers to ListLocated",
-                |response| match response {
-                    Message::LocatedUsers(users) => Some(users),
-                    _ => None,
-                },
-            )?;
+            let users = shard.list_located(self.deadline)?;
             holders.extend(users.into_iter().map(|(user, point)| (user, point, index)));
         }
+        self.owners = owner_table(
+            self.user_count,
+            holders.iter().map(|&(user, _, holder)| (user, holder)),
+        );
         let assignment = self.assignment.as_mut().expect("checked above");
         let points: Vec<Point> = holders.iter().map(|&(_, point, _)| point).collect();
         assignment.repack(&points);
@@ -795,9 +916,7 @@ impl RemoteShardedEngine {
             })?;
         }
         for &(user, point) in &moves {
-            for shard in &self.shards {
-                shard.relocate(user, Some(point), self.deadline)?;
-            }
+            self.route_relocation(user, Some(point))?;
         }
         self.refresh()?;
         Ok(moves.len())

@@ -8,7 +8,9 @@
 //! with the **same** best-first visit order, `f_k` threshold forwarding and
 //! deterministic merge as the single-process engine — the two deployments
 //! share the loop itself ([`ssrq_shard::scatter_sequential`]), so they
-//! return the same ranked list.
+//! return the same ranked list.  The one difference in order: a query
+//! without a pinned origin visits the query user's owner first, because
+//! that shard resolves the origin from its own copy in the same round trip.
 //!
 //! Everything on the wire is hand-written little-endian encoding
 //! ([`wire`]): a 14-byte frame header (`b"SSRQ"`, version, message tag,

@@ -101,7 +101,9 @@ pub enum Message {
     /// The server's self-description (handshake and refresh response).
     Info(ShardInfo),
     /// Run a bounded top-k over this shard's residents; answered with
-    /// [`Message::Answer`] or [`Message::Fail`].
+    /// [`Message::Answer`], [`Message::AnswerFrom`] (a request without an
+    /// origin, put to the shard that holds the query user) or
+    /// [`Message::Fail`].
     Query {
         /// The query to run.
         request: QueryRequest,
@@ -113,15 +115,30 @@ pub enum Message {
     },
     /// A shard's exact top-k over its residents.
     Answer(QueryResult),
-    /// Ask for a user's stored location (origin resolution); answered
-    /// with [`Message::Located`].
+    /// A shard's exact top-k over its residents, evaluated from the query
+    /// user's location as this shard stores it: the answer to a
+    /// [`Message::Query`] that carried no origin, sent by the shard that
+    /// holds the user.  A shard that does not hold the user answers such a
+    /// query with a plain [`Message::Answer`].
+    AnswerFrom {
+        /// The origin the shard resolved from its own copy.
+        origin: Point,
+        /// The answer evaluated from `origin`.
+        result: QueryResult,
+    },
+    /// Ask for a user's stored location; answered with
+    /// [`Message::Located`].  The coordinator resolves query origins
+    /// through origin-less [`Message::Query`]s instead, which answer in
+    /// the same round trip.
     Locate(UserId),
     /// Response to [`Message::Locate`].
     Located(Option<Point>),
-    /// Report a user's new location (`None` removes it).  Every server of
-    /// the deployment receives the broadcast; each adopts or drops the
-    /// user per its own replicated assignment and answers
-    /// [`Message::Relocated`].
+    /// Report a user's new location (`None` removes it).  The receiving
+    /// server adopts or drops the user per its own replicated assignment
+    /// and answers [`Message::Relocated`].  The coordinator sends it to the
+    /// user's cached owner first, and to the other servers unless that
+    /// one's answer settles the report: it held the user, and adopted it
+    /// again or the report is a removal.
     Relocate {
         /// The reported user.
         user: UserId,
@@ -132,6 +149,9 @@ pub enum Message {
     Relocated {
         /// `true` when this server now hosts the user's location.
         adopted: bool,
+        /// `true` when this server hosted the user's location before the
+        /// relocation.
+        held: bool,
     },
     /// Ask for every located resident (rebalance survey); answered with
     /// [`Message::LocatedUsers`].
@@ -195,6 +215,7 @@ impl Message {
             // 0x12 is unassigned.
             Message::MetricsRequest => 0x13,
             Message::MetricsReport(_) => 0x14,
+            Message::AnswerFrom { .. } => 0x15,
         }
     }
 
@@ -235,13 +256,20 @@ impl Message {
                 }
             }
             Message::Answer(result) => encode_result(&mut w, result),
+            Message::AnswerFrom { origin, result } => {
+                encode_point(&mut w, *origin);
+                encode_result(&mut w, result);
+            }
             Message::Locate(user) => w.u32(*user),
             Message::Located(location) => w.opt(*location, encode_point),
             Message::Relocate { user, location } => {
                 w.u32(*user);
                 w.opt(*location, encode_point);
             }
-            Message::Relocated { adopted } => w.bool(*adopted),
+            Message::Relocated { adopted, held } => {
+                w.bool(*adopted);
+                w.bool(*held);
+            }
             Message::LocatedUsers(users) => {
                 w.u32(users.len() as u32);
                 for &(user, p) in users {
@@ -290,7 +318,10 @@ impl Message {
                 user: r.u32()?,
                 location: r.opt(decode_point)?,
             },
-            0x08 => Message::Relocated { adopted: r.bool()? },
+            0x08 => Message::Relocated {
+                adopted: r.bool()?,
+                held: r.bool()?,
+            },
             0x09 => Message::ListLocated,
             0x0A => {
                 let n = r.u32()? as usize;
@@ -320,6 +351,10 @@ impl Message {
             0x11 => Message::Ok,
             0x13 => Message::MetricsRequest,
             0x14 => Message::MetricsReport(decode_obs_report(&mut r)?),
+            0x15 => Message::AnswerFrom {
+                origin: decode_point(&mut r)?,
+                result: decode_result(&mut r)?,
+            },
             t => return Err(WireError::UnknownMessage(t)),
         };
         r.finish()?;
@@ -702,7 +737,14 @@ mod tests {
             Message::Locate(42),
             Message::Located(None),
             Message::Located(Some(Point::new(1.5, -2.5))),
-            Message::Relocated { adopted: true },
+            Message::Relocated {
+                adopted: true,
+                held: false,
+            },
+            Message::Relocated {
+                adopted: false,
+                held: true,
+            },
             Message::Relocate {
                 user: 7,
                 location: None,
@@ -866,6 +908,15 @@ mod tests {
             degraded: false,
             stats: QueryStats::default(),
         }));
+        round_trip(Message::AnswerFrom {
+            origin: Point::new(0.25, -0.0),
+            result: QueryResult {
+                ranked: vec![],
+                k: 3,
+                degraded: false,
+                stats,
+            },
+        });
     }
 
     #[test]

@@ -387,7 +387,10 @@ impl ShardServer {
 
     /// Runs one query under the read lock by draining the engine's
     /// streaming path, which yields finalized entries in ascending score
-    /// order.
+    /// order.  A request without an origin is evaluated from the query
+    /// user's location as this shard stores it; when the shard holds one,
+    /// the answer is a [`Message::AnswerFrom`] naming it, so the
+    /// coordinator can bound the other shards from the same point.
     fn run_query(&self, request: &QueryRequest, trace_id: u64, ctx: &mut QueryContext) -> Message {
         let trace = Trace::new(trace_id);
         let root = trace.open("shard_query", None);
@@ -444,12 +447,22 @@ impl ShardServer {
             }
         }
         self.obs.spans.push(spans);
-        Message::Answer(QueryResult {
+        let result = QueryResult {
             ranked,
             k: request.k(),
             degraded: false,
             stats,
-        })
+        };
+        // Read under the same read lock the search ran under, so the
+        // origin is the one the search used.
+        let resolved = match request.origin() {
+            Some(_) => None,
+            None => engine.dataset().location(request.user()),
+        };
+        match resolved {
+            Some(origin) => Message::AnswerFrom { origin, result },
+            None => Message::Answer(result),
+        }
     }
 
     /// The server's live observability snapshot: the process-wide metric
@@ -494,6 +507,7 @@ impl ShardServer {
             },
             Message::Relocate { user, location } => {
                 let mut engine = self.engine.write().expect("engine lock");
+                let held = engine.dataset().location(user).is_some();
                 let owner = location.map(|p| {
                     self.assignment
                         .read()
@@ -505,8 +519,8 @@ impl ShardServer {
                         engine.update_location(user, p).map(|()| true)
                     }
                     // Not (or no longer) ours: drop any stale copy.  The
-                    // engine's removal is idempotent, so every non-owner
-                    // in the broadcast answers cheaply.
+                    // engine's removal is idempotent, so a server that
+                    // holds no copy answers cheaply.
                     _ => engine.remove_location(user).map(|()| false),
                 };
                 match outcome {
@@ -519,7 +533,7 @@ impl ShardServer {
                         } else {
                             self.obs.relocations_dropped.inc();
                         }
-                        Message::Relocated { adopted }
+                        Message::Relocated { adopted, held }
                     }
                     Err(e) => Message::Fail {
                         kind: FailureKind::of(&e),

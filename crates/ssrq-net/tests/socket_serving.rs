@@ -2,8 +2,10 @@
 //! Unix-domain sockets) behind a [`RemoteShardedEngine`] coordinator must
 //! return exactly what the in-process [`ShardedEngine`] returns, forward
 //! the `f_k` threshold across the wire, survive relocations and
-//! rebalances, refuse a non-finite relocation or a malformed cell map
-//! without changing any state, refuse out-of-range query parameters typed,
+//! rebalances, keep one holder per user and exact answers whatever a
+//! second coordinator did to the first one's owner table, refuse a
+//! non-finite relocation or a malformed cell map without changing any
+//! state, refuse out-of-range query parameters typed,
 //! fail the way the [`FailurePolicy`] promises when a shard dies, report a
 //! missed deadline after one deadline and never reuse the
 //! connection that missed it, refuse a response under the wrong frame id,
@@ -25,6 +27,7 @@ use ssrq_shard::{
     merge_ranked, FailurePolicy, Partitioning, ShardAssignment, ShardOutcome, ShardedEngine,
 };
 use ssrq_spatial::{Point, Rect};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -128,14 +131,22 @@ fn remote_coordinator_matches_the_in_process_engine() {
 fn an_unlocated_query_user_is_answered_without_a_search_remotely() {
     // No shard locates the query user and no origin is given: every
     // candidate is infinitely far, so the answer is empty and no arm may
-    // sweep the graph to find that out.
+    // sweep the graph to find that out.  That holds for users unlocated
+    // from the start and for one whose location the coordinator removed.
     let mut dataset = DatasetConfig::gowalla_like(300).generate();
-    let users = QueryWorkload::generate(&dataset, 2, 9).users;
+    let mut users = QueryWorkload::generate(&dataset, 2, 9).users;
     for &user in &users {
         dataset.set_location(user, None).unwrap();
     }
     let cluster = Cluster::start(&dataset, Partitioning::SpatialGrid { cells_per_axis: 8 }, 3);
-    let remote = cluster.connect();
+    let mut remote = cluster.connect();
+    let removed = (0..dataset.user_count() as u32)
+        .find(|&u| dataset.location(u).is_some())
+        .expect("some user is located");
+    assert!(remote.owner_of(removed).is_some());
+    remote.remove_location(removed).unwrap();
+    assert_eq!(remote.owner_of(removed), None);
+    users.push(removed);
     for &user in &users {
         for algorithm in [
             Algorithm::Sfa,
@@ -154,6 +165,194 @@ fn an_unlocated_query_user_is_answered_without_a_search_remotely() {
             assert_eq!(got.stats.social_pops, 0, "{algorithm:?} searched the graph");
         }
     }
+}
+
+#[test]
+fn a_located_query_user_costs_one_round_trip_per_executed_shard() {
+    // With a current owner-table entry the first `Query` goes to the
+    // owner without an origin and comes back with one, so every round
+    // trip of the query is a shard executing it.
+    let dataset = DatasetConfig::gowalla_like(300).generate();
+    let policy = Partitioning::SpatialGrid { cells_per_axis: 8 };
+    let local = ShardedEngine::builder(dataset.clone())
+        .shards(3)
+        .partitioning(policy)
+        .build()
+        .unwrap();
+    let cluster = Cluster::start(&dataset, policy, 3);
+    let remote = cluster.connect();
+    let workload = QueryWorkload::generate(&dataset, 8, 13);
+    for &user in &workload.users {
+        assert!(
+            dataset.location(user).is_some(),
+            "workload users are located"
+        );
+        assert_eq!(remote.owner_of(user), local.owner_of(user));
+        let request = QueryRequest::for_user(user)
+            .k(5)
+            .alpha(0.5)
+            .algorithm(Algorithm::Sfa)
+            .build()
+            .unwrap();
+        let (got, stats) = remote.query_detailed(&request).unwrap();
+        assert_eq!(got.ranked, local.run(&request).unwrap().ranked);
+        assert!(stats.executed_shards() >= 1);
+        assert_eq!(
+            got.stats.wire_round_trips,
+            stats.executed_shards(),
+            "user {user}: a round trip beyond the executed shards"
+        );
+    }
+}
+
+/// Every located user of the cluster, with the one shard holding it;
+/// panics when a user is held twice.
+fn holders(cluster: &Cluster) -> HashMap<u32, (usize, Point)> {
+    let mut held = HashMap::new();
+    for (shard, endpoint) in cluster.endpoints.iter().enumerate() {
+        let mut client = ShardClient::connect(endpoint, Duration::from_secs(10)).unwrap();
+        let (reply, _) = client.call(&Message::ListLocated).unwrap();
+        let Message::LocatedUsers(users) = reply else {
+            panic!("expected LocatedUsers, got {reply:?}")
+        };
+        for (user, point) in users {
+            if let Some((first, _)) = held.insert(user, (shard, point)) {
+                panic!("user {user} is held by shards {first} and {shard}");
+            }
+        }
+    }
+    held
+}
+
+/// A point in the cells `assignment` gives to `shard`.
+fn point_on(assignment: &ShardAssignment, shard: usize) -> Point {
+    (0..100)
+        .map(|i| Point::new(0.05 + 0.1 * (i % 10) as f64, 0.05 + 0.1 * (i / 10) as f64))
+        .find(|&p| assignment.owner_for(0, Some(p)) == shard)
+        .expect("every shard owns a cell")
+}
+
+#[test]
+fn a_stale_owner_table_costs_round_trips_never_exactness() {
+    let dataset = DatasetConfig::gowalla_like(300).generate();
+    let policy = Partitioning::SpatialGrid { cells_per_axis: 4 };
+    let mut local = ShardedEngine::builder(dataset.clone())
+        .shards(3)
+        .partitioning(policy)
+        .build()
+        .unwrap();
+    let cluster = Cluster::start(&dataset, policy, 3);
+    // Two coordinators on one cluster: B's moves leave A's table stale.
+    let mut a = cluster.connect();
+    let mut b = cluster.connect();
+    let on: Vec<Point> = (0..3).map(|s| point_on(&cluster.assignment, s)).collect();
+    let user = (0..dataset.user_count() as u32)
+        .find(|&u| local.owner_of(u) == Some(0) && dataset.location(u).is_some())
+        .expect("some located user lives on shard 0");
+
+    // After every step: one holder per located user, the holders are the
+    // in-process engine's, and A answers exactly as it does.
+    let check = |a: &RemoteShardedEngine, local: &ShardedEngine, step: &str| {
+        let held = holders(&cluster);
+        let located = (0..dataset.user_count() as u32)
+            .filter(|&u| local.location(u).is_some())
+            .count();
+        assert_eq!(held.len(), located, "{step}: located users differ");
+        for (&u, &(shard, point)) in &held {
+            assert_eq!(local.location(u), Some(point), "{step}: user {u}");
+            assert_eq!(local.owner_of(u), Some(shard), "{step}: user {u}");
+        }
+        for query_user in [user, 5, 42] {
+            let request = QueryRequest::for_user(query_user)
+                .k(6)
+                .alpha(0.5)
+                .algorithm(Algorithm::Sfa)
+                .build()
+                .unwrap();
+            let got = a.query(&request).unwrap();
+            assert!(!got.degraded);
+            assert_eq!(
+                got.ranked,
+                local.run(&request).unwrap().ranked,
+                "{step}: query user {query_user}"
+            );
+        }
+    };
+    let holder = |user| holders(&cluster).get(&user).map(|&(shard, _)| shard);
+    check(&a, &local, "connect");
+
+    // The cached owner adopts a user it did not hold: B moved it away.
+    b.update_location(user, on[1]).unwrap();
+    local.update_location(user, on[1]).unwrap();
+    assert_eq!((a.owner_of(user), holder(user)), (Some(0), Some(1)));
+    assert_eq!(a.update_location(user, on[0]).unwrap(), 0);
+    local.update_location(user, on[0]).unwrap();
+    check(&a, &local, "adopted without holding");
+
+    // The cached owner drops the user: B moved it to shard 1, and A sends
+    // it to shard 2.
+    b.update_location(user, on[1]).unwrap();
+    local.update_location(user, on[1]).unwrap();
+    assert_eq!((a.owner_of(user), holder(user)), (Some(0), Some(1)));
+    // A's query meets the stale entry first: shard 0's answer names no
+    // origin and is discarded, and shard 1's names it.
+    let request = QueryRequest::for_user(user)
+        .k(6)
+        .alpha(0.5)
+        .algorithm(Algorithm::Sfa)
+        .build()
+        .unwrap();
+    let (got, stats) = a.query_detailed(&request).unwrap();
+    assert_eq!(got.ranked, local.run(&request).unwrap().ranked);
+    assert!(
+        got.stats.wire_round_trips > stats.executed_shards(),
+        "the discarded answer costs a round trip"
+    );
+    assert_eq!(a.update_location(user, on[2]).unwrap(), 2);
+    local.update_location(user, on[2]).unwrap();
+    check(&a, &local, "dropped by the cached owner");
+
+    // A removal through a stale entry: B moved the user back to shard 0.
+    b.update_location(user, on[0]).unwrap();
+    local.update_location(user, on[0]).unwrap();
+    assert_eq!((a.owner_of(user), holder(user)), (Some(2), Some(0)));
+    a.remove_location(user).unwrap();
+    local.remove_location(user).unwrap();
+    assert_eq!((a.owner_of(user), holder(user)), (None, None));
+    check(&a, &local, "removed through a stale entry");
+
+    // No cached owner: B re-adds the user A removed, and A queries, then
+    // moves it.
+    b.update_location(user, on[1]).unwrap();
+    local.update_location(user, on[1]).unwrap();
+    assert_eq!((a.owner_of(user), holder(user)), (None, Some(1)));
+    check(&a, &local, "re-added behind A's back");
+    assert_eq!(a.update_location(user, on[2]).unwrap(), 2);
+    local.update_location(user, on[2]).unwrap();
+    check(&a, &local, "moved with no cached owner");
+
+    // A query whose cached owner answers with no origin because the user
+    // is gone: B removed it.
+    b.remove_location(user).unwrap();
+    local.remove_location(user).unwrap();
+    assert_eq!((a.owner_of(user), holder(user)), (Some(2), None));
+    let (got, stats) = a.query_detailed(&request).unwrap();
+    assert!(got.ranked.is_empty());
+    assert_eq!(stats.executed_shards(), 0);
+    assert_eq!(
+        got.stats.wire_round_trips, 3,
+        "three discarded answers, no scatter"
+    );
+    check(&a, &local, "removed behind A's back");
+
+    // A move within the owner's cells, A's table current again.
+    assert_eq!(a.update_location(user, on[0]).unwrap(), 0);
+    local.update_location(user, on[0]).unwrap();
+    let nearby = Point::new(on[0].x + 0.01, on[0].y + 0.01);
+    assert_eq!(cluster.assignment.owner_for(user, Some(nearby)), 0);
+    assert_eq!(a.update_location(user, nearby).unwrap(), 0);
+    local.update_location(user, nearby).unwrap();
+    check(&a, &local, "moved within its owner's cells");
 }
 
 #[test]
@@ -479,8 +678,9 @@ fn an_unreachable_shard_during_origin_resolution_degrades_the_answer() {
         .deadline(Duration::from_secs(2))
         .connect()
         .unwrap();
-    // No pinned origin: the coordinator must ask the shards where the
-    // query user is.
+    // No pinned origin: the coordinator puts the query to the user's
+    // cached owner — the shard about to die — to learn where it is.
+    assert_eq!(remote.owner_of(victim), Some(1));
     let request = QueryRequest::for_user(victim)
         .k(5)
         .alpha(0.4)
@@ -502,6 +702,24 @@ fn an_unreachable_shard_during_origin_resolution_degrades_the_answer() {
         ),
         "unexpected error {err}"
     );
+
+    // A relocation whose cached owner is dead fails, whatever the policy:
+    // relocations are exactness-critical.
+    let elsewhere = point_on(&assignment, 0);
+    for policy in [FailurePolicy::Fail, FailurePolicy::Degrade] {
+        remote.set_failure_policy(policy);
+        let err = remote
+            .update_location(victim, elsewhere)
+            .expect_err("a dead cached owner fails the relocation");
+        assert!(
+            matches!(
+                err,
+                NetError::Disconnected { .. } | NetError::Io(_) | NetError::Timeout { .. }
+            ),
+            "{policy:?}: unexpected error {err}"
+        );
+        assert_eq!(remote.owner_of(victim), Some(1));
+    }
 
     // Degrade policy: the query still answers, but it must NOT pass as
     // exact — the dead shard may have held the user's location, so the
@@ -852,6 +1070,14 @@ fn retired_inputs_are_refused_typed_without_taking_the_server_down() {
     assert_eq!(
         wire::parse_header(&v1_frame),
         Err(WireError::UnsupportedVersion(1))
+    );
+    // A version-2 frame: its `Relocated` reply lacked the `held` byte, so
+    // a mixed deployment must part at the handshake.
+    let mut v2_frame = Message::Ping.encode_with_id(1);
+    v2_frame[4] = 2;
+    assert_eq!(
+        wire::parse_header(&v2_frame),
+        Err(WireError::UnsupportedVersion(2))
     );
     // The one unassigned tag inside the tag table's range.
     assert_eq!(

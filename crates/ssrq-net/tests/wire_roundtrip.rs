@@ -127,7 +127,7 @@ fn shard_info(rng: &mut StdRng) -> ShardInfo {
 }
 
 fn message(rng: &mut StdRng) -> Message {
-    match rng.gen_range(0..17u32) {
+    match rng.gen_range(0..18u32) {
         0 => Message::Hello,
         1 => Message::Info(shard_info(rng)),
         2 => Message::Query {
@@ -143,6 +143,7 @@ fn message(rng: &mut StdRng) -> Message {
         },
         7 => Message::Relocated {
             adopted: rng.gen_bool(0.5),
+            held: rng.gen_bool(0.5),
         },
         8 => Message::ListLocated,
         9 => {
@@ -172,6 +173,10 @@ fn message(rng: &mut StdRng) -> Message {
         13 => Message::Ping,
         14 => Message::Pong,
         15 => Message::Shutdown,
+        16 => Message::AnswerFrom {
+            origin: point(rng),
+            result: result(rng),
+        },
         _ => Message::Ok,
     }
 }

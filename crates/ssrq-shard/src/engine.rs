@@ -478,7 +478,7 @@ impl ShardedEngine {
                         ctx: &ctx,
                     })
                     .collect();
-                transport::scatter_sequential(&mut transports, &base, FailurePolicy::Fail)
+                transport::scatter_sequential(&mut transports, &base, FailurePolicy::Fail, None)
             })
             .map_err(|e| e.error)?;
         let scatter_elapsed = started.elapsed();

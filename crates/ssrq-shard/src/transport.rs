@@ -117,6 +117,12 @@ pub struct SequentialScatter {
 /// user's [`origin`](ssrq_core::QueryRequest::origin) resolved — the loop
 /// never talks to a dataset.
 ///
+/// `first_visit` is a shard the caller already executed, and its answer:
+/// a remote coordinator asks the query user's owner first, because that
+/// shard resolves the origin `base` carries.  The loop counts it as the
+/// first shard visited, with the threshold it had then (none), and bounds
+/// and visits the others after it.
+///
 /// Sequential visiting maximizes what the threshold can prune: each shard
 /// sees the `f_k` of everything gathered so far, so what is already
 /// gathered decides what is asked next — the threshold algorithm at shard
@@ -132,6 +138,7 @@ pub fn scatter_sequential<T: ShardTransport>(
     transports: &mut [T],
     base: &QueryRequest,
     policy: FailurePolicy,
+    mut first_visit: Option<(usize, QueryResult)>,
 ) -> Result<SequentialScatter, ScatterError<T::Error>> {
     let n = transports.len();
     let bounds: Vec<f64> = transports
@@ -140,6 +147,10 @@ pub fn scatter_sequential<T: ShardTransport>(
         .collect();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
+    if let Some((first, _)) = &first_visit {
+        order.retain(|s| s != first);
+        order.insert(0, *first);
+    }
 
     let mut topk = TopK::for_request(base);
     let mut entries: Vec<RankedUser> = Vec::new();
@@ -147,14 +158,19 @@ pub fn scatter_sequential<T: ShardTransport>(
     let mut degraded = false;
     for &s in &order {
         let threshold = topk.fk();
-        if bounds[s] >= threshold {
-            outcomes[s] = Some(ShardOutcome::Skipped {
-                lower_bound: bounds[s],
-            });
-            continue;
-        }
-        let shard_request = base.clone().with_max_score_at_most(threshold);
-        match transports[s].execute(&shard_request) {
+        // The shard already visited heads `order`, so it is taken here on
+        // the first pass.
+        let executed = match first_visit.take() {
+            Some((_, result)) => Ok(result),
+            None if bounds[s] >= threshold => {
+                outcomes[s] = Some(ShardOutcome::Skipped {
+                    lower_bound: bounds[s],
+                });
+                continue;
+            }
+            None => transports[s].execute(&base.clone().with_max_score_at_most(threshold)),
+        };
+        match executed {
             Ok(result) => {
                 for &entry in &result.ranked {
                     topk.consider(entry);
@@ -293,10 +309,40 @@ mod tests {
             FakeShard::new(0.0, &[(1, 0.1), (2, 0.2)]),
         ];
         let base = request(2);
-        let scatter = scatter_sequential(&mut shards, &base, FailurePolicy::Fail).unwrap();
+        let scatter = scatter_sequential(&mut shards, &base, FailurePolicy::Fail, None).unwrap();
         assert_eq!(shards[1].seen_cutoffs, vec![None]);
         assert_eq!(shards[0].seen_cutoffs, vec![Some(0.2)]);
         assert!(!scatter.degraded);
+        let ranked = merge_ranked(scatter.entries, 2);
+        assert_eq!(
+            ranked.iter().map(|e| (e.user, e.score)).collect::<Vec<_>>(),
+            vec![(1, 0.1), (2, 0.2)]
+        );
+    }
+
+    #[test]
+    fn a_first_visit_heads_the_order_and_forwards_its_threshold() {
+        // Shard 1 has the better bound, but shard 0 was already visited:
+        // it is not executed again, and its f_k is what shard 1 sees.
+        let mut shards = vec![
+            FakeShard::new(0.15, &[(7, 0.45), (8, 0.9)]),
+            FakeShard::new(0.0, &[(1, 0.1), (2, 0.2)]),
+            FakeShard::new(0.95, &[(9, 0.96)]),
+        ];
+        let base = request(2);
+        let visited = shards[0].execute(&base).unwrap();
+        let scatter =
+            scatter_sequential(&mut shards, &base, FailurePolicy::Fail, Some((0, visited)))
+                .unwrap();
+        assert_eq!(
+            shards[0].seen_cutoffs,
+            vec![None],
+            "visited once, by the caller"
+        );
+        assert_eq!(shards[1].seen_cutoffs, vec![Some(0.9)]);
+        assert!(shards[2].seen_cutoffs.is_empty(), "shard 2 must be skipped");
+        assert!(matches!(scatter.outcomes[0], ShardOutcome::Executed(_)));
+        assert!(matches!(scatter.outcomes[2], ShardOutcome::Skipped { .. }));
         let ranked = merge_ranked(scatter.entries, 2);
         assert_eq!(
             ranked.iter().map(|e| (e.user, e.score)).collect::<Vec<_>>(),
@@ -311,7 +357,7 @@ mod tests {
             FakeShard::new(0.5, &[(9, 0.55)]),
         ];
         let base = request(2);
-        let scatter = scatter_sequential(&mut shards, &base, FailurePolicy::Fail).unwrap();
+        let scatter = scatter_sequential(&mut shards, &base, FailurePolicy::Fail, None).unwrap();
         assert!(shards[1].seen_cutoffs.is_empty(), "shard 1 must be skipped");
         assert!(matches!(
             scatter.outcomes[1],
@@ -322,7 +368,8 @@ mod tests {
     #[test]
     fn fail_policy_aborts_with_the_shard_named() {
         let mut shards = vec![FakeShard::new(0.0, &[(1, 0.1)]), FakeShard::failing(0.01)];
-        let err = scatter_sequential(&mut shards, &request(5), FailurePolicy::Fail).unwrap_err();
+        let err =
+            scatter_sequential(&mut shards, &request(5), FailurePolicy::Fail, None).unwrap_err();
         assert_eq!(err.shard, 1);
         assert!(err.to_string().contains("scripted failure"));
     }
@@ -330,7 +377,8 @@ mod tests {
     #[test]
     fn degrade_policy_records_the_failure_and_flags_the_scatter() {
         let mut shards = vec![FakeShard::new(0.0, &[(1, 0.1)]), FakeShard::failing(0.01)];
-        let scatter = scatter_sequential(&mut shards, &request(5), FailurePolicy::Degrade).unwrap();
+        let scatter =
+            scatter_sequential(&mut shards, &request(5), FailurePolicy::Degrade, None).unwrap();
         assert!(scatter.degraded);
         assert!(matches!(
             &scatter.outcomes[1],
