@@ -4,13 +4,13 @@
 //! ([`ssrq_shard::ShardedEngine`]) into a multi-*process* one: each shard
 //! runs as its own OS process ([`ShardServer`]) behind a length-prefixed
 //! binary frame protocol over Unix-domain or TCP sockets, and a
-//! [`RemoteShardedEngine`] coordinator scatter-gathers queries across them
-//! with the **same** best-first visit order, `f_k` threshold forwarding and
-//! deterministic merge as the single-process engine — the two deployments
-//! share the loop itself ([`ssrq_shard::scatter_sequential`]), so they
-//! return the same ranked list.  The one difference in order: a query
-//! without a pinned origin visits the query user's owner first, because
-//! that shard resolves the origin from its own copy in the same round trip.
+//! [`RemoteShardedEngine`] coordinator scatter-gathers queries across them.
+//! Both deployments are one [`ssrq_shard::Coordinator`] over two links —
+//! [`LocalShard`](ssrq_shard::LocalShard)s in process, [`RemoteShard`]s
+//! here — so they share the owner table, relocation routing, rebalance,
+//! origin resolution, the `f_k`-forwarding scatter loop and the merge, and
+//! return the same ranked list.  A [`ShardServer`] answers through a
+//! `LocalShard` too.
 //!
 //! Everything on the wire is hand-written little-endian encoding
 //! ([`wire`]): a 14-byte frame header (`b"SSRQ"`, version, message tag,
@@ -51,7 +51,7 @@ mod server;
 pub mod wire;
 
 pub use client::{ConnectionPool, Endpoint, ShardClient, WireTraffic};
-pub use coordinator::{RemoteEngineBuilder, RemoteShardedEngine};
+pub use coordinator::{RemoteEngineBuilder, RemoteShard, RemoteShardedEngine};
 pub use error::NetError;
 pub use proto::{FailureKind, Message, ShardInfo};
 pub use server::ShardServer;

@@ -15,25 +15,8 @@ use ssrq_spatial::{Point, Rect};
 use std::time::Duration;
 
 /// What a shard server reports about itself in the handshake (and on
-/// [`Message::Refresh`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardInfo {
-    /// This server's shard index.
-    pub shard: u32,
-    /// Total number of shards in the deployment.
-    pub shards: u32,
-    /// Users in the (replicated) social graph.
-    pub user_count: u64,
-    /// Users located on this shard.
-    pub located: u64,
-    /// Bounding rectangle of this shard's resident locations (`None` when
-    /// no resident is located) — what the coordinator's pruning runs on.
-    pub rect: Option<Rect>,
-    /// The deployment-global spatial normalization constant.
-    pub spatial_norm: f64,
-    /// The deployment-global social normalization constant.
-    pub social_norm: f64,
-}
+/// [`Message::Refresh`]): the shard tier's [`ShardInfo`].
+pub use ssrq_shard::ShardInfo;
 
 /// Why a shard server refused a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,13 +109,6 @@ pub enum Message {
         /// The answer evaluated from `origin`.
         result: QueryResult,
     },
-    /// Ask for a user's stored location; answered with
-    /// [`Message::Located`].  The coordinator resolves query origins
-    /// through origin-less [`Message::Query`]s instead, which answer in
-    /// the same round trip.
-    Locate(UserId),
-    /// Response to [`Message::Locate`].
-    Located(Option<Point>),
     /// Report a user's new location (`None` removes it).  The receiving
     /// server adopts or drops the user per its own replicated assignment
     /// and answers [`Message::Relocated`].  The coordinator sends it to the
@@ -199,8 +175,6 @@ impl Message {
             Message::Info(_) => 0x02,
             Message::Query { .. } => 0x03,
             Message::Answer(_) => 0x04,
-            Message::Locate(_) => 0x05,
-            Message::Located(_) => 0x06,
             Message::Relocate { .. } => 0x07,
             Message::Relocated { .. } => 0x08,
             Message::ListLocated => 0x09,
@@ -260,8 +234,6 @@ impl Message {
                 encode_point(&mut w, *origin);
                 encode_result(&mut w, result);
             }
-            Message::Locate(user) => w.u32(*user),
-            Message::Located(location) => w.opt(*location, encode_point),
             Message::Relocate { user, location } => {
                 w.u32(*user);
                 w.opt(*location, encode_point);
@@ -312,8 +284,6 @@ impl Message {
                 Message::Query { request, trace_id }
             }
             0x04 => Message::Answer(decode_result(&mut r)?),
-            0x05 => Message::Locate(r.u32()?),
-            0x06 => Message::Located(r.opt(decode_point)?),
             0x07 => Message::Relocate {
                 user: r.u32()?,
                 location: r.opt(decode_point)?,
@@ -734,9 +704,6 @@ mod tests {
             Message::Pong,
             Message::Shutdown,
             Message::Ok,
-            Message::Locate(42),
-            Message::Located(None),
-            Message::Located(Some(Point::new(1.5, -2.5))),
             Message::Relocated {
                 adopted: true,
                 held: false,
@@ -925,17 +892,28 @@ mod tests {
             Message::decode(0xEE, &[]),
             Err(WireError::UnknownMessage(0xEE))
         ));
-        let bytes = Message::Locate(5).encode();
+        // The retired `Locate`/`Located` tags are unknown now.
+        for retired in [0x05, 0x06] {
+            assert_eq!(
+                Message::decode(retired, &[]),
+                Err(WireError::UnknownMessage(retired))
+            );
+        }
+        let relocate = Message::Relocate {
+            user: 5,
+            location: None,
+        };
+        let bytes = relocate.encode();
         let payload = &bytes[crate::wire::HEADER_LEN..];
         assert!(matches!(
-            Message::decode(0x05, &payload[..2]),
+            Message::decode(relocate.tag(), &payload[..2]),
             Err(WireError::Truncated { .. })
         ));
         // Trailing garbage after a well-formed payload is rejected.
         let mut padded = payload.to_vec();
         padded.push(0);
         assert!(matches!(
-            Message::decode(0x05, &padded),
+            Message::decode(relocate.tag(), &padded),
             Err(WireError::TrailingBytes(1))
         ));
     }

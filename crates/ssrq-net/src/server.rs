@@ -1,10 +1,15 @@
 //! The server side: one process hosting one shard's
 //! [`GeoSocialEngine`] behind the frame protocol.
 //!
-//! A [`ShardServer`] owns the engine for **one** shard (built over the
-//! full social graph and the shard's restricted locations), a replica of
-//! the deployment's [`ShardAssignment`] (so location reports can be
-//! adopted or dropped without asking anyone), and a listening socket.
+//! A [`ShardServer`] owns a [`LocalShard`]: the engine for **one** shard
+//! (built over the full social graph and the shard's restricted
+//! locations) and a replica of the deployment's [`ShardAssignment`] (so
+//! location reports can be adopted or dropped without asking anyone) —
+//! the very link the in-process [`ShardedEngine`](ssrq_shard::ShardedEngine)
+//! coordinates.  `Query`, `Hello`, `Refresh`, `ListLocated`, `Relocate`
+//! and `SetAssignment` are answered by that link's code, so a shard
+//! answers, adopts or drops a relocation the same way in both
+//! deployments.
 //!
 //! # Concurrency model
 //!
@@ -32,12 +37,11 @@
 
 use crate::client::{Endpoint, Stream};
 use crate::error::NetError;
-use crate::proto::{FailureKind, Message, ShardInfo};
+use crate::proto::{FailureKind, Message};
 use crate::wire::{parse_header, FrameHeader, HEADER_LEN};
-use ssrq_core::{GeoSocialEngine, QueryContext, QueryRequest, QueryResult};
+use ssrq_core::{CoreError, GeoSocialEngine, QueryContext, QueryRequest};
 use ssrq_obs::{Counter, Histogram, Logger, ObsReport, Registry, SlowQueryLog, SpanLog, Trace};
-use ssrq_shard::ShardAssignment;
-use ssrq_spatial::Rect;
+use ssrq_shard::{LocalShard, ShardAssignment, ShardLink};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -104,10 +108,18 @@ const SPAN_LOG_CAPACITY: usize = 256;
 /// How many slow-query offenders are retained.
 const SLOW_LOG_CAPACITY: usize = 64;
 
-/// One shard-serving process: engine + assignment replica + socket.
+/// A refusal on the wire for an engine error.
+fn refusal(error: &CoreError) -> Message {
+    Message::Fail {
+        kind: FailureKind::of(error),
+        message: error.to_string(),
+    }
+}
+
+/// One shard-serving process: the shard (engine + assignment replica) and
+/// a socket.
 pub struct ShardServer {
-    engine: RwLock<GeoSocialEngine>,
-    assignment: RwLock<ShardAssignment>,
+    local: RwLock<LocalShard>,
     shard: u32,
     listener: Listener,
     shutdown: Arc<AtomicBool>,
@@ -165,8 +177,7 @@ impl ShardServer {
             Endpoint::Tcp(addr) => Listener::Tcp(TcpListener::bind(addr)?),
         };
         Ok(ShardServer {
-            engine: RwLock::new(engine),
-            assignment: RwLock::new(assignment),
+            local: RwLock::new(LocalShard::new(engine, shard, assignment)),
             shard: shard as u32,
             listener,
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -304,7 +315,11 @@ impl ShardServer {
             let response = match Message::decode(header.tag, &payload) {
                 Ok(Message::Query { request, trace_id }) => {
                     let ctx = ctx.get_or_insert_with(|| {
-                        self.engine.read().expect("engine lock").make_context()
+                        self.local
+                            .read()
+                            .expect("shard lock")
+                            .engine()
+                            .make_context()
                     });
                     let response = self.run_query(&request, trace_id, ctx);
                     if self.obs.logger.enabled(ssrq_obs::Level::Info) {
@@ -385,48 +400,22 @@ impl ShardServer {
         Ok(Some(()))
     }
 
-    /// Runs one query under the read lock by draining the engine's
-    /// streaming path, which yields finalized entries in ascending score
-    /// order.  A request without an origin is evaluated from the query
-    /// user's location as this shard stores it; when the shard holds one,
-    /// the answer is a [`Message::AnswerFrom`] naming it, so the
-    /// coordinator can bound the other shards from the same point.
+    /// Runs one query under the read lock through the [`LocalShard`]'s
+    /// own [`ShardLink::query`]: a request without an origin is evaluated
+    /// from the query user's location as this shard stores it, and when
+    /// the shard holds one the answer is a [`Message::AnswerFrom`] naming
+    /// it, so the coordinator can bound the other shards from that point.
     fn run_query(&self, request: &QueryRequest, trace_id: u64, ctx: &mut QueryContext) -> Message {
         let trace = Trace::new(trace_id);
         let root = trace.open("shard_query", None);
-        let engine = self.engine.read().expect("engine lock");
-        let begin = trace.open("begin_stream", Some(root));
-        let stream = engine.stream_with(request, ctx);
-        trace.close(begin);
-        let mut stream = match stream {
-            Ok(stream) => stream,
-            Err(e) => {
-                return Message::Fail {
-                    kind: FailureKind::of(&e),
-                    message: e.to_string(),
-                }
-            }
-        };
-        let drain = trace.open("drain_topk", Some(root));
-        let ranked: Vec<_> = stream.by_ref().collect();
-        trace.close(drain);
-        if let Some(error) = stream.error() {
-            return Message::Fail {
-                kind: FailureKind::of(error),
-                message: error.to_string(),
-            };
-        }
-        let stats = stream.stats();
+        let answered = self.local.read().expect("shard lock").query(request, ctx);
         trace.close(root);
-        // The streaming path bypasses `run_with`, so the server records
-        // the per-algorithm engine series itself.
-        ssrq_core::obs::record_query_metrics(
-            Registry::global(),
-            request.algorithm().name(),
-            &stats,
-        );
+        let (result, origin) = match answered {
+            Ok(answer) => answer,
+            Err(e) => return refusal(&e),
+        };
         self.obs.queries.inc();
-        self.obs.query_ns.observe_duration(stats.runtime);
+        self.obs.query_ns.observe_duration(result.stats.runtime);
         let spans = trace.finish();
         let total_ns = spans.total_ns();
         if let Some(slow_log) = &self.obs.slow_log {
@@ -447,19 +436,7 @@ impl ShardServer {
             }
         }
         self.obs.spans.push(spans);
-        let result = QueryResult {
-            ranked,
-            k: request.k(),
-            degraded: false,
-            stats,
-        };
-        // Read under the same read lock the search ran under, so the
-        // origin is the one the search used.
-        let resolved = match request.origin() {
-            Some(_) => None,
-            None => engine.dataset().location(request.user()),
-        };
-        match resolved {
+        match origin {
             Some(origin) => Message::AnswerFrom { origin, result },
             None => Message::Answer(result),
         }
@@ -483,100 +460,48 @@ impl ShardServer {
         }
     }
 
-    /// Answers one non-query message.
+    /// Answers one non-query message; the shard protocol's operations are
+    /// the [`LocalShard`]'s own [`ShardLink`] code.
     fn handle(&self, message: Message) -> Message {
-        match message {
-            Message::Hello | Message::Refresh => Message::Info(self.info()),
-            Message::Ping => Message::Pong,
-            Message::MetricsRequest => Message::MetricsReport(self.obs_report()),
-            Message::Locate(user) => {
-                let engine = self.engine.read().expect("engine lock");
-                Message::Located(engine.dataset().location(user))
-            }
-            Message::ListLocated => {
-                let engine = self.engine.read().expect("engine lock");
-                Message::LocatedUsers(engine.dataset().located_users().collect())
-            }
-            Message::Relocate {
-                location: Some(p), ..
-            } if !p.is_finite() => Message::Fail {
-                // Refused before any state is touched: a peer's bytes can
-                // carry any f64.
-                kind: FailureKind::InvalidRequest,
-                message: format!("non-finite location {p}"),
-            },
+        let local = || self.local.read().expect("shard lock");
+        let answered = match message {
+            Message::Hello | Message::Refresh => local().refresh().map(Message::Info),
+            Message::ListLocated => local().list_located().map(Message::LocatedUsers),
             Message::Relocate { user, location } => {
-                let mut engine = self.engine.write().expect("engine lock");
-                let held = engine.dataset().location(user).is_some();
-                let owner = location.map(|p| {
-                    self.assignment
-                        .read()
-                        .expect("assignment lock")
-                        .owner_for(user, Some(p))
-                });
-                let outcome = match location {
-                    Some(p) if owner == Some(self.shard as usize) => {
-                        engine.update_location(user, p).map(|()| true)
+                let relocated = self
+                    .local
+                    .write()
+                    .expect("shard lock")
+                    .relocate(user, location);
+                relocated.map(|(adopted, held)| {
+                    if adopted {
+                        self.obs.relocations_adopted.inc();
+                        self.obs
+                            .logger
+                            .info(&format!("event=relocation_adopted user={user}"));
+                    } else {
+                        self.obs.relocations_dropped.inc();
                     }
-                    // Not (or no longer) ours: drop any stale copy.  The
-                    // engine's removal is idempotent, so a server that
-                    // holds no copy answers cheaply.
-                    _ => engine.remove_location(user).map(|()| false),
-                };
-                match outcome {
-                    Ok(adopted) => {
-                        if adopted {
-                            self.obs.relocations_adopted.inc();
-                            self.obs
-                                .logger
-                                .info(&format!("event=relocation_adopted user={user}"));
-                        } else {
-                            self.obs.relocations_dropped.inc();
-                        }
-                        Message::Relocated { adopted, held }
-                    }
-                    Err(e) => Message::Fail {
-                        kind: FailureKind::of(&e),
-                        message: e.to_string(),
-                    },
-                }
+                    Message::Relocated { adopted, held }
+                })
             }
-            Message::SetAssignment { cell_to_shard } => {
-                let mut assignment = self.assignment.write().expect("assignment lock");
-                match assignment.set_cell_map(cell_to_shard) {
-                    Ok(()) => Message::Ok,
-                    Err(e) => Message::Fail {
-                        kind: FailureKind::of(&e),
-                        message: e.to_string(),
-                    },
-                }
-            }
+            Message::SetAssignment { cell_to_shard } => self
+                .local
+                .write()
+                .expect("shard lock")
+                .set_assignment(&cell_to_shard)
+                .map(|()| Message::Ok),
+            Message::Ping => Ok(Message::Pong),
+            Message::MetricsRequest => Ok(Message::MetricsReport(self.obs_report())),
             Message::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
-                Message::Ok
+                Ok(Message::Ok)
             }
-            other => Message::Fail {
+            other => Ok(Message::Fail {
                 kind: FailureKind::InvalidRequest,
                 message: format!("unexpected message tag 0x{:02x}", other.tag()),
-            },
-        }
-    }
-
-    fn info(&self) -> ShardInfo {
-        let engine = self.engine.read().expect("engine lock");
-        let dataset = engine.dataset();
-        ShardInfo {
-            shard: self.shard,
-            shards: self
-                .assignment
-                .read()
-                .expect("assignment lock")
-                .shard_count() as u32,
-            user_count: dataset.user_count() as u64,
-            located: dataset.located_user_count() as u64,
-            rect: Rect::bounding(dataset.located_users().map(|(_, p)| p)),
-            spatial_norm: dataset.spatial_norm(),
-            social_norm: dataset.social_norm(),
-        }
+            }),
+        };
+        answered.unwrap_or_else(|e| refusal(&e))
     }
 }

@@ -37,14 +37,15 @@
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SSRQ";
 
-/// The protocol version: frames that carry a frame id (since 2), and
+/// The protocol version: frames that carry a frame id (since 2),
 /// relocation replies that say whether the shard held the user plus
-/// answers that name the origin they resolved (since 3).  A peer
+/// answers that name the origin they resolved (since 3), and no
+/// `Locate`/`Located` pair (tags 0x05/0x06 retired in 4).  A peer
 /// speaking any other version is rejected with
 /// [`WireError::UnsupportedVersion`] before any payload is interpreted,
 /// so a mixed deployment fails at the handshake rather than partway
 /// through a relocation.
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 14;

@@ -308,6 +308,15 @@ fn a_stale_owner_table_costs_round_trips_never_exactness() {
         got.stats.wire_round_trips > stats.executed_shards(),
         "the discarded answer costs a round trip"
     );
+    // The query repaired the entry: the next one asks the holder first.
+    assert_eq!(a.owner_of(user), Some(1));
+    let (again, stats) = a.query_detailed(&request).unwrap();
+    assert_eq!(again.ranked, got.ranked);
+    assert_eq!(
+        again.stats.wire_round_trips,
+        stats.executed_shards(),
+        "a repaired entry costs no discarded answer"
+    );
     assert_eq!(a.update_location(user, on[2]).unwrap(), 2);
     local.update_location(user, on[2]).unwrap();
     check(&a, &local, "dropped by the cached owner");
@@ -343,6 +352,7 @@ fn a_stale_owner_table_costs_round_trips_never_exactness() {
         got.stats.wire_round_trips, 3,
         "three discarded answers, no scatter"
     );
+    assert_eq!(a.owner_of(user), None, "no shard named the origin");
     check(&a, &local, "removed behind A's back");
 
     // A move within the owner's cells, A's table current again.
@@ -830,8 +840,11 @@ fn a_non_finite_relocation_is_refused_and_erases_nobody() {
         ),
         "unexpected outcome {refused:?}"
     );
-    let (located, _) = client.call(&Message::Locate(user)).unwrap();
-    assert_eq!(located, Message::Located(dataset.location(user)));
+    let (located, _) = client.call(&Message::ListLocated).unwrap();
+    let Message::LocatedUsers(residents) = located else {
+        panic!("expected LocatedUsers, got {located:?}")
+    };
+    assert!(residents.contains(&(user, dataset.location(user).unwrap())));
 
     let request = QueryRequest::for_user(user)
         .k(5)
@@ -1057,15 +1070,19 @@ fn a_response_under_another_frame_id_is_refused_and_its_connection_dropped() {
 #[test]
 fn retired_inputs_are_refused_typed_without_taking_the_server_down() {
     // A version-1 frame: the 10-byte header without a frame id, here
-    // around a Locate payload — 14 bytes in all, so the server's fixed
-    // header read consumes exactly the frame and the close that follows
-    // is a clean EOF rather than a reset over unread bytes.
+    // around an empty `SetAssignment` payload (a zero count) — 14 bytes
+    // in all, so the server's fixed header read consumes exactly the
+    // frame and the close that follows is a clean EOF rather than a reset
+    // over unread bytes.
+    let empty_map = Message::SetAssignment {
+        cell_to_shard: Vec::new(),
+    };
     let mut v1_frame = Vec::new();
     v1_frame.extend_from_slice(&wire::MAGIC);
     v1_frame.push(1);
-    v1_frame.push(Message::Locate(3).tag());
+    v1_frame.push(empty_map.tag());
     v1_frame.extend_from_slice(&4u32.to_le_bytes());
-    v1_frame.extend_from_slice(&3u32.to_le_bytes());
+    v1_frame.extend_from_slice(&empty_map.encode()[wire::HEADER_LEN..]);
     assert_eq!(v1_frame.len(), wire::HEADER_LEN);
     assert_eq!(
         wire::parse_header(&v1_frame),
@@ -1079,11 +1096,21 @@ fn retired_inputs_are_refused_typed_without_taking_the_server_down() {
         wire::parse_header(&v2_frame),
         Err(WireError::UnsupportedVersion(2))
     );
-    // The one unassigned tag inside the tag table's range.
+    // A version-3 frame: its peer may still send `Locate`.
+    let mut v3_frame = Message::Ping.encode_with_id(1);
+    v3_frame[4] = 3;
     assert_eq!(
-        Message::decode(0x12, &[]),
-        Err(WireError::UnknownMessage(0x12))
+        wire::parse_header(&v3_frame),
+        Err(WireError::UnsupportedVersion(3))
     );
+    // The unassigned tags inside the tag table's range: the retired
+    // `Locate`/`Located` pair and 0x12.
+    for tag in [0x05, 0x06, 0x12] {
+        assert_eq!(
+            Message::decode(tag, &[]),
+            Err(WireError::UnknownMessage(tag))
+        );
+    }
 
     let dataset = DatasetConfig::gowalla_like(120).generate();
     let assignment =
@@ -1138,13 +1165,13 @@ fn retired_inputs_are_refused_typed_without_taking_the_server_down() {
 
     // Two frames written back to back, before either answer is read, are
     // answered in the order they were sent.
-    let mut both = Message::Locate(3).encode_with_id(41);
+    let mut both = Message::ListLocated.encode_with_id(41);
     both.extend(Message::Ping.encode_with_id(42));
     peer.write_all(&both).unwrap();
     let (frame_id, located) = read_frame(&mut peer);
     assert_eq!(frame_id, 41);
     assert!(
-        matches!(located, Message::Located(_)),
+        matches!(located, Message::LocatedUsers(_)),
         "unexpected response {located:?}"
     );
     assert_eq!(read_frame(&mut peer), (42, Message::Pong));

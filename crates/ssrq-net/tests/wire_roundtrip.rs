@@ -127,7 +127,7 @@ fn shard_info(rng: &mut StdRng) -> ShardInfo {
 }
 
 fn message(rng: &mut StdRng) -> Message {
-    match rng.gen_range(0..18u32) {
+    match rng.gen_range(0..16u32) {
         0 => Message::Hello,
         1 => Message::Info(shard_info(rng)),
         2 => Message::Query {
@@ -135,18 +135,16 @@ fn message(rng: &mut StdRng) -> Message {
             trace_id: if rng.gen_bool(0.5) { rng.gen() } else { 0 },
         },
         3 => Message::Answer(result(rng)),
-        4 => Message::Locate(rng.gen_range(0..10_000u32)),
-        5 => Message::Located(rng.gen_bool(0.5).then(|| point(rng))),
-        6 => Message::Relocate {
+        4 => Message::Relocate {
             user: rng.gen_range(0..10_000u32),
             location: rng.gen_bool(0.5).then(|| point(rng)),
         },
-        7 => Message::Relocated {
+        5 => Message::Relocated {
             adopted: rng.gen_bool(0.5),
             held: rng.gen_bool(0.5),
         },
-        8 => Message::ListLocated,
-        9 => {
+        6 => Message::ListLocated,
+        7 => {
             let n = rng.gen_range(0..16usize);
             Message::LocatedUsers(
                 (0..n)
@@ -154,14 +152,14 @@ fn message(rng: &mut StdRng) -> Message {
                     .collect(),
             )
         }
-        10 => {
+        8 => {
             let n = rng.gen_range(0..64usize);
             Message::SetAssignment {
                 cell_to_shard: (0..n).map(|_| rng.gen_range(0..16u32)).collect(),
             }
         }
-        11 => Message::Refresh,
-        12 => Message::Fail {
+        9 => Message::Refresh,
+        10 => Message::Fail {
             kind: [
                 FailureKind::InvalidRequest,
                 FailureKind::UnknownUser,
@@ -170,10 +168,10 @@ fn message(rng: &mut StdRng) -> Message {
             ][rng.gen_range(0..4usize)],
             message: format!("detail #{} — ünïcode", rng.gen_range(0..1000u32)),
         },
-        13 => Message::Ping,
-        14 => Message::Pong,
-        15 => Message::Shutdown,
-        16 => Message::AnswerFrom {
+        11 => Message::Ping,
+        12 => Message::Pong,
+        13 => Message::Shutdown,
+        14 => Message::AnswerFrom {
             origin: point(rng),
             result: result(rng),
         },
@@ -293,10 +291,15 @@ fn frame_ids_and_legacy_encoding_round_trip() {
 
 #[test]
 fn payload_level_corruptions_are_typed_not_panics() {
-    // A Located frame whose presence byte is out of range.
-    let bytes = Message::Located(Some(Point::new(1.0, 2.0))).encode();
+    // A Relocate frame whose presence byte (after the u32 user) is out of
+    // range.
+    let bytes = Message::Relocate {
+        user: 9,
+        location: Some(Point::new(1.0, 2.0)),
+    }
+    .encode();
     let mut bad = bytes.clone();
-    bad[HEADER_LEN] = 7;
+    bad[HEADER_LEN + 4] = 7;
     assert!(matches!(decode_frame(&bad), Err(WireError::Invalid(_))));
 
     // Trailing garbage after a complete payload.

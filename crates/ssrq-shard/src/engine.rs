@@ -1,41 +1,115 @@
-//! The sharded scatter-gather engine.
+//! The in-process sharded engine: the [`Coordinator`] over
+//! [`LocalShard`] links.
 
+use crate::coordinator::Coordinator;
 use crate::partition::{Partitioning, ShardAssignment};
 use crate::stats::ShardStats;
-use crate::transport::{self, shard_score_lower_bound, FailurePolicy, ShardTransport};
+use crate::transport::{ShardInfo, ShardLink};
 use ssrq_core::{
     run_batch_on_workers, CoreError, EngineBuilder, GeoSocialDataset, GeoSocialEngine,
     QueryContext, QueryRequest, QueryResult, UserId,
 };
 use ssrq_spatial::{Point, Rect};
-use std::cell::RefCell;
-use std::time::Instant;
 
-/// One partition: a full [`GeoSocialEngine`] over the shared social graph
-/// and this shard's resident locations, plus the conservative bounding
-/// rectangle of those locations.
-#[derive(Debug, Clone)]
-pub(crate) struct Shard {
-    pub(crate) engine: GeoSocialEngine,
-    /// Bounding rectangle of the shard's resident locations — grown on
-    /// every insert, never shrunk on removal (so it stays a sound
-    /// lower-bound region without O(n) maintenance), re-tightened by
-    /// [`ShardedEngine::rebalance`] and opportunistically after
-    /// [`RECT_REFRESH_CHURN`] adopted relocations.
-    pub(crate) rect: Option<Rect>,
-    /// Relocations adopted since `rect` was last recomputed exactly —
-    /// each one can only grow the rect, so churn measures how much
-    /// rect-skip pruning power may have leaked away.
-    pub(crate) churn: usize,
+/// One shard in process: a full [`GeoSocialEngine`] over the shared social
+/// graph and this shard's resident locations, plus its replica of the
+/// deployment's [`ShardAssignment`] — the in-process [`ShardLink`], and
+/// what a shard server serves.
+#[derive(Debug)]
+pub struct LocalShard {
+    engine: GeoSocialEngine,
+    assignment: ShardAssignment,
+    index: usize,
 }
 
-/// After how many adopted relocations a shard's bounding rectangle is
-/// recomputed exactly ([`Rect::bounding`] over the actual residents)
-/// instead of waiting for the next full rebalance.  Growth-only rect
-/// maintenance is sound but monotonically degrades rect-skip pruning
-/// under churn; this bounds the staleness at O(n) amortized over 64
-/// updates.
-pub(crate) const RECT_REFRESH_CHURN: usize = 64;
+impl LocalShard {
+    /// Shard `index` of a deployment routed by `assignment`, serving
+    /// `engine` — which must already be restricted to the shard's residents
+    /// (see [`GeoSocialDataset::restrict_locations`]).
+    pub fn new(engine: GeoSocialEngine, index: usize, assignment: ShardAssignment) -> Self {
+        LocalShard {
+            engine,
+            assignment,
+            index,
+        }
+    }
+
+    /// The shard's engine.
+    pub fn engine(&self) -> &GeoSocialEngine {
+        &self.engine
+    }
+}
+
+impl ShardLink for LocalShard {
+    type Error = CoreError;
+    type Context = QueryContext;
+
+    fn query(
+        &self,
+        request: &QueryRequest,
+        ctx: &mut QueryContext,
+    ) -> Result<(QueryResult, Option<Point>), CoreError> {
+        let result = self.engine.run_with(request, ctx)?;
+        // The origin the search ran from, when the request pinned none.
+        let origin = match request.origin() {
+            Some(_) => None,
+            None => self.engine.dataset().location(request.user()),
+        };
+        Ok((result, origin))
+    }
+
+    fn relocate(
+        &mut self,
+        user: UserId,
+        location: Option<Point>,
+    ) -> Result<(bool, bool), CoreError> {
+        if let Some(p) = location.filter(|p| !p.is_finite()) {
+            // Before any state is touched: dropping the copy first would
+            // lose the user.
+            return Err(CoreError::InvalidParameter(format!(
+                "non-finite location {p}"
+            )));
+        }
+        let held = self.engine.dataset().location(user).is_some();
+        match location {
+            Some(p) if self.assignment.owner_for(user, Some(p)) == self.index => {
+                self.engine.update_location(user, p)?;
+                Ok((true, held))
+            }
+            // Not (or no longer) ours: drop any copy.  The engine's removal
+            // is idempotent, so a shard that holds none answers cheaply.
+            _ => {
+                self.engine.remove_location(user)?;
+                Ok((false, held))
+            }
+        }
+    }
+
+    fn list_located(&self) -> Result<Vec<(UserId, Point)>, CoreError> {
+        Ok(self.engine.dataset().located_users().collect())
+    }
+
+    fn refresh(&self) -> Result<ShardInfo, CoreError> {
+        let dataset = self.engine.dataset();
+        Ok(ShardInfo {
+            shard: self.index as u32,
+            shards: self.assignment.shard_count() as u32,
+            user_count: dataset.user_count() as u64,
+            located: dataset.located_user_count() as u64,
+            rect: Rect::bounding(dataset.located_users().map(|(_, p)| p)),
+            spatial_norm: dataset.spatial_norm(),
+            social_norm: dataset.social_norm(),
+        })
+    }
+
+    fn set_assignment(&mut self, cell_map: &[u32]) -> Result<(), CoreError> {
+        self.assignment.set_cell_map(cell_map.to_vec())
+    }
+
+    fn describe(&self) -> String {
+        format!("local shard {}", self.index)
+    }
+}
 
 /// Fluent construction of a [`ShardedEngine`]; see
 /// [`ShardedEngine::builder`].
@@ -46,7 +120,6 @@ pub struct ShardedEngineBuilder {
     #[allow(clippy::type_complexity)]
     configure: Option<Box<dyn Fn(EngineBuilder) -> EngineBuilder + Send + Sync>>,
 }
-
 impl std::fmt::Debug for ShardedEngineBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEngineBuilder")
@@ -113,12 +186,11 @@ impl ShardedEngineBuilder {
         let n = self.shards;
         let assignment = ShardAssignment::compute(&self.dataset, self.partitioning, n)?;
         let owner = assignment.owners(&self.dataset);
-        let mut shards: Vec<Shard> = Vec::with_capacity(n);
+        let mut shards: Vec<(LocalShard, ShardInfo)> = Vec::with_capacity(n);
         for s in 0..n {
             let shard_dataset = self
                 .dataset
                 .restrict_locations(|u| owner[u as usize] as usize == s);
-            let rect = Rect::bounding(shard_dataset.located_users().map(|(_, p)| p));
             let builder = GeoSocialEngine::builder(shard_dataset);
             let mut builder = match &self.configure {
                 Some(configure) => configure(builder),
@@ -127,19 +199,15 @@ impl ShardedEngineBuilder {
             // Graph-only indexes (landmarks, CH, social cache) are pure
             // functions of the shared graph: shard 0 owns them and every
             // later shard holds its handle.
-            if let Some(first) = shards.first() {
-                builder = builder.share_graph_artifacts_with(&first.engine);
+            if let Some((first, _)) = shards.first() {
+                builder = builder.share_graph_artifacts_with(first.engine());
             }
-            shards.push(Shard {
-                engine: builder.build()?,
-                rect,
-                churn: 0,
-            });
+            let shard = LocalShard::new(builder.build()?, s, assignment.clone());
+            let info = shard.refresh()?;
+            shards.push((shard, info));
         }
         Ok(ShardedEngine {
-            shards,
-            owner,
-            assignment,
+            core: Coordinator::new(shards, Some(assignment))?,
         })
     }
 }
@@ -153,54 +221,33 @@ pub struct RebalanceReport {
     pub occupancy: Vec<usize>,
 }
 
-/// A horizontally partitioned SSRQ serving engine.
+/// A horizontally partitioned SSRQ serving engine: the [`Coordinator`]
+/// over in-process [`LocalShard`]s (see the crate docs).
 ///
 /// `ShardedEngine` partitions a [`GeoSocialDataset`] across N
 /// [`GeoSocialEngine`]s (see [`Partitioning`]) and answers any
-/// [`QueryRequest`] by **best-first sequential scatter-gather**: the
-/// request — with the query user's location resolved once and broadcast as
-/// the request [`origin`](QueryRequest::origin) — visits the shards one at
-/// a time, each runs its ordinary bounded top-k over its residents, and the
-/// coordinator merges the per-shard results into an answer whose ranked
-/// list is identical to the unpartitioned engine's for every algorithm.
-/// There is one scatter loop, [`scatter_sequential`](crate::scatter_sequential)
-/// — the loop a socket coordinator runs over remote shards — and *queries*,
-/// not the arms of one query, are the unit of parallelism
-/// ([`ShardedEngine::run_batch`], or one [`ShardedSession`](crate::ShardedSession)
-/// per serving thread).
-///
-/// The coordinator is *bounded*, not just correct:
-///
-/// * shards are visited in ascending order of their best possible score
-///   (`(1 − α) · mindist(origin, shard rect) / norm`), and a shard whose
-///   bound cannot beat the running threshold is **skipped** outright;
-/// * once `k` results are gathered, the running `f_k` is forwarded to
-///   every later shard through the request's
-///   [`max_score`](QueryRequest::max_score) admission cutoff, so its
-///   search terminates early exactly like a single engine whose interim
-///   result is already that good;
-/// * the shards hold different *locations* but one *graph*, so the arms of
-///   a scatter share a **single query-rooted social expansion**
-///   ([`QueryContext::share_social_expansion`]): an arm resumes what the
-///   arms before it settled instead of expanding from the query user again,
-///   and the scatter's `relaxed_edges` stay those of one search however
-///   many shards execute.
+/// [`QueryRequest`] with the ranked list of the unpartitioned engine, for
+/// every algorithm.  A request visits the shards one at a time — the query
+/// user's owner first, the others best-first by their rectangle's score
+/// bound, skipped once the forwarded `f_k` proves them useless — and all
+/// arms run through one [`QueryContext`] and share **one query-rooted
+/// social expansion** ([`QueryContext::share_social_expansion`]), so a
+/// scatter relaxes the edges of one search however many shards execute.
+/// *Queries*, not the arms of one query, are the unit of parallelism
+/// ([`ShardedEngine::run_batch`], or one
+/// [`ShardedSession`](crate::ShardedSession) per serving thread).
 ///
 /// **Exactness.**  Each shard's result is the exact top-k over its own
 /// residents with globally normalized scores (the shard datasets inherit
 /// the unpartitioned normalization constants), and every candidate a skip
 /// or forwarded cutoff discards scores at least the interim `f_k` — which
-/// never falls below the final `f_k`, so [`TopK`](ssrq_core::TopK) would reject the
-/// candidate at gather time anyway.  The merged list is therefore the
-/// global top-k; on exact score ties at the `k`-boundary the merge keeps
-/// the lexicographically smallest `(score, user)` entries (real-valued
-/// scores make such ties measure-zero).
-#[derive(Debug, Clone)]
+/// never falls below the final `f_k`, so [`TopK`](ssrq_core::TopK) would
+/// reject it at gather time anyway.  On exact score ties at the
+/// `k`-boundary the merge keeps the lexicographically smallest
+/// `(score, user)` entries.
+#[derive(Debug)]
 pub struct ShardedEngine {
-    pub(crate) shards: Vec<Shard>,
-    /// Owning shard per user id.
-    owner: Vec<u32>,
-    assignment: ShardAssignment,
+    pub(crate) core: Coordinator<LocalShard>,
 }
 
 // Queries take `&self` (scatter state is per-call); all mutation goes
@@ -223,45 +270,46 @@ impl ShardedEngine {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The partitioning policy in effect.
-    pub fn partitioning(&self) -> Partitioning {
-        self.assignment.policy()
+        self.core.shard_count()
     }
 
     /// The materialized user→shard assignment — what a multi-process
     /// deployment replicates to route updates and rebalances.
     pub fn assignment(&self) -> &ShardAssignment {
-        &self.assignment
+        self.core
+            .assignment()
+            .expect("the builder hands the coordinator its assignment")
     }
 
     /// The engine serving shard `s`.
     pub fn shard_engine(&self, s: usize) -> &GeoSocialEngine {
-        &self.shards[s].engine
+        self.core.links()[s].engine()
     }
 
-    /// The shard currently owning `user`.
+    /// The shard holding `user`'s location — `None` once the user has no
+    /// location (never located, or removed) and for an unknown user.  See
+    /// [`Coordinator::owner_of`].
     pub fn owner_of(&self, user: UserId) -> Option<usize> {
-        self.owner.get(user as usize).map(|&s| s as usize)
+        self.core.owner_of(user)
     }
 
     /// Total number of users (identical on every shard — all shards share
     /// one graph instance through the dataset core).
     pub fn user_count(&self) -> usize {
-        self.owner.len()
+        self.core.user_count() as usize
     }
 
     /// The current location of `user`, resolved through the owning shard.
     pub fn location(&self, user: UserId) -> Option<Point> {
         let s = self.owner_of(user)?;
-        self.shards[s].engine.dataset().location(user)
+        self.shard_engine(s).dataset().location(user)
     }
 
     /// Located residents per shard (O(1) per shard, via the grid sizes).
     pub fn occupancy(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.engine.grid().len()).collect()
+        (0..self.shard_count())
+            .map(|s| self.shard_engine(s).grid().len())
+            .collect()
     }
 
     /// A [`ShardedSession`](crate::ShardedSession): per-worker handle with
@@ -272,7 +320,8 @@ impl ShardedEngine {
 
     /// Processes one request by best-first scatter-gather; see the
     /// type-level docs for the coordinator's bounding and the exactness
-    /// argument.
+    /// argument.  A query for a user no shard holds asks every shard once
+    /// (each answers without a search) before it returns the empty answer.
     ///
     /// # Errors
     ///
@@ -333,118 +382,49 @@ impl ShardedEngine {
         )
     }
 
-    /// Routes a location report to the owning shard, migrating the user
-    /// when the move crosses into a cell packed onto another shard.
+    /// Routes a location report through the coordinator
+    /// ([`Coordinator::update_location`]): the owning shard adopts it, and
+    /// a move into a cell packed onto another shard migrates the user.
     pub fn update_location(&mut self, user: UserId, location: Point) -> Result<(), CoreError> {
-        self.shards[0].engine.dataset().check_user(user)?;
-        if !location.is_finite() {
-            return Err(CoreError::InvalidParameter(format!(
-                "non-finite location {location}"
-            )));
-        }
-        let new_owner = self.assignment.owner_for(user, Some(location));
-        let old_owner = self.owner[user as usize] as usize;
-        if new_owner != old_owner {
-            self.shards[old_owner].engine.remove_location(user)?;
-            self.owner[user as usize] = new_owner as u32;
-        }
-        self.shards[new_owner]
-            .engine
-            .update_location(user, location)?;
-        let shard = &mut self.shards[new_owner];
-        shard.rect = Some(match shard.rect {
-            Some(rect) => rect.including(location),
-            None => Rect::new(location, location),
-        });
-        shard.churn += 1;
-        if shard.churn >= RECT_REFRESH_CHURN {
-            // Enough growth-only slack accumulated: recompute the exact
-            // bounding rectangle so rect-skip pruning recovers without
-            // waiting for a full rebalance.
-            shard.rect = Rect::bounding(shard.engine.dataset().located_users().map(|(_, p)| p));
-            shard.churn = 0;
-        }
-        Ok(())
+        self.core.update_location(user, location).map(|_| ())
     }
 
-    /// Routes a location removal to the owning shard (ownership is
-    /// retained — an unlocated user is re-routed on their next report).
+    /// Routes a location removal to the owning shard; the user has no
+    /// owner afterwards and is re-routed on their next report.
     pub fn remove_location(&mut self, user: UserId) -> Result<(), CoreError> {
-        self.shards[0].engine.dataset().check_user(user)?;
-        let owner = self.owner[user as usize] as usize;
-        self.shards[owner].engine.remove_location(user)
+        self.core.remove_location(user)
     }
 
-    /// Re-partitions for the **current** locations and tightens every
-    /// shard's bounding rectangle.
-    ///
-    /// The cells are re-packed (contiguous, load-balanced serpentine runs)
-    /// and users whose cell moved are migrated — the skew-repair pass for
-    /// datasets whose population drifted since construction.  Every
-    /// rectangle is re-tightened too (updates grow them conservatively and
-    /// removals never shrink them).
-    ///
-    /// Re-partitioning moves **locations only**: the shared graph core and
-    /// the `Arc`-held graph-only indexes (landmarks, CH, social cache) are
-    /// never rebuilt or copied by a rebalance or a cross-shard migration —
-    /// only the affected shards' grids and AIS indexes are updated.
+    /// Re-packs the cells for the **current** locations, migrates the users
+    /// whose cell moved and tightens every shard's rectangle
+    /// ([`Coordinator::rebalance`]) — the skew-repair pass for a population
+    /// that drifted since construction.  Only locations move: the shared
+    /// graph and its `Arc`-held indexes are never rebuilt or copied.
     pub fn rebalance(&mut self) -> RebalanceReport {
-        let located: Vec<(UserId, Point)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.engine.dataset().located_users().collect::<Vec<_>>())
-            .collect();
-        let points: Vec<Point> = located.iter().map(|&(_, p)| p).collect();
-        self.assignment.repack(&points);
-        let mut moved_users = 0usize;
-        for (user, p) in located {
-            let new_owner = self.assignment.owner_for(user, Some(p));
-            let old_owner = self.owner[user as usize] as usize;
-            if new_owner != old_owner {
-                self.shards[old_owner]
-                    .engine
-                    .remove_location(user)
-                    .expect("migrating a resident user");
-                self.shards[new_owner]
-                    .engine
-                    .update_location(user, p)
-                    .expect("migrating a resident user");
-                self.owner[user as usize] = new_owner as u32;
-                moved_users += 1;
-            }
-        }
-        for shard in &mut self.shards {
-            shard.rect = Rect::bounding(shard.engine.dataset().located_users().map(|(_, p)| p));
-            shard.churn = 0;
-        }
+        let moved_users = self
+            .core
+            .rebalance()
+            .expect("in-process shards relocate their own residents without failing");
         RebalanceReport {
             moved_users,
             occupancy: self.occupancy(),
         }
     }
 
-    /// Lower bound on the score any admissible resident of `shard` can
-    /// achieve: `(1 − α) · mindist(origin, rect) / norm` — `INFINITY` for
-    /// an empty shard, an unlocated origin, or a bounding rectangle
-    /// disjoint from the request's spatial filter window.
-    pub(crate) fn shard_lower_bound(
-        &self,
-        shard: &Shard,
-        request: &QueryRequest,
-        origin: Option<Point>,
-    ) -> f64 {
-        let spatial_norm = self.shards[0].engine.dataset().spatial_norm();
-        shard_score_lower_bound(shard.rect, request, origin, spatial_norm)
+    /// Checks `request` against the deployment the way
+    /// [`GeoSocialEngine::run`] would (validation, user id, index
+    /// preflight), so errors keep their single-engine class and order.
+    fn preflight(&self, request: &QueryRequest) -> Result<(), CoreError> {
+        request.validate()?;
+        let representative = self.shard_engine(0);
+        representative.dataset().check_user(request.user())?;
+        representative.ready(request.algorithm())
     }
 
-    /// Validates the request against the sharded deployment and resolves
-    /// the broadcast form: algorithm + index preflight (error parity with
-    /// [`GeoSocialEngine::run`]) and the pinned query origin.
+    /// The broadcast form of `request` for the cross-shard stream: the
+    /// preflight, then the query origin pinned from the owning shard.
     pub(crate) fn prepare(&self, request: &QueryRequest) -> Result<QueryRequest, CoreError> {
-        request.validate()?;
-        let representative = &self.shards[0].engine;
-        representative.dataset().check_user(request.user())?;
-        representative.ready(request.algorithm())?;
+        self.preflight(request)?;
         Ok(
             match request.origin().or_else(|| self.location(request.user())) {
                 Some(origin) => request.clone().with_origin(origin),
@@ -453,87 +433,23 @@ impl ShardedEngine {
         )
     }
 
-    /// The scatter-gather core: the transport layer's
-    /// [`scatter_sequential`](crate::scatter_sequential) — the very loop a
-    /// socket coordinator runs over remote shards, so both deployments
-    /// share one visit order, threshold-forwarding rule and merge — over
-    /// in-process shards that all execute through `ctx`, inside one
-    /// [`QueryContext::share_social_expansion`] scope.
+    /// The scatter-gather: the coordinator's query over the local links,
+    /// every shard executing through `ctx` inside one shared social
+    /// expansion, so the arms resume one search.
     pub(crate) fn scatter(
         &self,
         request: &QueryRequest,
         ctx: &mut QueryContext,
     ) -> Result<(QueryResult, ShardStats), CoreError> {
-        let started = Instant::now();
-        let base = self.prepare(request)?;
-        // In-process shards fail the query on error — `Degrade` only makes
-        // sense when a shard can fail independently (a process).
-        let scatter = ctx
-            .share_social_expansion(|ctx| {
-                let ctx = RefCell::new(ctx);
-                let mut transports: Vec<LocalShard<'_, '_>> = (0..self.shards.len())
-                    .map(|index| LocalShard {
-                        engine: self,
-                        index,
-                        ctx: &ctx,
-                    })
-                    .collect();
-                transport::scatter_sequential(&mut transports, &base, FailurePolicy::Fail, None)
-            })
-            .map_err(|e| e.error)?;
-        let scatter_elapsed = started.elapsed();
-        let merge_started = Instant::now();
-        let ranked = transport::merge_ranked(scatter.entries, base.k());
-        let merge_elapsed = merge_started.elapsed();
-        let shard_stats = ShardStats::new(scatter.outcomes, started.elapsed());
-        crate::obs::record_scatter(
-            ssrq_obs::Registry::global(),
-            &shard_stats,
-            scatter_elapsed,
-            merge_elapsed,
-        );
-        let result = QueryResult {
-            ranked,
-            k: base.k(),
-            degraded: scatter.degraded,
-            stats: shard_stats.merged,
-        };
-        Ok((result, shard_stats))
-    }
-}
-
-/// The in-process [`ShardTransport`]: one shard of a [`ShardedEngine`],
-/// executing through the scatter's one (single-threaded, hence `RefCell`)
-/// query context.
-struct LocalShard<'a, 'b> {
-    engine: &'a ShardedEngine,
-    index: usize,
-    ctx: &'a RefCell<&'b mut QueryContext>,
-}
-
-impl ShardTransport for LocalShard<'_, '_> {
-    type Error = CoreError;
-
-    fn score_lower_bound(&self, request: &QueryRequest) -> f64 {
-        self.engine
-            .shard_lower_bound(&self.engine.shards[self.index], request, request.origin())
-    }
-
-    fn execute(&mut self, request: &QueryRequest) -> Result<QueryResult, CoreError> {
-        let mut ctx = self.ctx.borrow_mut();
-        self.engine.shards[self.index]
-            .engine
-            .run_with(request, &mut ctx)
-    }
-
-    fn describe(&self) -> String {
-        format!("local shard {}", self.index)
+        self.preflight(request)?;
+        ctx.share_social_expansion(|ctx| self.core.run_with(request, ctx, None))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinator::RECT_REFRESH_CHURN;
     use ssrq_core::GeoSocialDataset;
     use ssrq_graph::GraphBuilder;
 
@@ -561,8 +477,8 @@ mod tests {
         // One excursion far outside the cluster grows the rect (it must —
         // the bound stays admissible without a recompute) …
         engine.update_location(0, Point::new(0.95, 0.95)).unwrap();
-        assert_eq!(engine.shards[0].churn, 1);
-        let grown = engine.shards[0].rect.unwrap();
+        assert_eq!(engine.core.rect_churn(0), 1);
+        let grown = engine.core.shard_info(0).rect.unwrap();
         assert!(grown.max.x >= 0.95 && grown.max.y >= 0.95);
 
         // … and the slack persists under growth-only maintenance until the
@@ -575,10 +491,10 @@ mod tests {
                 .unwrap();
         }
         assert!(
-            engine.shards[0].churn < RECT_REFRESH_CHURN,
+            engine.core.rect_churn(0) < RECT_REFRESH_CHURN,
             "the opportunistic refresh resets the churn counter"
         );
-        let tightened = engine.shards[0].rect.unwrap();
+        let tightened = engine.core.shard_info(0).rect.unwrap();
         assert!(
             tightened.max.x < 0.5 && tightened.max.y < 0.5,
             "the refreshed rect {tightened:?} still carries relocation slack"
@@ -589,10 +505,10 @@ mod tests {
     fn rebalance_resets_the_churn_counter() {
         let mut engine = clustered_engine();
         engine.update_location(0, Point::new(0.9, 0.9)).unwrap();
-        assert_eq!(engine.shards[0].churn, 1);
+        assert_eq!(engine.core.rect_churn(0), 1);
         engine.rebalance();
-        assert_eq!(engine.shards[0].churn, 0);
-        let rect = engine.shards[0].rect.unwrap();
+        assert_eq!(engine.core.rect_churn(0), 0);
+        let rect = engine.core.shard_info(0).rect.unwrap();
         assert!(rect.max.x >= 0.9, "the resident at (0.9, 0.9) is covered");
     }
 }

@@ -7,38 +7,46 @@
 //! answers every [`QueryRequest`](ssrq_core::QueryRequest) **exactly** by
 //! scatter-gather.
 //!
-//! # Design
+//! # One coordinator over two links
+//!
+//! Everything decided centrally lives in one [`Coordinator`], generic over
+//! a [`ShardLink`]: the operations of the shard wire protocol (relocate, an
+//! origin-less query that names its origin, list residents, refresh,
+//! install a cell map).  [`ShardedEngine`] is the coordinator over
+//! in-process [`LocalShard`]s; `ssrq-net`'s socket coordinator is the same
+//! type over pooled connections, and its shard server answers through a
+//! [`LocalShard`] too — so "exactly one holder per located user" is
+//! implemented, and tested, in one place.
 //!
 //! * **Partitioning** ([`Partitioning`]) — the social graph is replicated
-//!   (social distances are global); *locations* are partitioned by
-//!   spatial tiling, which gives every shard a compact rectangle for the
-//!   coordinator to prune against.  Shard datasets inherit the global normalization
-//!   constants, so per-shard scores are bit-identical to single-engine
-//!   scores.
-//! * **Scatter** — the coordinator resolves the query user's location once
-//!   and broadcasts it as the request's
-//!   [`origin`](ssrq_core::QueryRequest::origin), so a shard that does not
-//!   host the query user still measures every spatial distance correctly.
-//!   Shards run their ordinary bounded top-k one after the other through
-//!   one [`QueryContext`](ssrq_core::QueryContext), sharing a single
-//!   query-rooted social expansion
-//!   ([`share_social_expansion`](ssrq_core::QueryContext::share_social_expansion));
-//!   parallelism is across queries ([`ShardedEngine::run_batch`]).
-//! * **Bounding** — shards are visited best-first by their score lower
-//!   bound `(1 − α) · mindist(origin, rect) / norm`; once `k` results are
-//!   gathered the running `f_k` is forwarded to later shards through the
-//!   [`max_score`](ssrq_core::QueryRequest::max_score) admission cutoff,
-//!   and shards whose bound cannot beat it are skipped outright
-//!   ([`ShardStats`] counts both).
-//! * **Gather** — the per-shard top-k lists (disjoint: every user lives on
-//!   exactly one shard) merge into the global ascending `(score, user)`
-//!   order, truncated at `k` — identical to the unpartitioned engine's
-//!   answer for all twelve algorithms (oracle-tested).  For first-result
-//!   latency, [`ShardedSession::stream`] instead heap-merges the shards'
-//!   pull-lazy streams.
-//! * **Updates** — [`ShardedEngine::update_location`] routes to the owning
-//!   shard and migrates the user when a spatial partition boundary is
-//!   crossed; [`ShardedEngine::rebalance`] re-packs drifted populations.
+//!   (social distances are global); *locations* are partitioned by spatial
+//!   tiling, which gives every shard a compact rectangle to prune against.
+//!   Shard datasets inherit the global normalization constants, so
+//!   per-shard scores are bit-identical to single-engine scores.
+//! * **Owner table** ([`Coordinator::owner_of`]) — the shard that last
+//!   reported holding each user; a hint that decides whom to ask first,
+//!   never what the answer is.
+//! * **Scatter** — a request without a pinned origin goes first to the
+//!   query user's owner, which evaluates it from its own copy of the
+//!   location and names it; the coordinator pins it as the request's
+//!   [`origin`](ssrq_core::QueryRequest::origin) for every other shard.
+//!   Shards run their bounded top-k one after the other
+//!   ([`scatter_sequential`]), the rest best-first by the lower bound
+//!   `(1 − α) · mindist(origin, rect) / norm`, with the running `f_k`
+//!   forwarded as each next request's
+//!   [`max_score`](ssrq_core::QueryRequest::max_score) cutoff and shards
+//!   that cannot beat it skipped ([`ShardStats`]).  In process, the arms
+//!   share one [`QueryContext`](ssrq_core::QueryContext) and one social
+//!   expansion; parallelism is across queries ([`ShardedEngine::run_batch`]).
+//! * **Gather** — the per-shard lists (disjoint: every user lives on one
+//!   shard) merge into the global `(score, user)` order, truncated at `k`
+//!   — the unpartitioned engine's answer for all twelve algorithms.
+//!   [`ShardedSession::stream`] heap-merges the shards' pull-lazy streams
+//!   instead (in process only).
+//! * **Updates** — [`ShardedEngine::update_location`] goes to the owning
+//!   shard, which adopts the move or drops the user for the shard whose
+//!   cells it entered; [`ShardedEngine::rebalance`] re-packs drifted
+//!   populations.
 //!
 //! ```
 //! use ssrq_core::{Algorithm, GeoSocialDataset, QueryRequest};
@@ -74,6 +82,7 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
+mod coordinator;
 mod engine;
 pub mod obs;
 mod partition;
@@ -81,11 +90,12 @@ mod session;
 mod stats;
 mod transport;
 
-pub use engine::{RebalanceReport, ShardedEngine, ShardedEngineBuilder};
+pub use coordinator::Coordinator;
+pub use engine::{LocalShard, RebalanceReport, ShardedEngine, ShardedEngineBuilder};
 pub use partition::{Partitioning, ShardAssignment};
 pub use session::{ShardedSession, ShardedStream};
 pub use stats::{ShardOutcome, ShardStats};
 pub use transport::{
-    merge_ranked, scatter_sequential, shard_score_lower_bound, FailurePolicy, ScatterError,
-    SequentialScatter, ShardTransport,
+    merge_ranked, scatter_sequential, shard_score_lower_bound, FailurePolicy, LinkError,
+    SequentialScatter, ShardInfo, ShardLink,
 };

@@ -1,10 +1,9 @@
 //! Scatter-gather observability hooks.
 //!
-//! Every in-process scatter records its phase timings and per-shard
-//! outcomes into a [`ssrq_obs::Registry`] — the same series names the
-//! socket coordinator (`ssrq-net`) records for remote scatters, so a
-//! deployment's dashboards read identically whichever serving tier
-//! answered.
+//! Every scatter the [`Coordinator`](crate::Coordinator) runs records its
+//! phase timings and per-shard outcomes into a [`ssrq_obs::Registry`] —
+//! in process and over sockets alike, so a deployment's dashboards read
+//! identically whichever serving tier answered.
 
 use crate::stats::ShardStats;
 use ssrq_obs::Registry;

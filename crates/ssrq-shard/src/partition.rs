@@ -60,11 +60,12 @@ fn cell_of(bounds: Rect, cells_per_axis: u32, p: Point) -> usize {
 
 /// The materialized user→shard assignment of a sharded deployment.
 ///
-/// This is the routing brain shared by every coordinator flavour: the
-/// in-process [`ShardedEngine`](crate::ShardedEngine) embeds one, a
-/// `shard-server` process computes an identical one from the same dataset
-/// and policy (the computation is deterministic), and a socket coordinator
-/// ships repacked cell maps to its servers through
+/// This is the routing brain of a deployment: every
+/// [`LocalShard`](crate::LocalShard) — in process or behind a
+/// `shard-server` process, which computes an identical one from the same
+/// dataset and policy (the computation is deterministic) — adopts or drops
+/// relocations by its replica, and the [`Coordinator`](crate::Coordinator)
+/// ships repacked cell maps to the shards through
 /// [`ShardAssignment::cell_map`] / [`ShardAssignment::set_cell_map`].
 #[derive(Debug, Clone)]
 pub struct ShardAssignment {

@@ -2,6 +2,7 @@
 
 use crate::engine::ShardedEngine;
 use crate::stats::ShardStats;
+use crate::transport::shard_score_lower_bound;
 use ssrq_core::{
     CoreError, QueryContext, QueryRequest, QueryResult, QueryStats, QueryStream, RankedUser,
 };
@@ -86,20 +87,15 @@ impl<'e> ShardedSession<'e> {
         let initial_threshold = base.max_score().unwrap_or(f64::INFINITY);
         let mut pending: Vec<PendingArm<'_>> = Vec::new();
         let mut skipped = 0usize;
-        for (shard_idx, (shard, ctx)) in self
-            .engine
-            .shards
-            .iter()
-            .zip(self.contexts.iter_mut())
-            .enumerate()
-        {
-            let lower_bound = self.engine.shard_lower_bound(shard, &base, origin);
+        for (shard, ctx) in self.contexts.iter_mut().enumerate() {
+            let info = self.engine.core.shard_info(shard);
+            let lower_bound = shard_score_lower_bound(info.rect, &base, origin, info.spatial_norm);
             if lower_bound >= initial_threshold {
                 skipped += 1;
                 continue;
             }
             pending.push(PendingArm {
-                shard: shard_idx,
+                shard,
                 lower_bound,
                 ctx,
             });
@@ -217,8 +213,9 @@ impl ShardedStream<'_> {
         let Some(pending) = self.pending.pop_front() else {
             return true;
         };
-        match self.engine.shards[pending.shard]
+        match self
             .engine
+            .shard_engine(pending.shard)
             .stream_with(&self.base, pending.ctx)
         {
             Ok(stream) => {

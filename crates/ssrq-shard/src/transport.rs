@@ -1,17 +1,16 @@
-//! The coordinator↔shard boundary: [`ShardTransport`] and the shared
+//! The coordinator↔shard boundary: [`ShardLink`] and the shared
 //! sequential scatter.
 //!
-//! A scatter-gather coordinator does not care *where* a shard runs — only
-//! that it can (a) bound the best score any of its residents could achieve
-//! and (b) execute a bounded top-k.  [`ShardTransport`] captures exactly
-//! that contract, so the in-process [`ShardedEngine`](crate::ShardedEngine)
-//! and a socket-backed remote coordinator (`ssrq-net`) share one
-//! best-first, threshold-forwarding visit loop ([`scatter_sequential`]) and
-//! one deterministic merge ([`merge_ranked`]) — the exactness argument is
-//! proved once and holds for both deployments.
+//! A coordinator does not care *where* a shard runs, only that it answers
+//! the operations the wire protocol carries — [`ShardLink`] — so one
+//! [`Coordinator`](crate::Coordinator) drives in-process shards
+//! ([`LocalShard`](crate::LocalShard)) and socket-backed ones (`ssrq-net`)
+//! through one best-first, threshold-forwarding visit loop
+//! ([`scatter_sequential`]) and one deterministic merge ([`merge_ranked`]):
+//! the exactness argument is proved once for both deployments.
 
 use crate::stats::ShardOutcome;
-use ssrq_core::{QueryRequest, QueryResult, RankedUser, ScoreFloor, TopK};
+use ssrq_core::{CoreError, QueryRequest, QueryResult, RankedUser, ScoreFloor, TopK, UserId};
 use ssrq_spatial::{Point, Rect};
 
 /// What a coordinator does when a shard fails mid-query.
@@ -28,38 +27,100 @@ pub enum FailurePolicy {
     Degrade,
 }
 
-/// One shard as a coordinator sees it: a score bound and a bounded top-k
-/// executor, location-agnostic (in-process engine or remote process).
-pub trait ShardTransport {
-    /// The transport's failure type ([`CoreError`](ssrq_core::CoreError)
-    /// in-process, an IO/wire error remotely).
-    type Error: std::fmt::Display;
+/// What a shard reports about itself: its place in the deployment, its
+/// population, the exact bounding rectangle of its residents and the
+/// deployment-global normalization constants.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardInfo {
+    /// The shard's index.
+    pub shard: u32,
+    /// Total number of shards in the deployment.
+    pub shards: u32,
+    /// Users in the (replicated) social graph.
+    pub user_count: u64,
+    /// Users located on this shard.
+    pub located: u64,
+    /// Bounding rectangle of this shard's resident locations (`None` when
+    /// no resident is located) — what the coordinator's pruning runs on.
+    pub rect: Option<Rect>,
+    /// The deployment-global spatial normalization constant.
+    pub spatial_norm: f64,
+    /// The deployment-global social normalization constant.
+    pub social_norm: f64,
+}
 
-    /// Lower bound on the score any admissible resident of this shard can
-    /// achieve for `request` — `INFINITY` when the shard provably cannot
-    /// contribute (empty, filter-disjoint, unlocated origin).  Must be
-    /// computable without a search (the coordinator calls it for every
-    /// shard before visiting any).
-    fn score_lower_bound(&self, request: &QueryRequest) -> f64;
+/// The error type of a [`ShardLink`].
+pub trait LinkError: std::fmt::Display + From<CoreError> {
+    /// A shard (named `shard`) answered outside the protocol, e.g. a second
+    /// shard adopted a user.
+    fn violation(shard: String, detail: String) -> Self;
 
-    /// Runs the shard's bounded top-k over its residents.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the underlying engine or wire reports; the coordinator's
-    /// [`FailurePolicy`] decides what happens next.
-    fn execute(&mut self, request: &QueryRequest) -> Result<QueryResult, Self::Error>;
+    /// Whether the shard could not be reached (rather than refusing): only
+    /// then does the [`FailurePolicy`] apply.
+    fn unreachable(&self) -> bool;
+}
 
-    /// Human-readable shard identity for failure reports
+impl LinkError for CoreError {
+    fn violation(shard: String, detail: String) -> Self {
+        CoreError::InvalidDataset(format!("{shard}: {detail}"))
+    }
+
+    fn unreachable(&self) -> bool {
+        false
+    }
+}
+
+/// One shard as a [`Coordinator`](crate::Coordinator) sees it: the
+/// operations of the shard wire protocol, wherever the shard runs.  Every
+/// method may fail with whatever the engine or the wire reports.
+pub trait ShardLink {
+    /// The failure type ([`CoreError`] in-process, a wire error remotely).
+    type Error: LinkError;
+    /// What every query call of one scatter runs through: the one
+    /// [`QueryContext`](ssrq_core::QueryContext) in-process, the trace id
+    /// remotely.
+    type Context;
+
+    /// The shard's bounded top-k over its residents.  When `request` pins
+    /// no origin, a shard holding the query user evaluates it from its own
+    /// copy of the location and names that origin; any other shard answers
+    /// without a search and names none.
+    fn query(
+        &self,
+        request: &QueryRequest,
+        ctx: &mut Self::Context,
+    ) -> Result<(QueryResult, Option<Point>), Self::Error>;
+
+    /// Reports `user`'s new `location` (`None`: no location any more): the
+    /// shard adopts the user when its assignment replica places the
+    /// location on it, drops any copy otherwise (a non-finite location is
+    /// refused before any state is touched), and answers
+    /// `(adopted, held before)`.
+    fn relocate(
+        &mut self,
+        user: UserId,
+        location: Option<Point>,
+    ) -> Result<(bool, bool), Self::Error>;
+
+    /// Every located resident of the shard.
+    fn list_located(&self) -> Result<Vec<(UserId, Point)>, Self::Error>;
+
+    /// The shard's current [`ShardInfo`], its rectangle exact.
+    fn refresh(&self) -> Result<ShardInfo, Self::Error>;
+
+    /// Installs a repacked cell→shard map in the shard's assignment replica.
+    fn set_assignment(&mut self, cell_map: &[u32]) -> Result<(), Self::Error>;
+
+    /// The shard's identity in failure reports and spans
     /// (e.g. `"local shard 2"`, `"unix:/tmp/ssrq-2.sock"`).
     fn describe(&self) -> String;
 }
 
-/// The score lower bound backing every [`ShardTransport::score_lower_bound`]
-/// implementation: the [`ScoreFloor`] of the shard's rectangle at a social
-/// bound of `0` — `(1 − α) · mindist(origin, rect ∩ window) / spatial_norm`,
-/// or `INFINITY` for an empty shard (`rect` is `None`), an unlocated origin,
-/// or a bounding rectangle disjoint from the request's spatial filter.
+/// The score lower bound of one shard: the [`ScoreFloor`] of the shard's
+/// rectangle at a social bound of `0` — `(1 − α) · mindist(origin, rect ∩
+/// window) / spatial_norm`, or `INFINITY` for an empty shard (`rect` is
+/// `None`), an unlocated origin, or a bounding rectangle disjoint from the
+/// request's spatial filter.
 ///
 /// Each shard's SFA stop test reads the same floor over its own located box,
 /// so the skip here and the stop there share one arithmetic.
@@ -71,29 +132,6 @@ pub fn shard_score_lower_bound(
 ) -> f64 {
     ScoreFloor::new(request, rect, origin, spatial_norm).at(0.0)
 }
-
-/// A shard failure that aborted a [`FailurePolicy::Fail`] scatter.
-#[derive(Debug)]
-pub struct ScatterError<E> {
-    /// Index of the failing shard.
-    pub shard: usize,
-    /// The failing shard's [`ShardTransport::describe`] identity.
-    pub describe: String,
-    /// The underlying transport error.
-    pub error: E,
-}
-
-impl<E: std::fmt::Display> std::fmt::Display for ScatterError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shard {} ({}) failed: {}",
-            self.shard, self.describe, self.error
-        )
-    }
-}
-
-impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for ScatterError<E> {}
 
 /// What a [`scatter_sequential`] pass gathered.
 #[derive(Debug, Clone)]
@@ -108,20 +146,22 @@ pub struct SequentialScatter {
 }
 
 /// The shared coordinator loop: visits shards **sequentially in ascending
-/// lower-bound order**, forwards the running `f_k` threshold to each next
-/// shard through the request's
+/// lower-bound order** (`bounds[s]` is shard `s`'s
+/// [`shard_score_lower_bound`]), forwards the running `f_k` threshold to
+/// each next shard through the request's
 /// [`max_score`](ssrq_core::QueryRequest::max_score) admission cutoff, and
-/// skips shards whose bound cannot beat it.
+/// skips shards whose bound cannot beat it.  `execute` runs shard `s`'s
+/// bounded top-k; `describe` names a failed shard.
 ///
 /// `base` must already be the broadcast form: validated, with the query
 /// user's [`origin`](ssrq_core::QueryRequest::origin) resolved — the loop
 /// never talks to a dataset.
 ///
 /// `first_visit` is a shard the caller already executed, and its answer:
-/// a remote coordinator asks the query user's owner first, because that
-/// shard resolves the origin `base` carries.  The loop counts it as the
-/// first shard visited, with the threshold it had then (none), and bounds
-/// and visits the others after it.
+/// a coordinator asks the query user's owner first, because that shard
+/// resolves the origin `base` carries.  The loop counts it as the first
+/// shard visited, with the threshold it had then (none), and bounds and
+/// visits the others after it.
 ///
 /// Sequential visiting maximizes what the threshold can prune: each shard
 /// sees the `f_k` of everything gathered so far, so what is already
@@ -130,21 +170,19 @@ pub struct SequentialScatter {
 ///
 /// # Errors
 ///
-/// Under [`FailurePolicy::Fail`], the first shard failure aborts with a
-/// [`ScatterError`] naming the shard.  Under [`FailurePolicy::Degrade`]
+/// Under [`FailurePolicy::Fail`], the first shard failure aborts the
+/// scatter with that shard's error.  Under [`FailurePolicy::Degrade`]
 /// failures are recorded as [`ShardOutcome::Failed`] and the scatter
 /// completes with `degraded = true`.
-pub fn scatter_sequential<T: ShardTransport>(
-    transports: &mut [T],
+pub fn scatter_sequential<E: std::fmt::Display>(
+    bounds: &[f64],
     base: &QueryRequest,
     policy: FailurePolicy,
     mut first_visit: Option<(usize, QueryResult)>,
-) -> Result<SequentialScatter, ScatterError<T::Error>> {
-    let n = transports.len();
-    let bounds: Vec<f64> = transports
-        .iter()
-        .map(|t| t.score_lower_bound(base))
-        .collect();
+    mut execute: impl FnMut(usize, &QueryRequest) -> Result<QueryResult, E>,
+    describe: impl Fn(usize) -> String,
+) -> Result<SequentialScatter, E> {
+    let n = bounds.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
     if let Some((first, _)) = &first_visit {
@@ -168,7 +206,7 @@ pub fn scatter_sequential<T: ShardTransport>(
                 });
                 continue;
             }
-            None => transports[s].execute(&base.clone().with_max_score_at_most(threshold)),
+            None => execute(s, &base.clone().with_max_score_at_most(threshold)),
         };
         match executed {
             Ok(result) => {
@@ -179,17 +217,11 @@ pub fn scatter_sequential<T: ShardTransport>(
                 entries.extend(result.ranked);
             }
             Err(error) => match policy {
-                FailurePolicy::Fail => {
-                    return Err(ScatterError {
-                        shard: s,
-                        describe: transports[s].describe(),
-                        error,
-                    });
-                }
+                FailurePolicy::Fail => return Err(error),
                 FailurePolicy::Degrade => {
                     degraded = true;
                     outcomes[s] = Some(ShardOutcome::Failed {
-                        shard: transports[s].describe(),
+                        shard: describe(s),
                         detail: error.to_string(),
                     });
                 }
@@ -257,19 +289,11 @@ mod tests {
             shard.fail = true;
             shard
         }
-    }
-
-    impl ShardTransport for FakeShard {
-        type Error = String;
-
-        fn score_lower_bound(&self, _request: &QueryRequest) -> f64 {
-            self.bound
-        }
 
         fn execute(&mut self, request: &QueryRequest) -> Result<QueryResult, String> {
             self.seen_cutoffs.push(request.max_score());
             if self.fail {
-                return Err("scripted failure".into());
+                return Err(format!("scripted failure (bound {})", self.bound));
             }
             let cutoff = request.max_score().unwrap_or(f64::INFINITY);
             let ranked: Vec<RankedUser> = self
@@ -286,10 +310,24 @@ mod tests {
                 stats: QueryStats::default(),
             })
         }
+    }
 
-        fn describe(&self) -> String {
-            format!("fake(bound={})", self.bound)
-        }
+    /// [`scatter_sequential`] over scripted shards.
+    fn scatter(
+        shards: &mut [FakeShard],
+        base: &QueryRequest,
+        policy: FailurePolicy,
+        first_visit: Option<(usize, QueryResult)>,
+    ) -> Result<SequentialScatter, String> {
+        let bounds: Vec<f64> = shards.iter().map(|s| s.bound).collect();
+        scatter_sequential(
+            &bounds,
+            base,
+            policy,
+            first_visit,
+            |s, request| shards[s].execute(request),
+            |s| format!("fake shard {s}"),
+        )
     }
 
     fn request(k: usize) -> QueryRequest {
@@ -309,7 +347,7 @@ mod tests {
             FakeShard::new(0.0, &[(1, 0.1), (2, 0.2)]),
         ];
         let base = request(2);
-        let scatter = scatter_sequential(&mut shards, &base, FailurePolicy::Fail, None).unwrap();
+        let scatter = scatter(&mut shards, &base, FailurePolicy::Fail, None).unwrap();
         assert_eq!(shards[1].seen_cutoffs, vec![None]);
         assert_eq!(shards[0].seen_cutoffs, vec![Some(0.2)]);
         assert!(!scatter.degraded);
@@ -331,9 +369,7 @@ mod tests {
         ];
         let base = request(2);
         let visited = shards[0].execute(&base).unwrap();
-        let scatter =
-            scatter_sequential(&mut shards, &base, FailurePolicy::Fail, Some((0, visited)))
-                .unwrap();
+        let scatter = scatter(&mut shards, &base, FailurePolicy::Fail, Some((0, visited))).unwrap();
         assert_eq!(
             shards[0].seen_cutoffs,
             vec![None],
@@ -357,7 +393,7 @@ mod tests {
             FakeShard::new(0.5, &[(9, 0.55)]),
         ];
         let base = request(2);
-        let scatter = scatter_sequential(&mut shards, &base, FailurePolicy::Fail, None).unwrap();
+        let scatter = scatter(&mut shards, &base, FailurePolicy::Fail, None).unwrap();
         assert!(shards[1].seen_cutoffs.is_empty(), "shard 1 must be skipped");
         assert!(matches!(
             scatter.outcomes[1],
@@ -368,17 +404,15 @@ mod tests {
     #[test]
     fn fail_policy_aborts_with_the_shard_named() {
         let mut shards = vec![FakeShard::new(0.0, &[(1, 0.1)]), FakeShard::failing(0.01)];
-        let err =
-            scatter_sequential(&mut shards, &request(5), FailurePolicy::Fail, None).unwrap_err();
-        assert_eq!(err.shard, 1);
-        assert!(err.to_string().contains("scripted failure"));
+        let err = scatter(&mut shards, &request(5), FailurePolicy::Fail, None).unwrap_err();
+        // Shard 1's own error, which names it.
+        assert_eq!(err, "scripted failure (bound 0.01)");
     }
 
     #[test]
     fn degrade_policy_records_the_failure_and_flags_the_scatter() {
         let mut shards = vec![FakeShard::new(0.0, &[(1, 0.1)]), FakeShard::failing(0.01)];
-        let scatter =
-            scatter_sequential(&mut shards, &request(5), FailurePolicy::Degrade, None).unwrap();
+        let scatter = scatter(&mut shards, &request(5), FailurePolicy::Degrade, None).unwrap();
         assert!(scatter.degraded);
         assert!(matches!(
             &scatter.outcomes[1],

@@ -56,10 +56,11 @@ fn churn_round(
             // Uniform over the domain: most moves cross a tiling cell
             // boundary, so the spatial policy migrates users routinely.
             let p = Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
-            let before = sharded.owner_of(user).unwrap();
+            // `None`: the user has no location, so nothing migrates.
+            let before = sharded.owner_of(user);
             sharded.update_location(user, p).unwrap();
             single.update_location(user, p).unwrap();
-            if sharded.owner_of(user).unwrap() != before {
+            if before.is_some() && sharded.owner_of(user) != before {
                 migrations += 1;
             }
         }
