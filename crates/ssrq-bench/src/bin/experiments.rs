@@ -12,26 +12,43 @@
 //! `scale`, the 10k→1M sweep persisted to `BENCH_scale.json`.  Timing of
 //! the serving system itself is the repository benchmark's job (`bench/`).
 //!
+//! [`PAPER`] names every experiment of `all` once, in order.  Most of them
+//! are rows of one table of [`Figure`]s — title, stand-ins, x values,
+//! algorithm line-up, whether a pop-ratio report goes beside the run-time
+//! one — that one loop, [`Run::sweep`], measures.  An x value ([`X`]) is
+//! either a query parameter (k, α) on a shared stand-in or an engine or
+//! dataset rebuilt for it (s, M, landmark selection, forest-fire sample).
+//! Figures 7, 11 and 14(a) and Tables 2–3 measure other quantities and
+//! keep their own code.  Each stand-in dataset is generated once per run
+//! and shared by every experiment that draws on it.
+//!
 //! Flags: `--quick` (small datasets), `--full` (paper-scale datasets),
 //! `--scale <factor>`, `--queries <n>`, `--with-ch` (include the expensive
-//! Contraction Hierarchies baselines in fig8), `--out <path>` (artifact
-//! path of `scale`, default `BENCH_scale.json`).  An unknown experiment or
-//! flag, or a flag value that does not parse, exits with code 2; a figure
-//! with a series whose every query failed exits with code 1.
+//! Contraction Hierarchies baselines in fig8 — minutes even at
+//! `--quick --scale 0.05`, nearly all of it the lazy CH builds, so not a
+//! smoke command), `--out <path>`
+//! (artifact path of `scale`, default `BENCH_scale.json`).  An unknown
+//! experiment or flag, or a flag value that does not parse, exits with
+//! code 2; a figure with a series whose every query failed exits with
+//! code 1.
 
 use ssrq_bench::report::FigureReport;
 use ssrq_bench::{
     max_result_hops, measure_algorithm, run_scale_sweep, validate_scale_report,
     AggregateMeasurement, BenchDataset, Json, Scale, ScaleSweepConfig,
 };
-use ssrq_core::{Algorithm, GeoSocialDataset, GeoSocialEngine, QueryRequest, SocialNeighborCache};
+use ssrq_core::{
+    Algorithm, EngineBuilder, GeoSocialDataset, GeoSocialEngine, IndexParams, QueryRequest,
+    SocialNeighborCache,
+};
 use ssrq_data::{
     correlated_locations, forest_fire_sample, jaccard, Correlation, DataStatistics, DatasetConfig,
     QueryWorkload,
 };
 use ssrq_graph::LandmarkSelection;
+use std::cell::{Cell, OnceCell};
+use std::fmt::Display;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// The k values of Table 3.
@@ -56,7 +73,232 @@ const MAIN_ALGORITHMS: [Algorithm; 5] = [
 /// The AIS variants of Figure 10 / 12.
 const AIS_VARIANTS: [Algorithm; 3] = [Algorithm::AisBid, Algorithm::AisMinus, Algorithm::Ais];
 
-struct Options {
+/// One experiment of the harness.
+type Experiment = fn(&Run);
+
+/// The paper's evaluation, in the order `all` runs it.
+const PAPER: [(&str, Experiment); 13] = [
+    ("table2", table2),
+    ("table3", table3),
+    ("fig7a", fig7a),
+    ("fig7b", fig7b),
+    ("fig8", |run| {
+        run.plot(&[Figure {
+            title: "Figure 8 — {quantity} vs k ({data})",
+            x_label: "k",
+            stand_ins: &[StandIn::Gowalla, StandIn::Foursquare],
+            xs: || K_VALUES.map(X::K).into(),
+            lineup: &MAIN_ALGORITHMS,
+            ch_lineup: &[Algorithm::SfaCh, Algorithm::SpaCh, Algorithm::TsaCh],
+            pop_ratio: true,
+        }])
+    }),
+    ("fig9", |run| {
+        run.plot(&[Figure {
+            title: "Figure 9 — {quantity} vs alpha ({data})",
+            x_label: "alpha",
+            stand_ins: &[StandIn::Gowalla, StandIn::Foursquare],
+            xs: || ALPHA_VALUES.map(X::Alpha).into(),
+            lineup: &MAIN_ALGORITHMS,
+            ch_lineup: &[],
+            pop_ratio: false,
+        }])
+    }),
+    ("fig10", |run| {
+        run.plot(&[Figure {
+            title: "Figure 10 — AIS versions, {quantity} vs k ({data})",
+            x_label: "k",
+            stand_ins: &[StandIn::Gowalla, StandIn::Foursquare],
+            xs: || K_VALUES.map(X::K).into(),
+            lineup: &AIS_VARIANTS,
+            ch_lineup: &[],
+            pop_ratio: true,
+        }])
+    }),
+    ("fig11", fig11),
+    ("fig12", |run| {
+        run.plot(&[Figure {
+            title: "Figure 12 — {quantity} vs grid granularity s ({data})",
+            x_label: "s",
+            stand_ins: &[StandIn::Gowalla, StandIn::Foursquare],
+            xs: || S_VALUES.map(X::Granularity).into(),
+            lineup: &[
+                Algorithm::Spa,
+                Algorithm::AisBid,
+                Algorithm::AisMinus,
+                Algorithm::Ais,
+            ],
+            ch_lineup: &[],
+            pop_ratio: false,
+        }])
+    }),
+    ("fig13", |run| {
+        run.plot(&[
+            Figure {
+                title: "Figure 13(a) — {quantity} vs k ({data})",
+                x_label: "k",
+                stand_ins: &[StandIn::Twitter],
+                xs: || K_VALUES.map(X::K).into(),
+                lineup: &MAIN_ALGORITHMS,
+                ch_lineup: &[],
+                pop_ratio: false,
+            },
+            Figure {
+                title: "Figure 13(b) — {quantity} vs alpha ({data})",
+                x_label: "alpha",
+                stand_ins: &[StandIn::Twitter],
+                xs: || ALPHA_VALUES.map(X::Alpha).into(),
+                lineup: &MAIN_ALGORITHMS,
+                ch_lineup: &[],
+                pop_ratio: false,
+            },
+        ])
+    }),
+    ("fig14a", fig14a),
+    ("fig14b", |run| {
+        run.plot(&[Figure {
+            title: "Figure 14(b) — {quantity} vs data size (forest-fire samples)",
+            x_label: "users",
+            stand_ins: &[StandIn::Foursquare],
+            xs: || [1.0 / 3.0, 2.0 / 3.0, 1.0].map(X::Sample).into(),
+            lineup: &MAIN_ALGORITHMS,
+            ch_lineup: &[],
+            pop_ratio: false,
+        }])
+    }),
+    // Beyond the paper's figures.
+    ("ablation", |run| {
+        run.plot(&[
+            Figure {
+                title: "Ablation — {quantity} vs number of landmarks M ({data})",
+                x_label: "M",
+                stand_ins: &[StandIn::Gowalla],
+                xs: || [2, 4, 8, 16, 32].map(X::Landmarks).into(),
+                lineup: &[Algorithm::Tsa, Algorithm::Ais],
+                ch_lineup: &[],
+                pop_ratio: false,
+            },
+            Figure {
+                title: "Ablation — {quantity} vs landmark selection strategy ({data})",
+                x_label: "strategy",
+                stand_ins: &[StandIn::Gowalla],
+                xs: || {
+                    vec![
+                        X::Selection("random", LandmarkSelection::Random),
+                        X::Selection("farthest", LandmarkSelection::FarthestFirst),
+                        X::Selection("high-degree", LandmarkSelection::HighestDegree),
+                    ]
+                },
+                lineup: &[Algorithm::Tsa, Algorithm::Ais],
+                ch_lineup: &[],
+                pop_ratio: false,
+            },
+        ])
+    }),
+];
+
+/// One row of the figure table: a run-time report per stand-in (and a
+/// pop-ratio report beside it) with a row per x value and a series per
+/// line-up member.
+struct Figure {
+    /// The report title; `{quantity}` and `{data}` name what a report
+    /// shows and the stand-in it is drawn on.
+    title: &'static str,
+    x_label: &'static str,
+    stand_ins: &'static [StandIn],
+    xs: fn() -> Vec<X>,
+    lineup: &'static [Algorithm],
+    /// The `*-CH` series `--with-ch` adds to the run-time report,
+    /// measured on a fifth of the workload: the CH baselines repeat
+    /// expensive point-to-point work.
+    ch_lineup: &'static [Algorithm],
+    pop_ratio: bool,
+}
+
+/// One x value of a figure: what it sets, and so how it becomes the
+/// (engine, workload, k, α) it measures.  Unset parameters keep Table 3's
+/// defaults.
+#[derive(Clone, Copy)]
+enum X {
+    /// The result size k, on the shared stand-in.
+    K(usize),
+    /// The preference α, on the shared stand-in.
+    Alpha(f64),
+    /// The grid granularity s of an engine rebuilt over the stand-in's
+    /// dataset.
+    Granularity(u32),
+    /// The landmark count M of an engine rebuilt likewise.
+    Landmarks(usize),
+    /// The landmark selection strategy (with its label) of an engine
+    /// rebuilt likewise.
+    Selection(&'static str, LandmarkSelection),
+    /// The share of the stand-in's users a forest-fire sample keeps.
+    Sample(f64),
+}
+
+impl X {
+    fn label(self, stand_in: &BenchDataset) -> String {
+        match self {
+            X::K(k) => k.to_string(),
+            X::Alpha(alpha) => alpha.to_string(),
+            X::Granularity(s) => s.to_string(),
+            X::Landmarks(m) => m.to_string(),
+            X::Selection(label, _) => label.to_string(),
+            X::Sample(share) => sample_size(stand_in, share).to_string(),
+        }
+    }
+
+    /// The query parameters the x value measures at.
+    fn query(self) -> (usize, f64) {
+        match self {
+            X::K(k) => (k, DEFAULT_ALPHA),
+            X::Alpha(alpha) => (DEFAULT_K, alpha),
+            _ => (DEFAULT_K, DEFAULT_ALPHA),
+        }
+    }
+
+    /// The engine and workload an engine or dataset axis rebuilds for the
+    /// x value; `None` for a query parameter, measured on the stand-in.
+    fn rebuild(self, stand_in: &BenchDataset, queries: usize) -> Option<BenchDataset> {
+        let dataset = stand_in.engine.dataset();
+        let rebuild = |dataset, configure: &dyn Fn(EngineBuilder) -> EngineBuilder| {
+            BenchDataset::from_dataset(stand_in.name.clone(), dataset, queries, configure)
+        };
+        Some(match self {
+            X::K(_) | X::Alpha(_) => return None,
+            X::Granularity(s) => rebuild(dataset.clone(), &|b| b.granularity(s)),
+            X::Landmarks(m) => rebuild(dataset.clone(), &|b| b.landmarks(m)),
+            X::Selection(_, selection) => {
+                rebuild(dataset.clone(), &|b| b.landmark_selection(selection))
+            }
+            X::Sample(share) => {
+                let target = sample_size(stand_in, share);
+                let (graph, mapping) = forest_fire_sample(dataset.graph(), target, 0.7, 0x14B);
+                let locations = mapping.iter().map(|&old| dataset.location(old)).collect();
+                let sample = GeoSocialDataset::new(graph, locations)
+                    .expect("a forest-fire sample of a stand-in keeps located users");
+                rebuild(sample, &|b| b)
+            }
+        })
+    }
+}
+
+fn sample_size(stand_in: &BenchDataset, share: f64) -> usize {
+    (stand_in.engine.dataset().user_count() as f64 * share) as usize
+}
+
+/// The synthetic stand-ins for the paper's three datasets.
+#[derive(Clone, Copy)]
+enum StandIn {
+    Gowalla,
+    Foursquare,
+    Twitter,
+}
+
+/// One harness run: its options, the stand-ins (each generated on first
+/// use, then shared), and whether a series came back with no successful
+/// query — it prints as `failed`, and the run exits with code 1.
+struct Run {
     scale: Scale,
     with_ch: bool,
     /// The raw `--scale` factor (1.0 when unset); the `scale` sweep applies
@@ -66,25 +308,108 @@ struct Options {
     queries: Option<usize>,
     /// Artifact path of the `scale` sweep.
     out: String,
+    stand_ins: [OnceCell<BenchDataset>; 3],
+    failed: Cell<bool>,
 }
 
-/// Set once a measurement comes back with no successful query — its
-/// series prints as `failed` — and turned into the exit code by `main`.
-static ANY_SERIES_FAILED: AtomicBool = AtomicBool::new(false);
-
-/// [`measure_algorithm`], noting an all-failed workload for the exit code.
-fn measure(
-    engine: &GeoSocialEngine,
-    algorithm: Algorithm,
-    users: &[u32],
-    k: usize,
-    alpha: f64,
-) -> AggregateMeasurement {
-    let m = measure_algorithm(engine, algorithm, users, k, alpha);
-    if m.queries == 0 {
-        ANY_SERIES_FAILED.store(true, Ordering::Relaxed);
+impl Run {
+    /// The stand-in's engine and workload.  The engine declares the
+    /// Contraction Hierarchies index lazily: only a `*-CH` query builds it.
+    fn stand_in(&self, which: StandIn) -> &BenchDataset {
+        self.stand_ins[which as usize].get_or_init(|| {
+            let scale = self.scale;
+            let config = match which {
+                StandIn::Gowalla => DatasetConfig::gowalla_like(scale.gowalla_users),
+                StandIn::Foursquare => DatasetConfig::foursquare_like(scale.foursquare_users),
+                StandIn::Twitter => DatasetConfig::twitter_like(scale.twitter_users),
+            };
+            BenchDataset::from_config(config, scale.queries, |b| b.with_ch())
+        })
     }
-    m
+
+    /// [`measure_algorithm`], noting an all-failed workload for the exit
+    /// code.
+    fn measure(
+        &self,
+        engine: &GeoSocialEngine,
+        algorithm: Algorithm,
+        users: &[u32],
+        k: usize,
+        alpha: f64,
+    ) -> AggregateMeasurement {
+        let m = measure_algorithm(engine, algorithm, users, k, alpha);
+        if m.queries == 0 {
+            self.failed.set(true);
+        }
+        m
+    }
+
+    /// Prints each figure's reports.
+    fn plot(&self, figures: &[Figure]) {
+        for figure in figures {
+            for report in self.sweep(figure) {
+                print!("{}", report.render());
+            }
+            if !figure.ch_lineup.is_empty() && !self.with_ch {
+                let names: Vec<&str> = figure.ch_lineup.iter().map(|a| a.name()).collect();
+                println!(
+                    "(the {} series are skipped by default — pass --with-ch to include them)",
+                    names.join(" / ")
+                );
+            }
+        }
+    }
+
+    /// The sweep loop of every figure: per stand-in, per x value, the
+    /// line-up measured on what the x value sets.
+    fn sweep(&self, figure: &Figure) -> Vec<FigureReport> {
+        let queries = self.scale.queries;
+        let mut reports = Vec::new();
+        for &which in figure.stand_ins {
+            let stand_in = self.stand_in(which);
+            let report = |quantity| {
+                let title = figure.title.replace("{quantity}", quantity);
+                FigureReport::new(title.replace("{data}", &stand_in.name), figure.x_label)
+            };
+            let mut runtime = report("run-time (ms)");
+            let mut pops = report("pop ratio");
+            for x in (figure.xs)() {
+                let label = x.label(stand_in);
+                runtime.push_x(&label);
+                pops.push_x(&label);
+                let rebuilt = x.rebuild(stand_in, queries);
+                let bench = rebuilt.as_ref().unwrap_or(stand_in);
+                let (k, alpha) = x.query();
+                let users = &bench.workload.users;
+                for &algorithm in figure.lineup {
+                    let m = self.measure(&bench.engine, algorithm, users, k, alpha);
+                    runtime.push_runtime(algorithm.name(), &m);
+                    pops.push_pop_ratio(algorithm.name(), &m);
+                }
+                if self.with_ch {
+                    let sample = &users[..users.len().min((queries / 5).max(5))];
+                    for &algorithm in figure.ch_lineup {
+                        let m = self.measure(&bench.engine, algorithm, sample, k, alpha);
+                        runtime.push_runtime(algorithm.name(), &m);
+                    }
+                }
+            }
+            reports.push(runtime);
+            if figure.pop_ratio {
+                reports.push(pops);
+            }
+        }
+        reports
+    }
+
+    /// The process exit code: 1 once a series had no successful query.
+    fn exit_code(&self) -> i32 {
+        if !self.failed.get() {
+            return 0;
+        }
+        eprintln!("at least one series has no successful query (cells marked `failed`)");
+        1
+    }
 }
 
 /// Parses the value following `flag`; a missing or unparsable value is a
@@ -131,108 +456,75 @@ fn main() {
     if let Some(q) = queries {
         scale.queries = q;
     }
-    let options = Options {
+    let experiments: Vec<Experiment> = match experiment.as_str() {
+        "all" => PAPER.iter().map(|&(_, run)| run).collect(),
+        "scale" => vec![scale_sweep],
+        name => match PAPER.iter().find(|&&(paper, _)| paper == name) {
+            Some(&(_, run)) => vec![run],
+            None => {
+                eprintln!("unknown experiment `{name}`");
+                std::process::exit(2);
+            }
+        },
+    };
+    let run = Run {
         scale,
         with_ch,
         factor: factor.unwrap_or(1.0),
         queries,
         out,
+        stand_ins: Default::default(),
+        failed: Cell::new(false),
     };
 
     let started = Instant::now();
     println!(
         "SSRQ experiment harness — experiment `{experiment}`, scale: gowalla={} foursquare={} twitter={} queries={}",
-        options.scale.gowalla_users,
-        options.scale.foursquare_users,
-        options.scale.twitter_users,
-        options.scale.queries
+        scale.gowalla_users, scale.foursquare_users, scale.twitter_users, scale.queries
     );
-
-    match experiment.as_str() {
-        "table2" => table2(&options),
-        "table3" => table3(),
-        "fig7a" => fig7a(&options),
-        "fig7b" => fig7b(&options),
-        "fig8" => fig8(&options),
-        "fig9" => fig9(&options),
-        "fig10" => fig10(&options),
-        "fig11" => fig11(&options),
-        "fig12" => fig12(&options),
-        "fig13" => fig13(&options),
-        "fig14a" => fig14a(&options),
-        "fig14b" => fig14b(&options),
-        "ablation" => ablation(&options),
-        "scale" => scale_sweep(&options),
-        "all" => {
-            table2(&options);
-            table3();
-            fig7a(&options);
-            fig7b(&options);
-            fig8(&options);
-            fig9(&options);
-            fig10(&options);
-            fig11(&options);
-            fig12(&options);
-            fig13(&options);
-            fig14a(&options);
-            fig14b(&options);
-            ablation(&options);
-        }
-        other => {
-            eprintln!("unknown experiment `{other}`");
-            std::process::exit(2);
-        }
+    for experiment in experiments {
+        experiment(&run);
     }
     println!("\ntotal harness time: {:?}", started.elapsed());
-    if ANY_SERIES_FAILED.load(Ordering::Relaxed) {
-        eprintln!("at least one series has no successful query (cells marked `failed`)");
-        std::process::exit(1);
-    }
+    std::process::exit(run.exit_code());
 }
 
 // ---------------------------------------------------------------------------
 // Table 2 / Table 3
 // ---------------------------------------------------------------------------
 
-fn table2(options: &Options) {
+fn table2(run: &Run) {
     println!("\n## Table 2 — data statistics (synthetic stand-ins)\n");
     println!("{}", DataStatistics::table_header());
-    for (name, dataset) in [
-        (
-            "gowalla-like",
-            DatasetConfig::gowalla_like(options.scale.gowalla_users).generate(),
-        ),
-        (
-            "foursquare-like",
-            DatasetConfig::foursquare_like(options.scale.foursquare_users).generate(),
-        ),
-        (
-            "twitter-like",
-            DatasetConfig::twitter_like(options.scale.twitter_users).generate(),
-        ),
-    ] {
-        println!("{}", DataStatistics::compute(name, &dataset).table_row());
+    for which in [StandIn::Gowalla, StandIn::Foursquare, StandIn::Twitter] {
+        let bench = run.stand_in(which);
+        let statistics = DataStatistics::compute(bench.name.clone(), bench.engine.dataset());
+        println!("{}", statistics.table_row());
     }
 }
 
-fn table3() {
+fn table3(_: &Run) {
+    fn list<T: ToString>(values: &[T]) -> String {
+        let values: Vec<String> = values.iter().map(T::to_string).collect();
+        values.join(", ")
+    }
+    let row = |parameter, default: &dyn Display, range: &str| {
+        println!("{parameter:<28} {default:>10} {range:<28}");
+    };
+    let params = IndexParams::default();
     println!("\n## Table 3 — query and system parameters\n");
-    println!("{:<28} {:>10} {:<28}", "Parameter", "Default", "Range");
-    println!(
-        "{:<28} {:>10} {:<28}",
-        "size of result k", DEFAULT_K, "10, 20, 30, 40, 50"
+    row("Parameter", &"Default", "Range");
+    row("size of result k", &DEFAULT_K, &list(&K_VALUES));
+    row(
+        "preference parameter alpha",
+        &DEFAULT_ALPHA,
+        &list(&ALPHA_VALUES),
     );
-    println!(
-        "{:<28} {:>10} {:<28}",
-        "preference parameter alpha", DEFAULT_ALPHA, "0.1, 0.3, 0.5, 0.7, 0.9"
-    );
-    println!(
-        "{:<28} {:>10} {:<28}",
-        "grid granularity s", 10, "5, 10, 15, 20, 25"
-    );
-    println!(
-        "{:<28} {:>10} {:<28}",
-        "number of landmarks M", 8, "(fine-tuned)"
+    row("grid granularity s", &params.granularity, &list(&S_VALUES));
+    row(
+        "number of landmarks M",
+        &params.num_landmarks,
+        "(fine-tuned)",
     );
 }
 
@@ -240,20 +532,12 @@ fn table3() {
 // Figure 7 — nature of the SSRQ query
 // ---------------------------------------------------------------------------
 
-fn fig7a(options: &Options) {
+fn fig7a(run: &Run) {
     let mut report = FigureReport::new("Figure 7(a) — hops to the farthest SSRQ result vs k", "k");
-    let datasets = [
-        BenchDataset::gowalla(options.scale),
-        BenchDataset::foursquare(options.scale),
-    ];
     for k in K_VALUES {
         report.push_x(k);
-        for bench in &datasets {
-            let prefix = if bench.name.starts_with("gowalla") {
-                "G."
-            } else {
-                "F."
-            };
+        for (which, prefix) in [(StandIn::Gowalla, "G."), (StandIn::Foursquare, "F.")] {
+            let bench = run.stand_in(which);
             let mut ctx = bench.engine.make_context();
             let mut hops = Vec::new();
             for &user in &bench.workload.users {
@@ -276,12 +560,12 @@ fn fig7a(options: &Options) {
     print!("{}", report.render());
 }
 
-fn fig7b(options: &Options) {
+fn fig7b(run: &Run) {
     let mut report = FigureReport::new(
         "Figure 7(b) — Jaccard ratio of SSRQ vs single-domain top-k (foursquare-like)",
         "alpha",
     );
-    let bench = BenchDataset::foursquare(options.scale);
+    let bench = run.stand_in(StandIn::Foursquare);
     let k = DEFAULT_K;
     let mut ctx = bench.engine.make_context();
     for alpha in ALPHA_VALUES {
@@ -347,147 +631,12 @@ fn spatial_top_k(engine: &GeoSocialEngine, user: u32, k: usize) -> Vec<u32> {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 8 / 9 — effect of k and alpha on all methods
-// ---------------------------------------------------------------------------
-
-fn fig8(options: &Options) {
-    // Declare the CH index lazily: it is only built (on first *-CH query)
-    // when --with-ch asks for those baselines.
-    let with_lazy_ch = |scale: Scale, config: DatasetConfig| {
-        BenchDataset::from_config(config, scale.queries, |b| b.with_ch())
-    };
-    let datasets = vec![
-        with_lazy_ch(
-            options.scale,
-            DatasetConfig::gowalla_like(options.scale.gowalla_users),
-        ),
-        with_lazy_ch(
-            options.scale,
-            DatasetConfig::foursquare_like(options.scale.foursquare_users),
-        ),
-    ];
-    for bench in &datasets {
-        let mut runtime = FigureReport::new(
-            format!("Figure 8 — run-time (ms) vs k ({})", bench.name),
-            "k",
-        );
-        let mut pops =
-            FigureReport::new(format!("Figure 8 — pop ratio vs k ({})", bench.name), "k");
-        for k in K_VALUES {
-            runtime.push_x(k);
-            pops.push_x(k);
-            for algorithm in MAIN_ALGORITHMS {
-                let m = measure(
-                    &bench.engine,
-                    algorithm,
-                    &bench.workload.users,
-                    k,
-                    DEFAULT_ALPHA,
-                );
-                runtime.push_runtime(algorithm.name(), &m);
-                pops.push_pop_ratio(algorithm.name(), &m);
-            }
-            if options.with_ch {
-                // The CH baselines repeat expensive point-to-point work; a
-                // smaller query sample keeps the harness responsive.
-                let sample: Vec<u32> = bench
-                    .workload
-                    .users
-                    .iter()
-                    .copied()
-                    .take((options.scale.queries / 5).max(5))
-                    .collect();
-                for algorithm in [Algorithm::SfaCh, Algorithm::SpaCh, Algorithm::TsaCh] {
-                    let m = measure(&bench.engine, algorithm, &sample, k, DEFAULT_ALPHA);
-                    runtime.push_runtime(algorithm.name(), &m);
-                }
-            }
-        }
-        print!("{}", runtime.render());
-        print!("{}", pops.render());
-    }
-    if !options.with_ch {
-        println!(
-            "(the SFA-CH / SPA-CH / TSA-CH series are skipped by default — pass --with-ch to include them)"
-        );
-    }
-}
-
-fn fig9(options: &Options) {
-    for bench in [
-        BenchDataset::gowalla(options.scale),
-        BenchDataset::foursquare(options.scale),
-    ] {
-        let mut runtime = FigureReport::new(
-            format!("Figure 9 — run-time (ms) vs alpha ({})", bench.name),
-            "alpha",
-        );
-        for alpha in ALPHA_VALUES {
-            runtime.push_x(alpha);
-            for algorithm in MAIN_ALGORITHMS {
-                let m = measure(
-                    &bench.engine,
-                    algorithm,
-                    &bench.workload.users,
-                    DEFAULT_K,
-                    alpha,
-                );
-                runtime.push_runtime(algorithm.name(), &m);
-            }
-        }
-        print!("{}", runtime.render());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Figure 10 — AIS versions
-// ---------------------------------------------------------------------------
-
-fn fig10(options: &Options) {
-    for bench in [
-        BenchDataset::gowalla(options.scale),
-        BenchDataset::foursquare(options.scale),
-    ] {
-        let mut runtime = FigureReport::new(
-            format!(
-                "Figure 10 — AIS versions, run-time (ms) vs k ({})",
-                bench.name
-            ),
-            "k",
-        );
-        let mut pops = FigureReport::new(
-            format!("Figure 10 — AIS versions, pop ratio vs k ({})", bench.name),
-            "k",
-        );
-        for k in K_VALUES {
-            runtime.push_x(k);
-            pops.push_x(k);
-            for algorithm in AIS_VARIANTS {
-                let m = measure(
-                    &bench.engine,
-                    algorithm,
-                    &bench.workload.users,
-                    k,
-                    DEFAULT_ALPHA,
-                );
-                runtime.push_runtime(algorithm.name(), &m);
-                pops.push_pop_ratio(algorithm.name(), &m);
-            }
-        }
-        print!("{}", runtime.render());
-        print!("{}", pops.render());
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Figure 11 — pre-computation
 // ---------------------------------------------------------------------------
 
-fn fig11(options: &Options) {
-    for mut bench in [
-        BenchDataset::gowalla(options.scale),
-        BenchDataset::foursquare(options.scale),
-    ] {
+fn fig11(run: &Run) {
+    for which in [StandIn::Gowalla, StandIn::Foursquare] {
+        let bench = run.stand_in(which);
         let mut report = FigureReport::new(
             format!(
                 "Figure 11 — pre-computation: run-time (ms) vs cached list length t ({})",
@@ -498,35 +647,30 @@ fn fig11(options: &Options) {
         // The cached-neighbour list length, scaled to the dataset (the paper
         // sweeps 1K..10K on 196K/1.88M users).
         let n = bench.engine.dataset().user_count();
-        let t_values: Vec<usize> = [0.01, 0.02, 0.05, 0.10, 0.20]
-            .iter()
-            .map(|f| ((n as f64 * f) as usize).max(50))
-            .collect();
-        let ais = measure(
+        let t_values = [0.01, 0.02, 0.05, 0.10, 0.20].map(|f| ((n as f64 * f) as usize).max(50));
+        let users = &bench.workload.users;
+        let ais = run.measure(
             &bench.engine,
             Algorithm::Ais,
-            &bench.workload.users,
+            users,
             DEFAULT_K,
             DEFAULT_ALPHA,
         );
-        let users = bench.workload.users.clone();
-        for &t in &t_values {
+        // Swap only the cache per list length t, on a clone: the base
+        // indexes (landmarks, grid, AIS) are built once per dataset, and the
+        // shared stand-in keeps no cache.
+        let mut engine = bench.engine.clone();
+        for t in t_values {
             report.push_x(t);
             report.push_runtime("AIS", &ais);
-            // Swap only the cache per list length t; the base indexes
-            // (landmarks, grid, AIS) are built once per dataset.
-            bench
-                .engine
-                .install_social_cache(SocialNeighborCache::build(
-                    bench.engine.dataset().graph(),
-                    &users,
-                    t,
-                ))
+            let cache = SocialNeighborCache::build(engine.dataset().graph(), users, t);
+            engine
+                .install_social_cache(cache)
                 .expect("cache built over the engine's own graph");
-            let m = measure(
-                &bench.engine,
+            let m = run.measure(
+                &engine,
                 Algorithm::SfaCached,
-                &users,
+                users,
                 DEFAULT_K,
                 DEFAULT_ALPHA,
             );
@@ -537,101 +681,10 @@ fn fig11(options: &Options) {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 12 — grid granularity
+// Figure 14(a) — synthetic correlation
 // ---------------------------------------------------------------------------
 
-fn fig12(options: &Options) {
-    for (name, config) in [
-        (
-            "gowalla-like",
-            DatasetConfig::gowalla_like(options.scale.gowalla_users),
-        ),
-        (
-            "foursquare-like",
-            DatasetConfig::foursquare_like(options.scale.foursquare_users),
-        ),
-    ] {
-        let dataset = config.generate();
-        let mut report = FigureReport::new(
-            format!("Figure 12 — run-time (ms) vs grid granularity s ({name})"),
-            "s",
-        );
-        for s in S_VALUES {
-            report.push_x(s);
-            let bench =
-                BenchDataset::from_dataset(name, dataset.clone(), options.scale.queries, |b| {
-                    b.granularity(s)
-                });
-            for algorithm in [
-                Algorithm::Spa,
-                Algorithm::AisBid,
-                Algorithm::AisMinus,
-                Algorithm::Ais,
-            ] {
-                let m = measure(
-                    &bench.engine,
-                    algorithm,
-                    &bench.workload.users,
-                    DEFAULT_K,
-                    DEFAULT_ALPHA,
-                );
-                report.push_runtime(algorithm.name(), &m);
-            }
-        }
-        print!("{}", report.render());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Figure 13 — high-degree (Twitter-like) dataset
-// ---------------------------------------------------------------------------
-
-fn fig13(options: &Options) {
-    let bench = BenchDataset::twitter(options.scale);
-    let mut by_k = FigureReport::new(
-        format!("Figure 13(a) — run-time (ms) vs k ({})", bench.name),
-        "k",
-    );
-    for k in K_VALUES {
-        by_k.push_x(k);
-        for algorithm in MAIN_ALGORITHMS {
-            let m = measure(
-                &bench.engine,
-                algorithm,
-                &bench.workload.users,
-                k,
-                DEFAULT_ALPHA,
-            );
-            by_k.push_runtime(algorithm.name(), &m);
-        }
-    }
-    print!("{}", by_k.render());
-
-    let mut by_alpha = FigureReport::new(
-        format!("Figure 13(b) — run-time (ms) vs alpha ({})", bench.name),
-        "alpha",
-    );
-    for alpha in ALPHA_VALUES {
-        by_alpha.push_x(alpha);
-        for algorithm in MAIN_ALGORITHMS {
-            let m = measure(
-                &bench.engine,
-                algorithm,
-                &bench.workload.users,
-                DEFAULT_K,
-                alpha,
-            );
-            by_alpha.push_runtime(algorithm.name(), &m);
-        }
-    }
-    print!("{}", by_alpha.render());
-}
-
-// ---------------------------------------------------------------------------
-// Figure 14 — synthetic correlation and scalability
-// ---------------------------------------------------------------------------
-
-fn fig14a(options: &Options) {
+fn fig14a(run: &Run) {
     let mut report = FigureReport::new(
         "Figure 14(a) — run-time (ms) vs social/spatial correlation",
         "correlation",
@@ -639,7 +692,7 @@ fn fig14a(options: &Options) {
     // Keep the social distances of a foursquare-like graph (as the paper
     // does) but assign correlation-controlled locations around a handful of
     // anchor users; each anchor issues the query.
-    let base = DatasetConfig::foursquare_like(options.scale.gowalla_users).generate();
+    let base = DatasetConfig::foursquare_like(run.scale.gowalla_users).generate();
     let anchors = QueryWorkload::generate(&base, 5, 0xFA14).users;
     for correlation in Correlation::ALL {
         report.push_x(correlation.name());
@@ -663,7 +716,7 @@ fn fig14a(options: &Options) {
         }
         for (&(millis, succeeded), algorithm) in totals.iter().zip(MAIN_ALGORITHMS) {
             if succeeded == 0 {
-                ANY_SERIES_FAILED.store(true, Ordering::Relaxed);
+                run.failed.set(true);
                 report.push_cell(algorithm.name(), "failed");
             } else {
                 report.push_cell(
@@ -671,41 +724,6 @@ fn fig14a(options: &Options) {
                     format!("{:.3}", millis / succeeded as f64),
                 );
             }
-        }
-    }
-    print!("{}", report.render());
-}
-
-fn fig14b(options: &Options) {
-    let mut report = FigureReport::new(
-        "Figure 14(b) — run-time (ms) vs data size (forest-fire samples)",
-        "users",
-    );
-    let base = DatasetConfig::foursquare_like(options.scale.foursquare_users).generate();
-    let full = base.user_count();
-    for fraction in [1.0 / 3.0, 2.0 / 3.0, 1.0] {
-        let target = ((full as f64) * fraction) as usize;
-        report.push_x(target);
-        let (graph, mapping) = forest_fire_sample(base.graph(), target, 0.7, 0x14B);
-        let locations: Vec<_> = mapping.iter().map(|&old| base.location(old)).collect();
-        let Ok(dataset) = GeoSocialDataset::new(graph, locations) else {
-            continue;
-        };
-        let bench = BenchDataset::from_dataset(
-            format!("sample-{target}"),
-            dataset,
-            options.scale.queries,
-            |b| b,
-        );
-        for algorithm in MAIN_ALGORITHMS {
-            let m = measure(
-                &bench.engine,
-                algorithm,
-                &bench.workload.users,
-                DEFAULT_K,
-                DEFAULT_ALPHA,
-            );
-            report.push_runtime(algorithm.name(), &m);
         }
     }
     print!("{}", report.render());
@@ -723,16 +741,16 @@ fn fig14b(options: &Options) {
 /// (default `BENCH_scale.json`), re-read, re-parsed and validated: the run
 /// fails if the file does not parse or any AIS index exceeds its
 /// occupancy-proportional budget.
-fn scale_sweep(options: &Options) {
-    let mut config = ScaleSweepConfig::default().scaled_by(options.factor);
-    if let Some(q) = options.queries {
+fn scale_sweep(run: &Run) {
+    let mut config = ScaleSweepConfig::default().scaled_by(run.factor);
+    if let Some(q) = run.queries {
         config.queries = q;
     }
     println!(
         "\n## Scale sweep — gowalla-like at {:?} users, shard counts {:?}, {} queries",
         config.user_counts, config.shard_counts, config.queries
     );
-    let out = &options.out;
+    let out = &run.out;
     let report = run_scale_sweep(&config);
     std::fs::write(out, report.render()).expect("scale artifact is writable");
 
@@ -787,64 +805,62 @@ fn fmt_bytes(bytes: usize) -> String {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Ablations beyond the paper's figures
-// ---------------------------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn ablation(options: &Options) {
-    let dataset = DatasetConfig::gowalla_like(options.scale.gowalla_users).generate();
-
-    let mut landmarks_report = FigureReport::new(
-        "Ablation — run-time (ms) vs number of landmarks M (gowalla-like)",
-        "M",
-    );
-    for m_landmarks in [2usize, 4, 8, 16, 32] {
-        landmarks_report.push_x(m_landmarks);
-        let bench = BenchDataset::from_dataset(
-            "gowalla-like",
-            dataset.clone(),
-            options.scale.queries,
-            |b| b.landmarks(m_landmarks),
-        );
-        for algorithm in [Algorithm::Tsa, Algorithm::Ais] {
-            let m = measure(
-                &bench.engine,
-                algorithm,
-                &bench.workload.users,
-                DEFAULT_K,
-                DEFAULT_ALPHA,
-            );
-            landmarks_report.push_runtime(algorithm.name(), &m);
+    fn tiny_run() -> Run {
+        Run {
+            scale: Scale {
+                gowalla_users: 300,
+                foursquare_users: 300,
+                twitter_users: 300,
+                queries: 3,
+            },
+            with_ch: false,
+            factor: 1.0,
+            queries: None,
+            out: String::new(),
+            stand_ins: Default::default(),
+            failed: Cell::new(false),
         }
     }
-    print!("{}", landmarks_report.render());
 
-    let mut selection_report = FigureReport::new(
-        "Ablation — run-time (ms) vs landmark selection strategy (gowalla-like)",
-        "strategy",
-    );
-    for (label, selection) in [
-        ("random", LandmarkSelection::Random),
-        ("farthest", LandmarkSelection::FarthestFirst),
-        ("high-degree", LandmarkSelection::HighestDegree),
-    ] {
-        selection_report.push_x(label);
-        let bench = BenchDataset::from_dataset(
-            "gowalla-like",
-            dataset.clone(),
-            options.scale.queries,
-            |b| b.landmark_selection(selection),
-        );
-        for algorithm in [Algorithm::Tsa, Algorithm::Ais] {
-            let m = measure(
-                &bench.engine,
-                algorithm,
-                &bench.workload.users,
-                DEFAULT_K,
-                DEFAULT_ALPHA,
-            );
-            selection_report.push_runtime(algorithm.name(), &m);
+    fn figure(lineup: &'static [Algorithm]) -> Figure {
+        Figure {
+            title: "{quantity} vs k ({data})",
+            x_label: "k",
+            stand_ins: &[StandIn::Gowalla],
+            xs: || vec![X::K(5), X::K(10)],
+            lineup,
+            ch_lineup: &[],
+            pop_ratio: true,
         }
     }
-    print!("{}", selection_report.render());
+
+    #[test]
+    fn a_series_whose_every_query_fails_prints_failed_and_fails_the_run() {
+        let run = tiny_run();
+        // A stand-in that does not declare the CH index: every SFA-CH query
+        // fails, and its cells must not read as the fastest.
+        let gowalla = DatasetConfig::gowalla_like(run.scale.gowalla_users);
+        let stand_in = BenchDataset::from_config(gowalla, run.scale.queries, |b| b);
+        assert!(run.stand_ins[StandIn::Gowalla as usize]
+            .set(stand_in)
+            .is_ok());
+
+        let reports = run.sweep(&figure(&[Algorithm::Ais]));
+        assert_eq!(reports.len(), 2);
+        assert!(reports.iter().all(|r| !r.render().contains("failed")));
+        assert_eq!(run.exit_code(), 0);
+
+        let reports = run.sweep(&figure(&[Algorithm::Ais, Algorithm::SfaCh]));
+        for report in &reports {
+            let (name, cells) = &report.series[1];
+            assert_eq!(name, "SFA-CH");
+            assert_eq!(cells, &["failed", "failed"]);
+            assert!(report.series[0].1.iter().all(|cell| cell != "failed"));
+        }
+        assert_eq!(run.exit_code(), 1);
+    }
 }

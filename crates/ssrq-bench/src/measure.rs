@@ -91,7 +91,13 @@ pub fn measure_sequential_qps(
     (executed, executed as f64 / secs.max(1e-9))
 }
 
-fn requests_for(users: &[UserId], k: usize, alpha: f64, algorithm: Algorithm) -> Vec<QueryRequest> {
+/// One request per user, all with the same `k`, `alpha` and `algorithm`.
+pub(crate) fn requests_for(
+    users: &[UserId],
+    k: usize,
+    alpha: f64,
+    algorithm: Algorithm,
+) -> Vec<QueryRequest> {
     users
         .iter()
         .map(|&user| {
@@ -131,19 +137,6 @@ pub struct LatencyMeasurement {
     /// Average edge relaxations performed when the `prefix`-th entry had
     /// been yielded.
     pub prefix_relaxed: f64,
-}
-
-impl LatencyMeasurement {
-    /// Full-run time divided by time-to-prefix (> 1 when streaming pays
-    /// off).
-    pub fn speedup(&self) -> f64 {
-        let prefix = self.avg_prefix.as_secs_f64();
-        if prefix > 0.0 {
-            self.avg_full.as_secs_f64() / prefix
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Measures time-to-first-result: [`measure_prefix`] with `prefix = 1`.

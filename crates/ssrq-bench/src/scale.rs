@@ -16,8 +16,9 @@
 //! the sparse AIS layout exists to provide.
 
 use crate::json::Json;
+use crate::measure::requests_for;
 use crate::{measure_first_result, measure_sequential_qps};
-use ssrq_core::{Algorithm, EngineMemory, GeoSocialDataset, GeoSocialEngine, QueryRequest};
+use ssrq_core::{Algorithm, EngineMemory, GeoSocialDataset, GeoSocialEngine};
 use ssrq_data::{DatasetConfig, QueryWorkload};
 use ssrq_graph::CsrLayout;
 use ssrq_shard::{Partitioning, ShardedEngine};
@@ -262,18 +263,7 @@ fn measure_sharded_point(
         .expect("sharded engine builds");
     let build_secs = build_started.elapsed().as_secs_f64();
 
-    let batch: Vec<QueryRequest> = workload
-        .users
-        .iter()
-        .map(|&user| {
-            QueryRequest::for_user(user)
-                .k(config.k)
-                .alpha(config.alpha)
-                .algorithm(Algorithm::Ais)
-                .build()
-                .expect("valid workload parameters")
-        })
-        .collect();
+    let batch = requests_for(&workload.users, config.k, config.alpha, Algorithm::Ais);
     let run_started = Instant::now();
     let results = engine.run_batch_with_threads(&batch, config.threads);
     let secs = run_started.elapsed().as_secs_f64();

@@ -108,33 +108,6 @@ impl BenchDataset {
             workload,
         }
     }
-
-    /// The Gowalla-like dataset at the given scale.
-    pub fn gowalla(scale: Scale) -> Self {
-        Self::from_config(
-            DatasetConfig::gowalla_like(scale.gowalla_users),
-            scale.queries,
-            |b| b,
-        )
-    }
-
-    /// The Foursquare-like dataset at the given scale.
-    pub fn foursquare(scale: Scale) -> Self {
-        Self::from_config(
-            DatasetConfig::foursquare_like(scale.foursquare_users),
-            scale.queries,
-            |b| b,
-        )
-    }
-
-    /// The Twitter-like (high-degree) dataset at the given scale.
-    pub fn twitter(scale: Scale) -> Self {
-        Self::from_config(
-            DatasetConfig::twitter_like(scale.twitter_users),
-            scale.queries,
-            |b| b,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -151,13 +124,7 @@ mod tests {
 
     #[test]
     fn bench_dataset_builds_and_draws_a_workload() {
-        let scale = Scale {
-            gowalla_users: 800,
-            foursquare_users: 800,
-            twitter_users: 800,
-            queries: 10,
-        };
-        let bench = BenchDataset::gowalla(scale);
+        let bench = BenchDataset::from_config(DatasetConfig::gowalla_like(800), 10, |b| b);
         assert_eq!(bench.name, "gowalla-like");
         assert_eq!(bench.workload.len(), 10);
         assert_eq!(bench.engine.dataset().user_count(), 800);

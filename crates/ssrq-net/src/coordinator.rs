@@ -62,14 +62,6 @@ impl RemoteShard {
                 )
             })
     }
-
-    fn info(&self, message: &Message, expected: &str) -> Result<ShardInfo, NetError> {
-        let (info, _) = self.call(message, expected, |response| match response {
-            Message::Info(info) => Some(info),
-            _ => None,
-        })?;
-        Ok(info)
-    }
 }
 
 impl ShardLink for RemoteShard {
@@ -131,7 +123,15 @@ impl ShardLink for RemoteShard {
     }
 
     fn refresh(&self) -> Result<ShardInfo, NetError> {
-        self.info(&Message::Refresh, "Info to Refresh")
+        let (info, _) = self.call(
+            &Message::Refresh,
+            "Info to Refresh",
+            |response| match response {
+                Message::Info(info) => Some(info),
+                _ => None,
+            },
+        )?;
+        Ok(info)
     }
 
     fn set_assignment(&mut self, cell_map: &[u32]) -> Result<(), NetError> {
@@ -230,7 +230,7 @@ impl RemoteEngineBuilder {
             };
             let handshake_deadline = Instant::now() + self.connect_timeout;
             let info = loop {
-                match shard.info(&Message::Hello, "Info to Hello") {
+                match shard.refresh() {
                     Ok(info) => break info,
                     Err(e) if !e.unreachable() || Instant::now() >= handshake_deadline => {
                         return Err(e)

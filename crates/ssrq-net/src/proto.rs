@@ -79,9 +79,7 @@ impl std::fmt::Display for FailureKind {
 /// One protocol message (= one frame).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Client → server handshake; answered with [`Message::Info`].
-    Hello,
-    /// The server's self-description (handshake and refresh response).
+    /// The server's self-description, the answer to [`Message::Refresh`].
     Info(ShardInfo),
     /// Run a bounded top-k over this shard's residents; answered with
     /// [`Message::Answer`], [`Message::AnswerFrom`] (a request without an
@@ -141,7 +139,8 @@ pub enum Message {
         cell_to_shard: Vec<u32>,
     },
     /// Re-derive and report this server's [`ShardInfo`] (tightened rect,
-    /// occupancy) after migrations; answered with [`Message::Info`].
+    /// occupancy); answered with [`Message::Info`].  The coordinator's
+    /// handshake sends it too.
     Refresh,
     /// Typed server-side refusal.
     Fail {
@@ -171,7 +170,7 @@ impl Message {
     /// The frame tag of this message.
     pub fn tag(&self) -> u8 {
         match self {
-            Message::Hello => 0x01,
+            // 0x01 is unassigned.
             Message::Info(_) => 0x02,
             Message::Query { .. } => 0x03,
             Message::Answer(_) => 0x04,
@@ -211,8 +210,7 @@ impl Message {
     pub fn encode_with_id(&self, frame_id: u32) -> Vec<u8> {
         let mut w = Writer::new();
         match self {
-            Message::Hello
-            | Message::ListLocated
+            Message::ListLocated
             | Message::Refresh
             | Message::Ping
             | Message::Pong
@@ -274,7 +272,6 @@ impl Message {
     pub fn decode(tag: u8, payload: &[u8]) -> Result<Message, WireError> {
         let mut r = Reader::new(payload);
         let message = match tag {
-            0x01 => Message::Hello,
             0x02 => Message::Info(decode_shard_info(&mut r)?),
             0x03 => {
                 let request = decode_request(&mut r)?;
@@ -697,7 +694,6 @@ mod tests {
     #[test]
     fn every_plain_message_round_trips() {
         for message in [
-            Message::Hello,
             Message::ListLocated,
             Message::Refresh,
             Message::Ping,
@@ -892,8 +888,8 @@ mod tests {
             Message::decode(0xEE, &[]),
             Err(WireError::UnknownMessage(0xEE))
         ));
-        // The retired `Locate`/`Located` tags are unknown now.
-        for retired in [0x05, 0x06] {
+        // The retired `Hello` and `Locate`/`Located` tags are unknown now.
+        for retired in [0x01, 0x05, 0x06] {
             assert_eq!(
                 Message::decode(retired, &[]),
                 Err(WireError::UnknownMessage(retired))

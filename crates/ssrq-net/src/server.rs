@@ -6,8 +6,8 @@
 //! locations) and a replica of the deployment's [`ShardAssignment`] (so
 //! location reports can be adopted or dropped without asking anyone) —
 //! the very link the in-process [`ShardedEngine`](ssrq_shard::ShardedEngine)
-//! coordinates.  `Query`, `Hello`, `Refresh`, `ListLocated`, `Relocate`
-//! and `SetAssignment` are answered by that link's code, so a shard
+//! coordinates.  `Query`, `Refresh`, `ListLocated`, `Relocate` and
+//! `SetAssignment` are answered by that link's code, so a shard
 //! answers, adopts or drops a relocation the same way in both
 //! deployments.
 //!
@@ -465,7 +465,7 @@ impl ShardServer {
     fn handle(&self, message: Message) -> Message {
         let local = || self.local.read().expect("shard lock");
         let answered = match message {
-            Message::Hello | Message::Refresh => local().refresh().map(Message::Info),
+            Message::Refresh => local().refresh().map(Message::Info),
             Message::ListLocated => local().list_located().map(Message::LocatedUsers),
             Message::Relocate { user, location } => {
                 let relocated = self

@@ -39,13 +39,14 @@ pub const MAGIC: [u8; 4] = *b"SSRQ";
 
 /// The protocol version: frames that carry a frame id (since 2),
 /// relocation replies that say whether the shard held the user plus
-/// answers that name the origin they resolved (since 3), and no
-/// `Locate`/`Located` pair (tags 0x05/0x06 retired in 4).  A peer
+/// answers that name the origin they resolved (since 3), no
+/// `Locate`/`Located` pair (tags 0x05/0x06 retired in 4), and a handshake
+/// that sends `Refresh` (the `Hello` tag 0x01 retired in 5).  A peer
 /// speaking any other version is rejected with
 /// [`WireError::UnsupportedVersion`] before any payload is interpreted,
 /// so a mixed deployment fails at the handshake rather than partway
 /// through a relocation.
-pub const VERSION: u8 = 4;
+pub const VERSION: u8 = 5;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 14;

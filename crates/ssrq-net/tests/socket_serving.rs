@@ -1103,9 +1103,16 @@ fn retired_inputs_are_refused_typed_without_taking_the_server_down() {
         wire::parse_header(&v3_frame),
         Err(WireError::UnsupportedVersion(3))
     );
+    // A version-4 frame: its peer may still open with `Hello`.
+    let mut v4_frame = Message::Ping.encode_with_id(1);
+    v4_frame[4] = 4;
+    assert_eq!(
+        wire::parse_header(&v4_frame),
+        Err(WireError::UnsupportedVersion(4))
+    );
     // The unassigned tags inside the tag table's range: the retired
-    // `Locate`/`Located` pair and 0x12.
-    for tag in [0x05, 0x06, 0x12] {
+    // `Hello`, the retired `Locate`/`Located` pair and 0x12.
+    for tag in [0x01, 0x05, 0x06, 0x12] {
         assert_eq!(
             Message::decode(tag, &[]),
             Err(WireError::UnknownMessage(tag))

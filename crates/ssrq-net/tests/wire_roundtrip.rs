@@ -128,7 +128,7 @@ fn shard_info(rng: &mut StdRng) -> ShardInfo {
 
 fn message(rng: &mut StdRng) -> Message {
     match rng.gen_range(0..16u32) {
-        0 => Message::Hello,
+        0 => Message::MetricsRequest,
         1 => Message::Info(shard_info(rng)),
         2 => Message::Query {
             request: request(rng),

@@ -237,11 +237,7 @@ impl<L: ShardLink> Coordinator<L> {
                 resolved?
             }
         };
-        let bounds: Vec<f64> = self
-            .infos
-            .iter()
-            .map(|info| shard_score_lower_bound(info.rect, &base, base.origin(), info.spatial_norm))
-            .collect();
+        let bounds = self.bounds(&base);
         let scatter = scatter_sequential(
             &bounds,
             &base,
@@ -280,6 +276,15 @@ impl<L: ShardLink> Coordinator<L> {
             stats: stats.merged,
         };
         Ok((result, stats))
+    }
+
+    /// Every shard's [`shard_score_lower_bound`] for `base`, the broadcast
+    /// form of a request (its origin resolved where the user has one).
+    pub(crate) fn bounds(&self, base: &QueryRequest) -> Vec<f64> {
+        self.infos
+            .iter()
+            .map(|info| shard_score_lower_bound(info.rect, base, base.origin(), info.spatial_norm))
+            .collect()
     }
 
     /// Puts `request`, which pins no origin, to the cached owner and then

@@ -414,23 +414,11 @@ impl ShardedEngine {
     /// Checks `request` against the deployment the way
     /// [`GeoSocialEngine::run`] would (validation, user id, index
     /// preflight), so errors keep their single-engine class and order.
-    fn preflight(&self, request: &QueryRequest) -> Result<(), CoreError> {
+    pub(crate) fn preflight(&self, request: &QueryRequest) -> Result<(), CoreError> {
         request.validate()?;
         let representative = self.shard_engine(0);
         representative.dataset().check_user(request.user())?;
         representative.ready(request.algorithm())
-    }
-
-    /// The broadcast form of `request` for the cross-shard stream: the
-    /// preflight, then the query origin pinned from the owning shard.
-    pub(crate) fn prepare(&self, request: &QueryRequest) -> Result<QueryRequest, CoreError> {
-        self.preflight(request)?;
-        Ok(
-            match request.origin().or_else(|| self.location(request.user())) {
-                Some(origin) => request.clone().with_origin(origin),
-                None => request.clone(),
-            },
-        )
     }
 
     /// The scatter-gather: the coordinator's query over the local links,

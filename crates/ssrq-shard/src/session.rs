@@ -2,7 +2,6 @@
 
 use crate::engine::ShardedEngine;
 use crate::stats::ShardStats;
-use crate::transport::shard_score_lower_bound;
 use ssrq_core::{
     CoreError, QueryContext, QueryRequest, QueryResult, QueryStats, QueryStream, RankedUser,
 };
@@ -82,14 +81,20 @@ impl<'e> ShardedSession<'e> {
     /// arm — ends the merge early instead: `next()` returns `None` and
     /// [`ShardedStream::error`] holds the cause.
     pub fn stream(&mut self, request: &QueryRequest) -> Result<ShardedStream<'_>, CoreError> {
-        let base = self.engine.prepare(request)?;
-        let origin = base.origin();
+        self.engine.preflight(request)?;
+        // The broadcast form: the query origin pinned from the owning shard.
+        let base = match request
+            .origin()
+            .or_else(|| self.engine.location(request.user()))
+        {
+            Some(origin) => request.clone().with_origin(origin),
+            None => request.clone(),
+        };
         let initial_threshold = base.max_score().unwrap_or(f64::INFINITY);
+        let bounds = self.engine.core.bounds(&base);
         let mut pending: Vec<PendingArm<'_>> = Vec::new();
         let mut skipped = 0usize;
-        for (shard, ctx) in self.contexts.iter_mut().enumerate() {
-            let info = self.engine.core.shard_info(shard);
-            let lower_bound = shard_score_lower_bound(info.rect, &base, origin, info.spatial_norm);
+        for ((shard, ctx), lower_bound) in self.contexts.iter_mut().enumerate().zip(bounds) {
             if lower_bound >= initial_threshold {
                 skipped += 1;
                 continue;
