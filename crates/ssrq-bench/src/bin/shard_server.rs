@@ -38,7 +38,6 @@ struct Args {
     users: usize,
     seed: u64,
     partitioning: Partitioning,
-    with_ch: bool,
     /// `(queries, seed, t)` of a social-neighbour cache warmed for the
     /// deterministic workload `QueryWorkload::generate(dataset, queries,
     /// seed)` — what the AIS-Cache algorithm needs.
@@ -53,7 +52,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: shard-server --listen <unix:PATH|tcp:ADDR> --shard <I> --shards <N>\n\
          \x20                 [--users <N>] [--seed <S>] [--partitioning <spatial:CELLS>]\n\
-         \x20                 [--with-ch] [--cache-workload <QUERIES,SEED,T>]\n\
+         \x20                 [--cache-workload <QUERIES,SEED,T>]\n\
          \x20                 [--log <error|warn|info|debug>] [--slow-query-ms <MS>]\n\
          \x20      shard-server --introspect <unix:PATH|tcp:ADDR>"
     );
@@ -99,7 +98,6 @@ fn parse_args() -> Args {
     let mut users = 1_000usize;
     let mut seed = 4242u64;
     let mut partitioning = Partitioning::SpatialGrid { cells_per_axis: 8 };
-    let mut with_ch = false;
     let mut cache = None;
     let mut log = None;
     let mut slow_query = None;
@@ -138,7 +136,6 @@ fn parse_args() -> Args {
                 partitioning =
                     parse_partitioning(value("--partitioning")).unwrap_or_else(|| usage())
             }
-            "--with-ch" => with_ch = true,
             "--log" => {
                 log = Some(value("--log").parse::<Level>().unwrap_or_else(|_| {
                     eprintln!("--log wants error, warn, info or debug");
@@ -187,7 +184,6 @@ fn parse_args() -> Args {
         users,
         seed,
         partitioning,
-        with_ch,
         cache,
         log,
         slow_query,
@@ -205,10 +201,9 @@ fn main() {
     let owner = assignment.owners(&dataset);
     let shard_dataset = dataset.restrict_locations(|u| owner[u as usize] as usize == args.shard);
 
+    // No Contraction Hierarchies: `*-CH` is a small-graph artefact of the
+    // paper's Fig. 8, and a shard server refuses it as a missing index.
     let mut builder = GeoSocialEngine::builder(shard_dataset);
-    if args.with_ch {
-        builder = builder.with_ch();
-    }
     if let Some((queries, workload_seed, t)) = args.cache {
         // The cache is warmed on the *full* dataset's workload so every
         // shard holds the same cached users as the in-process deployment.

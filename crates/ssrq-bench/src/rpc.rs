@@ -30,8 +30,6 @@ pub struct DeploymentConfig {
     pub shards: usize,
     /// Location-space partitioning policy.
     pub partitioning: Partitioning,
-    /// Build a (lazy) Contraction Hierarchies index on every shard.
-    pub with_ch: bool,
     /// `(queries, seed, t)` of a social-neighbour cache warmed for the
     /// deterministic workload — what AIS-Cache needs.
     pub cache_workload: Option<(usize, u64, usize)>,
@@ -41,14 +39,13 @@ pub struct DeploymentConfig {
 }
 
 impl DeploymentConfig {
-    /// A plain deployment (no CH, no social cache).
+    /// A plain deployment (no social cache).
     pub fn new(users: usize, seed: u64, shards: usize, partitioning: Partitioning) -> Self {
         DeploymentConfig {
             users,
             seed,
             shards,
             partitioning,
-            with_ch: false,
             cache_workload: None,
             extra_args: Vec::new(),
         }
@@ -73,13 +70,9 @@ impl DeploymentConfig {
         let mut builder = ShardedEngine::builder(self.dataset())
             .shards(self.shards)
             .partitioning(self.partitioning);
-        let with_ch = self.with_ch;
         let cache = self.cache_workload;
         let full = self.dataset();
         builder = builder.configure_engines(move |mut b| {
-            if with_ch {
-                b = b.with_ch();
-            }
             if let Some((queries, seed, t)) = cache {
                 let workload = ssrq_data::QueryWorkload::generate(&full, queries, seed);
                 b = b.cache_social_neighbors(workload.users, t);
@@ -129,9 +122,6 @@ impl ShardProcess {
             .arg(config.partitioning_arg())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit());
-        if config.with_ch {
-            command.arg("--with-ch");
-        }
         if let Some((queries, seed, t)) = config.cache_workload {
             command
                 .arg("--cache-workload")

@@ -1,8 +1,9 @@
 //! Distributed agreement: real `shard-server` OS processes behind a
 //! [`RemoteShardedEngine`] must return exactly what the in-process
 //! [`ShardedEngine`] returns for the full 12-algorithm × request-shape
-//! matrix, and honour the [`FailurePolicy`] when a process is killed
-//! mid-batch.
+//! matrix (shard servers build no Contraction Hierarchies, so every
+//! `*-CH` request is refused as a missing index), and honour the
+//! [`FailurePolicy`] when a process is killed mid-batch.
 //!
 //! Both deployments regenerate the same deterministic dataset from the
 //! same `--users/--seed`, so the comparison needs no data shipping.
@@ -10,7 +11,7 @@
 use ssrq_bench::{launch_cluster, DeploymentConfig, ShardProcess};
 use ssrq_core::{Algorithm, QueryRequest};
 use ssrq_data::QueryWorkload;
-use ssrq_net::{Endpoint, NetError, RemoteShardedEngine};
+use ssrq_net::{Endpoint, FailureKind, NetError, RemoteShardedEngine};
 use ssrq_shard::{FailurePolicy, Partitioning, ShardOutcome};
 use ssrq_spatial::{Point, Rect};
 use std::path::{Path, PathBuf};
@@ -77,12 +78,8 @@ fn request_shapes(user: u32, algorithm: Algorithm) -> Vec<(&'static str, QueryRe
 
 #[test]
 fn shard_server_processes_agree_with_the_in_process_engine_for_all_algorithms() {
-    // Small dataset: every process builds its own (lazy, quadratic-ish)
-    // Contraction Hierarchies index over the replicated graph for the
-    // *-CH rows of the matrix.
     let mut config =
         DeploymentConfig::new(180, 77, 3, Partitioning::SpatialGrid { cells_per_axis: 4 });
-    config.with_ch = true;
     config.cache_workload = Some((3, 23, 80));
     // Logging and the slow-query log armed on every server: neither may
     // write to stdout, whose only line is the readiness announcement.
@@ -101,6 +98,30 @@ fn shard_server_processes_agree_with_the_in_process_engine_for_all_algorithms() 
     for &user in &workload.users {
         for algorithm in Algorithm::ALL {
             for (shape, request) in request_shapes(user, algorithm) {
+                if algorithm.needs_ch() {
+                    let refusal = remote.query(&request);
+                    assert!(
+                        matches!(
+                            refusal,
+                            Err(NetError::Remote {
+                                kind: FailureKind::MissingIndex,
+                                ..
+                            })
+                        ),
+                        "{} {shape}: expected a missing-index refusal, got {refusal:?}",
+                        algorithm.name()
+                    );
+                    // The refusal costs the engine nothing: its next
+                    // request is answered, exactly.
+                    let next = request.clone().with_algorithm(Algorithm::Sfa);
+                    assert_eq!(
+                        remote.query(&next).expect("query after a refusal").ranked,
+                        local.run(&next).expect("in-process query").ranked,
+                        "{shape} (user {user}) after a {} refusal",
+                        algorithm.name()
+                    );
+                    continue;
+                }
                 let expected = local.run(&request).expect("in-process query");
                 let got = remote.query(&request).expect("remote query");
                 assert!(
@@ -108,9 +129,9 @@ fn shard_server_processes_agree_with_the_in_process_engine_for_all_algorithms() 
                     "{} {shape}: unexpectedly degraded",
                     algorithm.name()
                 );
-                if algorithm.needs_ch() || algorithm.needs_social_cache() {
-                    // These strategies mix two exact distance mechanisms
-                    // whose floating-point summation order is interleaving-
+                if algorithm.needs_social_cache() {
+                    // AIS-Cache mixes two exact distance mechanisms whose
+                    // floating-point summation order is interleaving-
                     // dependent; scores can differ by an ulp.
                     assert!(
                         got.same_users_and_scores(&expected, 1e-9),

@@ -1,18 +1,20 @@
 //! The message layer: every frame a coordinator and a shard server can
-//! exchange, with exact hand-written codecs.
+//! exchange, and the layout of every type a frame carries.
 //!
-//! Codecs are **bit-exact**: `decode(encode(x)) == x` for every
-//! representable value (scores travel as IEEE-754 bit patterns), and
-//! re-encoding a decoded message reproduces the original bytes —
-//! exclusion sets are sorted at encode time so the encoding is canonical.
-//! Decoding never panics; malformed input yields a typed
-//! [`WireError`].
+//! Each type's layout is written once, as one `Wire` impl that both
+//! encodes and decodes it: a record lists its fields in wire order
+//! (`record!`), and only [`FailureKind`], `MetricValue` and
+//! [`QueryRequest`] need a hand-written impl.  Codecs are **bit-exact**:
+//! `decode(encode(x)) == x` for every representable value (scores travel
+//! as IEEE-754 bit patterns), and re-encoding a decoded message reproduces
+//! the original bytes — exclusion sets are sorted at encode time so the
+//! encoding is canonical.  Decoding never panics; malformed input yields a
+//! typed [`WireError`].
 
-use crate::wire::{frame_with_id, Reader, WireError, Writer};
+use crate::wire::{frame_with_id, Reader, Wire, WireError, Writer};
 use ssrq_core::{Algorithm, QueryRequest, QueryResult, QueryStats, RankedUser, UserId};
 use ssrq_obs::{HistogramSnapshot, MetricSample, MetricValue, ObsReport, QuerySpans, SpanRecord};
 use ssrq_spatial::{Point, Rect};
-use std::time::Duration;
 
 /// What a shard server reports about itself in the handshake (and on
 /// [`Message::Refresh`]): the shard tier's [`ShardInfo`].
@@ -32,26 +34,6 @@ pub enum FailureKind {
 }
 
 impl FailureKind {
-    fn tag(self) -> u8 {
-        match self {
-            FailureKind::InvalidRequest => 0,
-            FailureKind::UnknownUser => 1,
-            // 2 is unassigned.
-            FailureKind::MissingIndex => 3,
-            FailureKind::Internal => 4,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, WireError> {
-        Ok(match tag {
-            0 => FailureKind::InvalidRequest,
-            1 => FailureKind::UnknownUser,
-            3 => FailureKind::MissingIndex,
-            4 => FailureKind::Internal,
-            t => return Err(WireError::Invalid(format!("failure kind {t}"))),
-        })
-    }
-
     /// Classifies a [`CoreError`](ssrq_core::CoreError) for the wire.
     pub fn of(error: &ssrq_core::CoreError) -> Self {
         use ssrq_core::CoreError;
@@ -217,9 +199,9 @@ impl Message {
             | Message::Shutdown
             | Message::Ok
             | Message::MetricsRequest => {}
-            Message::Info(info) => encode_shard_info(&mut w, info),
+            Message::Info(info) => info.put(&mut w),
             Message::Query { request, trace_id } => {
-                encode_request(&mut w, request);
+                request.put(&mut w);
                 // The trace id is an optional trailing field: 0 (untraced)
                 // is expressed by omission, which keeps the encoding
                 // canonical and untraced frames 8 bytes shorter.
@@ -227,37 +209,26 @@ impl Message {
                     w.u64(*trace_id);
                 }
             }
-            Message::Answer(result) => encode_result(&mut w, result),
+            Message::Answer(result) => result.put(&mut w),
             Message::AnswerFrom { origin, result } => {
-                encode_point(&mut w, *origin);
-                encode_result(&mut w, result);
+                origin.put(&mut w);
+                result.put(&mut w);
             }
             Message::Relocate { user, location } => {
-                w.u32(*user);
-                w.opt(*location, encode_point);
+                user.put(&mut w);
+                location.put(&mut w);
             }
             Message::Relocated { adopted, held } => {
-                w.bool(*adopted);
-                w.bool(*held);
+                adopted.put(&mut w);
+                held.put(&mut w);
             }
-            Message::LocatedUsers(users) => {
-                w.u32(users.len() as u32);
-                for &(user, p) in users {
-                    w.u32(user);
-                    encode_point(&mut w, p);
-                }
-            }
-            Message::SetAssignment { cell_to_shard } => {
-                w.u32(cell_to_shard.len() as u32);
-                for &s in cell_to_shard {
-                    w.u32(s);
-                }
-            }
+            Message::LocatedUsers(users) => users.put(&mut w),
+            Message::SetAssignment { cell_to_shard } => cell_to_shard.put(&mut w),
             Message::Fail { kind, message } => {
-                w.u8(kind.tag());
-                w.str(message);
+                kind.put(&mut w);
+                message.put(&mut w);
             }
-            Message::MetricsReport(report) => encode_obs_report(&mut w, report),
+            Message::MetricsReport(report) => report.put(&mut w),
         }
         frame_with_id(self.tag(), frame_id, &w.finish())
     }
@@ -272,55 +243,42 @@ impl Message {
     pub fn decode(tag: u8, payload: &[u8]) -> Result<Message, WireError> {
         let mut r = Reader::new(payload);
         let message = match tag {
-            0x02 => Message::Info(decode_shard_info(&mut r)?),
+            0x02 => Message::Info(Wire::get(&mut r)?),
             0x03 => {
-                let request = decode_request(&mut r)?;
+                let request = Wire::get(&mut r)?;
                 // Optional trailing trace id: absent on untraced frames,
                 // meaning 0.
                 let trace_id = if r.remaining() > 0 { r.u64()? } else { 0 };
                 Message::Query { request, trace_id }
             }
-            0x04 => Message::Answer(decode_result(&mut r)?),
+            0x04 => Message::Answer(Wire::get(&mut r)?),
             0x07 => Message::Relocate {
-                user: r.u32()?,
-                location: r.opt(decode_point)?,
+                user: Wire::get(&mut r)?,
+                location: Wire::get(&mut r)?,
             },
             0x08 => Message::Relocated {
-                adopted: r.bool()?,
-                held: r.bool()?,
+                adopted: Wire::get(&mut r)?,
+                held: Wire::get(&mut r)?,
             },
             0x09 => Message::ListLocated,
-            0x0A => {
-                let n = r.u32()? as usize;
-                let mut users = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let user = r.u32()?;
-                    users.push((user, decode_point(&mut r)?));
-                }
-                Message::LocatedUsers(users)
-            }
-            0x0B => {
-                let n = r.u32()? as usize;
-                let mut cell_to_shard = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    cell_to_shard.push(r.u32()?);
-                }
-                Message::SetAssignment { cell_to_shard }
-            }
+            0x0A => Message::LocatedUsers(Wire::get(&mut r)?),
+            0x0B => Message::SetAssignment {
+                cell_to_shard: Wire::get(&mut r)?,
+            },
             0x0C => Message::Refresh,
             0x0D => Message::Fail {
-                kind: FailureKind::from_tag(r.u8()?)?,
-                message: r.str()?,
+                kind: Wire::get(&mut r)?,
+                message: Wire::get(&mut r)?,
             },
             0x0E => Message::Ping,
             0x0F => Message::Pong,
             0x10 => Message::Shutdown,
             0x11 => Message::Ok,
             0x13 => Message::MetricsRequest,
-            0x14 => Message::MetricsReport(decode_obs_report(&mut r)?),
+            0x14 => Message::MetricsReport(Wire::get(&mut r)?),
             0x15 => Message::AnswerFrom {
-                origin: decode_point(&mut r)?,
-                result: decode_result(&mut r)?,
+                origin: Wire::get(&mut r)?,
+                result: Wire::get(&mut r)?,
             },
             t => return Err(WireError::UnknownMessage(t)),
         };
@@ -329,346 +287,160 @@ impl Message {
     }
 }
 
-fn encode_point(w: &mut Writer, p: Point) {
-    w.f64(p.x);
-    w.f64(p.y);
+/// Implements [`Wire`] for structs whose layout is their fields, listed
+/// once each in wire order.  Every field must be listed: the decoder builds
+/// the struct from the list.
+macro_rules! record {
+    ($($ty:ty { $($field:ident),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                $(self.$field.put(w);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(Self { $($field: Wire::get(r)?,)* })
+            }
+        }
+    )*};
 }
 
-fn decode_point(r: &mut Reader<'_>) -> Result<Point, WireError> {
-    Ok(Point {
-        x: r.f64()?,
-        y: r.f64()?,
-    })
-}
-
-fn encode_rect(w: &mut Writer, rect: Rect) {
-    encode_point(w, rect.min);
-    encode_point(w, rect.max);
-}
-
-fn decode_rect(r: &mut Reader<'_>) -> Result<Rect, WireError> {
-    Ok(Rect {
-        min: decode_point(r)?,
-        max: decode_point(r)?,
-    })
-}
-
-fn encode_shard_info(w: &mut Writer, info: &ShardInfo) {
-    w.u32(info.shard);
-    w.u32(info.shards);
-    w.u64(info.user_count);
-    w.u64(info.located);
-    w.opt(info.rect, encode_rect);
-    w.f64(info.spatial_norm);
-    w.f64(info.social_norm);
-}
-
-fn decode_shard_info(r: &mut Reader<'_>) -> Result<ShardInfo, WireError> {
-    Ok(ShardInfo {
-        shard: r.u32()?,
-        shards: r.u32()?,
-        user_count: r.u64()?,
-        located: r.u64()?,
-        rect: r.opt(decode_rect)?,
-        spatial_norm: r.f64()?,
-        social_norm: r.f64()?,
-    })
-}
-
-/// Encodes a [`QueryRequest`] payload.  Canonical: the exclusion set is
-/// written in ascending user-id order, so equal requests encode to equal
-/// bytes.
-pub fn encode_request(w: &mut Writer, request: &QueryRequest) {
-    w.u32(request.user());
-    w.u64(request.k() as u64);
-    w.f64(request.alpha());
-    // The marker byte once told a paper algorithm (0) from a name only the
-    // server's registry knew (1).  Only 0 is left, but it stays on the
-    // wire so request bytes, and every byte count and digest over them,
-    // are unchanged.
-    w.u8(0);
-    w.str(request.algorithm().name());
-    w.opt(request.origin(), encode_point);
-    w.opt(request.within(), encode_rect);
-    let mut excluded: Vec<UserId> = request.excluded().iter().copied().collect();
-    excluded.sort_unstable();
-    w.u32(excluded.len() as u32);
-    for user in excluded {
-        w.u32(user);
+record! {
+    Point { x, y }
+    Rect { min, max }
+    ShardInfo { shard, shards, user_count, located, rect, spatial_norm, social_norm }
+    RankedUser { user, score, social, spatial }
+    QueryStats {
+        vertex_pops, social_pops, spatial_pops, index_pops, evaluated_users, distance_calls,
+        cache_hits, delayed_reinsertions, relaxed_edges, reverse_settles, reverse_relaxed_edges,
+        streamable_results, bytes_sent, bytes_received, wire_round_trips, runtime,
     }
-    w.opt(request.max_score(), |w, v| w.f64(v));
+    QueryResult { k, degraded, stats, ranked }
+    HistogramSnapshot { buckets, sum, count }
+    MetricSample { name, labels, value }
+    SpanRecord { name, parent, start_ns, duration_ns }
+    QuerySpans { trace_id, spans }
+    ObsReport { metrics, spans }
 }
 
-/// Decodes a [`QueryRequest`] payload.
+impl Wire for FailureKind {
+    fn put(&self, w: &mut Writer) {
+        w.u8(match self {
+            FailureKind::InvalidRequest => 0,
+            FailureKind::UnknownUser => 1,
+            // 2 is unassigned.
+            FailureKind::MissingIndex => 3,
+            FailureKind::Internal => 4,
+        });
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => FailureKind::InvalidRequest,
+            1 => FailureKind::UnknownUser,
+            3 => FailureKind::MissingIndex,
+            4 => FailureKind::Internal,
+            t => return Err(WireError::Invalid(format!("failure kind {t}"))),
+        })
+    }
+}
+
+/// A tag byte, then the value.
+impl Wire for MetricValue {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            MetricValue::Counter(v) => {
+                w.u8(0);
+                v.put(w);
+            }
+            // 1 is unassigned.
+            MetricValue::Histogram(snapshot) => {
+                w.u8(2);
+                snapshot.put(w);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => MetricValue::Counter(Wire::get(r)?),
+            2 => MetricValue::Histogram(Wire::get(r)?),
+            t => return Err(WireError::Invalid(format!("metric value tag {t}"))),
+        })
+    }
+}
+
+/// Canonical: the exclusion set is written in ascending user-id order, so
+/// equal requests encode to equal bytes.
 ///
-/// The request is rebuilt **unvalidated** — exactly like the in-process
+/// The request is read back **unvalidated** — exactly like the in-process
 /// [`build_unvalidated`](ssrq_core::QueryRequestBuilder::build_unvalidated)
 /// path — because the executing engine re-validates defensively; a decoded
 /// garbage request produces a typed engine error, never undefined state.
-///
-/// # Errors
-///
-/// [`WireError`] for malformed bytes, including an algorithm marker other
-/// than 0 and a name that is neither a paper algorithm nor `AUTO`.
-pub fn decode_request(r: &mut Reader<'_>) -> Result<QueryRequest, WireError> {
-    let user = r.u32()?;
-    let k = r.usize()?;
-    let alpha = r.f64()?;
-    let marker = r.u8()?;
-    if marker != 0 {
-        return Err(WireError::Invalid(format!("algorithm marker {marker}")));
+/// An algorithm marker other than 0, and a name that is neither a paper
+/// algorithm nor `AUTO`, are [`WireError::Invalid`].
+impl Wire for QueryRequest {
+    fn put(&self, w: &mut Writer) {
+        self.user().put(w);
+        self.k().put(w);
+        self.alpha().put(w);
+        // The marker byte once told a paper algorithm (0) from a name only
+        // the server's registry knew (1).  Only 0 is left, but it stays on
+        // the wire so request bytes, and every byte count and digest over
+        // them, are unchanged.
+        w.u8(0);
+        w.str(self.algorithm().name());
+        self.origin().put(w);
+        self.within().put(w);
+        let mut excluded: Vec<UserId> = self.excluded().iter().copied().collect();
+        excluded.sort_unstable();
+        excluded.put(w);
+        self.max_score().put(w);
     }
-    let name = r.str()?;
-    // `AUTO` crosses the wire like the twelve paper methods; the server's
-    // own engine plans it.
-    let algorithm = Algorithm::from_name(&name)
-        .ok_or_else(|| WireError::Invalid(format!("unknown algorithm {name:?}")))?;
-    let origin = r.opt(decode_point)?;
-    let within = r.opt(decode_rect)?;
-    let n = r.u32()? as usize;
-    let mut excluded = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        excluded.push(r.u32()?);
-    }
-    let max_score = r.opt(|r| r.f64())?;
-    let mut builder = QueryRequest::for_user(user)
-        .k(k)
-        .alpha(alpha)
-        .algorithm(algorithm)
-        .exclude(excluded);
-    if let Some(origin) = origin {
-        builder = builder.origin(origin);
-    }
-    if let Some(within) = within {
-        builder = builder.within(within);
-    }
-    if let Some(max_score) = max_score {
-        builder = builder.max_score(max_score);
-    }
-    Ok(builder.build_unvalidated())
-}
 
-/// Encodes a [`QueryStats`] payload (all counters, `runtime` as
-/// nanoseconds).
-pub fn encode_stats(w: &mut Writer, stats: &QueryStats) {
-    w.u64(stats.vertex_pops as u64);
-    w.u64(stats.social_pops as u64);
-    w.u64(stats.spatial_pops as u64);
-    w.u64(stats.index_pops as u64);
-    w.u64(stats.evaluated_users as u64);
-    w.u64(stats.distance_calls as u64);
-    w.u64(stats.cache_hits as u64);
-    w.u64(stats.delayed_reinsertions as u64);
-    w.u64(stats.relaxed_edges as u64);
-    w.u64(stats.reverse_settles as u64);
-    w.u64(stats.reverse_relaxed_edges as u64);
-    w.u64(stats.streamable_results as u64);
-    w.u64(stats.bytes_sent as u64);
-    w.u64(stats.bytes_received as u64);
-    w.u64(stats.wire_round_trips as u64);
-    w.u64(stats.runtime.as_nanos() as u64);
-}
-
-/// Decodes a [`QueryStats`] payload.
-///
-/// # Errors
-///
-/// [`WireError`] for truncated input or counters exceeding this
-/// platform's `usize`.
-pub fn decode_stats(r: &mut Reader<'_>) -> Result<QueryStats, WireError> {
-    Ok(QueryStats {
-        vertex_pops: r.usize()?,
-        social_pops: r.usize()?,
-        spatial_pops: r.usize()?,
-        index_pops: r.usize()?,
-        evaluated_users: r.usize()?,
-        distance_calls: r.usize()?,
-        cache_hits: r.usize()?,
-        delayed_reinsertions: r.usize()?,
-        relaxed_edges: r.usize()?,
-        reverse_settles: r.usize()?,
-        reverse_relaxed_edges: r.usize()?,
-        streamable_results: r.usize()?,
-        bytes_sent: r.usize()?,
-        bytes_received: r.usize()?,
-        wire_round_trips: r.usize()?,
-        runtime: Duration::from_nanos(r.u64()?),
-    })
-}
-
-fn encode_ranked(w: &mut Writer, entry: &RankedUser) {
-    w.u32(entry.user);
-    w.f64(entry.score);
-    w.f64(entry.social);
-    w.f64(entry.spatial);
-}
-
-fn decode_ranked(r: &mut Reader<'_>) -> Result<RankedUser, WireError> {
-    Ok(RankedUser {
-        user: r.u32()?,
-        score: r.f64()?,
-        social: r.f64()?,
-        spatial: r.f64()?,
-    })
-}
-
-/// Encodes a [`QueryResult`] payload.
-pub fn encode_result(w: &mut Writer, result: &QueryResult) {
-    w.u64(result.k as u64);
-    w.bool(result.degraded);
-    encode_stats(w, &result.stats);
-    w.u32(result.ranked.len() as u32);
-    for entry in &result.ranked {
-        encode_ranked(w, entry);
-    }
-}
-
-/// Decodes a [`QueryResult`] payload.
-///
-/// # Errors
-///
-/// [`WireError`] for malformed bytes.
-pub fn decode_result(r: &mut Reader<'_>) -> Result<QueryResult, WireError> {
-    let k = r.usize()?;
-    let degraded = r.bool()?;
-    let stats = decode_stats(r)?;
-    let n = r.u32()? as usize;
-    let mut ranked = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        ranked.push(decode_ranked(r)?);
-    }
-    Ok(QueryResult {
-        ranked,
-        k,
-        degraded,
-        stats,
-    })
-}
-
-fn encode_metric_sample(w: &mut Writer, sample: &MetricSample) {
-    w.str(&sample.name);
-    w.u32(sample.labels.len() as u32);
-    for (key, value) in &sample.labels {
-        w.str(key);
-        w.str(value);
-    }
-    match &sample.value {
-        MetricValue::Counter(v) => {
-            w.u8(0);
-            w.u64(*v);
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let user = Wire::get(r)?;
+        let k = Wire::get(r)?;
+        let alpha = Wire::get(r)?;
+        let marker = r.u8()?;
+        if marker != 0 {
+            return Err(WireError::Invalid(format!("algorithm marker {marker}")));
         }
-        MetricValue::Gauge(v) => {
-            w.u8(1);
-            w.f64(*v);
+        let name = r.str()?;
+        // `AUTO` crosses the wire like the twelve paper methods; the
+        // server's own engine plans it.
+        let algorithm = Algorithm::from_name(&name)
+            .ok_or_else(|| WireError::Invalid(format!("unknown algorithm {name:?}")))?;
+        let origin: Option<Point> = Wire::get(r)?;
+        let within: Option<Rect> = Wire::get(r)?;
+        let excluded: Vec<UserId> = Wire::get(r)?;
+        let max_score: Option<f64> = Wire::get(r)?;
+        let mut builder = QueryRequest::for_user(user)
+            .k(k)
+            .alpha(alpha)
+            .algorithm(algorithm)
+            .exclude(excluded);
+        if let Some(origin) = origin {
+            builder = builder.origin(origin);
         }
-        MetricValue::Histogram(snapshot) => {
-            w.u8(2);
-            w.u32(snapshot.buckets.len() as u32);
-            for &(index, count) in &snapshot.buckets {
-                w.u8(index);
-                w.u64(count);
-            }
-            w.u64(snapshot.sum);
-            w.u64(snapshot.count);
+        if let Some(within) = within {
+            builder = builder.within(within);
         }
-    }
-}
-
-fn decode_metric_sample(r: &mut Reader<'_>) -> Result<MetricSample, WireError> {
-    let name = r.str()?;
-    let n = r.u32()? as usize;
-    let mut labels = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let key = r.str()?;
-        labels.push((key, r.str()?));
-    }
-    let value = match r.u8()? {
-        0 => MetricValue::Counter(r.u64()?),
-        1 => MetricValue::Gauge(r.f64()?),
-        2 => {
-            let n = r.u32()? as usize;
-            let mut buckets = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let index = r.u8()?;
-                buckets.push((index, r.u64()?));
-            }
-            MetricValue::Histogram(HistogramSnapshot {
-                buckets,
-                sum: r.u64()?,
-                count: r.u64()?,
-            })
+        if let Some(max_score) = max_score {
+            builder = builder.max_score(max_score);
         }
-        t => return Err(WireError::Invalid(format!("metric value tag {t}"))),
-    };
-    Ok(MetricSample {
-        name,
-        labels,
-        value,
-    })
-}
-
-fn encode_query_spans(w: &mut Writer, spans: &QuerySpans) {
-    w.u64(spans.trace_id);
-    w.u32(spans.spans.len() as u32);
-    for span in &spans.spans {
-        w.str(&span.name);
-        w.opt(span.parent, |w, p| w.u32(p));
-        w.u64(span.start_ns);
-        w.u64(span.duration_ns);
+        Ok(builder.build_unvalidated())
     }
 }
 
-fn decode_query_spans(r: &mut Reader<'_>) -> Result<QuerySpans, WireError> {
-    let trace_id = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut spans = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        spans.push(SpanRecord {
-            name: r.str()?,
-            parent: r.opt(|r| r.u32())?,
-            start_ns: r.u64()?,
-            duration_ns: r.u64()?,
-        });
-    }
-    Ok(QuerySpans { trace_id, spans })
-}
-
-/// Encodes an [`ObsReport`] payload — a process's metric snapshot plus
-/// its recent span trees, exactly as recorded (`u64` counts stay exact).
-pub fn encode_obs_report(w: &mut Writer, report: &ObsReport) {
-    w.u32(report.metrics.len() as u32);
-    for sample in &report.metrics {
-        encode_metric_sample(w, sample);
-    }
-    w.u32(report.spans.len() as u32);
-    for spans in &report.spans {
-        encode_query_spans(w, spans);
-    }
-}
-
-/// Decodes an [`ObsReport`] payload.
-///
-/// # Errors
-///
-/// [`WireError`] for malformed bytes, including an unknown metric value
-/// tag.
-pub fn decode_obs_report(r: &mut Reader<'_>) -> Result<ObsReport, WireError> {
-    let n = r.u32()? as usize;
-    let mut metrics = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        metrics.push(decode_metric_sample(r)?);
-    }
-    let n = r.u32()? as usize;
-    let mut spans = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        spans.push(decode_query_spans(r)?);
-    }
-    Ok(ObsReport { metrics, spans })
+/// Appends a [`QueryRequest`] in its wire layout (the payload of an
+/// untraced [`Message::Query`]).
+pub fn encode_request(w: &mut Writer, request: &QueryRequest) {
+    request.put(w);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn round_trip(message: Message) {
         let bytes = message.encode();
@@ -781,7 +553,7 @@ mod tests {
 
         // Any other marker, and any unknown name, is a typed error.
         let marker_at = 4 + 8 + 8;
-        let decode = |payload: &[u8]| decode_request(&mut Reader::new(payload));
+        let decode = |payload: &[u8]| QueryRequest::get(&mut Reader::new(payload));
         for marker in [1u8, 2, 0xFF] {
             let mut bad = bytes.clone();
             bad[marker_at] = marker;
@@ -817,7 +589,7 @@ mod tests {
         round_trip(Message::MetricsReport(ObsReport::default()));
         let registry = ssrq_obs::Registry::new();
         registry.counter("q_total", &[("shard", "0")]).add(5);
-        registry.gauge("depth", &[]).set(-0.5);
+        registry.counter("errors_total", &[]).add(u64::MAX);
         let h = registry.histogram("lat_ns", &[("algorithm", "ais")]);
         h.observe(0);
         h.observe(17);

@@ -1110,6 +1110,14 @@ fn retired_inputs_are_refused_typed_without_taking_the_server_down() {
         wire::parse_header(&v4_frame),
         Err(WireError::UnsupportedVersion(4))
     );
+    // A version-5 frame: its peer may still send a gauge (metric value
+    // tag 1).
+    let mut v5_frame = Message::Ping.encode_with_id(1);
+    v5_frame[4] = 5;
+    assert_eq!(
+        wire::parse_header(&v5_frame),
+        Err(WireError::UnsupportedVersion(5))
+    );
     // The unassigned tags inside the tag table's range: the retired
     // `Hello`, the retired `Locate`/`Located` pair and 0x12.
     for tag in [0x01, 0x05, 0x06, 0x12] {
@@ -1144,6 +1152,10 @@ fn retired_inputs_are_refused_typed_without_taking_the_server_down() {
     let mut old_peer = connect();
     old_peer.write_all(&v1_frame).unwrap();
     let mut rest = Vec::new();
+    assert_eq!(old_peer.read_to_end(&mut rest).unwrap(), 0);
+    // So does a well-formed frame of the previous version.
+    let mut old_peer = connect();
+    old_peer.write_all(&v5_frame).unwrap();
     assert_eq!(old_peer.read_to_end(&mut rest).unwrap(), 0);
 
     // It cost nobody else anything.

@@ -3,12 +3,15 @@
 //! combination — must round-trip **bit-identically** (decode(encode(x))
 //! equals x and re-encodes to the same bytes), and every truncation or
 //! corruption of a valid frame must yield a typed [`WireError`], never a
-//! panic.
+//! panic.  One fixed message of every tag is pinned byte for byte, so a
+//! codec rewrite that changes the encoding of both halves together still
+//! fails.
 
 use rand::prelude::*;
 use ssrq_core::{Algorithm, QueryRequest, QueryResult, QueryStats, RankedUser};
-use ssrq_net::wire::{parse_header, WireError, HEADER_LEN};
+use ssrq_net::wire::{parse_header, WireError, HEADER_LEN, MAGIC, VERSION};
 use ssrq_net::{FailureKind, Message, ShardInfo};
+use ssrq_obs::{HistogramSnapshot, MetricSample, MetricValue, ObsReport, QuerySpans, SpanRecord};
 use ssrq_spatial::{Point, Rect};
 use std::time::Duration;
 
@@ -126,8 +129,45 @@ fn shard_info(rng: &mut StdRng) -> ShardInfo {
     }
 }
 
+fn obs_report(rng: &mut StdRng) -> ObsReport {
+    let text = |rng: &mut StdRng| format!("m_{}_ü", rng.gen_range(0..1000u32));
+    let metrics = (0..rng.gen_range(0..4usize))
+        .map(|_| MetricSample {
+            name: text(rng),
+            labels: (0..rng.gen_range(0..3usize))
+                .map(|_| (text(rng), text(rng)))
+                .collect(),
+            value: if rng.gen_bool(0.5) {
+                MetricValue::Counter(rng.gen())
+            } else {
+                MetricValue::Histogram(HistogramSnapshot {
+                    buckets: (0..rng.gen_range(0..5usize))
+                        .map(|_| (rng.gen_range(0..65u8), rng.gen()))
+                        .collect(),
+                    sum: rng.gen(),
+                    count: rng.gen(),
+                })
+            },
+        })
+        .collect();
+    let spans = (0..rng.gen_range(0..3usize))
+        .map(|_| QuerySpans {
+            trace_id: rng.gen(),
+            spans: (0..rng.gen_range(0..4u32))
+                .map(|i| SpanRecord {
+                    name: text(rng),
+                    parent: (i > 0).then(|| rng.gen_range(0..i)),
+                    start_ns: rng.gen(),
+                    duration_ns: rng.gen(),
+                })
+                .collect(),
+        })
+        .collect();
+    ObsReport { metrics, spans }
+}
+
 fn message(rng: &mut StdRng) -> Message {
-    match rng.gen_range(0..16u32) {
+    match rng.gen_range(0..17u32) {
         0 => Message::MetricsRequest,
         1 => Message::Info(shard_info(rng)),
         2 => Message::Query {
@@ -175,6 +215,7 @@ fn message(rng: &mut StdRng) -> Message {
             origin: point(rng),
             result: result(rng),
         },
+        15 => Message::MetricsReport(obs_report(rng)),
         _ => Message::Ok,
     }
 }
@@ -333,4 +374,237 @@ fn payload_level_corruptions_are_typed_not_panics() {
     let name_at = HEADER_LEN + 4 + 8 + 8 + 1 + 4;
     bytes[name_at..name_at + 3].copy_from_slice(b"ZZZ");
     assert!(matches!(decode_frame(&bytes), Err(WireError::Invalid(_))));
+}
+
+/// One fixed message of every tag, with every field a tag carries set to
+/// something other than its default.
+fn pinned_messages() -> Vec<Message> {
+    let stats = QueryStats {
+        vertex_pops: 1,
+        social_pops: 2,
+        spatial_pops: 3,
+        index_pops: 4,
+        evaluated_users: 5,
+        distance_calls: 6,
+        cache_hits: 7,
+        delayed_reinsertions: 8,
+        relaxed_edges: 9,
+        reverse_settles: 10,
+        reverse_relaxed_edges: 11,
+        streamable_results: 12,
+        bytes_sent: 13,
+        bytes_received: 14,
+        wire_round_trips: 15,
+        runtime: Duration::from_nanos(421_000),
+    };
+    let result = QueryResult {
+        ranked: vec![
+            RankedUser {
+                user: 3,
+                score: 0.125,
+                social: 0.0625,
+                spatial: -0.0,
+            },
+            RankedUser {
+                user: 70_000,
+                score: 0.75,
+                social: f64::MIN_POSITIVE,
+                spatial: 1.5,
+            },
+        ],
+        k: 8,
+        degraded: true,
+        stats,
+    };
+    let request = QueryRequest::for_user(9)
+        .k(5)
+        .alpha(0.62)
+        .algorithm(Algorithm::TsaCh)
+        .origin(Point::new(0.25, -0.75))
+        .within(Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0)))
+        .exclude([31, 4, 15])
+        .max_score(0.5)
+        .build_unvalidated();
+    let report = ObsReport {
+        metrics: vec![
+            MetricSample {
+                name: "q_total".into(),
+                labels: vec![("shard".into(), "1".into())],
+                value: MetricValue::Counter(12_345),
+            },
+            MetricSample {
+                name: "lat_ns".into(),
+                labels: vec![("algorithm".into(), "SFA".into())],
+                value: MetricValue::Histogram(HistogramSnapshot {
+                    buckets: vec![(0, 1), (17, 3), (64, 1)],
+                    sum: 300_000,
+                    count: 5,
+                }),
+            },
+        ],
+        spans: vec![QuerySpans {
+            trace_id: 0x2A_0000_0007,
+            spans: vec![
+                SpanRecord {
+                    name: "query".into(),
+                    parent: None,
+                    start_ns: 0,
+                    duration_ns: 1_000,
+                },
+                SpanRecord {
+                    name: "scatter".into(),
+                    parent: Some(0),
+                    start_ns: 10,
+                    duration_ns: 900,
+                },
+            ],
+        }],
+    };
+    vec![
+        Message::Info(ShardInfo {
+            shard: 1,
+            shards: 3,
+            user_count: 1_000,
+            located: 998,
+            rect: Some(Rect::new(Point::new(0.125, -0.25), Point::new(1.5, 2.0))),
+            spatial_norm: 1.25,
+            social_norm: 0.5,
+        }),
+        Message::Query {
+            request,
+            trace_id: 0xDEAD_BEEF_0000_0001,
+        },
+        Message::Answer(result.clone()),
+        Message::Relocate {
+            user: 42,
+            location: Some(Point::new(0.5, -1.0)),
+        },
+        Message::Relocated {
+            adopted: true,
+            held: false,
+        },
+        Message::ListLocated,
+        Message::LocatedUsers(vec![(3, Point::new(0.0, -0.0)), (8, Point::new(3.0, 4.0))]),
+        Message::SetAssignment {
+            cell_to_shard: vec![0, 2, 1, 1],
+        },
+        Message::Refresh,
+        Message::Fail {
+            kind: FailureKind::MissingIndex,
+            message: "no index \"CH\"".into(),
+        },
+        Message::Ping,
+        Message::Pong,
+        Message::Shutdown,
+        Message::Ok,
+        Message::MetricsRequest,
+        Message::MetricsReport(report),
+        Message::AnswerFrom {
+            origin: Point::new(0.25, -0.0),
+            result,
+        },
+    ]
+}
+
+/// The payload bytes of [`pinned_messages`], by tag, in hex.
+const PINNED_PAYLOADS: [(u8, &str); 17] = [
+    (
+        0x02,
+        concat!(
+            "0100000003000000e803000000000000e60300000000000001000000000000c0",
+            "3f000000000000d0bf000000000000f83f0000000000000040000000000000f4",
+            "3f000000000000e03f",
+        ),
+    ),
+    (
+        0x03,
+        concat!(
+            "090000000500000000000000d7a3703d0ad7e33f00060000005453412d434801",
+            "000000000000d03f000000000000e8bf01000000000000000000000000000000",
+            "00000000000000f03f000000000000f03f03000000040000000f0000001f0000",
+            "0001000000000000e03f01000000efbeadde",
+        ),
+    ),
+    (
+        0x04,
+        concat!(
+            "0800000000000000010100000000000000020000000000000003000000000000",
+            "0004000000000000000500000000000000060000000000000007000000000000",
+            "00080000000000000009000000000000000a000000000000000b000000000000",
+            "000c000000000000000d000000000000000e000000000000000f000000000000",
+            "00886c0600000000000200000003000000000000000000c03f000000000000b0",
+            "3f000000000000008070110100000000000000e83f0000000000001000000000",
+            "000000f83f",
+        ),
+    ),
+    (0x07, "2a00000001000000000000e03f000000000000f0bf"),
+    (0x08, "0100"),
+    (0x09, ""),
+    (
+        0x0a,
+        concat!(
+            "0200000003000000000000000000000000000000000000800800000000000000",
+            "000008400000000000001040",
+        ),
+    ),
+    (0x0b, "0400000000000000020000000100000001000000"),
+    (0x0c, ""),
+    (0x0d, "030d0000006e6f20696e6465782022434822"),
+    (0x0e, ""),
+    (0x0f, ""),
+    (0x10, ""),
+    (0x11, ""),
+    (0x13, ""),
+    (
+        0x14,
+        concat!(
+            "0200000007000000715f746f74616c0100000005000000736861726401000000",
+            "31003930000000000000060000006c61745f6e730100000009000000616c676f",
+            "726974686d030000005346410203000000000100000000000000110300000000",
+            "000000400100000000000000e093040000000000050000000000000001000000",
+            "070000002a00000002000000050000007175657279000000000000000000e803",
+            "000000000000070000007363617474657201000000000a000000000000008403",
+            "000000000000",
+        ),
+    ),
+    (
+        0x15,
+        concat!(
+            "000000000000d03f000000000000008008000000000000000101000000000000",
+            "0002000000000000000300000000000000040000000000000005000000000000",
+            "0006000000000000000700000000000000080000000000000009000000000000",
+            "000a000000000000000b000000000000000c000000000000000d000000000000",
+            "000e000000000000000f00000000000000886c06000000000002000000030000",
+            "00000000000000c03f000000000000b03f000000000000008070110100000000",
+            "000000e83f0000000000001000000000000000f83f",
+        ),
+    ),
+];
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn every_tag_encodes_to_its_pinned_bytes() {
+    let messages = pinned_messages();
+    assert_eq!(messages.len(), PINNED_PAYLOADS.len());
+    for (message, (tag, payload)) in messages.iter().zip(PINNED_PAYLOADS) {
+        let frame_id = 0x0102_0304u32;
+        let mut expected = MAGIC.to_vec();
+        expected.extend([VERSION, tag]);
+        expected.extend(frame_id.to_le_bytes());
+        expected.extend((payload.len() as u32 / 2).to_le_bytes());
+        let bytes = message.encode_with_id(frame_id);
+        assert_eq!(
+            hex(&bytes),
+            hex(&expected) + payload,
+            "tag 0x{tag:02x}: {message:?}"
+        );
+        assert_eq!(
+            decode_frame(&bytes).as_ref(),
+            Ok(message),
+            "tag 0x{tag:02x}"
+        );
+    }
 }

@@ -53,19 +53,6 @@ fn write_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&s
     out.push('}');
 }
 
-/// Formats an `f64` the way Prometheus expects (`+Inf`, `-Inf`, `NaN`).
-fn format_value(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".into()
-    } else if v == f64::INFINITY {
-        "+Inf".into()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".into()
-    } else {
-        format!("{v}")
-    }
-}
-
 fn write_histogram(out: &mut String, sample: &MetricSample, snapshot: &HistogramSnapshot) {
     let mut cumulative = 0u64;
     for &(index, count) in &snapshot.buckets {
@@ -104,11 +91,6 @@ pub fn render_prometheus(samples: &[MetricSample]) -> String {
                 write_labels(&mut out, &sample.labels, None);
                 let _ = writeln!(out, " {v}");
             }
-            MetricValue::Gauge(v) => {
-                out.push_str(&sample.name);
-                write_labels(&mut out, &sample.labels, None);
-                let _ = writeln!(out, " {}", format_value(*v));
-            }
             MetricValue::Histogram(snapshot) => write_histogram(&mut out, sample, snapshot),
         }
     }
@@ -121,11 +103,10 @@ mod tests {
     use crate::metrics::Registry;
 
     #[test]
-    fn renders_counters_gauges_and_histograms() {
+    fn renders_counters_and_histograms() {
         let registry = Registry::new();
         registry.counter("queries_total", &[("shard", "0")]).add(3);
         registry.counter("queries_total", &[("shard", "1")]).add(4);
-        registry.gauge("queue_depth", &[]).set(2.5);
         let h = registry.histogram("latency_ns", &[]);
         h.observe(1);
         h.observe(3);
@@ -136,7 +117,6 @@ mod tests {
         assert!(text.contains("queries_total{shard=\"1\"} 4\n"));
         // One TYPE line per name, not per label set.
         assert_eq!(text.matches("# TYPE queries_total").count(), 1);
-        assert!(text.contains("queue_depth 2.5\n"));
         // Cumulative buckets: le=1 sees 1 observation, le=3 sees all 3.
         assert!(text.contains("latency_ns_bucket{le=\"1\"} 1\n"));
         assert!(text.contains("latency_ns_bucket{le=\"3\"} 3\n"));
@@ -156,12 +136,5 @@ mod tests {
             .inc();
         let text = registry.render();
         assert!(text.contains("c{endpoint=\"unix:/tmp/a \\\"b\\\".sock\"} 1\n"));
-    }
-
-    #[test]
-    fn gauge_special_values_follow_prometheus_spelling() {
-        assert_eq!(format_value(f64::INFINITY), "+Inf");
-        assert_eq!(format_value(f64::NEG_INFINITY), "-Inf");
-        assert_eq!(format_value(f64::NAN), "NaN");
     }
 }

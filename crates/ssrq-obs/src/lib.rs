@@ -4,10 +4,10 @@
 //! sharded scatter, the multi-process wire serving tier — records into the
 //! same three primitives:
 //!
-//! * **Metrics** ([`Registry`]) — atomic [`Counter`]s, [`Gauge`]s and
-//!   log-bucketed [`Histogram`]s with exact `u64` counts.  Handles are
-//!   cheap `Arc` clones; recording is a handful of atomic operations with
-//!   no lock on the hot path.  A registry renders itself as
+//! * **Metrics** ([`Registry`]) — atomic [`Counter`]s and log-bucketed
+//!   [`Histogram`]s with exact `u64` counts.  Handles are cheap `Arc`
+//!   clones; recording is a handful of atomic operations with no lock on
+//!   the hot path.  A registry renders itself as
 //!   Prometheus-style text ([`render_prometheus`]) and snapshots into
 //!   plain data ([`MetricSample`]) that crosses process boundaries (the
 //!   wire protocol's `Metrics` message) without losing exactness.
@@ -39,8 +39,7 @@ mod trace;
 pub use expose::render_prometheus;
 pub use log::{Level, Logger};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricSample, MetricValue, Registry,
-    HISTOGRAM_BUCKETS,
+    Counter, Histogram, HistogramSnapshot, MetricSample, MetricValue, Registry, HISTOGRAM_BUCKETS,
 };
 pub use slowlog::{SlowQuery, SlowQueryLog};
 pub use trace::{next_trace_id, ObsReport, QuerySpans, SpanId, SpanLog, SpanRecord, Trace};

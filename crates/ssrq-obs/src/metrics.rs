@@ -1,7 +1,7 @@
-//! The metrics registry: atomic counters, gauges and log-bucketed
-//! histograms with exact `u64` counts.
+//! The metrics registry: atomic counters and log-bucketed histograms with
+//! exact `u64` counts.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`-backed and
+//! Handles ([`Counter`], [`Histogram`]) are `Arc`-backed and
 //! cheap to clone; recording touches only atomics.  The registry itself is
 //! a mutexed map consulted at **registration** time (get-or-register by
 //! name + label set), never on the record path — callers that care about
@@ -39,50 +39,6 @@ impl Counter {
     /// The current count.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value-wins instantaneous measurement, stored as `f64` bits.
-#[derive(Debug, Clone)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Default for Gauge {
-    fn default() -> Gauge {
-        Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))
-    }
-}
-
-impl Gauge {
-    /// A free-standing gauge starting at 0.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Sets the gauge.
-    pub fn set(&self, value: f64) {
-        self.0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative) with a CAS loop — safe under
-    /// concurrent adders, e.g. a queue-depth gauge ticked from many
-    /// threads.
-    pub fn add(&self, delta: f64) {
-        let mut current = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + delta).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    /// The current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -228,8 +184,6 @@ impl HistogramSnapshot {
 pub enum MetricValue {
     /// A counter reading.
     Counter(u64),
-    /// A gauge reading.
-    Gauge(f64),
     /// A histogram snapshot.
     Histogram(HistogramSnapshot),
 }
@@ -239,7 +193,6 @@ impl MetricValue {
     pub fn kind(&self) -> &'static str {
         match self {
             MetricValue::Counter(_) => "counter",
-            MetricValue::Gauge(_) => "gauge",
             MetricValue::Histogram(_) => "histogram",
         }
     }
@@ -260,7 +213,6 @@ pub struct MetricSample {
 #[derive(Debug, Clone)]
 enum Entry {
     Counter(Counter),
-    Gauge(Gauge),
     Histogram(Histogram),
 }
 
@@ -268,7 +220,6 @@ impl Entry {
     fn kind(&self) -> &'static str {
         match self {
             Entry::Counter(_) => "counter",
-            Entry::Gauge(_) => "gauge",
             Entry::Histogram(_) => "histogram",
         }
     }
@@ -336,18 +287,6 @@ impl Registry {
         }
     }
 
-    /// The gauge registered under `(name, labels)`, created on first use.
-    ///
-    /// # Panics
-    ///
-    /// As [`Registry::counter`], on a kind mismatch.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.entry(name, labels, Entry::Gauge(Gauge::new())) {
-            Entry::Gauge(g) => g,
-            _ => unreachable!("kind asserted above"),
-        }
-    }
-
     /// The histogram registered under `(name, labels)`, created on first
     /// use.
     ///
@@ -372,7 +311,6 @@ impl Registry {
                 labels: labels.clone(),
                 value: match entry {
                     Entry::Counter(c) => MetricValue::Counter(c.get()),
-                    Entry::Gauge(g) => MetricValue::Gauge(g.get()),
                     Entry::Histogram(h) => MetricValue::Histogram(h.snapshot()),
                 },
             })
@@ -390,7 +328,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_record_atomically() {
+    fn counters_record_atomically() {
         let registry = Registry::new();
         let c = registry.counter("events_total", &[("shard", "0")]);
         c.inc();
@@ -398,11 +336,6 @@ mod tests {
         // The same (name, labels) yields the same underlying counter,
         // label order notwithstanding.
         assert_eq!(registry.counter("events_total", &[("shard", "0")]).get(), 5);
-
-        let g = registry.gauge("depth", &[]);
-        g.set(3.0);
-        g.add(-1.5);
-        assert_eq!(g.get(), 1.5);
     }
 
     #[test]
@@ -482,6 +415,6 @@ mod tests {
     fn kind_mismatch_is_a_loud_error() {
         let registry = Registry::new();
         registry.counter("x", &[]);
-        registry.gauge("x", &[]);
+        registry.histogram("x", &[]);
     }
 }
