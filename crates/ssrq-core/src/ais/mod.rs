@@ -15,7 +15,9 @@
 //!   computation started over for every evaluated user;
 //! * **AIS⁻** — adds the computation-sharing optimizations of §5.2
 //!   (distance caching + forward heap caching);
-//! * **AIS** — additionally applies the delayed-evaluation strategy of §5.3.
+//! * **AIS** — additionally applies the delayed-evaluation strategy of §5.3,
+//!   here extended to index nodes, and scores each user its forward search
+//!   settles as it settles (see `AisDriver`).
 
 mod index;
 mod search;

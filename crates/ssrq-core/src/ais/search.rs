@@ -1,7 +1,7 @@
 use crate::ais::AisIndex;
 use crate::driver::{AnswerBook, Driven, QueryDriver, Search, StepOutcome};
 use crate::{
-    CoreError, GeoSocialDataset, QueryContext, QueryRequest, QueryResult, QueryStats,
+    CoreError, GeoSocialDataset, QueryContext, QueryRequest, QueryResult, QueryStats, RankedUser,
     RankingContext, UserId,
 };
 use ssrq_graph::{GraphDistanceEngine, LandmarkSet, SharingMode};
@@ -15,7 +15,10 @@ use std::collections::BinaryHeap;
 pub(crate) struct AisVariant {
     /// Sharing mode of the graph-distance submodule (§5.2).
     pub sharing: SharingMode,
-    /// Whether the delayed-evaluation strategy (§5.3) is applied.
+    /// Whether the delayed-evaluation strategy (§5.3) is applied: users and
+    /// index nodes are keyed by the forward frontier `β`, and every user
+    /// the forward search settles is scored as it settles (see
+    /// [`AisDriver`]).
     pub delayed_evaluation: bool,
 }
 
@@ -50,7 +53,10 @@ impl AisVariant {
 /// awaiting exact evaluation.
 #[derive(Debug, Clone, Copy)]
 enum Item {
-    Node(NodeId),
+    /// A node with its raw social bound (the summary's, before `β`) and its
+    /// normalized spatial bound, so re-keying it by a risen `β` needs no
+    /// second look at the index.
+    Node(NodeId, f64, f64),
     /// A user together with its normalized spatial distance from the query
     /// user (computed when the leaf cell was expanded).
     User(UserId, f64),
@@ -84,9 +90,39 @@ impl Ord for Entry {
 ///
 /// Each step pops one entry from the search heap `H` and handles it —
 /// expanding an index node, parking a user, or evaluating one exactly.
-/// Pops arrive in non-decreasing key order, so every pop key is a
-/// finalization bound: the driver emits result entries as soon as their
-/// score drops below the best key still in the heap.
+/// Every pop key is a finalization bound: the driver emits result entries
+/// as soon as their score drops below the best key still in the heap.
+///
+/// # Delayed evaluation (full AIS only)
+///
+/// The shared forward search of the distance engine settles vertices in
+/// distance order, so every vertex it has not settled is at least `β` (its
+/// frontier) away — the bound §5.3 raises a parked user's key to.  Full AIS
+/// applies it to index nodes too, and scores the settled side directly
+/// (the threshold algorithm's step of scoring a candidate as soon as all
+/// its values are known):
+///
+/// * at the top of every step, each user settled since the previous step
+///   that the request admits and that has a location is offered to the
+///   top-k at its exact score — its distance is the one the search
+///   settled, so no distance call and no heap entry.  It counts as a cache
+///   hit; if its user entry pops later, that pop is dropped and counts as
+///   the evaluation it stands for, with no distance call;
+/// * a node's key is `MINF` with its social bound raised to `β`, when it is
+///   priced and again when it is popped (re-queued if `β` raised it); a
+///   user's key likewise, and leaf expansion skips users already settled.
+///
+/// **Why it stays exact.**  At every pop, each user the forward search has
+/// settled was offered at the top of the step, and each one it has not is
+/// at least `β` ≥ the `β` its entry (or its ancestor's) was keyed with.  So
+/// every user not yet offered scores at least the key of the heap entry
+/// that holds it, or was pruned with a key at or above `f_k`: the popped
+/// minimum is a lower bound on every candidate still to come, which is what
+/// the finalization bound and the stop test need.  A user reaches the top-k
+/// at most once: a popped user entry whose user has settled meanwhile is
+/// dropped, and one evaluated through the heap before it settled is not
+/// offered again while the top-k holds it (once evicted or rejected, it
+/// scores at or above `f_k` and an offer is a no-op).
 pub(crate) struct AisDriver<'a> {
     index: &'a AisIndex,
     landmarks: &'a LandmarkSet,
@@ -95,6 +131,8 @@ pub(crate) struct AisDriver<'a> {
     query_vector: &'a [f64],
     distance_engine: GraphDistanceEngine<'a, 'a>,
     heap: BinaryHeap<Entry>,
+    /// Entries of the engine's settled order already scored.
+    scored: usize,
 }
 
 impl std::fmt::Debug for AisDriver<'_> {
@@ -117,18 +155,7 @@ impl<'a> AisDriver<'a> {
         qctx: &'a mut QueryContext,
     ) -> Self {
         let user_q = ranking.query_user();
-        let query_vector = landmarks.vector(user_q);
-        let mut heap = BinaryHeap::new();
-        for node in index.grid().top_nodes() {
-            let key = node_lower_bound(index, ranking, node, origin, query_vector);
-            if key.is_finite() {
-                heap.push(Entry {
-                    key,
-                    item: Item::Node(node),
-                });
-            }
-        }
-        AisDriver {
+        let mut driver = AisDriver {
             distance_engine: GraphDistanceEngine::new(
                 ranking.dataset().graph(),
                 landmarks,
@@ -136,18 +163,88 @@ impl<'a> AisDriver<'a> {
                 variant.sharing,
                 &mut qctx.social,
             ),
-            heap,
+            heap: BinaryHeap::new(),
             query_location: origin,
             index,
             landmarks,
             variant,
-            query_vector,
+            query_vector: landmarks.vector(user_q),
+            scored: 0,
+        };
+        for node in index.grid().top_nodes() {
+            driver.push_node(ranking, node, f64::INFINITY);
         }
+        driver
+    }
+
+    /// A raw social lower bound of a user the forward search has not
+    /// settled, raised to `β` under delayed evaluation.
+    fn social_floor(&self, raw_lb: f64) -> f64 {
+        if self.variant.delayed_evaluation {
+            raw_lb.max(self.distance_engine.beta())
+        } else {
+            raw_lb
+        }
+    }
+
+    /// The key of a node with bounds `(raw_social, spatial)`.
+    fn node_key(&self, ctx: &RankingContext<'_>, raw_social: f64, spatial: f64) -> f64 {
+        minf(ctx, self.social_floor(raw_social), spatial)
+    }
+
+    /// Prices `node` and queues it if its key is below `bound`.
+    fn push_node(&mut self, ctx: &RankingContext<'_>, node: NodeId, bound: f64) {
+        let Some((raw_social, spatial)) = node_bounds(
+            self.index,
+            ctx,
+            node,
+            self.query_location,
+            self.query_vector,
+        ) else {
+            return;
+        };
+        let key = self.node_key(ctx, raw_social, spatial);
+        if key < bound {
+            self.heap.push(Entry {
+                key,
+                item: Item::Node(node, raw_social, spatial),
+            });
+        }
+    }
+
+    /// Offers each user settled since the last call at its exact score (see
+    /// the type docs).
+    fn score_settled(&mut self, book: &mut AnswerBook<'_>) {
+        let settled = self.distance_engine.settled_order();
+        for &(user, distance) in &settled[self.scored..] {
+            let spatial = book.ctx.spatial(user);
+            if spatial == f64::INFINITY || !book.request.admits(book.dataset(), user) {
+                continue;
+            }
+            let social = book.ctx.normalize_social(distance);
+            let score = book.ctx.score(social, spatial);
+            if score < book.topk.fk() {
+                if book.topk.contains(user) {
+                    continue; // evaluated through the heap before it settled
+                }
+                book.topk.consider(RankedUser {
+                    user,
+                    score,
+                    social,
+                    spatial,
+                });
+            }
+            book.stats.cache_hits += 1;
+        }
+        self.scored = settled.len();
     }
 }
 
 impl Search for AisDriver<'_> {
     fn step(&mut self, book: &mut AnswerBook<'_>) -> StepOutcome {
+        if self.variant.delayed_evaluation {
+            self.score_settled(book);
+        }
         let Some(Entry { key, item }) = self.heap.pop() else {
             // The search heap drained: every remaining user was pruned with
             // a key at or above `f_k`, so no held entry can be displaced —
@@ -156,71 +253,77 @@ impl Search for AisDriver<'_> {
             return StepOutcome::Complete;
         };
         book.stats.index_pops += 1;
-        // Every candidate still in the heap (and everything reachable from
-        // it) scores at least `key`: pops arrive in non-decreasing key
-        // order, so `key` is a finalization bound for the entries held.
+        // Every candidate still to come scores at least `key` (type docs),
+        // so `key` is a finalization bound for the entries held.
         if book.raise(key) {
             return StepOutcome::Complete;
         }
         let ctx = book.ctx;
         match item {
-            Item::Node(node) => match self.index.grid().node_kind(node) {
-                NodeKind::Internal => {
-                    for child in self.index.grid().children(node) {
-                        let child_key = node_lower_bound(
-                            self.index,
-                            &ctx,
-                            child,
-                            self.query_location,
-                            self.query_vector,
-                        );
-                        if child_key.is_finite() && child_key < book.topk.fk() {
-                            self.heap.push(Entry {
-                                key: child_key,
-                                item: Item::Node(child),
-                            });
-                        }
-                    }
-                }
-                NodeKind::Leaf => {
-                    for &user in self.index.grid().leaf_items(node) {
-                        if !book.request.admits(book.dataset(), user) {
-                            continue;
-                        }
-                        let spatial = ctx.spatial(user);
-                        let mut raw_lb = self.landmarks.lower_bound(ctx.query_user(), user);
-                        // Delayed evaluation's β bound (§5.3), applied on
-                        // the way in as well as on the way out.
-                        if self.variant.delayed_evaluation
-                            && self.distance_engine.known_distance(user).is_none()
-                        {
-                            raw_lb = raw_lb.max(self.distance_engine.beta());
-                        }
-                        let social_lb = ctx.normalize_social(raw_lb);
-                        let user_key = ctx.score_lower_bound(social_lb, spatial);
-                        if user_key.is_finite() && user_key < book.topk.fk() {
-                            self.heap.push(Entry {
-                                key: user_key,
-                                item: Item::User(user, spatial),
-                            });
-                        }
-                    }
-                }
-            },
-            Item::User(user, spatial) => {
-                // Delayed evaluation (§5.3): if the shared forward search has
-                // progressed beyond this user's landmark bound, re-insert it
-                // with the tighter β-based key instead of evaluating it now.
+            Item::Node(node, raw_social, spatial) => {
                 if self.variant.delayed_evaluation {
+                    // `β` may have risen since the node was priced.
+                    let node_key = self.node_key(&ctx, raw_social, spatial);
+                    if node_key > key {
+                        if node_key < book.topk.fk() {
+                            self.heap.push(Entry {
+                                key: node_key,
+                                item,
+                            });
+                        }
+                        return StepOutcome::Progress;
+                    }
+                }
+                match self.index.grid().node_kind(node) {
+                    NodeKind::Internal => {
+                        for child in self.index.grid().children(node) {
+                            self.push_node(&ctx, child, book.topk.fk());
+                        }
+                    }
+                    NodeKind::Leaf => {
+                        for &user in self.index.grid().leaf_items(node) {
+                            if !book.request.admits(book.dataset(), user) {
+                                continue;
+                            }
+                            // Settled, so scored already.
+                            if self.variant.delayed_evaluation
+                                && self.distance_engine.known_distance(user).is_some()
+                            {
+                                continue;
+                            }
+                            let spatial = ctx.spatial(user);
+                            let raw_lb = self.landmarks.lower_bound(ctx.query_user(), user);
+                            let social_lb = ctx.normalize_social(self.social_floor(raw_lb));
+                            let user_key = ctx.score_lower_bound(social_lb, spatial);
+                            if user_key.is_finite() && user_key < book.topk.fk() {
+                                self.heap.push(Entry {
+                                    key: user_key,
+                                    item: Item::User(user, spatial),
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+            Item::User(user, spatial) => {
+                if self.variant.delayed_evaluation {
+                    // Settled since it was queued: evaluated without a
+                    // search when it was scored.
+                    if self.distance_engine.known_distance(user).is_some() {
+                        book.stats.evaluated_users += 1;
+                        return StepOutcome::Progress;
+                    }
+                    // Delayed evaluation (§5.3): if the shared forward
+                    // search has progressed beyond this user's key,
+                    // re-insert it with the tighter β-based key instead of
+                    // evaluating it now.
                     let beta_bound = ctx.normalize_social(self.distance_engine.beta());
                     let delayed_key = ctx.score_lower_bound(beta_bound, spatial);
-                    if key < delayed_key - 1e-12
-                        && self.distance_engine.known_distance(user).is_none()
-                    {
+                    if key < delayed_key - 1e-12 {
                         book.stats.delayed_reinsertions += 1;
                         self.heap.push(Entry {
                             key: delayed_key,
-                            item: Item::User(user, spatial),
+                            item,
                         });
                         return StepOutcome::Progress;
                     }
@@ -282,32 +385,39 @@ pub(crate) fn ais_query(
     Driven::new(book, search).run_to_completion()
 }
 
-/// `MINF(u_q, C)` of Theorem 1, in normalized/ranking units.
+/// The two halves of `MINF(u_q, C)` of Theorem 1: the node's raw social
+/// bound and its normalized spatial bound, or `None` when the social bound
+/// is `+∞`.
 ///
 /// The social bound is read first: it is `+∞` for every vacant node (see
 /// [`AisIndex`]'s occupancy-first rule), and then so is the key for any
 /// `α ∈ (0, 1)`, so the node's rectangle is never built.
-fn node_lower_bound(
+fn node_bounds(
     index: &AisIndex,
     ctx: &RankingContext<'_>,
     node: NodeId,
     query_location: Point,
     query_vector: &[f64],
-) -> f64 {
+) -> Option<(f64, f64)> {
     let raw_social = index.social_lower_bound(node, query_vector);
     if raw_social == f64::INFINITY {
-        return f64::INFINITY;
+        return None;
     }
-    let social_lb = ctx.normalize_social(raw_social);
     let spatial_lb = ctx.normalize_spatial(index.spatial_lower_bound(node, query_location));
-    ctx.score_lower_bound(social_lb, spatial_lb)
+    Some((raw_social, spatial_lb))
+}
+
+/// `MINF(u_q, C)` in normalized/ranking units from a raw social bound and a
+/// normalized spatial bound.
+fn minf(ctx: &RankingContext<'_>, raw_social: f64, spatial_lb: f64) -> f64 {
+    ctx.score_lower_bound(ctx.normalize_social(raw_social), spatial_lb)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::exhaustive;
-    use crate::{Algorithm, GeoSocialEngine};
+    use crate::{Algorithm, GeoSocialEngine, TopK};
     use ssrq_graph::{GraphBuilder, LandmarkSelection};
 
     /// One AIS run of `variant`.  A query user without a location never
@@ -417,6 +527,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `MINF` as the driver prices a node before `β` applies.
+    fn node_lower_bound(
+        index: &AisIndex,
+        ctx: &RankingContext<'_>,
+        node: NodeId,
+        query_location: Point,
+        query_vector: &[f64],
+    ) -> f64 {
+        node_bounds(index, ctx, node, query_location, query_vector)
+            .map_or(f64::INFINITY, |(social, spatial)| {
+                minf(ctx, social, spatial)
+            })
     }
 
     /// `MINF` by its definition, the reference for the occupancy-first
@@ -535,6 +659,82 @@ mod tests {
     #[test]
     fn ais_full_matches_exhaustive() {
         check_variant(AisVariant::full());
+    }
+
+    /// Whether the shared forward search has settled `user`.
+    fn forward_settled(driver: &AisDriver<'_>, user: UserId) -> bool {
+        driver
+            .distance_engine
+            .settled_order()
+            .iter()
+            .any(|&(v, _)| v == user)
+    }
+
+    #[test]
+    fn a_user_evaluated_by_the_reverse_search_and_then_settled_enters_once() {
+        let (dataset, landmarks) = dataset();
+        let index = AisIndex::build(&dataset, &landmarks, 4, 2).unwrap();
+        let mut witnessed = 0;
+        for &alpha in &[0.3, 0.5, 0.7, 0.9] {
+            for &k in &[3usize, 5, 10] {
+                for user in 0..dataset.user_count() as UserId {
+                    if dataset.location(user).is_none() {
+                        continue;
+                    }
+                    let request = req(user, k, alpha);
+                    let mut book = AnswerBook::new(&dataset, &request);
+                    let origin = book.ctx.origin().unwrap();
+                    let ranking = book.ctx;
+                    let mut qctx = QueryContext::new();
+                    let mut search = AisDriver::new(
+                        &ranking,
+                        &index,
+                        &landmarks,
+                        origin,
+                        AisVariant::full(),
+                        &mut qctx,
+                    );
+                    // Users held while their distance came from the reverse
+                    // search (known, not forward-settled).
+                    let mut reverse_evaluated = Vec::new();
+                    while search.step(&mut book) == StepOutcome::Progress {
+                        for v in 0..dataset.user_count() as UserId {
+                            if !book.topk.contains(v) {
+                                continue;
+                            }
+                            if forward_settled(&search, v) {
+                                if reverse_evaluated.contains(&v) {
+                                    witnessed += 1;
+                                    reverse_evaluated.retain(|&u| u != v);
+                                }
+                            } else if search.distance_engine.known_distance(v).is_some()
+                                && !reverse_evaluated.contains(&v)
+                            {
+                                reverse_evaluated.push(v);
+                            }
+                        }
+                    }
+                    let got = std::mem::replace(&mut book.topk, TopK::new(0)).into_sorted_vec();
+                    let mut users: Vec<UserId> = got.iter().map(|e| e.user).collect();
+                    users.sort_unstable();
+                    users.dedup();
+                    assert_eq!(users.len(), got.len(), "a user entered twice");
+                    let expected = exhaustive::run(&dataset, &request).unwrap();
+                    let bits = |ranked: &[crate::RankedUser]| -> Vec<(UserId, u64)> {
+                        ranked.iter().map(|e| (e.user, e.score.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(&got),
+                        bits(&expected.ranked),
+                        "alpha {alpha}, k {k}, user {user}"
+                    );
+                }
+            }
+        }
+        assert!(
+            witnessed > 0,
+            "no held user was reverse-evaluated and then forward-settled"
+        );
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl<'s> IncrementalDijkstra<'s> {
                 continue; // stale queue entry (lazy deletion)
             }
             self.scratch.mark_settled(node);
-            if self.scratch.is_retaining() {
+            if self.scratch.records_order() {
                 self.scratch.record_settled(node, key);
             }
             self.settled_count += 1;

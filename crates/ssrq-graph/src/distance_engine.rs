@@ -145,7 +145,9 @@ pub struct DistanceEngineStats {
 /// Ratios trade social pops against AIS heap pops (248 per query at `β/2`,
 /// 339 at `β`, 427 for equal settles).  `β/2` had the best `churn_auto`
 /// median in every set and was within the host's noise of the best
-/// `single_social` median.
+/// `single_social` median.  (The counters predate full AIS scoring the
+/// users this search settles, which took the `β/2` row to 2,819 / 557
+/// social pops and `single_social`'s heap pops to 224 per query.)
 pub struct GraphDistanceEngine<'g, 's> {
     graph: &'g SocialGraph,
     landmarks: &'g LandmarkSet,
@@ -185,6 +187,7 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
         let mut forward = IncrementalDijkstra::new(graph, source, scratch);
         if mode == SharingMode::Shared {
             forward.skip_replay();
+            forward.scratch_mut().record_order();
         }
         forward.scratch_mut().answers.clear();
         GraphDistanceEngine {
@@ -230,6 +233,18 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
             let at = answers.binary_search_by_key(&v, |&(t, _)| t).ok()?;
             Some(answers[at].1)
         })
+    }
+
+    /// The vertices the shared forward search has settled, with their exact
+    /// distances, in settle order — inside a sharing scope, the resumed
+    /// prefix first.  Read from the scratch's reused buffer: following it
+    /// allocates nothing.  Empty in [`SharingMode::None`], whose forward
+    /// searches are per call.
+    pub fn settled_order(&self) -> &[(NodeId, Distance)] {
+        match self.mode {
+            SharingMode::Shared => &self.forward.scratch().order[..self.forward.settled_count()],
+            SharingMode::None => &[],
+        }
     }
 
     /// Number of vertices settled by the shared forward search so far.
@@ -619,6 +634,47 @@ mod tests {
             "beta {} grew past budget",
             e.beta()
         );
+    }
+
+    #[test]
+    fn settled_order_is_the_forward_settle_order_resumed_prefix_included() {
+        let g = random_graph(150, 320, 17);
+        let lms = LandmarkSet::build(&g, 4, LandmarkSelection::FarthestFirst, 17).unwrap();
+        let mut fresh = SearchScratch::new();
+        let mut reference = IncrementalDijkstra::new(&g, 4, &mut fresh);
+        let mut order = Vec::new();
+        while let Some(settled) = reference.next_settled(&g) {
+            order.push(settled);
+        }
+        let bits = |settled: &[(NodeId, Distance)]| -> Vec<(NodeId, u64)> {
+            settled.iter().map(|&(v, d)| (v, d.to_bits())).collect()
+        };
+        let mut scratch = SearchScratch::new();
+        for scope in [false, true] {
+            scratch.share_expansions(scope);
+            let mut seen = 0;
+            for targets in [[140u32, 20], [90, 75]] {
+                let mut e =
+                    GraphDistanceEngine::new(&g, &lms, 4, SharingMode::Shared, &mut scratch);
+                // A resumed expansion starts with its prefix in place.
+                assert_eq!(e.settled_order().len(), if scope { seen } else { 0 });
+                for t in targets {
+                    e.distance(t);
+                    let settled = e.settled_order();
+                    assert_eq!(settled.len(), e.forward_settled_count());
+                    assert_eq!(
+                        bits(settled),
+                        bits(&order[..settled.len()]),
+                        "scope {scope}"
+                    );
+                    seen = settled.len();
+                }
+            }
+            let mut unshared =
+                GraphDistanceEngine::new(&g, &lms, 4, SharingMode::None, &mut scratch);
+            unshared.distance(140);
+            assert!(unshared.settled_order().is_empty());
+        }
     }
 
     #[test]

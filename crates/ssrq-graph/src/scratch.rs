@@ -75,9 +75,13 @@ pub struct SearchScratch {
     /// scratch still holds for a same-source search to resume.  Only ever
     /// `Some` inside a sharing scope; cleared by every [`Self::begin`].
     retained: Option<(NodeId, usize)>,
-    /// The retained expansion's settled `(vertex, distance)` pairs in settle
+    /// Whether the current expansion records its settled order although no
+    /// later search resumes it (see [`Self::record_order`]).  Cleared by
+    /// every [`Self::begin`].
+    recording: bool,
+    /// The current expansion's settled `(vertex, distance)` pairs in settle
     /// order — what a resumed sorted-access consumer replays.  Empty unless
-    /// an expansion is retained.
+    /// an expansion is retained or recorded.
     pub(crate) order: Vec<(NodeId, Distance)>,
     /// Position in `order` of each vertex settled by the retained expansion.
     rank: Vec<u32>,
@@ -163,11 +167,18 @@ impl SearchScratch {
         self.retained == Some((source, graph_address(graph)))
     }
 
-    /// Whether the current expansion records its settled order for later
-    /// searches to resume.
+    /// Whether the current expansion records its settled order: for later
+    /// searches to resume, or for its consumer to read back.
     #[inline]
-    pub(crate) fn is_retaining(&self) -> bool {
-        self.retained.is_some()
+    pub(crate) fn records_order(&self) -> bool {
+        self.recording || self.retained.is_some()
+    }
+
+    /// Makes the expansion just begun (or resumed) record its settled order
+    /// in the reused `order` buffer, also outside a sharing scope.
+    pub(crate) fn record_order(&mut self) {
+        self.rank.resize(self.dist.len(), 0);
+        self.recording = true;
     }
 
     /// Marks the expansion just begun from `source` over `graph` as one to
@@ -201,6 +212,7 @@ impl SearchScratch {
         self.queue.clear();
         self.order.clear();
         self.retained = None;
+        self.recording = false;
         self.resets += 1;
         if self.epoch == u32::MAX {
             // Wrap-around: restart the generation sequence.  Epoch 0 must

@@ -476,9 +476,11 @@ impl ShardServer {
                 relocated.map(|(adopted, held)| {
                     if adopted {
                         self.obs.relocations_adopted.inc();
-                        self.obs
-                            .logger
-                            .info(&format!("event=relocation_adopted user={user}"));
+                        if self.obs.logger.enabled(ssrq_obs::Level::Info) {
+                            self.obs
+                                .logger
+                                .info(&format!("event=relocation_adopted user={user}"));
+                        }
                     } else {
                         self.obs.relocations_dropped.inc();
                     }

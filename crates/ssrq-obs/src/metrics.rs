@@ -225,19 +225,23 @@ impl Entry {
     }
 }
 
-type MetricKey = (String, Vec<(String, String)>);
+/// One name's registered label sets (pairs in ascending key order), the
+/// sets themselves in ascending order.
+type Series = Vec<(Vec<(String, String)>, Entry)>;
 
 /// A named collection of metrics: get-or-register by `(name, labels)`,
 /// snapshot everything at once.
 ///
 /// Registration takes a mutex; the returned handles record lock-free.
-/// Most of the system uses the process-wide [`Registry::global`] so that
-/// one `Metrics` request (or [`render_prometheus`](crate::render_prometheus))
-/// sees every layer at once, but registries are ordinary values and tests
-/// may build private ones.
+/// Looking up a metric that is already registered allocates nothing, so a
+/// hook may look its handles up on every call.  Most of the system uses
+/// the process-wide [`Registry::global`] so that one `Metrics` request (or
+/// [`render_prometheus`](crate::render_prometheus)) sees every layer at
+/// once, but registries are ordinary values and tests may build private
+/// ones.
 #[derive(Debug, Default)]
 pub struct Registry {
-    entries: Mutex<BTreeMap<MetricKey, Entry>>,
+    entries: Mutex<BTreeMap<String, Series>>,
 }
 
 fn normalize_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
@@ -247,6 +251,16 @@ fn normalize_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
         .collect();
     out.sort();
     out
+}
+
+/// Whether `stored` (normalized) and `labels` (in any order) are the same
+/// label set, compared without normalizing `labels`.
+fn same_labels(stored: &[(String, String)], labels: &[(&str, &str)]) -> bool {
+    let holds = |k: &str, v: &str| stored.iter().any(|(sk, sv)| sk == k && sv == v);
+    let given = |k: &str, v: &str| labels.iter().any(|&(lk, lv)| lk == k && lv == v);
+    stored.len() == labels.len()
+        && labels.iter().all(|&(k, v)| holds(k, v))
+        && stored.iter().all(|(k, v)| given(k, v))
 }
 
 impl Registry {
@@ -261,13 +275,32 @@ impl Registry {
         GLOBAL.get_or_init(Registry::new)
     }
 
-    fn entry(&self, name: &str, labels: &[(&str, &str)], default: Entry) -> Entry {
-        let key = (name.to_owned(), normalize_labels(labels));
+    /// The metric registered under `(name, labels)`, registered as `make()`
+    /// on first use; `kind` is the kind the caller expects.
+    fn entry(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        kind: &'static str,
+        make: fn() -> Entry,
+    ) -> Entry {
         let mut entries = self.entries.lock().expect("metrics registry lock");
-        let entry = entries.entry(key).or_insert(default.clone());
+        if !entries.contains_key(name) {
+            entries.insert(name.to_owned(), Series::new());
+        }
+        let series = entries.get_mut(name).expect("inserted above");
+        let entry = match series.iter().position(|(set, _)| same_labels(set, labels)) {
+            Some(at) => &series[at].1,
+            None => {
+                let set = normalize_labels(labels);
+                let at = series.partition_point(|(other, _)| *other < set);
+                series.insert(at, (set, make()));
+                &series[at].1
+            }
+        };
         assert_eq!(
             entry.kind(),
-            default.kind(),
+            kind,
             "metric {name:?} is already registered as a {}",
             entry.kind()
         );
@@ -281,7 +314,7 @@ impl Registry {
     /// If the same name + label set is already registered as a different
     /// metric kind — a programming error, caught loudly.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.entry(name, labels, Entry::Counter(Counter::new())) {
+        match self.entry(name, labels, "counter", || Entry::Counter(Counter::new())) {
             Entry::Counter(c) => c,
             _ => unreachable!("kind asserted above"),
         }
@@ -294,7 +327,9 @@ impl Registry {
     ///
     /// As [`Registry::counter`], on a kind mismatch.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        match self.entry(name, labels, Entry::Histogram(Histogram::new())) {
+        match self.entry(name, labels, "histogram", || {
+            Entry::Histogram(Histogram::new())
+        }) {
             Entry::Histogram(h) => h,
             _ => unreachable!("kind asserted above"),
         }
@@ -306,13 +341,15 @@ impl Registry {
         let entries = self.entries.lock().expect("metrics registry lock");
         entries
             .iter()
-            .map(|((name, labels), entry)| MetricSample {
-                name: name.clone(),
-                labels: labels.clone(),
-                value: match entry {
-                    Entry::Counter(c) => MetricValue::Counter(c.get()),
-                    Entry::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                },
+            .flat_map(|(name, series)| {
+                series.iter().map(move |(labels, entry)| MetricSample {
+                    name: name.clone(),
+                    labels: labels.clone(),
+                    value: match entry {
+                        Entry::Counter(c) => MetricValue::Counter(c.get()),
+                        Entry::Histogram(h) => MetricValue::Histogram(h.snapshot()),
+                    },
+                })
             })
             .collect()
     }
@@ -408,6 +445,34 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, 40_000);
         assert!(snap.is_consistent());
+    }
+
+    #[test]
+    fn a_hit_returns_the_registered_handle() {
+        let registry = Registry::new();
+        let labels = [("shard", "1"), ("algorithm", "ais")];
+        let counter = registry.counter("events_total", &labels);
+        let histogram = registry.histogram("latency_ns", &labels);
+        let reversed = [labels[1], labels[0]];
+        assert!(Arc::ptr_eq(
+            &counter.0,
+            &registry.counter("events_total", &reversed).0
+        ));
+        assert!(Arc::ptr_eq(
+            &histogram.0,
+            &registry.histogram("latency_ns", &labels).0
+        ));
+        // Another label set is another series, listed in label order.
+        registry.counter("events_total", &[("algorithm", "ais"), ("shard", "0")]);
+        registry.counter("events_total", &[]);
+        let sets: Vec<_> = registry
+            .snapshot()
+            .into_iter()
+            .filter(|sample| sample.name == "events_total")
+            .map(|sample| sample.labels)
+            .collect();
+        assert_eq!(sets.len(), 3);
+        assert!(sets.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
