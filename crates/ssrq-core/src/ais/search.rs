@@ -16,9 +16,9 @@ pub(crate) struct AisVariant {
     /// Sharing mode of the graph-distance submodule (§5.2).
     pub sharing: SharingMode,
     /// Whether the delayed-evaluation strategy (§5.3) is applied: users and
-    /// index nodes are keyed by the forward frontier `β`, and every user
-    /// the forward search settles is scored as it settles (see
-    /// [`AisDriver`]).
+    /// index nodes are keyed by the forward frontier `β`, every user the
+    /// forward search settles is scored as it settles, and that search
+    /// takes turns of its own (see [`AisDriver`]).
     pub delayed_evaluation: bool,
 }
 
@@ -89,7 +89,8 @@ impl Ord for Entry {
 /// search.
 ///
 /// Each step pops one entry from the search heap `H` and handles it —
-/// expanding an index node, parking a user, or evaluating one exactly.
+/// expanding an index node, parking a user, or evaluating one exactly (or,
+/// in full AIS, gives the forward search a turn; see below).
 /// Every pop key is a finalization bound: the driver emits result entries
 /// as soon as their score drops below the best key still in the heap.
 ///
@@ -123,6 +124,47 @@ impl Ord for Entry {
 /// dropped, and one evaluated through the heap before it settled is not
 /// offered again while the top-k holds it (once evicted or rejected, it
 /// scores at or above `f_k` and an offer is a no-op).
+///
+/// # The forward search's own turns (full AIS only)
+///
+/// GraphDist moves the shared forward search on only inside a distance
+/// call, so at high α, where few users are near in space *and* socially,
+/// AIS would rule users out one budgeted bidirectional call at a time
+/// while the settles that score them in bulk wait.  Full AIS therefore
+/// schedules the forward search against its other work, as the threshold
+/// algorithm schedules its sorted accesses (Fagin, Lotem & Naor, PODS
+/// 2001): after scoring the settled users, a step settles one more forward
+/// vertex ([`GraphDistanceEngine::advance`]) instead of popping `H` while
+///
+/// `forward_settled_count() < (index_pops + reverse_settles) / 2`
+///
+/// (integer division): `index_pops` are this query's pops of `H`, and
+/// `reverse_settles` this engine's.  The count includes the prefix a
+/// sharing scope resumed, so a resumed search that is already ahead takes
+/// no turns (counting only this engine's settles makes a resumed arm keep
+/// expanding, and `tests/sequential_scatter.rs` fails).  The ratio ½ is
+/// GraphDist's own `γ < β/2`.  The ratios tried, with the AIS pop ratio of
+/// `experiments -- fig10 --quick --scale 0.2 --queries 4` (gowalla-like;
+/// AIS⁻ reads 0.3454 / 0.4713 / 0.5306 at k = 20 / 40 / 50), and forward
+/// settles and time per query on the `churn_auto` dataset (10 k users,
+/// α = 0.9, k = 10 / 50; 150 queries, best of 5 passes, one 2-vCPU Xeon
+/// @ 2.10 GHz; SFA settles 128 / 665 vertices there):
+///
+/// | turn while forward settles < …         | pop ratio, k = 20 / 40 / 50 | settles     | µs        |
+/// |----------------------------------------|-----------------------------|-------------|-----------|
+/// | **½ (`H` pops + reverse settles)**     | 0.2929 / 0.4396 / 0.4923    | 181 / 604   | 92 / 251  |
+/// | `H` pops + reverse settles (1 : 1)     | 0.3577 / 0.5290 / 0.6029    | 205 / 641   | 68 / 190  |
+/// | `H` pops (1 : 1)                       | 0.3300 / 0.4775 / 0.5458    | 205 / 640   | —         |
+/// | (`H` pops + reverse settles) · α/(1−α) | —                           | 1,269/1,681 | 236 / 302 |
+///
+/// The two 1 : 1 rules lift AIS's pop ratio above AIS⁻'s (Fig. 10's
+/// ordering; `experiments_cli.rs` checks it), although the first was the
+/// fastest at α = 0.9; the α/(1−α) weight overshoots SFA's own stop.
+///
+/// **Why it stays exact.**  A turn only raises `β`, so every key already
+/// in `H` stays a lower bound; every user a turn settles is offered by the
+/// next step's scoring before `H` is popped again; and each step either
+/// settles a new vertex or pops `H`, so the search terminates.
 pub(crate) struct AisDriver<'a> {
     index: &'a AisIndex,
     landmarks: &'a LandmarkSet,
@@ -244,6 +286,13 @@ impl Search for AisDriver<'_> {
     fn step(&mut self, book: &mut AnswerBook<'_>) -> StepOutcome {
         if self.variant.delayed_evaluation {
             self.score_settled(book);
+            // The forward search's own turn (type docs).
+            let turns = book.stats.index_pops + self.distance_engine.stats().reverse_settles;
+            if self.distance_engine.forward_settled_count() < turns / 2
+                && self.distance_engine.advance()
+            {
+                return StepOutcome::Progress;
+            }
         }
         let Some(Entry { key, item }) = self.heap.pop() else {
             // The search heap drained: every remaining user was pruned with

@@ -252,6 +252,20 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
         self.forward.settled_count()
     }
 
+    /// Settles the next vertex of the shared forward search outside any
+    /// call: it joins [`settled_order`](Self::settled_order), raises
+    /// [`beta`](Self::beta) to its distance and counts in
+    /// `forward_settles`.  Returns `false`, settling nothing, when the
+    /// search is exhausted or in [`SharingMode::None`], which has no
+    /// shared search.
+    pub fn advance(&mut self) -> bool {
+        if self.mode == SharingMode::None || self.forward.next_settled(self.graph).is_none() {
+            return false;
+        }
+        self.stats.forward_settles += 1;
+        true
+    }
+
     /// Computes the exact graph distance from the source to `target`
     /// (`f64::INFINITY` when unreachable).
     pub fn distance(&mut self, target: NodeId) -> Distance {
@@ -675,6 +689,54 @@ mod tests {
             unshared.distance(140);
             assert!(unshared.settled_order().is_empty());
         }
+    }
+
+    #[test]
+    fn advance_settles_the_next_vertex_of_the_shared_search() {
+        let g = random_graph(150, 320, 23);
+        let lms = LandmarkSet::build(&g, 4, LandmarkSelection::FarthestFirst, 23).unwrap();
+        let mut fresh = SearchScratch::new();
+        let mut reference = IncrementalDijkstra::new(&g, 9, &mut fresh);
+        let mut order = Vec::new();
+        while let Some((v, d)) = reference.next_settled(&g) {
+            order.push((v, d.to_bits()));
+        }
+        let mut scratch = SearchScratch::new();
+        for scope in [false, true] {
+            scratch.share_expansions(scope);
+            let mut resumed = 0;
+            for (targets, budget) in [([120u32, 33], 1.5), ([71, 140], f64::INFINITY)] {
+                let mut e =
+                    GraphDistanceEngine::new(&g, &lms, 9, SharingMode::Shared, &mut scratch);
+                assert_eq!(e.forward_settled_count(), resumed, "scope {scope}");
+                for t in targets {
+                    e.distance_within(t, budget);
+                }
+                for _ in 0..5 {
+                    let (at, settles) = (e.forward_settled_count(), e.stats().forward_settles);
+                    assert!(e.advance(), "scope {scope}");
+                    let settled = e.settled_order();
+                    assert_eq!(settled.len(), at + 1);
+                    let (v, d) = settled[at];
+                    assert_eq!((v, d.to_bits()), order[at], "scope {scope}");
+                    assert_eq!(e.beta().to_bits(), d.to_bits());
+                    assert_eq!(e.stats().forward_settles, settles + 1);
+                }
+                resumed = if scope { e.forward_settled_count() } else { 0 };
+            }
+        }
+        let mut e = GraphDistanceEngine::new(&g, &lms, 9, SharingMode::Shared, &mut scratch);
+        while e.advance() {}
+        assert_eq!(e.forward_settled_count(), order.len());
+        assert!(!e.advance(), "an exhausted search settles nothing");
+        let mut unshared = GraphDistanceEngine::new(&g, &lms, 9, SharingMode::None, &mut scratch);
+        unshared.distance(140);
+        let before = unshared.stats();
+        assert!(
+            !unshared.advance(),
+            "an unshared engine has no shared search"
+        );
+        assert_eq!(unshared.stats(), before);
     }
 
     #[test]
